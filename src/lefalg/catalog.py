@@ -1,8 +1,8 @@
 """Built-in algebras: three counterexample varieties plus standard families.
 
 Catalog names double as constructors: "P-n" and "Gr-k-n" are parametric,
-and any "x"-joined list of resolvable names builds the product ring, so the
-finite list reported by names() is not exhaustive.
+and any "x"-joined list of two or more non-product names builds the product
+ring, so the finite list reported by names() is not exhaustive.
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ def _monomial_pullback(y: GradedAlgebra, caps: Sequence[int], z: GradedAlgebra,
                 for _ in range(e):
                     el = multiply(el, img)
             cols.append(el.coords)
-        mats.append(Matrix(z.dim(k), y.dim(k),
-                           [[cols[j][t] for j in range(y.dim(k))]
-                            for t in range(z.dim(k))]))
+        mats.append(Matrix(y.dim(k), z.dim(k), cols).transpose())
     return RingMap(y, z, mats)
 
 
@@ -126,9 +124,45 @@ def names() -> list[str]:
             + ["P1xP1", "P1xP2", "P3xP3", "P1xP1xP1", "Gr-2-4xP1", "Gr-2-5xP2"])
 
 
+def _is_factor(name: str) -> bool:
+    """Whether name is a catalog name other than a product."""
+    if name in ("example1", "example2", "example3", "CxP1-even"):
+        return True
+    m = _GR_NAME.match(name)
+    if m:
+        return 1 <= int(m.group(1)) < int(m.group(2))
+    return _P_NAME.match(name) is not None
+
+
+def _product_factors(name: str) -> Optional[list[str]]:
+    """Split name at the x's that end a factor name; None unless it is a product.
+
+    No factor name is another factor name followed by "x" and more text, so
+    cutting at the first x that ends a factor is the only split.
+    """
+    parts, start = [], 0
+    for i, ch in enumerate(name):
+        if ch == "x" and _is_factor(name[start:i]):
+            parts.append(name[start:i])
+            start = i + 1
+    parts.append(name[start:])
+    if len(parts) < 2 or not _is_factor(parts[-1]):
+        return None
+    return parts
+
+
 @lru_cache(maxsize=None)
 def get(name: str) -> CatalogEntry:
     """Resolve a catalog name; raises ValueError for unknown names."""
+    if not _is_factor(name):
+        parts = _product_factors(name)
+        if parts is None:
+            raise ValueError(f"unknown catalog name: {name!r}")
+        alg = get(parts[0]).algebra
+        for p in parts[1:]:
+            alg = tensor_product(alg, get(p).algebra)
+        return CatalogEntry(name, alg, _degree_one_sum(alg),
+                            "product of " + " and ".join(parts))
     if name == "example1":
         alg = build_example1()
         omega = 10 * alg.by_label("c") - alg.by_label("e^1*1")
@@ -155,24 +189,8 @@ def get(name: str) -> CatalogEntry:
         alg = projective_space(n, name=name)
         return CatalogEntry(name, alg, _degree_one_sum(alg),
                             f"projective space of dimension {n}")
-    m = _GR_NAME.match(name)
-    if m:
-        k, n = int(m.group(1)), int(m.group(2))
-        if not 1 <= k < n:
-            raise ValueError(f"unknown catalog name: {name!r}")
-        alg = grassmannian(k, n)
-        return CatalogEntry(name, alg, alg.by_label("s[1]"),
-                            f"Grassmannian of {k}-planes in {n}-space")
-    if "x" in name:
-        parts = name.split("x")
-        if len(parts) >= 2 and all(parts):
-            try:
-                factors = [get(p).algebra for p in parts]
-            except ValueError:
-                raise ValueError(f"unknown catalog name: {name!r}")
-            alg = factors[0]
-            for f in factors[1:]:
-                alg = tensor_product(alg, f)
-            return CatalogEntry(name, alg, _degree_one_sum(alg),
-                                "product of " + " and ".join(parts))
-    raise ValueError(f"unknown catalog name: {name!r}")
+    # a factor name that is none of the above is a valid Gr-k-n
+    k, n = (int(g) for g in _GR_NAME.match(name).groups())
+    alg = grassmannian(k, n)
+    return CatalogEntry(name, alg, alg.by_label("s[1]"),
+                        f"Grassmannian of {k}-planes in {n}-space")

@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import catalog
-from .buildfile import BuildFileError, evaluate, parse_build_file
+from .buildfile import evaluate, parse_build_file
 from .lefschetz import (LefschetzData, check_hard_lefschetz,
                         check_poincare_duality, check_symmetry,
                         lefschetz_subalgebra, primitive_dims)
@@ -118,14 +118,9 @@ def _default_omega(name: str, a: GradedAlgebra) -> Optional[Element]:
         entry = catalog.get(name)
     except ValueError:
         entry = None
-    if entry is not None and entry.algebra is a and entry.omega is not None:
+    if entry is not None and entry.algebra is a:
         return entry.omega
-    if a.top_degree == 0:
-        return None
-    out = a.zero(1)
-    for i in range(a.dim(1)):
-        out = out + a.basis_element(1, i)
-    return out
+    return catalog._degree_one_sum(a)
 
 
 def _resolve_check_inputs(args) -> tuple[GradedAlgebra, LefschetzData,
@@ -329,13 +324,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, BuildFileError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, OSError, RecursionError) as e:
+        # CliError and BuildFileError are ValueErrors, FileNotFoundError and
+        # IsADirectoryError are OSErrors; exit 1 is kept for failing verdicts
         print(f"error: {e}", file=sys.stderr)
         return 2
 

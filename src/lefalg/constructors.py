@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import Matrix, Vector, rref, solve, vector, vzero
+from .linalg import Matrix, Vector, row_space_rank, solve, vector, vzero
 from .ring import (
     Element,
     GradedAlgebra,
@@ -102,7 +102,7 @@ def series(a: GradedAlgebra, terms: Sequence[Element]) -> list[Element]:
             continue
         if not isinstance(t, Element) or t.algebra is not a:
             raise ValueError(f"series entry {k} is not an element of {a.name}")
-        if t.above_top or t.degree != k:
+        if t.degree != k:
             raise ValueError(f"series entry {k} must be homogeneous of degree {k}")
         out[k] = t
     return out
@@ -159,7 +159,7 @@ def adjoint_pushforward(pullback: RingMap, r: int) -> tuple[Matrix, ...]:
     mats = []
     for k in range(z.top_degree + 1):
         gram = pairing_matrix(y, k + r)
-        if gram.rows != gram.cols or rref(gram).rank != gram.rows:
+        if gram.rows != gram.cols or row_space_rank(gram.entries) != gram.rows:
             raise ValueError(f"ambient pairing is degenerate in degree {k + r}")
         gt = gram.transpose()
         comp = dy - k - r
@@ -173,9 +173,7 @@ def adjoint_pushforward(pullback: RingMap, r: int) -> tuple[Matrix, ...]:
             u = solve(gt, rhs)
             assert u is not None  # gram is invertible
             cols.append(u)
-        mats.append(Matrix(y.dim(k + r), z.dim(k),
-                           [[cols[i][t] for i in range(z.dim(k))]
-                            for t in range(y.dim(k + r))]))
+        mats.append(Matrix(z.dim(k), y.dim(k + r), cols).transpose())
     return tuple(mats)
 
 
@@ -183,8 +181,8 @@ def adjoint_pushforward(pullback: RingMap, r: int) -> tuple[Matrix, ...]:
 class BlowupInput:
     """Data of a blowup: ambient Y, center Z, restriction, and normal bundle.
 
-    chern_n lists [c_1(N), ..., c_r(N)] as Elements of Z; classes whose
-    degree exceeds Z's top must be passed as the canonical above-top zero.
+    chern_n lists [c_1(N), ..., c_r(N)] as Elements of Z, c_i in degree i;
+    above Z's top degree that is the zero z.zero(i).
     """
     y: GradedAlgebra
     z: GradedAlgebra
@@ -194,13 +192,6 @@ class BlowupInput:
 
     def __post_init__(self):
         object.__setattr__(self, "chern_n", tuple(self.chern_n))
-
-
-def _matches(a: Element, b: Element) -> bool:
-    if a.is_zero and b.is_zero:
-        return True
-    return (not a.above_top and not b.above_top
-            and a.degree == b.degree and a.coords == b.coords)
 
 
 def blowup(data: BlowupInput, *, sign: int = 1,
@@ -234,12 +225,8 @@ def blowup(data: BlowupInput, *, sign: int = 1,
     for i, c in enumerate(data.chern_n, start=1):
         if not isinstance(c, Element) or c.algebra is not z:
             raise ValueError(f"c_{i}(N) must be an element of the center algebra")
-        if i <= dz:
-            if c.above_top or c.degree != i:
-                raise ValueError(f"c_{i}(N) must be homogeneous of degree {i}")
-        elif not c.is_zero:
-            raise ValueError(f"c_{i}(N) must vanish: degree {i} exceeds the "
-                             f"center's top degree {dz}")
+        if c.degree != i:
+            raise ValueError(f"c_{i}(N) must be homogeneous of degree {i}")
     report = verify_ring_map(pull)
     if not report.ok:
         raise ValueError("pullback fails to be a ring map: "
@@ -247,7 +234,7 @@ def blowup(data: BlowupInput, *, sign: int = 1,
     push = adjoint_pushforward(pull, r)
     self_int = apply_ring_map(pull, y.element(r, push[0].mat_vec(z.unit().coords)))
     cr = data.chern_n[r - 1]
-    if not _matches(self_int, cr):
+    if self_int != cr:
         raise ValueError(f"self-intersection check failed: iota^*(iota_*(1)) "
                          f"= {self_int} but c_{r}(N) = {cr}")
 
@@ -358,18 +345,13 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
     s = len(chern) - 1
     dy = y.top_degree
     c0 = chern[0]
-    if not isinstance(c0, Element) or c0.algebra is not y or c0.above_top \
-            or c0.degree != 0 or c0.coords != y.unit().coords:
+    if not isinstance(c0, Element) or c0 != y.unit():
         raise ValueError("c_0 must be the unit class")
     for i, c in enumerate(chern[1:], start=1):
         if not isinstance(c, Element) or c.algebra is not y:
             raise ValueError(f"c_{i} must be an element of {y.name}")
-        if i <= dy:
-            if c.above_top or c.degree != i:
-                raise ValueError(f"c_{i} must be homogeneous of degree {i}")
-        elif not c.is_zero:
-            raise ValueError(f"c_{i} must vanish: degree {i} exceeds the base's "
-                             f"top degree {dy}")
+        if c.degree != i:
+            raise ValueError(f"c_{i} must be homogeneous of degree {i}")
     d = dy + s - 1
 
     basis: list[list[str]] = []

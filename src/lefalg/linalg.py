@@ -190,13 +190,7 @@ def rref(m: Matrix) -> RrefResult:
 
 def row_space_rank(vectors: Sequence[Sequence]) -> int:
     """Dimension of the span of the given coordinate vectors (0 for none)."""
-    rows = [tuple(scalar(x) for x in v) for v in vectors]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("dimension mismatch: vectors have different lengths")
-    return rref(Matrix(len(rows), width, rows)).rank
+    return len(row_space_basis(vectors))
 
 
 def row_space_basis(vectors: Sequence[Sequence]) -> list[Vector]:

@@ -6,8 +6,9 @@ integration functional on the top degree. Cohomological degree 2k is
 represented by internal degree k; odd degrees are not modeled, so the
 product is honestly commutative and no Koszul signs appear anywhere.
 
-Products whose degrees sum beyond d are the canonical zero: a zero vector
-in the clamped degree d carrying an explicit ``above_top`` flag.
+Degree k > d has dimension 0, so its only element is the zero with no
+coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
+element; no stored flag marks it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .linalg import (
     Vector,
     dot,
     format_rational,
+    row_space_rank,
     scalar,
     vadd,
     vector,
@@ -113,10 +115,7 @@ class GradedAlgebra:
         return Element(self, 0, (Fraction(1),))
 
     def zero(self, k: int) -> "Element":
-        """Zero of degree k; above the top degree, the canonical flagged zero."""
-        if k > self.top_degree:
-            return Element(self, self.top_degree,
-                           vzero(self.dim(self.top_degree)), above_top=True)
+        """Zero of degree k; above the top degree it has no coordinates."""
         return Element(self, k, vzero(self.dim(k)))
 
     def basis_element(self, k: int, i: int) -> "Element":
@@ -152,21 +151,23 @@ class GradedAlgebra:
 class Element:
     """A homogeneous class: a degree plus exact coordinates in that degree."""
 
-    __slots__ = ("algebra", "degree", "coords", "above_top")
+    __slots__ = ("algebra", "degree", "coords")
 
-    def __init__(self, algebra: GradedAlgebra, degree: int, coords: Vector,
-                 above_top: bool = False):
+    def __init__(self, algebra: GradedAlgebra, degree: int, coords: Vector):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "above_top", above_top)
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
 
     @property
+    def above_top(self) -> bool:
+        return self.degree > self.algebra.top_degree
+
+    @property
     def is_zero(self) -> bool:
-        return self.above_top or all(c == 0 for c in self.coords)
+        return all(c == 0 for c in self.coords)
 
     def _require_same_algebra(self, other: "Element"):
         if self.algebra is not other.algebra:
@@ -176,13 +177,6 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_algebra(other)
-        if self.above_top and other.above_top:
-            return self
-        if self.above_top or other.above_top:
-            kept = other if self.above_top else self
-            if kept.degree != self.algebra.top_degree:
-                raise ValueError("cannot add an above-top zero to a lower degree")
-            return kept
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         return Element(self.algebra, self.degree, vadd(self.coords, other.coords))
@@ -193,8 +187,7 @@ class Element:
         return self + (-other)
 
     def __neg__(self):
-        return Element(self.algebra, self.degree,
-                       tuple(-c for c in self.coords), self.above_top)
+        return Element(self.algebra, self.degree, tuple(-c for c in self.coords))
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -204,7 +197,7 @@ class Element:
         except TypeError:
             return NotImplemented
         return Element(self.algebra, self.degree,
-                       tuple(c * x for x in self.coords), self.above_top)
+                       tuple(c * x for x in self.coords))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -221,17 +214,16 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         return (self.algebra is other.algebra and self.degree == other.degree
-                and self.coords == other.coords and self.above_top == other.above_top)
+                and self.coords == other.coords)
 
     def __hash__(self):
-        return hash((id(self.algebra), self.degree, self.coords, self.above_top))
+        return hash((id(self.algebra), self.degree, self.coords))
 
     def __str__(self):
         return render_element(self)
 
     def __repr__(self):
-        flag = ", above_top" if self.above_top else ""
-        return f"<deg {self.degree}{flag}: {render_element(self)}>"
+        return f"<deg {self.degree}: {render_element(self)}>"
 
 
 def render_element(x: Element) -> str:
@@ -259,14 +251,12 @@ def render_element(x: Element) -> str:
 
 
 def multiply(x: Element, y: Element) -> Element:
-    """Cup product; above the top degree it is the canonical flagged zero."""
+    """Cup product; past the top degree it is the zero of the degree sum."""
     if not isinstance(x, Element) or not isinstance(y, Element):
         raise TypeError("multiply expects two Elements")
     if x.algebra is not y.algebra:
         raise ValueError("elements live in different algebras")
     a = x.algebra
-    if x.above_top or y.above_top:
-        return a.zero(a.top_degree + 1)
     k = x.degree + y.degree
     if k > a.top_degree:
         return a.zero(k)
@@ -288,12 +278,12 @@ def multiply(x: Element, y: Element) -> Element:
 
 
 def integrate(x: Element) -> Fraction:
-    """Apply the degree-d integration functional."""
+    """Apply the degree-d integration functional; it is 0 above degree d."""
     a = x.algebra
-    if x.degree != a.top_degree:
-        raise ValueError(f"integrate needs degree {a.top_degree}, got {x.degree}")
     if x.above_top:
         return Fraction(0)
+    if x.degree != a.top_degree:
+        raise ValueError(f"integrate needs degree {a.top_degree}, got {x.degree}")
     return dot(a.integration, x.coords)
 
 
@@ -327,8 +317,6 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
     integration functional, and full-rank pairing in every degree.
     Violations are data, not exceptions.
     """
-    from .linalg import rref
-
     bad: list[str] = []
     d = a.top_degree
     unit = a.unit()
@@ -367,12 +355,13 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
         bad.append("integration functional is identically zero")
     for k in range(d + 1):
         g = pairing_matrix(a, k)
+        rank = row_space_rank(g.entries)
         if g.rows != g.cols:
             bad.append(f"pairing at degree {k} is not square: "
                        f"{g.rows}x{g.cols}")
-        elif rref(g).rank != g.rows:
+        elif rank != g.rows:
             bad.append(f"pairing at degree {k} is singular "
-                       f"(rank {rref(g).rank} of {g.rows})")
+                       f"(rank {rank} of {g.rows})")
     return CheckReport(tuple(bad))
 
 
@@ -411,19 +400,9 @@ class RingMap:
 def apply_ring_map(f: RingMap, x: Element) -> Element:
     if x.algebra is not f.source:
         raise ValueError("element does not belong to the map's source")
-    if x.above_top:
-        return f.target.zero(f.target.top_degree + 1)
-    if x.degree > f.target.top_degree:
+    if x.degree >= len(f.matrices):
         return f.target.zero(x.degree)
     return f.target.element(x.degree, f.matrices[x.degree].mat_vec(x.coords))
-
-
-def _same_class(x: Element, y: Element) -> bool:
-    # equality up to the zero convention: above-top zeros match any zero
-    if x.is_zero and y.is_zero:
-        return True
-    return (not x.above_top and not y.above_top
-            and x.degree == y.degree and x.coords == y.coords)
 
 
 def verify_ring_map(f: RingMap) -> CheckReport:
@@ -449,7 +428,7 @@ def verify_ring_map(f: RingMap) -> CheckReport:
                     yj = src.basis_element(k2, j)
                     lhs = apply_ring_map(f, multiply(xi, yj))
                     rhs = multiply(fxi, apply_ring_map(f, yj))
-                    if not _same_class(lhs, rhs):
+                    if lhs != rhs:
                         bad.append(f"multiplicativity fails on degrees "
                                    f"({k1},{k2}) indices ({i},{j}): "
                                    f"f(xy) = {lhs} but f(x)f(y) = {rhs}")

@@ -4,7 +4,7 @@ import pytest
 
 from lefalg.catalog import build_example1, build_example2, get, names
 from lefalg.lefschetz import lefschetz_subalgebra
-from lefalg.ring import render_element, verify_algebra
+from lefalg.ring import render_element, tensor_product, verify_algebra
 
 
 def test_names_contains_the_required_entries():
@@ -86,3 +86,21 @@ def test_sign_flip_builders_are_consistent():
 def test_description_strings_present():
     for name in ("example1", "example2", "example3"):
         assert get(name).description
+
+
+@pytest.mark.parametrize("name, factors", [
+    ("example3xP1", ("example3", "P1")),
+    ("CxP1-evenxP1", ("CxP1-even", "P1")),
+])
+def test_product_factors_may_contain_x(name, factors):
+    expected = get(factors[0]).algebra
+    for f in factors[1:]:
+        expected = tensor_product(expected, get(f).algebra)
+    assert get(name).algebra == expected
+
+
+def test_triple_product_is_the_left_fold():
+    p1 = get("P1").algebra
+    t = get("P1xP1xP1").algebra
+    assert t == tensor_product(tensor_product(p1, p1), p1)
+    assert t.basis[1] == ("h⊗1⊗1", "1⊗h⊗1", "1⊗1⊗h")

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, output shapes, expression parsing."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lefalg
 from lefalg.catalog import get, names
 from lefalg.cli import CliError, load_algebra, parse_element_expr, run
 
@@ -173,3 +177,31 @@ def test_load_algebra_from_file(tmp_path):
     assert load_algebra(str(path)) == get("Gr-2-4").algebra
     with pytest.raises(CliError):
         load_algebra("definitely-not-a-name")
+
+
+def _directory_args(tmp_path):
+    return ["dims", str(tmp_path)]
+
+
+def _deeply_nested_build_args(tmp_path):
+    path = tmp_path / "deep.build.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    return ["build", str(path)]
+
+
+@pytest.mark.parametrize("make_args", [_directory_args,
+                                       _deeply_nested_build_args],
+                         ids=["directory", "nested-json"])
+def test_bad_input_exits_2_without_traceback(tmp_path, make_args):
+    # a fresh interpreter, as the entry point runs, so that an escaping
+    # exception would show as a traceback on stderr
+    src = os.path.dirname(os.path.dirname(lefalg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from lefalg.cli import main; main()",
+         *make_args(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

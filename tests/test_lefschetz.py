@@ -8,6 +8,7 @@ from lefalg.constructors import projective_space
 from lefalg.lefschetz import (check_hard_lefschetz, check_poincare_duality,
                               check_symmetry, lefschetz_subalgebra,
                               primitive_dims)
+from lefalg.linalg import Matrix, kernel
 from lefalg.ring import multiply
 
 
@@ -176,3 +177,24 @@ def test_witness_rank_format_on_example3():
     assert not v.passed
     # the top power of omega vanishes outright, so the k=0 step fails
     assert v.witness == "k=0: rank 0 of 1"
+
+
+def test_primitive_dims_match_explicit_kernels():
+    # dim PL^i is the nullity of the omega^(d-2i+1) matrix on L^i, built here
+    # column by column; past the top degree the matrix has no rows
+    for name in names():
+        entry = get(name)
+        a = entry.algebra
+        if sum(a.dims) > 60:
+            continue
+        d = a.top_degree
+        lef = lefschetz_subalgebra(a)
+        expected = []
+        for i in range(d // 2 + 1):
+            power = entry.omega ** (d - 2 * i + 1)
+            cols = [multiply(power, u).coords for u in lef.elements(i)]
+            rows = a.dim(d - i + 1)
+            mat = Matrix(rows, len(cols),
+                         [[c[t] for c in cols] for t in range(rows)])
+            expected.append(len(kernel(mat)))
+        assert primitive_dims(lef, entry.omega).dims == tuple(expected), name

@@ -1,5 +1,6 @@
 """Exact linear algebra: rref canonicity, solve, kernel, parsing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,3 +122,30 @@ def test_solve_matches_kernel_structure():
     x = solve(a, [4, 5])
     assert x is not None
     assert a.mat_vec(x) == (Fraction(4), Fraction(5))
+
+
+def _random_rows(rng, rows, cols, rank, rational):
+    # a rows x rank by rank x cols product, so the rank is at most `rank`
+    def entry():
+        num = rng.randint(-9, 9)
+        return Fraction(num, rng.randint(1, 6)) if rational else Fraction(num)
+    left = [[entry() for _ in range(rank)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(rank)]
+    return [tuple(sum((l[t] * right[t][j] for t in range(rank)), Fraction(0))
+                  for j in range(cols)) for l in left]
+
+
+def test_row_space_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2016)
+    cases = [([], 0), ([()], 0), ([(), (), ()], 0)]
+    for _ in range(150):
+        rows, cols = rng.randint(1, 7), rng.randint(0, 7)
+        rank = rng.randint(0, min(rows, cols))
+        cases.append((_random_rows(rng, rows, cols, rank, rng.random() < 0.5),
+                      cols))
+    for vectors, cols in cases:
+        oracle = sympy.Matrix(len(vectors), cols,
+                              [sympy.Rational(x.numerator, x.denominator)
+                               for v in vectors for x in v]).rank()
+        assert row_space_rank(vectors) == oracle, vectors

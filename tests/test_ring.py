@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lefalg import catalog
 from lefalg.constructors import projective_space, truncated_polynomial_algebra
 from lefalg.linalg import Matrix
 from lefalg.ring import (GradedAlgebra, RingMap, apply_ring_map, integrate,
@@ -219,3 +220,19 @@ def test_structural_equality(p2):
     assert p2 == again
     assert hash(p2) == hash(again)
     assert p2 != projective_space(3)
+
+
+def test_products_past_the_top_are_the_zero_of_their_degree():
+    for name in catalog.names():
+        a = catalog.get(name).algebra
+        if sum(a.dims) > 60:
+            continue
+        d = a.top_degree
+        for k1 in range(d + 1):
+            for k2 in range(d + 1 - k1, d + 1):
+                for i in range(a.dim(k1)):
+                    for j in range(a.dim(k2)):
+                        prod = multiply(a.basis_element(k1, i),
+                                        a.basis_element(k2, j))
+                        assert prod == a.zero(k1 + k2), (name, k1, i, k2, j)
+                        assert prod.coords == () and prod.above_top, name
