@@ -3,17 +3,27 @@
 Everything in this module works with `fractions.Fraction` entries, so all
 results are exact. Matrices are immutable after construction and every
 operation is a pure function; there is deliberately no float path.
+
+Ranks are found modulo the prime P = 2^61 - 1 first, on each row scaled by
+the lcm of its denominators. The rank mod P never exceeds the rank over Q,
+so when it reaches min(rows, cols) it is the exact rank; any other rank
+falls back to Gauss-Jordan elimination over `Fraction`. `rref`, `solve`
+and `kernel` always work over `Fraction`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+
+# The prime of the rank certificate (a Mersenne prime, so ints stay small).
+P = (1 << 61) - 1
 
 
 def scalar(value) -> Fraction:
@@ -188,19 +198,65 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(reduced, tuple(pivots), len(pivots))
 
 
+def _rows(vectors: Sequence[Sequence]) -> list[Vector]:
+    rows = [tuple(scalar(x) for x in v) for v in vectors]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("dimension mismatch: vectors have different lengths")
+    return rows
+
+
+def _rank_mod_p(rows: list[Vector], width: int) -> int:
+    """Rank mod P of the rows, each scaled by the lcm of its denominators.
+
+    Echelon form only: every pivot row is normalized to a leading 1 and is
+    zero in the pivot columns found before it, so one pass over the pivot
+    rows in order clears a new row. Stops once the rank reaches
+    min(rows, width), which no further row can raise.
+    """
+    full = min(len(rows), width)
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if len(pivots) == full:
+            break
+        scale = lcm(*(x.denominator for x in row))
+        r = [x.numerator * (scale // x.denominator) % P for x in row]
+        for col, pivot in pivots:
+            c = r[col]
+            if c:
+                r = [(x - c * y) % P for x, y in zip(r, pivot)]
+        for col, x in enumerate(r):
+            if x:
+                inv = pow(x, -1, P)
+                pivots.append((col, [y * inv % P for y in r]))
+                break
+    return len(pivots)
+
+
 def row_space_rank(vectors: Sequence[Sequence]) -> int:
     """Dimension of the span of the given coordinate vectors (0 for none)."""
-    return len(row_space_basis(vectors))
+    rows = _rows(vectors)
+    if not rows:
+        return 0
+    width = len(rows[0])
+    rank = _rank_mod_p(rows, width)
+    if rank == min(len(rows), width):
+        return rank
+    return rref(Matrix(len(rows), width, rows)).rank
 
 
 def row_space_basis(vectors: Sequence[Sequence]) -> list[Vector]:
-    """Canonical (RREF) basis of the span. Deterministic for any input order."""
-    rows = [tuple(scalar(x) for x in v) for v in vectors]
+    """Canonical (RREF) basis of the span. Deterministic for any input order.
+
+    A span of full width is all of Q^width, whose RREF basis is the
+    standard unit vectors; no elimination over Fraction is needed then.
+    """
+    rows = _rows(vectors)
     if not rows:
         return []
     width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("dimension mismatch: vectors have different lengths")
+    if _rank_mod_p(rows, width) == width:
+        return [tuple(Fraction(int(i == j)) for j in range(width))
+                for i in range(width)]
     res = rref(Matrix(len(rows), width, rows))
     return [res.reduced.row(i) for i in range(res.rank)]
 

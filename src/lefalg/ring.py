@@ -292,12 +292,9 @@ def pairing_matrix(a: GradedAlgebra, k: int) -> Matrix:
     d = a.top_degree
     if not 0 <= k <= d:
         raise ValueError(f"degree {k} outside 0..{d}")
-    rows = []
-    for i in range(a.dim(k)):
-        bi = a.basis_element(k, i)
-        rows.append([integrate(multiply(bi, a.basis_element(d - k, j)))
-                     for j in range(a.dim(d - k))])
-    return Matrix(a.dim(k), a.dim(d - k), rows)
+    return Matrix(a.dim(k), a.dim(d - k),
+                  [[dot(a.integration, v) for v in row]
+                   for row in a.products[(k, d - k)]])
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 from typing import Any
 
 from .linalg import format_rational, parse_rational, vzero
@@ -93,6 +94,8 @@ def algebra_from_payload(payload: Any, *,
                 not all(isinstance(lbl, str) for lbl in labels):
             raise ValueError(f"basis degree {k} must be a list of strings")
     dims = [len(labels) for labels in basis]
+    # a file repeats a few distinct tokens ("0", "1", ...) many times over
+    parsed: dict[str, Fraction] = {}
 
     def parse_vec(raw: Any, length: int, where: str):
         if not isinstance(raw, list) or len(raw) != length:
@@ -102,7 +105,10 @@ def algebra_from_payload(payload: Any, *,
             if not isinstance(tok, str):
                 raise ValueError(f"{where}: rationals must be strings, "
                                  f"got {tok!r}")
-            out.append(parse_rational(tok))
+            x = parsed.get(tok)
+            if x is None:
+                x = parsed[tok] = parse_rational(tok)
+            out.append(x)
         return tuple(out)
 
     tables = {}

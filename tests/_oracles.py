@@ -1,13 +1,15 @@
 """Independent reference computations shared by the test modules.
 
 These deliberately avoid the library code paths they are checking: spans
-are enumerated monomial by monomial, and Schubert products are expanded
-through single-row Pieri steps only, so agreement is a real cross-check.
+are enumerated monomial by monomial and ranked by plain Gauss-Jordan
+elimination over Fraction (not the modular rank engine), and Schubert
+products are expanded through single-row Pieri steps only, so agreement is
+a real cross-check.
 """
 
 import itertools
 
-from lefalg.linalg import row_space_rank
+from lefalg.linalg import Matrix, rref
 from lefalg.ring import GradedAlgebra, multiply
 from lefalg.schubert import Box, pieri
 
@@ -23,7 +25,7 @@ def brute_force_lefschetz_dims(a: GradedAlgebra) -> tuple[int, ...]:
             for g in combo:
                 el = multiply(el, g)
             vecs.append(el.coords)
-        dims.append(row_space_rank(vecs))
+        dims.append(rref(Matrix.from_rows(vecs)).rank)
     return tuple(dims)
 
 

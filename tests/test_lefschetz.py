@@ -5,11 +5,11 @@ import pytest
 from _oracles import brute_force_lefschetz_dims
 from lefalg.catalog import get, names
 from lefalg.constructors import projective_space
-from lefalg.lefschetz import (check_hard_lefschetz, check_poincare_duality,
-                              check_symmetry, lefschetz_subalgebra,
-                              primitive_dims)
+from lefalg.lefschetz import (_gram, check_hard_lefschetz,
+                              check_poincare_duality, check_symmetry,
+                              lefschetz_subalgebra, primitive_dims)
 from lefalg.linalg import Matrix, kernel
-from lefalg.ring import multiply
+from lefalg.ring import integrate, multiply
 
 
 def test_pinned_lefschetz_dims():
@@ -198,3 +198,13 @@ def test_primitive_dims_match_explicit_kernels():
                          [[c[t] for c in cols] for t in range(rows)])
             expected.append(len(kernel(mat)))
         assert primitive_dims(lef, entry.omega).dims == tuple(expected), name
+
+
+@pytest.mark.parametrize("name", names())
+def test_pd_gram_is_the_integral_of_products(name):
+    lef = lefschetz_subalgebra(get(name).algebra)
+    d = lef.ambient.top_degree
+    for k in range(d + 1):
+        assert _gram(lef, k) == [[integrate(multiply(u, v))
+                                  for v in lef.elements(d - k)]
+                                 for u in lef.elements(k)]

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from lefalg.linalg import (Matrix, dot, format_rational, kernel,
+from lefalg import linalg
+from lefalg.linalg import (P, Matrix, dot, format_rational, kernel,
                            parse_rational, row_space_basis, row_space_rank,
                            rref, scalar, solve, vadd, vscale, vsub, vector)
 
@@ -149,3 +150,42 @@ def test_row_space_rank_matches_sympy():
                               [sympy.Rational(x.numerator, x.denominator)
                                for v in vectors for x in v]).rank()
         assert row_space_rank(vectors) == oracle, vectors
+
+
+@pytest.mark.parametrize("vectors", [
+    [[P, 0], [0, 1]],                  # a row that vanishes mod P
+    [[1, 1], [1, 1 + P]],              # rows that agree mod P
+    [[Fraction(1, P), 1], [1, 0]],     # clearing 1/P makes the rows agree
+], ids=["p-row", "rows-equal-mod-p", "denominator-p"])
+def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors):
+    assert linalg._rank_mod_p(vectors, 2) == 1
+    assert row_space_rank(vectors) == 2
+    assert row_space_basis(vectors) == [(Fraction(1), Fraction(0)),
+                                        (Fraction(0), Fraction(1))]
+
+
+def test_full_width_basis_shortcut_matches_rref():
+    rng = random.Random(1982)
+    for _ in range(100):
+        cols = rng.randint(1, 6)
+        rows = _random_rows(rng, rng.randint(cols, cols + 3), cols, cols,
+                            rng.random() < 0.5)
+        res = rref(Matrix.from_rows(rows))
+        if res.rank < cols:
+            continue  # the random product fell short of full rank
+        assert row_space_basis(rows) == \
+            [res.reduced.row(i) for i in range(res.rank)], rows
+
+
+def test_rref_runs_exactly_when_the_rank_mod_p_is_short(monkeypatch):
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    rng = random.Random(61)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        rank = rng.randint(0, min(rows, cols))
+        vectors = _random_rows(rng, rows, cols, rank, rng.random() < 0.5)
+        calls.clear()
+        got = row_space_rank(vectors)
+        assert bool(calls) == (got < min(rows, cols)), vectors

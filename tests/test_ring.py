@@ -236,3 +236,14 @@ def test_products_past_the_top_are_the_zero_of_their_degree():
                                         a.basis_element(k2, j))
                         assert prod == a.zero(k1 + k2), (name, k1, i, k2, j)
                         assert prod.coords == () and prod.above_top, name
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_pairing_matrix_is_the_integral_of_products(name):
+    a = catalog.get(name).algebra
+    d = a.top_degree
+    for k in range(d + 1):
+        expected = [[integrate(multiply(a.basis_element(k, i),
+                                        a.basis_element(d - k, j)))
+                     for j in range(a.dim(d - k))] for i in range(a.dim(k))]
+        assert pairing_matrix(a, k) == Matrix(a.dim(k), a.dim(d - k), expected)
