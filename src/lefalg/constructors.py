@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import Matrix, Vector, row_space_rank, solve, vector, vzero
+from .linalg import Matrix, Vector, row_space_rank, solve, vector
 from .ring import (
     Element,
     GradedAlgebra,
@@ -22,6 +22,7 @@ from .ring import (
     integrate,
     multiply,
     pairing_matrix,
+    sparse_cell,
     verify_ring_map,
 )
 
@@ -72,16 +73,23 @@ def truncated_polynomial_algebra(name: str,
     by_degree = [monomial_exponents(caps, m) for m in range(top + 1)]
     index = {e: i for m in range(top + 1) for i, e in enumerate(by_degree[m])}
     basis = [[_monomial_label(names, e) for e in degs] for degs in by_degree]
+    one = Fraction(1)
 
     def mult(k1, i, k2, j):
         total = tuple(a + b for a, b in zip(by_degree[k1][i], by_degree[k2][j]))
-        out = list(vzero(len(by_degree[k1 + k2])))
         if all(e <= cap for e, cap in zip(total, caps)):
-            out[index[total]] = Fraction(1)
-        return tuple(out)
+            return ((index[total], one),)
+        return ()
 
     tables = build_product_tables(basis, mult)
-    return GradedAlgebra(name, basis, tables, [Fraction(1)])
+    return GradedAlgebra(name, basis, tables, [one], sparse=True)
+
+
+def _accumulate(acc: dict, base: int, coords: Sequence[Fraction], scale) -> None:
+    """acc[base + t] += scale * c over the nonzero coordinates c of coords."""
+    for t, c in enumerate(coords):
+        if c:
+            acc[base + t] = acc.get(base + t, 0) + scale * c
 
 
 def projective_space(n: int, var: str = "h",
@@ -255,20 +263,11 @@ def blowup(data: BlowupInput, *, sign: int = 1,
         basis.append(labels)
         decode.append(tags)
 
-    def add_y(acc: list, el: Element, scale) -> None:
-        if el.is_zero:
-            return
-        for t, c in enumerate(el.coords):
-            acc[t] += scale * c
+    def add_z(acc: dict, i: int, el: Element, scale) -> None:
+        if not el.is_zero:
+            _accumulate(acc, offset[(el.degree + i, i)], el.coords, scale)
 
-    def add_z(acc: list, i: int, el: Element, scale) -> None:
-        if el.is_zero:
-            return
-        base = offset[(el.degree + i, i)]
-        for t, c in enumerate(el.coords):
-            acc[base + t] += scale * c
-
-    def reduce_e(acc: list, w: Element, s: int, scale) -> None:
+    def reduce_e(acc: dict, w: Element, s: int, scale) -> None:
         # accumulate scale * (w (x) e^s) in reduced form
         if w.is_zero or w.degree + s > d:
             return
@@ -276,37 +275,37 @@ def blowup(data: BlowupInput, *, sign: int = 1,
             add_z(acc, s, w, scale)
             return
         if s == r:
-            pw = y.element(w.degree + r, push[w.degree].mat_vec(w.coords))
-            add_y(acc, pw, scale * S[r])
+            _accumulate(acc, 0, push[w.degree].mat_vec(w.coords), scale * S[r])
             for i in range(1, r):
                 add_z(acc, i, multiply(cn[r - i], w), -scale * S[r] * S[i])
             return
-        cur = [Fraction(0)] * len(basis[w.degree + r])
+        cur: dict = {}
         reduce_e(cur, w, r, Fraction(1))
         k = w.degree + r
         for _ in range(s - r):
             cur = mul_by_e(k, cur)
             k += 1
-        for t, c in enumerate(cur):
-            acc[t] += scale * c
+        for t, c in cur.items():
+            acc[t] = acc.get(t, 0) + scale * c
 
-    def mul_by_e(k: int, vec: list) -> list:
-        acc = [Fraction(0)] * len(basis[k + 1])
-        ypart = y.element(k, vec[:y.dim(k)])
+    def mul_by_e(k: int, vec: dict) -> dict:
+        acc: dict = {}
+        ypart = y.element(k, [vec.get(t, 0) for t in range(y.dim(k))])
         reduce_e(acc, apply_ring_map(pull, ypart), 1, Fraction(1))
         for i in range(1, r):
             if (k, i) in offset:
                 base = offset[(k, i)]
-                zel = z.element(k - i, vec[base:base + z.dim(k - i)])
+                zel = z.element(k - i, [vec.get(base + t, 0)
+                                        for t in range(z.dim(k - i))])
                 reduce_e(acc, zel, i + 1, Fraction(1))
         return acc
 
     def mult(k1, i1, k2, i2):
-        acc = [Fraction(0)] * len(basis[k1 + k2])
+        acc: dict = {}
         t1, t2 = decode[k1][i1], decode[k2][i2]
         if t1[0] == "y" and t2[0] == "y":
-            add_y(acc, multiply(y.basis_element(k1, t1[1]),
-                                y.basis_element(k2, t2[1])), Fraction(1))
+            prod = multiply(y.basis_element(k1, t1[1]), y.basis_element(k2, t2[1]))
+            _accumulate(acc, 0, prod.coords, Fraction(1))
         elif t1[0] == "y" or t2[0] == "y":
             if t1[0] == "y":
                 yk, yj, (i, zj), zk = k1, t1[1], t2, k2
@@ -321,13 +320,13 @@ def blowup(data: BlowupInput, *, sign: int = 1,
             prod = multiply(z.basis_element(k1 - i, zi),
                             z.basis_element(k2 - j, zj))
             reduce_e(acc, prod, i + j, Fraction(1))
-        return tuple(acc)
+        return sparse_cell(acc)
 
     tables = build_product_tables(basis, mult)
     # only pulled-back classes survive in the top degree (dim Z = d - r)
     assert len(basis[d]) == y.dim(d)
     return GradedAlgebra(name or f"Bl({y.name}, {z.name})", basis, tables,
-                         y.integration)
+                         y.integration, sparse=True)
 
 
 def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
@@ -371,25 +370,23 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
         basis.append(labels)
         decode.append(tags)
 
-    def reduce_pow(acc: list, el: Element, p: int, scale) -> None:
+    def reduce_pow(acc: dict, el: Element, p: int, scale) -> None:
         # accumulate scale * (el * zeta^p) in reduced form
         if el.is_zero or el.degree + p > d:
             return
         if p < s:
-            base = offset[(el.degree + p, p)]
-            for t, c in enumerate(el.coords):
-                acc[base + t] += scale * c
+            _accumulate(acc, offset[(el.degree + p, p)], el.coords, scale)
             return
         for i in range(1, s + 1):
             reduce_pow(acc, multiply(chern[i], el), p - i, -scale)
 
     def mult(k1, i1, k2, i2):
-        acc = [Fraction(0)] * len(basis[k1 + k2])
+        acc: dict = {}
         i, a = decode[k1][i1]
         j, b = decode[k2][i2]
         prod = multiply(y.basis_element(k1 - i, a), y.basis_element(k2 - j, b))
         reduce_pow(acc, prod, i + j, Fraction(1))
-        return tuple(acc)
+        return sparse_cell(acc)
 
     tables = build_product_tables(basis, mult)
     integration = [Fraction(0)] * len(basis[d])
@@ -397,4 +394,4 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
     for t, c in enumerate(y.integration):
         integration[base + t] = c
     return GradedAlgebra(name or f"ProjBundle({y.name},{s})", basis, tables,
-                         integration)
+                         integration, sparse=True)

@@ -106,6 +106,15 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def _exact(cls, rows: int, cols: int, grid: tuple[Vector, ...]) -> "Matrix":
+        """A rows x cols matrix of Fraction entries computed here; no re-coercion."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", grid)
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
         rows = [tuple(r) for r in rows]
         if not rows:
@@ -130,9 +139,9 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
+        return Matrix._exact(self.cols, self.rows,
+                             tuple(tuple(row[j] for row in self.entries)
+                                   for j in range(self.cols)))
 
     def mat_vec(self, v: Sequence) -> Vector:
         v = vector(v)
@@ -144,8 +153,9 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
         cols = [other.column(j) for j in range(other.cols)]
-        return Matrix(self.rows, other.cols,
-                      [[dot(r, c) for c in cols] for r in self.entries])
+        return Matrix._exact(self.rows, other.cols,
+                             tuple(tuple(dot(r, c) for c in cols)
+                                   for r in self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -194,7 +204,7 @@ def rref(m: Matrix) -> RrefResult:
         pr += 1
         if pr == m.rows:
             break
-    reduced = Matrix(m.rows, m.cols, work)
+    reduced = Matrix._exact(m.rows, m.cols, tuple(map(tuple, work)))
     return RrefResult(reduced, tuple(pivots), len(pivots))
 
 
@@ -241,7 +251,7 @@ def row_space_rank(vectors: Sequence[Sequence]) -> int:
     rank = _rank_mod_p(rows, width)
     if rank == min(len(rows), width):
         return rank
-    return rref(Matrix(len(rows), width, rows)).rank
+    return rref(Matrix._exact(len(rows), width, tuple(rows))).rank
 
 
 def row_space_basis(vectors: Sequence[Sequence]) -> list[Vector]:
@@ -257,7 +267,7 @@ def row_space_basis(vectors: Sequence[Sequence]) -> list[Vector]:
     if _rank_mod_p(rows, width) == width:
         return [tuple(Fraction(int(i == j)) for j in range(width))
                 for i in range(width)]
-    res = rref(Matrix(len(rows), width, rows))
+    res = rref(Matrix._exact(len(rows), width, tuple(rows)))
     return [res.reduced.row(i) for i in range(res.rank)]
 
 
@@ -270,8 +280,8 @@ def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
     b = vector(b)
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} != row count {a.rows}")
-    aug = Matrix(a.rows, a.cols + 1,
-                 [list(a.entries[i]) + [b[i]] for i in range(a.rows)])
+    aug = Matrix._exact(a.rows, a.cols + 1,
+                        tuple(a.entries[i] + (b[i],) for i in range(a.rows)))
     red, pivots, _rank = rref(aug)
     if a.cols in pivots:
         return None

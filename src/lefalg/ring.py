@@ -6,6 +6,14 @@ integration functional on the top degree. Cohomological degree 2k is
 represented by internal degree k; odd degrees are not modeled, so the
 product is honestly commutative and no Koszul signs appear anywhere.
 
+The structure constants are stored sparsely. A *cell* is the product of two
+basis classes as a tuple of (t, c) terms, t ascending and c a nonzero
+Fraction; a zero product is the empty cell (). The (k1, k2) and (k2, k1)
+tables hold the same cell objects wherever the two agree, so no product is
+stored twice. Products, verification, pairings and the file format all read
+cells; the dense coordinate tables are only a view (`GradedAlgebra.products`)
+and an input format for hand-built algebras.
+
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
 element; no stored flag marks it.
@@ -13,6 +21,7 @@ element; no stored flag marks it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -29,21 +38,73 @@ from .linalg import (
     vzero,
 )
 
+Cell = tuple[tuple[int, Fraction], ...]
+
+
+def sparse_cell(acc: dict) -> Cell:
+    """The cell of an accumulator {t: c}: t ascending, zero terms dropped."""
+    return tuple(sorted((t, c) for t, c in acc.items() if c))
+
+
+def share_mirrors(tables: dict) -> dict:
+    """Tuple the rows of list tables, sharing every mirror cell that agrees.
+
+    Where ``tables[(k2, k1)][j][i]`` equals ``tables[(k1, k2)][i][j]`` the
+    mirror becomes the same object; a cell that disagrees (a broken input
+    that `verify_algebra` is meant to flag) is kept as given.
+    """
+    for (k1, k2), table in tables.items():
+        if k1 > k2:
+            continue
+        mirror = tables[(k2, k1)]
+        for i, row in enumerate(table):
+            for j in range(i + 1 if k1 == k2 else 0, len(row)):
+                if mirror[j][i] == row[j]:
+                    mirror[j][i] = row[j]
+    return {key: tuple(map(tuple, rows)) for key, rows in tables.items()}
+
+
+def _cells_of_dense(products, keys, dims) -> dict:
+    """Sparse tables from dense ones, every entry coerced and length-checked."""
+    tables = {}
+    for k1, k2 in keys:
+        raw, n3 = products[(k1, k2)], dims[k1 + k2]
+        rows = []
+        for i in range(dims[k1]):
+            row = []
+            for j in range(dims[k2]):
+                v = vector(raw[i][j])
+                if len(v) != n3:
+                    raise ValueError(f"product table ({k1},{k2}) has a vector of "
+                                     f"length {len(v)}, expected {n3}")
+                row.append(tuple((t, c) for t, c in enumerate(v) if c))
+            rows.append(row)
+        tables[(k1, k2)] = rows
+    return share_mirrors(tables)
+
 
 class GradedAlgebra:
     """A finite graded-commutative Q-algebra with integration.
 
-    ``basis[k]`` is the ordered label tuple of degree k. ``products[(k1, k2)]``
-    is a table indexed by basis positions: ``products[(k1, k2)][i][j]`` is the
-    coordinate vector of b_i * b_j in degree k1+k2. Tables exist for every
-    ordered pair with k1+k2 <= d. ``integration`` is a coordinate functional
-    on degree d.
+    ``basis[k]`` is the ordered label tuple of degree k. ``tables[(k1, k2)]``
+    is a table indexed by basis positions: ``tables[(k1, k2)][i][j]`` is the
+    sparse cell of b_i * b_j in degree k1+k2 (see the module docstring).
+    Tables exist for every ordered pair with k1+k2 <= d. ``integration`` is
+    a coordinate functional on degree d.
+
+    The constructor takes dense tables, ``products[(k1, k2)][i][j]`` being
+    the coordinate vector of b_i * b_j, and validates every entry; this is
+    the path for hand-built algebras. With ``sparse=True`` it takes the
+    sparse tables themselves, whose cells are trusted, not re-checked: the
+    library's constructors build their cells directly. ``a.products`` is a
+    read-only dense view of the tables, densified one table at a time when
+    read.
     """
 
-    __slots__ = ("name", "basis", "products", "integration", "_label_map")
+    __slots__ = ("name", "basis", "tables", "integration", "_label_map")
 
     def __init__(self, name: str, basis: Sequence[Sequence[str]],
-                 products: dict, integration: Sequence):
+                 products: dict, integration: Sequence, *, sparse: bool = False):
         basis = tuple(tuple(str(lbl) for lbl in deg) for deg in basis)
         if not basis:
             raise ValueError("an algebra needs at least degree 0")
@@ -56,34 +117,30 @@ class GradedAlgebra:
                     raise ValueError(f"duplicate basis label {lbl!r}")
                 label_map[lbl] = (k, i)
         d = len(basis) - 1
-        tables = {}
-        for k1 in range(d + 1):
-            for k2 in range(d + 1 - k1):
-                try:
-                    raw = products[(k1, k2)]
-                except KeyError:
-                    raise ValueError(f"missing product table for degrees ({k1},{k2})")
-                n1, n2, n3 = len(basis[k1]), len(basis[k2]), len(basis[k1 + k2])
-                table = tuple(tuple(vector(raw[i][j]) for j in range(n2))
-                              for i in range(n1))
-                for row in table:
-                    for v in row:
-                        if len(v) != n3:
-                            raise ValueError(
-                                f"product table ({k1},{k2}) has a vector of length "
-                                f"{len(v)}, expected {n3}")
-                tables[(k1, k2)] = table
-        integration = vector(integration)
+        keys = [(k1, k2) for k1 in range(d + 1) for k2 in range(d + 1 - k1)]
+        for k1, k2 in keys:
+            if (k1, k2) not in products:
+                raise ValueError(f"missing product table for degrees ({k1},{k2})")
+        if sparse:
+            tables = {key: products[key] for key in keys}
+            integration = tuple(integration)
+        else:
+            tables = _cells_of_dense(products, keys, [len(deg) for deg in basis])
+            integration = vector(integration)
         if len(integration) != len(basis[d]):
             raise ValueError("integration vector length != top-degree dimension")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "products", tables)
+        object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "integration", integration)
         object.__setattr__(self, "_label_map", label_map)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedAlgebra is immutable")
+
+    @property
+    def products(self) -> "DenseTables":
+        return DenseTables(self)
 
     # shape -------------------------------------------------------------
 
@@ -137,8 +194,9 @@ class GradedAlgebra:
     def __eq__(self, other):
         if not isinstance(other, GradedAlgebra):
             return NotImplemented
+        # cells are canonical, so equal cells mean equal products
         return (self.name == other.name and self.basis == other.basis
-                and self.products == other.products
+                and self.tables == other.tables
                 and self.integration == other.integration)
 
     def __hash__(self):
@@ -146,6 +204,39 @@ class GradedAlgebra:
 
     def __repr__(self):
         return f"GradedAlgebra({self.name!r}, dims={self.dims})"
+
+
+class DenseTables(Mapping):
+    """``a.products``: the dense coordinate tables, computed when a key is read.
+
+    Listing the keys densifies nothing; ``view[(k1, k2)][i][j]`` is the
+    coordinate vector of b_i * b_j.
+    """
+
+    __slots__ = ("_algebra",)
+
+    def __init__(self, a: GradedAlgebra):
+        self._algebra = a
+
+    def __getitem__(self, key):
+        a = self._algebra
+        table = a.tables[key]
+        n = a.dim(key[0] + key[1])
+        return tuple(tuple(_dense(cell, n) for cell in row) for row in table)
+
+    def __iter__(self):
+        return iter(self._algebra.tables)
+
+    def __len__(self):
+        return len(self._algebra.tables)
+
+
+def _dense(cell: Cell, n: int) -> Vector:
+    """The length-n coordinate vector of a cell."""
+    out = list(vzero(n))
+    for t, c in cell:
+        out[t] = c
+    return tuple(out)
 
 
 class Element:
@@ -260,20 +351,17 @@ def multiply(x: Element, y: Element) -> Element:
     k = x.degree + y.degree
     if k > a.top_degree:
         return a.zero(k)
-    table = a.products[(x.degree, y.degree)]
+    table = a.tables[(x.degree, y.degree)]
     acc = list(vzero(a.dim(k)))
+    ys = [(j, cj) for j, cj in enumerate(y.coords) if cj]
     for i, ci in enumerate(x.coords):
-        if ci == 0:
+        if not ci:
             continue
         row = table[i]
-        for j, cj in enumerate(y.coords):
-            if cj == 0:
-                continue
+        for j, cj in ys:
             f = ci * cj
-            entry = row[j]
-            for t in range(len(acc)):
-                if entry[t] != 0:
-                    acc[t] += f * entry[t]
+            for t, c in row[j]:
+                acc[t] += f * c
     return Element(a, k, tuple(acc))
 
 
@@ -292,9 +380,10 @@ def pairing_matrix(a: GradedAlgebra, k: int) -> Matrix:
     d = a.top_degree
     if not 0 <= k <= d:
         raise ValueError(f"degree {k} outside 0..{d}")
+    w = a.integration
     return Matrix(a.dim(k), a.dim(d - k),
-                  [[dot(a.integration, v) for v in row]
-                   for row in a.products[(k, d - k)]])
+                  [[sum((w[t] * c for t, c in cell), Fraction(0)) for cell in row]
+                   for row in a.tables[(k, d - k)]])
 
 
 @dataclass(frozen=True)
@@ -304,6 +393,18 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def _combine(terms: Sequence[tuple[Fraction, Cell]]) -> Cell:
+    """The cell of the sum of c * cell over the (c, cell) terms."""
+    if len(terms) == 1:
+        c, cell = terms[0]
+        return cell if c == 1 else tuple((t, c * v) for t, v in cell)
+    acc: dict = {}
+    for c, cell in terms:
+        for t, v in cell:
+            acc[t] = acc.get(t, 0) + c * v
+    return sparse_cell(acc)
 
 
 def verify_algebra(a: GradedAlgebra) -> CheckReport:
@@ -316,35 +417,40 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
     """
     bad: list[str] = []
     d = a.top_degree
-    unit = a.unit()
+    tables = a.tables
     for k in range(d + 1):
-        for i in range(a.dim(k)):
-            b = a.basis_element(k, i)
-            if multiply(unit, b) != b:
+        for i, cell in enumerate(tables[(0, k)][0]):
+            if cell != ((i, 1),):
                 bad.append(f"unit law fails on degree {k} basis #{i} "
                            f"({a.basis[k][i]})")
-    for (k1, k2), table in a.products.items():
-        if k1 > k2:
-            continue
-        mirror = a.products[(k2, k1)]
-        for i in range(a.dim(k1)):
-            for j in range(a.dim(k2)):
-                if table[i][j] != mirror[j][i]:
-                    bad.append(f"commutativity fails at degrees ({k1},{k2}) "
-                               f"indices ({i},{j})")
+    for k1 in range(d + 1):
+        for k2 in range(k1, d + 1 - k1):
+            table, mirror = tables[(k1, k2)], tables[(k2, k1)]
+            for i, row in enumerate(table):
+                for j, cell in enumerate(row):
+                    if cell != mirror[j][i]:
+                        bad.append(f"commutativity fails at degrees ({k1},{k2}) "
+                                   f"indices ({i},{j})")
+    # (b_i b_j) b_l against b_i (b_j b_l), composed cell by cell
     for k1 in range(d + 1):
         for k2 in range(d + 1 - k1):
+            t12 = tables[(k1, k2)]
             for k3 in range(d + 1 - k1 - k2):
+                t12_3 = tables[(k1 + k2, k3)]
+                t23 = tables[(k2, k3)]
+                t1_23 = tables[(k1, k2 + k3)]
+                n3 = a.dim(k3)
                 for i in range(a.dim(k1)):
-                    bi = a.basis_element(k1, i)
+                    row1 = t1_23[i]
                     for j in range(a.dim(k2)):
-                        bj = a.basis_element(k2, j)
-                        bij = multiply(bi, bj)
-                        for l in range(a.dim(k3)):
-                            bl = a.basis_element(k3, l)
-                            lhs = multiply(bij, bl)
-                            rhs = multiply(bi, multiply(bj, bl))
-                            if lhs != rhs:
+                        bij = t12[i][j]
+                        if len(bij) == 1 and bij[0][1] == 1:
+                            lhs_row = t12_3[bij[0][0]]
+                        else:
+                            lhs_row = [_combine([(c, t12_3[t][l]) for t, c in bij])
+                                       for l in range(n3)]
+                        for l, bjl in enumerate(t23[j]):
+                            if lhs_row[l] != _combine([(c, row1[s]) for s, c in bjl]):
                                 bad.append(
                                     f"associativity fails on degrees "
                                     f"({k1},{k2},{k3}) indices ({i},{j},{l})")
@@ -399,7 +505,8 @@ def apply_ring_map(f: RingMap, x: Element) -> Element:
         raise ValueError("element does not belong to the map's source")
     if x.degree >= len(f.matrices):
         return f.target.zero(x.degree)
-    return f.target.element(x.degree, f.matrices[x.degree].mat_vec(x.coords))
+    # the matrix shapes were checked in RingMap, and mat_vec returns Fractions
+    return Element(f.target, x.degree, f.matrices[x.degree].mat_vec(x.coords))
 
 
 def verify_ring_map(f: RingMap) -> CheckReport:
@@ -433,23 +540,30 @@ def verify_ring_map(f: RingMap) -> CheckReport:
 
 
 def build_product_tables(basis: Sequence[Sequence[str]],
-                         mult: Callable[[int, int, int, int], Vector]) -> dict:
-    """Assemble the full table dict from a product rule on basis pairs.
+                         mult: Callable[[int, int, int, int], Cell]) -> dict:
+    """Assemble sparse tables (for ``GradedAlgebra(..., sparse=True)``) from a rule.
 
-    ``mult(k1, i, k2, j)`` must return the coordinate vector of b_i * b_j in
-    degree k1+k2. It is only consulted for k1 <= k2; the mirrored table is
-    filled by commutativity.
+    ``mult(k1, i, k2, j)`` must return the cell of b_i * b_j in degree
+    k1+k2. It is only consulted for k1 <= k2, and for i <= j when k1 == k2;
+    by commutativity every mirrored cell is the same object.
     """
     d = len(basis) - 1
     tables: dict = {}
     for k1 in range(d + 1):
         for k2 in range(k1, d + 1 - k1):
             n1, n2 = len(basis[k1]), len(basis[k2])
-            table = [[mult(k1, i, k2, j) for j in range(n2)] for i in range(n1)]
+            if k1 == k2:
+                rows = [[()] * n1 for _ in range(n1)]
+                for i in range(n1):
+                    for j in range(i, n1):
+                        rows[i][j] = rows[j][i] = mult(k1, i, k1, j)
+                tables[(k1, k1)] = tuple(map(tuple, rows))
+                continue
+            table = tuple(tuple(mult(k1, i, k2, j) for j in range(n2))
+                          for i in range(n1))
             tables[(k1, k2)] = table
-            if k1 != k2:
-                tables[(k2, k1)] = [[table[i][j] for i in range(n1)]
-                                    for j in range(n2)]
+            tables[(k2, k1)] = tuple(tuple(row[j] for row in table)
+                                     for j in range(n2))
     return tables
 
 
@@ -481,20 +595,14 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
     def mult(k1, i1, k2, i2):
         ia, pa, qa = layout[k1][i1]
         ib, pb, qb = layout[k2][i2]
-        k = k1 + k2
-        out = list(vzero(len(basis[k])))
-        if ia + ib > da or (k1 - ia) + (k2 - ib) > db:
-            return tuple(out)
-        left = a.products[(ia, ib)][pa][pb]
-        right = b.products[(k1 - ia, k2 - ib)][qa][qb]
-        for p, cp in enumerate(left):
-            if cp == 0:
-                continue
-            for q, cq in enumerate(right):
-                if cq == 0:
-                    continue
-                out[index[(ia + ib, k - ia - ib, p, q)]] += cp * cq
-        return tuple(out)
+        ka, kb = ia + ib, k1 + k2 - ia - ib
+        if ka > da or kb > db:
+            return ()
+        left = a.tables[(ia, ib)][pa][pb]
+        right = b.tables[(k1 - ia, k2 - ib)][qa][qb]
+        # distinct (p, q) land on distinct positions, so no terms merge
+        return tuple(sorted((index[(ka, kb, p, q)], cp * cq)
+                            for p, cp in left for q, cq in right))
 
     tables = build_product_tables(basis, mult)
     integration = list(vzero(len(basis[d])))
@@ -502,7 +610,8 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
         if i == da and j == db:
             integration[pos] = a.integration[p] * b.integration[q]
     # only the (da, db) block can sit in degree d, so the loop above covers it
-    return GradedAlgebra(name or f"{a.name}x{b.name}", basis, tables, integration)
+    return GradedAlgebra(name or f"{a.name}x{b.name}", basis, tables, integration,
+                         sparse=True)
 
 
 def relabeled(a: GradedAlgebra, basis: Sequence[Sequence[str]],
@@ -511,4 +620,4 @@ def relabeled(a: GradedAlgebra, basis: Sequence[Sequence[str]],
     basis = tuple(tuple(deg) for deg in basis)
     if tuple(len(deg) for deg in basis) != a.dims:
         raise ValueError("relabeling must preserve the dimension profile")
-    return GradedAlgebra(name or a.name, basis, dict(a.products), a.integration)
+    return GradedAlgebra(name or a.name, basis, a.tables, a.integration, sparse=True)

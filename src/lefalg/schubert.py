@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .linalg import vzero
 from .ring import Element, GradedAlgebra, build_product_tables
 
 Partition = tuple[int, ...]
@@ -178,16 +177,16 @@ def grassmannian(k: int, n: int) -> GradedAlgebra:
 
     def mult(k1, i, k2, j):
         lam, mu = by_degree[k1][i], by_degree[k2][j]
-        out = list(vzero(len(by_degree[k1 + k2])))
+        cell = []
         for t, nu in enumerate(by_degree[k1 + k2]):
             c = lr_coefficient(lam, mu, nu)
             if c:
-                out[t] = Fraction(c)
-        return tuple(out)
+                cell.append((t, Fraction(c)))
+        return tuple(cell)
 
     tables = build_product_tables(basis, mult)
     integration = [Fraction(1)]  # degree d holds the full box alone
-    return GradedAlgebra(f"Gr-{k}-{n}", basis, tables, integration)
+    return GradedAlgebra(f"Gr-{k}-{n}", basis, tables, integration, sparse=True)
 
 
 def quotient_chern_classes(k: int, n: int) -> list[Element]:

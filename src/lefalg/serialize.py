@@ -14,8 +14,8 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .linalg import format_rational, parse_rational, vzero
-from .ring import GradedAlgebra
+from .linalg import format_rational, parse_rational
+from .ring import GradedAlgebra, share_mirrors
 
 FORMAT_NAME = "graded-algebra"
 FORMAT_VERSION = 1
@@ -23,13 +23,15 @@ FORMAT_VERSION = 1
 
 def algebra_payload(a: GradedAlgebra) -> dict:
     products = []
-    for (k1, k2) in sorted(a.products):
-        table = a.products[(k1, k2)]
-        for i, row in enumerate(table):
-            for j, vec in enumerate(row):
-                if any(c != 0 for c in vec):
-                    products.append([k1, i, k2, j,
-                                     [format_rational(c) for c in vec]])
+    for (k1, k2) in sorted(a.tables):
+        n = a.dim(k1 + k2)
+        for i, row in enumerate(a.tables[(k1, k2)]):
+            for j, cell in enumerate(row):
+                if cell:
+                    coeffs = ["0"] * n
+                    for t, c in cell:
+                        coeffs[t] = format_rational(c)
+                    products.append([k1, i, k2, j, coeffs])
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -111,12 +113,8 @@ def algebra_from_payload(payload: Any, *,
             out.append(x)
         return tuple(out)
 
-    tables = {}
-    for k1 in range(d + 1):
-        for k2 in range(d + 1 - k1):
-            tables[(k1, k2)] = [[vzero(dims[k1 + k2])
-                                 for _ in range(dims[k2])]
-                                for _ in range(dims[k1])]
+    tables = {(k1, k2): [[()] * dims[k2] for _ in range(dims[k1])]
+              for k1 in range(d + 1) for k2 in range(d + 1 - k1)}
     seen = set()
     for entry in _field(payload, "products", list):
         if not (isinstance(entry, list) and len(entry) == 5):
@@ -133,11 +131,12 @@ def algebra_from_payload(payload: Any, *,
         if (k1, i, k2, j) in seen:
             raise ValueError(f"duplicate product entry {entry[:4]}")
         seen.add((k1, i, k2, j))
-        tables[(k1, k2)][i][j] = parse_vec(raw, dims[k1 + k2],
-                                           f"product entry {entry[:4]}")
+        vec = parse_vec(raw, dims[k1 + k2], f"product entry {entry[:4]}")
+        tables[(k1, k2)][i][j] = tuple((t, x) for t, x in enumerate(vec) if x)
     integration = parse_vec(_field(payload, "integration", list), dims[d],
                             "integration")
-    return GradedAlgebra(name, basis, tables, integration)
+    return GradedAlgebra(name, basis, share_mirrors(tables), integration,
+                         sparse=True)
 
 
 def read_algebra(path: str) -> GradedAlgebra:

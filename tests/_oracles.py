@@ -4,13 +4,16 @@ These deliberately avoid the library code paths they are checking: spans
 are enumerated monomial by monomial and ranked by plain Gauss-Jordan
 elimination over Fraction (not the modular rank engine), and Schubert
 products are expanded through single-row Pieri steps only, so agreement is
-a real cross-check.
+a real cross-check. Products and ring axioms are recomputed from the dense
+view ``a.products``, coordinate by coordinate, never from the sparse cells
+that `multiply` and `verify_algebra` read.
 """
 
 import itertools
+from fractions import Fraction
 
 from lefalg.linalg import Matrix, rref
-from lefalg.ring import GradedAlgebra, multiply
+from lefalg.ring import Element, GradedAlgebra, multiply
 from lefalg.schubert import Box, pieri
 
 
@@ -59,3 +62,56 @@ def jacobi_trudi_product(lam, mu, box: Box) -> dict:
         for shape, c in vec.items():
             out[shape] = out.get(shape, 0) + c
     return {s: c for s, c in out.items() if c}
+
+
+def dense_multiply(x: Element, y: Element, products: dict) -> Element:
+    """x*y summed over every coordinate pair of the dense tables ``products``.
+
+    ``products`` is ``dict(a.products)``, taken once by the caller: each
+    read of the view densifies a whole table.
+    """
+    a = x.algebra
+    k = x.degree + y.degree
+    if k > a.top_degree:
+        return a.zero(k)
+    table = products[(x.degree, y.degree)]
+    out = [Fraction(0)] * a.dim(k)
+    for i, ci in enumerate(x.coords):
+        for j, cj in enumerate(y.coords):
+            for t, c in enumerate(table[i][j]):
+                out[t] += ci * cj * c
+    return a.element(k, out)
+
+
+def dense_axiom_violations(a: GradedAlgebra) -> list[str]:
+    """The commutativity and associativity violations, worded as verify_algebra.
+
+    Every table pair is compared entry by entry, and every basis triple is
+    multiplied out both ways with `dense_multiply`.
+    """
+    products = dict(a.products)
+    d = a.top_degree
+    bad = []
+    for k1 in range(d + 1):
+        for k2 in range(k1, d + 1 - k1):
+            for i in range(a.dim(k1)):
+                for j in range(a.dim(k2)):
+                    if products[(k1, k2)][i][j] != products[(k2, k1)][j][i]:
+                        bad.append(f"commutativity fails at degrees ({k1},{k2}) "
+                                   f"indices ({i},{j})")
+    for k1 in range(d + 1):
+        for k2 in range(d + 1 - k1):
+            for k3 in range(d + 1 - k1 - k2):
+                for i, j, l in itertools.product(range(a.dim(k1)), range(a.dim(k2)),
+                                                 range(a.dim(k3))):
+                    bi = a.basis_element(k1, i)
+                    bj = a.basis_element(k2, j)
+                    bl = a.basis_element(k3, l)
+                    lhs = dense_multiply(dense_multiply(bi, bj, products), bl,
+                                         products)
+                    rhs = dense_multiply(bi, dense_multiply(bj, bl, products),
+                                         products)
+                    if lhs != rhs:
+                        bad.append(f"associativity fails on degrees "
+                                   f"({k1},{k2},{k3}) indices ({i},{j},{l})")
+    return bad

@@ -189,3 +189,19 @@ def test_rref_runs_exactly_when_the_rank_mod_p_is_short(monkeypatch):
         calls.clear()
         got = row_space_rank(vectors)
         assert bool(calls) == (got < min(rows, cols)), vectors
+
+
+def test_matrix_constructor_rejects_floats_and_results_stay_exact():
+    with pytest.raises(TypeError):
+        Matrix(1, 2, [[1, 0.5]])
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[0.25]])
+    m = Matrix.from_rows([[1, "1/2", 0], [3, -2, "5/7"]])
+    products = (m.transpose(), m.mat_mul(m.transpose()),
+                m.transpose().mat_mul(m), rref(m).reduced)
+    for result in products:
+        assert all(type(x) is Fraction for row in result.entries for x in row)
+    assert m.transpose() == Matrix.from_rows([[1, 3], ["1/2", -2], [0, "5/7"]])
+    assert m.mat_mul(m.transpose()) == Matrix.from_rows(
+        [[Fraction(5, 4), 2], [2, Fraction(3, 1) ** 2 + 4 + Fraction(25, 49)]])
+    assert all(type(x) is Fraction for x in m.mat_vec([1, 2, 3]))

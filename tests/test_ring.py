@@ -1,15 +1,18 @@
 """Graded algebra core: construction, products, integration, maps, tensor."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from _oracles import dense_axiom_violations, dense_multiply
 from lefalg import catalog
 from lefalg.constructors import projective_space, truncated_polynomial_algebra
 from lefalg.linalg import Matrix
 from lefalg.ring import (GradedAlgebra, RingMap, apply_ring_map, integrate,
                          multiply, pairing_matrix, relabeled, render_element,
                          tensor_product, verify_algebra, verify_ring_map)
+from lefalg.serialize import algebra_from_payload, algebra_payload
 
 
 @pytest.fixture(scope="module")
@@ -247,3 +250,128 @@ def test_pairing_matrix_is_the_integral_of_products(name):
                                         a.basis_element(d - k, j)))
                      for j in range(a.dim(d - k))] for i in range(a.dim(k))]
         assert pairing_matrix(a, k) == Matrix(a.dim(k), a.dim(d - k), expected)
+
+
+def _p1xp2_tables():
+    t = tensor_product(projective_space(1), projective_space(2))
+    return t, {k: [list(row) for row in tab] for k, tab in t.products.items()}
+
+
+def test_dense_constructor_rejects_a_float_cell():
+    t, products = _p1xp2_tables()
+    products[(1, 1)][0][1] = (Fraction(1), 0.5)
+    with pytest.raises(TypeError):
+        GradedAlgebra("floaty", t.basis, products, t.integration)
+
+
+def test_dense_constructor_rejects_a_wrong_length_cell():
+    t, products = _p1xp2_tables()
+    products[(1, 2)][0][1] = (Fraction(1), Fraction(0))
+    with pytest.raises(ValueError, match="length 2, expected 1"):
+        GradedAlgebra("long", t.basis, products, t.integration)
+
+
+def test_dense_constructor_rejects_a_missing_table():
+    t, products = _p1xp2_tables()
+    del products[(2, 1)]
+    with pytest.raises(ValueError, match=r"missing product table for degrees \(2,1\)"):
+        GradedAlgebra("holey", t.basis, products, t.integration)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_dense_view_rebuilds_the_same_algebra(name):
+    a = catalog.get(name).algebra
+    assert GradedAlgebra(a.name, a.basis, a.products, a.integration) == a
+
+
+def _assert_sparse_and_shared(a):
+    d = a.top_degree
+    assert sorted(a.tables) == sorted((k1, k2) for k1 in range(d + 1)
+                                      for k2 in range(d + 1 - k1))
+    for (k1, k2), table in a.tables.items():
+        assert len(table) == a.dim(k1)
+        for i, row in enumerate(table):
+            assert len(row) == a.dim(k2)
+            for j, cell in enumerate(row):
+                assert isinstance(cell, tuple)
+                assert all(type(c) is Fraction and c != 0 for _, c in cell)
+                targets = [t for t, _ in cell]
+                assert targets == sorted(set(targets))
+                assert all(0 <= t < a.dim(k1 + k2) for t in targets)
+                assert a.tables[(k2, k1)][j][i] is cell
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_cells_are_sparse_and_shared_with_their_mirror(name):
+    a = catalog.get(name).algebra
+    _assert_sparse_and_shared(a)
+    _assert_sparse_and_shared(
+        GradedAlgebra(a.name, a.basis, a.products, a.integration))
+    _assert_sparse_and_shared(
+        algebra_from_payload(algebra_payload(a), require_checksum=False))
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_multiply_matches_the_dense_oracle(name):
+    a = catalog.get(name).algebra
+    products = dict(a.products)
+    d = a.top_degree
+    for k1 in range(d + 1):
+        for k2 in range(d + 1 - k1):
+            for i in range(a.dim(k1)):
+                for j in range(a.dim(k2)):
+                    x, y = a.basis_element(k1, i), a.basis_element(k2, j)
+                    assert multiply(x, y) == dense_multiply(x, y, products)
+    rng = random.Random(f"multiply-{name}")
+
+    def rand_element(k):
+        return a.element(k, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                             if rng.random() < 0.6 else 0 for _ in range(a.dim(k))])
+
+    for _ in range(25):
+        k1 = rng.randint(0, d)
+        k2 = rng.randint(0, d + 1 - k1)
+        x, y = rand_element(k1), rand_element(min(k2, d))
+        assert multiply(x, y) == dense_multiply(x, y, products)
+
+
+def _axiom_violations_agree_with_the_dense_oracle(a):
+    axioms = [v for v in verify_algebra(a).violations
+              if v.startswith(("commutativity", "associativity"))]
+    assert axioms == dense_axiom_violations(a)
+    return axioms
+
+
+def test_verify_algebra_flags_a_zero_product_made_nonzero():
+    # P1 x P2 with x = h⊗1, y = 1⊗h: x*x = 0, so its cell is absent from the
+    # sparse store; x*x := x*y keeps commutativity but breaks associativity
+    t, products = _p1xp2_tables()
+    x, y = t.basis[1].index("h⊗1"), t.basis[1].index("1⊗h")
+    assert t.tables[(1, 1)][x][x] == ()
+    products[(1, 1)][x][x] = products[(1, 1)][x][y]
+    axioms = _axiom_violations_agree_with_the_dense_oracle(
+        GradedAlgebra("tampered", t.basis, products, t.integration))
+    assert axioms and all(v.startswith("associativity") for v in axioms)
+
+
+def test_verify_algebra_flags_every_zero_cell_made_nonzero_on_one_side():
+    # each zero product of P1^3 in turn becomes the first basis class of its
+    # degree in one table only, the mirror cell left at zero
+    t = catalog.get("P1xP1xP1").algebra
+    d = t.top_degree
+    tampered = 0
+    for k1 in range(1, d + 1):
+        for k2 in range(1, d + 1 - k1):
+            for i in range(t.dim(k1)):
+                for j in range(t.dim(k2)):
+                    if t.tables[(k1, k2)][i][j] or (k1, i) == (k2, j):
+                        continue
+                    products = {k: [list(row) for row in tab]
+                                for k, tab in t.products.items()}
+                    products[(k1, k2)][i][j] = \
+                        (Fraction(1),) + (Fraction(0),) * (t.dim(k1 + k2) - 1)
+                    a = GradedAlgebra("tampered", t.basis, products, t.integration)
+                    axioms = _axiom_violations_agree_with_the_dense_oracle(a)
+                    assert any(v.startswith("commutativity") for v in axioms)
+                    tampered += 1
+    assert tampered >= 10

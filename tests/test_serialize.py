@@ -1,5 +1,6 @@
 """Versioned algebra files: round trips, checksums, malformed input."""
 
+import hashlib
 import json
 
 import pytest
@@ -139,3 +140,21 @@ def test_payload_checksum_field_not_required_inline():
     payload.pop("checksum", None)
     assert algebra_from_payload(payload, require_checksum=False) == \
         get("Gr-2-4").algebra
+
+
+# sha256 of write_algebra output, recorded when the product tables were
+# still stored densely; the sparse tables must write the same v1 bytes
+V1_FILE_SHA256 = {
+    "example1": "1bf316ca9034ee9f1304ac79748f6fbd27a2c4e12bd43bb568e1b5610b78899f",
+    "example2": "5ca4ed6140c76b29a1ae881dbcb2e25df3d12f0b48b4346735666fd79b4c41a8",
+    "example3": "3f99db28b6fb213e1b2b7296de14d77795e6a5477d6d793dda29ba321e50521f",
+    "Gr-2-5xGr-2-5xP1":
+        "27999f3159d90aad417f3544c3777a0d5a4027d894796cd304d1ef760c1b7181",
+}
+
+
+@pytest.mark.parametrize("name", sorted(V1_FILE_SHA256))
+def test_written_v1_bytes_are_pinned(tmp_path, name):
+    path = tmp_path / f"{name}.alg.json"
+    write_algebra(get(name).algebra, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == V1_FILE_SHA256[name]
