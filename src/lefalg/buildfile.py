@@ -10,14 +10,16 @@ binary rounding can sneak in.
 Malformed JSON raises BuildSyntaxError with line/column; a structurally
 valid file that asks for something ill-typed (wrong arity, wrong degree,
 unknown name) raises BuildTypeError with the JSON path of the offender.
+
+The parsed tree is made of namedtuple nodes, each with the JSON path of its
+object; a node also compares equal to a plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Any, Union
 
 from . import catalog
 from .constructors import BlowupInput, blowup, projective_bundle, projective_space
@@ -39,55 +41,39 @@ class BuildTypeError(BuildFileError):
     """The file is valid JSON but not a well-typed build tree."""
 
 
-@dataclass(frozen=True)
-class PNode:
-    path: str
-    n: int
+class PNode(namedtuple("PNode", "path n")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GrNode:
-    path: str
-    k: int
-    n: int
+class GrNode(namedtuple("GrNode", "path k n")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProductNode:
-    path: str
-    factors: tuple
+class ProductNode(namedtuple("ProductNode", "path factors")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BundleNode:
-    path: str
-    base: Any
-    chern: tuple  # per degree, tuple of Fractions
+class BundleNode(namedtuple("BundleNode", "path base chern")):
+    # chern: per degree, tuple of Fractions
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BlowupNode:
-    path: str
-    y: Any
-    z: Any
-    pullback: tuple  # per degree, tuple of row tuples of Fractions
-    chern: tuple     # c_1..c_r as coefficient tuples
+class BlowupNode(namedtuple("BlowupNode", "path y z pullback chern")):
+    # pullback: per degree, tuple of row tuples of Fractions;
+    # chern: c_1..c_r as coefficient tuples
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AlgebraNode:
-    path: str
-    payload: dict
+class AlgebraNode(namedtuple("AlgebraNode", "path payload")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CatalogNode:
-    path: str
-    name: str
+class CatalogNode(namedtuple("CatalogNode", "path name")):
+    __slots__ = ()
 
 
-BuildExpr = Union[PNode, GrNode, ProductNode, BundleNode, BlowupNode,
-                  AlgebraNode, CatalogNode]
+BuildExpr = (PNode | GrNode | ProductNode | BundleNode | BlowupNode
+             | AlgebraNode | CatalogNode)
 
 _KINDS = ("P", "Gr", "product", "proj_bundle", "blowup", "algebra", "catalog")
 
@@ -97,11 +83,11 @@ def _reject_float(text: str):
                          f"write rationals as strings like \"1/3\"")
 
 
-def _is_count(v: Any) -> bool:
+def _is_count(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _rational(tok: Any, path: str) -> Fraction:
+def _rational(tok: object, path: str) -> Fraction:
     if _is_count(tok):
         return Fraction(tok)
     if isinstance(tok, str):
@@ -113,14 +99,14 @@ def _rational(tok: Any, path: str) -> Fraction:
                          f"rational string, got {tok!r}")
 
 
-def _rational_vector(raw: Any, path: str) -> tuple[Fraction, ...]:
+def _rational_vector(raw: object, path: str) -> tuple[Fraction, ...]:
     if not isinstance(raw, list):
         raise BuildTypeError(f"type error at {path}: expected a list of "
                              f"rationals, got {type(raw).__name__}")
     return tuple(_rational(tok, f"{path}[{t}]") for t, tok in enumerate(raw))
 
 
-def _rational_matrix(raw: Any, path: str) -> tuple[tuple[Fraction, ...], ...]:
+def _rational_matrix(raw: object, path: str) -> tuple[tuple[Fraction, ...], ...]:
     if not isinstance(raw, list):
         raise BuildTypeError(f"type error at {path}: expected a list of rows")
     return tuple(_rational_vector(row, f"{path}[{r}]")
@@ -144,7 +130,7 @@ def _keys_exactly(obj: dict, keys: tuple[str, ...], path: str) -> None:
                              f"{list(keys)}, got {sorted(obj)}")
 
 
-def _node(obj: Any, path: str) -> BuildExpr:
+def _node(obj: object, path: str) -> BuildExpr:
     if not isinstance(obj, dict):
         raise BuildTypeError(f"type error at {path}: expected a constructor "
                              f"object, got {type(obj).__name__}")

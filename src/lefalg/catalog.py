@@ -3,14 +3,17 @@
 Catalog names double as constructors: "P-n" and "Gr-k-n" are parametric,
 and any "x"-joined list of two or more non-product names builds the product
 ring, so the finite list reported by names() is not exhaustive.
+
+A `CatalogEntry` is a namedtuple, so it also compares equal to a plain
+tuple of its fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Optional, Sequence
 
 from .constructors import (
     BlowupInput,
@@ -30,12 +33,9 @@ _P_NAME = re.compile(r"^P-?(\d+)$")
 _GR_NAME = re.compile(r"^Gr-(\d+)-(\d+)$")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    algebra: GradedAlgebra
-    omega: Optional[Element]
-    description: str
+class CatalogEntry(namedtuple("CatalogEntry", "name algebra omega description")):
+    """A named algebra, its default omega (None in top degree 0), and what it is."""
+    __slots__ = ()
 
 
 def _monomial_pullback(y: GradedAlgebra, caps: Sequence[int], z: GradedAlgebra,
@@ -107,7 +107,7 @@ def build_example3() -> GradedAlgebra:
                              name="example3")
 
 
-def _degree_one_sum(a: GradedAlgebra) -> Optional[Element]:
+def _degree_one_sum(a: GradedAlgebra) -> Element | None:
     if a.top_degree == 0:
         return None
     acc = a.zero(1)
@@ -134,7 +134,7 @@ def _is_factor(name: str) -> bool:
     return _P_NAME.match(name) is not None
 
 
-def _product_factors(name: str) -> Optional[list[str]]:
+def _product_factors(name: str) -> list[str] | None:
     """Split name at the x's that end a factor name; None unless it is a product.
 
     No factor name is another factor name followed by "x" and more text, so

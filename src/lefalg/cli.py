@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from typing import Optional
 
 from . import catalog
 from .buildfile import evaluate, parse_build_file
@@ -97,7 +96,7 @@ def parse_element_expr(a: GradedAlgebra, text: str) -> Element:
         else:
             buf.append(ch)
     terms.append((sign, "".join(buf)))
-    out: Optional[Element] = None
+    out: Element | None = None
     for s, chunk in terms:
         el = _parse_term(a, chunk)
         if s < 0:
@@ -113,7 +112,7 @@ def parse_element_expr(a: GradedAlgebra, text: str) -> Element:
     return out
 
 
-def _default_omega(name: str, a: GradedAlgebra) -> Optional[Element]:
+def _default_omega(name: str, a: GradedAlgebra) -> Element | None:
     try:
         entry = catalog.get(name)
     except ValueError:
@@ -124,7 +123,7 @@ def _default_omega(name: str, a: GradedAlgebra) -> Optional[Element]:
 
 
 def _resolve_check_inputs(args) -> tuple[GradedAlgebra, LefschetzData,
-                                         Optional[Element]]:
+                                         Element | None]:
     a = load_algebra(args.algebra)
     gens = None
     if getattr(args, "gens", None):
@@ -316,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run(argv: Optional[list[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

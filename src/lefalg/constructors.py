@@ -4,13 +4,16 @@ Everything here produces a GradedAlgebra with exact structure constants.
 The blowup and bundle constructors work symbolically: basis classes are
 reduced against the defining relation (the exceptional e^r relation, the
 tautological zeta^s relation) until they land in the chosen basis.
+
+`BlowupInput` is a namedtuple, so it also compares equal to a plain tuple
+of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .linalg import Matrix, Vector, row_space_rank, solve, vector
 from .ring import (
@@ -93,7 +96,7 @@ def _accumulate(acc: dict, base: int, coords: Sequence[Fraction], scale) -> None
 
 
 def projective_space(n: int, var: str = "h",
-                     name: Optional[str] = None) -> GradedAlgebra:
+                     name: str | None = None) -> GradedAlgebra:
     """H^{2*}(P^n): one class per degree, h^a h^b = h^{a+b}, integral of h^n is 1."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"projective space needs n >= 0, got {n}")
@@ -185,25 +188,22 @@ def adjoint_pushforward(pullback: RingMap, r: int) -> tuple[Matrix, ...]:
     return tuple(mats)
 
 
-@dataclass(frozen=True)
-class BlowupInput:
+class BlowupInput(namedtuple("BlowupInput", "y z pullback codim chern_n")):
     """Data of a blowup: ambient Y, center Z, restriction, and normal bundle.
 
-    chern_n lists [c_1(N), ..., c_r(N)] as Elements of Z, c_i in degree i;
-    above Z's top degree that is the zero z.zero(i).
+    y and z are GradedAlgebras, pullback the RingMap Y -> Z and codim the
+    codimension r of Z. chern_n lists [c_1(N), ..., c_r(N)] as Elements of
+    Z, c_i in degree i; above Z's top degree that is the zero z.zero(i).
     """
-    y: GradedAlgebra
-    z: GradedAlgebra
-    pullback: RingMap
-    codim: int
-    chern_n: tuple[Element, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "chern_n", tuple(self.chern_n))
+    def __new__(cls, y: GradedAlgebra, z: GradedAlgebra, pullback: RingMap,
+                codim: int, chern_n: Sequence[Element]):
+        return super().__new__(cls, y, z, pullback, codim, tuple(chern_n))
 
 
 def blowup(data: BlowupInput, *, sign: int = 1,
-           name: Optional[str] = None) -> GradedAlgebra:
+           name: str | None = None) -> GradedAlgebra:
     """Cohomology of the blowup of Y along a codimension-r center Z.
 
     Basis per degree: the Y classes, then e^i-summands "e^i*<z>" for
@@ -330,7 +330,7 @@ def blowup(data: BlowupInput, *, sign: int = 1,
 
 
 def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
-                      name: Optional[str] = None) -> GradedAlgebra:
+                      name: str | None = None) -> GradedAlgebra:
     """Projectivization of a rank-s bundle on Y with total Chern class chern.
 
     chern = [c_0, ..., c_s] with c_0 = 1 fixes the relation

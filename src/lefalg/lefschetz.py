@@ -3,24 +3,28 @@
 L^0 is spanned by the unit, L^1 by the chosen degree-one generators, and
 L^{k+1} = L^1 * L^k. All bases are kept in reduced echelon form so ranks,
 verdicts, and witnesses are reproducible.
+
+The result records are namedtuples, so they also compare equal to plain
+tuples of their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .linalg import Vector, row_space_basis, row_space_rank
 from .ring import Element, GradedAlgebra, multiply, pairing_matrix
 
 
-@dataclass(frozen=True)
-class LefschetzData:
-    """Echelon bases of L^k inside the ambient degree-k components."""
-    ambient: GradedAlgebra
-    generators: tuple[Vector, ...]
-    bases: tuple[tuple[Vector, ...], ...]
+class LefschetzData(namedtuple("LefschetzData", "ambient generators bases")):
+    """Echelon bases of L^k inside the ambient degree-k components.
+
+    ``generators`` are the coordinate vectors of the degree-one generators,
+    ``bases[k]`` the echelon basis of L^k.
+    """
+    __slots__ = ()
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -30,11 +34,12 @@ class LefschetzData:
         return len(self.bases[k]) if 0 <= k < len(self.bases) else 0
 
     def elements(self, k: int) -> list[Element]:
-        return [self.ambient.element(k, v) for v in self.bases[k]]
+        # the basis vectors are Fraction tuples of the right length already
+        return [Element(self.ambient, k, v) for v in self.bases[k]]
 
 
 def lefschetz_subalgebra(a: GradedAlgebra,
-                         generators: Optional[Sequence[Element]] = None
+                         generators: Sequence[Element] | None = None
                          ) -> LefschetzData:
     """Subalgebra generated in degree one, default generators = all of degree 1."""
     if generators is None:
@@ -49,30 +54,27 @@ def lefschetz_subalgebra(a: GradedAlgebra,
     d = a.top_degree
     bases: list[tuple[Vector, ...]] = [(a.unit().coords,)]
     for k in range(1, d + 1):
-        candidates = [multiply(g, a.element(k - 1, v)).coords
+        candidates = [multiply(g, Element(a, k - 1, v)).coords
                       for g in gens for v in bases[k - 1]]
         bases.append(tuple(row_space_basis(candidates)))
     return LefschetzData(a, tuple(g.coords for g in gens), tuple(bases))
 
 
-@dataclass(frozen=True)
-class DegreeVerdict:
-    k: int
-    passed: bool
-    witness: str = ""
+class DegreeVerdict(namedtuple("DegreeVerdict", "k passed witness",
+                               defaults=("",))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PredicateVerdict:
-    predicate: str
-    degrees: tuple[DegreeVerdict, ...]
+class PredicateVerdict(namedtuple("PredicateVerdict", "predicate degrees")):
+    """A predicate's name and its DegreeVerdict for each checked degree."""
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return all(v.passed for v in self.degrees)
 
     @property
-    def witness(self) -> Optional[str]:
+    def witness(self) -> str | None:
         for v in self.degrees:
             if not v.passed:
                 return f"k={v.k}: {v.witness}"
@@ -90,7 +92,7 @@ def check_symmetry(lef: LefschetzData) -> PredicateVerdict:
     return PredicateVerdict("symmetry", tuple(out))
 
 
-def _checked_omega(lef: LefschetzData, omega: Optional[Element]) -> Element:
+def _checked_omega(lef: LefschetzData, omega: Element | None) -> Element:
     a = lef.ambient
     if omega is None:
         if a.top_degree == 0:
@@ -120,7 +122,7 @@ def _map_rank(lef: LefschetzData, mult_by: Element, k: int) -> int:
 
 
 def check_hard_lefschetz(lef: LefschetzData,
-                         omega: Optional[Element]) -> PredicateVerdict:
+                         omega: Element | None) -> PredicateVerdict:
     """omega^{d-2k}: L^k -> L^{d-k} must be bijective for every k <= d/2."""
     omega = _checked_omega(lef, omega)
     d = lef.ambient.top_degree
@@ -176,14 +178,12 @@ def check_poincare_duality(lef: LefschetzData) -> PredicateVerdict:
     return PredicateVerdict("poincare-duality", tuple(out))
 
 
-@dataclass(frozen=True)
-class PrimitiveDims:
+class PrimitiveDims(namedtuple("PrimitiveDims", "dims valid")):
     """dim PL^i for i = 0..d//2; valid only when hard Lefschetz holds."""
-    dims: tuple[int, ...]
-    valid: bool
+    __slots__ = ()
 
 
-def primitive_dims(lef: LefschetzData, omega: Optional[Element]) -> PrimitiveDims:
+def primitive_dims(lef: LefschetzData, omega: Element | None) -> PrimitiveDims:
     """PL^i = ker(omega^{d-2i+1}: L^i -> L^{d-i+1}).
 
     When hard Lefschetz holds the partial sums of these must rebuild the

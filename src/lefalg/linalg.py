@@ -14,9 +14,10 @@ and `kernel` always work over `Fraction`.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -170,10 +171,9 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-class RrefResult(NamedTuple):
-    reduced: Matrix
-    pivot_columns: tuple[int, ...]
-    rank: int
+class RrefResult(namedtuple("RrefResult", "reduced pivot_columns rank")):
+    """The reduced Matrix, its pivot columns in order, and the rank."""
+    __slots__ = ()
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -271,7 +271,7 @@ def row_space_basis(vectors: Sequence[Sequence]) -> list[Vector]:
     return [res.reduced.row(i) for i in range(res.rank)]
 
 
-def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
+def solve(a: Matrix, b: Sequence) -> Vector | None:
     """Solve a*x = b exactly; free variables are set to zero.
 
     Returns None when the system is inconsistent. The zero convention for

@@ -17,14 +17,16 @@ and an input format for hand-built algebras.
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
 element; no stored flag marks it.
+
+`CheckReport` is a namedtuple, so it also compares equal to the plain tuple
+``(violations,)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
 
 from .linalg import (
     Matrix,
@@ -180,7 +182,7 @@ class GradedAlgebra:
         coords[i] = Fraction(1)
         return Element(self, k, tuple(coords))
 
-    def label_location(self, label: str) -> Optional[tuple[int, int]]:
+    def label_location(self, label: str) -> tuple[int, int] | None:
         return self._label_map.get(label)
 
     def by_label(self, label: str) -> "Element":
@@ -386,9 +388,9 @@ def pairing_matrix(a: GradedAlgebra, k: int) -> Matrix:
                    for row in a.tables[(k, d - k)]])
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    violations: tuple[str, ...]
+class CheckReport(namedtuple("CheckReport", "violations")):
+    """The violations a check found, as a tuple of messages."""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -568,7 +570,7 @@ def build_product_tables(basis: Sequence[Sequence[str]],
 
 
 def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
-                   name: Optional[str] = None) -> GradedAlgebra:
+                   name: str | None = None) -> GradedAlgebra:
     """Kunneth product: bases are pairs, products are componentwise.
 
     Degree-k basis runs over (degree-i of a) x (degree k-i of b) with i
@@ -615,7 +617,7 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
 
 
 def relabeled(a: GradedAlgebra, basis: Sequence[Sequence[str]],
-              name: Optional[str] = None) -> GradedAlgebra:
+              name: str | None = None) -> GradedAlgebra:
     """Same structure constants, new labels (and optionally a new name)."""
     basis = tuple(tuple(deg) for deg in basis)
     if tuple(len(deg) for deg in basis) != a.dims:

@@ -8,19 +8,19 @@ so the ring needs no lookup tables.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
 
 from .ring import Element, GradedAlgebra, build_product_tables
 
 Partition = tuple[int, ...]
 
 
-class Box(NamedTuple):
+class Box(namedtuple("Box", "rows cols")):
     """The k x (n-k) rectangle that bounds Grassmannian partitions."""
-    rows: int
-    cols: int
+    __slots__ = ()
 
 
 def is_partition(p: Sequence[int]) -> bool:

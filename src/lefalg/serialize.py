@@ -9,13 +9,11 @@ so a file edited by hand is rejected rather than silently reinterpreted.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
-from typing import Any
 
 from .linalg import format_rational, parse_rational
-from .ring import GradedAlgebra, share_mirrors
+from .ring import Cell, GradedAlgebra, share_mirrors
 
 FORMAT_NAME = "graded-algebra"
 FORMAT_VERSION = 1
@@ -44,6 +42,8 @@ def algebra_payload(a: GradedAlgebra) -> dict:
 
 
 def _checksum(payload: dict) -> str:
+    import hashlib  # loads OpenSSL; only file reads and writes need it
+
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=True,
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -57,7 +57,7 @@ def write_algebra(a: GradedAlgebra, path: str) -> None:
         fh.write("\n")
 
 
-def _field(payload: dict, key: str, kind: type) -> Any:
+def _field(payload: dict, key: str, kind: type) -> object:
     if key not in payload:
         raise ValueError(f"algebra payload is missing {key!r}")
     value = payload[key]
@@ -66,7 +66,7 @@ def _field(payload: dict, key: str, kind: type) -> Any:
     return value
 
 
-def algebra_from_payload(payload: Any, *,
+def algebra_from_payload(payload: object, *,
                          require_checksum: bool = True) -> GradedAlgebra:
     if not isinstance(payload, dict):
         raise ValueError("algebra payload must be a JSON object")
@@ -96,22 +96,30 @@ def algebra_from_payload(payload: Any, *,
                 not all(isinstance(lbl, str) for lbl in labels):
             raise ValueError(f"basis degree {k} must be a list of strings")
     dims = [len(labels) for labels in basis]
-    # a file repeats a few distinct tokens ("0", "1", ...) many times over
-    parsed: dict[str, Fraction] = {}
+    # a file repeats a few distinct tokens ("0", "1", ...) many times over:
+    # each is parsed once, to its value, or to None when it is zero
+    nonzero: dict[str, Fraction | None] = {}
 
-    def parse_vec(raw: Any, length: int, where: str):
+    def where(entry: list | None) -> str:
+        return "integration" if entry is None else f"product entry {entry[:4]}"
+
+    def parse_cell(raw: object, length: int, entry: list | None) -> Cell:
+        """The nonzero (t, value) terms of a vector of rational strings."""
         if not isinstance(raw, list) or len(raw) != length:
-            raise ValueError(f"{where}: expected {length} rational strings")
-        out = []
-        for tok in raw:
-            if not isinstance(tok, str):
-                raise ValueError(f"{where}: rationals must be strings, "
-                                 f"got {tok!r}")
-            x = parsed.get(tok)
-            if x is None:
-                x = parsed[tok] = parse_rational(tok)
-            out.append(x)
-        return tuple(out)
+            raise ValueError(f"{where(entry)}: expected {length} rational "
+                             f"strings")
+        cell = []
+        for t, tok in enumerate(raw):
+            try:
+                x = nonzero[tok]
+            except (KeyError, TypeError):  # a new token, or not a string
+                if not isinstance(tok, str):
+                    raise ValueError(f"{where(entry)}: rationals must be "
+                                     f"strings, got {tok!r}") from None
+                x = nonzero[tok] = parse_rational(tok) or None
+            if x is not None:
+                cell.append((t, x))
+        return tuple(cell)
 
     tables = {(k1, k2): [[()] * dims[k2] for _ in range(dims[k1])]
               for k1 in range(d + 1) for k2 in range(d + 1 - k1)}
@@ -131,10 +139,11 @@ def algebra_from_payload(payload: Any, *,
         if (k1, i, k2, j) in seen:
             raise ValueError(f"duplicate product entry {entry[:4]}")
         seen.add((k1, i, k2, j))
-        vec = parse_vec(raw, dims[k1 + k2], f"product entry {entry[:4]}")
-        tables[(k1, k2)][i][j] = tuple((t, x) for t, x in enumerate(vec) if x)
-    integration = parse_vec(_field(payload, "integration", list), dims[d],
-                            "integration")
+        tables[(k1, k2)][i][j] = parse_cell(raw, dims[k1 + k2], entry)
+    integration = [Fraction(0)] * dims[d]
+    for t, x in parse_cell(_field(payload, "integration", list), dims[d],
+                           None):
+        integration[t] = x
     return GradedAlgebra(name, basis, share_mirrors(tables), integration,
                          sparse=True)
 

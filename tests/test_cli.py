@@ -205,3 +205,18 @@ def test_bad_input_exits_2_without_traceback(tmp_path, make_args):
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_import_loads_no_dataclasses_typing_or_hashlib():
+    # every command pays for what `import lefalg.cli` loads; -S keeps the
+    # site hooks of installed packages out of the count
+    src = os.path.dirname(os.path.dirname(lefalg.__file__))
+    unwanted = ("dataclasses", "typing", "inspect", "hashlib")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, lefalg.cli; "
+         f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
