@@ -207,10 +207,11 @@ def blowup(data: BlowupInput, *, sign: int = 1,
     """Cohomology of the blowup of Y along a codimension-r center Z.
 
     Basis per degree: the Y classes, then e^i-summands "e^i*<z>" for
-    i = 1..r-1. Products follow the pullback/exceptional rules; e-powers at
-    or above r are rewritten through the degree-r relation
+    i = 1..r-1. Products follow the pullback/exceptional rules; every e-power
+    s >= r is rewritten through the relation
 
-        w (x) e^r = S_r * ( pi* iota_*(w) - sum_i S_i (c_{r-i}(N) w) (x) e^i )
+        w (x) e^s = S_r * ( pi* iota_*(w) e^{s-r}
+                            - sum_i S_i (c_{r-i}(N) w) (x) e^{i+s-r} )
 
     with S_j = (-sign)^j. sign=+1 is the convention used throughout the
     catalog; sign=-1 rebuilds the same ring with e replaced by -e.
@@ -268,37 +269,22 @@ def blowup(data: BlowupInput, *, sign: int = 1,
             _accumulate(acc, offset[(el.degree + i, i)], el.coords, scale)
 
     def reduce_e(acc: dict, w: Element, s: int, scale) -> None:
-        # accumulate scale * (w (x) e^s) in reduced form
+        # accumulate scale * (w (x) e^s) in reduced form; each e-power that
+        # the relation leaves (s - r and i + s - r, i < r) is below s
         if w.is_zero or w.degree + s > d:
             return
         if s < r:
             add_z(acc, s, w, scale)
             return
+        pushed = push[w.degree].mat_vec(w.coords)
         if s == r:
-            _accumulate(acc, 0, push[w.degree].mat_vec(w.coords), scale * S[r])
-            for i in range(1, r):
-                add_z(acc, i, multiply(cn[r - i], w), -scale * S[r] * S[i])
-            return
-        cur: dict = {}
-        reduce_e(cur, w, r, Fraction(1))
-        k = w.degree + r
-        for _ in range(s - r):
-            cur = mul_by_e(k, cur)
-            k += 1
-        for t, c in cur.items():
-            acc[t] = acc.get(t, 0) + scale * c
-
-    def mul_by_e(k: int, vec: dict) -> dict:
-        acc: dict = {}
-        ypart = y.element(k, [vec.get(t, 0) for t in range(y.dim(k))])
-        reduce_e(acc, apply_ring_map(pull, ypart), 1, Fraction(1))
+            _accumulate(acc, 0, pushed, scale * S[r])
+        else:
+            ycls = y.element(w.degree + r, pushed)
+            reduce_e(acc, apply_ring_map(pull, ycls), s - r, scale * S[r])
         for i in range(1, r):
-            if (k, i) in offset:
-                base = offset[(k, i)]
-                zel = z.element(k - i, [vec.get(base + t, 0)
-                                        for t in range(z.dim(k - i))])
-                reduce_e(acc, zel, i + 1, Fraction(1))
-        return acc
+            reduce_e(acc, multiply(cn[r - i], w), i + s - r,
+                     -scale * S[r] * S[i])
 
     def mult(k1, i1, k2, i2):
         acc: dict = {}

@@ -2,7 +2,9 @@
 
 L^0 is spanned by the unit, L^1 by the chosen degree-one generators, and
 L^{k+1} = L^1 * L^k. All bases are kept in reduced echelon form so ranks,
-verdicts, and witnesses are reproducible.
+verdicts, and witnesses are reproducible. The three predicates share one
+per-degree check. When hard Lefschetz holds, dim PL^i = dim L^i - dim L^{i-1};
+the kernels of omega^{d-2i+1} are ranked only when it fails.
 
 The result records are namedtuples, so they also compare equal to plain
 tuples of their fields.
@@ -81,15 +83,24 @@ class PredicateVerdict(namedtuple("PredicateVerdict", "predicate degrees")):
         return None
 
 
-def check_symmetry(lef: LefschetzData) -> PredicateVerdict:
-    """dim L^k = dim L^{d-k} for every k up to the middle."""
+def _per_degree(lef: LefschetzData, rank) -> tuple[DegreeVerdict, ...]:
+    """For each k <= d/2: dim L^k = dim L^{d-k}, then rank(k) = dim L^k."""
     d = lef.ambient.top_degree
     out = []
     for k in range(d // 2 + 1):
         low, high = lef.dim(k), lef.dim(d - k)
-        out.append(DegreeVerdict(k, low == high,
-                                 "" if low == high else f"{low} vs {high}"))
-    return PredicateVerdict("symmetry", tuple(out))
+        if low != high:
+            out.append(DegreeVerdict(k, False, f"{low} vs {high}"))
+            continue
+        r = rank(k)
+        out.append(DegreeVerdict(k, r == low,
+                                 "" if r == low else f"rank {r} of {low}"))
+    return tuple(out)
+
+
+def check_symmetry(lef: LefschetzData) -> PredicateVerdict:
+    """dim L^k = dim L^{d-k} for every k up to the middle."""
+    return PredicateVerdict("symmetry", _per_degree(lef, lef.dim))
 
 
 def _checked_omega(lef: LefschetzData, omega: Element | None) -> Element:
@@ -124,19 +135,10 @@ def _map_rank(lef: LefschetzData, mult_by: Element, k: int) -> int:
 def check_hard_lefschetz(lef: LefschetzData,
                          omega: Element | None) -> PredicateVerdict:
     """omega^{d-2k}: L^k -> L^{d-k} must be bijective for every k <= d/2."""
-    omega = _checked_omega(lef, omega)
     d = lef.ambient.top_degree
-    powers = _omega_powers(omega, d)
-    out = []
-    for k in range(d // 2 + 1):
-        low, high = lef.dim(k), lef.dim(d - k)
-        if low != high:
-            out.append(DegreeVerdict(k, False, f"{low} vs {high}"))
-            continue
-        rank = _map_rank(lef, powers[d - 2 * k], k)
-        out.append(DegreeVerdict(k, rank == low,
-                                 "" if rank == low else f"rank {rank} of {low}"))
-    return PredicateVerdict("hard-lefschetz", tuple(out))
+    powers = _omega_powers(_checked_omega(lef, omega), d)
+    return PredicateVerdict("hard-lefschetz", _per_degree(
+        lef, lambda k: _map_rank(lef, powers[d - 2 * k], k)))
 
 
 def _support(v: Vector) -> list[tuple[int, Fraction]]:
@@ -165,17 +167,8 @@ def _gram(lef: LefschetzData, k: int) -> list[list[Fraction]]:
 
 def check_poincare_duality(lef: LefschetzData) -> PredicateVerdict:
     """The pairing L^k x L^{d-k} -> Q must be square and nondegenerate."""
-    d = lef.ambient.top_degree
-    out = []
-    for k in range(d // 2 + 1):
-        low, high = lef.dim(k), lef.dim(d - k)
-        if low != high:
-            out.append(DegreeVerdict(k, False, f"{low} vs {high}"))
-            continue
-        rank = row_space_rank(_gram(lef, k))
-        out.append(DegreeVerdict(k, rank == low,
-                                 "" if rank == low else f"rank {rank} of {low}"))
-    return PredicateVerdict("poincare-duality", tuple(out))
+    return PredicateVerdict("poincare-duality", _per_degree(
+        lef, lambda k: row_space_rank(_gram(lef, k))))
 
 
 class PrimitiveDims(namedtuple("PrimitiveDims", "dims valid")):
@@ -184,21 +177,17 @@ class PrimitiveDims(namedtuple("PrimitiveDims", "dims valid")):
 
 
 def primitive_dims(lef: LefschetzData, omega: Element | None) -> PrimitiveDims:
-    """PL^i = ker(omega^{d-2i+1}: L^i -> L^{d-i+1}).
+    """PL^i = ker(omega^{d-2i+1}: L^i -> L^{d-i+1}) for i = 0..d//2.
 
-    When hard Lefschetz holds the partial sums of these must rebuild the
-    L-dimension profile; that bookkeeping identity is asserted.
+    Under hard Lefschetz the map is onto L^{d-i+1} = omega^{d-2i+2} L^{i-1},
+    so dim PL^i = dim L^i - dim L^{i-1} and nothing more is ranked; the
+    kernels are ranked only when hard Lefschetz fails.
     """
-    omega = _checked_omega(lef, omega)
     d = lef.ambient.top_degree
+    if check_hard_lefschetz(lef, omega).passed:
+        return PrimitiveDims(tuple(lef.dim(i) - lef.dim(i - 1)
+                                   for i in range(d // 2 + 1)), True)
+    # a failing verdict means d > 0, so omega was given and is checked
     powers = _omega_powers(omega, d + 1)
-    dims = [lef.dim(i) - _map_rank(lef, powers[d - 2 * i + 1], i)
-            for i in range(d // 2 + 1)]
-    valid = check_hard_lefschetz(lef, omega).passed
-    if valid:
-        for k in range(d // 2 + 1):
-            if sum(dims[: k + 1]) != lef.dim(k):
-                raise RuntimeError(
-                    "primitive decomposition bookkeeping failed at degree "
-                    f"{k}: {dims} against L-dims {lef.dims}")
-    return PrimitiveDims(tuple(dims), valid)
+    return PrimitiveDims(tuple(lef.dim(i) - _map_rank(lef, powers[d - 2 * i + 1], i)
+                               for i in range(d // 2 + 1)), False)

@@ -9,6 +9,9 @@ the lcm of its denominators. The rank mod P never exceeds the rank over Q,
 so when it reaches min(rows, cols) it is the exact rank; any other rank
 falls back to Gauss-Jordan elimination over `Fraction`. `rref`, `solve`
 and `kernel` always work over `Fraction`.
+
+`Matrix.from_rows`, `identity`, `zero` and `column` are kept on purpose as
+public API for building and reading matrices; only the tests call them.
 """
 
 from __future__ import annotations
@@ -70,16 +73,6 @@ def vadd(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise ValueError(f"vector length mismatch: {len(u)} vs {len(v)}")
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"vector length mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
 
 
 def dot(u: Vector, v: Vector) -> Fraction:
@@ -149,14 +142,6 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError(f"expected vector of length {self.cols}, got {len(v)}")
         return tuple(dot(r, v) for r in self.entries)
-
-    def mat_mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions disagree")
-        cols = [other.column(j) for j in range(other.cols)]
-        return Matrix._exact(self.rows, other.cols,
-                             tuple(tuple(dot(r, c) for c in cols)
-                                   for r in self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

@@ -220,3 +220,20 @@ def test_import_loads_no_dataclasses_typing_or_hashlib():
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("module", ["lefalg", "lefalg.cli"])
+@pytest.mark.parametrize("argv,code", [(["report", "example3"], 0),
+                                       (["check", "example1", "--sym"], 1),
+                                       (["dims", "no-such-algebra"], 2)],
+                         ids=["exit-0", "exit-1", "exit-2"])
+def test_python_dash_m_runs_the_command_line(capsys, module, argv, code):
+    assert run(argv) == code
+    expected = capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(lefalg.__file__))
+    proc = subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == code
+    assert proc.stdout == expected.out
+    assert proc.stderr == expected.err

@@ -3,6 +3,7 @@
 import pytest
 
 from _oracles import brute_force_lefschetz_dims
+from lefalg import lefschetz
 from lefalg.catalog import get, names
 from lefalg.constructors import projective_space
 from lefalg.lefschetz import (_gram, check_hard_lefschetz,
@@ -198,6 +199,43 @@ def test_primitive_dims_match_explicit_kernels():
                          [[c[t] for c in cols] for t in range(rows)])
             expected.append(len(kernel(mat)))
         assert primitive_dims(lef, entry.omega).dims == tuple(expected), name
+
+
+def _count_map_ranks(monkeypatch):
+    calls = []
+    inner = lefschetz._map_rank
+
+    def counted(lef, mult_by, k):
+        calls.append(k)
+        return inner(lef, mult_by, k)
+
+    monkeypatch.setattr(lefschetz, "_map_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["Gr-2-5", "P1xP1xP1"])
+def test_primitive_dims_ranks_only_the_hl_maps_when_hl_holds(monkeypatch,
+                                                            name):
+    # under hard Lefschetz dim PL^i = dim L^i - dim L^{i-1}, so the kernels
+    # of omega^{d-2i+1} are not ranked on top of the HL maps
+    entry = get(name)
+    lef = lefschetz_subalgebra(entry.algebra)
+    calls = _count_map_ranks(monkeypatch)
+    pr = primitive_dims(lef, entry.omega)
+    d = entry.algebra.top_degree
+    assert pr.valid
+    assert len(calls) == d // 2 + 1
+
+
+def test_primitive_dims_still_ranks_kernels_when_hl_fails(monkeypatch):
+    entry = get("example3")
+    lef = lefschetz_subalgebra(entry.algebra)
+    calls = _count_map_ranks(monkeypatch)
+    assert primitive_dims(lef, entry.omega) == ((1, 2, 1, 1, 0), False)
+    # one HL map per degree whose dims match, and one kernel per degree
+    d = entry.algebra.top_degree
+    hl = [k for k in range(d // 2 + 1) if lef.dim(k) == lef.dim(d - k)]
+    assert sorted(calls) == sorted(hl + list(range(d // 2 + 1)))
 
 
 @pytest.mark.parametrize("name", names())

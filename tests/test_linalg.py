@@ -8,7 +8,7 @@ import pytest
 from lefalg import linalg
 from lefalg.linalg import (P, Matrix, dot, format_rational, kernel,
                            parse_rational, row_space_basis, row_space_rank,
-                           rref, scalar, solve, vadd, vscale, vsub, vector)
+                           rref, scalar, solve, vadd, vector)
 
 
 def test_parse_rational_accepts_integers_and_fractions():
@@ -42,8 +42,6 @@ def test_scalar_rejects_floats_and_bools():
 def test_vector_arithmetic():
     u, v = vector([1, 2]), vector(["1/2", -1])
     assert vadd(u, v) == (Fraction(3, 2), Fraction(1))
-    assert vsub(u, v) == (Fraction(1, 2), Fraction(3))
-    assert vscale(Fraction(2), u) == (Fraction(2), Fraction(4))
     assert dot(u, v) == Fraction(-3, 2)
     with pytest.raises(ValueError):
         vadd(u, vector([1]))
@@ -197,11 +195,8 @@ def test_matrix_constructor_rejects_floats_and_results_stay_exact():
     with pytest.raises(TypeError):
         Matrix.from_rows([[0.25]])
     m = Matrix.from_rows([[1, "1/2", 0], [3, -2, "5/7"]])
-    products = (m.transpose(), m.mat_mul(m.transpose()),
-                m.transpose().mat_mul(m), rref(m).reduced)
+    products = (m.transpose(), rref(m).reduced)
     for result in products:
         assert all(type(x) is Fraction for row in result.entries for x in row)
     assert m.transpose() == Matrix.from_rows([[1, 3], ["1/2", -2], [0, "5/7"]])
-    assert m.mat_mul(m.transpose()) == Matrix.from_rows(
-        [[Fraction(5, 4), 2], [2, Fraction(3, 1) ** 2 + 4 + Fraction(25, 49)]])
     assert all(type(x) is Fraction for x in m.mat_vec([1, 2, 3]))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lefalg.catalog import get
+from lefalg.catalog import build_example1, build_example2, get
 from lefalg.constructors import projective_space
 from lefalg.serialize import (algebra_from_payload, algebra_payload,
                               read_algebra, write_algebra)
@@ -158,3 +158,20 @@ def test_written_v1_bytes_are_pinned(tmp_path, name):
     path = tmp_path / f"{name}.alg.json"
     write_algebra(get(name).algebra, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == V1_FILE_SHA256[name]
+
+
+# sha256 of write_algebra output for the blowups rebuilt with e -> -e,
+# recorded before every e-power was reduced through one relation
+SIGN_MINUS_FILE_SHA256 = {
+    "example1": "529ebefc92230358b194730bcc9b81626decaf201a422a18862396aff1451441",
+    "example2": "5e98a11642bfe700421abb8a647fb90b7793e781734dc19a393e9e4dad4a2493",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_MINUS_FILE_SHA256))
+def test_written_sign_minus_blowup_bytes_are_pinned(tmp_path, name):
+    build = {"example1": build_example1, "example2": build_example2}[name]
+    path = tmp_path / f"{name}.alg.json"
+    write_algebra(build(sign=-1), str(path))
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == SIGN_MINUS_FILE_SHA256[name])
