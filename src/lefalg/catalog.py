@@ -103,8 +103,8 @@ def build_example2(sign: int = 1) -> GradedAlgebra:
 
 def build_example3() -> GradedAlgebra:
     """Projectivization of the tautological quotient bundle on Gr(2,5)."""
-    return projective_bundle(grassmannian(2, 5), quotient_chern_classes(2, 5),
-                             name="example3")
+    chern = quotient_chern_classes(2, 5)
+    return projective_bundle(chern[0].algebra, chern, name="example3")
 
 
 def _degree_one_sum(a: GradedAlgebra) -> Element | None:

@@ -26,17 +26,23 @@ class CliError(ValueError):
     """Bad command-line input (unknown name, unparsable expression)."""
 
 
-def load_algebra(ref: str) -> GradedAlgebra:
-    """Resolve an algebra reference: a file path or a catalog name."""
+def _resolve(ref: str) -> tuple[GradedAlgebra, catalog.CatalogEntry | None]:
+    """The algebra a reference names, with its catalog entry (None for a file)."""
     import os
     looks_like_path = (ref.endswith(".json") or os.sep in ref
                        or os.path.exists(ref))
     if looks_like_path:
-        return read_algebra(ref)
+        return read_algebra(ref), None
     try:
-        return catalog.get(ref).algebra
+        entry = catalog.get(ref)
     except ValueError as e:
         raise CliError(str(e)) from None
+    return entry.algebra, entry
+
+
+def load_algebra(ref: str) -> GradedAlgebra:
+    """Resolve an algebra reference: a file path or a catalog name."""
+    return _resolve(ref)[0]
 
 
 _TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)\s*(\S.*)$")
@@ -112,27 +118,19 @@ def parse_element_expr(a: GradedAlgebra, text: str) -> Element:
     return out
 
 
-def _default_omega(name: str, a: GradedAlgebra) -> Element | None:
-    try:
-        entry = catalog.get(name)
-    except ValueError:
-        entry = None
-    if entry is not None and entry.algebra is a:
-        return entry.omega
-    return catalog._degree_one_sum(a)
-
-
 def _resolve_check_inputs(args) -> tuple[GradedAlgebra, LefschetzData,
                                          Element | None]:
-    a = load_algebra(args.algebra)
+    a, entry = _resolve(args.algebra)
     gens = None
     if getattr(args, "gens", None):
         gens = [parse_element_expr(a, g) for g in args.gens]
     lef = lefschetz_subalgebra(a, gens)
     if getattr(args, "omega", None):
         omega = parse_element_expr(a, args.omega)
+    elif entry is not None:
+        omega = entry.omega
     else:
-        omega = _default_omega(args.algebra, a)
+        omega = catalog._degree_one_sum(a)
     return a, lef, omega
 
 

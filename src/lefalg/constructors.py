@@ -95,6 +95,27 @@ def _accumulate(acc: dict, base: int, coords: Sequence[Fraction], scale) -> None
             acc[base + t] = acc.get(base + t, 0) + scale * c
 
 
+def _layout(d: int, blocks: Sequence[tuple[Sequence[Sequence[str]], str]]
+            ) -> tuple[list[list[str]], list[list[tuple[int, int]]], dict]:
+    """Basis, decode tags and offsets, degrees 0..d, of a sum of shifted summands.
+
+    Block b is (basis, prefix); in degree k it holds basis[k - b], labelled
+    prefix + label. decode[k][t] = (b, j) places class t at index j of block b
+    in degree k, and offset[(k, b)] is where block b starts in degree k.
+    """
+    basis, decode, offset = [], [], {}
+    for k in range(d + 1):
+        labels, tags = [], []
+        for b, (summand, prefix) in enumerate(blocks):
+            if 0 <= k - b < len(summand):
+                offset[(k, b)] = len(labels)
+                labels.extend(prefix + lbl for lbl in summand[k - b])
+                tags.extend((b, j) for j in range(len(summand[k - b])))
+        basis.append(labels)
+        decode.append(tags)
+    return basis, decode, offset
+
+
 def projective_space(n: int, var: str = "h",
                      name: str | None = None) -> GradedAlgebra:
     """H^{2*}(P^n): one class per degree, h^a h^b = h^{a+b}, integral of h^n is 1."""
@@ -250,19 +271,9 @@ def blowup(data: BlowupInput, *, sign: int = 1,
     S = [(-sign) ** j for j in range(r + 1)]
     cn = (None,) + data.chern_n  # 1-indexed
 
-    basis: list[list[str]] = []
-    decode: list[list[tuple]] = []
-    offset: dict[tuple[int, int], int] = {}
-    for k in range(d + 1):
-        labels = list(y.basis[k])
-        tags: list[tuple] = [("y", j) for j in range(y.dim(k))]
-        for i in range(1, r):
-            if 0 <= k - i <= dz:
-                offset[(k, i)] = len(labels)
-                labels.extend(f"e^{i}*{zl}" for zl in z.basis[k - i])
-                tags.extend((i, j) for j in range(z.dim(k - i)))
-        basis.append(labels)
-        decode.append(tags)
+    # block 0 holds the Y classes, block i the summand Z (x) e^i
+    basis, decode, offset = _layout(
+        d, [(y.basis, "")] + [(z.basis, f"e^{i}*") for i in range(1, r)])
 
     def add_z(acc: dict, i: int, el: Element, scale) -> None:
         if not el.is_zero:
@@ -288,24 +299,20 @@ def blowup(data: BlowupInput, *, sign: int = 1,
 
     def mult(k1, i1, k2, i2):
         acc: dict = {}
-        t1, t2 = decode[k1][i1], decode[k2][i2]
-        if t1[0] == "y" and t2[0] == "y":
-            prod = multiply(y.basis_element(k1, t1[1]), y.basis_element(k2, t2[1]))
+        (b1, j1), (b2, j2) = decode[k1][i1], decode[k2][i2]
+        if b2 == 0 and b1:  # put the Y class first
+            k1, b1, j1, k2, b2, j2 = k2, b2, j2, k1, b1, j1
+        if b2 == 0:
+            prod = multiply(y.basis_element(k1, j1), y.basis_element(k2, j2))
             _accumulate(acc, 0, prod.coords, Fraction(1))
-        elif t1[0] == "y" or t2[0] == "y":
-            if t1[0] == "y":
-                yk, yj, (i, zj), zk = k1, t1[1], t2, k2
-            else:
-                yk, yj, (i, zj), zk = k2, t2[1], t1, k1
-            prod = multiply(apply_ring_map(pull, y.basis_element(yk, yj)),
-                            z.basis_element(zk - i, zj))
-            add_z(acc, i, prod, Fraction(1))
+        elif b1 == 0:
+            prod = multiply(apply_ring_map(pull, y.basis_element(k1, j1)),
+                            z.basis_element(k2 - b2, j2))
+            add_z(acc, b2, prod, Fraction(1))
         else:
-            i, zi = t1
-            j, zj = t2
-            prod = multiply(z.basis_element(k1 - i, zi),
-                            z.basis_element(k2 - j, zj))
-            reduce_e(acc, prod, i + j, Fraction(1))
+            prod = multiply(z.basis_element(k1 - b1, j1),
+                            z.basis_element(k2 - b2, j2))
+            reduce_e(acc, prod, b1 + b2, Fraction(1))
         return sparse_cell(acc)
 
     tables = build_product_tables(basis, mult)
@@ -328,7 +335,6 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
     if len(chern) < 2:
         raise ValueError("chern must be [c_0, ..., c_s] with s >= 1")
     s = len(chern) - 1
-    dy = y.top_degree
     c0 = chern[0]
     if not isinstance(c0, Element) or c0 != y.unit():
         raise ValueError("c_0 must be the unit class")
@@ -337,24 +343,10 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
             raise ValueError(f"c_{i} must be an element of {y.name}")
         if c.degree != i:
             raise ValueError(f"c_{i} must be homogeneous of degree {i}")
-    d = dy + s - 1
+    d = y.top_degree + s - 1
 
-    basis: list[list[str]] = []
-    decode: list[list[tuple[int, int]]] = []
-    offset: dict[tuple[int, int], int] = {}
-    for k in range(d + 1):
-        labels: list[str] = []
-        tags: list[tuple[int, int]] = []
-        for i in range(0, s):
-            if 0 <= k - i <= dy:
-                offset[(k, i)] = len(labels)
-                if i == 0:
-                    labels.extend(y.basis[k])
-                else:
-                    labels.extend(f"z^{i}*{yl}" for yl in y.basis[k - i])
-                tags.extend((i, j) for j in range(y.dim(k - i)))
-        basis.append(labels)
-        decode.append(tags)
+    basis, decode, offset = _layout(
+        d, [(y.basis, f"z^{i}*" if i else "") for i in range(s)])
 
     def reduce_pow(acc: dict, el: Element, p: int, scale) -> None:
         # accumulate scale * (el * zeta^p) in reduced form
@@ -368,8 +360,7 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
 
     def mult(k1, i1, k2, i2):
         acc: dict = {}
-        i, a = decode[k1][i1]
-        j, b = decode[k2][i2]
+        (i, a), (j, b) = decode[k1][i1], decode[k2][i2]
         prod = multiply(y.basis_element(k1 - i, a), y.basis_element(k2 - j, b))
         reduce_pow(acc, prod, i + j, Fraction(1))
         return sparse_cell(acc)

@@ -193,7 +193,8 @@ def quotient_chern_classes(k: int, n: int) -> list[Element]:
     """Total Chern class of the tautological quotient bundle on Gr(k, n).
 
     c_i(Q) is the single-row Schubert class sigma_(i); the list is
-    [1, sigma_1, ..., sigma_{n-k}], ready to feed projective_bundle.
+    [1, sigma_1, ..., sigma_{n-k}]. Give projective_bundle these classes cls
+    with their own base cls[0].algebra, not a fresh grassmannian(k, n) call.
     """
     g = grassmannian(k, n)
     out = [g.unit()]

@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+from _oracles import brute_force_lefschetz_dims
 from lefalg.buildfile import (BlowupNode, BuildFileError, BuildSyntaxError,
                               BuildTypeError, CatalogNode, GrNode, PNode,
                               evaluate, parse_build_file)
 from lefalg.catalog import get
+from lefalg.lefschetz import lefschetz_subalgebra
+from lefalg.ring import verify_algebra
 from lefalg.serialize import algebra_payload
 
 
@@ -153,3 +156,16 @@ def test_both_error_kinds_are_buildfileerrors():
     assert issubclass(BuildSyntaxError, BuildFileError)
     assert issubclass(BuildTypeError, BuildFileError)
     assert issubclass(BuildFileError, ValueError)
+
+
+@pytest.mark.parametrize("tree", [
+    {"product": [{"P": 0}, {"P": 1}]},
+    {"product": [{"Gr": [2, 4]}, {"product": [{"P": 0}, {"Gr": [1, 3]}]}]},
+    {"product": [{"Gr": [2, 4]}, {"Gr": [2, 4]}, {"P": 1}]},
+], ids=["P0xP1", "nested-with-point", "Gr24xGr24xP1"])
+def test_product_trees_are_poincare_with_oracle_lefschetz_dims(tree):
+    # point factors and nested products, which no catalog name spells
+    a = evaluate(parse_build_file(json.dumps(tree)))
+    assert a.dims == a.dims[::-1]
+    assert verify_algebra(a).ok
+    assert lefschetz_subalgebra(a).dims == brute_force_lefschetz_dims(a)

@@ -237,3 +237,21 @@ def test_python_dash_m_runs_the_command_line(capsys, module, argv, code):
     assert proc.returncode == code
     assert proc.stdout == expected.out
     assert proc.stderr == expected.err
+
+
+def test_no_output_depends_on_a_cache_hit(capsys, monkeypatch):
+    # the caches are for speed only: with nothing cached, each lookup builds
+    # a fresh algebra, and every command must still print the same bytes
+    commands = (["report", "example1"], ["report", "--json", "example2"],
+                ["report", "example3"], ["check", "example1", "--hl"])
+
+    def outputs():
+        return [(run(argv), *capsys.readouterr()) for argv in commands]
+
+    cached = outputs()
+    uncached_gr = lefalg.schubert.grassmannian.__wrapped__
+    monkeypatch.setattr(lefalg.catalog, "get", lefalg.catalog.get.__wrapped__)
+    monkeypatch.setattr(lefalg.schubert, "grassmannian", uncached_gr)
+    monkeypatch.setattr(lefalg.catalog, "grassmannian", uncached_gr)
+    assert outputs() == cached
+    assert lefalg.catalog.build_example3() == lefalg.catalog.get("example3").algebra
