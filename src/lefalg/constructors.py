@@ -70,7 +70,7 @@ def truncated_polynomial_algebra(name: str,
     """
     names = [g for g, _ in gens]
     caps = [c for _, c in gens]
-    if any(not isinstance(c, int) or c < 0 for c in caps):
+    if any(type(c) is not int or c < 0 for c in caps):
         raise ValueError("exponent caps must be nonnegative integers")
     top = sum(caps)
     by_degree = [monomial_exponents(caps, m) for m in range(top + 1)]
@@ -85,7 +85,7 @@ def truncated_polynomial_algebra(name: str,
         return ()
 
     tables = build_product_tables(basis, mult)
-    return GradedAlgebra(name, basis, tables, [one], sparse=True)
+    return GradedAlgebra(name, basis, tables, [one])
 
 
 def _accumulate(acc: dict, base: int, coords: Sequence[Fraction], scale) -> None:
@@ -119,7 +119,7 @@ def _layout(d: int, blocks: Sequence[tuple[Sequence[Sequence[str]], str]]
 def projective_space(n: int, var: str = "h",
                      name: str | None = None) -> GradedAlgebra:
     """H^{2*}(P^n): one class per degree, h^a h^b = h^{a+b}, integral of h^n is 1."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"projective space needs n >= 0, got {n}")
     return truncated_polynomial_algebra(name or f"P{n}", [(var, n)])
 
@@ -298,14 +298,13 @@ def blowup(data: BlowupInput, *, sign: int = 1,
                      -scale * S[r] * S[i])
 
     def mult(k1, i1, k2, i2):
-        acc: dict = {}
         (b1, j1), (b2, j2) = decode[k1][i1], decode[k2][i2]
         if b2 == 0 and b1:  # put the Y class first
             k1, b1, j1, k2, b2, j2 = k2, b2, j2, k1, b1, j1
-        if b2 == 0:
-            prod = multiply(y.basis_element(k1, j1), y.basis_element(k2, j2))
-            _accumulate(acc, 0, prod.coords, Fraction(1))
-        elif b1 == 0:
+        if b2 == 0:  # Y sits at offset 0 in every degree: Y's own cell
+            return y.tables[(k1, k2)][j1][j2]
+        acc: dict = {}
+        if b1 == 0:
             prod = multiply(apply_ring_map(pull, y.basis_element(k1, j1)),
                             z.basis_element(k2 - b2, j2))
             add_z(acc, b2, prod, Fraction(1))
@@ -319,7 +318,7 @@ def blowup(data: BlowupInput, *, sign: int = 1,
     # only pulled-back classes survive in the top degree (dim Z = d - r)
     assert len(basis[d]) == y.dim(d)
     return GradedAlgebra(name or f"Bl({y.name}, {z.name})", basis, tables,
-                         y.integration, sparse=True)
+                         y.integration)
 
 
 def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
@@ -366,9 +365,6 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
         return sparse_cell(acc)
 
     tables = build_product_tables(basis, mult)
-    integration = [Fraction(0)] * len(basis[d])
-    base = offset[(d, s - 1)]
-    for t, c in enumerate(y.integration):
-        integration[base + t] = c
+    # degree d = top(Y) + s - 1 holds the zeta^{s-1} summand alone
     return GradedAlgebra(name or f"ProjBundle({y.name},{s})", basis, tables,
-                         integration, sparse=True)
+                         y.integration)

@@ -8,11 +8,12 @@ product is honestly commutative and no Koszul signs appear anywhere.
 
 The structure constants are stored sparsely. A *cell* is the product of two
 basis classes as a tuple of (t, c) terms, t ascending and c a nonzero
-Fraction; a zero product is the empty cell (). The (k1, k2) and (k2, k1)
+Fraction; a zero product is the empty cell (). Cells are the one form the
+constructor takes, and it checks each of them. The (k1, k2) and (k2, k1)
 tables hold the same cell objects wherever the two agree, so no product is
 stored twice. Products, verification, pairings and the file format all read
-cells; the dense coordinate tables are only a view (`GradedAlgebra.products`)
-and an input format for hand-built algebras.
+cells; the dense coordinate tables are only a view (`GradedAlgebra.products`),
+and dense vectors are read only from payloads (`serialize`).
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -48,41 +49,43 @@ def sparse_cell(acc: dict) -> Cell:
     return tuple(sorted((t, c) for t, c in acc.items() if c))
 
 
-def share_mirrors(tables: dict) -> dict:
-    """Tuple the rows of list tables, sharing every mirror cell that agrees.
-
-    Where ``tables[(k2, k1)][j][i]`` equals ``tables[(k1, k2)][i][j]`` the
-    mirror becomes the same object; a cell that disagrees (a broken input
-    that `verify_algebra` is meant to flag) is kept as given.
-    """
-    for (k1, k2), table in tables.items():
-        if k1 > k2:
-            continue
-        mirror = tables[(k2, k1)]
-        for i, row in enumerate(table):
-            for j in range(i + 1 if k1 == k2 else 0, len(row)):
-                if mirror[j][i] == row[j]:
-                    mirror[j][i] = row[j]
-    return {key: tuple(map(tuple, rows)) for key, rows in tables.items()}
+def _check_cell(cell, n: int) -> None:
+    """Raise unless cell is canonical in a degree of dimension n: TypeError
+    for a non-Fraction coefficient, ValueError for anything else."""
+    last = -1
+    for term in cell if type(cell) is tuple else [()]:
+        if type(term) is tuple and len(term) == 2:
+            t, c = term
+            if type(c) is not Fraction:
+                raise TypeError(f"coefficient {c!r} is not a Fraction")
+            if type(t) is int and last < t < n and c:
+                last = t
+                continue
+        raise ValueError(f"{cell!r} is not a tuple of (t, c) terms with t "
+                         f"ascending in 0..{n - 1} and c nonzero")
 
 
-def _cells_of_dense(products, keys, dims) -> dict:
-    """Sparse tables from dense ones, every entry coerced and length-checked."""
-    tables = {}
-    for k1, k2 in keys:
-        raw, n3 = products[(k1, k2)], dims[k1 + k2]
-        rows = []
-        for i in range(dims[k1]):
-            row = []
-            for j in range(dims[k2]):
-                v = vector(raw[i][j])
-                if len(v) != n3:
-                    raise ValueError(f"product table ({k1},{k2}) has a vector of "
-                                     f"length {len(v)}, expected {n3}")
-                row.append(tuple((t, c) for t, c in enumerate(v) if c))
-            rows.append(row)
-        tables[(k1, k2)] = rows
-    return share_mirrors(tables)
+def _checked_tables(tables: Mapping, dims: Sequence[int]) -> dict:
+    """The tables with tuple rows, every shape and cell checked; a cell its
+    mirror shares is checked once."""
+    d, out = len(dims) - 1, {}
+    for k1 in range(d + 1):
+        for k2 in range(d + 1 - k1):
+            if (k1, k2) not in tables:
+                raise ValueError(f"missing product table for degrees ({k1},{k2})")
+            out[k1, k2] = rows = tuple(map(tuple, tables[k1, k2]))
+            if len(rows) != dims[k1] or any(len(row) != dims[k2] for row in rows):
+                raise ValueError(f"product table ({k1},{k2}) is not {dims[k1]}x{dims[k2]}")
+    for (k1, k2), table in out.items():
+        mirror, n = out[k2, k1], dims[k1 + k2]
+        try:
+            for i, row in enumerate(table):
+                for j, cell in enumerate(row):
+                    if cell != () and ((k1, i) <= (k2, j) or mirror[j][i] is not cell):
+                        _check_cell(cell, n)
+        except (TypeError, ValueError) as e:
+            raise type(e)(f"product table ({k1},{k2}) cell ({i},{j}): {e}") from None
+    return out
 
 
 class GradedAlgebra:
@@ -90,23 +93,21 @@ class GradedAlgebra:
 
     ``basis[k]`` is the ordered label tuple of degree k. ``tables[(k1, k2)]``
     is a table indexed by basis positions: ``tables[(k1, k2)][i][j]`` is the
-    sparse cell of b_i * b_j in degree k1+k2 (see the module docstring).
+    cell of b_i * b_j in degree k1+k2 (see the module docstring).
     Tables exist for every ordered pair with k1+k2 <= d. ``integration`` is
     a coordinate functional on degree d.
 
-    The constructor takes dense tables, ``products[(k1, k2)][i][j]`` being
-    the coordinate vector of b_i * b_j, and validates every entry; this is
-    the path for hand-built algebras. With ``sparse=True`` it takes the
-    sparse tables themselves, whose cells are trusted, not re-checked: the
-    library's constructors build their cells directly. ``a.products`` is a
-    read-only dense view of the tables, densified one table at a time when
-    read.
+    The constructor takes tables of this form (rows may be any sequences)
+    and checks every shape and cell: a non-Fraction coefficient raises
+    TypeError, anything else ValueError. Dense vectors are read only from
+    payloads (`serialize.algebra_from_payload`); ``a.products`` is a
+    read-only dense view, densified one table at a time when read.
     """
 
     __slots__ = ("name", "basis", "tables", "integration", "_label_map")
 
     def __init__(self, name: str, basis: Sequence[Sequence[str]],
-                 products: dict, integration: Sequence, *, sparse: bool = False):
+                 tables: Mapping, integration: Sequence):
         basis = tuple(tuple(str(lbl) for lbl in deg) for deg in basis)
         if not basis:
             raise ValueError("an algebra needs at least degree 0")
@@ -118,18 +119,9 @@ class GradedAlgebra:
                 if lbl in label_map:
                     raise ValueError(f"duplicate basis label {lbl!r}")
                 label_map[lbl] = (k, i)
-        d = len(basis) - 1
-        keys = [(k1, k2) for k1 in range(d + 1) for k2 in range(d + 1 - k1)]
-        for k1, k2 in keys:
-            if (k1, k2) not in products:
-                raise ValueError(f"missing product table for degrees ({k1},{k2})")
-        if sparse:
-            tables = {key: products[key] for key in keys}
-            integration = tuple(integration)
-        else:
-            tables = _cells_of_dense(products, keys, [len(deg) for deg in basis])
-            integration = vector(integration)
-        if len(integration) != len(basis[d]):
+        tables = _checked_tables(tables, [len(deg) for deg in basis])
+        integration = vector(integration)
+        if len(integration) != len(basis[-1]):
             raise ValueError("integration vector length != top-degree dimension")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "basis", basis)
@@ -175,6 +167,8 @@ class GradedAlgebra:
 
     def zero(self, k: int) -> "Element":
         """Zero of degree k; above the top degree it has no coordinates."""
+        if k < 0:
+            raise ValueError(f"degree {k} is negative")
         return Element(self, k, vzero(self.dim(k)))
 
     def basis_element(self, k: int, i: int) -> "Element":
@@ -543,11 +537,12 @@ def verify_ring_map(f: RingMap) -> CheckReport:
 
 def build_product_tables(basis: Sequence[Sequence[str]],
                          mult: Callable[[int, int, int, int], Cell]) -> dict:
-    """Assemble sparse tables (for ``GradedAlgebra(..., sparse=True)``) from a rule.
+    """Assemble the tables of a GradedAlgebra from a rule.
 
     ``mult(k1, i, k2, j)`` must return the cell of b_i * b_j in degree
     k1+k2. It is only consulted for k1 <= k2, and for i <= j when k1 == k2;
-    by commutativity every mirrored cell is the same object.
+    by commutativity every mirrored cell is the same object, so the
+    constructor checks each cell once.
     """
     d = len(basis) - 1
     tables: dict = {}
@@ -607,19 +602,14 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
                             for p, cp in left for q, cq in right))
 
     tables = build_product_tables(basis, mult)
-    integration = list(vzero(len(basis[d])))
-    for (i, j, p, q), pos in index.items():
-        if i == da and j == db:
-            integration[pos] = a.integration[p] * b.integration[q]
-    # only the (da, db) block can sit in degree d, so the loop above covers it
-    return GradedAlgebra(name or f"{a.name}x{b.name}", basis, tables, integration,
-                         sparse=True)
+    # degree d is the (da, db) block alone, laid out p-major
+    integration = [cp * cq for cp in a.integration for cq in b.integration]
+    return GradedAlgebra(name or f"{a.name}x{b.name}", basis, tables, integration)
 
 
 def relabeled(a: GradedAlgebra, basis: Sequence[Sequence[str]],
               name: str | None = None) -> GradedAlgebra:
     """Same structure constants, new labels (and optionally a new name)."""
-    basis = tuple(tuple(deg) for deg in basis)
-    if tuple(len(deg) for deg in basis) != a.dims:
+    if tuple(map(len, basis)) != a.dims:
         raise ValueError("relabeling must preserve the dimension profile")
-    return GradedAlgebra(name or a.name, basis, a.tables, a.integration, sparse=True)
+    return GradedAlgebra(name or a.name, basis, a.tables, a.integration)

@@ -159,7 +159,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return fill(0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: (True, n) must miss (1, n) and raise
 def grassmannian(k: int, n: int) -> GradedAlgebra:
     """H^{2*}(Gr(k, n), Q) with Schubert basis labels "s[...]".
 
@@ -167,7 +167,7 @@ def grassmannian(k: int, n: int) -> GradedAlgebra:
     lexicographic; products are LR expansions with terms outside the box
     dropped; integration reads off the full-box coefficient.
     """
-    if not (isinstance(k, int) and isinstance(n, int)) or k < 1 or n <= k:
+    if not (type(k) is int and type(n) is int) or k < 1 or n <= k:
         raise ValueError(f"Gr(k, n) needs 1 <= k < n, got k={k}, n={n}")
     rows, cols = k, n - k
     d = rows * cols
@@ -186,7 +186,7 @@ def grassmannian(k: int, n: int) -> GradedAlgebra:
 
     tables = build_product_tables(basis, mult)
     integration = [Fraction(1)]  # degree d holds the full box alone
-    return GradedAlgebra(f"Gr-{k}-{n}", basis, tables, integration, sparse=True)
+    return GradedAlgebra(f"Gr-{k}-{n}", basis, tables, integration)
 
 
 def quotient_chern_classes(k: int, n: int) -> list[Element]:

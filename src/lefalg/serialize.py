@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .linalg import format_rational, parse_rational
-from .ring import Cell, GradedAlgebra, share_mirrors
+from .ring import Cell, GradedAlgebra
 
 FORMAT_NAME = "graded-algebra"
 FORMAT_VERSION = 1
@@ -139,13 +139,14 @@ def algebra_from_payload(payload: object, *,
         if (k1, i, k2, j) in seen:
             raise ValueError(f"duplicate product entry {entry[:4]}")
         seen.add((k1, i, k2, j))
-        tables[(k1, k2)][i][j] = parse_cell(raw, dims[k1 + k2], entry)
+        cell = parse_cell(raw, dims[k1 + k2], entry)
+        mirror = tables[(k2, k1)][j][i]  # shared if equal, in either order
+        tables[(k1, k2)][i][j] = mirror if mirror == cell else cell
     integration = [Fraction(0)] * dims[d]
     for t, x in parse_cell(_field(payload, "integration", list), dims[d],
                            None):
         integration[t] = x
-    return GradedAlgebra(name, basis, share_mirrors(tables), integration,
-                         sparse=True)
+    return GradedAlgebra(name, basis, tables, integration)
 
 
 def read_algebra(path: str) -> GradedAlgebra:

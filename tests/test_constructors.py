@@ -45,6 +45,14 @@ def test_projective_space():
         projective_space(-1)
 
 
+def test_bools_are_no_counts():
+    # True == 1, but P1 must not come back as an algebra named "PTrue"
+    with pytest.raises(ValueError):
+        projective_space(True)
+    with pytest.raises(ValueError):
+        truncated_polynomial_algebra("T", [("a", 1), ("b", True)])
+
+
 # ---------------------------------------------------------------- series
 
 

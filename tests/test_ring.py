@@ -85,6 +85,12 @@ def test_integration_picks_top_class(p2):
         integrate(h)  # not top degree
 
 
+def test_zero_has_no_negative_degree(p2):
+    with pytest.raises(ValueError):
+        p2.zero(-1)
+    assert p2.zero(3).coords == ()
+
+
 def test_render_element(p2):
     h = p2.by_label("h")
     assert render_element(3 * h) == "3*h"
@@ -107,9 +113,9 @@ def test_verify_algebra_passes_on_good_ring(p2):
 def test_verify_algebra_flags_degenerate_integration():
     # x with x^2 = 0 and integration reading the x coefficient is fine,
     # but zero integration kills the pairing
+    one = ((0, Fraction(1)),)
     a = GradedAlgebra("degen", [["1"], ["x"]],
-                      {(0, 0): [[(1,)]], (0, 1): [[(1,)]],
-                       (1, 0): [[(1,)]]},
+                      {(0, 0): [[one]], (0, 1): [[one]], (1, 0): [[one]]},
                       [0])
     rep = verify_algebra(a)
     assert not rep.ok
@@ -119,25 +125,23 @@ def test_verify_algebra_flags_degenerate_integration():
 def test_verify_algebra_flags_broken_associativity():
     # tamper with P1 x P2: kill x * y^2 (but keep x*y) so that
     # (x*y)*y != x*(y*y) while commutativity still holds
-    t = tensor_product(projective_space(1), projective_space(2))
-    products = {k: [list(row) for row in tab] for k, tab in t.products.items()}
+    t, tables = _p1xp2_tables()
     i = t.basis[1].index("h⊗1")
     j = t.basis[2].index("1⊗h^2")
-    products[(1, 2)][i][j] = (Fraction(0),)
-    products[(2, 1)][j][i] = (Fraction(0),)
-    a = GradedAlgebra("warped", t.basis, products, t.integration)
+    tables[(1, 2)][i][j] = ()
+    tables[(2, 1)][j][i] = ()
+    a = GradedAlgebra("warped", t.basis, tables, t.integration)
     rep = verify_algebra(a)
     assert not rep.ok
     assert any("associativity" in v for v in rep.violations)
 
 
 def test_verify_algebra_flags_broken_commutativity():
-    t = tensor_product(projective_space(1), projective_space(2))
-    products = {k: [list(row) for row in tab] for k, tab in t.products.items()}
+    t, tables = _p1xp2_tables()
     i = t.basis[1].index("h⊗1")
     j = t.basis[2].index("1⊗h^2")
-    products[(1, 2)][i][j] = (Fraction(-1),)  # mirror left intact
-    a = GradedAlgebra("warped2", t.basis, products, t.integration)
+    tables[(1, 2)][i][j] = ((0, Fraction(-1)),)  # mirror left intact
+    a = GradedAlgebra("warped2", t.basis, tables, t.integration)
     rep = verify_algebra(a)
     assert any("commutativity" in v for v in rep.violations)
 
@@ -254,34 +258,72 @@ def test_pairing_matrix_is_the_integral_of_products(name):
 
 def _p1xp2_tables():
     t = tensor_product(projective_space(1), projective_space(2))
-    return t, {k: [list(row) for row in tab] for k, tab in t.products.items()}
+    return t, {k: [list(row) for row in tab] for k, tab in t.tables.items()}
 
 
-def test_dense_constructor_rejects_a_float_cell():
-    t, products = _p1xp2_tables()
-    products[(1, 1)][0][1] = (Fraction(1), 0.5)
-    with pytest.raises(TypeError):
-        GradedAlgebra("floaty", t.basis, products, t.integration)
+def test_constructor_rejects_a_float_coefficient():
+    t, tables = _p1xp2_tables()
+    tables[(1, 1)][0][1] = ((0, 0.5),)
+    with pytest.raises(TypeError,
+                       match=r"table \(1,1\) cell \(0,1\): coefficient 0.5"):
+        GradedAlgebra("floaty", t.basis, tables, t.integration)
 
 
-def test_dense_constructor_rejects_a_wrong_length_cell():
-    t, products = _p1xp2_tables()
-    products[(1, 2)][0][1] = (Fraction(1), Fraction(0))
-    with pytest.raises(ValueError, match="length 2, expected 1"):
-        GradedAlgebra("long", t.basis, products, t.integration)
+def test_constructor_rejects_a_bad_cell():
+    t, tables = _p1xp2_tables()
+    tables[(1, 2)][0][1] = ((1, Fraction(1)),)  # degree 3 has one class
+    with pytest.raises(ValueError, match=r"table \(1,2\) cell \(0,1\)"):
+        GradedAlgebra("long", t.basis, tables, t.integration)
 
 
-def test_dense_constructor_rejects_a_missing_table():
-    t, products = _p1xp2_tables()
-    del products[(2, 1)]
+def test_constructor_rejects_a_missing_table():
+    t, tables = _p1xp2_tables()
+    del tables[(2, 1)]
     with pytest.raises(ValueError, match=r"missing product table for degrees \(2,1\)"):
-        GradedAlgebra("holey", t.basis, products, t.integration)
+        GradedAlgebra("holey", t.basis, tables, t.integration)
+
+
+@pytest.mark.parametrize("cell", [
+    ((0, Fraction(1)), (1, Fraction(0))),  # a zero term
+    ((1, Fraction(1)), (0, Fraction(1))),  # descending
+    ((0, Fraction(1)), (0, Fraction(1))),  # repeated
+    ((-1, Fraction(1)),), ((False, Fraction(1)),),
+    [(0, Fraction(1))], ([0, Fraction(1)],), ((0, Fraction(1), 0),), 1, None,
+], ids=repr)
+def test_constructor_rejects_a_non_canonical_cell(cell):
+    t, tables = _p1xp2_tables()  # (1,1) lands in degree 2, of dimension 2
+    tables[(1, 1)][0][1] = cell
+    with pytest.raises(ValueError, match=r"table \(1,1\) cell \(0,1\)"):
+        GradedAlgebra("odd", t.basis, tables, t.integration)
+
+
+def test_constructor_rejects_an_int_coefficient_and_a_misshapen_table():
+    t, tables = _p1xp2_tables()
+    tables[(2, 1)][1][0] = ((0, 1),)  # a mirror cell, no longer shared
+    with pytest.raises(TypeError, match=r"table \(2,1\) cell \(1,0\)"):
+        GradedAlgebra("inty", t.basis, tables, t.integration)
+    t, tables = _p1xp2_tables()
+    tables[(1, 1)] = tables[(1, 1)][:1]
+    with pytest.raises(ValueError, match=r"table \(1,1\) is not 2x2"):
+        GradedAlgebra("short", t.basis, tables, t.integration)
+
+
+def test_list_rows_give_an_immutable_algebra_equal_to_the_original():
+    t, tables = _p1xp2_tables()
+    a = GradedAlgebra(t.name, t.basis, tables, list(t.integration))
+    tables[(1, 1)][0][0] = ((0, Fraction(5)),)  # the caller's lists stay theirs
+    assert a == t
+    assert all(type(row) is tuple for tab in a.tables.values() for row in tab)
+    assert all(type(tab) is tuple for tab in a.tables.values())
+    assert type(a.integration) is tuple
 
 
 @pytest.mark.parametrize("name", catalog.names())
 def test_dense_view_rebuilds_the_same_algebra(name):
+    # the dense view of a rebuild from the cells is the view of the original
     a = catalog.get(name).algebra
-    assert GradedAlgebra(a.name, a.basis, a.products, a.integration) == a
+    b = GradedAlgebra(a.name, a.basis, a.tables, a.integration)
+    assert b == a and dict(b.products) == dict(a.products)
 
 
 def _assert_sparse_and_shared(a):
@@ -306,7 +348,7 @@ def test_cells_are_sparse_and_shared_with_their_mirror(name):
     a = catalog.get(name).algebra
     _assert_sparse_and_shared(a)
     _assert_sparse_and_shared(
-        GradedAlgebra(a.name, a.basis, a.products, a.integration))
+        GradedAlgebra(a.name, a.basis, a.tables, a.integration))
     _assert_sparse_and_shared(
         algebra_from_payload(algebra_payload(a), require_checksum=False))
 
@@ -345,12 +387,12 @@ def _axiom_violations_agree_with_the_dense_oracle(a):
 def test_verify_algebra_flags_a_zero_product_made_nonzero():
     # P1 x P2 with x = h⊗1, y = 1⊗h: x*x = 0, so its cell is absent from the
     # sparse store; x*x := x*y keeps commutativity but breaks associativity
-    t, products = _p1xp2_tables()
+    t, tables = _p1xp2_tables()
     x, y = t.basis[1].index("h⊗1"), t.basis[1].index("1⊗h")
     assert t.tables[(1, 1)][x][x] == ()
-    products[(1, 1)][x][x] = products[(1, 1)][x][y]
+    tables[(1, 1)][x][x] = tables[(1, 1)][x][y]
     axioms = _axiom_violations_agree_with_the_dense_oracle(
-        GradedAlgebra("tampered", t.basis, products, t.integration))
+        GradedAlgebra("tampered", t.basis, tables, t.integration))
     assert axioms and all(v.startswith("associativity") for v in axioms)
 
 
@@ -366,11 +408,10 @@ def test_verify_algebra_flags_every_zero_cell_made_nonzero_on_one_side():
                 for j in range(t.dim(k2)):
                     if t.tables[(k1, k2)][i][j] or (k1, i) == (k2, j):
                         continue
-                    products = {k: [list(row) for row in tab]
-                                for k, tab in t.products.items()}
-                    products[(k1, k2)][i][j] = \
-                        (Fraction(1),) + (Fraction(0),) * (t.dim(k1 + k2) - 1)
-                    a = GradedAlgebra("tampered", t.basis, products, t.integration)
+                    tables = {k: [list(row) for row in tab]
+                              for k, tab in t.tables.items()}
+                    tables[(k1, k2)][i][j] = ((0, Fraction(1)),)
+                    a = GradedAlgebra("tampered", t.basis, tables, t.integration)
                     axioms = _axiom_violations_agree_with_the_dense_oracle(a)
                     assert any(v.startswith("commutativity") for v in axioms)
                     tampered += 1

@@ -94,6 +94,17 @@ def test_grassmannian_validates_arguments():
         grassmannian(4, 4)
 
 
+def test_grassmannian_takes_no_bool_for_a_count():
+    # True == 1 must neither build "Gr-True-3" nor hit the Gr(1, 3) cache entry
+    with pytest.raises(ValueError):
+        grassmannian(True, 3)
+    assert grassmannian(1, 3).name == "Gr-1-3"
+    with pytest.raises(ValueError):
+        grassmannian(True, 3)
+    with pytest.raises(ValueError):
+        grassmannian(1, True)
+
+
 def test_gr25_shape():
     g = grassmannian(2, 5)
     assert g.name == "Gr-2-5"
