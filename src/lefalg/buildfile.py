@@ -202,19 +202,15 @@ def _node(obj: object, path: str) -> BuildExpr:
 
 
 def _as_element(a: GradedAlgebra, degree: int, coords, path: str):
-    if degree > a.top_degree:
-        if coords:
-            raise BuildTypeError(f"type error at {path}: degree {degree} "
-                                 f"exceeds the top degree {a.top_degree}; "
-                                 f"give an empty list")
-        return a.zero(degree)
     if not coords:
         return a.zero(degree)  # [] is shorthand for the zero class
-    if len(coords) != a.dim(degree):
-        raise BuildTypeError(f"type error at {path}: degree-{degree} classes "
-                             f"of {a.name} need {a.dim(degree)} coordinates, "
-                             f"got {len(coords)}")
-    return a.element(degree, coords)
+    if degree > a.top_degree:
+        raise BuildTypeError(f"type error at {path}: degree {degree} exceeds "
+                             f"the top degree {a.top_degree}; give an empty list")
+    try:
+        return a.element(degree, coords)
+    except ValueError as e:
+        raise BuildTypeError(f"type error at {path}: {e}") from None
 
 
 def evaluate(expr: BuildExpr) -> GradedAlgebra:

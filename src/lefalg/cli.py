@@ -45,7 +45,9 @@ def load_algebra(ref: str) -> GradedAlgebra:
     return _resolve(ref)[0]
 
 
-_TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)\s*(\S.*)$")
+# a term is a basis label, a rational, or a rational then an optional "*"
+# then a basis label; labels may contain "*" but never "+" or "-"
+_TERM_RE = re.compile(r"(\d+(?:/\d+)?)(?:\s*\*?\s*(\S.*))?")
 
 
 def _parse_term(a: GradedAlgebra, term: str) -> Element:
@@ -55,57 +57,31 @@ def _parse_term(a: GradedAlgebra, term: str) -> Element:
     loc = a.label_location(term)
     if loc is not None:
         return a.basis_element(*loc)
-    try:
-        c = parse_rational(term)
-    except ValueError:
-        c = None
-    if c is not None:
-        return a.unit() * c
-    if "*" in term:
-        head, _, rest = term.partition("*")
-        rest = rest.strip()
-        loc = a.label_location(rest)
-        if loc is None:
-            raise CliError(f"unknown basis label {rest!r} in {a.name}")
+    m = _TERM_RE.fullmatch(term)
+    if m and (m[2] is None or a.label_location(m[2])):
         try:
-            c = parse_rational(head.strip())
+            c = parse_rational(m[1])
         except ValueError as e:
             raise CliError(f"bad coefficient in term {term!r}: {e}") from None
-        return a.basis_element(*loc) * c
-    m = _TERM_RE.match(term)
-    if m and a.label_location(m.group(2)) is not None:
-        return a.basis_element(*a.label_location(m.group(2))) \
-            * parse_rational(m.group(1))
+        return (a.unit() if m[2] is None else a.by_label(m[2])) * c
     raise CliError(f"cannot parse term {term!r}: not a basis label of "
                    f"{a.name}, a rational, or coefficient*label")
 
 
 def parse_element_expr(a: GradedAlgebra, text: str) -> Element:
-    """Parse sums like "10c - e^1*1" or "s[2,1]" into a homogeneous Element.
+    """Parse sums like "10c - 2e^1*1" or "s[2,1]" into a homogeneous Element.
 
     Basis labels never contain + or -, so the expression splits at signs.
     """
     text = text.strip()
     if not text:
         raise CliError("empty element expression")
-    terms: list[tuple[int, str]] = []
-    sign, start = 1, 0
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        start = 1
-    buf = []
-    for ch in text[start:]:
-        if ch in "+-":
-            terms.append((sign, "".join(buf)))
-            sign = -1 if ch == "-" else 1
-            buf = []
-        else:
-            buf.append(ch)
-    terms.append((sign, "".join(buf)))
+    # ["", sign, term, sign, term, ...]
+    parts = re.split(r"([+-])", text if text[0] in "+-" else "+" + text)
     out: Element | None = None
-    for s, chunk in terms:
+    for sign, chunk in zip(parts[1::2], parts[2::2]):
         el = _parse_term(a, chunk)
-        if s < 0:
+        if sign == "-":
             el = -el
         if out is None:
             out = el

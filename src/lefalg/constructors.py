@@ -15,14 +15,14 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .linalg import Matrix, Vector, row_space_rank, solve, vector
+from .linalg import Matrix, Vector, dot, row_space_rank, solve
 from .ring import (
     Element,
     GradedAlgebra,
     RingMap,
+    _checked_class,
     apply_ring_map,
     build_product_tables,
-    integrate,
     multiply,
     pairing_matrix,
     sparse_cell,
@@ -130,13 +130,8 @@ def series(a: GradedAlgebra, terms: Sequence[Element]) -> list[Element]:
     for k, t in enumerate(terms):
         if k > a.top_degree:
             break
-        if t is None:
-            continue
-        if not isinstance(t, Element) or t.algebra is not a:
-            raise ValueError(f"series entry {k} is not an element of {a.name}")
-        if t.degree != k:
-            raise ValueError(f"series entry {k} must be homogeneous of degree {k}")
-        out[k] = t
+        if t is not None:
+            out[k] = _checked_class(a, t, k, f"series entry {k}")
     return out
 
 
@@ -194,15 +189,13 @@ def adjoint_pushforward(pullback: RingMap, r: int) -> tuple[Matrix, ...]:
         if gram.rows != gram.cols or row_space_rank(gram.entries) != gram.rows:
             raise ValueError(f"ambient pairing is degenerate in degree {k + r}")
         gt = gram.transpose()
-        comp = dy - k - r
+        # int_Z(w_i * pull(y_j)): row i of Z's pairing against column j of
+        # the pullback; the transpose keeps one row per y_j when Z is empty
+        pz = pairing_matrix(z, k).entries
+        pulled = pullback.matrices[dy - k - r].transpose().entries
         cols: list[Vector] = []
         for i in range(z.dim(k)):
-            w = z.basis_element(k, i)
-            rhs = vector(
-                integrate(multiply(w, apply_ring_map(pullback,
-                                                     y.basis_element(comp, j))))
-                for j in range(y.dim(comp)))
-            u = solve(gt, rhs)
+            u = solve(gt, [dot(pz[i], v) for v in pulled])
             assert u is not None  # gram is invertible
             cols.append(u)
         mats.append(Matrix(z.dim(k), y.dim(k + r), cols).transpose())
@@ -253,10 +246,7 @@ def blowup(data: BlowupInput, *, sign: int = 1,
         raise ValueError(f"chern_n must list c_1..c_{r}, got "
                          f"{len(data.chern_n)} entries")
     for i, c in enumerate(data.chern_n, start=1):
-        if not isinstance(c, Element) or c.algebra is not z:
-            raise ValueError(f"c_{i}(N) must be an element of the center algebra")
-        if c.degree != i:
-            raise ValueError(f"c_{i}(N) must be homogeneous of degree {i}")
+        _checked_class(z, c, i, f"c_{i}(N)")
     report = verify_ring_map(pull)
     if not report.ok:
         raise ValueError("pullback fails to be a ring map: "
@@ -338,10 +328,7 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
     if not isinstance(c0, Element) or c0 != y.unit():
         raise ValueError("c_0 must be the unit class")
     for i, c in enumerate(chern[1:], start=1):
-        if not isinstance(c, Element) or c.algebra is not y:
-            raise ValueError(f"c_{i} must be an element of {y.name}")
-        if c.degree != i:
-            raise ValueError(f"c_{i} must be homogeneous of degree {i}")
+        _checked_class(y, c, i, f"c_{i}")
     d = y.top_degree + s - 1
 
     basis, decode, offset = _layout(

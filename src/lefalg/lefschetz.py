@@ -17,7 +17,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .linalg import Vector, row_space_basis, row_space_rank
-from .ring import Element, GradedAlgebra, multiply, pairing_matrix
+from .ring import (Element, GradedAlgebra, _checked_class, multiply,
+                   pairing_matrix)
 
 
 class LefschetzData(namedtuple("LefschetzData", "ambient generators bases")):
@@ -47,12 +48,7 @@ def lefschetz_subalgebra(a: GradedAlgebra,
     if generators is None:
         gens = [a.basis_element(1, i) for i in range(a.dim(1))]
     else:
-        gens = list(generators)
-        for g in gens:
-            if not isinstance(g, Element) or g.algebra is not a:
-                raise ValueError(f"generators must be elements of {a.name}")
-            if g.degree != 1:
-                raise ValueError("generators must be homogeneous of degree 1")
+        gens = [_checked_class(a, g, 1, "generators") for g in generators]
     d = a.top_degree
     bases: list[tuple[Vector, ...]] = [(a.unit().coords,)]
     for k in range(1, d + 1):
@@ -109,10 +105,7 @@ def _checked_omega(lef: LefschetzData, omega: Element | None) -> Element:
         if a.top_degree == 0:
             return a.zero(1)
         raise ValueError("omega is required when the top degree is positive")
-    if not isinstance(omega, Element) or omega.algebra is not a:
-        raise ValueError(f"omega must be an element of {a.name}")
-    if omega.degree != 1:
-        raise ValueError("omega must be homogeneous of degree 1")
+    _checked_class(a, omega, 1, "omega")
     level = list(lef.bases[1]) if a.top_degree >= 1 else []
     if row_space_rank(level + [omega.coords]) != len(level):
         raise ValueError("omega lies outside the degree-one Lefschetz component")

@@ -172,6 +172,8 @@ class GradedAlgebra:
         return Element(self, k, vzero(self.dim(k)))
 
     def basis_element(self, k: int, i: int) -> "Element":
+        if not 0 <= i < self.dim(k):
+            raise ValueError(f"no basis class {i} in degree {k} of {self.name}")
         coords = [Fraction(0)] * self.dim(k)
         coords[i] = Fraction(1)
         return Element(self, k, tuple(coords))
@@ -311,6 +313,15 @@ class Element:
 
     def __repr__(self):
         return f"<deg {self.degree}: {render_element(self)}>"
+
+
+def _checked_class(a: GradedAlgebra, x, k: int, what: str) -> Element:
+    """x, if it is an Element of a of degree k; else ValueError naming what."""
+    if not isinstance(x, Element) or x.algebra is not a:
+        raise ValueError(f"{what} must be an element of {a.name}")
+    if x.degree != k:
+        raise ValueError(f"{what} must be homogeneous of degree {k}")
+    return x
 
 
 def render_element(x: Element) -> str:

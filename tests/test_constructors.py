@@ -1,5 +1,6 @@
 """Constructors: truncated rings, series, pushforward, blowups, bundles."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from lefalg.constructors import (BlowupInput, adjoint_pushforward, blowup,
                                  chern_series_inverse, projective_bundle,
                                  projective_space, series, series_product,
                                  truncated_polynomial_algebra)
+from lefalg.lefschetz import check_hard_lefschetz, lefschetz_subalgebra
 from lefalg.linalg import row_space_rank
 from lefalg.ring import (integrate, multiply, render_element, tensor_product,
                          verify_algebra)
@@ -340,6 +342,28 @@ def test_projective_bundle_validates_chern_degrees():
         projective_bundle(p2, [p2.unit(), p2.by_label("h^2")])
     with pytest.raises(ValueError):
         projective_bundle(p2, [2 * p2.unit(), p2.by_label("h")])
+
+
+def test_every_class_argument_is_checked_alike():
+    # a class of the wrong algebra or degree is refused by one check, whose
+    # message names the argument
+    p2, line = projective_space(2), line_in_p3()
+    lef = lefschetz_subalgebra(p2)
+    cases = [
+        (p2, "generators", lambda x: lefschetz_subalgebra(p2, [x])),
+        (p2, "omega", lambda x: check_hard_lefschetz(lef, x)),
+        (p2, "series entry 1", lambda x: series(p2, [p2.unit(), x])),
+        (p2, "c_1", lambda x: projective_bundle(p2, [p2.unit(), x])),
+        (line.z, "c_1(N)",
+         lambda x: blowup(line._replace(chern_n=(x, line.z.zero(2))))),
+    ]
+    for a, what, call in cases:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{what} must be homogeneous of degree 1")):
+            call(a.unit())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{what} must be an element of {a.name}")):
+            call(projective_space(3).by_label("h"))
 
 
 def test_example3_bundle_relation():

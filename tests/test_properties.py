@@ -1,10 +1,11 @@
-"""Fuzzing of generated build files and algebra payloads (skipped without
-hypothesis)."""
+"""Fuzzing of generated build files, algebra payloads and element expressions
+(skipped without hypothesis)."""
 
 import copy
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lefalg import catalog
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
+from lefalg.cli import parse_element_expr
 from lefalg.serialize import (algebra_from_payload, algebra_payload,
                               read_algebra, write_algebra)
 
@@ -121,3 +123,25 @@ def test_payloads_read_or_raise_only_value_errors_and_round_trip(data):
         path = os.path.join(tmp, "a.alg.json")
         write_algebra(a, path)
         assert read_algebra(path) == a
+
+
+# Element expressions: a coefficient c before every label L of the paper's
+# examples and of two standard rings, as "c*L", "c * L", "c L" and "cL". The
+# "cL" form is left out for a label that starts with a digit, such as the
+# unit "1" or "1⊗h", where it is ambiguous: "2/31" is the rational 2/31.
+TERM_ALGEBRAS = [catalog.get(n).algebra
+                 for n in ("example1", "example2", "example3", "Gr-2-5", "P1xP2")]
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 10**6), st.booleans())
+def test_every_coefficient_form_parses_to_the_scaled_label(p, q, integral):
+    c = str(p) if integral else f"{p}/{q}"
+    for a in TERM_ALGEBRAS:
+        for label in (lbl for labels in a.basis for lbl in labels):
+            want = a.by_label(label) * Fraction(c)
+            forms = [f"{c}*{label}", f"{c} * {label}", f"{c} {label}"]
+            if not label[0].isdigit():
+                forms.append(c + label)
+            for text in forms:
+                assert parse_element_expr(a, text) == want, text

@@ -91,6 +91,13 @@ def test_zero_has_no_negative_degree(p2):
     assert p2.zero(3).coords == ()
 
 
+def test_basis_element_checks_its_indices(p2):
+    assert p2.basis_element(1, 0) == p2.by_label("h")
+    for k, i in ((1, -1), (1, 1), (3, 0), (5, 0), (-1, 0)):
+        with pytest.raises(ValueError, match=f"no basis class {i} in degree {k} of P2"):
+            p2.basis_element(k, i)
+
+
 def test_render_element(p2):
     h = p2.by_label("h")
     assert render_element(3 * h) == "3*h"
