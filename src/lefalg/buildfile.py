@@ -251,32 +251,25 @@ def evaluate(expr: BuildExpr) -> GradedAlgebra:
 
 
 def _evaluate_blowup(expr: BlowupNode) -> GradedAlgebra:
+    # RingMap, Matrix and blowup check the data; this adds the JSON path
     where = f"{expr.path}.blowup"
     y = evaluate(expr.y)
     z = evaluate(expr.z)
-    r = y.top_degree - z.top_degree
-    if r < 1:
-        raise BuildTypeError(f"type error at {where}: the center must have "
-                             f"smaller dimension than the ambient space")
-    kmax = min(y.top_degree, z.top_degree)
-    if len(expr.pullback) != kmax + 1:
-        raise BuildTypeError(f"type error at {where}.pullback: need matrices "
-                             f"for degrees 0..{kmax}, got {len(expr.pullback)}")
     mats = []
     for k, rows in enumerate(expr.pullback):
-        want = (z.dim(k), y.dim(k))
-        if len(rows) != want[0] or any(len(row) != want[1] for row in rows):
+        try:
+            mats.append(Matrix(z.dim(k), y.dim(k), rows))
+        except ValueError as e:
             raise BuildTypeError(f"type error at {where}.pullback[{k}]: "
-                                 f"expected a {want[0]}x{want[1]} matrix")
-        mats.append(Matrix(want[0], want[1], [list(row) for row in rows]))
-    pull = RingMap(y, z, mats)
-    if len(expr.chern) != r:
-        raise BuildTypeError(f"type error at {where}.chern_N: codimension is "
-                             f"{r}, so c_1..c_{r} are required "
-                             f"(got {len(expr.chern)} entries)")
+                                 f"{e}") from None
+    try:
+        pull = RingMap(y, z, mats)
+    except ValueError as e:
+        raise BuildTypeError(f"type error at {where}.pullback: {e}") from None
     chern = [_as_element(z, i, row, f"{where}.chern_N[{i - 1}]")
              for i, row in enumerate(expr.chern, start=1)]
     try:
-        return blowup(BlowupInput(y, z, pull, r, tuple(chern)))
+        return blowup(BlowupInput(y, z, pull, y.top_degree - z.top_degree,
+                                  chern))
     except ValueError as e:
         raise BuildTypeError(f"type error at {where}: {e}") from None

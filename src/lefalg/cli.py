@@ -101,7 +101,7 @@ def _resolve_check_inputs(args) -> tuple[GradedAlgebra, LefschetzData,
     if getattr(args, "gens", None):
         gens = [parse_element_expr(a, g) for g in args.gens]
     lef = lefschetz_subalgebra(a, gens)
-    if getattr(args, "omega", None):
+    if getattr(args, "omega", None) is not None:
         omega = parse_element_expr(a, args.omega)
     elif entry is not None:
         omega = entry.omega

@@ -15,7 +15,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .linalg import Matrix, Vector, dot, row_space_rank, solve
+from .linalg import Matrix, dot, rref
 from .ring import (
     Element,
     GradedAlgebra,
@@ -173,8 +173,8 @@ def adjoint_pushforward(pullback: RingMap, r: int) -> tuple[Matrix, ...]:
 
     Returns one matrix per center degree k, sending degree k of the center
     to degree k+r of the ambient algebra, with
-    int_Y(push(w) * y) = int_Z(w * pull(y)) for every y. Each matrix is
-    obtained by solving against the ambient pairing Gram matrix, which must
+    int_Y(push(w) * y) = int_Z(w * pull(y)) for every y. Each matrix comes
+    from one elimination against the ambient pairing Gram matrix, which must
     be invertible in the degrees it is used.
     """
     y, z = pullback.source, pullback.target
@@ -186,19 +186,19 @@ def adjoint_pushforward(pullback: RingMap, r: int) -> tuple[Matrix, ...]:
     mats = []
     for k in range(z.top_degree + 1):
         gram = pairing_matrix(y, k + r)
-        if gram.rows != gram.cols or row_space_rank(gram.entries) != gram.rows:
-            raise ValueError(f"ambient pairing is degenerate in degree {k + r}")
-        gt = gram.transpose()
+        n = gram.rows
         # int_Z(w_i * pull(y_j)): row i of Z's pairing against column j of
         # the pullback; the transpose keeps one row per y_j when Z is empty
         pz = pairing_matrix(z, k).entries
         pulled = pullback.matrices[dy - k - r].transpose().entries
-        cols: list[Vector] = []
-        for i in range(z.dim(k)):
-            u = solve(gt, [dot(pz[i], v) for v in pulled])
-            assert u is not None  # gram is invertible
-            cols.append(u)
-        mats.append(Matrix(z.dim(k), y.dim(k + r), cols).transpose())
+        # [G^T | R] with one right-hand column per class of Z^k: G is
+        # invertible exactly when it is square and columns 0..n-1 are pivots
+        aug = [g + tuple(dot(w, v) for w in pz)
+               for g, v in zip(gram.transpose().entries, pulled)]
+        red, pivots, _rank = rref(Matrix(gram.cols, n + z.dim(k), aug))
+        if gram.cols != n or pivots[:n] != tuple(range(n)):
+            raise ValueError(f"ambient pairing is degenerate in degree {k + r}")
+        mats.append(Matrix(n, z.dim(k), [row[n:] for row in red.entries]))
     return tuple(mats)
 
 
@@ -234,14 +234,10 @@ def blowup(data: BlowupInput, *, sign: int = 1,
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if r < 2:
-        raise ValueError("codimension must be at least 2: blowup along a "
-                         "divisor is an isomorphism on cohomology")
+        raise ValueError(f"codimension must be at least 2, got r = {r}")
     if pull.source is not y or pull.target is not z:
         raise ValueError("pullback must map the ambient algebra onto the center")
-    d, dz = y.top_degree, z.top_degree
-    if dz != d - r:
-        raise ValueError(f"center top degree {dz} is not ambient top degree "
-                         f"{d} minus codimension {r}")
+    d = y.top_degree
     if len(data.chern_n) != r:
         raise ValueError(f"chern_n must list c_1..c_{r}, got "
                          f"{len(data.chern_n)} entries")
@@ -265,17 +261,13 @@ def blowup(data: BlowupInput, *, sign: int = 1,
     basis, decode, offset = _layout(
         d, [(y.basis, "")] + [(z.basis, f"e^{i}*") for i in range(1, r)])
 
-    def add_z(acc: dict, i: int, el: Element, scale) -> None:
-        if not el.is_zero:
-            _accumulate(acc, offset[(el.degree + i, i)], el.coords, scale)
-
     def reduce_e(acc: dict, w: Element, s: int, scale) -> None:
         # accumulate scale * (w (x) e^s) in reduced form; each e-power that
         # the relation leaves (s - r and i + s - r, i < r) is below s
         if w.is_zero or w.degree + s > d:
             return
         if s < r:
-            add_z(acc, s, w, scale)
+            _accumulate(acc, offset[(w.degree + s, s)], w.coords, scale)
             return
         pushed = push[w.degree].mat_vec(w.coords)
         if s == r:
@@ -293,15 +285,12 @@ def blowup(data: BlowupInput, *, sign: int = 1,
             k1, b1, j1, k2, b2, j2 = k2, b2, j2, k1, b1, j1
         if b2 == 0:  # Y sits at offset 0 in every degree: Y's own cell
             return y.tables[(k1, k2)][j1][j2]
+        # iota^*(y) (x) 1 or z (x) e^b1, times z' (x) e^b2
+        first = (apply_ring_map(pull, y.basis_element(k1, j1)) if b1 == 0
+                 else z.basis_element(k1 - b1, j1))
         acc: dict = {}
-        if b1 == 0:
-            prod = multiply(apply_ring_map(pull, y.basis_element(k1, j1)),
-                            z.basis_element(k2 - b2, j2))
-            add_z(acc, b2, prod, Fraction(1))
-        else:
-            prod = multiply(z.basis_element(k1 - b1, j1),
-                            z.basis_element(k2 - b2, j2))
-            reduce_e(acc, prod, b1 + b2, Fraction(1))
+        reduce_e(acc, multiply(first, z.basis_element(k2 - b2, j2)), b1 + b2,
+                 Fraction(1))
         return sparse_cell(acc)
 
     tables = build_product_tables(basis, mult)

@@ -147,6 +147,39 @@ def test_blowup_node_shape_errors():
         evaluate(parse_build_file(bad_chern))
 
 
+def _example1_with(**changes):
+    doc = json.loads(EXAMPLE1_BUILD)
+    doc["blowup"].update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text,message", [
+    (_example1_with(pullback=[[["1"]], [["1"], ["3"]]]),
+     "$.blowup.pullback: need matrices for degrees 0..2, got 2"),
+    (_example1_with(pullback=[[["1"]], [["1", "3"]], [["6"]]]),
+     "$.blowup.pullback[1]: entry grid is not 2x1"),
+    (_example1_with(pullback=[[["1"]], [["1"], ["3"]], [["6"]], [["1"]]]),
+     "$.blowup.pullback[3]: entry grid is not 0x1"),
+    (_example1_with(chern_N=[["4", "18"]]),
+     "$.blowup: chern_n must list c_1..c_3, got 1 entries"),
+    (_example1_with(pullback=[[["1"]], [["1"], ["3"]], [["7"]]]),
+     "$.blowup: pullback fails to be a ring map: multiplicativity fails on "
+     "degrees (1,1) indices (0,0): f(xy) = 7*ab but f(x)f(y) = 6*ab"),
+    (json.dumps({"blowup": {"Y": {"P": 2}, "Z": {"P": 1},
+                            "pullback": [[[1]], [[1]]], "chern_N": [[1]]}}),
+     "$.blowup: codimension must be at least 2, got r = 1"),
+    (json.dumps({"blowup": {"Y": {"P": 2}, "Z": {"P": 2},
+                            "pullback": [[[1]], [[1]], [[1]]],
+                            "chern_N": []}}),
+     "$.blowup: codimension must be at least 2, got r = 0"),
+], ids=["matrix-count", "matrix-shape", "extra-matrix", "chern-count",
+        "not-a-ring-map", "divisor", "equal-dimension"])
+def test_blowup_errors_name_their_json_path(text, message):
+    with pytest.raises(BuildTypeError) as info:
+        evaluate(parse_build_file(text))
+    assert str(info.value) == "type error at " + message
+
+
 def test_unknown_catalog_reference_is_a_type_error():
     with pytest.raises(BuildTypeError, match="unknown catalog name"):
         evaluate(parse_build_file('{"catalog": "mystery"}'))

@@ -255,3 +255,64 @@ def test_no_output_depends_on_a_cache_hit(capsys, monkeypatch):
     monkeypatch.setattr(lefalg.catalog, "grassmannian", uncached_gr)
     assert outputs() == cached
     assert lefalg.catalog.build_example3() == lefalg.catalog.get("example3").algebra
+
+
+@pytest.mark.parametrize("command", [["check", "example1", "--hl"],
+                                     ["report", "example1"]])
+def test_empty_omega_is_an_error_not_the_default(capsys, command):
+    # an empty --omega is given, so it is parsed, as --omega " " is
+    assert run(command + ["--omega", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: empty element expression\n"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["lef-dims", "Gr-2-5", "--gens", "s[1]"], "1 1 1 1 1 1 1"),
+    (["lef-dims", "P1xP2", "--gens", "h⊗1"], "1 1 0 0"),
+])
+def test_lef_dims_with_given_generators(capsys, argv, expected):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_check_with_given_generators(capsys):
+    # s[1] comes from Gr(2,5): its powers vanish above degree 6, so L^8 = 0
+    assert run(["check", "example3", "--pd", "--gens", "s[1]"]) == 1
+    assert capsys.readouterr().out == \
+        "poincare-duality example3: FAIL k=0: 1 vs 0\n"
+
+
+def test_report_on_a_built_file_sums_degree_one(tmp_path, capsys):
+    src, out = tmp_path / "blowup.build.json", tmp_path / "blowup.alg.json"
+    src.write_text(json.dumps({"blowup": {
+        "Y": {"P": 5}, "Z": {"catalog": "CxP1-even"},
+        "pullback": [[[1]], [[1], [3]], [[6]]],
+        "chern_N": [[4, 18], [54], []]}}))
+    assert run(["build", str(src), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["report", str(out)]) == 0
+    assert "\nomega: h + e^1*1\n" in capsys.readouterr().out
+
+
+def test_verify_reports_a_noncommutative_file(tmp_path, capsys):
+    from lefalg.serialize import _checksum, algebra_payload
+    payload = algebra_payload(get("P1xP1").algebra)
+    for entry in payload["products"]:
+        if entry[:4] == [1, 0, 1, 1]:
+            entry[4] = ["2"]
+    payload["checksum"] = _checksum(payload)
+    path = tmp_path / "twisted.alg.json"
+    path.write_text(json.dumps(payload))
+    assert run(["verify", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["commutativity fails at degrees (1,1) indices (0,1)",
+                       "commutativity fails at degrees (1,1) indices (1,0)"]
+
+
+def test_report_on_a_point(capsys):
+    # top degree 0: no degree-one class, so no omega
+    assert run(["report", "P-0"]) == 0
+    out = capsys.readouterr().out
+    assert "\nomega: None\n" in out
+    assert out.endswith("\nprimitive dims: 1\n")

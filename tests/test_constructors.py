@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from lefalg.catalog import _monomial_pullback, cxp1_even, get
+from lefalg.catalog import (_monomial_pullback, build_example1,
+                            build_example2, cxp1_even, get)
 from lefalg.constructors import (BlowupInput, adjoint_pushforward, blowup,
                                  chern_series_inverse, projective_bundle,
                                  projective_space, series, series_product,
                                  truncated_polynomial_algebra)
 from lefalg.lefschetz import check_hard_lefschetz, lefschetz_subalgebra
-from lefalg.linalg import row_space_rank
-from lefalg.ring import (integrate, multiply, render_element, tensor_product,
+from lefalg.linalg import Matrix, row_space_rank
+from lefalg.ring import (GradedAlgebra, RingMap, build_product_tables,
+                         integrate, multiply, render_element, tensor_product,
                          verify_algebra)
 
 
@@ -139,6 +141,53 @@ def test_adjoint_pushforward_projection_formula():
                 lhs = integrate(multiply(fw, u))
                 rhs = integrate(multiply(w, pull(u)))
                 assert lhs == rhs
+
+
+def _algebra(basis, products, integration):
+    """Products by the unit, plus the given ones keyed (k1, i, k2, j) with
+    k1 <= k2; every other product is zero, so the pairing may be any shape."""
+    def mult(k1, i, k2, j):
+        if k1 == 0:
+            return ((j, Fraction(1)),)
+        return products.get((k1, i, k2, j), ())
+    return GradedAlgebra("T", basis, build_product_tables(basis, mult),
+                         integration)
+
+
+def test_adjoint_pushforward_rejects_an_inconsistent_codimension():
+    pull = line_in_p3().pullback
+    for r in (0, 1, 3):
+        with pytest.raises(ValueError, match="codimension mismatch"):
+            adjoint_pushforward(pull, r)
+
+
+def test_adjoint_pushforward_rejects_a_degenerate_pairing():
+    p2 = projective_space(2)
+    flat = GradedAlgebra("P2-flat", p2.basis, p2.tables, [0])
+    point = projective_space(0)
+    pull = RingMap(flat, point, [Matrix.identity(1)])
+    with pytest.raises(ValueError,
+                       match="ambient pairing is degenerate in degree 2"):
+        adjoint_pushforward(pull, 2)
+    with pytest.raises(ValueError,
+                       match="ambient pairing is degenerate in degree 2"):
+        blowup(BlowupInput(flat, point, pull, 2, (point.zero(1),
+                                                  point.zero(2))))
+
+
+def test_adjoint_pushforward_rejects_a_non_square_pairing():
+    # Gram matrices 1x2 (rank 1, so only the shape shows it) and 2x1
+    one = ((0, Fraction(1)),)
+    wide = _algebra([["1"], ["h"], ["p", "q"], ["t"]], {(1, 0, 2, 0): one}, [1])
+    wide_pull = RingMap(wide, projective_space(2),
+                        [Matrix.identity(1), Matrix.identity(1),
+                         Matrix.from_rows([[1, 0]])])
+    tall = _algebra([["1"], ["a", "b"]], {}, [1, 0])
+    tall_pull = RingMap(tall, projective_space(0), [Matrix.identity(1)])
+    for pull in (wide_pull, tall_pull):
+        with pytest.raises(ValueError,
+                           match="ambient pairing is degenerate in degree 1"):
+            adjoint_pushforward(pull, 1)
 
 
 # ---------------------------------------------------------------- blowups
@@ -283,6 +332,39 @@ def test_blowup_rejects_wrong_self_intersection():
     bad_c3 = 7 * multiply(z1, multiply(z2, z3))
     with pytest.raises(ValueError, match="self-intersection"):
         blowup(BlowupInput(y, z, pull, 3, (c1, c2, bad_c3)))
+
+
+def test_blowup_rejects_a_sign_other_than_plus_or_minus_one():
+    with pytest.raises(ValueError, match="sign must be"):
+        blowup(line_in_p3(), sign=0)
+
+
+def test_blowup_rejects_a_pullback_from_another_ambient():
+    data = line_in_p3()
+    # an equal algebra is not enough: the pullback must start at data.y
+    other = projective_space(3)
+    assert other == data.y and other is not data.y
+    with pytest.raises(ValueError, match="pullback must map the ambient"):
+        blowup(data._replace(y=other))
+
+
+@pytest.mark.parametrize("build", [
+    lambda sign: blowup(line_in_p3(), sign=sign), build_example1,
+    build_example2], ids=["line-in-P3", "example1", "example2"])
+def test_blowup_signs_give_isomorphic_rings(build):
+    # sign=-1 replaces e by -e: its class e^i*w is (-1)^i times the sign=+1
+    # class, so each structure constant picks up the signs of its 3 classes
+    plus, minus = build(sign=1), build(sign=-1)
+    assert minus.basis == plus.basis
+    assert minus.integration == plus.integration
+    flip = [[(-1) ** int(lbl[2:lbl.index("*")]) if lbl.startswith("e^") else 1
+             for lbl in labels] for labels in plus.basis]
+    for (k1, k2), table in plus.tables.items():
+        for i, row in enumerate(table):
+            for j, cell in enumerate(row):
+                f = flip[k1][i] * flip[k2][j]
+                assert minus.tables[(k1, k2)][i][j] == tuple(
+                    (t, f * flip[k1 + k2][t] * c) for t, c in cell)
 
 
 def test_example2_normal_bundle_by_series_division():
