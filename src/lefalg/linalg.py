@@ -200,30 +200,43 @@ def _rows(vectors: Sequence[Sequence]) -> list[Vector]:
     return rows
 
 
+def _scaled_mod_p(values: Sequence[Fraction]) -> list[int]:
+    """The values times the lcm of their denominators, reduced mod P."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) % P for x in values]
+
+
+def _add_row_mod_p(pivots: list[tuple[int, list[int]]], r: list[int]) -> bool:
+    """Reduce the row r mod P against the pivots; append it if nonzero.
+
+    Every pivot row is normalized to a leading 1 and is zero in the pivot
+    columns found before it, so one pass over the pivot rows in order
+    clears r. Returns whether r raised the rank.
+    """
+    for col, pivot in pivots:
+        c = r[col]
+        if c:
+            r = [(x - c * y) % P for x, y in zip(r, pivot)]
+    for col, x in enumerate(r):
+        if x:
+            inv = pow(x, -1, P)
+            pivots.append((col, [y * inv % P for y in r]))
+            return True
+    return False
+
+
 def _rank_mod_p(rows: list[Vector], width: int) -> int:
     """Rank mod P of the rows, each scaled by the lcm of its denominators.
 
-    Echelon form only: every pivot row is normalized to a leading 1 and is
-    zero in the pivot columns found before it, so one pass over the pivot
-    rows in order clears a new row. Stops once the rank reaches
-    min(rows, width), which no further row can raise.
+    Echelon form only, one `_add_row_mod_p` per row. Stops once the rank
+    reaches min(rows, width), which no further row can raise.
     """
     full = min(len(rows), width)
     pivots: list[tuple[int, list[int]]] = []
     for row in rows:
         if len(pivots) == full:
             break
-        scale = lcm(*(x.denominator for x in row))
-        r = [x.numerator * (scale // x.denominator) % P for x in row]
-        for col, pivot in pivots:
-            c = r[col]
-            if c:
-                r = [(x - c * y) % P for x, y in zip(r, pivot)]
-        for col, x in enumerate(r):
-            if x:
-                inv = pow(x, -1, P)
-                pivots.append((col, [y * inv % P for y in r]))
-                break
+        _add_row_mod_p(pivots, _scaled_mod_p(row))
     return len(pivots)
 
 

@@ -7,12 +7,18 @@ products are expanded through single-row Pieri steps only, so agreement is
 a real cross-check. Products and ring axioms are recomputed from the dense
 view ``a.products``, coordinate by coordinate, never from the sparse cells
 that `multiply` and `verify_algebra` read.
+
+`full_scan_violations` is the one exception: it is `verify_algebra` itself
+with every basis class taken as a generator, so that associativity is
+checked on every basis triple, as it was before the generator search.
 """
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 from lefalg.linalg import Matrix, rref
+from lefalg import ring
 from lefalg.ring import Element, GradedAlgebra, multiply
 from lefalg.schubert import Box, pieri
 
@@ -115,3 +121,10 @@ def dense_axiom_violations(a: GradedAlgebra) -> list[str]:
                         bad.append(f"associativity fails on degrees "
                                    f"({k1},{k2},{k3}) indices ({i},{j},{l})")
     return bad
+
+
+def full_scan_violations(a: GradedAlgebra) -> tuple[str, ...]:
+    """verify_algebra's violations with associativity on all of A x A x A."""
+    with mock.patch.object(ring, "_generators",
+                           lambda a: [range(n) for n in a.dims]):
+        return ring.verify_algebra(a).violations

@@ -1,12 +1,14 @@
 """Graded algebra core: construction, products, integration, maps, tensor."""
 
+import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from _oracles import dense_axiom_violations, dense_multiply
-from lefalg import catalog
+from _oracles import dense_axiom_violations, dense_multiply, full_scan_violations
+from lefalg import catalog, ring
 from lefalg.constructors import projective_space, truncated_polynomial_algebra
 from lefalg.linalg import Matrix
 from lefalg.ring import (GradedAlgebra, RingMap, apply_ring_map, integrate,
@@ -423,3 +425,97 @@ def test_verify_algebra_flags_every_zero_cell_made_nonzero_on_one_side():
                     assert any(v.startswith("commutativity") for v in axioms)
                     tampered += 1
     assert tampered >= 10
+
+
+# Generator search and associativity on S x A x A. The left nucleus of an
+# algebra is a subalgebra, so a clean S x A x A scan means a clean full scan;
+# any violation reruns the full scan, whose report is the one returned.
+
+GENERATOR_COUNTS = {
+    "example1": (0, 2, 1, 0, 0, 0),
+    "example3": (0, 2, 1, 0, 0, 0, 0, 0, 0),
+    "Gr-3-8": (0, 1, 1, 1) + (0,) * 12,
+    "P2xP2xP2xP2": (0, 4, 0, 0, 0, 0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_COUNTS))
+def test_generator_counts_are_pinned(name):
+    gens = ring._generators(catalog.get(name).algebra)
+    assert tuple(map(len, gens)) == GENERATOR_COUNTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_COUNTS))
+def test_generator_monomials_span_every_degree(name):
+    # every product of generators (with repeats), multiplied out on the dense
+    # tables and ranked by sympy, spans each degree over Q
+    sympy = pytest.importorskip("sympy")
+    a = catalog.get(name).algebra
+    d = a.top_degree
+    products = dict(a.products)
+    gens = [a.basis_element(k, i)
+            for k, idx in enumerate(ring._generators(a)) for i in idx]
+    monomials = {(): a.unit()}  # each product extends the one of its prefix
+    for r in range(1, d + 1):
+        for combo in itertools.combinations_with_replacement(range(len(gens)), r):
+            prefix, g = monomials.get(combo[:-1]), gens[combo[-1]]
+            if prefix is not None and prefix.degree + g.degree <= d:
+                monomials[combo] = dense_multiply(prefix, g, products)
+    spans = [[] for _ in range(d + 1)]
+    for m in monomials.values():
+        spans[m.degree].append(m.coords)
+    for k in range(d + 1):
+        rows = [[sympy.Rational(c.numerator, c.denominator) for c in v]
+                for v in spans[k]]
+        assert sympy.Matrix(rows).rank() == a.dim(k), k
+
+
+def _scans(a):
+    """verify_algebra's violations, and each associativity scan it ran as
+    (outer classes per degree, violations found)."""
+    calls, real = [], ring._associativity
+
+    def spy(a, outer):
+        found = real(a, outer)
+        calls.append(([list(o) for o in outer], found))
+        return found
+
+    with mock.patch.object(ring, "_associativity", spy):
+        return verify_algebra(a).violations, calls
+
+
+def test_a_clean_algebra_is_scanned_on_its_generators_only():
+    a = catalog.get("Gr-3-8").algebra
+    violations, calls = _scans(a)
+    assert violations == ()
+    assert calls == [([[], [0], [0], [0]] + [[]] * 12, [])]
+
+
+def test_a_broken_unit_law_runs_the_full_scan():
+    t, tables = _p1xp2_tables()
+    tables[(0, 1)][0][0] = tables[(1, 0)][0][0] = ((0, Fraction(2)),)
+    a = GradedAlgebra("bad-unit", t.basis, tables, t.integration)
+    violations, calls = _scans(a)
+    assert violations[0] == "unit law fails on degree 1 basis #0 (h⊗1)"
+    assert [outer for outer, _ in calls] == [[[0], [0, 1], [0, 1], [0]]]
+    assert violations == full_scan_violations(a)
+    axioms = [v for v in violations if v.startswith("associativity")]
+    assert axioms and axioms == dense_axiom_violations(a)
+
+
+def test_a_violation_on_the_generators_reports_the_full_scan():
+    # Gr(2,4) with s[1]*s[1,1] := 0 on both sides: the scan on S = {s[1],
+    # s[2]} finds one of the two broken triples, the full scan both
+    t = catalog.get("Gr-2-4").algebra
+    tables = {k: [list(row) for row in tab] for k, tab in t.tables.items()}
+    tables[(1, 2)][0][1] = tables[(2, 1)][1][0] = ()
+    a = GradedAlgebra("warped", t.basis, tables, t.integration)
+    violations, calls = _scans(a)
+    (fast_outer, fast), (full_outer, full) = calls
+    assert fast_outer == [[], [0], [0], [], []]
+    assert full_outer == [[0], [0], [0, 1], [0], [0]]
+    assert fast == ["associativity fails on degrees (1,1,2) indices (0,0,1)"]
+    assert full == fast + ["associativity fails on degrees (2,1,1) indices (1,0,0)"]
+    assert violations == full_scan_violations(a)
+    assert [v for v in violations if v.startswith("associativity")] == full
+    assert full == dense_axiom_violations(a)
