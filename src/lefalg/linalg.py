@@ -1,14 +1,21 @@
 """Exact dense linear algebra over the rationals.
 
-Everything in this module works with `fractions.Fraction` entries, so all
-results are exact. Matrices are immutable after construction and every
-operation is a pure function; there is deliberately no float path.
+Every result is exact: a `Fraction`, or an int that stands for one.
+Matrices are immutable after construction and every operation is a pure
+function; there is deliberately no float path.
 
-Ranks are found modulo the prime P = 2^61 - 1 first, on each row scaled by
-the lcm of its denominators. The rank mod P never exceeds the rank over Q,
-so when it reaches min(rows, cols) it is the exact rank; any other rank
-falls back to Gauss-Jordan elimination over `Fraction`. `rref`, `solve`
-and `kernel` always work over `Fraction`.
+Ranks and row-space bases work on integer rows. `row_space_rank` and
+`row_space_basis` scale each row by the lcm of its denominators, which
+changes no span; the Lefschetz stage hands its integer rows in directly.
+The rank is found modulo the prime P = 2^61 - 1 first. It never exceeds the
+rank over Q, so when it reaches min(rows, cols) it is the exact rank, and a
+basis of full width is the unit vectors. Any other rank or basis comes from
+a certified modular RREF: back-substitution mod P, rational reconstruction
+of each entry, and a check that every input row is the combination of the
+candidate's rows that its pivot entries name (`_exact_rref`). If an entry
+has no reconstruction or the check fails, Gauss-Jordan elimination over
+`Fraction` (`rref`) gives the answer. `rref`, `solve` and `kernel` always
+work over `Fraction`.
 
 `Matrix.from_rows`, `identity`, `zero` and `column` are kept on purpose as
 public API for building and reading matrices; only the tests call them.
@@ -20,7 +27,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 Vector = tuple[Fraction, ...]
 
@@ -193,8 +200,14 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(reduced, tuple(pivots), len(pivots))
 
 
-def _rows(vectors: Sequence[Sequence]) -> list[Vector]:
-    rows = [tuple(scalar(x) for x in v) for v in vectors]
+def _int_rows(vectors: Iterable[Sequence]) -> list[list[int]]:
+    """Each row times the lcm of its denominators: integer rows with the
+    same span, since scaling a row by a nonzero constant changes no rank."""
+    rows = []
+    for v in vectors:
+        row = [scalar(x) for x in v]
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("dimension mismatch: vectors have different lengths")
     return rows
@@ -206,67 +219,169 @@ def _scaled_mod_p(values: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) % P for x in values]
 
 
-def _add_row_mod_p(pivots: list[tuple[int, list[int]]], r: list[int]) -> bool:
-    """Reduce the row r mod P against the pivots; append it if nonzero.
+def _add_row_mod_p(pivots: list[tuple[int, list[tuple[int, int]]]],
+                   r: list[int]) -> bool:
+    """Reduce the row r mod P against the pivots, in place; append it if
+    nonzero.
 
-    Every pivot row is normalized to a leading 1 and is zero in the pivot
-    columns found before it, so one pass over the pivot rows in order
-    clears r. Returns whether r raised the rank.
+    A pivot is (col, terms), the nonzero (j, x) terms of a row with a
+    leading 1 in column col and zeros in the pivot columns found before it,
+    so one pass over the pivots in order clears r. Only the nonzero terms
+    are read, so sparse rows reduce in time proportional to their fill.
+    Returns whether r raised the rank.
     """
-    for col, pivot in pivots:
+    for col, terms in pivots:
         c = r[col]
         if c:
-            r = [(x - c * y) % P for x, y in zip(r, pivot)]
+            for j, x in terms:
+                r[j] = (r[j] - c * x) % P
     for col, x in enumerate(r):
         if x:
             inv = pow(x, -1, P)
-            pivots.append((col, [y * inv % P for y in r]))
+            pivots.append((col, [(j, r[j] * inv % P)
+                                 for j in range(col, len(r)) if r[j]]))
             return True
     return False
 
 
-def _rank_mod_p(rows: list[Vector], width: int) -> int:
-    """Rank mod P of the rows, each scaled by the lcm of its denominators.
-
-    Echelon form only, one `_add_row_mod_p` per row. Stops once the rank
-    reaches min(rows, width), which no further row can raise.
-    """
-    full = min(len(rows), width)
-    pivots: list[tuple[int, list[int]]] = []
+def _echelon_mod_p(rows: Iterable[Sequence[int]], full: int) -> tuple[list, list]:
+    """Echelon pivots mod P of integer rows, one `_add_row_mod_p` per row,
+    and the rows read. Stops once there are ``full`` pivots, the most that
+    min(rows, width) allows, so a lazy iterable is read only that far."""
+    pivots: list[tuple[int, list[tuple[int, int]]]] = []
+    read = []
     for row in rows:
         if len(pivots) == full:
             break
-        _add_row_mod_p(pivots, _scaled_mod_p(row))
-    return len(pivots)
+        read.append(row)
+        _add_row_mod_p(pivots, [x % P for x in row])
+    return pivots, read
+
+
+# Rational reconstruction finds n/d with |n|, d <= _BOUND; 2 * _BOUND^2 < P
+# makes it unique (Wang 1981).
+_BOUND = isqrt(P // 2)
+
+
+def _rational_mod_p(x: int) -> Fraction | None:
+    """The n/d with n = d*x mod P and |n|, d <= _BOUND, or None: the
+    extended Euclidean algorithm on (P, x), stopped at the first remainder
+    within the bound."""
+    r0, r1, t0, t1 = P, x, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= _BOUND:
+        return None
+    return Fraction(r1, t1)
+
+
+def _certify(rows: Sequence[Sequence[int]], width: int,
+             pivot_columns: Sequence[int], reduced: Sequence[Vector]) -> bool:
+    """Whether D*a = sum_j a[p_j] * (D*R_j) for every integer row a.
+
+    R is a candidate RREF with pivot columns p_j and D the lcm of its
+    denominators. Both sides agree in the pivot columns by construction,
+    so only the nonzero entries of D*R outside them are read. When the
+    check holds, the row space of A lies in that of R.
+    """
+    scale = lcm(*(x.denominator for row in reduced for x in row))
+    pivots = set(pivot_columns)
+    free = [c for c in range(width) if c not in pivots]
+    sparse = [[(c, x.numerator * (scale // x.denominator))
+               for c, x in enumerate(row) if x and c not in pivots]
+              for row in reduced]
+    for a in rows:
+        acc = dict.fromkeys(free, 0)
+        for p, terms in zip(pivot_columns, sparse):
+            f = a[p]
+            if f:
+                for c, x in terms:
+                    acc[c] += f * x
+        if any(acc[c] != scale * a[c] for c in free):
+            return False
+    return True
+
+
+def _exact_rref(rows: list[list[int]], width: int,
+                pivots: list[tuple[int, list[tuple[int, int]]]]) -> list[Vector]:
+    """The RREF basis of the span of integer rows, from all their echelon
+    pivots mod P: the certified modular RREF, else `rref` over Fraction.
+
+    1. Back-substitution turns the pivots into the RREF mod P.
+    2. Each entry is rebuilt by rational reconstruction, giving a
+       candidate R; its 1s and 0s in the pivot columns are exact.
+    3. `_certify` checks that the row space of A lies in that of R. The
+       rank mod P never exceeds the rank over Q, so rank A >= rank R, the
+       two row spaces are equal, and R, a matrix in RREF, is rref(A): a row
+       space has one RREF.
+    4. If an entry has no reconstruction or the check fails, elimination
+       over Fraction gives the answer.
+    """
+    red = []
+    for _, terms in pivots:
+        row = [0] * width
+        for j, x in terms:
+            row[j] = x
+        red.append(row)
+    for i in range(len(pivots) - 1, 0, -1):
+        col, below = pivots[i][0], red[i]
+        for j in range(i):
+            c = red[j][col]
+            if c:
+                red[j] = [(x - c * y) % P for x, y in zip(red[j], below)]
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i][0])
+    pivot_columns = [pivots[i][0] for i in order]
+    seen: dict[int, Fraction | None] = {}
+    reduced = []
+    for i in order:
+        row = []
+        for x in red[i]:
+            if x not in seen:
+                seen[x] = _rational_mod_p(x)
+            row.append(seen[x])
+        reduced.append(tuple(row))
+    if None not in seen.values() and _certify(rows, width, pivot_columns, reduced):
+        return reduced
+    res = rref(Matrix._exact(len(rows), width,
+                             tuple(tuple(map(Fraction, r)) for r in rows)))
+    return [res.reduced.row(i) for i in range(res.rank)]
+
+
+def _rank(rows: list[list[int]], width: int) -> int:
+    """Rank of integer rows: the rank mod P when it is min(rows, width),
+    else the length of the exact RREF basis."""
+    full = min(len(rows), width)
+    pivots, _ = _echelon_mod_p(rows, full)
+    if len(pivots) == full:
+        return full
+    return len(_exact_rref(rows, width, pivots))
+
+
+def _basis(rows: Iterable[Sequence[int]], width: int) -> list[Vector]:
+    """Canonical (RREF) basis of the span of integer rows, read lazily.
+
+    A span of full width is all of Q^width, whose RREF basis is the
+    standard unit vectors; no exact elimination is needed then.
+    """
+    pivots, read = _echelon_mod_p(rows, width)
+    if len(pivots) == width:
+        zero, one = Fraction(0), Fraction(1)
+        return [(zero,) * i + (one,) + (zero,) * (width - i - 1)
+                for i in range(width)]
+    return _exact_rref(read, width, pivots)
 
 
 def row_space_rank(vectors: Sequence[Sequence]) -> int:
     """Dimension of the span of the given coordinate vectors (0 for none)."""
-    rows = _rows(vectors)
-    if not rows:
-        return 0
-    width = len(rows[0])
-    rank = _rank_mod_p(rows, width)
-    if rank == min(len(rows), width):
-        return rank
-    return rref(Matrix._exact(len(rows), width, tuple(rows))).rank
+    rows = _int_rows(vectors)
+    return _rank(rows, len(rows[0])) if rows else 0
 
 
 def row_space_basis(vectors: Sequence[Sequence]) -> list[Vector]:
-    """Canonical (RREF) basis of the span. Deterministic for any input order.
-
-    A span of full width is all of Q^width, whose RREF basis is the
-    standard unit vectors; no elimination over Fraction is needed then.
-    """
-    rows = _rows(vectors)
-    if not rows:
-        return []
-    width = len(rows[0])
-    if _rank_mod_p(rows, width) == width:
-        return [tuple(Fraction(int(i == j)) for j in range(width))
-                for i in range(width)]
-    res = rref(Matrix._exact(len(rows), width, tuple(rows)))
-    return [res.reduced.row(i) for i in range(res.rank)]
+    """Canonical (RREF) basis of the span. Deterministic for any input order."""
+    rows = _int_rows(vectors)
+    return _basis(rows, len(rows[0])) if rows else []
 
 
 def solve(a: Matrix, b: Sequence) -> Vector | None:

@@ -13,7 +13,8 @@ constructor takes, and it checks each of them. The (k1, k2) and (k2, k1)
 tables hold the same cell objects wherever the two agree, so no product is
 stored twice. Products, verification, pairings and the file format all read
 cells; the dense coordinate tables are only a view (`GradedAlgebra.products`),
-and dense vectors are read only from payloads (`serialize`).
+as are the integer cells the Lefschetz stage reads (`_int_table`), and dense
+vectors are read only from payloads (`serialize`).
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -28,6 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
+from math import lcm
 
 from .linalg import (
     Matrix,
@@ -237,6 +239,21 @@ def _dense(cell: Cell, n: int) -> Vector:
     for t, c in cell:
         out[t] = c
     return tuple(out)
+
+
+def _int_table(a: GradedAlgebra, k1: int, k2: int) -> tuple[int, list]:
+    """The (k1, k2) table with every coefficient times one scale, the lcm of
+    the table's denominators (1 for every catalog algebra).
+
+    Returns ``(scale, rows)``, ``rows[i][j]`` the integer (t, c) terms of
+    b_i * b_j times scale. Like ``a.products`` it is a derived view,
+    computed when read. A product read from it is the exact one times the
+    scale, so it spans the same line and changes no rank.
+    """
+    table = a.tables[k1, k2]
+    scale = lcm(*{c.denominator for row in table for cell in row for _, c in cell})
+    return scale, [[[(t, c.numerator * (scale // c.denominator)) for t, c in cell]
+                     if cell else () for cell in row] for row in table]
 
 
 class Element:

@@ -23,10 +23,11 @@ from lefalg.ring import Element, GradedAlgebra, multiply
 from lefalg.schubert import Box, pieri
 
 
-def brute_force_lefschetz_dims(a: GradedAlgebra) -> tuple[int, ...]:
-    """dim of the span of all degree-k products of degree-one classes."""
+def brute_force_lefschetz_bases(a: GradedAlgebra) -> tuple[tuple, ...]:
+    """The RREF basis, from `rref`, of the span of all degree-k products of
+    degree-one basis classes, for each k."""
     gens = [a.basis_element(1, i) for i in range(a.dim(1))]
-    dims = [1]
+    bases = [(a.unit().coords,)]
     for k in range(1, a.top_degree + 1):
         vecs = []
         for combo in itertools.combinations_with_replacement(gens, k):
@@ -34,8 +35,15 @@ def brute_force_lefschetz_dims(a: GradedAlgebra) -> tuple[int, ...]:
             for g in combo:
                 el = multiply(el, g)
             vecs.append(el.coords)
-        dims.append(rref(Matrix.from_rows(vecs)).rank)
-    return tuple(dims)
+        res = rref(Matrix.from_rows(vecs)) if vecs else None
+        bases.append(tuple(res.reduced.row(i) for i in range(res.rank))
+                     if res else ())
+    return tuple(bases)
+
+
+def brute_force_lefschetz_dims(a: GradedAlgebra) -> tuple[int, ...]:
+    """dim of the span of all degree-k products of degree-one classes."""
+    return tuple(len(b) for b in brute_force_lefschetz_bases(a))
 
 
 def _h_times(vec: dict, p: int, box: Box) -> dict:
@@ -89,11 +97,23 @@ def dense_multiply(x: Element, y: Element, products: dict) -> Element:
     return a.element(k, out)
 
 
+def _dense_sum(coeffs, vectors, n: int) -> list[Fraction]:
+    """sum of c * v over the dense coefficients and their dense vectors."""
+    out = [Fraction(0)] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for t, x in enumerate(v):
+                out[t] += c * x
+    return out
+
+
 def dense_axiom_violations(a: GradedAlgebra) -> list[str]:
     """The commutativity and associativity violations, worded as verify_algebra.
 
-    Every table pair is compared entry by entry, and every basis triple is
-    multiplied out both ways with `dense_multiply`.
+    Every table pair is compared entry by entry. For every basis triple,
+    (b_i b_j) b_l and b_i (b_j b_l) are composed from the dense tables: each
+    pair product b_i b_j or b_j b_l is read once and expanded coordinate by
+    coordinate.
     """
     products = dict(a.products)
     d = a.top_degree
@@ -108,18 +128,17 @@ def dense_axiom_violations(a: GradedAlgebra) -> list[str]:
     for k1 in range(d + 1):
         for k2 in range(d + 1 - k1):
             for k3 in range(d + 1 - k1 - k2):
-                for i, j, l in itertools.product(range(a.dim(k1)), range(a.dim(k2)),
-                                                 range(a.dim(k3))):
-                    bi = a.basis_element(k1, i)
-                    bj = a.basis_element(k2, j)
-                    bl = a.basis_element(k3, l)
-                    lhs = dense_multiply(dense_multiply(bi, bj, products), bl,
-                                         products)
-                    rhs = dense_multiply(bi, dense_multiply(bj, bl, products),
-                                         products)
-                    if lhs != rhs:
-                        bad.append(f"associativity fails on degrees "
-                                   f"({k1},{k2},{k3}) indices ({i},{j},{l})")
+                t12, t23 = products[(k1, k2)], products[(k2, k3)]
+                t12_3, t1_23 = products[(k1 + k2, k3)], products[(k1, k2 + k3)]
+                n = a.dim(k1 + k2 + k3)
+                for i, j in itertools.product(range(a.dim(k1)), range(a.dim(k2))):
+                    bij = t12[i][j]
+                    for l in range(a.dim(k3)):
+                        lhs = _dense_sum(bij, [row[l] for row in t12_3], n)
+                        rhs = _dense_sum(t23[j][l], t1_23[i], n)
+                        if lhs != rhs:
+                            bad.append(f"associativity fails on degrees "
+                                       f"({k1},{k2},{k3}) indices ({i},{j},{l})")
     return bad
 
 

@@ -1,16 +1,19 @@
 """Degree-one subalgebras and the three structural predicates."""
 
+from fractions import Fraction
+
 import pytest
 
-from _oracles import brute_force_lefschetz_dims
-from lefalg import lefschetz
+from _oracles import brute_force_lefschetz_bases, brute_force_lefschetz_dims
+from lefalg import lefschetz, ring
 from lefalg.catalog import get, names
+from lefalg.cli import run
 from lefalg.constructors import projective_space
 from lefalg.lefschetz import (_gram, check_hard_lefschetz,
                               check_poincare_duality, check_symmetry,
                               lefschetz_subalgebra, primitive_dims)
 from lefalg.linalg import Matrix, kernel
-from lefalg.ring import integrate, multiply
+from lefalg.ring import GradedAlgebra, integrate, multiply
 
 
 def test_pinned_lefschetz_dims():
@@ -246,3 +249,54 @@ def test_pd_gram_is_the_integral_of_products(name):
         assert _gram(lef, k) == [[integrate(multiply(u, v))
                                   for v in lef.elements(d - k)]
                                  for u in lef.elements(k)]
+
+
+def test_report_ranks_each_hl_map_once(monkeypatch, capsys):
+    # report runs check_hard_lefschetz and then primitive_dims on its
+    # verdict, so the omega powers and the HL maps are built once
+    calls = _count_map_ranks(monkeypatch)
+    assert run(["report", "Gr-2-5"]) == 0
+    assert "primitive dims: 1 0 0 0" in capsys.readouterr().out
+    d = get("Gr-2-5").algebra.top_degree
+    assert sorted(calls) == list(range(d // 2 + 1))
+
+
+# Every catalog algebra has integer cells, so its integer view has scale 1.
+# Rescaling basis classes by non-integer rationals gives isomorphic algebras
+# whose tables and integration have denominators: same dims, verdicts and
+# witnesses, and bases that must still be exact RREFs.
+def _rescaled(a: GradedAlgebra) -> tuple[GradedAlgebra, list[list[Fraction]]]:
+    """a in the basis b'_i = lam_i b_i, lam_i = 3/(5 + i + k) in degree k >= 1,
+    and the factors lam: b'_i b'_j = sum_t (lam_i lam_j c_t / lam_t) b'_t."""
+    lam = [[Fraction(1)]] + [[Fraction(3, 5 + i + k) for i in range(n)]
+                             for k, n in enumerate(a.dims) if k]
+    tables = {(k1, k2): [[tuple((t, lam[k1][i] * lam[k2][j] * c / lam[k1 + k2][t])
+                                for t, c in cell) for j, cell in enumerate(row)]
+                         for i, row in enumerate(table)]
+              for (k1, k2), table in a.tables.items()}
+    integration = [w * l for w, l in zip(a.integration, lam[-1])]
+    return GradedAlgebra(a.name, a.basis, tables, integration), lam
+
+
+@pytest.mark.parametrize("name", ["example1", "example3", "P1xP2"])
+def test_tables_with_denominators_give_the_same_answers(name):
+    entry = get(name)
+    a = entry.algebra
+    b, lam = _rescaled(a)
+    assert ring._int_table(b, 1, 1)[0] > 1  # the table scale is exercised
+    omega = b.element(1, [x / l for x, l in zip(entry.omega.coords, lam[1])])
+    lef_a, lef_b = lefschetz_subalgebra(a), lefschetz_subalgebra(b)
+    assert lef_b.dims == lef_a.dims == brute_force_lefschetz_dims(b)
+    assert lef_b.bases == brute_force_lefschetz_bases(b)
+    assert check_symmetry(lef_b) == check_symmetry(lef_a)
+    assert check_poincare_duality(lef_b) == check_poincare_duality(lef_a)
+    assert check_hard_lefschetz(lef_b, omega) == \
+        check_hard_lefschetz(lef_a, entry.omega)
+    assert primitive_dims(lef_b, omega) == primitive_dims(lef_a, entry.omega)
+    d = b.top_degree
+    for k in range(d + 1):
+        assert _gram(lef_b, k) == [[integrate(multiply(u, v))
+                                    for v in lef_b.elements(d - k)]
+                                   for u in lef_b.elements(k)]
+    assert lefschetz._omega_powers(omega, d + 1) == \
+        [omega ** m for m in range(d + 2)]

@@ -156,7 +156,8 @@ def test_row_space_rank_matches_sympy():
     [[Fraction(1, P), 1], [1, 0]],     # clearing 1/P makes the rows agree
 ], ids=["p-row", "rows-equal-mod-p", "denominator-p"])
 def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors):
-    assert linalg._rank_mod_p(vectors, 2) == 1
+    pivots, _ = linalg._echelon_mod_p(linalg._int_rows(vectors), 2)
+    assert len(pivots) == 1
     assert row_space_rank(vectors) == 2
     assert row_space_basis(vectors) == [(Fraction(1), Fraction(0)),
                                         (Fraction(0), Fraction(1))]
@@ -176,9 +177,12 @@ def test_full_width_basis_shortcut_matches_rref():
 
 
 def test_rref_runs_exactly_when_the_rank_mod_p_is_short(monkeypatch):
+    # the exact elimination (certified modular RREF, else rref) runs exactly
+    # when the rank mod P falls short of min(rows, cols)
     calls = []
-    real = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    real = linalg._exact_rref
+    monkeypatch.setattr(linalg, "_exact_rref",
+                        lambda *args: calls.append(args) or real(*args))
     rng = random.Random(61)
     for _ in range(100):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
@@ -200,3 +204,35 @@ def test_matrix_constructor_rejects_floats_and_results_stay_exact():
         assert all(type(x) is Fraction for row in result.entries for x in row)
     assert m.transpose() == Matrix.from_rows([[1, 3], ["1/2", -2], [0, "5/7"]])
     assert all(type(x) is Fraction for x in m.mat_vec([1, 2, 3]))
+
+
+def test_a_corrupted_candidate_fails_the_certificate():
+    rows = [[1, 2, 3, 4, 0], [2, 4, 6, 8, 0], [0, 0, 1, 5, 7], [1, 2, 4, 9, 7]]
+    res = rref(Matrix.from_rows(rows))
+    reduced = [res.reduced.row(i) for i in range(res.rank)]
+    assert res.rank == 2
+    assert linalg._certify(rows, 5, res.pivot_columns, reduced)
+    # any one entry off the pivot columns moved, or a row dropped, fails
+    for i, row in enumerate(reduced):
+        for c in set(range(5)) - set(res.pivot_columns):
+            bad = list(reduced)
+            bad[i] = row[:c] + (row[c] + Fraction(1, 3),) + row[c + 1:]
+            assert not linalg._certify(rows, 5, res.pivot_columns, bad), (i, c)
+        rest = [r for j, r in enumerate(reduced) if j != i]
+        cols = [p for j, p in enumerate(res.pivot_columns) if j != i]
+        assert not linalg._certify(rows, 5, cols, rest)
+
+
+def test_a_wrong_reconstruction_falls_back_to_rref(monkeypatch):
+    # every entry rebuilt one too large: the certificate rejects the
+    # candidate and the answer comes from rref all the same
+    rows = [[1, 2, 3, 4, 0], [2, 4, 6, 8, 0], [0, 0, 1, 5, 7], [1, 2, 4, 9, 7]]
+    want = [(Fraction(1), Fraction(2), Fraction(0), Fraction(-11), Fraction(-21)),
+            (Fraction(0), Fraction(0), Fraction(1), Fraction(5), Fraction(7))]
+    real_reconstruct, real_rref = linalg._rational_mod_p, linalg.rref
+    calls = []
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real_rref(m))
+    assert row_space_basis(rows) == want and not calls
+    monkeypatch.setattr(linalg, "_rational_mod_p",
+                        lambda x: real_reconstruct(x) + 1)
+    assert row_space_basis(rows) == want and len(calls) == 1

@@ -1,11 +1,13 @@
-"""Fuzzing of generated build files, algebra payloads and element expressions
-(skipped without hypothesis)."""
+"""Fuzzing of generated build files, algebra payloads, element expressions
+and the certified modular RREF (skipped without hypothesis)."""
 
 import copy
 import json
 import os
 import tempfile
 from fractions import Fraction
+from math import isqrt
+from unittest import mock
 
 import pytest
 
@@ -13,9 +15,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import dense_axiom_violations, full_scan_violations
-from lefalg import catalog
+from lefalg import catalog, linalg
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
+from lefalg.linalg import P, Matrix, row_space_basis, row_space_rank, rref
 from lefalg.ring import GradedAlgebra, verify_algebra
 from lefalg.serialize import (algebra_from_payload, algebra_payload,
                               read_algebra, write_algebra)
@@ -151,8 +154,8 @@ def test_every_coefficient_form_parses_to_the_scaled_label(p, q, integral):
 
 # Single-cell corruptions: verify_algebra scans associativity on a generating
 # set first and the full scan only on a violation or a broken unit law, so
-# its report must be the full scan's, line for line. The dense oracle takes
-# about 4.6 s on example3, so only there is the full scan the one reference.
+# its report must be the full scan's, line for line, and its commutativity
+# and associativity lines must be the dense oracle's.
 CORRUPTED = {n: catalog.get(n).algebra
              for n in ("P1xP2", "P1xP1xP1", "Gr-2-4", "example1", "example3")}
 
@@ -179,7 +182,63 @@ def test_corrupted_cells_get_the_full_scan_report(data):
     a = GradedAlgebra("corrupted", t.basis, tables, t.integration)
     violations = verify_algebra(a).violations
     assert violations == full_scan_violations(a)
-    if name != "example3":
-        assert [v for v in violations
-                if v.startswith(("commutativity", "associativity"))] \
-            == dense_axiom_violations(a)
+    assert [v for v in violations
+            if v.startswith(("commutativity", "associativity"))] \
+        == dense_axiom_violations(a)
+
+
+# The certified modular RREF against rref. A matrix is L*R for an RREF R of
+# rank r with pivot column 0 and L whose first r rows are the identity, so
+# rref gives R. "small" entries reconstruct mod P, so the certificate must
+# accept the modular RREF and rref must not run. "big" puts an entry past
+# sqrt(P/2), numerator or denominator, into R; "agree" appends a row that
+# agrees mod P with a row of L*R but differs from it off R's row space. No
+# modular candidate is then rref(A), so the fallback must run.
+_PAST = isqrt(P // 2) + 1
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_modular_rref_matches_rref(data):
+    kind = data.draw(st.sampled_from(["small", "big", "agree"]))
+    forced = kind != "small"  # the fallback must run
+    cols = data.draw(st.integers(1 + forced, 6))
+    r = data.draw(st.integers(forced, cols - forced))
+    pivots = sorted([0] + data.draw(st.permutations(range(1, cols)))[:r - 1]
+                    if r else [])
+    small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    reduced = []
+    for i, p in enumerate(pivots):
+        row = [Fraction(0)] * cols
+        row[p] = Fraction(1)
+        for c in range(p + 1, cols):
+            if c not in pivots:
+                row[c] = data.draw(small)
+        reduced.append(row)
+    if kind == "big":
+        c = next(c for c in range(cols) if c not in pivots)
+        big = data.draw(st.integers(_PAST, P * P))
+        reduced[0][c] = data.draw(st.sampled_from(
+            [Fraction(big), Fraction(-big, 7), Fraction(1, big), Fraction(5, big)]))
+    extra = data.draw(st.integers(1 if kind == "big" else 0, 3))
+    left = [[int(i == j) for j in range(r)] for i in range(r)] + \
+        [data.draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r))
+         for _ in range(extra)]
+    vectors = [[sum((x * row[c] for x, row in zip(coeffs, reduced)), Fraction(0))
+                for c in range(cols)] for coeffs in left]
+    if kind == "agree":
+        vectors = linalg._int_rows(vectors)
+        c = next(c for c in range(cols) if c not in pivots)
+        vectors.append([x + P * (j == c) for j, x in enumerate(vectors[0])])
+    if data.draw(st.booleans()):  # rational rows, else their integer multiples
+        vectors = [[Fraction(x) / (i + 2) for x in v] for i, v in enumerate(vectors)]
+    vectors = [vectors[i] for i in data.draw(st.permutations(range(len(vectors))))]
+
+    calls = []
+    real = linalg.rref
+    with mock.patch.object(linalg, "rref", lambda m: calls.append(m) or real(m)):
+        basis, rank = row_space_basis(vectors), row_space_rank(vectors)
+    res = rref(Matrix.from_rows(vectors))
+    assert basis == [res.reduced.row(i) for i in range(res.rank)]
+    assert rank == res.rank == r + (kind == "agree")
+    assert bool(calls) == forced
