@@ -14,9 +14,9 @@ import sys
 
 from . import catalog
 from .buildfile import evaluate, parse_build_file
-from .lefschetz import (LefschetzData, _primitive_dims, check_hard_lefschetz,
-                        check_poincare_duality, check_symmetry,
-                        lefschetz_subalgebra)
+from .lefschetz import (LefschetzData, _hard_lefschetz, _primitive_dims,
+                        check_hard_lefschetz, check_poincare_duality,
+                        check_symmetry, lefschetz_subalgebra)
 from .ring import Element, GradedAlgebra, render_element, verify_algebra
 from .linalg import parse_rational
 from .serialize import read_algebra, write_algebra
@@ -182,8 +182,8 @@ def cmd_report(args) -> int:
     a, lef, omega = _resolve_check_inputs(args)
     sym = check_symmetry(lef)
     pd = check_poincare_duality(lef)
-    hl = check_hard_lefschetz(lef, omega)
-    prim = _primitive_dims(lef, omega, hl)  # each HL map is ranked once
+    hl, powers = _hard_lefschetz(lef, omega)
+    prim = _primitive_dims(lef, hl, powers)  # each HL map is ranked once
     doc = {
         "name": a.name,
         "top_degree": a.top_degree,

@@ -195,10 +195,17 @@ def _map_rank(lef: LefschetzData, mult_by: Element, k: int) -> int:
 def check_hard_lefschetz(lef: LefschetzData,
                          omega: Element | None) -> PredicateVerdict:
     """omega^{d-2k}: L^k -> L^{d-k} must be bijective for every k <= d/2."""
+    return _hard_lefschetz(lef, omega)[0]
+
+
+def _hard_lefschetz(lef: LefschetzData, omega: Element | None
+                    ) -> tuple[PredicateVerdict, list[Element]]:
+    """`check_hard_lefschetz` and the powers [1, omega, ..., omega^(d+1)]
+    it built, which `_primitive_dims` reads when the verdict fails."""
     d = lef.ambient.top_degree
-    powers = _omega_powers(_checked_omega(lef, omega), d)
+    powers = _omega_powers(_checked_omega(lef, omega), d + 1)
     return PredicateVerdict("hard-lefschetz", _per_degree(
-        lef, lambda k: _map_rank(lef, powers[d - 2 * k], k)))
+        lef, lambda k: _map_rank(lef, powers[d - 2 * k], k))), powers
 
 
 def _int_gram(lef: LefschetzData, k: int) -> tuple[list[list[int]], int]:
@@ -245,18 +252,16 @@ def primitive_dims(lef: LefschetzData, omega: Element | None) -> PrimitiveDims:
     so dim PL^i = dim L^i - dim L^{i-1} and nothing more is ranked; the
     kernels are ranked only when hard Lefschetz fails.
     """
-    return _primitive_dims(lef, omega, check_hard_lefschetz(lef, omega))
+    return _primitive_dims(lef, *_hard_lefschetz(lef, omega))
 
 
-def _primitive_dims(lef: LefschetzData, omega: Element | None,
-                    hl: PredicateVerdict) -> PrimitiveDims:
-    """`primitive_dims` given the hard Lefschetz verdict ``hl`` for omega,
-    so that a caller who has it ranks each HL map once."""
+def _primitive_dims(lef: LefschetzData, hl: PredicateVerdict,
+                    powers: Sequence[Element]) -> PrimitiveDims:
+    """`primitive_dims` given what `_hard_lefschetz` returns for omega, so
+    that a caller who has them builds the powers and ranks each HL map once."""
     d = lef.ambient.top_degree
     if hl.passed:
         return PrimitiveDims(tuple(lef.dim(i) - lef.dim(i - 1)
                                    for i in range(d // 2 + 1)), True)
-    # a failing verdict means d > 0, so omega was given and is checked
-    powers = _omega_powers(omega, d + 1)
     return PrimitiveDims(tuple(lef.dim(i) - _map_rank(lef, powers[d - 2 * i + 1], i)
                                for i in range(d // 2 + 1)), False)

@@ -641,40 +641,73 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
                    name: str | None = None) -> GradedAlgebra:
     """Kunneth product: bases are pairs, products are componentwise.
 
-    Degree-k basis runs over (degree-i of a) x (degree k-i of b) with i
-    descending, so the first factor's classes come first. Integration is the
-    product of integrations on the (d_a, d_b) block.
+    Degree k is laid out block by block, one block per split (i, k-i) with
+    i descending, so the first factor's classes come first; inside a block,
+    a_p (x) b_q sits at position p * dim_b(k-i) + q. Table (k1, k2) is filled
+    one block at a time: block (ia, ib) is the Kronecker product of
+    ``a.tables[ia, ib]`` with ``b.tables[k1-ia, k2-ib]``, its cells placed by
+    that arithmetic. A left cell's terms have p ascending and a right cell's
+    q ascending, so the terms of their product come out in ascending
+    position and no cell is sorted. Each cell of b is read once, flagged when
+    every coefficient is 1, so its products reuse the left coefficients
+    with no Fraction multiplied by one. A diagonal
+    table computes the blocks with ib <= ia and mirrors the rest, and every
+    (k2, k1) cell is the (k1, k2) cell object. Integration is the product of
+    integrations on the (d_a, d_b) block.
     """
     da, db = a.top_degree, b.top_degree
     d = da + db
-    basis: list[list[str]] = []
-    index: dict[tuple[int, int, int], int] = {}
-    layout: list[list[tuple[int, int, int]]] = []
-    for k in range(d + 1):
-        labels = []
-        slots = []
-        for i in range(min(k, da), max(0, k - db) - 1, -1):
-            for p in range(a.dim(i)):
-                for q in range(b.dim(k - i)):
-                    index[(i, k - i, p, q)] = len(labels)
-                    slots.append((i, p, q))
-                    labels.append(f"{a.basis[i][p]}⊗{b.basis[k - i][q]}")
+    splits = [range(min(k, da), max(0, k - db) - 1, -1) for k in range(d + 1)]
+    basis, start = [], []
+    for k, split in enumerate(splits):
+        labels, offset = [], {}
+        for i in split:
+            offset[i] = len(labels)
+            labels += [f"{x}⊗{y}" for x in a.basis[i] for y in b.basis[k - i]]
         basis.append(labels)
-        layout.append(slots)
-
-    def mult(k1, i1, k2, i2):
-        ia, pa, qa = layout[k1][i1]
-        ib, pb, qb = layout[k2][i2]
-        ka, kb = ia + ib, k1 + k2 - ia - ib
-        if ka > da or kb > db:
-            return ()
-        left = a.tables[(ia, ib)][pa][pb]
-        right = b.tables[(k1 - ia, k2 - ib)][qa][qb]
-        # distinct (p, q) land on distinct positions, so no terms merge
-        return tuple(sorted((index[(ka, kb, p, q)], cp * cq)
-                            for p, cp in left for q, cq in right))
-
-    tables = build_product_tables(basis, mult)
+        start.append(offset)
+    right = {key: [[(tuple(t for t, _ in cell), tuple(c for _, c in cell),
+                     all(c == 1 for _, c in cell)) for cell in row]
+                   for row in table] for key, table in b.tables.items()}
+    tables = {}
+    for k1 in range(d + 1):
+        for k2 in range(k1, d + 1 - k1):
+            k, n1, n2 = k1 + k2, len(basis[k1]), len(basis[k2])
+            rows = [[()] * n2 for _ in range(n1)]
+            for ia in splits[k1]:
+                for ib in splits[k2]:
+                    kb = k - ia - ib
+                    if kb > db or ia + ib > da or (k1 == k2 and ib > ia):
+                        continue
+                    # the block's first row and column, where its products
+                    # land, and the widths of the three factor degrees of b
+                    row0, col0, at = start[k1][ia], start[k2][ib], start[k][ia + ib]
+                    nr, nc, nb = b.dim(k1 - ia), b.dim(k2 - ib), b.dim(kb)
+                    table = right[k1 - ia, k2 - ib]
+                    diagonal = k1 == k2 and ia == ib
+                    for pa, arow in enumerate(a.tables[ia, ib]):
+                        # a diagonal block's cells left of pa are mirrored
+                        for pb in range(pa if diagonal else 0, len(arow)):
+                            if not arow[pb]:
+                                continue
+                            lead = [(at + p * nb, cp) for p, cp in arow[pb]]
+                            for qa, brow in enumerate(table):
+                                out = rows[row0 + pa * nr + qa]
+                                for j, (qs, cs, unit) in enumerate(brow, col0 + pb * nc):
+                                    if not qs:
+                                        continue
+                                    if unit:
+                                        out[j] = tuple([(s + q, cp)
+                                                        for s, cp in lead for q in qs])
+                                    else:
+                                        out[j] = tuple([(s + q, cp * cq) for s, cp in lead
+                                                        for q, cq in zip(qs, cs)])
+            if k1 == k2:  # below the diagonal, share the cells above it
+                for i in range(1, n1):
+                    rows[i][:i] = [rows[j][i] for j in range(i)]
+            else:
+                tables[k2, k1] = [[row[j] for row in rows] for j in range(n2)]
+            tables[k1, k2] = rows
     # degree d is the (da, db) block alone, laid out p-major
     integration = [cp * cq for cp in a.integration for cq in b.integration]
     return GradedAlgebra(name or f"{a.name}x{b.name}", basis, tables, integration)

@@ -114,15 +114,23 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     Counts semistandard fillings of nu/lam with content mu whose reverse
     reading word (rows read right to left, top to bottom) is a lattice word.
-    The cells are filled in exactly that order, so the lattice property can
-    be enforced prefix by prefix.
     """
     for p in (lam, mu, nu):
         if not is_partition(p):
             raise ValueError(f"{p} is not a partition")
     if sum(lam) + sum(mu) != sum(nu):
         return 0
-    if not contains(nu, lam):
+    return _lr_count(lam, mu, nu)
+
+
+def _lr_count(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """`lr_coefficient` on partitions with |lam| + |mu| = |nu|, unchecked.
+
+    c^nu_{lam,mu} = c^nu_{mu,lam} vanishes unless nu contains both. The
+    cells of nu/lam are filled in reading order, so the lattice property
+    can be enforced prefix by prefix.
+    """
+    if not (contains(nu, lam) and contains(nu, mu)):
         return 0
     if not mu:
         return 1
@@ -172,14 +180,14 @@ def grassmannian(k: int, n: int) -> GradedAlgebra:
     rows, cols = k, n - k
     d = rows * cols
     by_degree = [partitions_in_box(rows, cols, m) for m in range(d + 1)]
-    index = {p: (m, i) for m, ps in enumerate(by_degree) for i, p in enumerate(ps)}
     basis = [[schubert_label(p) for p in ps] for ps in by_degree]
 
     def mult(k1, i, k2, j):
+        # box partitions, so the unchecked count is safe
         lam, mu = by_degree[k1][i], by_degree[k2][j]
         cell = []
         for t, nu in enumerate(by_degree[k1 + k2]):
-            c = lr_coefficient(lam, mu, nu)
+            c = _lr_count(lam, mu, nu)
             if c:
                 cell.append((t, Fraction(c)))
         return tuple(cell)

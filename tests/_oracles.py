@@ -8,6 +8,10 @@ a real cross-check. Products and ring axioms are recomputed from the dense
 view ``a.products``, coordinate by coordinate, never from the sparse cells
 that `multiply` and `verify_algebra` read.
 
+`dense_tensor_product` multiplies every pair of dense factor vectors and
+names each class by its label pair, so it never sees the block layout
+that `tensor_product` places cells by.
+
 `full_scan_violations` is the one exception: it is `verify_algebra` itself
 with every basis class taken as a generator, so that associativity is
 checked on every basis triple, as it was before the generator search.
@@ -140,6 +144,50 @@ def dense_axiom_violations(a: GradedAlgebra) -> list[str]:
                             bad.append(f"associativity fails on degrees "
                                        f"({k1},{k2},{k3}) indices ({i},{j},{l})")
     return bad
+
+
+def dense_tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> dict:
+    """{(x, y): {z: c}}: the product of classes x and y of the Kunneth product
+    of a and b as its nonzero coordinates c on classes z, each class named by
+    its label pair "u⊗v", for every pair whose factor products are both
+    stored (any other pair multiplies to zero).
+
+    Each product is the Kronecker product of the two dense factor vectors,
+    (u⊗v)(u'⊗v') = (u u')⊗(v v'), read from ``a.products`` and
+    ``b.products``.
+    """
+    def pairs(ka, kb):
+        return [f"{u}⊗{v}" for u in a.basis[ka] for v in b.basis[kb]]
+
+    out = {}
+    products_b = dict(b.products)
+    for (i1, i2), table_a in a.products.items():
+        for (j1, j2), table_b in products_b.items():
+            xs, ys, zs = pairs(i1, j1), pairs(i2, j2), pairs(i1 + i2, j1 + j2)
+            rows = [itertools.product(row_a, row_b)
+                    for row_a in table_a for row_b in table_b]
+            for x, row in zip(xs, rows):
+                for y, (va, vb) in zip(ys, row):
+                    out[x, y] = {z: c for z, c in zip(zs, (ca * cb for ca in va
+                                                           for cb in vb)) if c}
+    return out
+
+
+# Every catalog algebra has integer cells, so its integer view has scale 1.
+# Rescaling basis classes by non-integer rationals gives isomorphic algebras
+# whose tables and integration have denominators: same dims, verdicts and
+# witnesses, and bases that must still be exact RREFs.
+def rescaled(a: GradedAlgebra) -> tuple[GradedAlgebra, list[list[Fraction]]]:
+    """a in the basis b'_i = lam_i b_i, lam_i = 3/(5 + i + k) in degree k >= 1,
+    and the factors lam: b'_i b'_j = sum_t (lam_i lam_j c_t / lam_t) b'_t."""
+    lam = [[Fraction(1)]] + [[Fraction(3, 5 + i + k) for i in range(n)]
+                             for k, n in enumerate(a.dims) if k]
+    tables = {(k1, k2): [[tuple((t, lam[k1][i] * lam[k2][j] * c / lam[k1 + k2][t])
+                                for t, c in cell) for j, cell in enumerate(row)]
+                         for i, row in enumerate(table)]
+              for (k1, k2), table in a.tables.items()}
+    integration = [w * l for w, l in zip(a.integration, lam[-1])]
+    return GradedAlgebra(a.name, a.basis, tables, integration), lam
 
 
 def full_scan_violations(a: GradedAlgebra) -> tuple[str, ...]:

@@ -1,10 +1,9 @@
 """Degree-one subalgebras and the three structural predicates."""
 
-from fractions import Fraction
-
 import pytest
 
-from _oracles import brute_force_lefschetz_bases, brute_force_lefschetz_dims
+from _oracles import (brute_force_lefschetz_bases, brute_force_lefschetz_dims,
+                      rescaled)
 from lefalg import lefschetz, ring
 from lefalg.catalog import get, names
 from lefalg.cli import run
@@ -13,7 +12,7 @@ from lefalg.lefschetz import (_gram, check_hard_lefschetz,
                               check_poincare_duality, check_symmetry,
                               lefschetz_subalgebra, primitive_dims)
 from lefalg.linalg import Matrix, kernel
-from lefalg.ring import GradedAlgebra, integrate, multiply
+from lefalg.ring import integrate, multiply
 
 
 def test_pinned_lefschetz_dims():
@@ -261,28 +260,26 @@ def test_report_ranks_each_hl_map_once(monkeypatch, capsys):
     assert sorted(calls) == list(range(d // 2 + 1))
 
 
-# Every catalog algebra has integer cells, so its integer view has scale 1.
-# Rescaling basis classes by non-integer rationals gives isomorphic algebras
-# whose tables and integration have denominators: same dims, verdicts and
-# witnesses, and bases that must still be exact RREFs.
-def _rescaled(a: GradedAlgebra) -> tuple[GradedAlgebra, list[list[Fraction]]]:
-    """a in the basis b'_i = lam_i b_i, lam_i = 3/(5 + i + k) in degree k >= 1,
-    and the factors lam: b'_i b'_j = sum_t (lam_i lam_j c_t / lam_t) b'_t."""
-    lam = [[Fraction(1)]] + [[Fraction(3, 5 + i + k) for i in range(n)]
-                             for k, n in enumerate(a.dims) if k]
-    tables = {(k1, k2): [[tuple((t, lam[k1][i] * lam[k2][j] * c / lam[k1 + k2][t])
-                                for t, c in cell) for j, cell in enumerate(row)]
-                         for i, row in enumerate(table)]
-              for (k1, k2), table in a.tables.items()}
-    integration = [w * l for w, l in zip(a.integration, lam[-1])]
-    return GradedAlgebra(a.name, a.basis, tables, integration), lam
+def test_report_builds_the_omega_powers_once_when_hl_fails(monkeypatch, capsys):
+    # the kernels of omega^(d-2i+1) read the powers the HL check built
+    calls = []
+    inner = lefschetz._omega_powers
+
+    def counted(omega, n):
+        calls.append(n)
+        return inner(omega, n)
+
+    monkeypatch.setattr(lefschetz, "_omega_powers", counted)
+    assert run(["report", "example3"]) == 0
+    assert "hard_lefschetz: FAIL" in capsys.readouterr().out
+    assert calls == [get("example3").algebra.top_degree + 1]
 
 
 @pytest.mark.parametrize("name", ["example1", "example3", "P1xP2"])
 def test_tables_with_denominators_give_the_same_answers(name):
     entry = get(name)
     a = entry.algebra
-    b, lam = _rescaled(a)
+    b, lam = rescaled(a)
     assert ring._int_table(b, 1, 1)[0] > 1  # the table scale is exercised
     omega = b.element(1, [x / l for x, l in zip(entry.omega.coords, lam[1])])
     lef_a, lef_b = lefschetz_subalgebra(a), lefschetz_subalgebra(b)

@@ -7,7 +7,8 @@ from unittest import mock
 
 import pytest
 
-from _oracles import dense_axiom_violations, dense_multiply, full_scan_violations
+from _oracles import (dense_axiom_violations, dense_multiply,
+                      dense_tensor_product, full_scan_violations, rescaled)
 from lefalg import catalog, ring
 from lefalg.constructors import projective_space, truncated_polynomial_algebra
 from lefalg.linalg import Matrix
@@ -192,6 +193,38 @@ def test_tensor_is_associative_up_to_labels():
     relab = relabeled(right, left.basis, name=left.name)
     assert relab.products == left.products
     assert relab.integration == left.integration
+
+
+def _factor(name):
+    """A catalog algebra, or "~name": that algebra rescaled to non-unit,
+    non-integer structure constants."""
+    if name.startswith("~"):
+        return rescaled(catalog.get(name[1:]).algebra)[0]
+    return catalog.get(name).algebra
+
+
+@pytest.mark.parametrize("left, right", [
+    ("P1", "P2"), ("Gr-2-4", "P1"), ("example1", "P1"), ("P1", "example2"),
+    ("example3", "example1"), ("Gr-2-4", "~example1"), ("~P1xP2", "~P1xP2")])
+def test_tensor_product_matches_the_dense_kronecker_oracle(left, right):
+    a, b = _factor(left), _factor(right)
+    t = tensor_product(a, b)
+    expected = dense_tensor_product(a, b)
+    pairs = [[] for _ in t.basis]
+    for (i, us), (j, vs) in itertools.product(enumerate(a.basis), enumerate(b.basis)):
+        pairs[i + j] += [f"{u}⊗{v}" for u in us for v in vs]
+    assert [sorted(labels) for labels in t.basis] == [sorted(p) for p in pairs]
+    for (k1, k2), table in t.tables.items():
+        zs = t.basis[k1 + k2]
+        for i, row in enumerate(table):
+            for j, cell in enumerate(row):
+                got = {zs[s]: c for s, c in cell}
+                assert got == expected.get((t.basis[k1][i], t.basis[k2][j]), {})
+                assert t.tables[k2, k1][j][i] is cell
+    top = {z: c for z, c in zip(t.basis[-1], t.integration)}
+    assert top == {f"{u}⊗{v}": cu * cv
+                   for u, cu in zip(a.basis[-1], a.integration)
+                   for v, cv in zip(b.basis[-1], b.integration)}
 
 
 def test_ring_map_functoriality():

@@ -170,6 +170,19 @@ def test_lr_matches_ring_products_all_pairs_gr25():
     assert checked == 100
 
 
+def test_gr36_row_products_match_pieri():
+    # three-row partitions, where the unchecked count's mu <= nu prefilter
+    # drops most triples; sigma_lam * sigma_(p) is the Pieri sum
+    g, box = grassmannian(3, 6), Box(3, 3)
+    for lam in (p for m in range(10) for p in partitions_in_box(3, 3, m)):
+        for p in range(1, 4):
+            prod = multiply(g.by_label(schubert_label(lam)),
+                            g.by_label(schubert_label((p,))))
+            got = {} if prod.above_top else {
+                nu: c for nu, c in _coords_by_partition(g, prod).items() if c}
+            assert got == {nu: 1 for nu in pieri(lam, p, box)}, (lam, p)
+
+
 def _coords_by_partition(g, el):
     out = {}
     for i, c in enumerate(el.coords):

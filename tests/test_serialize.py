@@ -150,6 +150,14 @@ V1_FILE_SHA256 = {
     "example3": "3f99db28b6fb213e1b2b7296de14d77795e6a5477d6d793dda29ba321e50521f",
     "Gr-2-5xGr-2-5xP1":
         "27999f3159d90aad417f3544c3777a0d5a4027d894796cd304d1ef760c1b7181",
+    # recorded while tensor_product still placed cells through an index of
+    # every class; the blockwise Kronecker tables must write the same bytes
+    "example3xP1":
+        "70763985435e05a2148b318f0c07b43cb56ae1cb48b2a77cf3377a7902d03239",
+    "P1xexample1":
+        "9198c35a96a4dbf43842278ab42d98b790ea3b835266d0fabdf7331df262d914",
+    "P2xP2xP2xP2":
+        "ac51af673fa4d9fe1e167e5215311db660e3dfb21a8d7ee543440e70c782c13a",
 }
 
 
