@@ -711,11 +711,3 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
     # degree d is the (da, db) block alone, laid out p-major
     integration = [cp * cq for cp in a.integration for cq in b.integration]
     return GradedAlgebra(name or f"{a.name}x{b.name}", basis, tables, integration)
-
-
-def relabeled(a: GradedAlgebra, basis: Sequence[Sequence[str]],
-              name: str | None = None) -> GradedAlgebra:
-    """Same structure constants, new labels (and optionally a new name)."""
-    if tuple(map(len, basis)) != a.dims:
-        raise ValueError("relabeling must preserve the dimension profile")
-    return GradedAlgebra(name or a.name, basis, a.tables, a.integration)

@@ -81,34 +81,6 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return all(outer[i] >= inner[i] for i in range(len(inner)))
 
 
-def pieri(lam: Partition, p: int, box: Box) -> list[Partition]:
-    """Horizontal-strip extensions of lam by p boxes inside the box.
-
-    These are the terms of sigma_lam * sigma_(p); the list comes back in
-    descending lexicographic order.
-    """
-    rows, cols = box
-    if not is_partition(lam) or not contains((cols,) * rows, lam):
-        raise ValueError(f"{lam} is not a partition in the {rows}x{cols} box")
-    if p < 0:
-        raise ValueError("strip size must be nonnegative")
-    lam_full = tuple(lam) + (0,) * (rows - len(lam))
-    results: list[Partition] = []
-
-    def rec(i: int, built: tuple[int, ...], left: int):
-        if i == rows:
-            if left == 0:
-                results.append(tuple(x for x in built if x > 0))
-            return
-        hi = cols if i == 0 else lam_full[i - 1]
-        lo = lam_full[i]
-        for mu_i in range(min(hi, lo + left), lo - 1, -1):
-            rec(i + 1, built + (mu_i,), left - (mu_i - lo))
-
-    rec(0, (), p)
-    return sorted(results, reverse=True)
-
-
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient c^nu_{lam,mu}.
 

@@ -15,16 +15,23 @@ that `tensor_product` places cells by.
 `full_scan_violations` is the one exception: it is `verify_algebra` itself
 with every basis class taken as a generator, so that associativity is
 checked on every basis triple, as it was before the generator search.
+
+`write_algebra_v1` is the version 1 file writer, kept as the reference for
+the bytes it wrote and as a source of version 1 files, which still read.
+`pieri` and `relabeled` were public lefalg functions that nothing in the
+library calls; they live on here for the tests that use them.
 """
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from unittest import mock
 
-from lefalg.linalg import Matrix, rref
+from lefalg.linalg import Matrix, format_rational, rref
 from lefalg import ring
 from lefalg.ring import Element, GradedAlgebra, multiply
-from lefalg.schubert import Box, pieri
+from lefalg.schubert import Box, contains, is_partition
 
 
 def brute_force_lefschetz_bases(a: GradedAlgebra) -> tuple[tuple, ...]:
@@ -48,6 +55,34 @@ def brute_force_lefschetz_bases(a: GradedAlgebra) -> tuple[tuple, ...]:
 def brute_force_lefschetz_dims(a: GradedAlgebra) -> tuple[int, ...]:
     """dim of the span of all degree-k products of degree-one classes."""
     return tuple(len(b) for b in brute_force_lefschetz_bases(a))
+
+
+def pieri(lam, p: int, box: Box) -> list:
+    """Horizontal-strip extensions of lam by p boxes inside the box.
+
+    These are the terms of sigma_lam * sigma_(p); the list comes back in
+    descending lexicographic order.
+    """
+    rows, cols = box
+    if not is_partition(lam) or not contains((cols,) * rows, lam):
+        raise ValueError(f"{lam} is not a partition in the {rows}x{cols} box")
+    if p < 0:
+        raise ValueError("strip size must be nonnegative")
+    lam_full = tuple(lam) + (0,) * (rows - len(lam))
+    results = []
+
+    def rec(i: int, built: tuple, left: int):
+        if i == rows:
+            if left == 0:
+                results.append(tuple(x for x in built if x > 0))
+            return
+        hi = cols if i == 0 else lam_full[i - 1]
+        lo = lam_full[i]
+        for mu_i in range(min(hi, lo + left), lo - 1, -1):
+            rec(i + 1, built + (mu_i,), left - (mu_i - lo))
+
+    rec(0, (), p)
+    return sorted(results, reverse=True)
 
 
 def _h_times(vec: dict, p: int, box: Box) -> dict:
@@ -195,3 +230,50 @@ def full_scan_violations(a: GradedAlgebra) -> tuple[str, ...]:
     with mock.patch.object(ring, "_generators",
                            lambda a: [range(n) for n in a.dims]):
         return ring.verify_algebra(a).violations
+
+
+def relabeled(a: GradedAlgebra, basis, name=None) -> GradedAlgebra:
+    """Same structure constants, new labels (and optionally a new name)."""
+    if tuple(map(len, basis)) != a.dims:
+        raise ValueError("relabeling must preserve the dimension profile")
+    return GradedAlgebra(name or a.name, basis, a.tables, a.integration)
+
+
+def algebra_payload_v1(a: GradedAlgebra) -> dict:
+    """The version 1 payload: every ordered pair with a nonzero product, as
+    [k1, i, k2, j, dense vector of "p/q" strings]."""
+    products = []
+    for (k1, k2) in sorted(a.tables):
+        n = a.dim(k1 + k2)
+        for i, row in enumerate(a.tables[(k1, k2)]):
+            for j, cell in enumerate(row):
+                if cell:
+                    coeffs = ["0"] * n
+                    for t, c in cell:
+                        coeffs[t] = format_rational(c)
+                    products.append([k1, i, k2, j, coeffs])
+    return {
+        "format": "graded-algebra",
+        "version": 1,
+        "name": a.name,
+        "top_degree": a.top_degree,
+        "basis": [list(deg) for deg in a.basis],
+        "products": products,
+        "integration": [format_rational(c) for c in a.integration],
+    }
+
+
+def payload_checksum(payload: dict) -> str:
+    """sha256 of the canonical (sorted, compact) JSON of the payload."""
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def write_algebra_v1(a: GradedAlgebra, path: str) -> None:
+    """A checksummed version 1 file, written as the version 1 writer did."""
+    payload = algebra_payload_v1(a)
+    payload["checksum"] = payload_checksum(payload)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, ensure_ascii=True, indent=1)
+        fh.write("\n")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from _oracles import algebra_payload_v1, payload_checksum
 
 import lefalg
 from lefalg.catalog import get, names
@@ -222,6 +223,78 @@ def test_import_loads_no_dataclasses_typing_or_hashlib():
     assert proc.stdout.split() == []
 
 
+def _loaded_modules(code: str) -> set[str]:
+    """The lefalg modules a fresh ``python -S`` has loaded after ``code``."""
+    src = os.path.dirname(os.path.dirname(lefalg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         code + "\nimport sys\nprint(*sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'lefalg'))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_lefalg_loads_no_submodule():
+    assert _loaded_modules("import lefalg") == {"lefalg"}
+
+
+def test_every_public_name_resolves_to_its_module_object():
+    import importlib
+    assert "relabeled" not in lefalg.__all__ and "pieri" not in lefalg.__all__
+    for name in lefalg.__all__:
+        value = getattr(lefalg, name)
+        home = lefalg._HOME.get(name)
+        if home is not None:
+            assert value is getattr(importlib.import_module(f"lefalg.{home}"),
+                                    name)
+    assert lefalg.catalog is importlib.import_module("lefalg.catalog")
+    with pytest.raises(AttributeError, match="no attribute 'relabeled'"):
+        lefalg.relabeled
+
+
+def test_the_cli_loads_every_layer_when_imported():
+    # the command functions are bound at import, so a wrapper installed
+    # after ``import lefalg.cli`` (perfbench's tracer) sees every layer
+    assert _loaded_modules("import lefalg.cli") == {
+        "lefalg", *(f"lefalg.{m}" for m in lefalg._SUBMODULES)}
+
+
+@pytest.mark.parametrize("edit,error", [
+    (lambda p: p.append(list(p[-1])), "duplicate product entry [1, 0, 1, 1]"),
+    (lambda p: p.append([1, 1, 1, 0, [[0, "1"]]]),
+     "product entry [1, 1, 1, 0] is a mirror entry"),
+    (lambda p: p[-1].__setitem__(4, [[0, 1]]),
+     "product entry [1, 0, 1, 1]: a term must be [int, \"p/q\"], got [0, 1]"),
+], ids=["repeat", "mirror", "term"])
+def test_a_bad_v2_file_exits_2(tmp_path, capsys, edit, error):
+    from lefalg.serialize import algebra_payload
+    payload = algebra_payload(get("P1xP1").algebra)
+    edit(payload["products"])
+    payload["checksum"] = payload_checksum(payload)
+    path = tmp_path / "bad.alg.json"
+    path.write_text(json.dumps(payload))
+    assert run(["report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {error}")
+
+
+def test_build_refuses_to_write_a_noncommutative_table(tmp_path, capsys):
+    payload = algebra_payload_v1(get("P1xP1").algebra)
+    for entry in payload["products"]:
+        if entry[:4] == [1, 0, 1, 1]:
+            entry[4] = ["2"]
+    src, out = tmp_path / "twisted.build.json", tmp_path / "twisted.alg.json"
+    src.write_text(json.dumps({"algebra": payload}))
+    assert run(["build", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: product table (1,1) cell (0,1) differs from its mirror, "
+        "table (1,1) cell (1,0): a version 2 file holds commutative tables "
+        "only\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("module", ["lefalg", "lefalg.cli"])
 @pytest.mark.parametrize("argv,code", [(["report", "example3"], 0),
                                        (["check", "example1", "--sym"], 1),
@@ -296,12 +369,12 @@ def test_report_on_a_built_file_sums_degree_one(tmp_path, capsys):
 
 
 def test_verify_reports_a_noncommutative_file(tmp_path, capsys):
-    from lefalg.serialize import _checksum, algebra_payload
-    payload = algebra_payload(get("P1xP1").algebra)
+    # a version 1 file lists both orders of a product, so it can hold this
+    payload = algebra_payload_v1(get("P1xP1").algebra)
     for entry in payload["products"]:
         if entry[:4] == [1, 0, 1, 1]:
             entry[4] = ["2"]
-    payload["checksum"] = _checksum(payload)
+    payload["checksum"] = payload_checksum(payload)
     path = tmp_path / "twisted.alg.json"
     path.write_text(json.dumps(payload))
     assert run(["verify", str(path)]) == 1

@@ -7,13 +7,14 @@ from unittest import mock
 
 import pytest
 
-from _oracles import (dense_axiom_violations, dense_multiply,
-                      dense_tensor_product, full_scan_violations, rescaled)
+from _oracles import (algebra_payload_v1, dense_axiom_violations,
+                      dense_multiply, dense_tensor_product,
+                      full_scan_violations, relabeled, rescaled)
 from lefalg import catalog, ring
 from lefalg.constructors import projective_space, truncated_polynomial_algebra
 from lefalg.linalg import Matrix
 from lefalg.ring import (GradedAlgebra, RingMap, apply_ring_map, integrate,
-                         multiply, pairing_matrix, relabeled, render_element,
+                         multiply, pairing_matrix, render_element,
                          tensor_product, verify_algebra, verify_ring_map)
 from lefalg.serialize import algebra_from_payload, algebra_payload
 
@@ -391,8 +392,9 @@ def test_cells_are_sparse_and_shared_with_their_mirror(name):
     _assert_sparse_and_shared(a)
     _assert_sparse_and_shared(
         GradedAlgebra(a.name, a.basis, a.tables, a.integration))
-    _assert_sparse_and_shared(
-        algebra_from_payload(algebra_payload(a), require_checksum=False))
+    for payload in (algebra_payload(a), algebra_payload_v1(a)):
+        _assert_sparse_and_shared(
+            algebra_from_payload(payload, require_checksum=False))
 
 
 @pytest.mark.parametrize("name", catalog.names())

@@ -4,14 +4,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from _oracles import jacobi_trudi_product
+from _oracles import jacobi_trudi_product, pieri, relabeled
 
 from lefalg.constructors import projective_space
-from lefalg.ring import (integrate, multiply, pairing_matrix, relabeled,
-                         render_element, verify_algebra)
+from lefalg.ring import (integrate, multiply, pairing_matrix, render_element,
+                         verify_algebra)
 from lefalg.schubert import (Box, contains, format_partition, grassmannian,
                              is_partition, lr_coefficient, parse_partition,
-                             partitions_in_box, pieri, quotient_chern_classes,
+                             partitions_in_box, quotient_chern_classes,
                              schubert_label)
 
 

@@ -4,7 +4,10 @@ import hashlib
 import json
 
 import pytest
+from _oracles import algebra_payload_v1, payload_checksum, write_algebra_v1
 
+from lefalg import catalog
+from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.catalog import build_example1, build_example2, get
 from lefalg.constructors import projective_space
 from lefalg.serialize import (algebra_from_payload, algebra_payload,
@@ -43,8 +46,8 @@ def test_files_are_deterministic(tmp_path):
 def test_payload_uses_rational_strings():
     payload = algebra_payload(get("P-2").algebra)
     for entry in payload["products"]:
-        k1, i, k2, j, coeffs = entry
-        assert all(isinstance(c, str) for c in coeffs)
+        k1, i, k2, j, terms = entry
+        assert all(type(t) is int and isinstance(c, str) for t, c in terms)
     assert all(isinstance(c, str) for c in payload["integration"])
 
 
@@ -109,30 +112,26 @@ def test_malformed_rational_in_payload():
 
 
 def test_bad_product_entries_rejected():
-    base = algebra_payload(get("P-2").algebra)
+    for payload in (algebra_payload, algebra_payload_v1):
+        base = payload(get("P-2").algebra)
 
-    def variant(**changes):
-        doc = json.loads(json.dumps(base))
-        doc.update(changes)
-        return doc
+        # out-of-range degree index
+        bad = json.loads(json.dumps(base))
+        bad["products"][0][0] = 99
+        with pytest.raises(ValueError):
+            algebra_from_payload(bad, require_checksum=False)
 
-    # out-of-range degree index
-    bad = variant()
-    bad["products"][0][0] = 99
-    with pytest.raises(ValueError):
-        algebra_from_payload(bad, require_checksum=False)
+        # duplicate entry
+        bad = json.loads(json.dumps(base))
+        bad["products"].append(list(bad["products"][0]))
+        with pytest.raises(ValueError, match="duplicate"):
+            algebra_from_payload(bad, require_checksum=False)
 
-    # duplicate entry
-    bad = variant()
-    bad["products"].append(list(bad["products"][0]))
-    with pytest.raises(ValueError, match="duplicate"):
-        algebra_from_payload(bad, require_checksum=False)
-
-    # wrong vector length
-    bad = variant()
-    bad["products"][0][4] = ["1", "2"]
-    with pytest.raises(ValueError):
-        algebra_from_payload(bad, require_checksum=False)
+        # wrong vector length (v1); terms that are not [t, "p/q"] (v2)
+        bad = json.loads(json.dumps(base))
+        bad["products"][0][4] = ["1", "2"]
+        with pytest.raises(ValueError):
+            algebra_from_payload(bad, require_checksum=False)
 
 
 def test_payload_checksum_field_not_required_inline():
@@ -142,8 +141,9 @@ def test_payload_checksum_field_not_required_inline():
         get("Gr-2-4").algebra
 
 
-# sha256 of write_algebra output, recorded when the product tables were
-# still stored densely; the sparse tables must write the same v1 bytes
+# sha256 of the version 1 writer's output (now the reference writer in
+# _oracles), recorded when the product tables were still stored densely; the
+# sparse tables must write the same v1 bytes
 V1_FILE_SHA256 = {
     "example1": "1bf316ca9034ee9f1304ac79748f6fbd27a2c4e12bd43bb568e1b5610b78899f",
     "example2": "5ca4ed6140c76b29a1ae881dbcb2e25df3d12f0b48b4346735666fd79b4c41a8",
@@ -164,12 +164,12 @@ V1_FILE_SHA256 = {
 @pytest.mark.parametrize("name", sorted(V1_FILE_SHA256))
 def test_written_v1_bytes_are_pinned(tmp_path, name):
     path = tmp_path / f"{name}.alg.json"
-    write_algebra(get(name).algebra, str(path))
+    write_algebra_v1(get(name).algebra, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == V1_FILE_SHA256[name]
 
 
-# sha256 of write_algebra output for the blowups rebuilt with e -> -e,
-# recorded before every e-power was reduced through one relation
+# sha256 of the version 1 writer's output for the blowups rebuilt with
+# e -> -e, recorded before every e-power was reduced through one relation
 SIGN_MINUS_FILE_SHA256 = {
     "example1": "529ebefc92230358b194730bcc9b81626decaf201a422a18862396aff1451441",
     "example2": "5e98a11642bfe700421abb8a647fb90b7793e781734dc19a393e9e4dad4a2493",
@@ -180,6 +180,170 @@ SIGN_MINUS_FILE_SHA256 = {
 def test_written_sign_minus_blowup_bytes_are_pinned(tmp_path, name):
     build = {"example1": build_example1, "example2": build_example2}[name]
     path = tmp_path / f"{name}.alg.json"
-    write_algebra(build(sign=-1), str(path))
+    write_algebra_v1(build(sign=-1), str(path))
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
             == SIGN_MINUS_FILE_SHA256[name])
+
+
+# sha256 of write_algebra's version 2 output for the same algebras, recorded
+# when version 2 was introduced
+V2_FILE_SHA256 = {
+    "example1":
+        "41c291f37f7f8b66f8d2d35847c9c7b5c4fcfd17347f8eded66ca6513c65b49b",
+    "example2":
+        "d698384b0b77745e828ebf05b105cbe94575d55abb200da79ee523f575641ab5",
+    "example3":
+        "96e16c527023c8a97703ce28c7c9f253e0a3e8abce3231b271b69a7c72e09f7f",
+    "Gr-2-5xGr-2-5xP1":
+        "c7aec87c5f8dab5d7d5e5933710dd1cdbe2e9fa996578e1cd10046e7b791dbbd",
+    "example3xP1":
+        "d84b4d927c9ee32f5af5f980bb8611b072cba5d8c0b7b2de4aec0ad5b3cbd373",
+    "P1xexample1":
+        "5e5f5de9185afbcad4bffa413aa54433314d77a2a47113f8107f8845b1eb7a25",
+    "P2xP2xP2xP2":
+        "5810ae71e5b5a3d16db15f45a2714a9dc94d06a490fbfd22e380c94c89f0fcd2",
+}
+V2_SIGN_MINUS_FILE_SHA256 = {
+    "example1": "800a81be075bd1c5766e55f2b64a27580075b011d49e27faf69bb7717cd49719",
+    "example2": "8f0b7362ab50168508f6c77301e09a72bc99f00c6a49e05cedd73dd1cb9171e0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(V2_FILE_SHA256))
+def test_written_v2_bytes_are_pinned(tmp_path, name):
+    path = tmp_path / f"{name}.alg.json"
+    write_algebra(get(name).algebra, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == V2_FILE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(V2_SIGN_MINUS_FILE_SHA256))
+def test_written_v2_sign_minus_blowup_bytes_are_pinned(tmp_path, name):
+    build = {"example1": build_example1, "example2": build_example2}[name]
+    path = tmp_path / f"{name}.alg.json"
+    write_algebra(build(sign=-1), str(path))
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == V2_SIGN_MINUS_FILE_SHA256[name])
+
+
+# the documents the benchmark builds and writes, a blowup and a 200-class
+# product
+BENCHMARK_BUILDS = {
+    "blowup": {"blowup": {"Y": {"P": 5}, "Z": {"catalog": "CxP1-even"},
+                          "pullback": [[[1]], [[1], [3]], [[6]]],
+                          "chern_N": [[4, 18], [54], []]}},
+    "product": {"product": [{"Gr": [2, 5]}, {"Gr": [2, 5]}, {"P": 1}]},
+}
+
+
+def _build(name: str):
+    if name in BENCHMARK_BUILDS:
+        return evaluate(parse_build_file(json.dumps(BENCHMARK_BUILDS[name])))
+    return get(name).algebra
+
+
+@pytest.mark.parametrize("name", catalog.names() + sorted(BENCHMARK_BUILDS))
+def test_v1_and_v2_files_read_to_the_same_cells(tmp_path, name):
+    a = _build(name)
+    v1, v2 = tmp_path / "v1.alg.json", tmp_path / "v2.alg.json"
+    write_algebra_v1(a, str(v1))
+    write_algebra(a, str(v2))
+    assert json.loads(v2.read_text())["version"] == 2
+    b1, b2 = read_algebra(str(v1)), read_algebra(str(v2))
+    assert b1 == b2 == a
+    assert b1.basis == b2.basis and b1.integration == b2.integration
+    for (k1, k2), table in b2.tables.items():
+        assert table == b1.tables[k1, k2] == a.tables[k1, k2]
+        mirror = b2.tables[k2, k1]
+        for i, row in enumerate(table):
+            for j, cell in enumerate(row):
+                assert mirror[j][i] is cell
+                assert b1.tables[k2, k1][j][i] is b1.tables[k1, k2][i][j]
+
+
+def test_a_v2_file_is_one_sparse_triangle(tmp_path):
+    a = get("P1xP1").algebra
+    path = tmp_path / "p1xp1.alg.json"
+    write_algebra(a, str(path))
+    text = path.read_text()
+    assert text.endswith("}\n") and "\n" not in text[:-1]  # compact
+    payload = json.loads(text)
+    keys = [entry[:4] for entry in payload["products"]]
+    assert keys == sorted(keys)
+    assert all((k1, i) <= (k2, j) for k1, i, k2, j in keys)
+    # h1 * h2 = h1h2 is stored once; h1 * h1 = 0 is not stored
+    assert [1, 0, 1, 1, [[0, "1"]]] in payload["products"]
+    assert not any(entry[:4] == [1, 1, 1, 0] for entry in payload["products"])
+    assert not any(entry[:4] == [1, 0, 1, 0] for entry in payload["products"])
+    assert payload["checksum"] == payload_checksum(
+        {k: v for k, v in payload.items() if k != "checksum"})
+
+
+def _v2(name="P1xP1") -> dict:
+    payload = algebra_payload(get(name).algebra)
+    return json.loads(json.dumps(payload))
+
+
+@pytest.mark.parametrize("extra,match", [
+    ([1, 0, 1, 1, [[0, "1"]]], "duplicate"),        # a repeated entry
+    ([1, 1, 1, 0, [[0, "1"]]], "mirror entry"),     # k1 == k2 with i > j
+    ([2, 0, 0, 0, [[0, "1"]]], "mirror entry"),     # k1 > k2
+], ids=["repeat", "diagonal-mirror", "degree-mirror"])
+def test_v2_rejects_a_repeated_or_mirror_entry(extra, match):
+    payload = _v2()
+    payload["products"].append(extra)
+    with pytest.raises(ValueError, match=match):
+        algebra_from_payload(payload, require_checksum=False)
+
+
+@pytest.mark.parametrize("terms", [
+    "1", [["0", "1"]], [[0, 1]], [[True, "1"]], [[0]], [[0, "1", 2]],
+    [(0, "1")], [[0.0, "1"]], [None],
+], ids=repr)
+def test_v2_rejects_a_term_that_is_not_int_and_string(terms):
+    payload = _v2()
+    payload["products"][-1][4] = terms
+    with pytest.raises(ValueError, match=r"\[t, \"p/q\"\]|\[int, \"p/q\"\]"):
+        algebra_from_payload(payload, require_checksum=False)
+
+
+@pytest.mark.parametrize("terms,match", [
+    ([[0, "0"]], "product table"), ([[1, "1"]], "product table"),
+    ([[-1, "1"]], "product table"), ([[0, "1"], [0, "1"]], "product table"),
+    ([[0, "x"]], "malformed rational"),
+], ids=["zero", "out-of-range", "negative", "repeated-t", "bad-rational"])
+def test_v2_rejects_a_cell_that_is_not_canonical(terms, match):
+    # every check but the term shape is the constructor's or parse_rational's
+    payload = _v2()
+    payload["products"][-1][4] = terms
+    with pytest.raises(ValueError, match=match):
+        algebra_from_payload(payload, require_checksum=False)
+
+
+def test_v2_reads_an_explicit_empty_cell_as_zero():
+    payload = _v2()
+    payload["products"].append([1, 0, 1, 0, []])
+    assert algebra_from_payload(payload, require_checksum=False) == \
+        get("P1xP1").algebra
+
+
+def test_version_error_names_both_versions():
+    payload = _v2()
+    for bad in (3, 0, "2", True, 2.0):
+        payload["version"] = bad
+        with pytest.raises(ValueError, match=r"\(expected 1 or 2\)$"):
+            algebra_from_payload(payload, require_checksum=False)
+
+
+def test_writing_a_noncommutative_table_names_the_cell(tmp_path):
+    a = get("P1xP1").algebra
+    payload = algebra_payload_v1(a)
+    for entry in payload["products"]:
+        if entry[:4] == [1, 0, 1, 1]:
+            entry[4] = ["2"]
+    twisted = algebra_from_payload(payload, require_checksum=False)
+    path = tmp_path / "twisted.alg.json"
+    with pytest.raises(ValueError, match=r"^product table \(1,1\) cell \(0,1\) "
+                                         r"differs from its mirror, table "
+                                         r"\(1,1\) cell \(1,0\)"):
+        write_algebra(twisted, str(path))
+    assert not path.exists()
