@@ -26,7 +26,8 @@ from .constructors import (
     truncated_polynomial_algebra,
 )
 from .linalg import Matrix
-from .ring import Element, GradedAlgebra, RingMap, multiply, tensor_product
+from .ring import (Element, GradedAlgebra, RingMap, _degree_one_sum, multiply,
+                   tensor_product)
 from .schubert import grassmannian, quotient_chern_classes
 
 _P_NAME = re.compile(r"^P-?(\d+)$")
@@ -105,15 +106,6 @@ def build_example3() -> GradedAlgebra:
     """Projectivization of the tautological quotient bundle on Gr(2,5)."""
     chern = quotient_chern_classes(2, 5)
     return projective_bundle(chern[0].algebra, chern, name="example3")
-
-
-def _degree_one_sum(a: GradedAlgebra) -> Element | None:
-    if a.top_degree == 0:
-        return None
-    acc = a.zero(1)
-    for i in range(a.dim(1)):
-        acc = acc + a.basis_element(1, i)
-    return acc
 
 
 def names() -> list[str]:

@@ -17,7 +17,8 @@ from .buildfile import evaluate, parse_build_file
 from .lefschetz import (LefschetzData, _hard_lefschetz, _primitive_dims,
                         check_hard_lefschetz, check_poincare_duality,
                         check_symmetry, lefschetz_subalgebra)
-from .ring import Element, GradedAlgebra, render_element, verify_algebra
+from .ring import (Element, GradedAlgebra, _degree_one_sum, render_element,
+                   verify_algebra)
 from .linalg import parse_rational
 from .serialize import read_algebra, write_algebra
 
@@ -106,7 +107,7 @@ def _resolve_check_inputs(args) -> tuple[GradedAlgebra, LefschetzData,
     elif entry is not None:
         omega = entry.omega
     else:
-        omega = catalog._degree_one_sum(a)
+        omega = _degree_one_sum(a)
     return a, lef, omega
 
 

@@ -6,15 +6,14 @@ verdicts, and witnesses are reproducible. The three predicates share one
 per-degree check. When hard Lefschetz holds, dim PL^i = dim L^i - dim L^{i-1};
 the kernels of omega^{d-2i+1} are ranked only when it fails.
 
-The stage computes on integer rows, never on `Fraction` vectors. Products
-read the integer view of the cells (`ring._int_table`, one scale per
-table), and the generators, the rows of each L^k, the powers of omega and
-the Gram entries are carried as integers, each a nonzero multiple of the
-exact value; a multiple spans the same line, so no rank changes. A basis of
-L^k that is all of A^k is the identity, and its products are read straight
-from the cells. The ranks and RREF bases come from `linalg` (rank mod P,
-else the certified modular RREF, else `rref`), and the bases are stored as
-exact `Fraction` RREFs.
+The stage computes on integer rows, never on `Fraction` vectors. Every
+verdict is a rank, and a rank sees only the line of a row, not its scale:
+the generators, the rows of each L^k, the powers of omega and the Gram rows
+are integer rows on the lines of the exact ones, and no scale is kept.
+Products read `ring._int_table`; a basis of L^k that is all of A^k is read
+as the unit rows. Ranks and RREF bases come from `linalg` (rank mod P, else
+the certified modular RREF, else `rref`); the bases are stored as exact
+`Fraction` RREFs.
 
 The result records are namedtuples, so they also compare equal to plain
 tuples of their fields.
@@ -24,10 +23,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .linalg import Vector, _basis, _rank, row_space_rank
+from .linalg import Vector, _basis, _int_rows, _rank, row_space_rank
 from .ring import Element, GradedAlgebra, _checked_class, _int_table
 
 
@@ -51,44 +49,38 @@ class LefschetzData(namedtuple("LefschetzData", "ambient generators bases")):
         return [Element(self.ambient, k, v) for v in self.bases[k]]
 
 
-def _scaled(vectors: Sequence[Vector]) -> tuple[int, list[list[tuple[int, int]]]]:
-    """``(scale, rows)``: the nonzero coordinates of each vector times one
-    scale, the lcm of all their denominators, as integer (i, c) terms."""
-    scale = lcm(*(x.denominator for v in vectors for x in v if x))
-    return scale, [[(i, x.numerator * (scale // x.denominator))
-                    for i, x in enumerate(v) if x] for v in vectors]
+Row = list[tuple[int, int]]  # the nonzero (i, c) terms of an integer row
 
 
-def _int_basis(basis: tuple[Vector, ...], n: int) -> tuple[int, list | None]:
-    """``_scaled(basis)``, or ``(1, None)`` when the basis spans all n
-    coordinates: an RREF basis is then the unit vectors, whose products
-    are read straight from the cells."""
-    return (1, None) if len(basis) == n else _scaled(basis)
+def _sparse(vectors: Sequence[Vector]) -> list[Row]:
+    """The nonzero terms of `_int_rows(vectors)`, one lcm for the list."""
+    return [[(i, x) for i, x in enumerate(row) if x] for row in _int_rows(vectors)]
 
 
-def _product_rows(a: GradedAlgebra, k1: int, k2: int, ws, us):
-    """``(scale, rows)``: the scale of the (k1, k2) integer view and, read
-    from it lazily, the dense integer rows w*u for each sparse integer class
-    w of degree k1 in ws and then each u of degree k2, the sparse integer
-    rows us or, when us is None, the unit vectors. A row is the exact
-    product of w and u times the scale."""
-    scale, table = _int_table(a, k1, k2)
+def _int_basis(basis: tuple[Vector, ...], n: int) -> list[Row]:
+    """`_sparse(basis)`; the unit rows when the basis spans all n
+    coordinates, since an RREF basis is then the unit vectors."""
+    return [[(i, 1)] for i in range(n)] if len(basis) == n else _sparse(basis)
+
+
+def _product_rows(a: GradedAlgebra, k1: int, k2: int,
+                  ws: Sequence[Row], us: Sequence[Row]):
+    """Lazily, the dense integer rows w*u on the lines of the products, for
+    each row w of degree k1 in ws and then each row u of degree k2 in us."""
+    table = _int_table(a, k1, k2)
     n, n2 = a.dim(k1 + k2), a.dim(k2)
-
-    def rows():
-        for w in ws:
-            columns: list[dict] = [{} for _ in range(n2)]  # w * b_i, each i
-            for s, x in w:
-                for column, cell in zip(columns, table[s]):
-                    for t, c in cell:
-                        column[t] = column.get(t, 0) + x * c
-            for u in ([[(i, 1)] for i in range(n2)] if us is None else us):
-                row = [0] * n
-                for i, x in u:
-                    for t, c in columns[i].items():
-                        row[t] += x * c
-                yield row
-    return scale, rows()
+    for w in ws:
+        columns: list[dict] = [{} for _ in range(n2)]  # w * b_i, each i
+        for s, x in w:
+            for column, cell in zip(columns, table[s]):
+                for t, c in cell:
+                    column[t] = column.get(t, 0) + x * c
+        for u in us:
+            row = [0] * n
+            for i, x in u:
+                for t, c in columns[i].items():
+                    row[t] += x * c
+            yield row
 
 
 def lefschetz_subalgebra(a: GradedAlgebra,
@@ -99,11 +91,11 @@ def lefschetz_subalgebra(a: GradedAlgebra,
         gens = [a.basis_element(1, i) for i in range(a.dim(1))]
     else:
         gens = [_checked_class(a, g, 1, "generators") for g in generators]
-    ws = _scaled([g.coords for g in gens])[1]
+    ws = _sparse([g.coords for g in gens])
     bases = [(a.unit().coords,)]
     for k in range(1, a.top_degree + 1):
-        us = _int_basis(bases[k - 1], a.dim(k - 1))[1]
-        bases.append(tuple(_basis(_product_rows(a, 1, k - 1, ws, us)[1], a.dim(k))))
+        us = _int_basis(bases[k - 1], a.dim(k - 1))
+        bases.append(tuple(_basis(_product_rows(a, 1, k - 1, ws, us), a.dim(k))))
     return LefschetzData(a, tuple(g.coords for g in gens), tuple(bases))
 
 
@@ -161,35 +153,26 @@ def _checked_omega(lef: LefschetzData, omega: Element | None) -> Element:
     return omega
 
 
-def _omega_powers(omega: Element, n: int) -> list[Element]:
-    """[1, omega, ..., omega^n], one product of integer rows per power."""
+def _omega_powers(omega: Element, n: int) -> list[Row]:
+    """[1, omega, ..., omega^n] as integer rows, each a multiple of the power
+    divided by the gcd of its entries, and empty where the power is zero."""
     a = omega.algebra
-    powers = [a.unit()]
-    scale, (w,) = _scaled([omega.coords])
-    den, p = 1, [(0, 1)]  # omega^m = p / den
-    for m in range(1, n + 1):
-        if m > a.top_degree:
-            powers.append(a.zero(m))
-            continue
-        s_t, (row,) = _product_rows(a, m - 1, 1, [p], [w])
-        den *= scale * s_t
-        g = gcd(den, *row)
-        den //= g
-        row = [x // g for x in row]
-        p = [(t, x) for t, x in enumerate(row) if x]
-        powers.append(Element(a, m, tuple(Fraction(x, den) for x in row)))
-    return powers
+    (w,) = _sparse([omega.coords])
+    powers = [[(0, 1)]]
+    for m in range(1, min(n, a.top_degree) + 1):
+        (row,) = _product_rows(a, m - 1, 1, [powers[-1]], [w])
+        g = gcd(*row)
+        powers.append([(t, x // g) for t, x in enumerate(row) if x])
+    return powers + [[] for _ in range(n + 1 - len(powers))]
 
 
-def _map_rank(lef: LefschetzData, mult_by: Element, k: int) -> int:
-    """Rank of (x -> mult_by * x) restricted to L^k."""
+def _map_rank(lef: LefschetzData, m: int, row: Row, k: int) -> int:
+    """Rank of (x -> p * x) on L^k, for p of degree m on the line of row."""
     a = lef.ambient
-    if mult_by.degree + k > a.top_degree:
+    if m + k > a.top_degree:
         return 0
-    ws = _scaled([mult_by.coords])[1]
-    us = _int_basis(lef.bases[k], a.dim(k))[1]
-    return _rank(list(_product_rows(a, mult_by.degree, k, ws, us)[1]),
-                 a.dim(mult_by.degree + k))
+    us = _int_basis(lef.bases[k], a.dim(k))
+    return _rank(list(_product_rows(a, m, k, [row], us)), a.dim(m + k))
 
 
 def check_hard_lefschetz(lef: LefschetzData,
@@ -199,45 +182,35 @@ def check_hard_lefschetz(lef: LefschetzData,
 
 
 def _hard_lefschetz(lef: LefschetzData, omega: Element | None
-                    ) -> tuple[PredicateVerdict, list[Element]]:
-    """`check_hard_lefschetz` and the powers [1, omega, ..., omega^(d+1)]
+                    ) -> tuple[PredicateVerdict, list[Row]]:
+    """`check_hard_lefschetz` and the rows of [1, omega, ..., omega^(d+1)]
     it built, which `_primitive_dims` reads when the verdict fails."""
     d = lef.ambient.top_degree
     powers = _omega_powers(_checked_omega(lef, omega), d + 1)
     return PredicateVerdict("hard-lefschetz", _per_degree(
-        lef, lambda k: _map_rank(lef, powers[d - 2 * k], k))), powers
+        lef, lambda k: _map_rank(lef, d - 2 * k, powers[d - 2 * k], k))), powers
 
 
-def _int_gram(lef: LefschetzData, k: int) -> tuple[list[list[int]], int]:
-    """The pairing L^k x L^{d-k} -> Q as an integer matrix and the scale it
-    carries: entry (u, v) is the integral of u*v, over the integer rows u
-    and v of the two bases, times that scale."""
+def _int_gram(lef: LefschetzData, k: int) -> list[list[int]]:
+    """The pairing L^k x L^{d-k} -> Q as an integer matrix, one nonzero
+    multiple of the exact one: entry (u, v) is the integral of u*v over the
+    integer rows u and v of the two bases."""
     a = lef.ambient
     d = a.top_degree
-    s_w, (w,) = _scaled([a.integration])
-    s_u, us = _int_basis(lef.bases[k], a.dim(k))
-    s_v, vs = _int_basis(lef.bases[d - k], a.dim(d - k))
-    if us is None:
-        us = [[(i, 1)] for i in range(a.dim(k))]
-    s_t, rows = _product_rows(a, k, d - k, us, vs)
-    integrals = [sum(x * row[t] for t, x in w) for row in rows]
-    m = lef.dim(d - k)
-    return ([integrals[i * m:(i + 1) * m] for i in range(len(us))],
-            s_u * s_v * s_w * s_t)
-
-
-def _gram(lef: LefschetzData, k: int) -> list[list[Fraction]]:
-    """The pairing L^k x L^{d-k} -> Q: entry (u, v) is the integral of u*v
-    over the basis classes u of L^k and v of L^{d-k}."""
-    rows, scale = _int_gram(lef, k)
-    return [[Fraction(x, scale) for x in row] for row in rows]
+    (w,) = _sparse([a.integration])
+    us = _int_basis(lef.bases[k], a.dim(k))
+    vs = _int_basis(lef.bases[d - k], a.dim(d - k))
+    integrals = [sum(x * row[t] for t, x in w)
+                 for row in _product_rows(a, k, d - k, us, vs)]
+    m = len(vs)
+    return [integrals[i * m:(i + 1) * m] for i in range(len(us))]
 
 
 def check_poincare_duality(lef: LefschetzData) -> PredicateVerdict:
     """The pairing L^k x L^{d-k} -> Q must be square and nondegenerate."""
     d = lef.ambient.top_degree
     return PredicateVerdict("poincare-duality", _per_degree(
-        lef, lambda k: _rank(_int_gram(lef, k)[0], lef.dim(d - k))))
+        lef, lambda k: _rank(_int_gram(lef, k), lef.dim(d - k))))
 
 
 class PrimitiveDims(namedtuple("PrimitiveDims", "dims valid")):
@@ -256,12 +229,13 @@ def primitive_dims(lef: LefschetzData, omega: Element | None) -> PrimitiveDims:
 
 
 def _primitive_dims(lef: LefschetzData, hl: PredicateVerdict,
-                    powers: Sequence[Element]) -> PrimitiveDims:
+                    powers: Sequence[Row]) -> PrimitiveDims:
     """`primitive_dims` given what `_hard_lefschetz` returns for omega, so
     that a caller who has them builds the powers and ranks each HL map once."""
     d = lef.ambient.top_degree
     if hl.passed:
         return PrimitiveDims(tuple(lef.dim(i) - lef.dim(i - 1)
                                    for i in range(d // 2 + 1)), True)
-    return PrimitiveDims(tuple(lef.dim(i) - _map_rank(lef, powers[d - 2 * i + 1], i)
-                               for i in range(d // 2 + 1)), False)
+    return PrimitiveDims(tuple(
+        lef.dim(i) - _map_rank(lef, d - 2 * i + 1, powers[d - 2 * i + 1], i)
+        for i in range(d // 2 + 1)), False)

@@ -4,9 +4,10 @@ Every result is exact: a `Fraction`, or an int that stands for one.
 Matrices are immutable after construction and every operation is a pure
 function; there is deliberately no float path.
 
-Ranks and row-space bases work on integer rows. `row_space_rank` and
-`row_space_basis` scale each row by the lcm of its denominators, which
-changes no span; the Lefschetz stage hands its integer rows in directly.
+Ranks and row-space bases work on integer rows, and a rank sees only the
+line of each row, not its scale, so no scale is returned or carried.
+`row_space_rank` and `row_space_basis` clear denominators with `_int_rows`
+(one lcm per list); the Lefschetz stage hands its integer rows in directly.
 The rank is found modulo the prime P = 2^61 - 1 first. It never exceeds the
 rank over Q, so when it reaches min(rows, cols) it is the exact rank, and a
 basis of full width is the unit vectors. Any other rank or basis comes from
@@ -201,22 +202,13 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def _int_rows(vectors: Iterable[Sequence]) -> list[list[int]]:
-    """Each row times the lcm of its denominators: integer rows with the
-    same span, since scaling a row by a nonzero constant changes no rank."""
-    rows = []
-    for v in vectors:
-        row = [scalar(x) for x in v]
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    """The vectors times one lcm of all their denominators: integer rows
+    with the same span, which keep their ratios to one another."""
+    rows = [[scalar(x) for x in v] for v in vectors]
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("dimension mismatch: vectors have different lengths")
-    return rows
-
-
-def _scaled_mod_p(values: Sequence[Fraction]) -> list[int]:
-    """The values times the lcm of their denominators, reduced mod P."""
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) % P for x in values]
+    scale = lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (scale // x.denominator) for x in r] for r in rows]
 
 
 def _add_row_mod_p(pivots: list[tuple[int, list[tuple[int, int]]]],

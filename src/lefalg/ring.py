@@ -33,9 +33,9 @@ from math import lcm
 
 from .linalg import (
     Matrix,
+    P,
     Vector,
     _add_row_mod_p,
-    _scaled_mod_p,
     dot,
     format_rational,
     row_space_rank,
@@ -241,19 +241,16 @@ def _dense(cell: Cell, n: int) -> Vector:
     return tuple(out)
 
 
-def _int_table(a: GradedAlgebra, k1: int, k2: int) -> tuple[int, list]:
+def _int_table(a: GradedAlgebra, k1: int, k2: int) -> list:
     """The (k1, k2) table with every coefficient times one scale, the lcm of
-    the table's denominators (1 for every catalog algebra).
-
-    Returns ``(scale, rows)``, ``rows[i][j]`` the integer (t, c) terms of
-    b_i * b_j times scale. Like ``a.products`` it is a derived view,
-    computed when read. A product read from it is the exact one times the
-    scale, so it spans the same line and changes no rank.
-    """
+    the table's denominators (1 for every catalog algebra): ``rows[i][j]``
+    holds the integer (t, c) terms of b_i * b_j times it. Like ``a.products``
+    it is a view computed when read. Its products lie on the lines of the
+    exact ones, which is all a rank sees, so the scale is not returned."""
     table = a.tables[k1, k2]
     scale = lcm(*{c.denominator for row in table for cell in row for _, c in cell})
-    return scale, [[[(t, c.numerator * (scale // c.denominator)) for t, c in cell]
-                     if cell else () for cell in row] for row in table]
+    return [[[(t, c.numerator * (scale // c.denominator)) for t, c in cell]
+             if cell else () for cell in row] for row in table]
 
 
 class Element:
@@ -341,6 +338,12 @@ def _checked_class(a: GradedAlgebra, x, k: int, what: str) -> Element:
     if x.degree != k:
         raise ValueError(f"{what} must be homogeneous of degree {k}")
     return x
+
+
+def _degree_one_sum(a: GradedAlgebra) -> Element | None:
+    """The default omega: the sum of the degree-one basis classes, or None
+    in top degree 0."""
+    return a.element(1, [1] * a.dim(1)) if a.top_degree else None
 
 
 def render_element(x: Element) -> str:
@@ -438,19 +441,25 @@ def _generators(a: GradedAlgebra) -> list[list[int]]:
 
     W^k is spanned by the cells s*b for s in S_j and b a basis class of
     degree k-j, 1 <= j < k; S_k takes each basis class that raises the
-    rank of W^k mod P (cells scaled by the lcm of their denominators). The
-    rank over Q is at least the rank mod P, so W^k and S_k span degree k,
-    and by induction on k every class is a sum of products of the unit and
-    classes of S. No fallback is needed.
+    rank of W^k mod P (cells read from `_int_table`). The rank over Q is at
+    least the rank mod P, so W^k and S_k span degree k, and by induction on
+    k every class is a sum of products of the unit and classes of S. No
+    fallback is needed.
     """
     gens: list[list[int]] = [[]]
     for k in range(1, a.top_degree + 1):
         n, pivots = a.dim(k), []
         for j in range(1, k):
+            if not gens[j]:
+                continue  # no generator in degree j: its table is not read
+            table = _int_table(a, j, k - j)
             for s in gens[j]:
-                for cell in a.tables[(j, k - j)][s]:
+                for cell in table[s]:
                     if cell and len(pivots) < n:
-                        _add_row_mod_p(pivots, _scaled_mod_p(_dense(cell, n)))
+                        row = [0] * n
+                        for t, c in cell:
+                            row[t] = c % P
+                        _add_row_mod_p(pivots, row)
         gens.append([i for i in range(n)
                      if _add_row_mod_p(pivots, [int(t == i) for t in range(n)])])
     return gens

@@ -368,6 +368,40 @@ def test_report_on_a_built_file_sums_degree_one(tmp_path, capsys):
     assert "\nomega: h + e^1*1\n" in capsys.readouterr().out
 
 
+# P1xP1 blown up at a point: L generated by h⊗1 and the exceptional class
+# has dims 1 2 1, so symmetry holds and Poincare duality fails by rank
+_BLOWUP_AT_A_POINT = {"blowup": {
+    "Y": {"product": [{"P": 1}, {"P": 1}]}, "Z": {"P": 0},
+    "pullback": [[["1"]]], "chern_N": [[], []]}}
+_GENS = ["--gens", "h⊗1", "--gens", "e^1*1"]
+
+
+@pytest.fixture
+def blowup_at_a_point(tmp_path, capsys):
+    src, out = tmp_path / "bl.build.json", tmp_path / "bl.alg.json"
+    src.write_text(json.dumps(_BLOWUP_AT_A_POINT))
+    assert run(["build", str(src), "-o", str(out)]) == 0
+    capsys.readouterr()
+    return str(out)
+
+
+def test_poincare_duality_fails_by_rank(blowup_at_a_point, capsys):
+    assert run(["check", blowup_at_a_point, "--pd", *_GENS]) == 1
+    assert capsys.readouterr().out == \
+        "poincare-duality Bl(P1xP1, P0): FAIL k=1: rank 1 of 2\n"
+
+
+def test_report_pins_the_rank_failures(blowup_at_a_point, capsys):
+    assert run(["report", blowup_at_a_point, "--omega", "h⊗1", *_GENS]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:] == ["lefschetz dims: 1 2 1",
+                       "omega: h⊗1",
+                       "symmetry: PASS",
+                       "poincare_duality: FAIL k=1: rank 1 of 2",
+                       "hard_lefschetz: FAIL k=0: rank 0 of 1",
+                       "primitive dims: not defined (hard Lefschetz fails)"]
+
+
 def test_verify_reports_a_noncommutative_file(tmp_path, capsys):
     # a version 1 file lists both orders of a product, so it can hold this
     payload = algebra_payload_v1(get("P1xP1").algebra)

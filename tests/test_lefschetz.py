@@ -1,5 +1,7 @@
 """Degree-one subalgebras and the three structural predicates."""
 
+from fractions import Fraction
+
 import pytest
 
 from _oracles import (brute_force_lefschetz_bases, brute_force_lefschetz_dims,
@@ -8,7 +10,7 @@ from lefalg import lefschetz, ring
 from lefalg.catalog import get, names
 from lefalg.cli import run
 from lefalg.constructors import projective_space
-from lefalg.lefschetz import (_gram, check_hard_lefschetz,
+from lefalg.lefschetz import (_int_gram, _omega_powers, check_hard_lefschetz,
                               check_poincare_duality, check_symmetry,
                               lefschetz_subalgebra, primitive_dims)
 from lefalg.linalg import Matrix, kernel
@@ -207,9 +209,9 @@ def _count_map_ranks(monkeypatch):
     calls = []
     inner = lefschetz._map_rank
 
-    def counted(lef, mult_by, k):
+    def counted(lef, m, row, k):
         calls.append(k)
-        return inner(lef, mult_by, k)
+        return inner(lef, m, row, k)
 
     monkeypatch.setattr(lefschetz, "_map_rank", counted)
     return calls
@@ -240,14 +242,50 @@ def test_primitive_dims_still_ranks_kernels_when_hl_fails(monkeypatch):
     assert sorted(calls) == sorted(hl + list(range(d // 2 + 1)))
 
 
+def _is_one_multiple(rows, exact) -> bool:
+    """Whether the integer rows are c * exact for one rational c != 0, in
+    the same shape; all-zero rows are a multiple of all-zero exact rows."""
+    flat = [x for row in rows for x in row]
+    goal = [y for row in exact for y in row]
+    if [len(r) for r in rows] != [len(r) for r in exact] or \
+            [x == 0 for x in flat] != [y == 0 for y in goal]:
+        return False
+    c = next((Fraction(x) / y for x, y in zip(flat, goal) if y), 1)
+    return all(x == c * y for x, y in zip(flat, goal))
+
+
+def _exact_gram(lef, k):
+    d = lef.ambient.top_degree
+    return [[integrate(multiply(u, v)) for v in lef.elements(d - k)]
+            for u in lef.elements(k)]
+
+
+def _dense_row(row, n):
+    out = [0] * n
+    for t, x in row:
+        out[t] = x
+    return out
+
+
 @pytest.mark.parametrize("name", names())
 def test_pd_gram_is_the_integral_of_products(name):
     lef = lefschetz_subalgebra(get(name).algebra)
-    d = lef.ambient.top_degree
-    for k in range(d + 1):
-        assert _gram(lef, k) == [[integrate(multiply(u, v))
-                                  for v in lef.elements(d - k)]
-                                 for u in lef.elements(k)]
+    for k in range(lef.ambient.top_degree + 1):
+        assert _is_one_multiple(_int_gram(lef, k), _exact_gram(lef, k))
+
+
+def test_omega_power_rows_are_lines_of_the_powers():
+    # example3's catalog omega has omega^7 = 0 in top degree 8, so HL fails
+    # at k=0; each row is a multiple of omega^m, empty exactly where it is 0
+    omega = get("example3").omega
+    d = omega.algebra.top_degree
+    rows = _omega_powers(omega, d + 1)
+    assert len(rows) == d + 2
+    assert [m for m, row in enumerate(rows) if not row] == [7, 8, 9] == \
+        [m for m in range(d + 2) if (omega ** m).is_zero]
+    for m, row in enumerate(rows):
+        exact = (omega ** m).coords
+        assert _is_one_multiple([_dense_row(row, len(exact))], [exact]), m
 
 
 def test_report_ranks_each_hl_map_once(monkeypatch, capsys):
@@ -280,7 +318,9 @@ def test_tables_with_denominators_give_the_same_answers(name):
     entry = get(name)
     a = entry.algebra
     b, lam = rescaled(a)
-    assert ring._int_table(b, 1, 1)[0] > 1  # the table scale is exercised
+    # the table scale is exercised: a cell holds a denominator > 1
+    assert any(c.denominator > 1 for row in b.tables[1, 1]
+               for cell in row for _, c in cell)
     omega = b.element(1, [x / l for x, l in zip(entry.omega.coords, lam[1])])
     lef_a, lef_b = lefschetz_subalgebra(a), lefschetz_subalgebra(b)
     assert lef_b.dims == lef_a.dims == brute_force_lefschetz_dims(b)
@@ -292,8 +332,7 @@ def test_tables_with_denominators_give_the_same_answers(name):
     assert primitive_dims(lef_b, omega) == primitive_dims(lef_a, entry.omega)
     d = b.top_degree
     for k in range(d + 1):
-        assert _gram(lef_b, k) == [[integrate(multiply(u, v))
-                                    for v in lef_b.elements(d - k)]
-                                   for u in lef_b.elements(k)]
-    assert lefschetz._omega_powers(omega, d + 1) == \
-        [omega ** m for m in range(d + 2)]
+        assert _is_one_multiple(_int_gram(lef_b, k), _exact_gram(lef_b, k))
+    for m, row in enumerate(_omega_powers(omega, d + 1)):
+        exact = (omega ** m).coords
+        assert _is_one_multiple([_dense_row(row, len(exact))], [exact]), m

@@ -163,6 +163,16 @@ def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors):
                                         (Fraction(0), Fraction(1))]
 
 
+def test_int_rows_clear_denominators_by_one_lcm_per_list():
+    # one scale for the list keeps the rows' ratios, so an integer Gram is
+    # a single multiple of the exact one
+    assert linalg._int_rows([[Fraction(1, 2), 1], [Fraction(1, 3), "2/9"]]) == \
+        [[9, 18], [6, 4]]
+    assert linalg._int_rows([]) == []
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        linalg._int_rows([[1, 2], [3]])
+
+
 def test_full_width_basis_shortcut_matches_rref():
     rng = random.Random(1982)
     for _ in range(100):
