@@ -303,6 +303,9 @@ def run(argv: list[str] | None = None) -> int:
         # IsADirectoryError are OSErrors; exit 1 is kept for failing verdicts
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

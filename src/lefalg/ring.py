@@ -13,8 +13,9 @@ constructor takes, and it checks each of them. The (k1, k2) and (k2, k1)
 tables hold the same cell objects wherever the two agree, so no product is
 stored twice. Products, verification, pairings and the file format all read
 cells; the dense coordinate tables are only a view (`GradedAlgebra.products`),
-as are the integer cells the Lefschetz stage reads (`_int_table`), and dense
-vectors are read only from payloads (`serialize`).
+as are the integer cells that the Lefschetz stage, the generator search and
+the pairing ranks read (`_int_table`), and dense vectors are read only from
+payloads (`serialize`).
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -29,6 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from .linalg import (
@@ -36,9 +38,9 @@ from .linalg import (
     P,
     Vector,
     _add_row_mod_p,
+    _rank,
     dot,
     format_rational,
-    row_space_rank,
     scalar,
     vadd,
     vector,
@@ -436,63 +438,75 @@ def _combine(terms: Sequence[tuple[Fraction, Cell]]) -> Cell:
     return sparse_cell(acc)
 
 
-def _generators(a: GradedAlgebra) -> list[list[int]]:
-    """Basis classes S_k per degree k (none in degree 0) that generate a.
+def _generators(a: GradedAlgebra) -> tuple[list[list[int]], dict]:
+    """Basis classes S_k per degree k (none in degree 0) that generate a,
+    and the pairs `verify_algebra` checks associativity on.
 
     W^k is spanned by the cells s*b for s in S_j and b a basis class of
     degree k-j, 1 <= j < k; S_k takes each basis class that raises the
     rank of W^k mod P (cells read from `_int_table`). The rank over Q is at
-    least the rank mod P, so W^k and S_k span degree k, and by induction on
-    k every class is a sum of products of the unit and classes of S. No
-    fallback is needed.
+    least the rank mod P, so the kept cells, those that raised it, and S_k
+    span degree k, and by induction on k every class is a sum of products
+    of the unit and classes of S. No fallback is needed.
+
+    The pairs are ``{(k1, k2): [(i, j), ...]}``, sorted: every kept pair
+    (s, b) and every ordered pair of generators with k1 + k2 <= d.
     """
+    d = a.top_degree
     gens: list[list[int]] = [[]]
-    for k in range(1, a.top_degree + 1):
+    pairs: dict = {}
+    for k in range(1, d + 1):
         n, pivots = a.dim(k), []
         for j in range(1, k):
             if not gens[j]:
                 continue  # no generator in degree j: its table is not read
             table = _int_table(a, j, k - j)
             for s in gens[j]:
-                for cell in table[s]:
+                for b, cell in enumerate(table[s]):
                     if cell and len(pivots) < n:
                         row = [0] * n
                         for t, c in cell:
                             row[t] = c % P
-                        _add_row_mod_p(pivots, row)
+                        if _add_row_mod_p(pivots, row):
+                            pairs.setdefault((j, k - j), set()).add((s, b))
         gens.append([i for i in range(n)
                      if _add_row_mod_p(pivots, [int(t == i) for t in range(n)])])
-    return gens
+    for k1 in range(1, d + 1):
+        for k2 in range(1, d + 1 - k1):
+            if gens[k1] and gens[k2]:
+                pairs.setdefault((k1, k2), set()).update(product(gens[k1], gens[k2]))
+    return gens, {key: sorted(ij) for key, ij in pairs.items()}
 
 
-def _associativity(a: GradedAlgebra, outer: Sequence[Iterable[int]]) -> list[str]:
+def _associativity(a: GradedAlgebra, pairs: Mapping) -> list[str]:
     """Compare (b_i b_j) b_l with b_i (b_j b_l), composed cell by cell, for
-    b_i over the classes outer[k1] of each degree k1 and b_j, b_l over all."""
+    each pair (i, j) of ``pairs[(k1, k2)]`` and every basis class b_l, in
+    the order (k1, k2, k3, i, j, l)."""
     bad: list[str] = []
     d = a.top_degree
     tables = a.tables
     for k1 in range(d + 1):
         for k2 in range(d + 1 - k1):
+            ij = pairs.get((k1, k2), ())
             t12 = tables[(k1, k2)]
             for k3 in range(d + 1 - k1 - k2):
                 t12_3 = tables[(k1 + k2, k3)]
                 t23 = tables[(k2, k3)]
                 t1_23 = tables[(k1, k2 + k3)]
                 n3 = a.dim(k3)
-                for i in outer[k1]:
+                for i, j in ij:
                     row1 = t1_23[i]
-                    for j in range(a.dim(k2)):
-                        bij = t12[i][j]
-                        if len(bij) == 1 and bij[0][1] == 1:
-                            lhs_row = t12_3[bij[0][0]]
-                        else:
-                            lhs_row = [_combine([(c, t12_3[t][l]) for t, c in bij])
-                                       for l in range(n3)]
-                        for l, bjl in enumerate(t23[j]):
-                            if lhs_row[l] != _combine([(c, row1[s]) for s, c in bjl]):
-                                bad.append(
-                                    f"associativity fails on degrees "
-                                    f"({k1},{k2},{k3}) indices ({i},{j},{l})")
+                    bij = t12[i][j]
+                    if len(bij) == 1 and bij[0][1] == 1:
+                        lhs_row = t12_3[bij[0][0]]
+                    else:
+                        lhs_row = [_combine([(c, t12_3[t][l]) for t, c in bij])
+                                   for l in range(n3)]
+                    for l, bjl in enumerate(t23[j]):
+                        if lhs_row[l] != _combine([(c, row1[s]) for s, c in bjl]):
+                            bad.append(
+                                f"associativity fails on degrees "
+                                f"({k1},{k2},{k3}) indices ({i},{j},{l})")
     return bad
 
 
@@ -503,15 +517,27 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
     associativity, a nonzero integration functional, and full-rank pairing
     in every degree. Violations are data, not exceptions.
 
-    Associativity is checked on S x A x A, for basis triples with degree sum
-    <= d whose first class lies in a set S of basis classes that generates
-    the algebra (certified by a rank mod P, see `_generators`). The left
-    nucleus {x : (xy)z = x(yz) for all y, z} of any algebra is a subalgebra
-    (the Teichmuller identity; Schafer, An Introduction to Nonassociative
-    Algebras, 1966, ch. II), and it holds 1 when the unit law does, so this
-    is associativity on all of A x A x A. When the unit law fails, or S x A x A
-    shows any violation, the full scan over all basis triples runs and its
-    violations are the ones reported, so the report is always the full scan's.
+    Associativity is checked on the pairs of `_generators`: each pair (i, j)
+    is the triple (b_i b_j) b_l = b_i (b_j b_l) for every basis class b_l.
+    Let L_x be multiplication by x and C the algebra of operators that the
+    L_s, s in the generating set S, generate. Given the unit law and
+    commutativity, which are checked first:
+
+    - the pairs (s, t) and (t, s) of generators give L_s L_t = L_t L_s, so C
+      is commutative;
+    - a kept pair (s, b) gives L_{s b} = L_s L_b, and the kept cells and
+      S_k span degree k, so by induction on k every L_y lies in C;
+    - T -> T(1) is injective on C, since T(b) = T L_b(1) = L_b T(1);
+    - L_x L_y and L_{xy} lie in C and both send 1 to xy, so they are equal.
+
+    That is associativity on every basis triple, checked on O(n^2) of them.
+    When the unit law or commutativity fails, or a pair shows a violation,
+    the full scan over all basis triples runs and its violations are the
+    ones reported, so the report is always the full scan's.
+
+    The pairing of degree k is ranked on the integer rows of
+    `_int_table(a, k, d - k)` dotted with the integration vector cleared of
+    denominators, a nonzero multiple of `pairing_matrix(a, k)`.
     """
     bad: list[str] = []
     d = a.top_degree
@@ -521,7 +547,6 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
             if cell != ((i, 1),):
                 bad.append(f"unit law fails on degree {k} basis #{i} "
                            f"({a.basis[k][i]})")
-    unit_ok = not bad
     for k1 in range(d + 1):
         for k2 in range(k1, d + 1 - k1):
             table, mirror = tables[(k1, k2)], tables[(k2, k1)]
@@ -530,19 +555,24 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
                     if cell != mirror[j][i]:
                         bad.append(f"commutativity fails at degrees ({k1},{k2}) "
                                    f"indices ({i},{j})")
-    if not unit_ok or _associativity(a, _generators(a)):
-        bad += _associativity(a, [range(n) for n in a.dims])
-    if a.dim(d) > 0 and all(c == 0 for c in a.integration):
+    if bad or _associativity(a, _generators(a)[1]):
+        every = {(k1, k2): list(product(range(a.dim(k1)), range(a.dim(k2))))
+                 for k1, k2 in tables}
+        bad += _associativity(a, every)
+    w = a.integration
+    if a.dim(d) > 0 and all(c == 0 for c in w):
         bad.append("integration functional is identically zero")
+    scale = lcm(*(c.denominator for c in w))
+    w = [c.numerator * (scale // c.denominator) for c in w]
     for k in range(d + 1):
-        g = pairing_matrix(a, k)
-        rank = row_space_rank(g.entries)
-        if g.rows != g.cols:
-            bad.append(f"pairing at degree {k} is not square: "
-                       f"{g.rows}x{g.cols}")
-        elif rank != g.rows:
-            bad.append(f"pairing at degree {k} is singular "
-                       f"(rank {rank} of {g.rows})")
+        n, m = a.dim(k), a.dim(d - k)
+        if n != m:
+            bad.append(f"pairing at degree {k} is not square: {n}x{m}")
+            continue
+        rank = _rank([[sum(w[t] * c for t, c in cell) for cell in row]
+                      for row in _int_table(a, k, d - k)], n)
+        if rank != n:
+            bad.append(f"pairing at degree {k} is singular (rank {rank} of {n})")
     return CheckReport(tuple(bad))
 
 

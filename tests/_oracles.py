@@ -13,8 +13,9 @@ names each class by its label pair, so it never sees the block layout
 that `tensor_product` places cells by.
 
 `full_scan_violations` is the one exception: it is `verify_algebra` itself
-with every basis class taken as a generator, so that associativity is
-checked on every basis triple, as it was before the generator search.
+with every pair of basis classes in its pair set (`all_pairs`), so that
+associativity is checked on every basis triple, as it was before the
+generator search.
 
 `write_algebra_v1` is the version 1 file writer, kept as the reference for
 the bytes it wrote and as a source of version 1 files, which still read.
@@ -225,10 +226,16 @@ def rescaled(a: GradedAlgebra) -> tuple[GradedAlgebra, list[list[Fraction]]]:
     return GradedAlgebra(a.name, a.basis, tables, integration), lam
 
 
+def all_pairs(a: GradedAlgebra) -> dict:
+    """Every pair of basis classes, in the form of `ring._generators`'s
+    pairs: {(k1, k2): [(i, j), ...]}, sorted."""
+    return {(k1, k2): list(itertools.product(range(a.dim(k1)), range(a.dim(k2))))
+            for k1, k2 in a.tables}
+
+
 def full_scan_violations(a: GradedAlgebra) -> tuple[str, ...]:
     """verify_algebra's violations with associativity on all of A x A x A."""
-    with mock.patch.object(ring, "_generators",
-                           lambda a: [range(n) for n in a.dims]):
+    with mock.patch.object(ring, "_generators", lambda a: ([], all_pairs(a))):
         return ring.verify_algebra(a).violations
 
 

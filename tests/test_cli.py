@@ -208,6 +208,18 @@ def test_bad_input_exits_2_without_traceback(tmp_path, make_args):
     assert "Traceback" not in proc.stderr
 
 
+def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(lefalg.cli, "cmd_verify", exhausted)
+    assert run(["verify", "Gr-2-4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+    assert "Traceback" not in captured.err
+
+
 def test_import_loads_no_dataclasses_typing_or_hashlib():
     # every command pays for what `import lefalg.cli` loads; -S keeps the
     # site hooks of installed packages out of the count

@@ -14,9 +14,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import (algebra_payload_v1, dense_axiom_violations,
+from _oracles import (algebra_payload_v1, all_pairs, dense_axiom_violations,
                       full_scan_violations)
-from lefalg import catalog, linalg
+from lefalg import catalog, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
 from lefalg.linalg import P, Matrix, row_space_basis, row_space_rank, rref
@@ -197,6 +197,39 @@ def test_corrupted_cells_get_the_full_scan_report(data):
     assert [v for v in violations
             if v.startswith(("commutativity", "associativity"))] \
         == dense_axiom_violations(a)
+
+
+# Mirrored corruptions of cells off the unit row keep the unit law and
+# commutativity, the premises of the operator argument, so the scan on the
+# pairs of `ring._generators` must find a violation exactly when the full
+# scan over every basis triple does, and only lines of the full scan.
+PAIRED = {n: catalog.get(n).algebra
+          for n in ("P1xP2", "P1xP1xP1", "Gr-2-4", "Gr-2-5", "example1",
+                    "example3", "P2xP2", "Gr-2-4xP1")}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_the_pair_scan_flags_exactly_when_the_full_scan_does(data):
+    name = data.draw(st.sampled_from(list(PAIRED)))
+    t = PAIRED[name]
+    d = t.top_degree
+    tables = {k: [list(row) for row in tab] for k, tab in t.tables.items()}
+    for _ in range(data.draw(st.integers(1, 3))):
+        k1 = data.draw(st.integers(1, d - 1))
+        k2 = data.draw(st.integers(1, d - k1))
+        i = data.draw(st.integers(0, t.dim(k1) - 1))
+        j = data.draw(st.integers(0, t.dim(k2) - 1))
+        terms = data.draw(st.lists(st.integers(0, t.dim(k1 + k2) - 1),
+                                   max_size=2, unique=True))
+        tables[(k1, k2)][i][j] = tables[(k2, k1)][j][i] = tuple(sorted(
+            (s, data.draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                                           Fraction(1, 2)]))) for s in terms))
+    a = GradedAlgebra("corrupted", t.basis, tables, t.integration)
+    fast = ring._associativity(a, ring._generators(a)[1])
+    full = ring._associativity(a, all_pairs(a))
+    assert bool(fast) == bool(full)
+    assert set(fast) <= set(full)
 
 
 # The certified modular RREF against rref. A matrix is L*R for an RREF R of

@@ -7,12 +7,12 @@ from unittest import mock
 
 import pytest
 
-from _oracles import (algebra_payload_v1, dense_axiom_violations,
+from _oracles import (algebra_payload_v1, all_pairs, dense_axiom_violations,
                       dense_multiply, dense_tensor_product,
                       full_scan_violations, relabeled, rescaled)
 from lefalg import catalog, ring
 from lefalg.constructors import projective_space, truncated_polynomial_algebra
-from lefalg.linalg import Matrix
+from lefalg.linalg import Matrix, rref
 from lefalg.ring import (GradedAlgebra, RingMap, apply_ring_map, integrate,
                          multiply, pairing_matrix, render_element,
                          tensor_product, verify_algebra, verify_ring_map)
@@ -462,9 +462,11 @@ def test_verify_algebra_flags_every_zero_cell_made_nonzero_on_one_side():
     assert tampered >= 10
 
 
-# Generator search and associativity on S x A x A. The left nucleus of an
-# algebra is a subalgebra, so a clean S x A x A scan means a clean full scan;
-# any violation reruns the full scan, whose report is the one returned.
+# Generator search and associativity on a spanning set of pairs. Given the
+# unit law and commutativity, the generator pairs and the kept pairs make the
+# multiplication operators a commutative algebra that holds every L_y, so a
+# clean pair scan means a clean full scan; any violation, a broken unit law
+# or broken commutativity reruns the full scan, whose report is returned.
 
 GENERATOR_COUNTS = {
     "example1": (0, 2, 1, 0, 0, 0),
@@ -473,11 +475,49 @@ GENERATOR_COUNTS = {
     "P2xP2xP2xP2": (0, 4, 0, 0, 0, 0, 0, 0, 0),
 }
 
+# pairs per product degree k1 + k2: the kept pairs, dim A^k - |S_k| in
+# degree k, with the ordered generator pairs that are not kept
+PAIR_COUNTS = {
+    "example1": (0, 0, 4, 6, 3, 1),
+    "example3": (0, 0, 4, 7, 7, 5, 4, 2, 1),
+    "Gr-3-8": (0, 0, 1, 3, 5, 6, 7, 6, 6, 6, 5, 4, 3, 2, 1, 1),
+    "P2xP2xP2xP2": (0, 0, 16, 16, 19, 16, 10, 4, 1),
+}
+
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_COUNTS))
 def test_generator_counts_are_pinned(name):
-    gens = ring._generators(catalog.get(name).algebra)
+    gens, _ = ring._generators(catalog.get(name).algebra)
     assert tuple(map(len, gens)) == GENERATOR_COUNTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_COUNTS))
+def test_pair_counts_are_pinned(name):
+    a = catalog.get(name).algebra
+    gens, pairs = ring._generators(a)
+    counts = [0] * (a.top_degree + 1)
+    for (k1, k2), ij in pairs.items():
+        assert ij == sorted(set(ij))
+        counts[k1 + k2] += len(ij)
+    assert tuple(counts) == PAIR_COUNTS[name]
+    for k1, ss in enumerate(gens):  # every ordered pair of generators
+        for k2, ts in enumerate(gens):
+            if k1 + k2 <= a.top_degree:
+                assert set(itertools.product(ss, ts)) <= set(pairs.get((k1, k2), ()))
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_COUNTS))
+def test_kept_pairs_and_generators_span_every_degree(name):
+    # every pair starts with a generator, and the products of the pairs,
+    # with the generators themselves, span each degree over Q (rref ranks)
+    a = catalog.get(name).algebra
+    gens, pairs = ring._generators(a)
+    assert all(i in gens[k1] for (k1, _), ij in pairs.items() for i, _ in ij)
+    for k in range(1, a.top_degree + 1):
+        vecs = [a.basis_element(k, i).coords for i in gens[k]]
+        vecs += [multiply(a.basis_element(k1, i), a.basis_element(k2, j)).coords
+                 for (k1, k2), ij in pairs.items() if k1 + k2 == k for i, j in ij]
+        assert rref(Matrix.from_rows(vecs)).rank == a.dim(k), k
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_COUNTS))
@@ -489,7 +529,7 @@ def test_generator_monomials_span_every_degree(name):
     d = a.top_degree
     products = dict(a.products)
     gens = [a.basis_element(k, i)
-            for k, idx in enumerate(ring._generators(a)) for i in idx]
+            for k, idx in enumerate(ring._generators(a)[0]) for i in idx]
     monomials = {(): a.unit()}  # each product extends the one of its prefix
     for r in range(1, d + 1):
         for combo in itertools.combinations_with_replacement(range(len(gens)), r):
@@ -507,12 +547,12 @@ def test_generator_monomials_span_every_degree(name):
 
 def _scans(a):
     """verify_algebra's violations, and each associativity scan it ran as
-    (outer classes per degree, violations found)."""
+    (number of pairs checked, violations found)."""
     calls, real = [], ring._associativity
 
-    def spy(a, outer):
-        found = real(a, outer)
-        calls.append(([list(o) for o in outer], found))
+    def spy(a, pairs):
+        found = real(a, pairs)
+        calls.append((sum(map(len, pairs.values())), found))
         return found
 
     with mock.patch.object(ring, "_associativity", spy):
@@ -523,7 +563,7 @@ def test_a_clean_algebra_is_scanned_on_its_generators_only():
     a = catalog.get("Gr-3-8").algebra
     violations, calls = _scans(a)
     assert violations == ()
-    assert calls == [([[], [0], [0], [0]] + [[]] * 12, [])]
+    assert calls == [(56, [])]  # the 56 pairs of `_generators`, once
 
 
 def test_a_broken_unit_law_runs_the_full_scan():
@@ -532,25 +572,81 @@ def test_a_broken_unit_law_runs_the_full_scan():
     a = GradedAlgebra("bad-unit", t.basis, tables, t.integration)
     violations, calls = _scans(a)
     assert violations[0] == "unit law fails on degree 1 basis #0 (h⊗1)"
-    assert [outer for outer, _ in calls] == [[[0], [0, 1], [0, 1], [0]]]
+    assert [n for n, _ in calls] == [sum(map(len, all_pairs(a).values()))]
     assert violations == full_scan_violations(a)
     axioms = [v for v in violations if v.startswith("associativity")]
     assert axioms and axioms == dense_axiom_violations(a)
 
 
+def test_broken_commutativity_runs_the_full_scan():
+    # the operator argument needs commutativity, so a commutativity failure
+    # goes straight to the full scan
+    t, tables = _p1xp2_tables()
+    i = t.basis[1].index("h⊗1")
+    j = t.basis[2].index("1⊗h^2")
+    tables[(1, 2)][i][j] = ((0, Fraction(-1)),)  # mirror left intact
+    a = GradedAlgebra("warped2", t.basis, tables, t.integration)
+    violations, calls = _scans(a)
+    assert violations[0].startswith("commutativity")
+    assert [n for n, _ in calls] == [sum(map(len, all_pairs(a).values()))]
+    assert violations == full_scan_violations(a)
+
+
 def test_a_violation_on_the_generators_reports_the_full_scan():
-    # Gr(2,4) with s[1]*s[1,1] := 0 on both sides: the scan on S = {s[1],
-    # s[2]} finds one of the two broken triples, the full scan both
+    # Gr(2,4) with s[1]*s[1,1] := 0 on both sides: the scan on the pairs of
+    # S = {s[1], s[2]} finds one of the two broken triples, the full scan both
     t = catalog.get("Gr-2-4").algebra
     tables = {k: [list(row) for row in tab] for k, tab in t.tables.items()}
     tables[(1, 2)][0][1] = tables[(2, 1)][1][0] = ()
     a = GradedAlgebra("warped", t.basis, tables, t.integration)
+    assert ring._generators(a) == ([[], [0], [0], [], []], {
+        (1, 1): [(0, 0)], (1, 2): [(0, 0)], (1, 3): [(0, 0)],
+        (2, 1): [(0, 0)], (2, 2): [(0, 0)]})
     violations, calls = _scans(a)
-    (fast_outer, fast), (full_outer, full) = calls
-    assert fast_outer == [[], [0], [0], [], []]
-    assert full_outer == [[0], [0], [0, 1], [0], [0]]
+    (fast_pairs, fast), (full_pairs, full) = calls
+    assert (fast_pairs, full_pairs) == (5, 22)
     assert fast == ["associativity fails on degrees (1,1,2) indices (0,0,1)"]
     assert full == fast + ["associativity fails on degrees (2,1,1) indices (1,0,0)"]
     assert violations == full_scan_violations(a)
     assert [v for v in violations if v.startswith("associativity")] == full
     assert full == dense_axiom_violations(a)
+
+
+def _split_pairs(a):
+    """The pairs of `ring._generators` split into those of two generators
+    and the rest, each in the same form."""
+    gens, pairs = ring._generators(a)
+    both = {key: [(i, j) for i, j in ij if i in gens[key[0]] and j in gens[key[1]]]
+            for key, ij in pairs.items()}
+    rest = {key: [p for p in ij if p not in both[key]] for key, ij in pairs.items()}
+    return both, rest
+
+
+def test_the_generator_pairs_catch_what_the_other_pairs_miss():
+    # P1xP2 with (h⊗1)^2 := h⊗h: only the pairs of two generators see it
+    t, tables = _p1xp2_tables()
+    i = t.basis[1].index("h⊗1")
+    tables[(1, 1)][i][i] = ((t.basis[2].index("h⊗h"), Fraction(1)),)
+    a = GradedAlgebra("warped", t.basis, tables, t.integration)
+    both, rest = _split_pairs(a)
+    assert ring._associativity(a, both)
+    assert not ring._associativity(a, rest)
+    assert full_scan_violations(a)[:2] == (
+        "associativity fails on degrees (1,1,1) indices (0,0,1)",
+        "associativity fails on degrees (1,1,1) indices (1,0,0)")
+
+
+def test_the_kept_pairs_catch_what_the_generator_pairs_miss():
+    # example3 with (z^1*s[1,1])^2 := 0: the generator pairs alone see no
+    # violation, the kept pairs do
+    t = catalog.get("example3").algebra
+    tables = {k: [list(row) for row in tab] for k, tab in t.tables.items()}
+    i = t.basis[3].index("z^1*s[1,1]")
+    tables[(3, 3)][i][i] = ()
+    a = GradedAlgebra("warped", t.basis, tables, t.integration)
+    both, rest = _split_pairs(a)
+    assert not ring._associativity(a, both)
+    assert ring._associativity(a, rest)
+    assert full_scan_violations(a)[:2] == (
+        "associativity fails on degrees (1,2,3) indices (0,2,3)",
+        "associativity fails on degrees (1,2,3) indices (1,1,3)")
