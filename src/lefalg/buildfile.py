@@ -41,35 +41,16 @@ class BuildTypeError(BuildFileError):
     """The file is valid JSON but not a well-typed build tree."""
 
 
-class PNode(namedtuple("PNode", "path n")):
-    __slots__ = ()
-
-
-class GrNode(namedtuple("GrNode", "path k n")):
-    __slots__ = ()
-
-
-class ProductNode(namedtuple("ProductNode", "path factors")):
-    __slots__ = ()
-
-
-class BundleNode(namedtuple("BundleNode", "path base chern")):
-    # chern: per degree, tuple of Fractions
-    __slots__ = ()
-
-
-class BlowupNode(namedtuple("BlowupNode", "path y z pullback chern")):
-    # pullback: per degree, tuple of row tuples of Fractions;
-    # chern: c_1..c_r as coefficient tuples
-    __slots__ = ()
-
-
-class AlgebraNode(namedtuple("AlgebraNode", "path payload")):
-    __slots__ = ()
-
-
-class CatalogNode(namedtuple("CatalogNode", "path name")):
-    __slots__ = ()
+PNode = namedtuple("PNode", "path n")
+GrNode = namedtuple("GrNode", "path k n")
+ProductNode = namedtuple("ProductNode", "path factors")
+# chern: per degree, tuple of Fractions
+BundleNode = namedtuple("BundleNode", "path base chern")
+# pullback: per degree, tuple of row tuples of Fractions;
+# chern: c_1..c_r as coefficient tuples
+BlowupNode = namedtuple("BlowupNode", "path y z pullback chern")
+AlgebraNode = namedtuple("AlgebraNode", "path payload")
+CatalogNode = namedtuple("CatalogNode", "path name")
 
 
 BuildExpr = (PNode | GrNode | ProductNode | BundleNode | BlowupNode

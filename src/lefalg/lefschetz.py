@@ -99,9 +99,7 @@ def lefschetz_subalgebra(a: GradedAlgebra,
     return LefschetzData(a, tuple(g.coords for g in gens), tuple(bases))
 
 
-class DegreeVerdict(namedtuple("DegreeVerdict", "k passed witness",
-                               defaults=("",))):
-    __slots__ = ()
+DegreeVerdict = namedtuple("DegreeVerdict", "k passed witness", defaults=("",))
 
 
 class PredicateVerdict(namedtuple("PredicateVerdict", "predicate degrees")):

@@ -2,7 +2,9 @@
 
 Every result is exact: a `Fraction`, or an int that stands for one.
 Matrices are immutable after construction and every operation is a pure
-function; there is deliberately no float path.
+function; there is deliberately no float path. Every `Matrix`, the results
+of `transpose` and `rref` included, is built by its checking constructor,
+which coerces each entry with `scalar` and checks the shape.
 
 Ranks and row-space bases work on integer rows, and a rank sees only the
 line of each row, not its scale, so no scale is returned or carried.
@@ -108,15 +110,6 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _exact(cls, rows: int, cols: int, grid: tuple[Vector, ...]) -> "Matrix":
-        """A rows x cols matrix of Fraction entries computed here; no re-coercion."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", grid)
-        return m
-
-    @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
         rows = [tuple(r) for r in rows]
         if not rows:
@@ -141,9 +134,7 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix._exact(self.cols, self.rows,
-                             tuple(tuple(row[j] for row in self.entries)
-                                   for j in range(self.cols)))
+        return Matrix(self.cols, self.rows, map(self.column, range(self.cols)))
 
     def mat_vec(self, v: Sequence) -> Vector:
         v = vector(v)
@@ -197,8 +188,7 @@ def rref(m: Matrix) -> RrefResult:
         pr += 1
         if pr == m.rows:
             break
-    reduced = Matrix._exact(m.rows, m.cols, tuple(map(tuple, work)))
-    return RrefResult(reduced, tuple(pivots), len(pivots))
+    return RrefResult(Matrix(m.rows, m.cols, work), tuple(pivots), len(pivots))
 
 
 def _int_rows(vectors: Iterable[Sequence]) -> list[list[int]]:
@@ -335,8 +325,7 @@ def _exact_rref(rows: list[list[int]], width: int,
         reduced.append(tuple(row))
     if None not in seen.values() and _certify(rows, width, pivot_columns, reduced):
         return reduced
-    res = rref(Matrix._exact(len(rows), width,
-                             tuple(tuple(map(Fraction, r)) for r in rows)))
+    res = rref(Matrix(len(rows), width, rows))
     return [res.reduced.row(i) for i in range(res.rank)]
 
 
@@ -385,9 +374,8 @@ def solve(a: Matrix, b: Sequence) -> Vector | None:
     b = vector(b)
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} != row count {a.rows}")
-    aug = Matrix._exact(a.rows, a.cols + 1,
-                        tuple(a.entries[i] + (b[i],) for i in range(a.rows)))
-    red, pivots, _rank = rref(aug)
+    red, pivots, _rank = rref(Matrix(a.rows, a.cols + 1,
+                                     [r + (x,) for r, x in zip(a.entries, b)]))
     if a.cols in pivots:
         return None
     x = [Fraction(0)] * a.cols

@@ -38,6 +38,7 @@ from .linalg import (
     P,
     Vector,
     _add_row_mod_p,
+    _int_rows,
     _rank,
     dot,
     format_rational,
@@ -427,7 +428,10 @@ class CheckReport(namedtuple("CheckReport", "violations")):
 
 
 def _combine(terms: Sequence[tuple[Fraction, Cell]]) -> Cell:
-    """The cell of the sum of c * cell over the (c, cell) terms."""
+    """The cell of the sum of c * cell over the (c, cell) terms; the empty
+    sum, which a zero product gives, is the empty cell."""
+    if not terms:
+        return ()
     if len(terms) == 1:
         c, cell = terms[0]
         return cell if c == 1 else tuple((t, c * v) for t, v in cell)
@@ -562,8 +566,7 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
     w = a.integration
     if a.dim(d) > 0 and all(c == 0 for c in w):
         bad.append("integration functional is identically zero")
-    scale = lcm(*(c.denominator for c in w))
-    w = [c.numerator * (scale // c.denominator) for c in w]
+    w = _int_rows([w])[0]
     for k in range(d + 1):
         n, m = a.dim(k), a.dim(d - k)
         if n != m:

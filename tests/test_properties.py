@@ -14,13 +14,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import (algebra_payload_v1, all_pairs, dense_axiom_violations,
-                      full_scan_violations)
+from _oracles import (algebra_payload_v1, all_pairs, brute_force_lefschetz_dims,
+                      dense_axiom_violations, full_scan_violations, relabeled)
 from lefalg import catalog, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
+from lefalg.constructors import projective_bundle
+from lefalg.lefschetz import lefschetz_subalgebra
 from lefalg.linalg import P, Matrix, row_space_basis, row_space_rank, rref
-from lefalg.ring import GradedAlgebra, verify_algebra
+from lefalg.ring import GradedAlgebra, tensor_product, verify_algebra
 from lefalg.serialize import (algebra_from_payload, algebra_payload,
                               read_algebra, write_algebra)
 
@@ -287,3 +289,45 @@ def test_modular_rref_matches_rref(data):
     assert basis == [res.reduced.row(i) for i in range(res.rank)]
     assert rank == res.rank == r + (kind == "agree")
     assert bool(calls) == forced
+
+
+# Random constructor trees of depth at most 2 over five small leaves: tensor
+# products, and projective bundles of rank 2 or 3 whose Chern classes have
+# integer coordinates in -3..3. Every leaf satisfies Poincare duality, and so
+# does every product and bundle built from them, so each tree must give a
+# palindromic, verified algebra whose L-dims match the brute-force oracle
+# and whose payload reads back as an equal algebra. A bundle's base has its
+# labels put in parentheses: a bundle over a bundle would otherwise repeat
+# the label z^1*1, which the GradedAlgebra constructor refuses.
+TREE_LEAVES = ["P-1", "P-2", "Gr-2-4", "CxP1-even", "example1"]
+MAX_CLASSES = 48
+
+
+def _tree(data, depth: int) -> GradedAlgebra:
+    kind = data.draw(st.sampled_from(["leaf", "tensor", "bundle"] if depth
+                                     else ["leaf"]))
+    if kind == "leaf":
+        return catalog.get(data.draw(st.sampled_from(TREE_LEAVES))).algebra
+    y = _tree(data, depth - 1)
+    if kind == "tensor":
+        z = _tree(data, depth - 1)
+        assume(sum(y.dims) * sum(z.dims) <= MAX_CLASSES)
+        return tensor_product(y, z)
+    rank = data.draw(st.integers(2, 3))
+    assume(rank * sum(y.dims) <= MAX_CLASSES)
+    y = relabeled(y, [[f"({label})" for label in labels] for labels in y.basis])
+    chern = [y.unit()] + [
+        y.element(i, data.draw(st.lists(st.integers(-3, 3), min_size=y.dim(i),
+                                        max_size=y.dim(i))))
+        if i <= y.top_degree else y.zero(i) for i in range(1, rank + 1)]
+    return projective_bundle(y, chern)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_random_constructor_trees(data):
+    a = _tree(data, 2)
+    assert a.dims == a.dims[::-1]
+    assert verify_algebra(a).ok, verify_algebra(a).violations
+    assert lefschetz_subalgebra(a).dims == brute_force_lefschetz_dims(a)
+    assert algebra_from_payload(algebra_payload(a), require_checksum=False) == a
