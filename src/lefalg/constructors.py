@@ -1,9 +1,13 @@
 """Geometric constructors: projective spaces, blowups, projective bundles.
 
 Everything here produces a GradedAlgebra with exact structure constants.
-The blowup and bundle constructors work symbolically: basis classes are
-reduced against the defining relation (the exceptional e^r relation, the
-tautological zeta^s relation) until they land in the chosen basis.
+The blowup and bundle constructors work symbolically on cells (see
+`ring`): basis classes are reduced against the defining relation (the
+exceptional e^r relation, the tautological zeta^s relation) until they land
+in the chosen basis, once per basis class and power within a call, with
+products read from the tables of Y and Z. `ring.verify_ring_map` checks the
+pullback by comparing cells. A bundle whose base already has z^i*... labels,
+as over another bundle, names its class z2 (then z3, ...).
 
 `BlowupInput` is a namedtuple, so it also compares equal to a plain tuple
 of its fields.
@@ -14,18 +18,22 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cache
+from itertools import count
 
 from .linalg import Matrix, dot, rref
 from .ring import (
+    Cell,
     Element,
     GradedAlgebra,
     RingMap,
+    _cells,
     _checked_class,
+    _combine,
     apply_ring_map,
     build_product_tables,
     multiply,
     pairing_matrix,
-    sparse_cell,
     verify_ring_map,
 )
 
@@ -88,11 +96,13 @@ def truncated_polynomial_algebra(name: str,
     return GradedAlgebra(name, basis, tables, [one])
 
 
-def _accumulate(acc: dict, base: int, coords: Sequence[Fraction], scale) -> None:
-    """acc[base + t] += scale * c over the nonzero coordinates c of coords."""
-    for t, c in enumerate(coords):
-        if c:
-            acc[base + t] = acc.get(base + t, 0) + scale * c
+def _times(a: GradedAlgebra, cell: Cell, k: int, kt: int, t: int) -> Cell:
+    """The cell of x * b_t, read from a's tables: x the degree-k class of
+    cell, b_t the basis class t of degree kt; () past the top degree."""
+    if k + kt > a.top_degree:
+        return ()
+    table = a.tables[(k, kt)]
+    return _combine([(c, table[v][t]) for v, c in cell])
 
 
 def _layout(d: int, blocks: Sequence[tuple[Sequence[Sequence[str]], str]]
@@ -255,29 +265,31 @@ def blowup(data: BlowupInput, *, sign: int = 1,
                          f"= {self_int} but c_{r}(N) = {cr}")
 
     S = [(-sign) ** j for j in range(r + 1)]
-    cn = (None,) + data.chern_n  # 1-indexed
+    cn = [()] + _cells(c.coords for c in data.chern_n)  # 1-indexed
+    # iota^* of each Y class (zero above Z's top) and iota_* of each Z class
+    pulled = [_cells(map(m.column, range(m.cols))) for m in pull.matrices]
+    pushed = [_cells(map(m.column, range(m.cols))) for m in push]
+    pulled += [[()] * y.dim(k) for k in range(len(pulled), d + 1)]
+    one = Fraction(1)
 
     # block 0 holds the Y classes, block i the summand Z (x) e^i
     basis, decode, offset = _layout(
         d, [(y.basis, "")] + [(z.basis, f"e^{i}*") for i in range(1, r)])
 
-    def reduce_e(acc: dict, w: Element, s: int, scale) -> None:
-        # accumulate scale * (w (x) e^s) in reduced form; each e-power that
-        # the relation leaves (s - r and i + s - r, i < r) is below s
-        if w.is_zero or w.degree + s > d:
-            return
+    @cache
+    def reduce_e(k: int, t: int, s: int) -> Cell:
+        # the cell of z_t (x) e^s, z_t of degree k, in degree k + s; each
+        # e-power that the relation leaves (s - r and i + s - r) is below s
         if s < r:
-            _accumulate(acc, offset[(w.degree + s, s)], w.coords, scale)
-            return
-        pushed = push[w.degree].mat_vec(w.coords)
+            return ((offset[(k + s, s)] + t, one),)
         if s == r:
-            _accumulate(acc, 0, pushed, scale * S[r])
-        else:
-            ycls = y.element(w.degree + r, pushed)
-            reduce_e(acc, apply_ring_map(pull, ycls), s - r, scale * S[r])
-        for i in range(1, r):
-            reduce_e(acc, multiply(cn[r - i], w), i + s - r,
-                     -scale * S[r] * S[i])
+            terms = [(S[r], pushed[k][t])]
+        else:  # iota^* iota_*(z_t) (x) e^(s-r)
+            back = _combine([(c, pulled[k + r][v]) for v, c in pushed[k][t]])
+            terms = [(S[r] * c, reduce_e(k + r, u, s - r)) for u, c in back]
+        return _combine(terms + [
+            (-S[r] * S[i] * c, reduce_e(r - i + k, u, i + s - r))
+            for i in range(1, r) for u, c in _times(z, cn[r - i], r - i, k, t)])
 
     def mult(k1, i1, k2, i2):
         (b1, j1), (b2, j2) = decode[k1][i1], decode[k2][i2]
@@ -286,12 +298,10 @@ def blowup(data: BlowupInput, *, sign: int = 1,
         if b2 == 0:  # Y sits at offset 0 in every degree: Y's own cell
             return y.tables[(k1, k2)][j1][j2]
         # iota^*(y) (x) 1 or z (x) e^b1, times z' (x) e^b2
-        first = (apply_ring_map(pull, y.basis_element(k1, j1)) if b1 == 0
-                 else z.basis_element(k1 - b1, j1))
-        acc: dict = {}
-        reduce_e(acc, multiply(first, z.basis_element(k2 - b2, j2)), b1 + b2,
-                 Fraction(1))
-        return sparse_cell(acc)
+        first = pulled[k1][j1] if b1 == 0 else ((j1, one),)
+        w = _times(z, first, k1 - b1, k2 - b2, j2)
+        return _combine([(c, reduce_e(k1 + k2 - b1 - b2, t, b1 + b2))
+                         for t, c in w])
 
     tables = build_product_tables(basis, mult)
     # only pulled-back classes survive in the top degree (dim Z = d - r)
@@ -307,7 +317,9 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
     chern = [c_0, ..., c_s] with c_0 = 1 fixes the relation
     zeta^s = -(c_1 zeta^{s-1} + ... + c_s); the basis is y * zeta^i for
     i = 0..s-1 with labels "z^i*<y>" (Y labels verbatim at i = 0), and
-    integration extracts the zeta^{s-1} coefficient's integral over Y.
+    integration extracts the zeta^{s-1} coefficient's integral over Y. Where
+    a "z^i*<y>" label is already one of Y's, as over another bundle, zeta is
+    named by the first of z2, z3, ... whose labels are all new.
     """
     chern = list(chern)
     if len(chern) < 2:
@@ -318,27 +330,29 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
         raise ValueError("c_0 must be the unit class")
     for i, c in enumerate(chern[1:], start=1):
         _checked_class(y, c, i, f"c_{i}")
-    d = y.top_degree + s - 1
+    d, one = y.top_degree + s - 1, Fraction(1)
+    cells = _cells(c.coords for c in chern)
+    var = next(v for v in (f"z{n if n > 1 else ''}" for n in count(1))
+               if all(y.label_location(f"{v}^{i}*{lbl}") is None
+                      for i in range(1, s) for deg in y.basis for lbl in deg))
 
     basis, decode, offset = _layout(
-        d, [(y.basis, f"z^{i}*" if i else "") for i in range(s)])
+        d, [(y.basis, f"{var}^{i}*" if i else "") for i in range(s)])
 
-    def reduce_pow(acc: dict, el: Element, p: int, scale) -> None:
-        # accumulate scale * (el * zeta^p) in reduced form
-        if el.is_zero or el.degree + p > d:
-            return
+    @cache
+    def reduce_pow(k: int, t: int, p: int) -> Cell:
+        # the cell of y_t * zeta^p, y_t of degree k, in degree k + p
         if p < s:
-            _accumulate(acc, offset[(el.degree + p, p)], el.coords, scale)
-            return
-        for i in range(1, s + 1):
-            reduce_pow(acc, multiply(chern[i], el), p - i, -scale)
+            return ((offset[(k + p, p)] + t, one),)
+        return _combine([(-c, reduce_pow(i + k, u, p - i))
+                         for i in range(1, s + 1)
+                         for u, c in _times(y, cells[i], i, k, t)])
 
     def mult(k1, i1, k2, i2):
-        acc: dict = {}
         (i, a), (j, b) = decode[k1][i1], decode[k2][i2]
-        prod = multiply(y.basis_element(k1 - i, a), y.basis_element(k2 - j, b))
-        reduce_pow(acc, prod, i + j, Fraction(1))
-        return sparse_cell(acc)
+        prod = _times(y, ((a, one),), k1 - i, k2 - j, b)
+        return _combine([(c, reduce_pow(k1 + k2 - i - j, t, i + j))
+                         for t, c in prod])
 
     tables = build_product_tables(basis, mult)
     # degree d = top(Y) + s - 1 holds the zeta^{s-1} summand alone

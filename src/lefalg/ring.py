@@ -620,33 +620,49 @@ def apply_ring_map(f: RingMap, x: Element) -> Element:
     return Element(f.target, x.degree, f.matrices[x.degree].mat_vec(x.coords))
 
 
+def _cells(vectors: Iterable[Sequence]) -> list[Cell]:
+    """The cell of each coordinate vector."""
+    return [sparse_cell(dict(enumerate(v))) for v in vectors]
+
+
 def verify_ring_map(f: RingMap) -> CheckReport:
     """Check unit preservation and multiplicativity on all basis pairs.
 
     Pairs with degree sum above the source top (where the source product is
     zero) are still checked against the target product, so maps that crush a
-    relation the target does not satisfy are caught.
+    relation the target does not satisfy are caught. Each class's image is
+    read once, a column of ``f.matrices[k]`` as a cell; both sides are
+    composed from cells, and Elements only render a violation.
     """
     bad: list[str] = []
     src, tgt = f.source, f.target
     if apply_ring_map(f, src.unit()) != tgt.unit():
         bad.append("unit is not mapped to unit")
-    ds = src.top_degree
+    ds, dt = src.top_degree, tgt.top_degree
+    image = [_cells(map(m.column, range(m.cols))) for m in f.matrices]
+    image += [[()] * src.dim(k) for k in range(len(image), ds + 1)]
     for k1 in range(ds + 1):
         for k2 in range(ds + 1):
-            if k1 + k2 > max(ds, tgt.top_degree):
+            k = k1 + k2
+            if k > max(ds, dt):
                 continue
-            for i in range(src.dim(k1)):
-                xi = src.basis_element(k1, i)
-                fxi = apply_ring_map(f, xi)
-                for j in range(src.dim(k2)):
-                    yj = src.basis_element(k2, j)
-                    lhs = apply_ring_map(f, multiply(xi, yj))
-                    rhs = multiply(fxi, apply_ring_map(f, yj))
+            src_table = src.tables[k1, k2] if k <= ds else None
+            tgt_table = tgt.tables[k1, k2] if k <= dt else None
+            for i, fx in enumerate(image[k1]):
+                for j, fy in enumerate(image[k2]):
+                    lhs = rhs = ()
+                    if src_table is not None:
+                        lhs = _combine([(c, image[k][t])
+                                        for t, c in src_table[i][j]])
+                    if tgt_table is not None:
+                        rhs = _combine([(a * b, tgt_table[s][t])
+                                        for s, a in fx for t, b in fy])
                     if lhs != rhs:
+                        n = tgt.dim(k)
                         bad.append(f"multiplicativity fails on degrees "
                                    f"({k1},{k2}) indices ({i},{j}): "
-                                   f"f(xy) = {lhs} but f(x)f(y) = {rhs}")
+                                   f"f(xy) = {Element(tgt, k, _dense(lhs, n))} "
+                                   f"but f(x)f(y) = {Element(tgt, k, _dense(rhs, n))}")
     return CheckReport(tuple(bad))
 
 
@@ -664,18 +680,11 @@ def build_product_tables(basis: Sequence[Sequence[str]],
     for k1 in range(d + 1):
         for k2 in range(k1, d + 1 - k1):
             n1, n2 = len(basis[k1]), len(basis[k2])
-            if k1 == k2:
-                rows = [[()] * n1 for _ in range(n1)]
-                for i in range(n1):
-                    for j in range(i, n1):
-                        rows[i][j] = rows[j][i] = mult(k1, i, k1, j)
-                tables[(k1, k1)] = tuple(map(tuple, rows))
-                continue
-            table = tuple(tuple(mult(k1, i, k2, j) for j in range(n2))
-                          for i in range(n1))
-            tables[(k1, k2)] = table
-            tables[(k2, k1)] = tuple(tuple(row[j] for row in table)
-                                     for j in range(n2))
+            rows = tables[k1, k2] = [[()] * n2 for _ in range(n1)]
+            cols = tables[k2, k1] = rows if k1 == k2 else [[()] * n1 for _ in range(n2)]
+            for i in range(n1):
+                for j in range(i if k1 == k2 else 0, n2):
+                    rows[i][j] = cols[j][i] = mult(k1, i, k2, j)
     return tables
 
 

@@ -8,6 +8,10 @@ a real cross-check. Products and ring axioms are recomputed from the dense
 view ``a.products``, coordinate by coordinate, never from the sparse cells
 that `multiply` and `verify_algebra` read.
 
+`dense_ring_map_violations` is `verify_ring_map` as it was before it
+composed cells: every basis pair's f(xy) and f(x)f(y) as Elements, each
+product taken over the dense tables.
+
 `dense_tensor_product` multiplies every pair of dense factor vectors and
 names each class by its label pair, so it never sees the block layout
 that `tensor_product` places cells by.
@@ -31,7 +35,7 @@ from unittest import mock
 
 from lefalg.linalg import Matrix, format_rational, rref
 from lefalg import ring
-from lefalg.ring import Element, GradedAlgebra, multiply
+from lefalg.ring import Element, GradedAlgebra, RingMap, apply_ring_map, multiply
 from lefalg.schubert import Box, contains, is_partition
 
 
@@ -180,6 +184,34 @@ def dense_axiom_violations(a: GradedAlgebra) -> list[str]:
                             bad.append(f"associativity fails on degrees "
                                        f"({k1},{k2},{k3}) indices ({i},{j},{l})")
     return bad
+
+
+def dense_ring_map_violations(f: RingMap) -> tuple[str, ...]:
+    """verify_ring_map's violations, from Elements multiplied over the dense
+    tables: the unit, then f(b_i b_j) against f(b_i) f(b_j) for every basis
+    pair with degree sum at most the larger top degree."""
+    src, tgt = f.source, f.target
+    src_products, tgt_products = dict(src.products), dict(tgt.products)
+    bad = []
+    if apply_ring_map(f, src.unit()) != tgt.unit():
+        bad.append("unit is not mapped to unit")
+    ds = src.top_degree
+    for k1 in range(ds + 1):
+        for k2 in range(ds + 1):
+            if k1 + k2 > max(ds, tgt.top_degree):
+                continue
+            for i in range(src.dim(k1)):
+                xi = src.basis_element(k1, i)
+                fxi = apply_ring_map(f, xi)
+                for j in range(src.dim(k2)):
+                    yj = src.basis_element(k2, j)
+                    lhs = apply_ring_map(f, dense_multiply(xi, yj, src_products))
+                    rhs = dense_multiply(fxi, apply_ring_map(f, yj), tgt_products)
+                    if lhs != rhs:
+                        bad.append(f"multiplicativity fails on degrees "
+                                   f"({k1},{k2}) indices ({i},{j}): "
+                                   f"f(xy) = {lhs} but f(x)f(y) = {rhs}")
+    return tuple(bad)
 
 
 def dense_tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> dict:

@@ -9,6 +9,7 @@ from lefalg.buildfile import (BlowupNode, BuildFileError, BuildSyntaxError,
                               BuildTypeError, CatalogNode, GrNode, PNode,
                               evaluate, parse_build_file)
 from lefalg.catalog import get
+from lefalg.constructors import projective_bundle
 from lefalg.lefschetz import lefschetz_subalgebra
 from lefalg.ring import verify_algebra
 from lefalg.serialize import algebra_payload
@@ -69,6 +70,21 @@ def test_proj_bundle_node():
     })
     alg = evaluate(parse_build_file(doc))
     assert alg.dims == (1, 2, 1)
+
+
+def test_a_bundle_over_a_bundle_names_its_class_z2():
+    # the base, P(O + O) over P1, already has the label z^1*1, so the outer
+    # bundle's class is z2; the total space is P1 x P1 x P1
+    doc = json.dumps({"proj_bundle": {
+        "Y": {"proj_bundle": {"Y": {"P": 1}, "chern": [["1"], ["0"], []]}},
+        "chern": [["1"], ["0", "0"], ["0"]]}})
+    alg = evaluate(parse_build_file(doc))
+    assert alg.dims == (1, 3, 3, 1)
+    assert alg.basis[1] == ("h", "z^1*1", "z2^1*1")
+    assert verify_algebra(alg).ok
+    assert lefschetz_subalgebra(alg).dims == brute_force_lefschetz_dims(alg)
+    third = projective_bundle(alg, [alg.unit(), alg.zero(1), alg.zero(2)])
+    assert third.basis[1] == ("h", "z^1*1", "z2^1*1", "z3^1*1")
 
 
 def test_inline_algebra_node():

@@ -1,12 +1,15 @@
 """Constructors: truncated rings, series, pushforward, blowups, bundles."""
 
+import json
 import re
 from fractions import Fraction
 
 import pytest
 
+from _oracles import payload_checksum
+from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.catalog import (_monomial_pullback, build_example1,
-                            build_example2, cxp1_even, get)
+                            build_example2, build_example3, cxp1_even, get)
 from lefalg.constructors import (BlowupInput, adjoint_pushforward, blowup,
                                  chern_series_inverse, projective_bundle,
                                  projective_space, series, series_product,
@@ -15,7 +18,8 @@ from lefalg.lefschetz import check_hard_lefschetz, lefschetz_subalgebra
 from lefalg.linalg import Matrix, row_space_rank
 from lefalg.ring import (GradedAlgebra, RingMap, build_product_tables,
                          integrate, multiply, render_element, tensor_product,
-                         verify_algebra)
+                         verify_algebra, verify_ring_map)
+from lefalg.serialize import algebra_payload
 
 
 # ---------------------------------------------------------------- rings
@@ -365,6 +369,84 @@ def test_blowup_signs_give_isomorphic_rings(build):
                 f = flip[k1][i] * flip[k2][j]
                 assert minus.tables[(k1, k2)][i][j] == tuple(
                     (t, f * flip[k1 + k2][t] * c) for t, c in cell)
+
+
+def point_in_p1xp1():
+    y = get("P1xP1").algebra
+    z = projective_space(0)
+    return BlowupInput(y, z, RingMap(y, z, [Matrix.identity(1)]), 2,
+                       (z.zero(1), z.zero(2)))
+
+
+def _sign_flip(plus: GradedAlgebra, minus: GradedAlgebra) -> RingMap:
+    """The diagonal map sending each class e^i*w to (-1)^i e^i*w."""
+    mats = []
+    for labels in plus.basis:
+        signs = [(-1) ** int(lbl[2:lbl.index("*")]) if lbl.startswith("e^")
+                 else 1 for lbl in labels]
+        mats.append(Matrix(len(signs), len(signs),
+                           [[c if i == j else 0 for j in range(len(signs))]
+                            for i, c in enumerate(signs)]))
+    return RingMap(plus, minus, mats)
+
+
+@pytest.mark.parametrize("build, identity_ok", [
+    (build_example1, False), (build_example2, False),
+    # the e-class of a point blown up in a surface has degree 1, and every
+    # product with an odd number of e-factors vanishes, so the two sign
+    # builds are the same ring and the identity is a ring map as well
+    (lambda sign: blowup(point_in_p1xp1(), sign=sign), True)],
+    ids=["example1", "example2", "Bl(P1xP1, P0)"])
+def test_the_sign_builds_are_isomorphic_by_flipping_e(build, identity_ok):
+    plus, minus = build(sign=1), build(sign=-1)
+    assert verify_ring_map(_sign_flip(plus, minus)).ok
+    identity = RingMap(plus, minus, [Matrix.identity(n) for n in plus.dims])
+    assert verify_ring_map(identity).ok == identity_ok
+    assert (plus.tables == minus.tables) == identity_ok
+
+
+def _from_file(doc: dict):
+    return lambda: evaluate(parse_build_file(json.dumps(doc)))
+
+
+# sha256 of the canonical payload JSON of each build, taken from the
+# constructors that reduced Elements coordinate by coordinate: the tables
+# built from cells must match theirs cell for cell.
+PINNED_BUILDS = {
+    "example1": (
+        lambda: build_example1(1),
+        "08df786d7225492241da8852cd01b2621648d75b16bb42afbfd41cc48e62ab3b"),
+    "example1-minus": (
+        lambda: build_example1(-1),
+        "1342f32c3eb966d35b0bd5f0444a4ea6e779249932a66c60a9ec7c3b1d348c8a"),
+    "example2": (
+        lambda: build_example2(1),
+        "e46e92a53c9f44d14b2045d227b22a5ed58a5a36f453cc47f7ae9136756420e5"),
+    "example2-minus": (
+        lambda: build_example2(-1),
+        "87f8bcdf50eb4e57e098b4000c371b55a0fac442f275f4fa354d8cb375342249"),
+    "example3": (
+        build_example3,
+        "f7d2fab5633ed31bbf023547c341fbba22ff3503575bf01e07fa9402a1b6388f"),
+    "Bl(P5, CxP1-even)": (_from_file({"blowup": {
+        "Y": {"P": 5}, "Z": {"catalog": "CxP1-even"},
+        "pullback": [[[1]], [[1], [3]], [[6]]], "chern_N": [[4, 18], [54], []]}}),
+        "72561ffeaea42e289cdc13d321f2246d2a67bce1982ebc34235ab61768147551"),
+    "Bl(P1xP1, P0)": (_from_file({"blowup": {
+        "Y": {"product": [{"P": 1}, {"P": 1}]}, "Z": {"P": 0},
+        "pullback": [[["1"]]], "chern_N": [[], []]}}),
+        "7d186d2e2f890c050341eb2bf9d245e584cacf07c91b1ac579fd27e983fdd484"),
+    # c(S* + O(1)) = 1 + 2s[1] + (s[2] + 2s[1,1]) + s[2,1] on Gr(2,4)
+    "ProjBundle(Gr-2-4,3)": (_from_file({"proj_bundle": {
+        "Y": {"Gr": [2, 4]}, "chern": [["1"], ["2"], ["1", "2"], ["1"]]}}),
+        "9ac4912c1da9b5726646791953af5cd40a75224412cb087e49c4b7dce663944d"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_BUILDS))
+def test_built_tables_are_pinned_by_digest(name):
+    build, digest = PINNED_BUILDS[name]
+    assert payload_checksum(algebra_payload(build())) == digest
 
 
 def test_example2_normal_bundle_by_series_division():

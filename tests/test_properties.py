@@ -15,14 +15,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (algebra_payload_v1, all_pairs, brute_force_lefschetz_dims,
-                      dense_axiom_violations, full_scan_violations, relabeled)
+                      dense_axiom_violations, dense_ring_map_violations,
+                      full_scan_violations)
 from lefalg import catalog, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
-from lefalg.constructors import projective_bundle
+from lefalg.constructors import projective_bundle, projective_space
 from lefalg.lefschetz import lefschetz_subalgebra
 from lefalg.linalg import P, Matrix, row_space_basis, row_space_rank, rref
-from lefalg.ring import GradedAlgebra, tensor_product, verify_algebra
+from lefalg.ring import (GradedAlgebra, RingMap, tensor_product, verify_algebra,
+                         verify_ring_map)
 from lefalg.serialize import (algebra_from_payload, algebra_payload,
                               read_algebra, write_algebra)
 
@@ -291,14 +293,52 @@ def test_modular_rref_matches_rref(data):
     assert bool(calls) == forced
 
 
+# One entry of a pullback changed: the pullbacks of example1 and example2,
+# which the catalog builders hand to blowup, and the maps P3 -> P1 (a ring
+# map) and P1 -> P2 (not one: h^2 = 0 in P1 maps to h^2 != 0 in P2, a pair
+# past the source's top degree). verify_ring_map composes cells; its report
+# must be the dense oracle's, line for line.
+def _pullback(build):
+    with mock.patch.object(catalog, "blowup", lambda data, **kw: data.pullback):
+        return build()
+
+
+_P1, _P2, _P3 = (projective_space(n) for n in (1, 2, 3))
+PULLBACKS = {
+    "example1": _pullback(catalog.build_example1),
+    "example2": _pullback(catalog.build_example2),
+    "P3->P1": RingMap(_P3, _P1, [Matrix.identity(1)] * 2),
+    "P1->P2": RingMap(_P1, _P2, [Matrix.identity(1)] * 2),
+}
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_ring_map_reports_match_the_dense_oracle(data):
+    f = PULLBACKS[data.draw(st.sampled_from(list(PULLBACKS)))]
+    mats = list(f.matrices)
+    k = data.draw(st.integers(0, len(mats) - 1))
+    m = mats[k]
+    i = data.draw(st.integers(0, m.rows - 1))
+    j = data.draw(st.integers(0, m.cols - 1))
+    value = data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                                       Fraction(2), Fraction(1, 2)]))
+    assume(value != m.entries[i][j])
+    rows = [list(row) for row in m.entries]
+    rows[i][j] = value
+    mats[k] = Matrix(m.rows, m.cols, rows)
+    g = RingMap(f.source, f.target, mats)
+    assert verify_ring_map(g).violations == dense_ring_map_violations(g)
+    assert verify_ring_map(f).violations == dense_ring_map_violations(f)
+
+
 # Random constructor trees of depth at most 2 over five small leaves: tensor
 # products, and projective bundles of rank 2 or 3 whose Chern classes have
 # integer coordinates in -3..3. Every leaf satisfies Poincare duality, and so
 # does every product and bundle built from them, so each tree must give a
 # palindromic, verified algebra whose L-dims match the brute-force oracle
-# and whose payload reads back as an equal algebra. A bundle's base has its
-# labels put in parentheses: a bundle over a bundle would otherwise repeat
-# the label z^1*1, which the GradedAlgebra constructor refuses.
+# and whose payload reads back as an equal algebra. A bundle over a bundle
+# names its class z2 (or z3, ...), so its labels are new.
 TREE_LEAVES = ["P-1", "P-2", "Gr-2-4", "CxP1-even", "example1"]
 MAX_CLASSES = 48
 
@@ -315,7 +355,6 @@ def _tree(data, depth: int) -> GradedAlgebra:
         return tensor_product(y, z)
     rank = data.draw(st.integers(2, 3))
     assume(rank * sum(y.dims) <= MAX_CLASSES)
-    y = relabeled(y, [[f"({label})" for label in labels] for labels in y.basis])
     chern = [y.unit()] + [
         y.element(i, data.draw(st.lists(st.integers(-3, 3), min_size=y.dim(i),
                                         max_size=y.dim(i))))
