@@ -87,11 +87,8 @@ def build_example2(sign: int = 1) -> GradedAlgebra:
     pull = _monomial_pullback(y, [3, 3], z, [z1 + z2, z2 + z3])
 
     def fourth_power(lin: Element) -> list[Element]:
-        base = [z.unit(), lin]
-        out = base
-        for _ in range(3):
-            out = series_product(out, base)
-        return out
+        # (1 + lin)^4 = sum of C(4, k) lin^k
+        return [c * lin ** k for k, c in enumerate((1, 4, 6, 4, 1))]
 
     tangent_y = series_product(fourth_power(z1 + z2), fourth_power(z2 + z3))
     tangent_z = [z.unit(), 2 * z1]

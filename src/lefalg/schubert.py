@@ -1,9 +1,9 @@
 """Schubert calculus on Grassmannians.
 
 Partitions index the Schubert basis of H^{2*}(Gr(k, n)); products are
-Littlewood-Richardson expansions truncated to the k x (n-k) box. The LR
-coefficients are computed honestly, by counting lattice-word skew tableaux,
-so the ring needs no lookup tables.
+Littlewood-Richardson expansions truncated to the k x (n-k) box. They are
+computed honestly, by the Pieri rule and a recursion on the rows of one
+factor, so the ring needs no lookup tables.
 """
 
 from __future__ import annotations
@@ -82,61 +82,60 @@ def contains(outer: Partition, inner: Partition) -> bool:
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient c^nu_{lam,mu}.
-
-    Counts semistandard fillings of nu/lam with content mu whose reverse
-    reading word (rows read right to left, top to bottom) is a lattice word.
-    """
+    """Littlewood-Richardson coefficient c^nu_{lam,mu}: the coefficient of
+    s_nu in s_lam * s_mu, read from the product in the box of nu."""
+    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     for p in (lam, mu, nu):
         if not is_partition(p):
             raise ValueError(f"{p} is not a partition")
-    if sum(lam) + sum(mu) != sum(nu):
+    if sum(lam) + sum(mu) != sum(nu) or not (contains(nu, lam) and contains(nu, mu)):
         return 0
-    return _lr_count(lam, mu, nu)
+    return _SchubertProducts(len(nu), max(nu, default=0)).times(lam, mu).get(nu, 0)
 
 
-def _lr_count(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """`lr_coefficient` on partitions with |lam| + |mu| = |nu|, unchecked.
+class _SchubertProducts:
+    """times(lam, mu): s_lam * s_mu in the rows x cols box, as {nu: c}.
 
-    c^nu_{lam,mu} = c^nu_{mu,lam} vanishes unless nu contains both. The
-    cells of nu/lam are filled in reading order, so the lattice property
-    can be enforced prefix by prefix.
+    Pieri: sigma_a * s_kappa is the sum of s_nu over the in-box horizontal
+    a-strips nu/kappa. Every strip nu on mubar = mu[1:] with a = mu[0] boxes
+    other than mu has nu_1 > a, so s_lam s_mu = sigma_a (s_lam s_mubar) minus
+    their s_lam s_nu. Truncating to the box is a ring map, so every step
+    drops the terms outside the box. Strips and products are memoized on the
+    instance, which holds no reference cycle, so they go when it does.
     """
-    if not (contains(nu, lam) and contains(nu, mu)):
-        return 0
-    if not mu:
-        return 1
-    lam_full = tuple(lam) + (0,) * (len(nu) - len(lam))
-    cells = [(r, c) for r in range(len(nu))
-             for c in range(nu[r] - 1, lam_full[r] - 1, -1)]
-    m = len(mu)
-    counts = [0] * m
-    grid: dict[tuple[int, int], int] = {}
 
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        above = grid.get((r - 1, c))
-        right = grid.get((r, c + 1))
-        total = 0
-        for v in range(1, m + 1):
-            if counts[v - 1] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v - 1] >= counts[v - 2]:
-                continue
-            if right is not None and v > right:
-                continue
-            if above is not None and v <= above:
-                continue
-            grid[(r, c)] = v
-            counts[v - 1] += 1
-            total += fill(idx + 1)
-            del grid[(r, c)]
-            counts[v - 1] -= 1
-        return total
+    def __init__(self, rows: int, cols: int):
+        self.rows, self.cols, self.strips, self.products = rows, cols, {}, {}
 
-    return fill(0)
+    def strip(self, kappa: Partition, a: int) -> list[Partition]:
+        out = self.strips.get((kappa, a))
+        if out is None:
+            full = kappa + (0,) * (self.rows - len(kappa))
+            grown = [((), a)]  # (rows so far, boxes left to place)
+            for above, row in zip((self.cols,) + full, full):
+                grown = [(built + (x,), left - x + row) for built, left in grown
+                         for x in range(row, min(above, row + left) + 1)]
+            out = self.strips[kappa, a] = [tuple(x for x in built if x)
+                                           for built, left in grown if not left]
+        return out
+
+    def times(self, lam: Partition, mu: Partition) -> dict:
+        if not mu:
+            return {lam: 1}
+        key = (lam, mu) if lam <= mu else (mu, lam)
+        out = self.products.get(key)
+        if out is None:
+            a, bar = mu[0], mu[1:]
+            acc: dict = {}
+            for kappa, c in self.times(lam, bar).items():
+                for nu in self.strip(kappa, a):
+                    acc[nu] = acc.get(nu, 0) + c
+            for nu in self.strip(bar, a):
+                if nu != mu:
+                    for kappa, c in self.times(lam, nu).items():
+                        acc[kappa] -= c
+            out = self.products[key] = {nu: c for nu, c in acc.items() if c}
+        return out
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: (True, n) must miss (1, n) and raise
@@ -144,8 +143,8 @@ def grassmannian(k: int, n: int) -> GradedAlgebra:
     """H^{2*}(Gr(k, n), Q) with Schubert basis labels "s[...]".
 
     Degree-m basis: partitions of m inside the k x (n-k) box, descending
-    lexicographic; products are LR expansions with terms outside the box
-    dropped; integration reads off the full-box coefficient.
+    lexicographic; products come from one `_SchubertProducts` recursion,
+    terms outside the box dropped; integration reads off the full box.
     """
     if not (type(k) is int and type(n) is int) or k < 1 or n <= k:
         raise ValueError(f"Gr(k, n) needs 1 <= k < n, got k={k}, n={n}")
@@ -153,16 +152,13 @@ def grassmannian(k: int, n: int) -> GradedAlgebra:
     d = rows * cols
     by_degree = [partitions_in_box(rows, cols, m) for m in range(d + 1)]
     basis = [[schubert_label(p) for p in ps] for ps in by_degree]
+    index = [{p: t for t, p in enumerate(ps)} for ps in by_degree]
+    times = _SchubertProducts(rows, cols).times
 
     def mult(k1, i, k2, j):
-        # box partitions, so the unchecked count is safe
-        lam, mu = by_degree[k1][i], by_degree[k2][j]
-        cell = []
-        for t, nu in enumerate(by_degree[k1 + k2]):
-            c = _lr_count(lam, mu, nu)
-            if c:
-                cell.append((t, Fraction(c)))
-        return tuple(cell)
+        index_k = index[k1 + k2]
+        prod = times(by_degree[k1][i], by_degree[k2][j])
+        return tuple(sorted((index_k[nu], Fraction(c)) for nu, c in prod.items()))
 
     tables = build_product_tables(basis, mult)
     integration = [Fraction(1)]  # degree d holds the full box alone

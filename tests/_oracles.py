@@ -2,11 +2,17 @@
 
 These deliberately avoid the library code paths they are checking: spans
 are enumerated monomial by monomial and ranked by plain Gauss-Jordan
-elimination over Fraction (not the modular rank engine), and Schubert
-products are expanded through single-row Pieri steps only, so agreement is
-a real cross-check. Products and ring axioms are recomputed from the dense
+elimination over Fraction (not the modular rank engine), so agreement is a
+real cross-check. Products and ring axioms are recomputed from the dense
 view ``a.products``, coordinate by coordinate, never from the sparse cells
 that `multiply` and `verify_algebra` read.
+
+The library builds every Schubert product by the Pieri recursion of
+`schubert._SchubertProducts`. Two oracles check it by other routes:
+`lr_count_by_tableaux` counts the lattice-word skew tableaux of each LR
+coefficient one at a time (the library's algorithm before the Pieri
+recursion), and `jacobi_trudi_product` expands a two-row factor as a
+determinant of single-row Pieri steps.
 
 `dense_ring_map_violations` is `verify_ring_map` as it was before it
 composed cells: every basis pair's f(xy) and f(x)f(y) as Elements, each
@@ -88,6 +94,52 @@ def pieri(lam, p: int, box: Box) -> list:
 
     rec(0, (), p)
     return sorted(results, reverse=True)
+
+
+def lr_count_by_tableaux(lam, mu, nu) -> int:
+    """c^nu_{lam,mu}, counted as the semistandard fillings of nu/lam with
+    content mu whose reverse reading word (rows read right to left, top to
+    bottom) is a lattice word.
+
+    c^nu_{lam,mu} = c^nu_{mu,lam} vanishes unless |lam| + |mu| = |nu| and nu
+    contains both. The cells of nu/lam are filled in reading order, so the
+    lattice property can be enforced prefix by prefix.
+    """
+    if sum(lam) + sum(mu) != sum(nu) or not (contains(nu, lam) and contains(nu, mu)):
+        return 0
+    if not mu:
+        return 1
+    lam_full = tuple(lam) + (0,) * (len(nu) - len(lam))
+    cells = [(r, c) for r in range(len(nu))
+             for c in range(nu[r] - 1, lam_full[r] - 1, -1)]
+    m = len(mu)
+    counts = [0] * m
+    grid: dict[tuple[int, int], int] = {}
+
+    def fill(idx: int) -> int:
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        above = grid.get((r - 1, c))
+        right = grid.get((r, c + 1))
+        total = 0
+        for v in range(1, m + 1):
+            if counts[v - 1] >= mu[v - 1]:
+                continue
+            if v > 1 and counts[v - 1] >= counts[v - 2]:
+                continue
+            if right is not None and v > right:
+                continue
+            if above is not None and v <= above:
+                continue
+            grid[(r, c)] = v
+            counts[v - 1] += 1
+            total += fill(idx + 1)
+            del grid[(r, c)]
+            counts[v - 1] -= 1
+        return total
+
+    return fill(0)
 
 
 def _h_times(vec: dict, p: int, box: Box) -> dict:

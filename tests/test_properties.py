@@ -1,5 +1,6 @@
-"""Fuzzing of generated build files, algebra payloads, element expressions
-and the certified modular RREF (skipped without hypothesis)."""
+"""Fuzzing of generated build files, algebra payloads, element expressions,
+Littlewood-Richardson coefficients and the certified modular RREF (skipped
+without hypothesis)."""
 
 import copy
 import json
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (algebra_payload_v1, all_pairs, brute_force_lefschetz_dims,
                       dense_axiom_violations, dense_ring_map_violations,
-                      full_scan_violations)
+                      full_scan_violations, lr_count_by_tableaux)
 from lefalg import catalog, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
@@ -25,6 +26,7 @@ from lefalg.lefschetz import lefschetz_subalgebra
 from lefalg.linalg import P, Matrix, row_space_basis, row_space_rank, rref
 from lefalg.ring import (GradedAlgebra, RingMap, tensor_product, verify_algebra,
                          verify_ring_map)
+from lefalg.schubert import contains, lr_coefficient, partitions_in_box
 from lefalg.serialize import (algebra_from_payload, algebra_payload,
                               read_algebra, write_algebra)
 
@@ -370,3 +372,24 @@ def test_random_constructor_trees(data):
     assert verify_algebra(a).ok, verify_algebra(a).violations
     assert lefschetz_subalgebra(a).dims == brute_force_lefschetz_dims(a)
     assert algebra_from_payload(algebra_payload(a), require_checksum=False) == a
+
+
+def _box_partition(data, rows: int, cols: int):
+    size = data.draw(st.integers(0, rows * cols))
+    return data.draw(st.sampled_from(partitions_in_box(rows, cols, size)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_lr_coefficient_matches_the_tableau_count(data):
+    """lam and mu lie in a box of at most 4 x 5; nu has their total size,
+    lies in the doubled box and contains both, as every nu with
+    c^nu_{lam,mu} != 0 does (lam + mu, taken row by row, is one such nu)."""
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    lam, mu = _box_partition(data, rows, cols), _box_partition(data, rows, cols)
+    nu = data.draw(st.sampled_from([
+        nu for nu in partitions_in_box(2 * rows, 2 * cols, sum(lam) + sum(mu))
+        if contains(nu, lam) and contains(nu, mu)]))
+    c = lr_coefficient(lam, mu, nu)
+    assert c == lr_count_by_tableaux(lam, mu, nu)
+    assert c == lr_coefficient(mu, lam, nu)

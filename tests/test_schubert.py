@@ -4,7 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from _oracles import jacobi_trudi_product, pieri, relabeled
+from _oracles import (jacobi_trudi_product, lr_count_by_tableaux,
+                      payload_checksum, pieri, relabeled)
 
 from lefalg.constructors import projective_space
 from lefalg.ring import (integrate, multiply, pairing_matrix, render_element,
@@ -13,6 +14,7 @@ from lefalg.schubert import (Box, contains, format_partition, grassmannian,
                              is_partition, lr_coefficient, parse_partition,
                              partitions_in_box, quotient_chern_classes,
                              schubert_label)
+from lefalg.serialize import algebra_payload
 
 
 def test_partition_predicates():
@@ -171,8 +173,7 @@ def test_lr_matches_ring_products_all_pairs_gr25():
 
 
 def test_gr36_row_products_match_pieri():
-    # three-row partitions, where the unchecked count's mu <= nu prefilter
-    # drops most triples; sigma_lam * sigma_(p) is the Pieri sum
+    # three-row partitions; sigma_lam * sigma_(p) is the Pieri sum
     g, box = grassmannian(3, 6), Box(3, 3)
     for lam in (p for m in range(10) for p in partitions_in_box(3, 3, m)):
         for p in range(1, 4):
@@ -204,3 +205,42 @@ def test_gr24_dims_palindromic():
     g = grassmannian(2, 4)
     assert g.dims == (1, 1, 2, 1, 1)
     assert verify_algebra(g).ok
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+                                 (3, 6), (3, 7), (3, 8), (4, 8)])
+def test_every_table_cell_matches_the_tableau_count(k, n):
+    # all box triples (lam, mu, nu) with |nu| = |lam| + |mu|, the zero
+    # coefficients included, for both the (k1, k2) and (k2, k1) tables
+    g = grassmannian(k, n)
+    by_degree = [partitions_in_box(k, n - k, m) for m in range(g.top_degree + 1)]
+    checked = 0
+    for (k1, k2), table in g.tables.items():
+        for (i, lam), (j, mu) in itertools.product(enumerate(by_degree[k1]),
+                                                   enumerate(by_degree[k2])):
+            cell = dict(table[i][j])
+            for t, nu in enumerate(by_degree[k1 + k2]):
+                assert cell.get(t, 0) == lr_count_by_tableaux(lam, mu, nu), \
+                    (lam, mu, nu)
+                checked += 1
+    assert checked == sum(len(by_degree[k1]) * len(by_degree[k2])
+                          * len(by_degree[k1 + k2]) for k1, k2 in g.tables)
+
+
+# sha256 of the canonical payload JSON, taken from the tables that counted
+# every LR coefficient by lattice-word tableaux
+PINNED_GRASSMANNIANS = {
+    (2, 4): "0fda6552a074d5432ae5c9b7ec38c2f922861a98107303bef3f7312d04b48e1a",
+    (2, 5): "6f74c275573ce9f83d5cabf1707349abccf920c469a597dc0d1c8ba763f7fafe",
+    (3, 6): "b8dad3151dc2ea49b6dd7f198e54484f9c6d5cbb2e3ecbe5900798a3a0034c7b",
+    (2, 8): "93357e4a80fe630cf3e5ff33ba3b532b7ebf4e9a8039e4f971d07f9b85c5dba5",
+    (3, 8): "4986bdac61048dfe872c99ad43e367bf0981313e0c06ca3c71ae89c0ec6bba88",
+    (4, 8): "2df550a1821071b7826a48383f9eaa3e7f1b9554f50ee614c4b13697dbe8e068",
+    (3, 9): "ac9ffcb5eb21e18d517dddabbeef0eec7d805b6568bd5c7d2a1c553a47ef5076",
+}
+
+
+@pytest.mark.parametrize("k,n", list(PINNED_GRASSMANNIANS))
+def test_grassmannian_tables_are_pinned_by_digest(k, n):
+    assert payload_checksum(algebra_payload(grassmannian(k, n))) == \
+        PINNED_GRASSMANNIANS[k, n]
