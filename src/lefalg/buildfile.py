@@ -10,6 +10,8 @@ binary rounding can sneak in.
 Malformed JSON raises BuildSyntaxError with line/column; a structurally
 valid file that asks for something ill-typed (wrong arity, wrong degree,
 unknown name) raises BuildTypeError with the JSON path of the offender.
+The constructors check their own data; one helper, `_call_at`, re-raises
+each of their errors with the JSON path of the data it was given.
 
 The parsed tree is made of namedtuple nodes, each with the JSON path of its
 object; a node also compares equal to a plain tuple of its fields.
@@ -68,14 +70,20 @@ def _is_count(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _call_at(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError from it re-raised as a
+    BuildTypeError that names the JSON path of the data it was given."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise BuildTypeError(f"type error at {path}: {e}") from None
+
+
 def _rational(tok: object, path: str) -> Fraction:
     if _is_count(tok):
         return Fraction(tok)
     if isinstance(tok, str):
-        try:
-            return parse_rational(tok)
-        except ValueError as e:
-            raise BuildTypeError(f"type error at {path}: {e}") from None
+        return _call_at(path, parse_rational, tok)
     raise BuildTypeError(f"type error at {path}: expected an integer or a "
                          f"rational string, got {tok!r}")
 
@@ -105,7 +113,9 @@ def parse_build_file(text: str) -> BuildExpr:
     return _node(doc, "$")
 
 
-def _keys_exactly(obj: dict, keys: tuple[str, ...], path: str) -> None:
+def _keys_exactly(obj: object, keys: tuple[str, ...], path: str) -> None:
+    if not isinstance(obj, dict):
+        raise BuildTypeError(f"type error at {path}: expected an object")
     if set(obj) != set(keys):
         raise BuildTypeError(f"type error at {path}: expected keys "
                              f"{list(keys)}, got {sorted(obj)}")
@@ -138,8 +148,6 @@ def _node(obj: object, path: str) -> BuildExpr:
         return ProductNode(path, tuple(_node(f, f"{where}[{i}]")
                                        for i, f in enumerate(val)))
     if key == "proj_bundle":
-        if not isinstance(val, dict):
-            raise BuildTypeError(f"type error at {where}: expected an object")
         _keys_exactly(val, ("Y", "chern"), where)
         chern = val["chern"]
         if not isinstance(chern, list) or len(chern) < 2:
@@ -149,8 +157,6 @@ def _node(obj: object, path: str) -> BuildExpr:
                           tuple(_rational_vector(row, f"{where}.chern[{i}]")
                                 for i, row in enumerate(chern)))
     if key == "blowup":
-        if not isinstance(val, dict):
-            raise BuildTypeError(f"type error at {where}: expected an object")
         _keys_exactly(val, ("Y", "Z", "pullback", "chern_N"), where)
         pull = val["pullback"]
         if not isinstance(pull, list):
@@ -188,10 +194,7 @@ def _as_element(a: GradedAlgebra, degree: int, coords, path: str):
     if degree > a.top_degree:
         raise BuildTypeError(f"type error at {path}: degree {degree} exceeds "
                              f"the top degree {a.top_degree}; give an empty list")
-    try:
-        return a.element(degree, coords)
-    except ValueError as e:
-        raise BuildTypeError(f"type error at {path}: {e}") from None
+    return _call_at(path, a.element, degree, coords)
 
 
 def evaluate(expr: BuildExpr) -> GradedAlgebra:
@@ -209,25 +212,15 @@ def evaluate(expr: BuildExpr) -> GradedAlgebra:
         y = evaluate(expr.base)
         chern = [_as_element(y, i, row, f"{expr.path}.proj_bundle.chern[{i}]")
                  for i, row in enumerate(expr.chern)]
-        try:
-            return projective_bundle(y, chern)
-        except ValueError as e:
-            raise BuildTypeError(f"type error at {expr.path}.proj_bundle: "
-                                 f"{e}") from None
+        return _call_at(f"{expr.path}.proj_bundle", projective_bundle, y,
+                        chern)
     if isinstance(expr, BlowupNode):
         return _evaluate_blowup(expr)
     if isinstance(expr, AlgebraNode):
-        try:
-            return algebra_from_payload(expr.payload, require_checksum=False)
-        except ValueError as e:
-            raise BuildTypeError(f"type error at {expr.path}.algebra: "
-                                 f"{e}") from None
+        return _call_at(f"{expr.path}.algebra", algebra_from_payload,
+                        expr.payload, require_checksum=False)
     if isinstance(expr, CatalogNode):
-        try:
-            return catalog.get(expr.name).algebra
-        except ValueError as e:
-            raise BuildTypeError(f"type error at {expr.path}.catalog: "
-                                 f"{e}") from None
+        return _call_at(f"{expr.path}.catalog", catalog.get, expr.name).algebra
     raise TypeError(f"not a build expression: {expr!r}")
 
 
@@ -236,21 +229,10 @@ def _evaluate_blowup(expr: BlowupNode) -> GradedAlgebra:
     where = f"{expr.path}.blowup"
     y = evaluate(expr.y)
     z = evaluate(expr.z)
-    mats = []
-    for k, rows in enumerate(expr.pullback):
-        try:
-            mats.append(Matrix(z.dim(k), y.dim(k), rows))
-        except ValueError as e:
-            raise BuildTypeError(f"type error at {where}.pullback[{k}]: "
-                                 f"{e}") from None
-    try:
-        pull = RingMap(y, z, mats)
-    except ValueError as e:
-        raise BuildTypeError(f"type error at {where}.pullback: {e}") from None
+    mats = [_call_at(f"{where}.pullback[{k}]", Matrix, z.dim(k), y.dim(k),
+                     rows) for k, rows in enumerate(expr.pullback)]
+    pull = _call_at(f"{where}.pullback", RingMap, y, z, mats)
     chern = [_as_element(z, i, row, f"{where}.chern_N[{i - 1}]")
              for i, row in enumerate(expr.chern, start=1)]
-    try:
-        return blowup(BlowupInput(y, z, pull, y.top_degree - z.top_degree,
-                                  chern))
-    except ValueError as e:
-        raise BuildTypeError(f"type error at {where}: {e}") from None
+    r = y.top_degree - z.top_degree
+    return _call_at(where, blowup, BlowupInput(y, z, pull, r, chern))

@@ -44,18 +44,11 @@ def monomial_exponents(caps: Sequence[int], degree: int) -> list[tuple[int, ...]
     Descending lexicographic order; this fixes the basis order of every
     truncated polynomial ring.
     """
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, idx: int):
-        if idx == len(caps):
-            if remaining == 0:
-                out.append(prefix)
-            return
-        for e in range(min(caps[idx], remaining), -1, -1):
-            rec(prefix + (e,), remaining - e, idx + 1)
-
-    rec((), degree, 0)
-    return out
+    grown = [((), degree)]  # (exponents so far, degree left)
+    for cap in caps:
+        grown = [(built + (e,), left - e) for built, left in grown
+                 for e in range(min(cap, left), -1, -1)]
+    return [built for built, left in grown if not left]
 
 
 def _monomial_label(names: Sequence[str], exps: Sequence[int]) -> str:
@@ -304,6 +297,7 @@ def blowup(data: BlowupInput, *, sign: int = 1,
                          for t, c in w])
 
     tables = build_product_tables(basis, mult)
+    del reduce_e  # empty the cell it recurses through: its memo goes now
     # only pulled-back classes survive in the top degree (dim Z = d - r)
     assert len(basis[d]) == y.dim(d)
     return GradedAlgebra(name or f"Bl({y.name}, {z.name})", basis, tables,
@@ -355,6 +349,7 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
                          for t, c in prod])
 
     tables = build_product_tables(basis, mult)
+    del reduce_pow  # empty the cell it recurses through: its memo goes now
     # degree d = top(Y) + s - 1 holds the zeta^{s-1} summand alone
     return GradedAlgebra(name or f"ProjBundle({y.name},{s})", basis, tables,
                          y.integration)

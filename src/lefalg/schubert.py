@@ -60,19 +60,13 @@ def partitions_in_box(rows: int, cols: int, size: int) -> list[Partition]:
     Listed in descending lexicographic order, which fixes the basis order of
     every Grassmannian degree.
     """
-    out: list[Partition] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, cap: int, slots: int):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        if slots == 0:
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            rec(prefix + (part,), remaining - part, part, slots - 1)
-
-    rec((), size, cols, rows)
-    return out
+    # (rows so far, boxes left); a row is 0 only once no boxes are left
+    grown = [((), size)]
+    for _ in range(rows):
+        grown = [(built + (x,), left - x) for built, left in grown
+                 for x in range(min(built[-1] if built else cols, left),
+                                0 if left else -1, -1)]
+    return [tuple(x for x in built if x) for built, left in grown if not left]
 
 
 def contains(outer: Partition, inner: Partition) -> bool:

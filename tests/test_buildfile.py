@@ -9,6 +9,7 @@ from lefalg.buildfile import (BlowupNode, BuildFileError, BuildSyntaxError,
                               BuildTypeError, CatalogNode, GrNode, PNode,
                               evaluate, parse_build_file)
 from lefalg.catalog import get
+from lefalg.cli import run
 from lefalg.constructors import projective_bundle
 from lefalg.lefschetz import lefschetz_subalgebra
 from lefalg.ring import verify_algebra
@@ -218,3 +219,51 @@ def test_product_trees_are_poincare_with_oracle_lefschetz_dims(tree):
     assert a.dims == a.dims[::-1]
     assert verify_algebra(a).ok
     assert lefschetz_subalgebra(a).dims == brute_force_lefschetz_dims(a)
+
+
+_P1_PAYLOAD = {"format": "graded-algebra", "version": 1, "name": "P1",
+               "top_degree": 1, "basis": [["1"], ["h"]],
+               "products": [[0, 0, 0, 0, ["1"]], [0, 0, 1, 0, ["1"]]],
+               "integration": ["1"]}
+
+
+@pytest.mark.parametrize("tree,error", [
+    ({"proj_bundle": {"Y": {"P": 2}, "chern": [["1"], [[1]]]}},
+     "$.proj_bundle.chern[1][0]: expected an integer or a rational string, "
+     "got [1]"),
+    ({"proj_bundle": {"Y": {"P": 2}, "chern": [["1"], "0"]}},
+     "$.proj_bundle.chern[1]: expected a list of rationals, got str"),
+    (json.loads(_example1_with(pullback=["1"])),
+     "$.blowup.pullback[0]: expected a list of rows"),
+    ({"proj_bundle": {"Y": {"P": 1}}},
+     "$.proj_bundle: expected keys ['Y', 'chern'], got ['Y']"),
+    ({"proj_bundle": [1]}, "$.proj_bundle: expected an object"),
+    ({"blowup": 3}, "$.blowup: expected an object"),
+    (json.loads(_example1_with(chern_N=1)),
+     "$.blowup.chern_N: expected a list [c_1, ..., c_r]"),
+    ({"algebra": []}, "$.algebra: expected an inline algebra payload object"),
+    ({"catalog": 5}, "$.catalog: expected a catalog name string"),
+    ({"proj_bundle": {"Y": {"P": 1}, "chern": [["1"], [], ["1"]]}},
+     "$.proj_bundle.chern[2]: degree 2 exceeds the top degree 1; "
+     "give an empty list"),
+    ({"proj_bundle": {"Y": {"P": 1}, "chern": [["2"], ["0"]]}},
+     "$.proj_bundle: c_0 must be the unit class"),
+    ({"algebra": dict(_P1_PAYLOAD, integration=["1", "0"])},
+     "$.algebra: integration: expected 1 rational strings"),
+    ({"catalog": "mystery"}, "$.catalog: unknown catalog name: 'mystery'"),
+    (json.loads(_example1_with(pullback=[[["1"]], [["1", "3"]], [["6"]]])),
+     "$.blowup.pullback[1]: entry grid is not 2x1"),
+    (json.loads(_example1_with(pullback=[[["1"]], [["1"], ["3"]]])),
+     "$.blowup.pullback: need matrices for degrees 0..2, got 2"),
+    (json.loads(_example1_with(chern_N=[["4", "18"]])),
+     "$.blowup: chern_n must list c_1..c_3, got 1 entries"),
+], ids=["chern-token", "chern-row", "pullback-rows", "bundle-keys",
+        "bundle-object", "blowup-object", "chern_N-list", "algebra-object",
+        "catalog-string", "chern-past-top", "c0-unit", "integration-length",
+        "catalog-name", "pullback-k", "pullback", "blowup"])
+def test_build_errors_exit_2_with_their_json_path(tmp_path, capsys, tree,
+                                                  error):
+    path = tmp_path / "bad.build.json"
+    path.write_text(json.dumps(tree))
+    assert run(["build", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: type error at {error}\n")

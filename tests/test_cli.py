@@ -435,3 +435,27 @@ def test_report_on_a_point(capsys):
     out = capsys.readouterr().out
     assert "\nomega: None\n" in out
     assert out.endswith("\nprimitive dims: 1\n")
+
+
+def test_verify_reports_a_pairing_that_is_not_square(tmp_path, capsys):
+    # degree 1 is empty, so the degree-0 pairing meets no classes
+    src, out = tmp_path / "x.build.json", tmp_path / "x.alg.json"
+    src.write_text(json.dumps({"algebra": {
+        "format": "graded-algebra", "version": 1, "name": "x",
+        "top_degree": 1, "basis": [["1"], []],
+        "products": [[0, 0, 0, 0, ["1"]]], "integration": []}}))
+    assert run(["build", str(src), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"x: dims 1 0\nwrote {out}\n"
+    assert run(["verify", str(out)]) == 1
+    assert capsys.readouterr().out == (
+        "pairing at degree 0 is not square: 1x0\n"
+        "pairing at degree 1 is not square: 0x1\n")
+
+
+@pytest.mark.parametrize("expr,error", [
+    ("h +", "empty term in element expression"),
+    ("3/0 h", "bad coefficient in term '3/0 h': malformed rational: '3/0'"),
+], ids=["empty-term", "zero-denominator"])
+def test_mul_rejects_a_bad_term(capsys, expr, error):
+    assert run(["mul", "P-2", expr, "h"]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")

@@ -1,5 +1,7 @@
 """Constructors: truncated rings, series, pushforward, blowups, bundles."""
 
+import gc
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -7,19 +9,24 @@ from fractions import Fraction
 import pytest
 
 from _oracles import payload_checksum
+from lefalg import buildfile, catalog, schubert
 from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.catalog import (_monomial_pullback, build_example1,
                             build_example2, build_example3, cxp1_even, get)
 from lefalg.constructors import (BlowupInput, adjoint_pushforward, blowup,
-                                 chern_series_inverse, projective_bundle,
-                                 projective_space, series, series_product,
-                                 truncated_polynomial_algebra)
-from lefalg.lefschetz import check_hard_lefschetz, lefschetz_subalgebra
+                                 chern_series_inverse, monomial_exponents,
+                                 projective_bundle, projective_space, series,
+                                 series_product, truncated_polynomial_algebra)
+from lefalg.lefschetz import (check_hard_lefschetz, check_poincare_duality,
+                              check_symmetry, lefschetz_subalgebra,
+                              primitive_dims)
 from lefalg.linalg import Matrix, row_space_rank
-from lefalg.ring import (GradedAlgebra, RingMap, build_product_tables,
-                         integrate, multiply, render_element, tensor_product,
-                         verify_algebra, verify_ring_map)
-from lefalg.serialize import algebra_payload
+from lefalg.ring import (GradedAlgebra, RingMap, _degree_one_sum,
+                         build_product_tables, integrate, multiply,
+                         render_element, tensor_product, verify_algebra,
+                         verify_ring_map)
+from lefalg.schubert import partitions_in_box
+from lefalg.serialize import algebra_payload, read_algebra, write_algebra
 
 
 # ---------------------------------------------------------------- rings
@@ -552,3 +559,74 @@ def test_projective_bundle_betti_numbers():
     x = get("example3").algebra
     for k in range(x.top_degree + 1):
         assert x.dim(k) == sum(g.dim(k - i) for i in range(3))
+
+
+# ---------------------------------------------------------------- garbage
+
+
+def test_enumerators_match_an_itertools_reference():
+    for n in range(4):
+        for caps in itertools.product(range(3), repeat=n):
+            grid = list(itertools.product(*(range(c + 1) for c in caps)))
+            for degree in range(-1, sum(caps) + 2):
+                want = sorted((e for e in grid if sum(e) == degree),
+                              reverse=True)
+                assert monomial_exponents(caps, degree) == want, (caps, degree)
+    assert monomial_exponents((), 0) == [()]
+    assert monomial_exponents((), 1) == monomial_exponents((), -1) == []
+    for rows, cols in itertools.product(range(4), range(4)):
+        padded = itertools.combinations_with_replacement(
+            range(cols, -1, -1), rows)  # weakly decreasing rows-tuples
+        every = [tuple(x for x in p if x) for p in padded]
+        for size in range(-1, rows * cols + 2):
+            want = sorted((p for p in every if sum(p) == size), reverse=True)
+            assert partitions_in_box(rows, cols, size) == want, (rows, cols, size)
+
+
+def _cyclic_garbage(build) -> int:
+    """How many objects build() leaves in reference cycles when it returns."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        build()
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def _file_round_trip(path):
+    write_algebra(catalog.get("Gr-2-5xGr-2-5xP1").algebra, path)
+    a = read_algebra(path)
+    assert verify_algebra(a).ok
+    lef, omega = lefschetz_subalgebra(a), _degree_one_sum(a)
+    assert check_symmetry(lef).passed and check_poincare_duality(lef).passed
+    assert check_hard_lefschetz(lef, omega).passed
+    assert primitive_dims(lef, omega).valid
+
+
+_BUNDLE_OVER_A_BUNDLE = json.dumps({"proj_bundle": {
+    "Y": {"proj_bundle": {"Y": {"P": 1}, "chern": [["1"], ["0"], []]}},
+    "chern": [["1"], ["0", "0"], ["0"]]}})
+
+# beyond the catalog names: each takes a scratch file path
+_MORE_BUILDS = {
+    "Gr-3-8": lambda path: schubert.grassmannian(3, 8),
+    "example1-sign-minus": lambda path: build_example1(sign=-1),
+    "bundle-over-a-bundle":
+        lambda path: evaluate(parse_build_file(_BUNDLE_OVER_A_BUNDLE)),
+    "Gr-2-5xGr-2-5xP1-file": _file_round_trip,
+}
+
+
+@pytest.mark.parametrize("name", [*catalog.names(), *_MORE_BUILDS])
+def test_no_build_leaves_a_reference_cycle(name, monkeypatch, tmp_path):
+    # nothing is cached, so every class and table built is dropped on return
+    # and must be freed by reference counting alone
+    uncached_gr = schubert.grassmannian.__wrapped__
+    monkeypatch.setattr(catalog, "get", catalog.get.__wrapped__)
+    for module in (schubert, catalog, buildfile):
+        monkeypatch.setattr(module, "grassmannian", uncached_gr)
+    build = _MORE_BUILDS.get(name, lambda path: catalog.get(name).algebra)
+    assert _cyclic_garbage(lambda: build(tmp_path / "x.alg.json")) == 0
