@@ -347,3 +347,87 @@ def test_writing_a_noncommutative_table_names_the_cell(tmp_path):
                                          r"\(1,1\) cell \(1,0\)"):
         write_algebra(twisted, str(path))
     assert not path.exists()
+
+
+def _with(path, value):
+    """An edit that sets payload[path[0]][path[1]]... to value; a slice as
+    the last key inserts."""
+    def edit(payload):
+        *head, last = path
+        node = payload
+        for key in head:
+            node = node[key]
+        node[last] = value
+        return payload
+    return edit
+
+
+READER_ERRORS = [
+    # (version, edit, the whole message)
+    (2, lambda p: [p], "algebra payload must be a JSON object"),
+    (2, _with(["format"], "x"),
+     "unsupported format 'x' (expected 'graded-algebra')"),
+    (2, _with(["version"], 3), "unsupported format version 3 (expected 1 or 2)"),
+    (2, _with(["checksum"], 5), "algebra payload is missing its checksum"),
+    (2, _with(["checksum"], "0" * 64),
+     "checksum mismatch: file corrupted or edited"),
+    (2, lambda p: p.pop("name") and p, "algebra payload is missing 'name'"),
+    (2, _with(["top_degree"], True),
+     "algebra payload field 'top_degree' must be int"),
+    (2, _with(["basis", slice(2, 3)], []), "basis must list degrees 0..2"),
+    (2, _with(["basis", 1, 0], 7), "basis degree 1 must be a list of strings"),
+    (2, _with(["products"], {}),
+     "algebra payload field 'products' must be list"),
+    (2, _with(["products", 0], [0, 0, 0, 0]),
+     "product entry must be [k1,i,k2,j,coeffs], got [0, 0, 0, 0]"),
+    (2, _with(["products", 0, 1], True),
+     "product entry indices must be integers: [0, True, 0, 0, [[0, '1']]]"),
+    (1, _with(["products", 0, 2], 0.0),
+     "product entry indices must be integers: [0, 0, 0.0, 0, ['1']]"),
+    (2, _with(["products", 0, 0], 99),
+     "product entry out of range: [99, 0, 0, 0]"),
+    (1, _with(["products", 4, 1], 2),
+     "product entry out of range: [1, 2, 0, 0]"),
+    (2, _with(["products", slice(5, 5)], [[1, 0, 1, 1, [[0, "1"]]]]),
+     "duplicate product entry [1, 0, 1, 1]"),
+    (1, _with(["products", slice(9, 9)], [[1, 1, 1, 0, ["1"]]]),
+     "duplicate product entry [1, 1, 1, 0]"),
+    (2, _with(["products", slice(5, 5)], [[1, 1, 1, 0, [[0, "1"]]]]),
+     "product entry [1, 1, 1, 0] is a mirror entry: a version 2 file "
+     "lists only (k1, i) <= (k2, j)"),
+    (2, _with(["products", 4, 4], "1"),
+     'product entry [1, 0, 1, 1]: expected a list of [t, "p/q"] terms'),
+    (2, _with(["products", 4, 4, 0, 1], 1),
+     'product entry [1, 0, 1, 1]: a term must be [int, "p/q"], got [0, 1]'),
+    (2, _with(["products", 4, 4, 0], [0]),
+     'product entry [1, 0, 1, 1]: a term must be [int, "p/q"], got [0]'),
+    (2, _with(["products", 4, 4, 0, 1], "1/0"), "malformed rational: '1/0'"),
+    (1, _with(["products", 1, 4, 0], 1),
+     "product entry [0, 0, 1, 0]: rationals must be strings, got 1"),
+    (1, _with(["products", 1, 4, 1], ["0"]),
+     "product entry [0, 0, 1, 0]: rationals must be strings, got ['0']"),
+    (1, _with(["products", 1, 4, 1], "0.5"), "malformed rational: '0.5'"),
+    (1, _with(["products", 1, 4], ["1"]),
+     "product entry [0, 0, 1, 0]: expected 2 rational strings"),
+    (1, _with(["products", 1, 4], "10"),
+     "product entry [0, 0, 1, 0]: expected 2 rational strings"),
+    (2, _with(["integration", 0], 1),
+     "integration: rationals must be strings, got 1"),
+    (1, _with(["integration", 0], None),
+     "integration: rationals must be strings, got None"),
+    (2, _with(["integration"], ["1", "0"]),
+     "integration: expected 1 rational strings"),
+    (2, _with(["integration"], "1"),
+     "algebra payload field 'integration' must be list"),
+]
+
+
+@pytest.mark.parametrize("version,edit,message", READER_ERRORS,
+                         ids=[m for _, _, m in READER_ERRORS])
+def test_every_reader_error_message_is_pinned(version, edit, message):
+    a = get("P1xP1").algebra
+    payload = algebra_payload(a) if version == 2 else algebra_payload_v1(a)
+    with pytest.raises(ValueError) as e:
+        algebra_from_payload(edit(json.loads(json.dumps(payload))),
+                             require_checksum=False)
+    assert str(e.value) == message
