@@ -30,6 +30,7 @@ from .ring import (
     _cells,
     _checked_class,
     _combine,
+    _pairing_violations,
     apply_ring_map,
     build_product_tables,
     multiply,
@@ -205,6 +206,13 @@ def adjoint_pushforward(pullback: RingMap, r: int) -> tuple[Matrix, ...]:
     return tuple(mats)
 
 
+def _require_nondegenerate(a: GradedAlgebra, what: str) -> None:
+    """Raise ValueError naming a and its first `_pairing_violations` line."""
+    bad = _pairing_violations(a)
+    if bad:
+        raise ValueError(f"{what} {a.name}: {bad[0]}")
+
+
 class BlowupInput(namedtuple("BlowupInput", "y z pullback codim chern_n")):
     """Data of a blowup: ambient Y, center Z, restriction, and normal bundle.
 
@@ -251,6 +259,8 @@ def blowup(data: BlowupInput, *, sign: int = 1,
         raise ValueError("pullback fails to be a ring map: "
                          + "; ".join(report.violations[:3]))
     push = adjoint_pushforward(pull, r)
+    _require_nondegenerate(y, "ambient")
+    _require_nondegenerate(z, "center")
     self_int = apply_ring_map(pull, y.element(r, push[0].mat_vec(z.unit().coords)))
     cr = data.chern_n[r - 1]
     if self_int != cr:
@@ -324,6 +334,7 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
         raise ValueError("c_0 must be the unit class")
     for i, c in enumerate(chern[1:], start=1):
         _checked_class(y, c, i, f"c_{i}")
+    _require_nondegenerate(y, "base")
     d, one = y.top_degree + s - 1, Fraction(1)
     cells = _cells(c.coords for c in chern)
     var = next(v for v in (f"z{n if n > 1 else ''}" for n in count(1))

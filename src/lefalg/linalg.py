@@ -8,8 +8,8 @@ which coerces each entry with `scalar` and checks the shape.
 
 Ranks and row-space bases work on integer rows, and a rank sees only the
 line of each row, not its scale, so no scale is returned or carried.
-`row_space_rank` and `row_space_basis` clear denominators with `_int_rows`
-(one lcm per list); the Lefschetz stage hands its integer rows in directly.
+`row_space_rank` clears denominators with `_int_rows` (one lcm per list);
+the Lefschetz stage hands its integer rows to `_rank` and `_basis` directly.
 The rank is found modulo the prime P = 2^61 - 1 first. It never exceeds the
 rank over Q, so when it reaches min(rows, cols) it is the exact rank, and a
 basis of full width is the unit vectors. Any other rank or basis comes from
@@ -17,8 +17,8 @@ a certified modular RREF: back-substitution mod P, rational reconstruction
 of each entry, and a check that every input row is the combination of the
 candidate's rows that its pivot entries name (`_exact_rref`). If an entry
 has no reconstruction or the check fails, Gauss-Jordan elimination over
-`Fraction` (`rref`) gives the answer. `rref`, `solve` and `kernel` always
-work over `Fraction`.
+`Fraction` (`rref`) gives the answer. `rref` and `solve` always work over
+`Fraction`.
 
 `Matrix.from_rows`, `identity`, `zero` and `column` are kept on purpose as
 public API for building and reading matrices; only the tests call them.
@@ -359,12 +359,6 @@ def row_space_rank(vectors: Sequence[Sequence]) -> int:
     return _rank(rows, len(rows[0])) if rows else 0
 
 
-def row_space_basis(vectors: Sequence[Sequence]) -> list[Vector]:
-    """Canonical (RREF) basis of the span. Deterministic for any input order."""
-    rows = _int_rows(vectors)
-    return _basis(rows, len(rows[0])) if rows else []
-
-
 def solve(a: Matrix, b: Sequence) -> Vector | None:
     """Solve a*x = b exactly; free variables are set to zero.
 
@@ -382,18 +376,3 @@ def solve(a: Matrix, b: Sequence) -> Vector | None:
     for i, col in enumerate(pivots):
         x[col] = red.entries[i][a.cols]
     return tuple(x)
-
-
-def kernel(a: Matrix) -> list[Vector]:
-    """Basis of the nullspace {v : a*v = 0}, one vector per free column."""
-    red, pivots, rank = rref(a)
-    pivot_set = set(pivots)
-    free = [j for j in range(a.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * a.cols
-        v[f] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -red.entries[i][f]
-        basis.append(tuple(v))
-    return basis

@@ -538,10 +538,6 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
     When the unit law or commutativity fails, or a pair shows a violation,
     the full scan over all basis triples runs and its violations are the
     ones reported, so the report is always the full scan's.
-
-    The pairing of degree k is ranked on the integer rows of
-    `_int_table(a, k, d - k)` dotted with the integration vector cleared of
-    denominators, a nonzero multiple of `pairing_matrix(a, k)`.
     """
     bad: list[str] = []
     d = a.top_degree
@@ -563,6 +559,15 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
         every = {(k1, k2): list(product(range(a.dim(k1)), range(a.dim(k2))))
                  for k1, k2 in tables}
         bad += _associativity(a, every)
+    return CheckReport(tuple(bad + _pairing_violations(a)))
+
+
+def _pairing_violations(a: GradedAlgebra) -> list[str]:
+    """The integration and pairing lines of `verify_algebra`; degree k is
+    ranked on `_int_table(a, k, d - k)` dotted with the integration vector
+    cleared of denominators, a nonzero multiple of `pairing_matrix(a, k)`."""
+    bad: list[str] = []
+    d = a.top_degree
     w = a.integration
     if a.dim(d) > 0 and all(c == 0 for c in w):
         bad.append("integration functional is identically zero")
@@ -576,7 +581,7 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
                       for row in _int_table(a, k, d - k)], n)
         if rank != n:
             bad.append(f"pairing at degree {k} is singular (rank {rank} of {n})")
-    return CheckReport(tuple(bad))
+    return bad
 
 
 class RingMap:

@@ -8,7 +8,10 @@ cell of b_i * b_j. The reader puts that one cell object at both
 (k1,k2)[i][j] and (k2,k1)[j][i], so a version 2 file holds only commutative
 tables, and `write_algebra` raises ValueError on a table whose mirror cells
 differ. Version 1 files still read: there each ordered pair is its own entry
-[k1, i, k2, j, coeff-vector], a dense vector of rational strings.
+[k1, i, k2, j, coeff-vector], a dense vector of rational strings that
+`ring._cells` makes a cell, shared with its mirror when the two are equal.
+The integration vector is dense in both versions. One token parser reads
+every rational string, each distinct one once.
 
 Files are written as compact JSON. The checksum is the sha256 of the
 canonical (sorted, compact) JSON of the payload minus the checksum field,
@@ -22,7 +25,7 @@ import json
 from fractions import Fraction
 
 from .linalg import format_rational, parse_rational
-from .ring import Cell, GradedAlgebra
+from .ring import GradedAlgebra, _cells
 
 FORMAT_NAME = "graded-algebra"
 FORMAT_VERSION = 2
@@ -85,6 +88,10 @@ def _field(payload: dict, key: str, kind: type) -> object:
     return value
 
 
+def _place(entry: list | None) -> str:
+    return "integration" if entry is None else f"product entry {entry[:4]}"
+
+
 def algebra_from_payload(payload: object, *,
                          require_checksum: bool = True) -> GradedAlgebra:
     if not isinstance(payload, dict):
@@ -115,51 +122,24 @@ def algebra_from_payload(payload: object, *,
                 not all(isinstance(lbl, str) for lbl in labels):
             raise ValueError(f"basis degree {k} must be a list of strings")
     dims = [len(labels) for labels in basis]
-    # a file repeats a few distinct tokens ("0", "1", ...) many times over:
-    # each is parsed once
-    values: dict[str, Fraction] = {}
+    values: dict[str, Fraction] = {}  # each distinct token, parsed once
 
-    def where(entry: list | None) -> str:
-        return "integration" if entry is None else f"product entry {entry[:4]}"
+    def value(tok: object, entry: list | None) -> Fraction:
+        """The value of a rational string at entry (None: integration)."""
+        try:
+            return values[tok]
+        except (KeyError, TypeError):  # a new token, or not a string
+            if not isinstance(tok, str):
+                raise ValueError(f"{_place(entry)}: rationals must be "
+                                 f"strings, got {tok!r}") from None
+        return values.setdefault(tok, parse_rational(tok))
 
-    def parsed(tok: object, entry: list | None) -> Fraction:
-        """The value of a token not parsed yet."""
-        if not isinstance(tok, str):
-            raise ValueError(f"{where(entry)}: rationals must be strings, "
-                             f"got {tok!r}")
-        x = values[tok] = parse_rational(tok)
-        return x
-
-    def dense_cell(raw: object, length: int, entry: list | None) -> Cell:
-        """The nonzero (t, value) terms of a vector of rational strings."""
+    def dense(raw: object, length: int, entry: list | None) -> list[Fraction]:
+        """The values of a vector of `length` rational strings."""
         if not isinstance(raw, list) or len(raw) != length:
-            raise ValueError(f"{where(entry)}: expected {length} rational "
+            raise ValueError(f"{_place(entry)}: expected {length} rational "
                              f"strings")
-        cell = []
-        for t, tok in enumerate(raw):
-            try:
-                x = values[tok]
-            except (KeyError, TypeError):  # a new token, or not a string
-                x = parsed(tok, entry)
-            if x:
-                cell.append((t, x))
-        return tuple(cell)
-
-    def sparse_cell(raw: object, entry: list) -> Cell:
-        """The (t, value) terms of a list of [t, "p/q"]; the constructor
-        checks that t ascends in range and that every value is nonzero."""
-        if not isinstance(raw, list):
-            raise ValueError(f"{where(entry)}: expected a list of "
-                             f"[t, \"p/q\"] terms")
-        cell = []
-        for term in raw:
-            if not (type(term) is list and len(term) == 2
-                    and type(term[0]) is int and type(term[1]) is str):
-                raise ValueError(f"{where(entry)}: a term must be "
-                                 f"[int, \"p/q\"], got {term!r}")
-            x = values.get(term[1])
-            cell.append((term[0], parsed(term[1], entry) if x is None else x))
-        return tuple(cell)
+        return [value(tok, entry) for tok in raw]
 
     tables = {(k1, k2): [[()] * dims[k2] for _ in range(dims[k1])]
               for k1 in range(d + 1) for k2 in range(d + 1 - k1)}
@@ -175,24 +155,29 @@ def algebra_from_payload(payload: object, *,
         if not (0 <= k1 <= d and 0 <= k2 <= d and k1 + k2 <= d
                 and 0 <= i < dims[k1] and 0 <= j < dims[k2]):
             raise ValueError(f"product entry out of range: {entry[:4]}")
-        key = (k1, i, k2, j)
-        if key in seen:
-            raise ValueError(f"duplicate {where(entry)}")
-        seen.add(key)
+        if (k1, i, k2, j) in seen:
+            raise ValueError(f"duplicate {_place(entry)}")
+        seen.add((k1, i, k2, j))
         if version == 1:
-            cell = dense_cell(raw, dims[k1 + k2], entry)
+            cell, = _cells([dense(raw, dims[k1 + k2], entry)])
             mirror = tables[(k2, k1)][j][i]  # shared if equal, in either order
             tables[(k1, k2)][i][j] = mirror if mirror == cell else cell
         elif k1 > k2 or (k1 == k2 and i > j):
-            raise ValueError(f"{where(entry)} is a mirror entry: a version 2 "
+            raise ValueError(f"{_place(entry)} is a mirror entry: a version 2 "
                              f"file lists only (k1, i) <= (k2, j)")
-        else:
-            tables[(k1, k2)][i][j] = tables[(k2, k1)][j][i] = \
-                sparse_cell(raw, entry)
-    integration = [Fraction(0)] * dims[d]
-    for t, x in dense_cell(_field(payload, "integration", list), dims[d],
-                           None):
-        integration[t] = x
+        elif not isinstance(raw, list):
+            raise ValueError(f"{_place(entry)}: expected a list of "
+                             f"[t, \"p/q\"] terms")
+        else:  # the constructor checks that t ascends and c is nonzero
+            cell = []
+            for term in raw:
+                if not (type(term) is list and len(term) == 2
+                        and type(term[0]) is int and type(term[1]) is str):
+                    raise ValueError(f"{_place(entry)}: a term must be "
+                                     f"[int, \"p/q\"], got {term!r}")
+                cell.append((term[0], value(term[1], entry)))
+            tables[(k1, k2)][i][j] = tables[(k2, k1)][j][i] = tuple(cell)
+    integration = dense(_field(payload, "integration", list), dims[d], None)
     return GradedAlgebra(name, basis, tables, integration)
 
 

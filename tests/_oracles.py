@@ -22,10 +22,16 @@ product taken over the dense tables.
 names each class by its label pair, so it never sees the block layout
 that `tensor_product` places cells by.
 
-`full_scan_violations` is the one exception: it is `verify_algebra` itself
+`full_scan_violations` is one exception: it is `verify_algebra` itself
 with every pair of basis classes in its pair set (`all_pairs`), so that
 associativity is checked on every basis triple, as it was before the
 generator search.
+
+`kernel` and `row_space_basis` were public `linalg` functions that
+nothing in the library called. `kernel` reads the nullspace off `rref`
+over Fraction. `row_space_basis` is the other exception: it is the
+library's certified basis, `linalg._basis` on the rows `_int_rows` clears,
+kept for the tests that check that engine.
 
 `write_algebra_v1` is the version 1 file writer, kept as the reference for
 the bytes it wrote and as a source of version 1 files, which still read.
@@ -39,8 +45,8 @@ import json
 from fractions import Fraction
 from unittest import mock
 
-from lefalg.linalg import Matrix, format_rational, rref
-from lefalg import ring
+from lefalg import linalg, ring
+from lefalg.linalg import Matrix, Vector, format_rational, rref
 from lefalg.ring import Element, GradedAlgebra, RingMap, apply_ring_map, multiply
 from lefalg.schubert import Box, contains, is_partition
 
@@ -321,6 +327,27 @@ def full_scan_violations(a: GradedAlgebra) -> tuple[str, ...]:
     """verify_algebra's violations with associativity on all of A x A x A."""
     with mock.patch.object(ring, "_generators", lambda a: ([], all_pairs(a))):
         return ring.verify_algebra(a).violations
+
+
+def row_space_basis(vectors) -> list[Vector]:
+    """Canonical (RREF) basis of the span. Deterministic for any input order."""
+    rows = linalg._int_rows(vectors)
+    return linalg._basis(rows, len(rows[0])) if rows else []
+
+
+def kernel(a: Matrix) -> list[Vector]:
+    """Basis of the nullspace {v : a*v = 0}, one vector per free column."""
+    red, pivots, rank = rref(a)
+    pivot_set = set(pivots)
+    free = [j for j in range(a.cols) if j not in pivot_set]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * a.cols
+        v[f] = Fraction(1)
+        for i, col in enumerate(pivots):
+            v[col] = -red.entries[i][f]
+        basis.append(tuple(v))
+    return basis
 
 
 def relabeled(a: GradedAlgebra, basis, name=None) -> GradedAlgebra:

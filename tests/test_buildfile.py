@@ -267,3 +267,29 @@ def test_build_errors_exit_2_with_their_json_path(tmp_path, capsys, tree,
     path.write_text(json.dumps(tree))
     assert run(["build", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: type error at {error}\n")
+
+
+# an inline point and an inline P1, each with a zero integration functional
+_DEGENERATE_POINT = {"format": "graded-algebra", "version": 1, "name": "deg",
+                     "top_degree": 0, "basis": [["1"]],
+                     "products": [[0, 0, 0, 0, ["1"]]], "integration": ["0"]}
+_DEGENERATE_P1 = dict(algebra_payload(get("P-1").algebra), name="flat",
+                      integration=["0"])
+
+
+@pytest.mark.parametrize("tree,error", [
+    ({"blowup": {"Y": {"product": [{"P": 1}, {"P": 1}]},
+                 "Z": {"algebra": _DEGENERATE_POINT},
+                 "pullback": [[["1"]]], "chern_N": [[], []]}},
+     "$.blowup: center deg: integration functional is identically zero"),
+    ({"proj_bundle": {"Y": {"algebra": _DEGENERATE_P1},
+                      "chern": [["1"], ["0"], []]}},
+     "$.proj_bundle: base flat: integration functional is identically zero"),
+], ids=["blowup-center", "bundle-base"])
+def test_a_degenerate_constructor_input_is_refused_at_build_time(
+        tmp_path, capsys, tree, error):
+    src, out = tmp_path / "bad.build.json", tmp_path / "bad.alg.json"
+    src.write_text(json.dumps(tree))
+    assert run(["build", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: type error at {error}\n")
+    assert not out.exists()

@@ -186,6 +186,20 @@ def test_adjoint_pushforward_rejects_a_degenerate_pairing():
                                                   point.zero(2))))
 
 
+def test_blowup_rejects_an_ambient_pairing_the_pushforward_cannot_see():
+    # every product of positive degree is zero, so the pairing of degrees 1
+    # and 2 is singular; with r = 3 the pushforward reads only the pairing
+    # of degree 3 against degree 0, which is fine
+    y = _algebra([["1"], ["h"], ["q"], ["p"]], {}, [1])
+    point = projective_space(0)
+    pull = RingMap(y, point, [Matrix.identity(1)])
+    assert adjoint_pushforward(pull, 3) == (Matrix.from_rows([[1]]),)
+    with pytest.raises(ValueError, match=r"^ambient T: pairing at degree 1 "
+                                         r"is singular \(rank 0 of 1\)$"):
+        blowup(BlowupInput(y, point, pull, 3,
+                           (point.zero(1), point.zero(2), point.zero(3))))
+
+
 def test_adjoint_pushforward_rejects_a_non_square_pairing():
     # Gram matrices 1x2 (rank 1, so only the shape shows it) and 2x1
     one = ((0, Fraction(1)),)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import (brute_force_lefschetz_bases, brute_force_lefschetz_dims,
-                      rescaled)
+                      kernel, rescaled)
 from lefalg import lefschetz, ring
 from lefalg.catalog import get, names
 from lefalg.cli import run
@@ -13,7 +13,7 @@ from lefalg.constructors import projective_space
 from lefalg.lefschetz import (_int_gram, _omega_powers, check_hard_lefschetz,
                               check_poincare_duality, check_symmetry,
                               lefschetz_subalgebra, primitive_dims)
-from lefalg.linalg import Matrix, kernel
+from lefalg.linalg import Matrix
 from lefalg.ring import integrate, multiply
 
 

@@ -17,13 +17,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (algebra_payload_v1, all_pairs, brute_force_lefschetz_dims,
                       dense_axiom_violations, dense_ring_map_violations,
-                      full_scan_violations, lr_count_by_tableaux)
+                      full_scan_violations, lr_count_by_tableaux,
+                      row_space_basis)
 from lefalg import catalog, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
 from lefalg.constructors import projective_bundle, projective_space
 from lefalg.lefschetz import lefschetz_subalgebra
-from lefalg.linalg import P, Matrix, row_space_basis, row_space_rank, rref
+from lefalg.linalg import P, Matrix, row_space_rank, rref
 from lefalg.ring import (GradedAlgebra, RingMap, tensor_product, verify_algebra,
                          verify_ring_map)
 from lefalg.schubert import contains, lr_coefficient, partitions_in_box
