@@ -206,7 +206,7 @@ def evaluate(expr: BuildExpr) -> GradedAlgebra:
     if isinstance(expr, ProductNode):
         out = evaluate(expr.factors[0])
         for f in expr.factors[1:]:
-            out = tensor_product(out, evaluate(f))
+            out = _call_at(f"{expr.path}.product", tensor_product, out, evaluate(f))
         return out
     if isinstance(expr, BundleNode):
         y = evaluate(expr.base)

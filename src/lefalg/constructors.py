@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cache
 from itertools import count
 
@@ -30,7 +29,7 @@ from .ring import (
     _cells,
     _checked_class,
     _combine,
-    _pairing_violations,
+    _require_nondegenerate,
     apply_ring_map,
     build_product_tables,
     multiply,
@@ -78,16 +77,15 @@ def truncated_polynomial_algebra(name: str,
     by_degree = [monomial_exponents(caps, m) for m in range(top + 1)]
     index = {e: i for m in range(top + 1) for i, e in enumerate(by_degree[m])}
     basis = [[_monomial_label(names, e) for e in degs] for degs in by_degree]
-    one = Fraction(1)
 
     def mult(k1, i, k2, j):
         total = tuple(a + b for a, b in zip(by_degree[k1][i], by_degree[k2][j]))
         if all(e <= cap for e, cap in zip(total, caps)):
-            return ((index[total], one),)
+            return ((index[total], 1),)
         return ()
 
     tables = build_product_tables(basis, mult)
-    return GradedAlgebra(name, basis, tables, [one])
+    return GradedAlgebra(name, basis, tables, [1])
 
 
 def _times(a: GradedAlgebra, cell: Cell, k: int, kt: int, t: int) -> Cell:
@@ -206,13 +204,6 @@ def adjoint_pushforward(pullback: RingMap, r: int) -> tuple[Matrix, ...]:
     return tuple(mats)
 
 
-def _require_nondegenerate(a: GradedAlgebra, what: str) -> None:
-    """Raise ValueError naming a and its first `_pairing_violations` line."""
-    bad = _pairing_violations(a)
-    if bad:
-        raise ValueError(f"{what} {a.name}: {bad[0]}")
-
-
 class BlowupInput(namedtuple("BlowupInput", "y z pullback codim chern_n")):
     """Data of a blowup: ambient Y, center Z, restriction, and normal bundle.
 
@@ -273,7 +264,6 @@ def blowup(data: BlowupInput, *, sign: int = 1,
     pulled = [_cells(map(m.column, range(m.cols))) for m in pull.matrices]
     pushed = [_cells(map(m.column, range(m.cols))) for m in push]
     pulled += [[()] * y.dim(k) for k in range(len(pulled), d + 1)]
-    one = Fraction(1)
 
     # block 0 holds the Y classes, block i the summand Z (x) e^i
     basis, decode, offset = _layout(
@@ -284,7 +274,7 @@ def blowup(data: BlowupInput, *, sign: int = 1,
         # the cell of z_t (x) e^s, z_t of degree k, in degree k + s; each
         # e-power that the relation leaves (s - r and i + s - r) is below s
         if s < r:
-            return ((offset[(k + s, s)] + t, one),)
+            return ((offset[(k + s, s)] + t, 1),)
         if s == r:
             terms = [(S[r], pushed[k][t])]
         else:  # iota^* iota_*(z_t) (x) e^(s-r)
@@ -301,7 +291,7 @@ def blowup(data: BlowupInput, *, sign: int = 1,
         if b2 == 0:  # Y sits at offset 0 in every degree: Y's own cell
             return y.tables[(k1, k2)][j1][j2]
         # iota^*(y) (x) 1 or z (x) e^b1, times z' (x) e^b2
-        first = pulled[k1][j1] if b1 == 0 else ((j1, one),)
+        first = pulled[k1][j1] if b1 == 0 else ((j1, 1),)
         w = _times(z, first, k1 - b1, k2 - b2, j2)
         return _combine([(c, reduce_e(k1 + k2 - b1 - b2, t, b1 + b2))
                          for t, c in w])
@@ -335,7 +325,7 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
     for i, c in enumerate(chern[1:], start=1):
         _checked_class(y, c, i, f"c_{i}")
     _require_nondegenerate(y, "base")
-    d, one = y.top_degree + s - 1, Fraction(1)
+    d = y.top_degree + s - 1
     cells = _cells(c.coords for c in chern)
     var = next(v for v in (f"z{n if n > 1 else ''}" for n in count(1))
                if all(y.label_location(f"{v}^{i}*{lbl}") is None
@@ -348,14 +338,14 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
     def reduce_pow(k: int, t: int, p: int) -> Cell:
         # the cell of y_t * zeta^p, y_t of degree k, in degree k + p
         if p < s:
-            return ((offset[(k + p, p)] + t, one),)
+            return ((offset[(k + p, p)] + t, 1),)
         return _combine([(-c, reduce_pow(i + k, u, p - i))
                          for i in range(1, s + 1)
                          for u, c in _times(y, cells[i], i, k, t)])
 
     def mult(k1, i1, k2, i2):
         (i, a), (j, b) = decode[k1][i1], decode[k2][i2]
-        prod = _times(y, ((a, one),), k1 - i, k2 - j, b)
+        prod = _times(y, ((a, 1),), k1 - i, k2 - j, b)
         return _combine([(c, reduce_pow(k1 + k2 - i - j, t, i + j))
                          for t, c in prod])
 

@@ -7,14 +7,17 @@ represented by internal degree k; odd degrees are not modeled, so the
 product is honestly commutative and no Koszul signs appear anywhere.
 
 The structure constants are stored sparsely. A *cell* is the product of two
-basis classes as a tuple of (t, c) terms, t ascending and c a nonzero
-Fraction; a zero product is the empty cell (). Cells are the one form the
-constructor takes, and it checks each of them. The (k1, k2) and (k2, k1)
-tables hold the same cell objects wherever the two agree, so no product is
-stored twice. Products, verification, pairings and the file format all read
-cells; the dense coordinate tables are only a view (`GradedAlgebra.products`),
-as are the integer cells that the Lefschetz stage, the generator search and
-the pairing ranks read (`_int_table`), and dense vectors are read only from
+basis classes as a tuple of (t, c) terms, t ascending and c nonzero: an int
+when it is integral, else a Fraction. That coefficient rule lives here alone
+(`_integral`); a hand-built table may also hold integral Fractions, and ints
+and Fractions agree on ==, hash and str. A zero product is the empty cell ().
+Cells are the one form the constructor takes, and it checks each of them.
+The (k1, k2) and (k2, k1) tables hold the same cell objects wherever the two
+agree, so no product is stored twice. Products, verification, pairings and
+the file format all read cells; the dense coordinate tables are only a view
+(`GradedAlgebra.products`), as are the integer cells that the Lefschetz
+stage, the generator search and the pairing ranks read (`_int_table`, the
+stored table when it is all ints), and dense vectors are read only from
 payloads (`serialize`).
 
 Degree k > d has dimension 0, so its only element is the zero with no
@@ -48,23 +51,28 @@ from .linalg import (
     vzero,
 )
 
-Cell = tuple[tuple[int, Fraction], ...]
+Cell = tuple[tuple[int, int | Fraction], ...]
+
+
+def _integral(c: int | Fraction) -> int | Fraction:
+    """c as an int when it is integral, else the Fraction c itself."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def sparse_cell(acc: dict) -> Cell:
     """The cell of an accumulator {t: c}: t ascending, zero terms dropped."""
-    return tuple(sorted((t, c) for t, c in acc.items() if c))
+    return tuple(sorted((t, _integral(c)) for t, c in acc.items() if c))
 
 
 def _check_cell(cell, n: int) -> None:
     """Raise unless cell is canonical in a degree of dimension n: TypeError
-    for a non-Fraction coefficient, ValueError for anything else."""
+    unless each coefficient's type is int or Fraction, else ValueError."""
     last = -1
     for term in cell if type(cell) is tuple else [()]:
         if type(term) is tuple and len(term) == 2:
             t, c = term
-            if type(c) is not Fraction:
-                raise TypeError(f"coefficient {c!r} is not a Fraction")
+            if type(c) is not int and type(c) is not Fraction:
+                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
             if type(t) is int and last < t < n and c:
                 last = t
                 continue
@@ -105,10 +113,10 @@ class GradedAlgebra:
     a coordinate functional on degree d.
 
     The constructor takes tables of this form (rows may be any sequences)
-    and checks every shape and cell: a non-Fraction coefficient raises
-    TypeError, anything else ValueError. Dense vectors are read only from
-    payloads (`serialize.algebra_from_payload`); ``a.products`` is a
-    read-only dense view, densified one table at a time when read.
+    and checks every shape and cell: a coefficient that is not an int or a
+    Fraction raises TypeError, anything else ValueError. Dense vectors are
+    read only from payloads (`serialize.algebra_from_payload`); ``a.products``
+    is a read-only dense view, densified one table at a time when read.
     """
 
     __slots__ = ("name", "basis", "tables", "integration", "_label_map")
@@ -244,13 +252,14 @@ def _dense(cell: Cell, n: int) -> Vector:
     return tuple(out)
 
 
-def _int_table(a: GradedAlgebra, k1: int, k2: int) -> list:
-    """The (k1, k2) table with every coefficient times one scale, the lcm of
-    the table's denominators (1 for every catalog algebra): ``rows[i][j]``
-    holds the integer (t, c) terms of b_i * b_j times it. Like ``a.products``
-    it is a view computed when read. Its products lie on the lines of the
-    exact ones, which is all a rank sees, so the scale is not returned."""
+def _int_table(a: GradedAlgebra, k1: int, k2: int) -> Sequence:
+    """The (k1, k2) table as stored if its coefficients are all ints, else a
+    copy with each coefficient times one scale, the lcm of the denominators:
+    ``rows[i][j]`` holds integer (t, c) terms on the line of b_i * b_j, which
+    is all a rank sees, so the scale is not returned."""
     table = a.tables[k1, k2]
+    if all(type(c) is int for row in table for cell in row for _, c in cell):
+        return table
     scale = lcm(*{c.denominator for row in table for cell in row for _, c in cell})
     return [[[(t, c.numerator * (scale // c.denominator)) for t, c in cell]
              if cell else () for cell in row] for row in table]
@@ -427,14 +436,14 @@ class CheckReport(namedtuple("CheckReport", "violations")):
         return not self.violations
 
 
-def _combine(terms: Sequence[tuple[Fraction, Cell]]) -> Cell:
+def _combine(terms: Sequence[tuple[int | Fraction, Cell]]) -> Cell:
     """The cell of the sum of c * cell over the (c, cell) terms; the empty
     sum, which a zero product gives, is the empty cell."""
     if not terms:
         return ()
     if len(terms) == 1:
         c, cell = terms[0]
-        return cell if c == 1 else tuple((t, c * v) for t, v in cell)
+        return cell if c == 1 else tuple((t, _integral(c * v)) for t, v in cell)
     acc: dict = {}
     for c, cell in terms:
         for t, v in cell:
@@ -560,6 +569,13 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
                  for k1, k2 in tables}
         bad += _associativity(a, every)
     return CheckReport(tuple(bad + _pairing_violations(a)))
+
+
+def _require_nondegenerate(a: GradedAlgebra, what: str) -> None:
+    """Raise ValueError naming a and its first `_pairing_violations` line."""
+    bad = _pairing_violations(a)
+    if bad:
+        raise ValueError(f"{what} {a.name}: {bad[0]}")
 
 
 def _pairing_violations(a: GradedAlgebra) -> list[str]:
@@ -704,13 +720,15 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
     ``a.tables[ia, ib]`` with ``b.tables[k1-ia, k2-ib]``, its cells placed by
     that arithmetic. A left cell's terms have p ascending and a right cell's
     q ascending, so the terms of their product come out in ascending
-    position and no cell is sorted. Each cell of b is read once, flagged when
-    every coefficient is 1, so its products reuse the left coefficients
-    with no Fraction multiplied by one. A diagonal
-    table computes the blocks with ib <= ia and mirrors the rest, and every
-    (k2, k1) cell is the (k1, k2) cell object. Integration is the product of
-    integrations on the (d_a, d_b) block.
+    position and no cell is sorted; each coefficient is the product of the
+    two, an int when it is integral. A diagonal table computes the blocks with
+    ib <= ia and mirrors the rest, and every (k2, k1) cell is the (k1, k2)
+    cell object. Integration is the product of integrations on the (d_a, d_b)
+    block. A factor whose pairing is degenerate raises ValueError
+    (`_require_nondegenerate`).
     """
+    _require_nondegenerate(a, "factor")
+    _require_nondegenerate(b, "factor")
     da, db = a.top_degree, b.top_degree
     d = da + db
     splits = [range(min(k, da), max(0, k - db) - 1, -1) for k in range(d + 1)]
@@ -722,9 +740,6 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
             labels += [f"{x}⊗{y}" for x in a.basis[i] for y in b.basis[k - i]]
         basis.append(labels)
         start.append(offset)
-    right = {key: [[(tuple(t for t, _ in cell), tuple(c for _, c in cell),
-                     all(c == 1 for _, c in cell)) for cell in row]
-                   for row in table] for key, table in b.tables.items()}
     tables = {}
     for k1 in range(d + 1):
         for k2 in range(k1, d + 1 - k1):
@@ -739,7 +754,7 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
                     # land, and the widths of the three factor degrees of b
                     row0, col0, at = start[k1][ia], start[k2][ib], start[k][ia + ib]
                     nr, nc, nb = b.dim(k1 - ia), b.dim(k2 - ib), b.dim(kb)
-                    table = right[k1 - ia, k2 - ib]
+                    table = b.tables[k1 - ia, k2 - ib]
                     diagonal = k1 == k2 and ia == ib
                     for pa, arow in enumerate(a.tables[ia, ib]):
                         # a diagonal block's cells left of pa are mirrored
@@ -749,15 +764,10 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
                             lead = [(at + p * nb, cp) for p, cp in arow[pb]]
                             for qa, brow in enumerate(table):
                                 out = rows[row0 + pa * nr + qa]
-                                for j, (qs, cs, unit) in enumerate(brow, col0 + pb * nc):
-                                    if not qs:
-                                        continue
-                                    if unit:
-                                        out[j] = tuple([(s + q, cp)
-                                                        for s, cp in lead for q in qs])
-                                    else:
-                                        out[j] = tuple([(s + q, cp * cq) for s, cp in lead
-                                                        for q, cq in zip(qs, cs)])
+                                for j, bcell in enumerate(brow, col0 + pb * nc):
+                                    if bcell:
+                                        out[j] = tuple([(s + q, _integral(cp * cq))
+                                                        for s, cp in lead for q, cq in bcell])
             if k1 == k2:  # below the diagonal, share the cells above it
                 for i in range(1, n1):
                     rows[i][:i] = [rows[j][i] for j in range(i)]

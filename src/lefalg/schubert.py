@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
 
 from .ring import Element, GradedAlgebra, build_product_tables
@@ -152,11 +151,10 @@ def grassmannian(k: int, n: int) -> GradedAlgebra:
     def mult(k1, i, k2, j):
         index_k = index[k1 + k2]
         prod = times(by_degree[k1][i], by_degree[k2][j])
-        return tuple(sorted((index_k[nu], Fraction(c)) for nu, c in prod.items()))
+        return tuple(sorted((index_k[nu], c) for nu, c in prod.items()))
 
     tables = build_product_tables(basis, mult)
-    integration = [Fraction(1)]  # degree d holds the full box alone
-    return GradedAlgebra(f"Gr-{k}-{n}", basis, tables, integration)
+    return GradedAlgebra(f"Gr-{k}-{n}", basis, tables, [1])
 
 
 def quotient_chern_classes(k: int, n: int) -> list[Element]:

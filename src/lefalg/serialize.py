@@ -11,7 +11,7 @@ differ. Version 1 files still read: there each ordered pair is its own entry
 [k1, i, k2, j, coeff-vector], a dense vector of rational strings that
 `ring._cells` makes a cell, shared with its mirror when the two are equal.
 The integration vector is dense in both versions. One token parser reads
-every rational string, each distinct one once.
+every rational string, each distinct one once, integral ones as ints.
 
 Files are written as compact JSON. The checksum is the sha256 of the
 canonical (sorted, compact) JSON of the payload minus the checksum field,
@@ -25,7 +25,7 @@ import json
 from fractions import Fraction
 
 from .linalg import format_rational, parse_rational
-from .ring import GradedAlgebra, _cells
+from .ring import GradedAlgebra, _cells, _integral
 
 FORMAT_NAME = "graded-algebra"
 FORMAT_VERSION = 2
@@ -122,9 +122,9 @@ def algebra_from_payload(payload: object, *,
                 not all(isinstance(lbl, str) for lbl in labels):
             raise ValueError(f"basis degree {k} must be a list of strings")
     dims = [len(labels) for labels in basis]
-    values: dict[str, Fraction] = {}  # each distinct token, parsed once
+    values: dict[str, int | Fraction] = {}  # each distinct token, parsed once
 
-    def value(tok: object, entry: list | None) -> Fraction:
+    def value(tok: object, entry: list | None) -> int | Fraction:
         """The value of a rational string at entry (None: integration)."""
         try:
             return values[tok]
@@ -132,9 +132,9 @@ def algebra_from_payload(payload: object, *,
             if not isinstance(tok, str):
                 raise ValueError(f"{_place(entry)}: rationals must be "
                                  f"strings, got {tok!r}") from None
-        return values.setdefault(tok, parse_rational(tok))
+        return values.setdefault(tok, _integral(parse_rational(tok)))
 
-    def dense(raw: object, length: int, entry: list | None) -> list[Fraction]:
+    def dense(raw: object, length: int, entry: list | None) -> list:
         """The values of a vector of `length` rational strings."""
         if not isinstance(raw, list) or len(raw) != length:
             raise ValueError(f"{_place(entry)}: expected {length} rational "

@@ -303,11 +303,13 @@ def dense_tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> dict:
 # Rescaling basis classes by non-integer rationals gives isomorphic algebras
 # whose tables and integration have denominators: same dims, verdicts and
 # witnesses, and bases that must still be exact RREFs.
-def rescaled(a: GradedAlgebra) -> tuple[GradedAlgebra, list[list[Fraction]]]:
-    """a in the basis b'_i = lam_i b_i, lam_i = 3/(5 + i + k) in degree k >= 1,
-    and the factors lam: b'_i b'_j = sum_t (lam_i lam_j c_t / lam_t) b'_t."""
-    lam = [[Fraction(1)]] + [[Fraction(3, 5 + i + k) for i in range(n)]
-                             for k, n in enumerate(a.dims) if k]
+def rescaled(a: GradedAlgebra, lam=None) -> tuple[GradedAlgebra, list[list[Fraction]]]:
+    """a in the basis b'_i = lam_i b_i, by default lam_i = 3/(5 + i + k) in
+    degree k >= 1, and the factors lam: b'_i b'_j = sum_t (lam_i lam_j c_t /
+    lam_t) b'_t. Every coefficient of the result is a Fraction."""
+    if lam is None:
+        lam = [[Fraction(1)]] + [[Fraction(3, 5 + i + k) for i in range(n)]
+                                 for k, n in enumerate(a.dims) if k]
     tables = {(k1, k2): [[tuple((t, lam[k1][i] * lam[k2][j] * c / lam[k1 + k2][t])
                                 for t, c in cell) for j, cell in enumerate(row)]
                          for i, row in enumerate(table)]

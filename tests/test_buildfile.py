@@ -285,7 +285,11 @@ _DEGENERATE_P1 = dict(algebra_payload(get("P-1").algebra), name="flat",
     ({"proj_bundle": {"Y": {"algebra": _DEGENERATE_P1},
                       "chern": [["1"], ["0"], []]}},
      "$.proj_bundle: base flat: integration functional is identically zero"),
-], ids=["blowup-center", "bundle-base"])
+    ({"product": [{"algebra": _DEGENERATE_POINT}, {"P": 1}]},
+     "$.product: factor deg: integration functional is identically zero"),
+    ({"product": [{"P": 1}, {"P": 2}, {"algebra": _DEGENERATE_P1}]},
+     "$.product: factor flat: integration functional is identically zero"),
+], ids=["blowup-center", "bundle-base", "product-left", "product-right"])
 def test_a_degenerate_constructor_input_is_refused_at_build_time(
         tmp_path, capsys, tree, error):
     src, out = tmp_path / "bad.build.json", tmp_path / "bad.alg.json"

@@ -14,7 +14,8 @@ from lefalg.lefschetz import (_int_gram, _omega_powers, check_hard_lefschetz,
                               check_poincare_duality, check_symmetry,
                               lefschetz_subalgebra, primitive_dims)
 from lefalg.linalg import Matrix
-from lefalg.ring import integrate, multiply
+from lefalg.ring import (GradedAlgebra, _integral, integrate, multiply,
+                         verify_algebra)
 
 
 def test_pinned_lefschetz_dims():
@@ -311,6 +312,35 @@ def test_report_builds_the_omega_powers_once_when_hl_fails(monkeypatch, capsys):
     assert run(["report", "example3"]) == 0
     assert "hard_lefschetz: FAIL" in capsys.readouterr().out
     assert calls == [get("example3").algebra.top_degree + 1]
+
+
+@pytest.mark.parametrize("name", ["example1", "example3", "P1xP2"])
+def test_a_table_mixing_int_and_half_cells_gives_the_rescaled_answers(name):
+    entry = get(name)
+    a = entry.algebra
+    # b'_0 = 2 b_0 in degree 2: products landing on it pick up a half, and
+    # the coefficients left integral are written as ints
+    lam = [[Fraction(1 + ((k, i) == (2, 0))) for i in range(n)]
+           for k, n in enumerate(a.dims)]
+    scaled = rescaled(a, lam)[0]
+    mixed = GradedAlgebra(a.name, a.basis, {
+        key: [[tuple((t, _integral(c)) for t, c in cell) for cell in row]
+              for row in table] for key, table in scaled.tables.items()},
+        scaled.integration)
+    assert any({type(c) for row in table for cell in row for _, c in cell}
+               == {int, Fraction} for table in mixed.tables.values())
+    assert Fraction(1, 2) in {c for row in mixed.tables[1, 1] for cell in row
+                              for _, c in cell}
+    b, lam_b = rescaled(a)
+    omega_b = b.element(1, [x / l for x, l in zip(entry.omega.coords, lam_b[1])])
+    omega = mixed.element(1, entry.omega.coords)  # degree 1 is not rescaled
+    assert verify_algebra(mixed) == verify_algebra(b) == ((),)
+    lef, lef_b = lefschetz_subalgebra(mixed), lefschetz_subalgebra(b)
+    assert lef.dims == lef_b.dims == brute_force_lefschetz_dims(mixed)
+    assert check_symmetry(lef) == check_symmetry(lef_b)
+    assert check_poincare_duality(lef) == check_poincare_duality(lef_b)
+    assert check_hard_lefschetz(lef, omega) == check_hard_lefschetz(lef_b, omega_b)
+    assert primitive_dims(lef, omega) == primitive_dims(lef_b, omega_b)
 
 
 @pytest.mark.parametrize("name", ["example1", "example3", "P1xP2"])

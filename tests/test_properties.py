@@ -22,7 +22,8 @@ from _oracles import (algebra_payload_v1, all_pairs, brute_force_lefschetz_dims,
 from lefalg import catalog, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
-from lefalg.constructors import projective_bundle, projective_space
+from lefalg.constructors import (BlowupInput, blowup, projective_bundle,
+                                 projective_space)
 from lefalg.lefschetz import lefschetz_subalgebra
 from lefalg.linalg import P, Matrix, row_space_rank, rref
 from lefalg.ring import (GradedAlgebra, RingMap, tensor_product, verify_algebra,
@@ -335,23 +336,46 @@ def test_ring_map_reports_match_the_dense_oracle(data):
     assert verify_ring_map(f).violations == dense_ring_map_violations(f)
 
 
-# Random constructor trees of depth at most 2 over five small leaves: tensor
-# products, and projective bundles of rank 2 or 3 whose Chern classes have
-# integer coordinates in -3..3. Every leaf satisfies Poincare duality, and so
-# does every product and bundle built from them, so each tree must give a
-# palindromic, verified algebra whose L-dims match the brute-force oracle
-# and whose payload reads back as an equal algebra. A bundle over a bundle
-# names its class z2 (or z3, ...), so its labels are new.
-TREE_LEAVES = ["P-1", "P-2", "Gr-2-4", "CxP1-even", "example1"]
+# Random constructor trees of depth at most 2 over six small leaves: tensor
+# products, projective bundles of rank 2 or 3 whose Chern classes have
+# integer coordinates in -3..3, and blowups at a point. Every leaf satisfies
+# Poincare duality, and so does every product, bundle and blowup built from
+# them, so each tree must give a palindromic, verified algebra whose L-dims
+# match the brute-force oracle and whose payload reads back as an equal
+# algebra. A bundle over a bundle names its class z2 (or z3, ...), so its
+# labels are new; a blowup needs its e^i*1 labels to be new.
+TREE_LEAVES = ["P-1", "P-2", "P-3", "Gr-2-4", "CxP1-even", "example1"]
 MAX_CLASSES = 48
 
 
+def _point_blowup(y: GradedAlgebra, sign: int) -> GradedAlgebra:
+    """The blowup of y at a point: Z = P-0, the degree-0 identity as
+    pullback, r = top degree of y, and c(N) = 1."""
+    z, d = catalog.get("P-0").algebra, y.top_degree
+    return blowup(BlowupInput(y, z, RingMap(y, z, [Matrix.identity(1)]), d,
+                              [z.zero(i) for i in range(1, d + 1)]), sign=sign)
+
+
 def _tree(data, depth: int) -> GradedAlgebra:
-    kind = data.draw(st.sampled_from(["leaf", "tensor", "bundle"] if depth
-                                     else ["leaf"]))
+    kind = data.draw(st.sampled_from(["leaf", "tensor", "bundle", "blowup"]
+                                     if depth else ["leaf"]))
     if kind == "leaf":
         return catalog.get(data.draw(st.sampled_from(TREE_LEAVES))).algebra
     y = _tree(data, depth - 1)
+    if kind == "blowup":
+        d = y.top_degree
+        assume(d >= 2 and sum(y.dims) + d - 1 <= MAX_CLASSES)
+        assume(all(y.label_location(f"e^{i}*1") is None for i in range(1, d)))
+        plus, minus = _point_blowup(y, 1), _point_blowup(y, -1)
+        # e -> -e: the class e^k*1 of degree k goes to (-1)^k e^k*1
+        signs = [[(-1) ** k if lbl == f"e^{k}*1" else 1 for lbl in labels]
+                 for k, labels in enumerate(plus.basis)]
+        flip = [Matrix(len(row), len(row), [[c if s == t else 0 for t in
+                                             range(len(row))]
+                                            for s, c in enumerate(row)])
+                for row in signs]
+        assert verify_ring_map(RingMap(plus, minus, flip)).ok
+        return data.draw(st.sampled_from([plus, minus]))
     if kind == "tensor":
         z = _tree(data, depth - 1)
         assume(sum(y.dims) * sum(z.dims) <= MAX_CLASSES)

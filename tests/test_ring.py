@@ -1,7 +1,9 @@
 """Graded algebra core: construction, products, integration, maps, tensor."""
 
 import itertools
+import json
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -10,13 +12,14 @@ import pytest
 from _oracles import (algebra_payload_v1, all_pairs, dense_axiom_violations,
                       dense_multiply, dense_tensor_product,
                       full_scan_violations, relabeled, rescaled)
-from lefalg import catalog, ring
+from lefalg import catalog, cli, ring
+from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.constructors import projective_space, truncated_polynomial_algebra
 from lefalg.linalg import Matrix, rref
 from lefalg.ring import (GradedAlgebra, RingMap, apply_ring_map, integrate,
                          multiply, pairing_matrix, render_element,
                          tensor_product, verify_algebra, verify_ring_map)
-from lefalg.serialize import algebra_from_payload, algebra_payload
+from lefalg.serialize import algebra_from_payload, algebra_payload, write_algebra
 
 
 @pytest.fixture(scope="module")
@@ -340,11 +343,17 @@ def test_constructor_rejects_a_non_canonical_cell(cell):
         GradedAlgebra("odd", t.basis, tables, t.integration)
 
 
-def test_constructor_rejects_an_int_coefficient_and_a_misshapen_table():
+def test_constructor_takes_int_or_fraction_coefficients_and_rejects_a_misshapen_table():
+    for bad in (True, 0.5, "1"):
+        t, tables = _p1xp2_tables()
+        tables[(2, 1)][1][0] = ((0, bad),)  # a mirror cell, no longer shared
+        with pytest.raises(TypeError, match=re.escape(
+                f"product table (2,1) cell (1,0): coefficient {bad!r} is not "
+                f"an int or a Fraction")):
+            GradedAlgebra("odd", t.basis, tables, t.integration)
     t, tables = _p1xp2_tables()
-    tables[(2, 1)][1][0] = ((0, 1),)  # a mirror cell, no longer shared
-    with pytest.raises(TypeError, match=r"table \(2,1\) cell \(1,0\)"):
-        GradedAlgebra("inty", t.basis, tables, t.integration)
+    tables[(2, 1)][1][0] = ((0, 1),)
+    assert GradedAlgebra(t.name, t.basis, tables, t.integration) == t
     t, tables = _p1xp2_tables()
     tables[(1, 1)] = tables[(1, 1)][:1]
     with pytest.raises(ValueError, match=r"table \(1,1\) is not 2x2"):
@@ -379,7 +388,9 @@ def _assert_sparse_and_shared(a):
             assert len(row) == a.dim(k2)
             for j, cell in enumerate(row):
                 assert isinstance(cell, tuple)
-                assert all(type(c) is Fraction and c != 0 for _, c in cell)
+                # the canonical form: an int, or a Fraction that is not one
+                assert all(type(c) is int and c != 0 or type(c) is Fraction
+                           and c.denominator > 1 for _, c in cell)
                 targets = [t for t, _ in cell]
                 assert targets == sorted(set(targets))
                 assert all(0 <= t < a.dim(k1 + k2) for t in targets)
@@ -395,6 +406,64 @@ def test_cells_are_sparse_and_shared_with_their_mirror(name):
     for payload in (algebra_payload(a), algebra_payload_v1(a)):
         _assert_sparse_and_shared(
             algebra_from_payload(payload, require_checksum=False))
+
+
+def _inline_p2(name: str, hh: str, top: str) -> dict:
+    """A build node: P2 with h*h = hh * q and the integral of q equal to top."""
+    return {"algebra": {
+        "format": "graded-algebra", "version": 2, "name": name,
+        "top_degree": 2, "basis": [["1"], ["h"], ["q"]],
+        "products": [[0, 0, 0, 0, [[0, "1"]]], [0, 0, 1, 0, [[0, "1"]]],
+                     [0, 0, 2, 0, [[0, "1"]]], [1, 0, 1, 0, [[0, hh]]]],
+        "integration": [top]}}
+
+
+@pytest.mark.parametrize("tree", [
+    # c_1 h = 2h * h is the class q itself: an integral product
+    {"proj_bundle": {"Y": _inline_p2("half", "1/2", "2"),
+                     "chern": [["1"], ["2"], ["3"]]}},
+    # (1/2 q) (x) (2 q') is the class q (x) q' itself: an integral product
+    {"product": [_inline_p2("half", "1/2", "2"), _inline_p2("twice", "2", "1/2"),
+                 {"Gr": [2, 4]}]},
+    {"blowup": {"Y": {"product": [_inline_p2("half", "1/2", "2"), {"P": 1}]},
+                "Z": {"P": 0}, "pullback": [[["1"]]],
+                "chern_N": [[], [], []]}},
+], ids=["bundle", "product", "point"])
+def test_build_file_cells_are_ints_wherever_they_are_integral(tree):
+    a = evaluate(parse_build_file(json.dumps(tree)))
+    assert verify_algebra(a).ok
+    _assert_sparse_and_shared(a)
+
+
+def _with_coefficients(a: GradedAlgebra, kind) -> GradedAlgebra:
+    """a built by hand from its cells, every coefficient c written kind(c)."""
+    tables = {key: [[tuple((t, kind(c)) for t, c in cell) for cell in row]
+                    for row in table] for key, table in a.tables.items()}
+    return GradedAlgebra(a.name, a.basis, tables, a.integration)
+
+
+def test_int_and_fraction_cells_give_one_algebra_file_and_report(tmp_path,
+                                                                 capsys):
+    p1xp2 = catalog.get("P1xP2").algebra
+    ints = _with_coefficients(p1xp2, int)
+    fractions = _with_coefficients(p1xp2, Fraction)
+    for a, kind in ((ints, int), (fractions, Fraction)):
+        assert {type(c) for table in a.tables.values() for row in table
+                for cell in row for _, c in cell} == {kind}
+    assert ints == fractions == p1xp2
+    # an all-int table is read as stored, any other is an equal copy
+    assert ring._int_table(ints, 1, 1) is ints.tables[1, 1]
+    assert [list(map(tuple, row)) for row in ring._int_table(fractions, 1, 1)] \
+        == list(map(list, ints.tables[1, 1]))
+    outputs = []
+    for a in (ints, fractions):
+        path = tmp_path / f"{len(outputs)}.alg.json"
+        write_algebra(a, str(path))
+        with mock.patch.object(cli, "read_algebra", lambda ref: a):
+            assert cli.run(["report", "hand-built.alg.json", "--json"]) == 0
+        outputs.append((path.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["lefschetz_dims"] == [1, 2, 2, 1]
 
 
 @pytest.mark.parametrize("name", catalog.names())
