@@ -204,10 +204,7 @@ def evaluate(expr: BuildExpr) -> GradedAlgebra:
     if isinstance(expr, GrNode):
         return grassmannian(expr.k, expr.n)
     if isinstance(expr, ProductNode):
-        out = evaluate(expr.factors[0])
-        for f in expr.factors[1:]:
-            out = _call_at(f"{expr.path}.product", tensor_product, out, evaluate(f))
-        return out
+        return _call_at(f"{expr.path}.product", tensor_product, *map(evaluate, expr.factors))
     if isinstance(expr, BundleNode):
         y = evaluate(expr.base)
         chern = [_as_element(y, i, row, f"{expr.path}.proj_bundle.chern[{i}]")

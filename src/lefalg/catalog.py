@@ -147,9 +147,7 @@ def get(name: str) -> CatalogEntry:
         parts = _product_factors(name)
         if parts is None:
             raise ValueError(f"unknown catalog name: {name!r}")
-        alg = get(parts[0]).algebra
-        for p in parts[1:]:
-            alg = tensor_product(alg, get(p).algebra)
+        alg = tensor_product(*(get(p).algebra for p in parts))
         return CatalogEntry(name, alg, _degree_one_sum(alg),
                             "product of " + " and ".join(parts))
     if name == "example1":

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from math import gcd
+from math import gcd, lcm
 
-from .linalg import Vector, _basis, _int_rows, _rank, row_space_rank
-from .ring import Element, GradedAlgebra, _checked_class, _int_table
+from .linalg import Vector, _basis, _rank, row_space_rank, scalar
+from .ring import Element, GradedAlgebra, _checked_class, _int_pairing, _int_table
 
 
 class LefschetzData(namedtuple("LefschetzData", "ambient generators bases")):
@@ -53,8 +53,11 @@ Row = list[tuple[int, int]]  # the nonzero (i, c) terms of an integer row
 
 
 def _sparse(vectors: Sequence[Vector]) -> list[Row]:
-    """The nonzero terms of `_int_rows(vectors)`, one lcm for the list."""
-    return [[(i, x) for i, x in enumerate(row) if x] for row in _int_rows(vectors)]
+    """The nonzero terms of the vectors times one lcm of their denominators. The
+    callers pass Fractions (Element coordinates, RREF bases); `scalar` checks each."""
+    rows = [[(i, scalar(x)) for i, x in enumerate(v) if x] for v in vectors]
+    scale = lcm(*(x.denominator for row in rows for _, x in row))
+    return [[(i, x.numerator * (scale // x.denominator)) for i, x in row] for row in rows]
 
 
 def _int_basis(basis: tuple[Vector, ...], n: int) -> list[Row]:
@@ -205,10 +208,12 @@ def _int_gram(lef: LefschetzData, k: int) -> list[list[int]]:
 
 
 def check_poincare_duality(lef: LefschetzData) -> PredicateVerdict:
-    """The pairing L^k x L^{d-k} -> Q must be square and nondegenerate."""
-    d = lef.ambient.top_degree
-    return PredicateVerdict("poincare-duality", _per_degree(
-        lef, lambda k: _rank(_int_gram(lef, k), lef.dim(d - k))))
+    """The pairing L^k x L^{d-k} -> Q must be square and nondegenerate; where
+    both are full width, the Gram matrix is read from the table (`_int_pairing`)."""
+    a, d = lef.ambient, lef.ambient.top_degree
+    full = [lef.dim(k) == a.dim(k) for k in range(d + 1)]
+    return PredicateVerdict("poincare-duality", _per_degree(lef, lambda k: _rank(
+        _int_pairing(a, k) if full[k] and full[d - k] else _int_gram(lef, k), lef.dim(k))))
 
 
 class PrimitiveDims(namedtuple("PrimitiveDims", "dims valid")):

@@ -17,8 +17,8 @@ agree, so no product is stored twice. Products, verification, pairings and
 the file format all read cells; the dense coordinate tables are only a view
 (`GradedAlgebra.products`), as are the integer cells that the Lefschetz
 stage, the generator search and the pairing ranks read (`_int_table`, the
-stored table when it is all ints), and dense vectors are read only from
-payloads (`serialize`).
+stored table if the constructor's check found only ints); dense vectors are
+read only from payloads. An n-factor product is one Kronecker fold.
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -64,26 +64,29 @@ def sparse_cell(acc: dict) -> Cell:
     return tuple(sorted((t, _integral(c)) for t, c in acc.items() if c))
 
 
-def _check_cell(cell, n: int) -> None:
-    """Raise unless cell is canonical in a degree of dimension n: TypeError
-    unless each coefficient's type is int or Fraction, else ValueError."""
-    last = -1
+def _check_cell(cell, n: int) -> bool:
+    """Whether every coefficient is an int. Raise unless cell is canonical in a degree of
+    dimension n: TypeError for a coefficient not an int or a Fraction, else ValueError."""
+    last, ints = -1, True
     for term in cell if type(cell) is tuple else [()]:
         if type(term) is tuple and len(term) == 2:
             t, c = term
-            if type(c) is not int and type(c) is not Fraction:
-                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+            if type(c) is not int:
+                if type(c) is not Fraction:
+                    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+                ints = False
             if type(t) is int and last < t < n and c:
                 last = t
                 continue
         raise ValueError(f"{cell!r} is not a tuple of (t, c) terms with t "
                          f"ascending in 0..{n - 1} and c nonzero")
+    return ints
 
 
-def _checked_tables(tables: Mapping, dims: Sequence[int]) -> dict:
-    """The tables with tuple rows, every shape and cell checked; a cell its
-    mirror shares is checked once."""
-    d, out = len(dims) - 1, {}
+def _checked_tables(tables: Mapping, dims: Sequence[int]) -> tuple[dict, bool]:
+    """The tables with tuple rows, every shape and cell checked, and whether all
+    coefficients are ints; a cell left of lo that is its mirror's object is checked there."""
+    d, out, ints = len(dims) - 1, {}, True
     for k1 in range(d + 1):
         for k2 in range(d + 1 - k1):
             if (k1, k2) not in tables:
@@ -95,12 +98,13 @@ def _checked_tables(tables: Mapping, dims: Sequence[int]) -> dict:
         mirror, n = out[k2, k1], dims[k1 + k2]
         try:
             for i, row in enumerate(table):
+                lo = i if k1 == k2 else 0 if k1 < k2 else len(row)
                 for j, cell in enumerate(row):
-                    if cell != () and ((k1, i) <= (k2, j) or mirror[j][i] is not cell):
-                        _check_cell(cell, n)
+                    if cell != () and (j >= lo or mirror[j][i] is not cell):
+                        ints &= _check_cell(cell, n)
         except (TypeError, ValueError) as e:
             raise type(e)(f"product table ({k1},{k2}) cell ({i},{j}): {e}") from None
-    return out
+    return out, ints
 
 
 class GradedAlgebra:
@@ -119,7 +123,7 @@ class GradedAlgebra:
     is a read-only dense view, densified one table at a time when read.
     """
 
-    __slots__ = ("name", "basis", "tables", "integration", "_label_map")
+    __slots__ = ("name", "basis", "tables", "integration", "_label_map", "_ints")
 
     def __init__(self, name: str, basis: Sequence[Sequence[str]],
                  tables: Mapping, integration: Sequence):
@@ -134,7 +138,7 @@ class GradedAlgebra:
                 if lbl in label_map:
                     raise ValueError(f"duplicate basis label {lbl!r}")
                 label_map[lbl] = (k, i)
-        tables = _checked_tables(tables, [len(deg) for deg in basis])
+        tables, ints = _checked_tables(tables, [len(deg) for deg in basis])
         integration = vector(integration)
         if len(integration) != len(basis[-1]):
             raise ValueError("integration vector length != top-degree dimension")
@@ -143,6 +147,7 @@ class GradedAlgebra:
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "integration", integration)
         object.__setattr__(self, "_label_map", label_map)
+        object.__setattr__(self, "_ints", ints)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedAlgebra is immutable")
@@ -253,12 +258,12 @@ def _dense(cell: Cell, n: int) -> Vector:
 
 
 def _int_table(a: GradedAlgebra, k1: int, k2: int) -> Sequence:
-    """The (k1, k2) table as stored if its coefficients are all ints, else a
-    copy with each coefficient times one scale, the lcm of the denominators:
+    """The (k1, k2) table as stored if a's constructor found only ints, else
+    a copy with each coefficient times one scale, the lcm of the denominators:
     ``rows[i][j]`` holds integer (t, c) terms on the line of b_i * b_j, which
     is all a rank sees, so the scale is not returned."""
     table = a.tables[k1, k2]
-    if all(type(c) is int for row in table for cell in row for _, c in cell):
+    if a._ints:
         return table
     scale = lcm(*{c.denominator for row in table for cell in row for _, c in cell})
     return [[[(t, c.numerator * (scale // c.denominator)) for t, c in cell]
@@ -573,28 +578,31 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
 
 def _require_nondegenerate(a: GradedAlgebra, what: str) -> None:
     """Raise ValueError naming a and its first `_pairing_violations` line."""
-    bad = _pairing_violations(a)
-    if bad:
+    if bad := _pairing_violations(a):
         raise ValueError(f"{what} {a.name}: {bad[0]}")
+
+
+def _int_pairing(a: GradedAlgebra, k: int) -> list[list[int]]:
+    """`_int_table(a, k, d - k)` dotted with the integration vector cleared of
+    denominators: integer rows, a nonzero multiple of `pairing_matrix(a, k)`."""
+    (w,) = _int_rows([a.integration])
+    return [[sum([w[t] * c for t, c in cell]) if cell else 0 for cell in row]
+            for row in _int_table(a, k, a.top_degree - k)]
 
 
 def _pairing_violations(a: GradedAlgebra) -> list[str]:
     """The integration and pairing lines of `verify_algebra`; degree k is
-    ranked on `_int_table(a, k, d - k)` dotted with the integration vector
-    cleared of denominators, a nonzero multiple of `pairing_matrix(a, k)`."""
+    ranked on `_int_pairing(a, k)`."""
     bad: list[str] = []
     d = a.top_degree
-    w = a.integration
-    if a.dim(d) > 0 and all(c == 0 for c in w):
+    if a.dim(d) > 0 and all(c == 0 for c in a.integration):
         bad.append("integration functional is identically zero")
-    w = _int_rows([w])[0]
     for k in range(d + 1):
         n, m = a.dim(k), a.dim(d - k)
         if n != m:
             bad.append(f"pairing at degree {k} is not square: {n}x{m}")
             continue
-        rank = _rank([[sum(w[t] * c for t, c in cell) for cell in row]
-                      for row in _int_table(a, k, d - k)], n)
+        rank = _rank(_int_pairing(a, k), n)
         if rank != n:
             bad.append(f"pairing at degree {k} is singular (rank {rank} of {n})")
     return bad
@@ -709,27 +717,38 @@ def build_product_tables(basis: Sequence[Sequence[str]],
     return tables
 
 
-def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
+def tensor_product(a: GradedAlgebra, b: GradedAlgebra, *more: GradedAlgebra,
                    name: str | None = None) -> GradedAlgebra:
-    """Kunneth product: bases are pairs, products are componentwise.
+    """Kunneth product of two or more factors: one left fold of `_kronecker`, with the
+    name, labels, cells and integration of (a x b) x c. Only the product is constructed;
+    its pairing is the Kronecker product of theirs, so each factor's is checked once, in
+    order, and a degenerate one raises ValueError (`_require_nondegenerate`)."""
+    factors = (a, b, *more)
+    for f in factors:
+        _require_nondegenerate(f, "factor")
+    data, ints = (a.basis, a.tables, a.integration), all(f._ints for f in factors)
+    for f in factors[1:]:
+        data = _kronecker(data, (f.basis, f.tables, f.integration), ints)
+    return GradedAlgebra(name or "x".join(f.name for f in factors), *data)
 
+
+def _kronecker(a: tuple, b: tuple, ints: bool) -> tuple:
+    """The (basis, tables, integration) of the Kunneth product of two such
+    triples; ``ints`` says both hold only ints, so no product needs `_integral`.
     Degree k is laid out block by block, one block per split (i, k-i) with
     i descending, so the first factor's classes come first; inside a block,
     a_p (x) b_q sits at position p * dim_b(k-i) + q. Table (k1, k2) is filled
-    one block at a time: block (ia, ib) is the Kronecker product of
-    ``a.tables[ia, ib]`` with ``b.tables[k1-ia, k2-ib]``, its cells placed by
+    one block at a time: block (ia, ib) is the Kronecker product of the left
+    table (ia, ib) with the right table (k1-ia, k2-ib), its cells placed by
     that arithmetic. A left cell's terms have p ascending and a right cell's
     q ascending, so the terms of their product come out in ascending
-    position and no cell is sorted; each coefficient is the product of the
-    two, an int when it is integral. A diagonal table computes the blocks with
-    ib <= ia and mirrors the rest, and every (k2, k1) cell is the (k1, k2)
-    cell object. Integration is the product of integrations on the (d_a, d_b)
-    block. A factor whose pairing is degenerate raises ValueError
-    (`_require_nondegenerate`).
+    position and no cell is sorted. A diagonal table computes the blocks
+    with ib <= ia and mirrors the rest, and every (k2, k1) cell is the
+    (k1, k2) cell object. Integration is the product of integrations on the
+    (d_a, d_b) block.
     """
-    _require_nondegenerate(a, "factor")
-    _require_nondegenerate(b, "factor")
-    da, db = a.top_degree, b.top_degree
+    (abasis, atables, aw), (bbasis, btables, bw) = a, b
+    da, db = len(abasis) - 1, len(bbasis) - 1
     d = da + db
     splits = [range(min(k, da), max(0, k - db) - 1, -1) for k in range(d + 1)]
     basis, start = [], []
@@ -737,7 +756,7 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
         labels, offset = [], {}
         for i in split:
             offset[i] = len(labels)
-            labels += [f"{x}⊗{y}" for x in a.basis[i] for y in b.basis[k - i]]
+            labels += [f"{x}⊗{y}" for x in abasis[i] for y in bbasis[k - i]]
         basis.append(labels)
         start.append(offset)
     tables = {}
@@ -753,10 +772,10 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
                     # the block's first row and column, where its products
                     # land, and the widths of the three factor degrees of b
                     row0, col0, at = start[k1][ia], start[k2][ib], start[k][ia + ib]
-                    nr, nc, nb = b.dim(k1 - ia), b.dim(k2 - ib), b.dim(kb)
-                    table = b.tables[k1 - ia, k2 - ib]
+                    nr, nc, nb = len(bbasis[k1 - ia]), len(bbasis[k2 - ib]), len(bbasis[kb])
+                    table = btables[k1 - ia, k2 - ib]
                     diagonal = k1 == k2 and ia == ib
-                    for pa, arow in enumerate(a.tables[ia, ib]):
+                    for pa, arow in enumerate(atables[ia, ib]):
                         # a diagonal block's cells left of pa are mirrored
                         for pb in range(pa if diagonal else 0, len(arow)):
                             if not arow[pb]:
@@ -766,8 +785,10 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
                                 out = rows[row0 + pa * nr + qa]
                                 for j, bcell in enumerate(brow, col0 + pb * nc):
                                     if bcell:
-                                        out[j] = tuple([(s + q, _integral(cp * cq))
-                                                        for s, cp in lead for q, cq in bcell])
+                                        cell = [(s + q, cp * cq) for s, cp in lead
+                                                for q, cq in bcell]
+                                        out[j] = tuple(cell if ints else
+                                                       [(t, _integral(c)) for t, c in cell])
             if k1 == k2:  # below the diagonal, share the cells above it
                 for i in range(1, n1):
                     rows[i][:i] = [rows[j][i] for j in range(i)]
@@ -775,5 +796,4 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra,
                 tables[k2, k1] = [[row[j] for row in rows] for j in range(n2)]
             tables[k1, k2] = rows
     # degree d is the (da, db) block alone, laid out p-major
-    integration = [cp * cq for cp in a.integration for cq in b.integration]
-    return GradedAlgebra(name or f"{a.name}x{b.name}", basis, tables, integration)
+    return basis, tables, [cp * cq for cp in aw for cq in bw]

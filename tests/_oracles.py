@@ -20,7 +20,8 @@ product taken over the dense tables.
 
 `dense_tensor_product` multiplies every pair of dense factor vectors and
 names each class by its label pair, so it never sees the block layout
-that `tensor_product` places cells by.
+that `tensor_product` places cells by; `assert_dense_kronecker` holds a
+product to it.
 
 `full_scan_violations` is one exception: it is `verify_algebra` itself
 with every pair of basis classes in its pair set (`all_pairs`), so that
@@ -297,6 +298,30 @@ def dense_tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> dict:
                     out[x, y] = {z: c for z, c in zip(zs, (ca * cb for ca in va
                                                            for cb in vb)) if c}
     return out
+
+
+def assert_dense_kronecker(a: GradedAlgebra, b: GradedAlgebra,
+                           t: GradedAlgebra) -> None:
+    """Assert that t is the Kunneth product of a and b by
+    `dense_tensor_product`: each degree's labels are the label pairs, each
+    cell is the dense product and its mirror's object, and the integration
+    is the product of the two."""
+    expected = dense_tensor_product(a, b)
+    pairs = [[] for _ in t.basis]
+    for (i, us), (j, vs) in itertools.product(enumerate(a.basis), enumerate(b.basis)):
+        pairs[i + j] += [f"{u}⊗{v}" for u in us for v in vs]
+    assert [sorted(labels) for labels in t.basis] == [sorted(p) for p in pairs]
+    for (k1, k2), table in t.tables.items():
+        zs = t.basis[k1 + k2]
+        for i, row in enumerate(table):
+            for j, cell in enumerate(row):
+                got = {zs[s]: c for s, c in cell}
+                assert got == expected.get((t.basis[k1][i], t.basis[k2][j]), {})
+                assert t.tables[k2, k1][j][i] is cell
+    top = {z: c for z, c in zip(t.basis[-1], t.integration)}
+    assert top == {f"{u}⊗{v}": cu * cv
+                   for u, cu in zip(a.basis[-1], a.integration)
+                   for v, cv in zip(b.basis[-1], b.integration)}
 
 
 # Every catalog algebra has integer cells, so its integer view has scale 1.

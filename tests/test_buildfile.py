@@ -289,7 +289,14 @@ _DEGENERATE_P1 = dict(algebra_payload(get("P-1").algebra), name="flat",
      "$.product: factor deg: integration functional is identically zero"),
     ({"product": [{"P": 1}, {"P": 2}, {"algebra": _DEGENERATE_P1}]},
      "$.product: factor flat: integration functional is identically zero"),
-], ids=["blowup-center", "bundle-base", "product-left", "product-right"])
+    ({"product": [{"P": 1}, {"algebra": _DEGENERATE_P1}, {"P": 2}]},
+     "$.product: factor flat: integration functional is identically zero"),
+    # every factor is built before the product checks any of them, so a
+    # later factor's build error wins over an earlier degenerate factor
+    ({"product": [{"P": 1}, {"algebra": _DEGENERATE_P1}, {"catalog": "nope"}]},
+     "$.product[2].catalog: unknown catalog name: 'nope'"),
+], ids=["blowup-center", "bundle-base", "product-left", "product-right",
+        "product-middle", "product-build-error-first"])
 def test_a_degenerate_constructor_input_is_refused_at_build_time(
         tmp_path, capsys, tree, error):
     src, out = tmp_path / "bad.build.json", tmp_path / "bad.alg.json"

@@ -1,5 +1,6 @@
 """Degree-one subalgebras and the three structural predicates."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,14 @@ import pytest
 from _oracles import (brute_force_lefschetz_bases, brute_force_lefschetz_dims,
                       kernel, rescaled)
 from lefalg import lefschetz, ring
+from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.catalog import get, names
 from lefalg.cli import run
 from lefalg.constructors import projective_space
 from lefalg.lefschetz import (_int_gram, _omega_powers, check_hard_lefschetz,
                               check_poincare_duality, check_symmetry,
                               lefschetz_subalgebra, primitive_dims)
-from lefalg.linalg import Matrix
+from lefalg.linalg import Matrix, _rank
 from lefalg.ring import (GradedAlgebra, _integral, integrate, multiply,
                          verify_algebra)
 
@@ -366,3 +368,42 @@ def test_tables_with_denominators_give_the_same_answers(name):
     for m, row in enumerate(_omega_powers(omega, d + 1)):
         exact = (omega ** m).coords
         assert _is_one_multiple([_dense_row(row, len(exact))], [exact]), m
+
+
+# the two build files of the benchmark's cli-files workload
+_BENCHMARK_BUILDS = {
+    "blowup": {"blowup": {"Y": {"P": 5}, "Z": {"catalog": "CxP1-even"},
+                          "pullback": [[[1]], [[1], [3]], [[6]]],
+                          "chern_N": [[4, 18], [54], []]}},
+    "product": {"product": [{"Gr": [2, 5]}, {"Gr": [2, 5]}, {"P": 1}]},
+}
+
+
+@pytest.mark.parametrize("source", names() + list(_BENCHMARK_BUILDS))
+def test_full_width_pairings_read_from_the_table_agree_with_the_gram(source):
+    if source in _BENCHMARK_BUILDS:
+        a = evaluate(parse_build_file(json.dumps(_BENCHMARK_BUILDS[source])))
+    else:
+        a = get(source).algebra
+    lef = lefschetz_subalgebra(a)
+    d = a.top_degree
+    by_gram = lefschetz._per_degree(
+        lef, lambda k: _rank(_int_gram(lef, k), lef.dim(d - k)))
+    assert check_poincare_duality(lef) == ("poincare-duality", by_gram)
+    full = [k for k in range(d + 1)
+            if lef.dim(k) == a.dim(k) and lef.dim(d - k) == a.dim(d - k)]
+    assert 0 in full
+    for k in full:
+        assert ring._int_pairing(a, k) == _int_gram(lef, k)
+
+
+def test_a_pairing_is_read_from_the_table_only_where_both_degrees_are_full():
+    # A^2 = <q1, q2> with x^2 = q1, and the integration reads q2 only: L^0 is
+    # all of A^0, but L^2 = <q1> is not all of A^2 and pairs to zero with it
+    one, q1, q2 = ((0, 1),), ((0, 1),), ((1, 1),)
+    tables = {(0, 0): [[one]], (0, 1): [[one]], (1, 0): [[one]],
+              (0, 2): [[q1, q2]], (2, 0): [[q1], [q2]], (1, 1): [[q1]]}
+    a = GradedAlgebra("lopsided", [["1"], ["x"], ["q1", "q2"]], tables, [0, 1])
+    lef = lefschetz_subalgebra(a)
+    assert lef.dims == (1, 1, 1)
+    assert check_poincare_duality(lef).witness == "k=0: rank 0 of 1"

@@ -15,10 +15,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import (algebra_payload_v1, all_pairs, brute_force_lefschetz_dims,
-                      dense_axiom_violations, dense_ring_map_violations,
-                      full_scan_violations, lr_count_by_tableaux,
-                      row_space_basis)
+from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
+                      brute_force_lefschetz_dims, dense_axiom_violations,
+                      dense_ring_map_violations, full_scan_violations,
+                      lr_count_by_tableaux, rescaled, row_space_basis)
 from lefalg import catalog, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
@@ -397,6 +397,35 @@ def test_random_constructor_trees(data):
     assert verify_algebra(a).ok, verify_algebra(a).violations
     assert lefschetz_subalgebra(a).dims == brute_force_lefschetz_dims(a)
     assert algebra_from_payload(algebra_payload(a), require_checksum=False) == a
+
+
+# Factors of an n-factor product: every draw has a point (top degree 0) and
+# a rescaled factor (P-2, CxP1-even or Gr-2-4, each with non-integral
+# structure constants) among 3-4 factors of at most 6 classes each.
+FOLD_FACTORS = ["P-0", "P-1", "P-2", "CxP1-even", "Gr-2-4"]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_an_n_factor_product_is_its_nested_binary_products(data):
+    names = data.draw(st.lists(st.sampled_from(FOLD_FACTORS), min_size=1, max_size=2))
+    rational = rescaled(catalog.get(data.draw(st.sampled_from(FOLD_FACTORS[2:]))).algebra)[0]
+    factors = data.draw(st.permutations(
+        [catalog.get(n).algebra for n in ["P-0", *names]] + [rational]))
+    t = tensor_product(*factors)
+    nested = factors[0]
+    for f in factors[1:]:
+        step = tensor_product(nested, f)
+        assert_dense_kronecker(nested, f, step)
+        nested = step
+    assert (t.name, t.basis, t.tables, t.integration) == \
+        (nested.name, nested.basis, nested.tables, nested.integration)
+    assert t.name == "x".join(f.name for f in factors)
+    # a product of two coefficients is an int wherever it is integral
+    assert all(type(c) is int or c.denominator > 1 for table in t.tables.values()
+               for row in table for cell in row for _, c in cell)
+    named = tensor_product(*factors, name="named")
+    assert (named.name, named.tables) == ("named", t.tables)
 
 
 def _box_partition(data, rows: int, cols: int):

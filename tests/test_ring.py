@@ -9,8 +9,8 @@ from unittest import mock
 
 import pytest
 
-from _oracles import (algebra_payload_v1, all_pairs, dense_axiom_violations,
-                      dense_multiply, dense_tensor_product,
+from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
+                      dense_axiom_violations, dense_multiply,
                       full_scan_violations, relabeled, rescaled)
 from lefalg import catalog, cli, ring
 from lefalg.buildfile import evaluate, parse_build_file
@@ -19,7 +19,8 @@ from lefalg.linalg import Matrix, rref
 from lefalg.ring import (GradedAlgebra, RingMap, apply_ring_map, integrate,
                          multiply, pairing_matrix, render_element,
                          tensor_product, verify_algebra, verify_ring_map)
-from lefalg.serialize import algebra_from_payload, algebra_payload, write_algebra
+from lefalg.serialize import (algebra_from_payload, algebra_payload, read_algebra,
+                              write_algebra)
 
 
 @pytest.fixture(scope="module")
@@ -212,23 +213,7 @@ def _factor(name):
     ("example3", "example1"), ("Gr-2-4", "~example1"), ("~P1xP2", "~P1xP2")])
 def test_tensor_product_matches_the_dense_kronecker_oracle(left, right):
     a, b = _factor(left), _factor(right)
-    t = tensor_product(a, b)
-    expected = dense_tensor_product(a, b)
-    pairs = [[] for _ in t.basis]
-    for (i, us), (j, vs) in itertools.product(enumerate(a.basis), enumerate(b.basis)):
-        pairs[i + j] += [f"{u}⊗{v}" for u in us for v in vs]
-    assert [sorted(labels) for labels in t.basis] == [sorted(p) for p in pairs]
-    for (k1, k2), table in t.tables.items():
-        zs = t.basis[k1 + k2]
-        for i, row in enumerate(table):
-            for j, cell in enumerate(row):
-                got = {zs[s]: c for s, c in cell}
-                assert got == expected.get((t.basis[k1][i], t.basis[k2][j]), {})
-                assert t.tables[k2, k1][j][i] is cell
-    top = {z: c for z, c in zip(t.basis[-1], t.integration)}
-    assert top == {f"{u}⊗{v}": cu * cv
-                   for u, cu in zip(a.basis[-1], a.integration)
-                   for v, cv in zip(b.basis[-1], b.integration)}
+    assert_dense_kronecker(a, b, tensor_product(a, b))
 
 
 def test_ring_map_functoriality():
@@ -464,6 +449,32 @@ def test_int_and_fraction_cells_give_one_algebra_file_and_report(tmp_path,
         outputs.append((path.read_bytes(), capsys.readouterr().out))
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0][1])["lefschetz_dims"] == [1, 2, 2, 1]
+
+
+# P2 with h*h = q/2 and integration 2: one non-integral structure constant
+_P2_HALF = {"format": "graded-algebra", "version": 2, "name": "P2-half",
+            "top_degree": 2, "basis": [["1"], ["h"], ["q"]],
+            "products": [[0, 0, 0, 0, [[0, "1"]]], [0, 0, 1, 0, [[0, "1"]]],
+                         [0, 0, 2, 0, [[0, "1"]]], [1, 0, 1, 0, [[0, "1/2"]]]],
+            "integration": ["2"]}
+
+
+def test_int_table_reads_the_flag_the_constructor_set(tmp_path):
+    ints = catalog.get("P1xP2").algebra
+    assert ints._ints
+    assert all(ring._int_table(ints, *key) is table for key, table in ints.tables.items())
+    half = algebra_from_payload(_P2_HALF, require_checksum=False)
+    path = tmp_path / "half.alg.json"
+    write_algebra(half, str(path))
+    for a in (half, read_algebra(str(path)), tensor_product(half, projective_space(1))):
+        assert not a._ints
+        # each read is a scaled copy, also of a table that holds only ints
+        for key, table in a.tables.items():
+            copy = ring._int_table(a, *key)
+            assert copy is not table
+            assert all(type(c) is int for row in copy for cell in row for _, c in cell)
+    assert ring._int_table(half, 1, 1) == [[[(0, 1)]]]
+    assert ring._int_table(half, 0, 2) == [[[(0, 1)]]]
 
 
 @pytest.mark.parametrize("name", catalog.names())
