@@ -168,10 +168,13 @@ def _omega_powers(omega: Element, n: int) -> list[Row]:
 
 
 def _map_rank(lef: LefschetzData, m: int, row: Row, k: int) -> int:
-    """Rank of (x -> p * x) on L^k, for p of degree m on the line of row."""
+    """Rank of (x -> p * x) on L^k, for p of degree m on the line of row; p of
+    degree 0 is omega^0, the unit, so that map is the identity."""
     a = lef.ambient
     if m + k > a.top_degree:
         return 0
+    if m == 0:
+        return lef.dim(k)
     us = _int_basis(lef.bases[k], a.dim(k))
     return _rank(list(_product_rows(a, m, k, [row], us)), a.dim(m + k))
 

@@ -227,16 +227,19 @@ def _add_row_mod_p(pivots: list[tuple[int, list[tuple[int, int]]]],
 
 
 def _echelon_mod_p(rows: Iterable[Sequence[int]], full: int) -> tuple[list, list]:
-    """Echelon pivots mod P of integer rows, one `_add_row_mod_p` per row,
-    and the rows read. Stops once there are ``full`` pivots, the most that
-    min(rows, width) allows, so a lazy iterable is read only that far."""
+    """Echelon pivots mod P of integer rows, one `_add_row_mod_p` per nonzero
+    row, and the nonzero rows read: a zero row changes neither the pivots nor
+    the RREF, nor what `_certify` proves. Stops once there are ``full``
+    pivots, the most that min(rows, width) allows, so a lazy iterable is read
+    only that far."""
     pivots: list[tuple[int, list[tuple[int, int]]]] = []
     read = []
     for row in rows:
         if len(pivots) == full:
             break
-        read.append(row)
-        _add_row_mod_p(pivots, [x % P for x in row])
+        if any(row):
+            read.append(row)
+            _add_row_mod_p(pivots, [x % P for x in row])
     return pivots, read
 
 

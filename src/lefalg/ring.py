@@ -11,7 +11,10 @@ basis classes as a tuple of (t, c) terms, t ascending and c nonzero: an int
 when it is integral, else a Fraction. That coefficient rule lives here alone
 (`_integral`); a hand-built table may also hold integral Fractions, and ints
 and Fractions agree on ==, hash and str. A zero product is the empty cell ().
-Cells are the one form the constructor takes, and it checks each of them.
+Cells are the one form the constructor takes, and it checks each of them,
+except a shared unit cell: ``((t, 1),)`` is one object per position t
+(`_unit_cells`), which the Kronecker kernel hands out for every product of
+two unit cells, and one inside the degree is canonical by construction.
 The (k1, k2) and (k2, k1) tables hold the same cell objects wherever the two
 agree, so no product is stored twice. Products, verification, pairings and
 the file format all read cells; the dense coordinate tables are only a view
@@ -83,9 +86,19 @@ def _check_cell(cell, n: int) -> bool:
     return ints
 
 
+_UNITS: list = []
+
+
+def _unit_cells(n: int) -> list:
+    """The shared unit cells, grown to at least n: entry t is the one object ((t, 1),)."""
+    _UNITS.extend(((t, 1),) for t in range(len(_UNITS), n))
+    return _UNITS
+
+
 def _checked_tables(tables: Mapping, dims: Sequence[int]) -> tuple[dict, bool]:
     """The tables with tuple rows, every shape and cell checked, and whether all
-    coefficients are ints; a cell left of lo that is its mirror's object is checked there."""
+    coefficients are ints; a cell left of lo that is its mirror's object is checked
+    there, and one of the first n shared unit cells (`_unit_cells`) is canonical."""
     d, out, ints = len(dims) - 1, {}, True
     for k1 in range(d + 1):
         for k2 in range(d + 1 - k1):
@@ -96,11 +109,13 @@ def _checked_tables(tables: Mapping, dims: Sequence[int]) -> tuple[dict, bool]:
                 raise ValueError(f"product table ({k1},{k2}) is not {dims[k1]}x{dims[k2]}")
     for (k1, k2), table in out.items():
         mirror, n = out[k2, k1], dims[k1 + k2]
+        units = set(map(id, _UNITS[:n]))
         try:
             for i, row in enumerate(table):
                 lo = i if k1 == k2 else 0 if k1 < k2 else len(row)
                 for j, cell in enumerate(row):
-                    if cell != () and (j >= lo or mirror[j][i] is not cell):
+                    if (cell != () and (j >= lo or mirror[j][i] is not cell)
+                            and id(cell) not in units):
                         ints &= _check_cell(cell, n)
         except (TypeError, ValueError) as e:
             raise type(e)(f"product table ({k1},{k2}) cell ({i},{j}): {e}") from None
@@ -740,9 +755,13 @@ def _kronecker(a: tuple, b: tuple, ints: bool) -> tuple:
     a_p (x) b_q sits at position p * dim_b(k-i) + q. Table (k1, k2) is filled
     one block at a time: block (ia, ib) is the Kronecker product of the left
     table (ia, ib) with the right table (k1-ia, k2-ib), its cells placed by
-    that arithmetic. A left cell's terms have p ascending and a right cell's
-    q ascending, so the terms of their product come out in ascending
-    position and no cell is sorted. A diagonal table computes the blocks
+    that arithmetic. Each table's nonzero cells are listed once, so empty
+    cells and blocks with an empty right table cost nothing. A left cell's
+    terms have p ascending and a right cell's q ascending, so the terms of
+    their product come out in ascending position and no cell is sorted. The
+    product of two unit cells ((p, 1),) and ((q, 1),) is the shared unit cell
+    (`_unit_cells`) at its position: an index, no new tuple, and one the
+    constructor does not check again. A diagonal table computes the blocks
     with ib <= ia and mirrors the rest, and every (k2, k1) cell is the
     (k1, k2) cell object. Integration is the product of integrations on the
     (d_a, d_b) block.
@@ -759,6 +778,21 @@ def _kronecker(a: tuple, b: tuple, ints: bool) -> tuple:
             labels += [f"{x}⊗{y}" for x in abasis[i] for y in bbasis[k - i]]
         basis.append(labels)
         start.append(offset)
+    units = _unit_cells(max(map(len, basis)))
+
+    def nonzero(tables):
+        # each table's nonzero cells (p, q, cell, t): t is the position of a
+        # unit cell ((t, 1),), -1 for any other cell
+        return {key: [(p, q, cell, cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else -1)
+                      for p, row in enumerate(table) for q, cell in enumerate(row) if cell]
+                for key, table in tables.items()}
+
+    acells, bcells = nonzero(atables), nonzero(btables)
+
+    def times(lead, bcell):
+        cell = [(s + q, cp * cq) for s, cp in lead for q, cq in bcell]
+        return tuple(cell if ints else [(t, _integral(c)) for t, c in cell])
+
     tables = {}
     for k1 in range(d + 1):
         for k2 in range(k1, d + 1 - k1):
@@ -769,31 +803,33 @@ def _kronecker(a: tuple, b: tuple, ints: bool) -> tuple:
                     kb = k - ia - ib
                     if kb > db or ia + ib > da or (k1 == k2 and ib > ia):
                         continue
+                    right = bcells[k1 - ia, k2 - ib]
+                    if not right:
+                        continue
                     # the block's first row and column, where its products
                     # land, and the widths of the three factor degrees of b
                     row0, col0, at = start[k1][ia], start[k2][ib], start[k][ia + ib]
                     nr, nc, nb = len(bbasis[k1 - ia]), len(bbasis[k2 - ib]), len(bbasis[kb])
-                    table = btables[k1 - ia, k2 - ib]
                     diagonal = k1 == k2 and ia == ib
-                    for pa, arow in enumerate(atables[ia, ib]):
-                        # a diagonal block's cells left of pa are mirrored
-                        for pb in range(pa if diagonal else 0, len(arow)):
-                            if not arow[pb]:
-                                continue
-                            lead = [(at + p * nb, cp) for p, cp in arow[pb]]
-                            for qa, brow in enumerate(table):
-                                out = rows[row0 + pa * nr + qa]
-                                for j, bcell in enumerate(brow, col0 + pb * nc):
-                                    if bcell:
-                                        cell = [(s + q, cp * cq) for s, cp in lead
-                                                for q, cq in bcell]
-                                        out[j] = tuple(cell if ints else
-                                                       [(t, _integral(c)) for t, c in cell])
+                    for pa, pb, acell, u in acells[ia, ib]:
+                        if diagonal and pb < pa:
+                            continue  # a diagonal block's cells left of pa are mirrored
+                        r, c = row0 + pa * nr, col0 + pb * nc
+                        if u < 0:
+                            lead = [(at + p * nb, cp) for p, cp in acell]
+                            for qa, qb, bcell, _ in right:
+                                rows[r + qa][c + qb] = times(lead, bcell)
+                            continue
+                        base = at + u * nb
+                        for qa, qb, bcell, v in right:
+                            rows[r + qa][c + qb] = (units[base + v] if v >= 0 else
+                                                    times([(base, acell[0][1])], bcell))
+            cols = list(zip(*rows)) if n1 else [()] * n2
             if k1 == k2:  # below the diagonal, share the cells above it
                 for i in range(1, n1):
-                    rows[i][:i] = [rows[j][i] for j in range(i)]
+                    rows[i][:i] = cols[i][:i]
             else:
-                tables[k2, k1] = [[row[j] for row in rows] for j in range(n2)]
+                tables[k2, k1] = cols
             tables[k1, k2] = rows
     # degree d is the (da, db) block alone, laid out p-major
     return basis, tables, [cp * cq for cp in aw for cq in bw]

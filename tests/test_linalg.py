@@ -163,6 +163,15 @@ def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors):
                                         (Fraction(0), Fraction(1))]
 
 
+def test_zero_rows_are_skipped_and_change_no_rank_or_basis():
+    rows = [[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 6], [0, 0, 0]]
+    pivots, read = linalg._echelon_mod_p(iter(rows), 3)
+    assert len(pivots) == 1 and read == [[1, 2, 3], [2, 4, 6]]
+    assert linalg._rank(rows, 3) == 1
+    assert linalg._basis(iter(rows), 3) == [tuple(map(Fraction, (1, 2, 3)))]
+    assert linalg._basis(iter([[0, 0]] * 3), 2) == []
+
+
 def test_int_rows_clear_denominators_by_one_lcm_per_list():
     # one scale for the list keeps the rows' ratios, so an integer Gram is
     # a single multiple of the exact one

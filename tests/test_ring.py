@@ -477,6 +477,73 @@ def test_int_table_reads_the_flag_the_constructor_set(tmp_path):
     assert ring._int_table(half, 0, 2) == [[[(0, 1)]]]
 
 
+def _p2_twice() -> GradedAlgebra:
+    """P2 by hand with h*h = 2q, every coefficient an integral Fraction."""
+    return GradedAlgebra("P2-twice", [["1"], ["h"], ["q"]], ring.build_product_tables(
+        [["1"], ["h"], ["q"]], lambda k1, i, k2, j: ((0, Fraction(2 if k1 else 1)),)),
+        [1])
+
+
+def test_every_kernel_branch_writes_an_integral_coefficient_as_an_int():
+    # P1's unit cells meet P2-twice's unit cells 1*b, written Fraction(1),
+    # and its h*h = Fraction(2) q on both sides; P2-half's 1/2 meets that 2
+    p1, twice = projective_space(1), _p2_twice()
+    half = algebra_from_payload(_P2_HALF, require_checksum=False)
+    assert not twice._ints and not half._ints
+    for a, b in ((p1, twice), (twice, p1), (p1, half)):
+        t = tensor_product(a, b)
+        _assert_sparse_and_shared(t)
+        assert_dense_kronecker(a, b, t)
+    nested = tensor_product(tensor_product(p1, half), twice)
+    t = tensor_product(p1, half, twice)
+    _assert_sparse_and_shared(t)
+    assert_dense_kronecker(tensor_product(p1, half), twice, t)
+    assert (t.name, t.basis, t.tables, t.integration) == \
+        (nested.name, nested.basis, nested.tables, nested.integration)
+    # (1 (x) h (x) h)^2 = 1 (x) q/2 (x) 2q: a non-unit times a non-unit, integral
+    k, i = t.label_location("1⊗h⊗h")
+    ((s, c),) = t.tables[k, k][i][i]
+    assert (t.basis[2 * k][s], type(c), c) == ("1⊗q⊗q", int, 1)
+
+
+def test_a_product_keeps_the_empty_degrees_of_its_factors():
+    one = ((0, 1),)
+    gap = GradedAlgebra("gap", [["1"], [], ["q"]],
+                        {(0, 0): [[one]], (0, 1): [[]], (1, 0): [], (1, 1): [],
+                         (0, 2): [[one]], (2, 0): [[one]]}, [1])
+    t = tensor_product(gap, gap)
+    assert t.dims == (1, 0, 2, 0, 1) and verify_algebra(t).ok
+    assert_dense_kronecker(gap, gap, t)
+
+
+def test_a_shared_unit_cell_past_the_dimension_is_still_refused():
+    t = catalog.get("P1xP1xP1").algebra  # (1,1) lands in degree 2, of dimension 3
+
+    def refusal(cell):
+        tables = {key: [list(row) for row in table] for key, table in t.tables.items()}
+        tables[1, 1][0][1] = cell
+        with pytest.raises(ValueError) as e:
+            GradedAlgebra("long", t.basis, tables, t.integration)
+        return str(e.value)
+
+    shared, fresh = ring._unit_cells(6)[5], tuple([(5, 1)])
+    assert shared == fresh and shared is not fresh
+    assert refusal(shared) == refusal(fresh) == (
+        "product table (1,1) cell (0,1): ((5, 1),) is not a tuple of (t, c) terms "
+        "with t ascending in 0..2 and c nonzero")
+
+
+@pytest.mark.parametrize("factors", [["P1"] * 8, ["P-2"] * 4], ids=["P1^8", "P2^4"])
+def test_every_unit_cell_of_a_product_is_the_shared_one(factors):
+    a = tensor_product(*(catalog.get(n).algebra for n in factors))
+    units = ring._unit_cells(max(a.dims))
+    cells = [(cell, a.tables[k2, k1][j][i]) for (k1, k2), table in a.tables.items()
+             for i, row in enumerate(table) for j, cell in enumerate(row) if cell]
+    # every product of two monomials is one monomial
+    assert cells and all(cell is units[cell[0][0]] for cell, _ in cells)
+    assert all(mirror is cell for cell, mirror in cells)
+
+
 @pytest.mark.parametrize("name", catalog.names())
 def test_multiply_matches_the_dense_oracle(name):
     a = catalog.get(name).algebra
