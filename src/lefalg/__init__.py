@@ -22,7 +22,7 @@ _HOMES = {
              "apply_ring_map", "integrate", "multiply", "pairing_matrix",
              "render_element", "tensor_product", "verify_algebra",
              "verify_ring_map"),
-    "schubert": ("Box", "grassmannian", "lr_coefficient", "parse_partition",
+    "schubert": ("Box", "grassmannian", "parse_partition",
                  "partitions_in_box", "quotient_chern_classes",
                  "schubert_label"),
     "constructors": ("BlowupInput", "adjoint_pushforward", "blowup",

@@ -6,14 +6,14 @@ verdicts, and witnesses are reproducible. The three predicates share one
 per-degree check. When hard Lefschetz holds, dim PL^i = dim L^i - dim L^{i-1};
 the kernels of omega^{d-2i+1} are ranked only when it fails.
 
-The stage computes on integer rows, never on `Fraction` vectors. Every
-verdict is a rank, and a rank sees only the line of a row, not its scale:
+The stage computes on integer rows (`linalg.Row`), never on `Fraction`
+vectors. Every verdict is a rank, and a rank sees only the line of a row:
 the generators, the rows of each L^k, the powers of omega and the Gram rows
 are integer rows on the lines of the exact ones, and no scale is kept.
-Products read `ring._int_table`; a basis of L^k that is all of A^k is read
-as the unit rows. Ranks and RREF bases come from `linalg` (rank mod P, else
-the certified modular RREF, else `rref`); the bases are stored as exact
-`Fraction` RREFs.
+Vectors become rows through `linalg._int_rows`; products read the cells of
+`ring._int_table`, which are rows; a basis of L^k that is all of A^k is
+read as the shared unit cells. Ranks and RREF bases come from `linalg`, the
+one module that works mod P; the bases are stored as `Fraction` RREFs.
 
 The result records are namedtuples, so they also compare equal to plain
 tuples of their fields.
@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from math import gcd, lcm
+from itertools import islice
+from math import gcd
 
-from .linalg import Vector, _basis, _rank, row_space_rank, scalar
-from .ring import Element, GradedAlgebra, _checked_class, _int_pairing, _int_table
+from .linalg import Row, Vector, _basis, _int_rows, _rank
+from .ring import (Element, GradedAlgebra, _checked_class, _int_pairing, _int_table,
+                   _integrals, _unit_cells)
 
 
 class LefschetzData(namedtuple("LefschetzData", "ambient generators bases")):
@@ -49,41 +51,30 @@ class LefschetzData(namedtuple("LefschetzData", "ambient generators bases")):
         return [Element(self.ambient, k, v) for v in self.bases[k]]
 
 
-Row = list[tuple[int, int]]  # the nonzero (i, c) terms of an integer row
-
-
-def _sparse(vectors: Sequence[Vector]) -> list[Row]:
-    """The nonzero terms of the vectors times one lcm of their denominators. The
-    callers pass Fractions (Element coordinates, RREF bases); `scalar` checks each."""
-    rows = [[(i, scalar(x)) for i, x in enumerate(v) if x] for v in vectors]
-    scale = lcm(*(x.denominator for row in rows for _, x in row))
-    return [[(i, x.numerator * (scale // x.denominator)) for i, x in row] for row in rows]
-
-
-def _int_basis(basis: tuple[Vector, ...], n: int) -> list[Row]:
-    """`_sparse(basis)`; the unit rows when the basis spans all n
+def _int_basis(basis: tuple[Vector, ...], n: int) -> Sequence[Row]:
+    """`_int_rows(basis)`; the shared unit cells when the basis spans all n
     coordinates, since an RREF basis is then the unit vectors."""
-    return [[(i, 1)] for i in range(n)] if len(basis) == n else _sparse(basis)
+    return _unit_cells(n)[:n] if len(basis) == n else _int_rows(basis)
 
 
 def _product_rows(a: GradedAlgebra, k1: int, k2: int,
                   ws: Sequence[Row], us: Sequence[Row]):
-    """Lazily, the dense integer rows w*u on the lines of the products, for
-    each row w of degree k1 in ws and then each row u of degree k2 in us."""
+    """Lazily, the integer rows w*u (their nonzero terms) on the lines of the
+    products, for each row w of degree k1 in ws and then each u of degree k2
+    in us."""
     table = _int_table(a, k1, k2)
-    n, n2 = a.dim(k1 + k2), a.dim(k2)
     for w in ws:
-        columns: list[dict] = [{} for _ in range(n2)]  # w * b_i, each i
+        columns: list[dict] = [{} for _ in range(a.dim(k2))]  # w * b_i, each i
         for s, x in w:
             for column, cell in zip(columns, table[s]):
                 for t, c in cell:
                     column[t] = column.get(t, 0) + x * c
         for u in us:
-            row = [0] * n
+            row: dict = {}
             for i, x in u:
                 for t, c in columns[i].items():
-                    row[t] += x * c
-            yield row
+                    row[t] = row.get(t, 0) + x * c
+            yield [(t, c) for t, c in row.items() if c]
 
 
 def lefschetz_subalgebra(a: GradedAlgebra,
@@ -94,7 +85,7 @@ def lefschetz_subalgebra(a: GradedAlgebra,
         gens = [a.basis_element(1, i) for i in range(a.dim(1))]
     else:
         gens = [_checked_class(a, g, 1, "generators") for g in generators]
-    ws = _sparse([g.coords for g in gens])
+    ws = _int_rows([g.coords for g in gens])
     bases = [(a.unit().coords,)]
     for k in range(1, a.top_degree + 1):
         us = _int_basis(bases[k - 1], a.dim(k - 1))
@@ -149,7 +140,7 @@ def _checked_omega(lef: LefschetzData, omega: Element | None) -> Element:
         raise ValueError("omega is required when the top degree is positive")
     _checked_class(a, omega, 1, "omega")
     level = list(lef.bases[1]) if a.top_degree >= 1 else []
-    if row_space_rank(level + [omega.coords]) != len(level):
+    if _rank(_int_rows(level + [omega.coords]), a.dim(1)) != len(level):
         raise ValueError("omega lies outside the degree-one Lefschetz component")
     return omega
 
@@ -158,12 +149,12 @@ def _omega_powers(omega: Element, n: int) -> list[Row]:
     """[1, omega, ..., omega^n] as integer rows, each a multiple of the power
     divided by the gcd of its entries, and empty where the power is zero."""
     a = omega.algebra
-    (w,) = _sparse([omega.coords])
+    (w,) = _int_rows([omega.coords])
     powers = [[(0, 1)]]
     for m in range(1, min(n, a.top_degree) + 1):
         (row,) = _product_rows(a, m - 1, 1, [powers[-1]], [w])
-        g = gcd(*row)
-        powers.append([(t, x // g) for t, x in enumerate(row) if x])
+        g = gcd(*(x for _, x in row))
+        powers.append([(t, x // g) for t, x in row])
     return powers + [[] for _ in range(n + 1 - len(powers))]
 
 
@@ -195,19 +186,15 @@ def _hard_lefschetz(lef: LefschetzData, omega: Element | None
         lef, lambda k: _map_rank(lef, d - 2 * k, powers[d - 2 * k], k))), powers
 
 
-def _int_gram(lef: LefschetzData, k: int) -> list[list[int]]:
-    """The pairing L^k x L^{d-k} -> Q as an integer matrix, one nonzero
-    multiple of the exact one: entry (u, v) is the integral of u*v over the
-    integer rows u and v of the two bases."""
-    a = lef.ambient
-    d = a.top_degree
-    (w,) = _sparse([a.integration])
+def _int_gram(lef: LefschetzData, k: int) -> list[Row]:
+    """The pairing L^k x L^{d-k} -> Q as integer rows, one nonzero multiple
+    of the exact one: row u holds the integrals (`_integrals`) of u*v over
+    the integer rows v of the basis of L^{d-k}."""
+    a, d = lef.ambient, lef.ambient.top_degree
     us = _int_basis(lef.bases[k], a.dim(k))
     vs = _int_basis(lef.bases[d - k], a.dim(d - k))
-    integrals = [sum(x * row[t] for t, x in w)
-                 for row in _product_rows(a, k, d - k, us, vs)]
-    m = len(vs)
-    return [integrals[i * m:(i + 1) * m] for i in range(len(us))]
+    rows = _product_rows(a, k, d - k, us, vs)  # read len(vs) at a time, one u each
+    return _integrals(a, (islice(rows, len(vs)) for _ in us))
 
 
 def check_poincare_duality(lef: LefschetzData) -> PredicateVerdict:

@@ -6,19 +6,19 @@ function; there is deliberately no float path. Every `Matrix`, the results
 of `transpose` and `rref` included, is built by its checking constructor,
 which coerces each entry with `scalar` and checks the shape.
 
-Ranks and row-space bases work on integer rows, and a rank sees only the
-line of each row, not its scale, so no scale is returned or carried.
-`row_space_rank` clears denominators with `_int_rows` (one lcm per list);
-the Lefschetz stage hands its integer rows to `_rank` and `_basis` directly.
-The rank is found modulo the prime P = 2^61 - 1 first. It never exceeds the
-rank over Q, so when it reaches min(rows, cols) it is the exact rank, and a
-basis of full width is the unit vectors. Any other rank or basis comes from
-a certified modular RREF: back-substitution mod P, rational reconstruction
-of each entry, and a check that every input row is the combination of the
-candidate's rows that its pivot entries name (`_exact_rref`). If an entry
-has no reconstruction or the check fails, Gauss-Jordan elimination over
-`Fraction` (`rref`) gives the answer. `rref` and `solve` always work over
-`Fraction`.
+Ranks and row-space bases work on integer rows: a `Row` is (t, c) terms, c
+a nonzero int, in any order, as an integral cell of `ring` is. A rank sees
+only the line of a row, so `_int_rows`, the one way from vectors to rows,
+clears denominators by one lcm per list; `_dense` is the one way back. Only
+this module works mod P. The rank is found modulo the prime P = 2^61 - 1
+first. It never exceeds the rank over Q, so when it reaches min(rows, cols)
+it is the exact rank, and a basis of full width is the unit vectors. Any
+other rank or basis comes from a certified modular RREF: back-substitution
+mod P, rational reconstruction of each entry, and a check that every input
+row is the combination of the candidate's rows that its pivot entries name
+(`_exact_rref`). If an entry has no reconstruction or the check fails,
+Gauss-Jordan elimination over `Fraction` (`rref`) gives the answer. `rref`
+and `solve` always work over `Fraction`.
 
 `Matrix.from_rows`, `identity`, `zero` and `column` are kept on purpose as
 public API for building and reading matrices; only the tests call them.
@@ -33,6 +33,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 Vector = tuple[Fraction, ...]
+Row = Sequence[tuple[int, int]]  # (t, c) terms, c a nonzero int, any order
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -191,27 +192,32 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(Matrix(m.rows, m.cols, work), tuple(pivots), len(pivots))
 
 
-def _int_rows(vectors: Iterable[Sequence]) -> list[list[int]]:
-    """The vectors times one lcm of all their denominators: integer rows
-    with the same span, which keep their ratios to one another."""
-    rows = [[scalar(x) for x in v] for v in vectors]
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("dimension mismatch: vectors have different lengths")
-    scale = lcm(*(x.denominator for r in rows for x in r))
-    return [[x.numerator * (scale // x.denominator) for x in r] for r in rows]
+def _int_rows(vectors: Iterable[Sequence]) -> list[list[tuple[int, int]]]:
+    """The rows of the vectors times one lcm of all their denominators, which
+    keep their ratios to one another; only nonzero entries go through `scalar`."""
+    rows = [[(t, scalar(x)) for t, x in enumerate(v) if x] for v in vectors]
+    scale = lcm(*(x.denominator for row in rows for _, x in row))
+    return [[(t, x.numerator * (scale // x.denominator)) for t, x in row] for row in rows]
+
+
+def _dense(terms: Iterable[tuple[int, int | Fraction]], n: int) -> Vector:
+    """The length-n coordinate vector of (t, c) terms (a row or a cell)."""
+    out = list(vzero(n))
+    for t, c in terms:
+        out[t] = c
+    return tuple(out)
 
 
 def _add_row_mod_p(pivots: list[tuple[int, list[tuple[int, int]]]],
-                   r: list[int]) -> bool:
-    """Reduce the row r mod P against the pivots, in place; append it if
-    nonzero.
-
-    A pivot is (col, terms), the nonzero (j, x) terms of a row with a
-    leading 1 in column col and zeros in the pivot columns found before it,
-    so one pass over the pivots in order clears r. Only the nonzero terms
-    are read, so sparse rows reduce in time proportional to their fill.
-    Returns whether r raised the rank.
-    """
+                   row: Row, width: int) -> bool:
+    """Reduce the row mod P against the pivots, append it if nonzero, and
+    return whether it was. A pivot is (col, terms), the nonzero (j, x) terms
+    of a row mod P with a leading 1 in column col and zeros in the pivot
+    columns found before it, so one pass over the pivots in order clears the
+    row, in time proportional to the fill of the pivots it meets."""
+    r = [0] * width
+    for t, c in row:
+        r[t] = c % P
     for col, terms in pivots:
         c = r[col]
         if c:
@@ -221,25 +227,25 @@ def _add_row_mod_p(pivots: list[tuple[int, list[tuple[int, int]]]],
         if x:
             inv = pow(x, -1, P)
             pivots.append((col, [(j, r[j] * inv % P)
-                                 for j in range(col, len(r)) if r[j]]))
+                                 for j in range(col, width) if r[j]]))
             return True
     return False
 
 
-def _echelon_mod_p(rows: Iterable[Sequence[int]], full: int) -> tuple[list, list]:
-    """Echelon pivots mod P of integer rows, one `_add_row_mod_p` per nonzero
-    row, and the nonzero rows read: a zero row changes neither the pivots nor
-    the RREF, nor what `_certify` proves. Stops once there are ``full``
-    pivots, the most that min(rows, width) allows, so a lazy iterable is read
-    only that far."""
+def _echelon_mod_p(rows: Iterable[Row], width: int, full: int) -> tuple[list, list]:
+    """Echelon pivots mod P of rows, one `_add_row_mod_p` per nonempty row,
+    and the nonempty rows read: an empty row, the zero row, changes neither
+    the pivots nor the RREF, nor what `_certify` proves. Stops at ``full``
+    pivots, the most that min(rows, width) allows, so a lazy iterable is
+    read only that far."""
     pivots: list[tuple[int, list[tuple[int, int]]]] = []
     read = []
     for row in rows:
         if len(pivots) == full:
             break
-        if any(row):
+        if row:
             read.append(row)
-            _add_row_mod_p(pivots, [x % P for x in row])
+            _add_row_mod_p(pivots, row, width)
     return pivots, read
 
 
@@ -261,37 +267,37 @@ def _rational_mod_p(x: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _certify(rows: Sequence[Sequence[int]], width: int,
-             pivot_columns: Sequence[int], reduced: Sequence[Vector]) -> bool:
-    """Whether D*a = sum_j a[p_j] * (D*R_j) for every integer row a.
+def _certify(rows: Sequence[Row], pivot_columns: Sequence[int],
+             reduced: Sequence[Vector]) -> bool:
+    """Whether D*a = sum_j a[p_j] * (D*R_j) for every row a.
 
-    R is a candidate RREF with pivot columns p_j and D the lcm of its
-    denominators. Both sides agree in the pivot columns by construction,
-    so only the nonzero entries of D*R outside them are read. When the
+    R is a candidate RREF with pivot columns p_j, read through `_int_rows`
+    as the rows D*R_j, D the lcm of its denominators; the first term of
+    D*R_j is its pivot, D. Both sides agree in the pivot columns by
+    construction, so only the terms outside them are compared. When the
     check holds, the row space of A lies in that of R.
     """
-    scale = lcm(*(x.denominator for row in reduced for x in row))
+    cleared = _int_rows(reduced)
+    scale = cleared[0][0][1] if cleared else 1
     pivots = set(pivot_columns)
-    free = [c for c in range(width) if c not in pivots]
-    sparse = [[(c, x.numerator * (scale // x.denominator))
-               for c, x in enumerate(row) if x and c not in pivots]
-              for row in reduced]
-    for a in rows:
-        acc = dict.fromkeys(free, 0)
-        for p, terms in zip(pivot_columns, sparse):
-            f = a[p]
+    free = [[(c, x) for c, x in row if c not in pivots] for row in cleared]
+    for row in rows:
+        a = dict(row)
+        acc = {c: -scale * x for c, x in row if c not in pivots}
+        for p, terms in zip(pivot_columns, free):
+            f = a.get(p)
             if f:
                 for c, x in terms:
-                    acc[c] += f * x
-        if any(acc[c] != scale * a[c] for c in free):
+                    acc[c] = acc.get(c, 0) + f * x
+        if any(acc.values()):
             return False
     return True
 
 
-def _exact_rref(rows: list[list[int]], width: int,
+def _exact_rref(rows: Sequence[Row], width: int,
                 pivots: list[tuple[int, list[tuple[int, int]]]]) -> list[Vector]:
-    """The RREF basis of the span of integer rows, from all their echelon
-    pivots mod P: the certified modular RREF, else `rref` over Fraction.
+    """The RREF basis of the span of rows, from all their echelon pivots mod
+    P: the certified modular RREF, else `rref` over Fraction.
 
     1. Back-substitution turns the pivots into the RREF mod P.
     2. Each entry is rebuilt by rational reconstruction, giving a
@@ -303,12 +309,10 @@ def _exact_rref(rows: list[list[int]], width: int,
     4. If an entry has no reconstruction or the check fails, elimination
        over Fraction gives the answer.
     """
-    red = []
-    for _, terms in pivots:
-        row = [0] * width
+    red = [[0] * width for _ in pivots]
+    for row, (_, terms) in zip(red, pivots):
         for j, x in terms:
             row[j] = x
-        red.append(row)
     for i in range(len(pivots) - 1, 0, -1):
         col, below = pivots[i][0], red[i]
         for j in range(i):
@@ -326,40 +330,42 @@ def _exact_rref(rows: list[list[int]], width: int,
                 seen[x] = _rational_mod_p(x)
             row.append(seen[x])
         reduced.append(tuple(row))
-    if None not in seen.values() and _certify(rows, width, pivot_columns, reduced):
+    if None not in seen.values() and _certify(rows, pivot_columns, reduced):
         return reduced
-    res = rref(Matrix(len(rows), width, rows))
+    res = rref(Matrix(len(rows), width, [_dense(row, width) for row in rows]))
     return [res.reduced.row(i) for i in range(res.rank)]
 
 
-def _rank(rows: list[list[int]], width: int) -> int:
-    """Rank of integer rows: the rank mod P when it is min(rows, width),
-    else the length of the exact RREF basis."""
+def _rank(rows: Sequence[Row], width: int) -> int:
+    """Rank of rows of the given width: the rank mod P when it is
+    min(rows, width), else the length of the exact RREF basis."""
     full = min(len(rows), width)
-    pivots, _ = _echelon_mod_p(rows, full)
+    pivots, _ = _echelon_mod_p(rows, width, full)
     if len(pivots) == full:
         return full
     return len(_exact_rref(rows, width, pivots))
 
 
-def _basis(rows: Iterable[Sequence[int]], width: int) -> list[Vector]:
-    """Canonical (RREF) basis of the span of integer rows, read lazily.
+def _basis(rows: Iterable[Row], width: int) -> list[Vector]:
+    """Canonical (RREF) basis of the span of rows, read lazily.
 
     A span of full width is all of Q^width, whose RREF basis is the
     standard unit vectors; no exact elimination is needed then.
     """
-    pivots, read = _echelon_mod_p(rows, width)
+    pivots, read = _echelon_mod_p(rows, width, width)
     if len(pivots) == width:
-        zero, one = Fraction(0), Fraction(1)
-        return [(zero,) * i + (one,) + (zero,) * (width - i - 1)
-                for i in range(width)]
+        one = Fraction(1)
+        return [_dense([(i, one)], width) for i in range(width)]
     return _exact_rref(read, width, pivots)
 
 
 def row_space_rank(vectors: Sequence[Sequence]) -> int:
-    """Dimension of the span of the given coordinate vectors (0 for none)."""
-    rows = _int_rows(vectors)
-    return _rank(rows, len(rows[0])) if rows else 0
+    """Dimension of the span of the given coordinate vectors (0 for none);
+    every entry, zeros included, goes through `scalar`."""
+    vectors = [vector(v) for v in vectors]
+    if any(len(v) != len(vectors[0]) for v in vectors):
+        raise ValueError("dimension mismatch: vectors have different lengths")
+    return _rank(_int_rows(vectors), len(vectors[0])) if vectors else 0
 
 
 def solve(a: Matrix, b: Sequence) -> Vector | None:

@@ -18,10 +18,11 @@ two unit cells, and one inside the degree is canonical by construction.
 The (k1, k2) and (k2, k1) tables hold the same cell objects wherever the two
 agree, so no product is stored twice. Products, verification, pairings and
 the file format all read cells; the dense coordinate tables are only a view
-(`GradedAlgebra.products`), as are the integer cells that the Lefschetz
-stage, the generator search and the pairing ranks read (`_int_table`, the
-stored table if the constructor's check found only ints); dense vectors are
-read only from payloads. An n-factor product is one Kronecker fold.
+(`GradedAlgebra.products`); dense vectors are read only from payloads. An
+integral cell is a `linalg.Row`, so the generator search, the pairing ranks
+and the Lefschetz stage hand the cells of `_int_table` (the stored table if
+it is all ints, else a copy with cleared denominators) to `linalg`, the one
+module that works mod P. An n-factor product is one Kronecker fold.
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -41,9 +42,10 @@ from math import lcm
 
 from .linalg import (
     Matrix,
-    P,
+    Row,
     Vector,
     _add_row_mod_p,
+    _dense,
     _int_rows,
     _rank,
     dot,
@@ -209,9 +211,7 @@ class GradedAlgebra:
     def basis_element(self, k: int, i: int) -> "Element":
         if not 0 <= i < self.dim(k):
             raise ValueError(f"no basis class {i} in degree {k} of {self.name}")
-        coords = [Fraction(0)] * self.dim(k)
-        coords[i] = Fraction(1)
-        return Element(self, k, tuple(coords))
+        return Element(self, k, _dense([(i, Fraction(1))], self.dim(k)))
 
     def label_location(self, label: str) -> tuple[int, int] | None:
         return self._label_map.get(label)
@@ -262,14 +262,6 @@ class DenseTables(Mapping):
 
     def __len__(self):
         return len(self._algebra.tables)
-
-
-def _dense(cell: Cell, n: int) -> Vector:
-    """The length-n coordinate vector of a cell."""
-    out = list(vzero(n))
-    for t, c in cell:
-        out[t] = c
-    return tuple(out)
 
 
 def _int_table(a: GradedAlgebra, k1: int, k2: int) -> Sequence:
@@ -477,7 +469,8 @@ def _generators(a: GradedAlgebra) -> tuple[list[list[int]], dict]:
 
     W^k is spanned by the cells s*b for s in S_j and b a basis class of
     degree k-j, 1 <= j < k; S_k takes each basis class that raises the
-    rank of W^k mod P (cells read from `_int_table`). The rank over Q is at
+    rank of W^k mod P (`_add_row_mod_p` on the cells of `_int_table` and the
+    shared unit cells, which are rows as they are). The rank over Q is at
     least the rank mod P, so the kept cells, those that raised it, and S_k
     span degree k, and by induction on k every class is a sum of products
     of the unit and classes of S. No fallback is needed.
@@ -496,14 +489,10 @@ def _generators(a: GradedAlgebra) -> tuple[list[list[int]], dict]:
             table = _int_table(a, j, k - j)
             for s in gens[j]:
                 for b, cell in enumerate(table[s]):
-                    if cell and len(pivots) < n:
-                        row = [0] * n
-                        for t, c in cell:
-                            row[t] = c % P
-                        if _add_row_mod_p(pivots, row):
-                            pairs.setdefault((j, k - j), set()).add((s, b))
-        gens.append([i for i in range(n)
-                     if _add_row_mod_p(pivots, [int(t == i) for t in range(n)])])
+                    if cell and len(pivots) < n and _add_row_mod_p(pivots, cell, n):
+                        pairs.setdefault((j, k - j), set()).add((s, b))
+        gens.append([i for i, unit in enumerate(_unit_cells(n)[:n])
+                     if _add_row_mod_p(pivots, unit, n)])
     for k1 in range(1, d + 1):
         for k2 in range(1, d + 1 - k1):
             if gens[k1] and gens[k2]:
@@ -597,12 +586,20 @@ def _require_nondegenerate(a: GradedAlgebra, what: str) -> None:
         raise ValueError(f"{what} {a.name}: {bad[0]}")
 
 
-def _int_pairing(a: GradedAlgebra, k: int) -> list[list[int]]:
-    """`_int_table(a, k, d - k)` dotted with the integration vector cleared of
-    denominators: integer rows, a nonzero multiple of `pairing_matrix(a, k)`."""
-    (w,) = _int_rows([a.integration])
-    return [[sum([w[t] * c for t, c in cell]) if cell else 0 for cell in row]
-            for row in _int_table(a, k, a.top_degree - k)]
+def _integrals(a: GradedAlgebra, rows: Iterable[Iterable[Row]]) -> list[Row]:
+    """Each row of integer rows of degree d (`_int_table` cells or product rows)
+    as the row of their integrals against the integration cleared by
+    `_int_rows`; an empty one is skipped, since its integral is 0."""
+    w = dict(_int_rows([a.integration])[0])
+    return [[(j, v) for j, terms in enumerate(row)
+             if terms and (v := sum([w.get(t, 0) * c for t, c in terms]))]
+            for row in rows]
+
+
+def _int_pairing(a: GradedAlgebra, k: int) -> list[Row]:
+    """`_int_table(a, k, d - k)` integrated (`_integrals`): integer rows, a
+    nonzero multiple of `pairing_matrix(a, k)`."""
+    return _integrals(a, _int_table(a, k, a.top_degree - k))
 
 
 def _pairing_violations(a: GradedAlgebra) -> list[str]:

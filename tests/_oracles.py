@@ -358,8 +358,7 @@ def full_scan_violations(a: GradedAlgebra) -> tuple[str, ...]:
 
 def row_space_basis(vectors) -> list[Vector]:
     """Canonical (RREF) basis of the span. Deterministic for any input order."""
-    rows = linalg._int_rows(vectors)
-    return linalg._basis(rows, len(rows[0])) if rows else []
+    return linalg._basis(linalg._int_rows(vectors), len(vectors[0])) if vectors else []
 
 
 def kernel(a: Matrix) -> list[Vector]:

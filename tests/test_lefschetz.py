@@ -7,7 +7,7 @@ import pytest
 
 from _oracles import (brute_force_lefschetz_bases, brute_force_lefschetz_dims,
                       kernel, rescaled)
-from lefalg import lefschetz, ring
+from lefalg import lefschetz, linalg, ring
 from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.catalog import get, names
 from lefalg.cli import run
@@ -15,9 +15,9 @@ from lefalg.constructors import projective_space
 from lefalg.lefschetz import (_int_gram, _omega_powers, check_hard_lefschetz,
                               check_poincare_duality, check_symmetry,
                               lefschetz_subalgebra, primitive_dims)
-from lefalg.linalg import Matrix, _rank
+from lefalg.linalg import P, Matrix, _dense, _rank
 from lefalg.ring import (GradedAlgebra, _integral, integrate, multiply,
-                         verify_algebra)
+                         tensor_product, verify_algebra)
 
 
 def test_pinned_lefschetz_dims():
@@ -263,18 +263,17 @@ def _exact_gram(lef, k):
             for u in lef.elements(k)]
 
 
-def _dense_row(row, n):
-    out = [0] * n
-    for t, x in row:
-        out[t] = x
-    return out
+def _dense_gram(lef, k):
+    # the integer rows of _int_gram as coordinate vectors over L^{d-k}'s basis
+    width = lef.dim(lef.ambient.top_degree - k)
+    return [_dense(row, width) for row in _int_gram(lef, k)]
 
 
 @pytest.mark.parametrize("name", names())
 def test_pd_gram_is_the_integral_of_products(name):
     lef = lefschetz_subalgebra(get(name).algebra)
     for k in range(lef.ambient.top_degree + 1):
-        assert _is_one_multiple(_int_gram(lef, k), _exact_gram(lef, k))
+        assert _is_one_multiple(_dense_gram(lef, k), _exact_gram(lef, k))
 
 
 def test_omega_power_rows_are_lines_of_the_powers():
@@ -288,7 +287,7 @@ def test_omega_power_rows_are_lines_of_the_powers():
         [m for m in range(d + 2) if (omega ** m).is_zero]
     for m, row in enumerate(rows):
         exact = (omega ** m).coords
-        assert _is_one_multiple([_dense_row(row, len(exact))], [exact]), m
+        assert _is_one_multiple([_dense(row, len(exact))], [exact]), m
 
 
 def test_report_ranks_each_hl_map_once(monkeypatch, capsys):
@@ -364,10 +363,10 @@ def test_tables_with_denominators_give_the_same_answers(name):
     assert primitive_dims(lef_b, omega) == primitive_dims(lef_a, entry.omega)
     d = b.top_degree
     for k in range(d + 1):
-        assert _is_one_multiple(_int_gram(lef_b, k), _exact_gram(lef_b, k))
+        assert _is_one_multiple(_dense_gram(lef_b, k), _exact_gram(lef_b, k))
     for m, row in enumerate(_omega_powers(omega, d + 1)):
         exact = (omega ** m).coords
-        assert _is_one_multiple([_dense_row(row, len(exact))], [exact]), m
+        assert _is_one_multiple([_dense(row, len(exact))], [exact]), m
 
 
 # the two build files of the benchmark's cli-files workload
@@ -407,3 +406,35 @@ def test_a_pairing_is_read_from_the_table_only_where_both_degrees_are_full():
     lef = lefschetz_subalgebra(a)
     assert lef.dims == (1, 1, 1)
     assert check_poincare_duality(lef).witness == "k=0: rank 0 of 1"
+
+
+def test_a_whole_algebra_reaches_the_exact_fallback(monkeypatch):
+    # P2 with h*h = P*q and integral q = 1: h*h vanishes mod P, so every rank
+    # mod P that involves it falls short and rref runs; omega^2 = P*q is
+    # divided by its gcd, so the hard Lefschetz maps never need it
+    one = ((0, 1),)
+    tables = {(0, 0): [[one]], (0, 1): [[one]], (1, 0): [[one]],
+              (0, 2): [[one]], (2, 0): [[one]], (1, 1): [[((0, P),)]]}
+    a = GradedAlgebra("P2-p", [["1"], ["h"], ["q"]], tables, [1])
+    omega = a.element(1, [1])
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+
+    def rref_calls(f, *args):
+        calls.clear()
+        return f(*args), len(calls)
+
+    lef, n = rref_calls(lefschetz_subalgebra, a)
+    assert (lef.dims, n) == ((1, 1, 1), 1)  # L^2
+    pd, n = rref_calls(check_poincare_duality, lef)
+    assert pd.passed and n == 1  # the pairing at k = 1
+    hl, n = rref_calls(check_hard_lefschetz, lef, omega)
+    assert hl.passed and n == 0
+    prim, n = rref_calls(primitive_dims, lef, omega)
+    assert prim == ((1, 0), True) and n == 0
+    assert check_symmetry(lef).passed
+    report, n = rref_calls(verify_algebra, a)
+    assert report.ok and n == 1  # the pairing at k = 1
+    _, n = rref_calls(tensor_product, a, a)
+    assert n == 2  # one pairing check per factor

@@ -156,7 +156,7 @@ def test_row_space_rank_matches_sympy():
     [[Fraction(1, P), 1], [1, 0]],     # clearing 1/P makes the rows agree
 ], ids=["p-row", "rows-equal-mod-p", "denominator-p"])
 def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors):
-    pivots, _ = linalg._echelon_mod_p(linalg._int_rows(vectors), 2)
+    pivots, _ = linalg._echelon_mod_p(linalg._int_rows(vectors), 2, 2)
     assert len(pivots) == 1
     assert row_space_rank(vectors) == 2
     assert row_space_basis(vectors) == [(Fraction(1), Fraction(0)),
@@ -164,22 +164,25 @@ def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors):
 
 
 def test_zero_rows_are_skipped_and_change_no_rank_or_basis():
-    rows = [[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 6], [0, 0, 0]]
-    pivots, read = linalg._echelon_mod_p(iter(rows), 3)
-    assert len(pivots) == 1 and read == [[1, 2, 3], [2, 4, 6]]
+    # a zero row is the empty row: it has no nonzero terms
+    one, two = [(0, 1), (1, 2), (2, 3)], [(2, 6), (0, 2), (1, 4)]
+    rows = [[], one, [], two, []]
+    pivots, read = linalg._echelon_mod_p(iter(rows), 3, 3)
+    assert len(pivots) == 1 and read == [one, two]
     assert linalg._rank(rows, 3) == 1
     assert linalg._basis(iter(rows), 3) == [tuple(map(Fraction, (1, 2, 3)))]
-    assert linalg._basis(iter([[0, 0]] * 3), 2) == []
+    assert linalg._basis(iter([[]] * 3), 2) == []
 
 
 def test_int_rows_clear_denominators_by_one_lcm_per_list():
     # one scale for the list keeps the rows' ratios, so an integer Gram is
-    # a single multiple of the exact one
+    # a single multiple of the exact one; a row keeps its nonzero terms
     assert linalg._int_rows([[Fraction(1, 2), 1], [Fraction(1, 3), "2/9"]]) == \
-        [[9, 18], [6, 4]]
+        [[(0, 9), (1, 18)], [(0, 6), (1, 4)]]
+    assert linalg._int_rows([[0, Fraction(1, 2)], [Fraction(0), 0]]) == [[(1, 1)], []]
     assert linalg._int_rows([]) == []
     with pytest.raises(ValueError, match="dimension mismatch"):
-        linalg._int_rows([[1, 2], [3]])
+        row_space_rank([[1, 2], [3]])
 
 
 def test_full_width_basis_shortcut_matches_rref():
@@ -212,6 +215,14 @@ def test_rref_runs_exactly_when_the_rank_mod_p_is_short(monkeypatch):
         assert bool(calls) == (got < min(rows, cols)), vectors
 
 
+def test_a_public_rank_refuses_inexact_zeros():
+    # only the nonzero entries of a row become terms, so the public rank
+    # coerces every entry itself: a float or bool zero is refused all the same
+    for bad in ([[0.0, 1]], [[False, 1]], [[1, 0], [0, 0.0]]):
+        with pytest.raises(TypeError):
+            row_space_rank(bad)
+
+
 def test_matrix_constructor_rejects_floats_and_results_stay_exact():
     with pytest.raises(TypeError):
         Matrix(1, 2, [[1, 0.5]])
@@ -226,20 +237,21 @@ def test_matrix_constructor_rejects_floats_and_results_stay_exact():
 
 
 def test_a_corrupted_candidate_fails_the_certificate():
-    rows = [[1, 2, 3, 4, 0], [2, 4, 6, 8, 0], [0, 0, 1, 5, 7], [1, 2, 4, 9, 7]]
-    res = rref(Matrix.from_rows(rows))
+    vectors = [[1, 2, 3, 4, 0], [2, 4, 6, 8, 0], [0, 0, 1, 5, 7], [1, 2, 4, 9, 7]]
+    rows = linalg._int_rows(vectors)
+    res = rref(Matrix.from_rows(vectors))
     reduced = [res.reduced.row(i) for i in range(res.rank)]
     assert res.rank == 2
-    assert linalg._certify(rows, 5, res.pivot_columns, reduced)
+    assert linalg._certify(rows, res.pivot_columns, reduced)
     # any one entry off the pivot columns moved, or a row dropped, fails
     for i, row in enumerate(reduced):
         for c in set(range(5)) - set(res.pivot_columns):
             bad = list(reduced)
             bad[i] = row[:c] + (row[c] + Fraction(1, 3),) + row[c + 1:]
-            assert not linalg._certify(rows, 5, res.pivot_columns, bad), (i, c)
+            assert not linalg._certify(rows, res.pivot_columns, bad), (i, c)
         rest = [r for j, r in enumerate(reduced) if j != i]
         cols = [p for j, p in enumerate(res.pivot_columns) if j != i]
-        assert not linalg._certify(rows, 5, cols, rest)
+        assert not linalg._certify(rows, cols, rest)
 
 
 def test_a_wrong_reconstruction_falls_back_to_rref(monkeypatch):

@@ -271,6 +271,7 @@ def test_modular_rref_matches_rref(data):
     if kind == "big":
         c = next(c for c in range(cols) if c not in pivots)
         big = data.draw(st.integers(_PAST, P * P))
+        assume(big % 5 and big % 7)  # so -big/7 and 5/big stay past the bound
         reduced[0][c] = data.draw(st.sampled_from(
             [Fraction(big), Fraction(-big, 7), Fraction(1, big), Fraction(5, big)]))
     extra = data.draw(st.integers(1 if kind == "big" else 0, 3))
@@ -280,7 +281,7 @@ def test_modular_rref_matches_rref(data):
     vectors = [[sum((x * row[c] for x, row in zip(coeffs, reduced)), Fraction(0))
                 for c in range(cols)] for coeffs in left]
     if kind == "agree":
-        vectors = linalg._int_rows(vectors)
+        vectors = [linalg._dense(row, cols) for row in linalg._int_rows(vectors)]
         c = next(c for c in range(cols) if c not in pivots)
         vectors.append([x + P * (j == c) for j, x in enumerate(vectors[0])])
     if data.draw(st.booleans()):  # rational rows, else their integer multiples
@@ -295,6 +296,16 @@ def test_modular_rref_matches_rref(data):
     assert basis == [res.reduced.row(i) for i in range(res.rank)]
     assert rank == res.rank == r + (kind == "agree")
     assert bool(calls) == forced
+    # the rows' terms in any order, in lists or in tuples, give the same
+    # answers, and rref runs exactly when it runs on the sorted rows
+    rows = linalg._int_rows(vectors)
+    for fed in (rows, [data.draw(st.permutations(row)) for row in rows],
+                [tuple(data.draw(st.permutations(row))) for row in rows]):
+        calls.clear()
+        with mock.patch.object(linalg, "rref", lambda m: calls.append(m) or real(m)):
+            assert linalg._basis(fed, cols) == basis
+            assert linalg._rank(fed, cols) == rank
+        assert len(calls) == 2 * forced
 
 
 # One entry of a pullback changed: the pullbacks of example1 and example2,
