@@ -11,9 +11,12 @@ vectors. Every verdict is a rank, and a rank sees only the line of a row:
 the generators, the rows of each L^k, the powers of omega and the Gram rows
 are integer rows on the lines of the exact ones, and no scale is kept.
 Vectors become rows through `linalg._int_rows`; products read the cells of
-`ring._int_table`, which are rows; a basis of L^k that is all of A^k is
-read as the shared unit cells. Ranks and RREF bases come from `linalg`, the
-one module that works mod P; the bases are stored as `Fraction` RREFs.
+`ring._int_table`, which are rows, and a unit row times a unit row is its
+cell as it is; a basis of L^k that is all of A^k is read as the shared unit
+cells. Ranks and RREF bases come from `linalg`, the one module that works
+mod P; the bases are stored as `Fraction` RREFs, and the subalgebra hands
+the cleared integer rows of each certified RREF (`linalg._basis_rows`) on
+as the rows of the next degree's products, with no `Fraction` between.
 
 The result records are namedtuples, so they also compare equal to plain
 tuples of their fields.
@@ -26,7 +29,7 @@ from collections.abc import Sequence
 from itertools import islice
 from math import gcd
 
-from .linalg import Row, Vector, _basis, _int_rows, _rank
+from .linalg import Row, Vector, _basis_rows, _int_rows, _rank
 from .ring import (Element, GradedAlgebra, _checked_class, _int_pairing, _int_table,
                    _integrals, _unit_cells)
 
@@ -61,18 +64,27 @@ def _product_rows(a: GradedAlgebra, k1: int, k2: int,
                   ws: Sequence[Row], us: Sequence[Row]):
     """Lazily, the integer rows w*u (their nonzero terms) on the lines of the
     products, for each row w of degree k1 in ws and then each u of degree k2
-    in us."""
+    in us. A unit row w = b_s times a unit row u = b_i is the cell
+    ``table[s][i]`` of `_int_table` as it is."""
     table = _int_table(a, k1, k2)
     for w in ws:
-        columns: list[dict] = [{} for _ in range(a.dim(k2))]  # w * b_i, each i
-        for s, x in w:
-            for column, cell in zip(columns, table[s]):
-                for t, c in cell:
-                    column[t] = column.get(t, 0) + x * c
+        unit = len(w) == 1 and w[0][1] == 1
+        if unit:
+            columns = table[w[0][0]]  # w * b_i is the cell itself, each i
+        else:
+            sums: list[dict] = [{} for _ in range(a.dim(k2))]  # w * b_i, each i
+            for s, x in w:
+                for column, cell in zip(sums, table[s]):
+                    for t, c in cell:
+                        column[t] = column.get(t, 0) + x * c
+            columns = [column.items() for column in sums]
         for u in us:
+            if unit and len(u) == 1 and u[0][1] == 1:
+                yield columns[u[0][0]]
+                continue
             row: dict = {}
             for i, x in u:
-                for t, c in columns[i].items():
+                for t, c in columns[i]:
                     row[t] = row.get(t, 0) + x * c
             yield [(t, c) for t, c in row.items() if c]
 
@@ -80,16 +92,21 @@ def _product_rows(a: GradedAlgebra, k1: int, k2: int,
 def lefschetz_subalgebra(a: GradedAlgebra,
                          generators: Sequence[Element] | None = None
                          ) -> LefschetzData:
-    """Subalgebra generated in degree one, default generators = all of degree 1."""
+    """Subalgebra generated in degree one, default generators = all of degree 1.
+    The cleared rows of each basis (`_basis_rows`) are the rows of the next
+    degree's products, the shared unit cells where the basis is full width."""
     if generators is None:
         gens = [a.basis_element(1, i) for i in range(a.dim(1))]
     else:
         gens = [_checked_class(a, g, 1, "generators") for g in generators]
     ws = _int_rows([g.coords for g in gens])
     bases = [(a.unit().coords,)]
+    us = _int_basis(bases[0], a.dim(0))
     for k in range(1, a.top_degree + 1):
-        us = _int_basis(bases[k - 1], a.dim(k - 1))
-        bases.append(tuple(_basis(_product_rows(a, 1, k - 1, ws, us), a.dim(k))))
+        n = a.dim(k)
+        basis, rows = _basis_rows(_product_rows(a, 1, k - 1, ws, us), n)
+        bases.append(tuple(basis))
+        us = _unit_cells(n)[:n] if len(basis) == n else rows
     return LefschetzData(a, tuple(g.coords for g in gens), tuple(bases))
 
 

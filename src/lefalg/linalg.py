@@ -10,15 +10,18 @@ Ranks and row-space bases work on integer rows: a `Row` is (t, c) terms, c
 a nonzero int, in any order, as an integral cell of `ring` is. A rank sees
 only the line of a row, so `_int_rows`, the one way from vectors to rows,
 clears denominators by one lcm per list; `_dense` is the one way back. Only
-this module works mod P. The rank is found modulo the prime P = 2^61 - 1
-first. It never exceeds the rank over Q, so when it reaches min(rows, cols)
-it is the exact rank, and a basis of full width is the unit vectors. Any
-other rank or basis comes from a certified modular RREF: back-substitution
-mod P, rational reconstruction of each entry, and a check that every input
-row is the combination of the candidate's rows that its pivot entries name
-(`_exact_rref`). If an entry has no reconstruction or the check fails,
-Gauss-Jordan elimination over `Fraction` (`rref`) gives the answer. `rref`
-and `solve` always work over `Fraction`.
+this module works mod P. The rank is found modulo the prime P = 2^30 - 35,
+the largest below 2^30, so that every residue is one 30-bit CPython digit.
+The rank mod P never exceeds the rank over Q, so when it reaches
+min(rows, cols) it is the exact rank, and a basis of full width is the unit
+vectors. Any other rank or basis comes from a certified modular RREF:
+back-substitution mod P, rational reconstruction of each entry (numerator
+and denominator at most 23,170), and a check in integers that every input
+row is the combination of the candidate's cleared rows that its pivot
+entries name (`_exact_rref`). If an entry has no reconstruction or the
+check fails, Gauss-Jordan elimination over `Fraction` (`rref`) gives the
+answer; a smaller P only sends more inputs there, never to a wrong answer.
+`rref` and `solve` always work over `Fraction`.
 
 `Matrix.from_rows`, `identity`, `zero` and `column` are kept on purpose as
 public API for building and reading matrices; only the tests call them.
@@ -37,8 +40,10 @@ Row = Sequence[tuple[int, int]]  # (t, c) terms, c a nonzero int, any order
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
-# The prime of the rank certificate (a Mersenne prime, so ints stay small).
-P = (1 << 61) - 1
+# The prime of the rank certificate: the largest below 2^30, so that every
+# residue is a one-digit CPython int (30 bits) and a product of two fits in
+# two digits. The rational reconstruction bound, isqrt(P // 2), is 23,170.
+P = (1 << 30) - 35
 
 
 def scalar(value) -> Fraction:
@@ -208,17 +213,30 @@ def _dense(terms: Iterable[tuple[int, int | Fraction]], n: int) -> Vector:
     return tuple(out)
 
 
-def _add_row_mod_p(pivots: list[tuple[int, list[tuple[int, int]]]],
-                   row: Row, width: int) -> bool:
-    """Reduce the row mod P against the pivots, append it if nonzero, and
-    return whether it was. A pivot is (col, terms), the nonzero (j, x) terms
-    of a row mod P with a leading 1 in column col and zeros in the pivot
-    columns found before it, so one pass over the pivots in order clears the
-    row, in time proportional to the fill of the pivots it meets."""
+def _add_row_mod_p(pivots: dict[int, list[tuple[int, int]]], row: Row,
+                   width: int) -> bool:
+    """Reduce the row mod P against the pivots, add it if nonzero, and
+    return whether it was. ``pivots`` maps each pivot column col, in the
+    order found, to its terms: the nonzero (j, x) terms of a row mod P with
+    a leading 1 in column col and zeros in the pivot columns found before
+    it, so one pass over the pivots in order clears the row, in time
+    proportional to the fill of the pivots it meets. A one-term pivot clears
+    its own column and touches no other, so a row whose every column holds
+    one reduces to zero, and a one-term row (t, c) in a column with no pivot
+    is a pivot as it stands, unless P divides c: neither is densified."""
+    if len(row) == 1:
+        ((t, c),) = row
+        if t not in pivots:
+            c %= P
+            if c:
+                pivots[t] = [(t, 1)]
+            return bool(c)
+    if all(len(pivots.get(t, ())) == 1 for t, _ in row):
+        return False
     r = [0] * width
     for t, c in row:
         r[t] = c % P
-    for col, terms in pivots:
+    for col, terms in pivots.items():
         c = r[col]
         if c:
             for j, x in terms:
@@ -226,19 +244,18 @@ def _add_row_mod_p(pivots: list[tuple[int, list[tuple[int, int]]]],
     for col, x in enumerate(r):
         if x:
             inv = pow(x, -1, P)
-            pivots.append((col, [(j, r[j] * inv % P)
-                                 for j in range(col, width) if r[j]]))
+            pivots[col] = [(j, r[j] * inv % P) for j in range(col, width) if r[j]]
             return True
     return False
 
 
-def _echelon_mod_p(rows: Iterable[Row], width: int, full: int) -> tuple[list, list]:
+def _echelon_mod_p(rows: Iterable[Row], width: int, full: int) -> tuple[dict, list]:
     """Echelon pivots mod P of rows, one `_add_row_mod_p` per nonempty row,
     and the nonempty rows read: an empty row, the zero row, changes neither
     the pivots nor the RREF, nor what `_certify` proves. Stops at ``full``
     pivots, the most that min(rows, width) allows, so a lazy iterable is
     read only that far."""
-    pivots: list[tuple[int, list[tuple[int, int]]]] = []
+    pivots: dict[int, list[tuple[int, int]]] = {}
     read = []
     for row in rows:
         if len(pivots) == full:
@@ -250,7 +267,7 @@ def _echelon_mod_p(rows: Iterable[Row], width: int, full: int) -> tuple[list, li
 
 
 # Rational reconstruction finds n/d with |n|, d <= _BOUND; 2 * _BOUND^2 < P
-# makes it unique (Wang 1981).
+# makes it unique (Wang 1981). For P = 2^30 - 35 the bound is 23,170.
 _BOUND = isqrt(P // 2)
 
 
@@ -268,16 +285,16 @@ def _rational_mod_p(x: int) -> Fraction | None:
 
 
 def _certify(rows: Sequence[Row], pivot_columns: Sequence[int],
-             reduced: Sequence[Vector]) -> bool:
+             cleared: Sequence[Row]) -> bool:
     """Whether D*a = sum_j a[p_j] * (D*R_j) for every row a.
 
-    R is a candidate RREF with pivot columns p_j, read through `_int_rows`
-    as the rows D*R_j, D the lcm of its denominators; the first term of
-    D*R_j is its pivot, D. Both sides agree in the pivot columns by
-    construction, so only the terms outside them are compared. When the
-    check holds, the row space of A lies in that of R.
+    R is a candidate RREF with pivot columns p_j, given as its cleared
+    integer rows D*R_j, D the lcm of its denominators, each with its terms
+    in column order, so the first term of D*R_j is its pivot, D. Both sides
+    agree in the pivot columns by construction, so only the terms outside
+    them are compared, in exact integer arithmetic. When the check holds,
+    the row space of A lies in that of R.
     """
-    cleared = _int_rows(reduced)
     scale = cleared[0][0][1] if cleared else 1
     pivots = set(pivot_columns)
     free = [[(c, x) for c, x in row if c not in pivots] for row in cleared]
@@ -294,46 +311,46 @@ def _certify(rows: Sequence[Row], pivot_columns: Sequence[int],
     return True
 
 
-def _exact_rref(rows: Sequence[Row], width: int,
-                pivots: list[tuple[int, list[tuple[int, int]]]]) -> list[Vector]:
-    """The RREF basis of the span of rows, from all their echelon pivots mod
-    P: the certified modular RREF, else `rref` over Fraction.
+def _exact_rref(rows: Sequence[Row], width: int, pivots: dict[int, list[tuple[int, int]]]
+                ) -> tuple[list[Vector], list[Row]]:
+    """The RREF basis of the span of rows and its cleared integer rows, from
+    all their echelon pivots mod P: the certified modular RREF, else `rref`
+    over Fraction.
 
     1. Back-substitution turns the pivots into the RREF mod P.
     2. Each entry is rebuilt by rational reconstruction, giving a
-       candidate R; its 1s and 0s in the pivot columns are exact.
-    3. `_certify` checks that the row space of A lies in that of R. The
-       rank mod P never exceeds the rank over Q, so rank A >= rank R, the
-       two row spaces are equal, and R, a matrix in RREF, is rref(A): a row
-       space has one RREF.
+       candidate R; its 1s and 0s in the pivot columns are exact. Its rows
+       times D, the lcm of the denominators, are the cleared rows D*R_j.
+    3. `_certify` checks on D*R that the row space of A lies in that of R.
+       The rank mod P never exceeds the rank over Q, so rank A >= rank R,
+       the two row spaces are equal, and R, a matrix in RREF, is rref(A): a
+       row space has one RREF.
     4. If an entry has no reconstruction or the check fails, elimination
-       over Fraction gives the answer.
+       over Fraction gives the answer, cleared by `_int_rows`.
     """
-    red = [[0] * width for _ in pivots]
-    for row, (_, terms) in zip(red, pivots):
+    cols = list(pivots)
+    red = [[0] * width for _ in cols]
+    for row, terms in zip(red, pivots.values()):
         for j, x in terms:
             row[j] = x
-    for i in range(len(pivots) - 1, 0, -1):
-        col, below = pivots[i][0], red[i]
+    for i in range(len(cols) - 1, 0, -1):
+        col, below = cols[i], red[i]
         for j in range(i):
             c = red[j][col]
             if c:
                 red[j] = [(x - c * y) % P for x, y in zip(red[j], below)]
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i][0])
-    pivot_columns = [pivots[i][0] for i in order]
-    seen: dict[int, Fraction | None] = {}
-    reduced = []
-    for i in order:
-        row = []
-        for x in red[i]:
-            if x not in seen:
-                seen[x] = _rational_mod_p(x)
-            row.append(seen[x])
-        reduced.append(tuple(row))
-    if None not in seen.values() and _certify(rows, pivot_columns, reduced):
-        return reduced
+    order = sorted(range(len(cols)), key=cols.__getitem__)
+    seen = {x: _rational_mod_p(x) for x in set().union(*red)}
+    if None not in seen.values():
+        scale = lcm(*(f.denominator for f in seen.values()))
+        whole = {x: f.numerator * (scale // f.denominator) for x, f in seen.items()}
+        cleared = [[(j, v) for j, x in enumerate(red[i]) if (v := whole[x])]
+                   for i in order]
+        if _certify(rows, [cols[i] for i in order], cleared):
+            return [tuple(map(seen.__getitem__, red[i])) for i in order], cleared
     res = rref(Matrix(len(rows), width, [_dense(row, width) for row in rows]))
-    return [res.reduced.row(i) for i in range(res.rank)]
+    reduced = [res.reduced.row(i) for i in range(res.rank)]
+    return reduced, _int_rows(reduced)
 
 
 def _rank(rows: Sequence[Row], width: int) -> int:
@@ -343,20 +360,25 @@ def _rank(rows: Sequence[Row], width: int) -> int:
     pivots, _ = _echelon_mod_p(rows, width, full)
     if len(pivots) == full:
         return full
-    return len(_exact_rref(rows, width, pivots))
+    return len(_exact_rref(rows, width, pivots)[0])
 
 
-def _basis(rows: Iterable[Row], width: int) -> list[Vector]:
-    """Canonical (RREF) basis of the span of rows, read lazily.
-
-    A span of full width is all of Q^width, whose RREF basis is the
-    standard unit vectors; no exact elimination is needed then.
-    """
+def _basis_rows(rows: Iterable[Row], width: int
+                ) -> tuple[list[Vector], list[Row] | None]:
+    """Canonical (RREF) basis of the span of rows, read lazily, and its
+    cleared integer rows (`_exact_rref`); None for the rows when the span is
+    all of Q^width, whose RREF basis is the standard unit vectors and needs
+    no exact elimination."""
     pivots, read = _echelon_mod_p(rows, width, width)
     if len(pivots) == width:
         one = Fraction(1)
-        return [_dense([(i, one)], width) for i in range(width)]
+        return [_dense([(i, one)], width) for i in range(width)], None
     return _exact_rref(read, width, pivots)
+
+
+def _basis(rows: Iterable[Row], width: int) -> list[Vector]:
+    """The canonical (RREF) basis of `_basis_rows`."""
+    return _basis_rows(rows, width)[0]
 
 
 def row_space_rank(vectors: Sequence[Sequence]) -> int:

@@ -482,7 +482,7 @@ def _generators(a: GradedAlgebra) -> tuple[list[list[int]], dict]:
     gens: list[list[int]] = [[]]
     pairs: dict = {}
     for k in range(1, d + 1):
-        n, pivots = a.dim(k), []
+        n, pivots = a.dim(k), {}
         for j in range(1, k):
             if not gens[j]:
                 continue  # no generator in degree j: its table is not read

@@ -34,6 +34,9 @@ over Fraction. `row_space_basis` is the other exception: it is the
 library's certified basis, `linalg._basis` on the rows `_int_rows` clears,
 kept for the tests that check that engine.
 
+`sympy_basis` is the RREF basis of a list of vectors by sympy, an engine
+that shares no code with lefalg; the caller imports sympy or skips.
+
 `write_algebra_v1` is the version 1 file writer, kept as the reference for
 the bytes it wrote and as a source of version 1 files, which still read.
 `pieri` and `relabeled` were public lefalg functions that nothing in the
@@ -359,6 +362,17 @@ def full_scan_violations(a: GradedAlgebra) -> tuple[str, ...]:
 def row_space_basis(vectors) -> list[Vector]:
     """Canonical (RREF) basis of the span. Deterministic for any input order."""
     return linalg._basis(linalg._int_rows(vectors), len(vectors[0])) if vectors else []
+
+
+def sympy_basis(vectors, cols: int) -> list[Vector]:
+    """The RREF basis of the span of the vectors, by sympy's `rref`, as Fraction
+    tuples; its length is the rank."""
+    import sympy
+    m = sympy.Matrix(len(vectors), cols, [sympy.Rational(x.numerator, x.denominator)
+                                          for v in vectors for x in map(Fraction, v)])
+    reduced, pivots = m.rref()
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in reduced.row(i))
+            for i in range(len(pivots))]
 
 
 def kernel(a: Matrix) -> list[Vector]:

@@ -438,3 +438,30 @@ def test_a_whole_algebra_reaches_the_exact_fallback(monkeypatch):
     assert report.ok and n == 1  # the pairing at k = 1
     _, n = rref_calls(tensor_product, a, a)
     assert n == 2  # one pairing check per factor
+
+
+# every catalog name, the rungs of the in-process ladder benchmark, and two
+# larger algebras: Gr(4, 9) and the 480 classes of example3 x P1^4
+_REAL = names() + ["Gr-3-8", "P2xP2xP2xP2", "Gr-2-5xGr-2-5xP1", "x".join(["P1"] * 8),
+                   "example2xP1xP1", "Gr-4-9", "example3xP1xP1xP1xP1"]
+
+
+def test_real_inputs_never_reach_the_exact_fallback(monkeypatch):
+    # every certified modular RREF of a real input reconstructs within
+    # isqrt(P // 2) and certifies, so rref never runs; a failure here is the
+    # sign that the reconstruction bound needs more primes
+    entries = [get(name) for name in _REAL]  # built first: blowups solve over Fraction
+    calls, exact = [], []
+    real, real_exact = linalg.rref, linalg._exact_rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(linalg, "_exact_rref",
+                        lambda *args: exact.append(args) or real_exact(*args))
+    for entry in entries:
+        lef = lefschetz_subalgebra(entry.algebra)
+        check_symmetry(lef)
+        check_poincare_duality(lef)
+        check_hard_lefschetz(lef, entry.omega)
+        primitive_dims(lef, entry.omega)
+        verify_algebra(entry.algebra)
+        assert not calls, entry.name
+    assert exact  # the certified modular RREF itself ran

@@ -1,11 +1,12 @@
 """Exact linear algebra: rref canonicity, solve, kernel, parsing."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from _oracles import kernel, row_space_basis
+from _oracles import kernel, row_space_basis, sympy_basis
 from lefalg import linalg
 from lefalg.linalg import (P, Matrix, dot, format_rational, parse_rational,
                            row_space_rank, rref, scalar, solve, vadd, vector)
@@ -150,17 +151,38 @@ def test_row_space_rank_matches_sympy():
         assert row_space_rank(vectors) == oracle, vectors
 
 
-@pytest.mark.parametrize("vectors", [
-    [[P, 0], [0, 1]],                  # a row that vanishes mod P
-    [[1, 1], [1, 1 + P]],              # rows that agree mod P
-    [[Fraction(1, P), 1], [1, 0]],     # clearing 1/P makes the rows agree
-], ids=["p-row", "rows-equal-mod-p", "denominator-p"])
-def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors):
-    pivots, _ = linalg._echelon_mod_p(linalg._int_rows(vectors), 2, 2)
-    assert len(pivots) == 1
-    assert row_space_rank(vectors) == 2
-    assert row_space_basis(vectors) == [(Fraction(1), Fraction(0)),
-                                        (Fraction(0), Fraction(1))]
+@pytest.mark.parametrize("vectors, mod_p", [
+    ([[P, 0], [0, 1]], 1),                  # a row that vanishes mod P
+    ([[1, 1], [1, 1 + P]], 1),              # rows that agree mod P
+    ([[Fraction(1, P), 1], [1, 0]], 1),     # clearing 1/P makes the rows agree
+    ([[0, 1], [2 * P, 0]], 1),              # a one-term row (0, 2P) in an empty column
+    ([[1, 0, 0], [0, 1, 0], [3, -2, 0], [0, 0, P]], 2),  # a row on one-term pivots
+    ([[1, 1, 0], [1, 0, 0], [0, 0, P]], 2),  # a one-term row on a multi-term pivot
+], ids=["p-row", "rows-equal-mod-p", "denominator-p", "2p-row", "on-unit-pivots",
+        "unit-on-multi-term-pivot"])
+def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors, mod_p, monkeypatch):
+    pytest.importorskip("sympy")
+    cols = len(vectors[0])
+    rows = linalg._int_rows(vectors)
+    pivots, _ = linalg._echelon_mod_p(rows, cols, cols)
+    assert len(pivots) == mod_p
+    unit = [tuple(Fraction(int(i == j)) for j in range(cols)) for i in range(cols)]
+    assert sympy_basis(vectors, cols) == unit
+    assert row_space_rank(vectors) == cols
+    assert row_space_basis(vectors) == unit
+    # the rows and their terms in any order: the same answers, and rref runs
+    # exactly when it runs for the rows as given, once for the rank and once
+    # for the basis
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    rng = random.Random(30)
+    for order in itertools.permutations(range(len(rows))):
+        fed = [rng.sample(rows[i], len(rows[i])) for i in order]
+        calls.clear()
+        assert linalg._rank(fed, cols) == cols
+        assert linalg._basis(fed, cols) == unit
+        assert len(calls) == 2
 
 
 def test_zero_rows_are_skipped_and_change_no_rank_or_basis():
@@ -237,21 +259,23 @@ def test_matrix_constructor_rejects_floats_and_results_stay_exact():
 
 
 def test_a_corrupted_candidate_fails_the_certificate():
+    # the certificate reads a candidate as its cleared integer rows D*R_j
     vectors = [[1, 2, 3, 4, 0], [2, 4, 6, 8, 0], [0, 0, 1, 5, 7], [1, 2, 4, 9, 7]]
     rows = linalg._int_rows(vectors)
     res = rref(Matrix.from_rows(vectors))
     reduced = [res.reduced.row(i) for i in range(res.rank)]
     assert res.rank == 2
-    assert linalg._certify(rows, res.pivot_columns, reduced)
+    assert linalg._certify(rows, res.pivot_columns, linalg._int_rows(reduced))
     # any one entry off the pivot columns moved, or a row dropped, fails
     for i, row in enumerate(reduced):
         for c in set(range(5)) - set(res.pivot_columns):
             bad = list(reduced)
             bad[i] = row[:c] + (row[c] + Fraction(1, 3),) + row[c + 1:]
-            assert not linalg._certify(rows, res.pivot_columns, bad), (i, c)
+            assert not linalg._certify(rows, res.pivot_columns,
+                                       linalg._int_rows(bad)), (i, c)
         rest = [r for j, r in enumerate(reduced) if j != i]
         cols = [p for j, p in enumerate(res.pivot_columns) if j != i]
-        assert not linalg._certify(rows, cols, rest)
+        assert not linalg._certify(rows, cols, linalg._int_rows(rest))
 
 
 def test_a_wrong_reconstruction_falls_back_to_rref(monkeypatch):

@@ -18,7 +18,8 @@ from hypothesis import assume, given, settings, strategies as st
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
                       brute_force_lefschetz_dims, dense_axiom_violations,
                       dense_ring_map_violations, full_scan_violations,
-                      lr_count_by_tableaux, rescaled, row_space_basis)
+                      lr_count_by_tableaux, rescaled, row_space_basis,
+                      sympy_basis)
 from lefalg import catalog, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
@@ -240,12 +241,16 @@ def test_the_pair_scan_flags_exactly_when_the_full_scan_does(data):
     assert set(fast) <= set(full)
 
 
-# The certified modular RREF against rref. A matrix is L*R for an RREF R of
-# rank r with pivot column 0 and L whose first r rows are the identity, so
-# rref gives R. "small" entries reconstruct mod P, so the certificate must
-# accept the modular RREF and rref must not run. "big" puts an entry past
-# sqrt(P/2), numerator or denominator, into R; "agree" appends a row that
-# agrees mod P with a row of L*R but differs from it off R's row space. No
+# The certified modular RREF against rref and sympy. A matrix is L*R for an
+# RREF R of rank r with pivot column 0 and L whose first r rows are the
+# identity, so rref gives R. Some rows of R may be unit rows, and some rows
+# of L combine only those, so they sit on one-term pivots, or, read first,
+# make a multi-term pivot in a unit row's column. "small" entries
+# reconstruct mod P, so the certificate must accept the modular RREF and
+# rref must not run. "big" puts an entry past sqrt(P/2), numerator or
+# denominator, into R; "agree" appends a row that agrees mod P with a row
+# of L*R but differs from it off R's row space; "p-row" appends the
+# one-term row P or 2P times a unit vector off R's pivot columns. No
 # modular candidate is then rref(A), so the fallback must run.
 _PAST = isqrt(P // 2) + 1
 
@@ -253,7 +258,8 @@ _PAST = isqrt(P // 2) + 1
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_modular_rref_matches_rref(data):
-    kind = data.draw(st.sampled_from(["small", "big", "agree"]))
+    pytest.importorskip("sympy")
+    kind = data.draw(st.sampled_from(["small", "big", "agree", "p-row"]))
     forced = kind != "small"  # the fallback must run
     cols = data.draw(st.integers(1 + forced, 6))
     r = data.draw(st.integers(forced, cols - forced))
@@ -268,6 +274,9 @@ def test_modular_rref_matches_rref(data):
             if c not in pivots:
                 row[c] = data.draw(small)
         reduced.append(row)
+    units = data.draw(st.lists(st.sampled_from(range(r)), unique=True)) if r else []
+    for i in units:
+        reduced[i] = [Fraction(int(c == pivots[i])) for c in range(cols)]
     if kind == "big":
         c = next(c for c in range(cols) if c not in pivots)
         big = data.draw(st.integers(_PAST, P * P))
@@ -277,13 +286,19 @@ def test_modular_rref_matches_rref(data):
     extra = data.draw(st.integers(1 if kind == "big" else 0, 3))
     left = [[int(i == j) for j in range(r)] for i in range(r)] + \
         [data.draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r))
-         for _ in range(extra)]
+         for _ in range(extra)] + \
+        [[data.draw(st.integers(-3, 3)) * (i in units) for i in range(r)]
+         for _ in range(data.draw(st.integers(0, 2 if units else 0)))]
     vectors = [[sum((x * row[c] for x, row in zip(coeffs, reduced)), Fraction(0))
                 for c in range(cols)] for coeffs in left]
     if kind == "agree":
         vectors = [linalg._dense(row, cols) for row in linalg._int_rows(vectors)]
         c = next(c for c in range(cols) if c not in pivots)
         vectors.append([x + P * (j == c) for j, x in enumerate(vectors[0])])
+    if kind == "p-row":
+        c = next(c for c in range(cols) if c not in pivots)
+        vectors.append([data.draw(st.sampled_from([P, 2 * P])) * (j == c)
+                        for j in range(cols)])
     if data.draw(st.booleans()):  # rational rows, else their integer multiples
         vectors = [[Fraction(x) / (i + 2) for x in v] for i, v in enumerate(vectors)]
     vectors = [vectors[i] for i in data.draw(st.permutations(range(len(vectors))))]
@@ -294,7 +309,8 @@ def test_modular_rref_matches_rref(data):
         basis, rank = row_space_basis(vectors), row_space_rank(vectors)
     res = rref(Matrix.from_rows(vectors))
     assert basis == [res.reduced.row(i) for i in range(res.rank)]
-    assert rank == res.rank == r + (kind == "agree")
+    assert basis == sympy_basis(vectors, cols)
+    assert rank == res.rank == r + (kind in ("agree", "p-row"))
     assert bool(calls) == forced
     # the rows' terms in any order, in lists or in tuples, give the same
     # answers, and rref runs exactly when it runs on the sorted rows
