@@ -14,9 +14,9 @@ Vectors become rows through `linalg._int_rows`; products read the cells of
 `ring._int_table`, which are rows, and a unit row times a unit row is its
 cell as it is; a basis of L^k that is all of A^k is read as the shared unit
 cells. Ranks and RREF bases come from `linalg`, the one module that works
-mod P; the bases are stored as `Fraction` RREFs, and the subalgebra hands
-the cleared integer rows of each certified RREF (`linalg._basis_rows`) on
-as the rows of the next degree's products, with no `Fraction` between.
+mod P. Each L^k is stored once, as the cleared integer rows of its RREF
+(`linalg._basis_rows`), which every product, map and pairing on L^k reads;
+`Fraction` vectors are built only when `bases` or `elements` is read.
 
 The result records are namedtuples, so they also compare equal to plain
 tuples of their fields.
@@ -29,35 +29,33 @@ from collections.abc import Sequence
 from itertools import islice
 from math import gcd
 
-from .linalg import Row, Vector, _basis_rows, _int_rows, _rank
+from .linalg import Row, Vector, _basis_rows, _int_rows, _rank, _rref_vectors
 from .ring import (Element, GradedAlgebra, _checked_class, _int_pairing, _int_table,
                    _integrals, _unit_cells)
 
 
-class LefschetzData(namedtuple("LefschetzData", "ambient generators bases")):
-    """Echelon bases of L^k inside the ambient degree-k components.
-
-    ``generators`` are the coordinate vectors of the degree-one generators,
-    ``bases[k]`` the echelon basis of L^k.
+class LefschetzData(namedtuple("LefschetzData", "ambient generators rows")):
+    """L^k inside A^k for each k: ``generators`` are the coordinate vectors of
+    the degree-one generators, ``rows[k]`` the cleared rows D*R_j of the RREF R
+    of L^k, pivot term D first (the shared unit cells when its rank mod P is
+    full); ``bases[k]``, R as `Fraction` vectors, is built from them on each read.
     """
     __slots__ = ()
 
     @property
+    def bases(self) -> tuple[tuple[Vector, ...], ...]:
+        return tuple(map(tuple, map(_rref_vectors, self.rows, self.ambient.dims)))
+
+    @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.bases)
+        return tuple(map(len, self.rows))
 
     def dim(self, k: int) -> int:
-        return len(self.bases[k]) if 0 <= k < len(self.bases) else 0
+        return len(self.rows[k]) if 0 <= k < len(self.rows) else 0
 
     def elements(self, k: int) -> list[Element]:
-        # the basis vectors are Fraction tuples of the right length already
-        return [Element(self.ambient, k, v) for v in self.bases[k]]
-
-
-def _int_basis(basis: tuple[Vector, ...], n: int) -> Sequence[Row]:
-    """`_int_rows(basis)`; the shared unit cells when the basis spans all n
-    coordinates, since an RREF basis is then the unit vectors."""
-    return _unit_cells(n)[:n] if len(basis) == n else _int_rows(basis)
+        rows = self.rows[k] if 0 <= k < len(self.rows) else ()  # none outside 0..d
+        return [Element(self.ambient, k, v) for v in _rref_vectors(rows, self.ambient.dim(k))]
 
 
 def _product_rows(a: GradedAlgebra, k1: int, k2: int,
@@ -93,21 +91,20 @@ def lefschetz_subalgebra(a: GradedAlgebra,
                          generators: Sequence[Element] | None = None
                          ) -> LefschetzData:
     """Subalgebra generated in degree one, default generators = all of degree 1.
-    The cleared rows of each basis (`_basis_rows`) are the rows of the next
-    degree's products, the shared unit cells where the basis is full width."""
+    The cleared rows of each L^k (`_basis_rows`) are the rows of the next
+    degree's products, the shared unit cells where L^k is all of A^k."""
     if generators is None:
         gens = [a.basis_element(1, i) for i in range(a.dim(1))]
     else:
         gens = [_checked_class(a, g, 1, "generators") for g in generators]
     ws = _int_rows([g.coords for g in gens])
-    bases = [(a.unit().coords,)]
-    us = _int_basis(bases[0], a.dim(0))
+    rows = [tuple(_unit_cells(1)[:1])]  # L^0 = A^0, spanned by the unit
     for k in range(1, a.top_degree + 1):
         n = a.dim(k)
-        basis, rows = _basis_rows(_product_rows(a, 1, k - 1, ws, us), n)
-        bases.append(tuple(basis))
-        us = _unit_cells(n)[:n] if len(basis) == n else rows
-    return LefschetzData(a, tuple(g.coords for g in gens), tuple(bases))
+        cleared = _basis_rows(_product_rows(a, 1, k - 1, ws, rows[-1]), n)
+        rows.append(tuple(_unit_cells(n)[:n]) if cleared is None
+                    else tuple(map(tuple, cleared)))
+    return LefschetzData(a, tuple(g.coords for g in gens), tuple(rows))
 
 
 DegreeVerdict = namedtuple("DegreeVerdict", "k passed witness", defaults=("",))
@@ -156,8 +153,8 @@ def _checked_omega(lef: LefschetzData, omega: Element | None) -> Element:
             return a.zero(1)
         raise ValueError("omega is required when the top degree is positive")
     _checked_class(a, omega, 1, "omega")
-    level = list(lef.bases[1]) if a.top_degree >= 1 else []
-    if _rank(_int_rows(level + [omega.coords]), a.dim(1)) != len(level):
+    level = list(lef.rows[1]) if a.top_degree >= 1 else []
+    if _rank(level + _int_rows([omega.coords]), a.dim(1)) != len(level):
         raise ValueError("omega lies outside the degree-one Lefschetz component")
     return omega
 
@@ -183,8 +180,7 @@ def _map_rank(lef: LefschetzData, m: int, row: Row, k: int) -> int:
         return 0
     if m == 0:
         return lef.dim(k)
-    us = _int_basis(lef.bases[k], a.dim(k))
-    return _rank(list(_product_rows(a, m, k, [row], us)), a.dim(m + k))
+    return _rank(list(_product_rows(a, m, k, [row], lef.rows[k])), a.dim(m + k))
 
 
 def check_hard_lefschetz(lef: LefschetzData,
@@ -205,11 +201,10 @@ def _hard_lefschetz(lef: LefschetzData, omega: Element | None
 
 def _int_gram(lef: LefschetzData, k: int) -> list[Row]:
     """The pairing L^k x L^{d-k} -> Q as integer rows, one nonzero multiple
-    of the exact one: row u holds the integrals (`_integrals`) of u*v over
-    the integer rows v of the basis of L^{d-k}."""
+    of the exact one: row u of L^k's rows holds the integrals (`_integrals`)
+    of u*v over the rows v of L^{d-k}."""
     a, d = lef.ambient, lef.ambient.top_degree
-    us = _int_basis(lef.bases[k], a.dim(k))
-    vs = _int_basis(lef.bases[d - k], a.dim(d - k))
+    us, vs = lef.rows[k], lef.rows[d - k]
     rows = _product_rows(a, k, d - k, us, vs)  # read len(vs) at a time, one u each
     return _integrals(a, (islice(rows, len(vs)) for _ in us))
 

@@ -312,10 +312,10 @@ def _certify(rows: Sequence[Row], pivot_columns: Sequence[int],
 
 
 def _exact_rref(rows: Sequence[Row], width: int, pivots: dict[int, list[tuple[int, int]]]
-                ) -> tuple[list[Vector], list[Row]]:
-    """The RREF basis of the span of rows and its cleared integer rows, from
-    all their echelon pivots mod P: the certified modular RREF, else `rref`
-    over Fraction.
+                ) -> list[Row]:
+    """The cleared integer rows D*R_j of the RREF R of the span of rows, each
+    with its pivot term, D, first, from all their echelon pivots mod P: the
+    certified modular RREF, else `rref` over Fraction.
 
     1. Back-substitution turns the pivots into the RREF mod P.
     2. Each entry is rebuilt by rational reconstruction, giving a
@@ -326,7 +326,7 @@ def _exact_rref(rows: Sequence[Row], width: int, pivots: dict[int, list[tuple[in
        the two row spaces are equal, and R, a matrix in RREF, is rref(A): a
        row space has one RREF.
     4. If an entry has no reconstruction or the check fails, elimination
-       over Fraction gives the answer, cleared by `_int_rows`.
+       over Fraction gives R, cleared by `_int_rows`.
     """
     cols = list(pivots)
     red = [[0] * width for _ in cols]
@@ -347,38 +347,41 @@ def _exact_rref(rows: Sequence[Row], width: int, pivots: dict[int, list[tuple[in
         cleared = [[(j, v) for j, x in enumerate(red[i]) if (v := whole[x])]
                    for i in order]
         if _certify(rows, [cols[i] for i in order], cleared):
-            return [tuple(map(seen.__getitem__, red[i])) for i in order], cleared
+            return cleared
     res = rref(Matrix(len(rows), width, [_dense(row, width) for row in rows]))
-    reduced = [res.reduced.row(i) for i in range(res.rank)]
-    return reduced, _int_rows(reduced)
+    return _int_rows(res.reduced.row(i) for i in range(res.rank))
+
+
+def _rref_vectors(cleared: Iterable[Row], width: int) -> list[Vector]:
+    """The RREF R of its cleared rows D*R_j, each with its pivot term D first."""
+    return [_dense([(t, Fraction(c, row[0][1])) for t, c in row], width) for row in cleared]
 
 
 def _rank(rows: Sequence[Row], width: int) -> int:
     """Rank of rows of the given width: the rank mod P when it is
-    min(rows, width), else the length of the exact RREF basis."""
+    min(rows, width), else the number of cleared rows of the exact RREF."""
     full = min(len(rows), width)
     pivots, _ = _echelon_mod_p(rows, width, full)
     if len(pivots) == full:
         return full
-    return len(_exact_rref(rows, width, pivots)[0])
+    return len(_exact_rref(rows, width, pivots))
 
 
-def _basis_rows(rows: Iterable[Row], width: int
-                ) -> tuple[list[Vector], list[Row] | None]:
-    """Canonical (RREF) basis of the span of rows, read lazily, and its
-    cleared integer rows (`_exact_rref`); None for the rows when the span is
-    all of Q^width, whose RREF basis is the standard unit vectors and needs
-    no exact elimination."""
+def _basis_rows(rows: Iterable[Row], width: int) -> list[Row] | None:
+    """The cleared rows (`_exact_rref`) of the canonical (RREF) basis of the
+    span of rows, read lazily; None when the span is all of Q^width, whose
+    RREF basis is the unit vectors and needs no exact elimination."""
     pivots, read = _echelon_mod_p(rows, width, width)
     if len(pivots) == width:
-        one = Fraction(1)
-        return [_dense([(i, one)], width) for i in range(width)], None
+        return None
     return _exact_rref(read, width, pivots)
 
 
 def _basis(rows: Iterable[Row], width: int) -> list[Vector]:
-    """The canonical (RREF) basis of `_basis_rows`."""
-    return _basis_rows(rows, width)[0]
+    """The canonical (RREF) basis of the span of rows (`_basis_rows`)."""
+    cleared = _basis_rows(rows, width)
+    return _rref_vectors([[(t, 1)] for t in range(width)] if cleared is None else cleared,
+                         width)
 
 
 def row_space_rank(vectors: Sequence[Sequence]) -> int:

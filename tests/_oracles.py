@@ -36,6 +36,10 @@ kept for the tests that check that engine.
 
 `sympy_basis` is the RREF basis of a list of vectors by sympy, an engine
 that shares no code with lefalg; the caller imports sympy or skips.
+`sympy_lefschetz` is the whole Lefschetz stage on the same engine: it
+reads only an algebra's `basis`, `tables` and `integration`, multiplies
+coordinate by coordinate, and ranks every span, Gram matrix and map with
+sympy's `rref`, never with a lefalg rank routine.
 
 `write_algebra_v1` is the version 1 file writer, kept as the reference for
 the bytes it wrote and as a source of version 1 files, which still read.
@@ -373,6 +377,76 @@ def sympy_basis(vectors, cols: int) -> list[Vector]:
     reduced, pivots = m.rref()
     return [tuple(Fraction(int(x.p), int(x.q)) for x in reduced.row(i))
             for i in range(len(pivots))]
+
+
+def sympy_lefschetz(a: GradedAlgebra, omega) -> tuple:
+    """By sympy alone, for the subalgebra L generated by the degree-one basis
+    classes and omega, a degree-one coordinate vector in L^1: the RREF bases
+    of L^k as Fraction tuples; the (k, passed, witness) triples of symmetry,
+    Poincare duality and hard Lefschetz for k = 0..d//2; and the primitive
+    dims with whether hard Lefschetz holds, each dim L^i minus the rank of
+    omega^(d-2i+1) on L^i, ranked whether or not it holds. The caller
+    imports sympy or skips."""
+    import sympy
+
+    def q(x):
+        x = Fraction(x)
+        return sympy.Rational(x.numerator, x.denominator)
+
+    dims = [len(b) for b in a.basis]
+    d = len(dims) - 1
+
+    def times(k1, u, k2, v):
+        out = [sympy.Integer(0)] * dims[k1 + k2]
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                if x and y:
+                    for t, c in a.tables[k1, k2][i][j]:
+                        out[t] += x * y * q(c)
+        return out
+
+    def echelon(vectors, n):
+        reduced, pivots = sympy.Matrix(len(vectors), n,
+                                       [x for v in vectors for x in v]).rref()
+        return [list(reduced.row(i)) for i in range(len(pivots))]
+
+    bases = [[[sympy.Integer(1)]]]
+    gens = [[sympy.Integer(int(i == j)) for j in range(dims[1])]
+            for i in range(dims[1])] if d else []
+    for k in range(1, d + 1):
+        bases.append(echelon([times(1, g, k - 1, u) for g in gens
+                              for u in bases[k - 1]], dims[k]))
+    powers = [[sympy.Integer(1)]]
+    for m in range(1, d + 1):
+        powers.append(times(m - 1, powers[-1], 1, [q(x) for x in omega]))
+
+    def map_rank(m, k):
+        if m + k > d:
+            return 0
+        return len(echelon([times(m, powers[m], k, u) for u in bases[k]], dims[m + k]))
+
+    def gram_rank(k):
+        gram = [[sum(w * x for w, x in zip(map(q, a.integration), times(k, u, d - k, v)))
+                 for v in bases[d - k]] for u in bases[k]]
+        return len(echelon(gram, len(bases[d - k])))
+
+    def per_degree(rank):
+        out = []
+        for k in range(d // 2 + 1):
+            low, high = len(bases[k]), len(bases[d - k])
+            if low != high:
+                out.append((k, False, f"{low} vs {high}"))
+            else:
+                r = rank(k)
+                out.append((k, r == low, "" if r == low else f"rank {r} of {low}"))
+        return tuple(out)
+
+    hl = per_degree(lambda k: map_rank(d - 2 * k, k))
+    primitive = tuple(len(bases[i]) - map_rank(d - 2 * i + 1, i) for i in range(d // 2 + 1))
+    return (tuple(tuple(tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in basis)
+                  for basis in bases),
+            per_degree(lambda k: len(bases[k])), per_degree(gram_rank), hl,
+            (primitive, all(passed for _, passed, _ in hl)))
 
 
 def kernel(a: Matrix) -> list[Vector]:

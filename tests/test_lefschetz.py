@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import (brute_force_lefschetz_bases, brute_force_lefschetz_dims,
-                      kernel, rescaled)
+                      kernel, rescaled, sympy_lefschetz)
 from lefalg import lefschetz, linalg, ring
 from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.catalog import get, names
@@ -37,6 +37,14 @@ def test_example3_top_lefschetz_piece_is_full():
 
 def test_gr25_lefschetz_dims_all_one():
     assert lefschetz_subalgebra(get("Gr-2-5").algebra).dims == (1,) * 7
+
+
+def test_elements_outside_the_degrees_are_empty():
+    # as dim says: no Element of degree -1 holding the top degree's coordinates
+    lef = lefschetz_subalgebra(get("P-2").algebra)
+    for k in (-1, 3):
+        assert lef.elements(k) == [] and lef.dim(k) == 0
+    assert [e.coords for e in lef.elements(2)] == [(Fraction(1),)]
 
 
 def test_brute_force_span_agrees_on_all_catalog_algebras():
@@ -465,3 +473,74 @@ def test_real_inputs_never_reach_the_exact_fallback(monkeypatch):
         verify_algebra(entry.algebra)
         assert not calls, entry.name
     assert exact  # the certified modular RREF itself ran
+
+
+def _p2(name, hh, top):
+    # P2 with h*h = hh * q and integral of q = top
+    one = ((0, 1),)
+    tables = {(0, 0): [[one]], (0, 1): [[one]], (1, 0): [[one]],
+              (0, 2): [[one]], (2, 0): [[one]], (1, 1): [[((0, hh),)]]}
+    a = GradedAlgebra(name, [["1"], ["h"], ["q"]], tables, [top])
+    return a, a.element(1, [1])
+
+
+def _oracle_input(kind, name):
+    """(algebra, omega): a catalog entry; it rescaled by `rescaled`; it with
+    b'_0 = 2 b_0 in degree 2, so that some cells hold a half and the rest
+    ints; or a P2."""
+    if kind == "P2":
+        return _p2(name, *{"P2-half": (Fraction(1, 2), 2), "P2-p": (P, 1)}[name])
+    entry = get(name)
+    if kind == "catalog":
+        return entry.algebra, entry.omega
+    lam = None if kind == "rescaled" else \
+        [[Fraction(1 + ((k, i) == (2, 0))) for i in range(n)]
+         for k, n in enumerate(entry.algebra.dims)]
+    b, lam = rescaled(entry.algebra, lam)
+    if kind == "half":  # the coefficients left integral written as ints
+        b = GradedAlgebra(b.name, b.basis, {
+            key: [[tuple((t, _integral(c)) for t, c in cell) for cell in row]
+                  for row in table] for key, table in b.tables.items()}, b.integration)
+    return b, b.element(1, [x / l for x, l in zip(entry.omega.coords, lam[1])])
+
+
+# every catalog name (the three counterexamples among them, with their
+# catalog omega), rescaled and half-cell tables, and P2-p, which reaches the
+# exact fallback
+@pytest.mark.parametrize("kind,name", [("catalog", n) for n in names()] + [
+    (kind, n) for kind in ("rescaled", "half") for n in ("example1", "example3", "P1xP2")
+] + [("P2", "P2-half"), ("P2", "P2-p")])
+def test_the_stage_agrees_with_an_independent_sympy_oracle(kind, name):
+    pytest.importorskip("sympy")
+    a, omega = _oracle_input(kind, name)
+    lef = lefschetz_subalgebra(a)
+    got = (lef.bases, check_symmetry(lef).degrees, check_poincare_duality(lef).degrees,
+           check_hard_lefschetz(lef, omega).degrees, primitive_dims(lef, omega))
+    assert got == sympy_lefschetz(a, omega.coords)
+
+
+def test_each_degree_is_stored_as_the_cleared_rows_of_its_rref(monkeypatch):
+    # rows[k] is the one stored form of L^k: _int_rows of its RREF basis, or
+    # the shared unit cells where L^k is all of A^k; the predicates read it
+    # and clear only omega themselves
+    calls = []
+    real = lefschetz._int_rows
+    monkeypatch.setattr(lefschetz, "_int_rows",
+                        lambda vectors: calls.append(len(vectors)) or real(vectors))
+    for name in _REAL:
+        entry = get(name)
+        a = entry.algebra
+        lef = lefschetz_subalgebra(a)
+        for k, (rows, basis) in enumerate(zip(lef.rows, lef.bases)):
+            n = a.dim(k)
+            if len(rows) < n:
+                assert rows == tuple(map(tuple, linalg._int_rows(basis))), (name, k)
+            else:
+                assert all(row is cell for row, cell in zip(rows, ring._unit_cells(n))), \
+                    (name, k)
+        calls.clear()
+        check_symmetry(lef)
+        check_poincare_duality(lef)
+        check_hard_lefschetz(lef, entry.omega)
+        primitive_dims(lef, entry.omega)
+        assert set(calls) <= {1}, name

@@ -48,10 +48,10 @@ CASES = [
     (CatalogNode, {"path": "$", "name": "P-1"}, {},
      "CatalogNode(path='$', name='P-1')"),
     (LefschetzData,
-     {"ambient": P1, "generators": ((ONE,),), "bases": (((ONE,),), ((ONE,),))},
+     {"ambient": P1, "generators": ((ONE,),), "rows": ((((0, 1),),), (((0, 1),),))},
      {},
      f"LefschetzData(ambient={ALG}, generators=((Fraction(1, 1),),), "
-     f"bases=(((Fraction(1, 1),),), ((Fraction(1, 1),),)))"),
+     f"rows=((((0, 1),),), (((0, 1),),)))"),
     (DegreeVerdict, {"k": 1, "passed": False, "witness": "rank 0 of 1"}, {},
      "DegreeVerdict(k=1, passed=False, witness='rank 0 of 1')"),
     (DegreeVerdict, {"k": 0, "passed": True}, {"witness": ""},
