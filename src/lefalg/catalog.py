@@ -105,9 +105,25 @@ def build_example3() -> GradedAlgebra:
     return projective_bundle(chern[0].algebra, chern, name="example3")
 
 
+# Each fixed name: its builder, its default omega on the built algebra, what it is.
+_FIXED = {
+    "example1": (build_example1,
+                 lambda a: 10 * a.by_label("c") - a.by_label("e^1*1"),
+                 "blowup of P5 along a Segre-embedded C x P1"),
+    "example2": (build_example2,
+                 lambda a: 10 * a.by_label("y1") + 10 * a.by_label("y2") - a.by_label("e^1*1"),
+                 "blowup of P3 x P3 along a (P1)^3 center"),
+    "example3": (build_example3,
+                 lambda a: a.by_label("s[1]") + a.by_label("z^1*1"),
+                 "projectivized quotient bundle on Gr(2,5)"),
+    "CxP1-even": (cxp1_even, _degree_one_sum,
+                  "even ring of C x P1, used as a blowup center"),
+}
+
+
 def names() -> list[str]:
     """The canonical built-in listing (get() also resolves parametric names)."""
-    return (["example1", "example2", "example3", "CxP1-even"]
+    return (list(_FIXED)
             + [f"P-{n}" for n in range(1, 7)]
             + ["Gr-2-4", "Gr-2-5"]
             + ["P1xP1", "P1xP2", "P3xP3", "P1xP1xP1", "Gr-2-4xP1", "Gr-2-5xP2"])
@@ -115,12 +131,10 @@ def names() -> list[str]:
 
 def _is_factor(name: str) -> bool:
     """Whether name is a catalog name other than a product."""
-    if name in ("example1", "example2", "example3", "CxP1-even"):
-        return True
     m = _GR_NAME.match(name)
     if m:
         return 1 <= int(m.group(1)) < int(m.group(2))
-    return _P_NAME.match(name) is not None
+    return name in _FIXED or _P_NAME.match(name) is not None
 
 
 def _product_factors(name: str) -> list[str] | None:
@@ -150,26 +164,10 @@ def get(name: str) -> CatalogEntry:
         alg = tensor_product(*(get(p).algebra for p in parts))
         return CatalogEntry(name, alg, _degree_one_sum(alg),
                             "product of " + " and ".join(parts))
-    if name == "example1":
-        alg = build_example1()
-        omega = 10 * alg.by_label("c") - alg.by_label("e^1*1")
-        return CatalogEntry(name, alg, omega,
-                            "blowup of P5 along a Segre-embedded C x P1")
-    if name == "example2":
-        alg = build_example2()
-        omega = (10 * alg.by_label("y1") + 10 * alg.by_label("y2")
-                 - alg.by_label("e^1*1"))
-        return CatalogEntry(name, alg, omega,
-                            "blowup of P3 x P3 along a (P1)^3 center")
-    if name == "example3":
-        alg = build_example3()
-        omega = alg.by_label("s[1]") + alg.by_label("z^1*1")
-        return CatalogEntry(name, alg, omega,
-                            "projectivized quotient bundle on Gr(2,5)")
-    if name == "CxP1-even":
-        alg = cxp1_even()
-        return CatalogEntry(name, alg, _degree_one_sum(alg),
-                            "even ring of C x P1, used as a blowup center")
+    if name in _FIXED:
+        build, omega, description = _FIXED[name]
+        alg = build()
+        return CatalogEntry(name, alg, omega(alg), description)
     m = _P_NAME.match(name)
     if m:
         n = int(m.group(1))

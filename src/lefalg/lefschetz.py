@@ -29,9 +29,9 @@ from collections.abc import Sequence
 from itertools import islice
 from math import gcd
 
-from .linalg import Row, Vector, _basis_rows, _int_rows, _rank, _rref_vectors
+from .linalg import Row, Vector, _basis_rows, _int_rows, _rank, _rref_vectors, _unit_cells
 from .ring import (Element, GradedAlgebra, _checked_class, _int_pairing, _int_table,
-                   _integrals, _unit_cells)
+                   _integrals)
 
 
 class LefschetzData(namedtuple("LefschetzData", "ambient generators rows")):
@@ -100,10 +100,8 @@ def lefschetz_subalgebra(a: GradedAlgebra,
     ws = _int_rows([g.coords for g in gens])
     rows = [tuple(_unit_cells(1)[:1])]  # L^0 = A^0, spanned by the unit
     for k in range(1, a.top_degree + 1):
-        n = a.dim(k)
-        cleared = _basis_rows(_product_rows(a, 1, k - 1, ws, rows[-1]), n)
-        rows.append(tuple(_unit_cells(n)[:n]) if cleared is None
-                    else tuple(map(tuple, cleared)))
+        rows.append(tuple(map(tuple, _basis_rows(
+            _product_rows(a, 1, k - 1, ws, rows[-1]), a.dim(k)))))
     return LefschetzData(a, tuple(g.coords for g in gens), tuple(rows))
 
 

@@ -14,7 +14,9 @@ this module works mod P. The rank is found modulo the prime P = 2^30 - 35,
 the largest below 2^30, so that every residue is one 30-bit CPython digit.
 The rank mod P never exceeds the rank over Q, so when it reaches
 min(rows, cols) it is the exact rank, and a basis of full width is the unit
-vectors. Any other rank or basis comes from a certified modular RREF:
+rows: the shared unit cells ``((t, 1),)``, one object per position t
+(`_unit_cells`), which `ring` also hands out as the products of unit cells.
+Any other rank or basis comes from a certified modular RREF:
 back-substitution mod P, rational reconstruction of each entry (numerator
 and denominator at most 23,170), and a check in integers that every input
 row is the combination of the candidate's cleared rows that its pivot
@@ -22,9 +24,6 @@ entries name (`_exact_rref`). If an entry has no reconstruction or the
 check fails, Gauss-Jordan elimination over `Fraction` (`rref`) gives the
 answer; a smaller P only sends more inputs there, never to a wrong answer.
 `rref` and `solve` always work over `Fraction`.
-
-`Matrix.from_rows`, `identity`, `zero` and `column` are kept on purpose as
-public API for building and reading matrices; only the tests call them.
 """
 
 from __future__ import annotations
@@ -37,6 +36,15 @@ from math import isqrt, lcm
 
 Vector = tuple[Fraction, ...]
 Row = Sequence[tuple[int, int]]  # (t, c) terms, c a nonzero int, any order
+
+_UNITS: list = []
+
+
+def _unit_cells(n: int) -> list:
+    """The shared unit cells, grown to at least n: entry t is the one-term row ((t, 1),)."""
+    _UNITS.extend(((t, 1),) for t in range(len(_UNITS), n))
+    return _UNITS
+
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -114,24 +122,6 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        rows = [tuple(r) for r in rows]
-        if not rows:
-            return cls(0, 0, [])
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), width, rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -249,20 +239,20 @@ def _add_row_mod_p(pivots: dict[int, list[tuple[int, int]]], row: Row,
     return False
 
 
-def _echelon_mod_p(rows: Iterable[Row], width: int, full: int) -> tuple[dict, list]:
+def _echelon_mod_p(rows: Iterable[Row], width: int) -> tuple[dict, list]:
     """Echelon pivots mod P of rows, one `_add_row_mod_p` per nonempty row,
     and the nonempty rows read: an empty row, the zero row, changes neither
-    the pivots nor the RREF, nor what `_certify` proves. Stops at ``full``
-    pivots, the most that min(rows, width) allows, so a lazy iterable is
-    read only that far."""
+    the pivots nor the RREF, nor what `_certify` proves. Stops at ``width``
+    pivots, the most there are, so a lazy iterable is read no further than
+    the row that makes the last one."""
     pivots: dict[int, list[tuple[int, int]]] = {}
     read = []
     for row in rows:
-        if len(pivots) == full:
-            break
         if row:
             read.append(row)
             _add_row_mod_p(pivots, row, width)
+            if len(pivots) == width:
+                break
     return pivots, read
 
 
@@ -284,18 +274,18 @@ def _rational_mod_p(x: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _certify(rows: Sequence[Row], pivot_columns: Sequence[int],
-             cleared: Sequence[Row]) -> bool:
+def _certify(rows: Sequence[Row], cleared: Sequence[Row]) -> bool:
     """Whether D*a = sum_j a[p_j] * (D*R_j) for every row a.
 
-    R is a candidate RREF with pivot columns p_j, given as its cleared
-    integer rows D*R_j, D the lcm of its denominators, each with its terms
-    in column order, so the first term of D*R_j is its pivot, D. Both sides
+    R is a candidate RREF, given as its cleared integer rows D*R_j, D the
+    lcm of its denominators, each with its terms in column order, so the
+    first term of D*R_j is its pivot, D, in its pivot column p_j. Both sides
     agree in the pivot columns by construction, so only the terms outside
     them are compared, in exact integer arithmetic. When the check holds,
     the row space of A lies in that of R.
     """
     scale = cleared[0][0][1] if cleared else 1
+    pivot_columns = [row[0][0] for row in cleared]
     pivots = set(pivot_columns)
     free = [[(c, x) for c, x in row if c not in pivots] for row in cleared]
     for row in rows:
@@ -346,7 +336,7 @@ def _exact_rref(rows: Sequence[Row], width: int, pivots: dict[int, list[tuple[in
         whole = {x: f.numerator * (scale // f.denominator) for x, f in seen.items()}
         cleared = [[(j, v) for j, x in enumerate(red[i]) if (v := whole[x])]
                    for i in order]
-        if _certify(rows, [cols[i] for i in order], cleared):
+        if _certify(rows, cleared):
             return cleared
     res = rref(Matrix(len(rows), width, [_dense(row, width) for row in rows]))
     return _int_rows(res.reduced.row(i) for i in range(res.rank))
@@ -361,27 +351,26 @@ def _rank(rows: Sequence[Row], width: int) -> int:
     """Rank of rows of the given width: the rank mod P when it is
     min(rows, width), else the number of cleared rows of the exact RREF."""
     full = min(len(rows), width)
-    pivots, _ = _echelon_mod_p(rows, width, full)
+    pivots, _ = _echelon_mod_p(rows, width)
     if len(pivots) == full:
         return full
     return len(_exact_rref(rows, width, pivots))
 
 
-def _basis_rows(rows: Iterable[Row], width: int) -> list[Row] | None:
+def _basis_rows(rows: Iterable[Row], width: int) -> Sequence[Row]:
     """The cleared rows (`_exact_rref`) of the canonical (RREF) basis of the
-    span of rows, read lazily; None when the span is all of Q^width, whose
-    RREF basis is the unit vectors and needs no exact elimination."""
-    pivots, read = _echelon_mod_p(rows, width, width)
+    span of rows, read lazily; the first width shared unit cells when the
+    span is all of Q^width, whose RREF basis is the unit rows and needs no
+    exact elimination."""
+    pivots, read = _echelon_mod_p(rows, width)
     if len(pivots) == width:
-        return None
+        return _unit_cells(width)[:width]
     return _exact_rref(read, width, pivots)
 
 
 def _basis(rows: Iterable[Row], width: int) -> list[Vector]:
     """The canonical (RREF) basis of the span of rows (`_basis_rows`)."""
-    cleared = _basis_rows(rows, width)
-    return _rref_vectors([[(t, 1)] for t in range(width)] if cleared is None else cleared,
-                         width)
+    return _rref_vectors(_basis_rows(rows, width), width)
 
 
 def row_space_rank(vectors: Sequence[Sequence]) -> int:

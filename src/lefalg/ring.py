@@ -44,10 +44,12 @@ from .linalg import (
     Matrix,
     Row,
     Vector,
+    _UNITS,
     _add_row_mod_p,
     _dense,
     _int_rows,
     _rank,
+    _unit_cells,
     dot,
     format_rational,
     scalar,
@@ -86,15 +88,6 @@ def _check_cell(cell, n: int) -> bool:
         raise ValueError(f"{cell!r} is not a tuple of (t, c) terms with t "
                          f"ascending in 0..{n - 1} and c nonzero")
     return ints
-
-
-_UNITS: list = []
-
-
-def _unit_cells(n: int) -> list:
-    """The shared unit cells, grown to at least n: entry t is the one object ((t, 1),)."""
-    _UNITS.extend(((t, 1),) for t in range(len(_UNITS), n))
-    return _UNITS
 
 
 def _checked_tables(tables: Mapping, dims: Sequence[int]) -> tuple[dict, bool]:
@@ -321,12 +314,10 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             return multiply(self, other)
-        try:
-            c = scalar(other)
-        except TypeError:
-            return NotImplemented
-        return Element(self.algebra, self.degree,
-                       tuple(c * x for x in self.coords))
+        if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
+            return NotImplemented  # a scalar is an int or a Fraction, never a string
+        c = scalar(other)
+        return Element(self.algebra, self.degree, tuple(c * x for x in self.coords))
 
     def __rmul__(self, other):
         return self.__mul__(other)

@@ -29,10 +29,11 @@ associativity is checked on every basis triple, as it was before the
 generator search.
 
 `kernel` and `row_space_basis` were public `linalg` functions that
-nothing in the library called. `kernel` reads the nullspace off `rref`
-over Fraction. `row_space_basis` is the other exception: it is the
-library's certified basis, `linalg._basis` on the rows `_int_rows` clears,
-kept for the tests that check that engine.
+nothing in the library called, and `identity` was the constructor
+`Matrix.identity`, which only the tests called. `kernel` reads the
+nullspace off `rref` over Fraction. `row_space_basis` is the other
+exception: it is the library's certified basis, `linalg._basis` on the
+rows `_int_rows` clears, kept for the tests that check that engine.
 
 `sympy_basis` is the RREF basis of a list of vectors by sympy, an engine
 that shares no code with lefalg; the caller imports sympy or skips.
@@ -71,7 +72,7 @@ def brute_force_lefschetz_bases(a: GradedAlgebra) -> tuple[tuple, ...]:
             for g in combo:
                 el = multiply(el, g)
             vecs.append(el.coords)
-        res = rref(Matrix.from_rows(vecs)) if vecs else None
+        res = rref(Matrix(len(vecs), a.dim(k), vecs)) if vecs else None
         bases.append(tuple(res.reduced.row(i) for i in range(res.rank))
                      if res else ())
     return tuple(bases)
@@ -447,6 +448,11 @@ def sympy_lefschetz(a: GradedAlgebra, omega) -> tuple:
                   for basis in bases),
             per_degree(lambda k: len(bases[k])), per_degree(gram_rank), hl,
             (primitive, all(passed for _, passed, _ in hl)))
+
+
+def identity(n: int) -> Matrix:
+    """The n x n identity matrix."""
+    return Matrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def kernel(a: Matrix) -> list[Vector]:

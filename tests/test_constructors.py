@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import payload_checksum
+from _oracles import identity, payload_checksum
 from lefalg import buildfile, catalog, schubert
 from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.catalog import (_monomial_pullback, build_example1,
@@ -176,7 +176,7 @@ def test_adjoint_pushforward_rejects_a_degenerate_pairing():
     p2 = projective_space(2)
     flat = GradedAlgebra("P2-flat", p2.basis, p2.tables, [0])
     point = projective_space(0)
-    pull = RingMap(flat, point, [Matrix.identity(1)])
+    pull = RingMap(flat, point, [identity(1)])
     with pytest.raises(ValueError,
                        match="ambient pairing is degenerate in degree 2"):
         adjoint_pushforward(pull, 2)
@@ -192,8 +192,8 @@ def test_blowup_rejects_an_ambient_pairing_the_pushforward_cannot_see():
     # of degree 3 against degree 0, which is fine
     y = _algebra([["1"], ["h"], ["q"], ["p"]], {}, [1])
     point = projective_space(0)
-    pull = RingMap(y, point, [Matrix.identity(1)])
-    assert adjoint_pushforward(pull, 3) == (Matrix.from_rows([[1]]),)
+    pull = RingMap(y, point, [identity(1)])
+    assert adjoint_pushforward(pull, 3) == (Matrix(1, 1, [[1]]),)
     with pytest.raises(ValueError, match=r"^ambient T: pairing at degree 1 "
                                          r"is singular \(rank 0 of 1\)$"):
         blowup(BlowupInput(y, point, pull, 3,
@@ -205,10 +205,9 @@ def test_adjoint_pushforward_rejects_a_non_square_pairing():
     one = ((0, Fraction(1)),)
     wide = _algebra([["1"], ["h"], ["p", "q"], ["t"]], {(1, 0, 2, 0): one}, [1])
     wide_pull = RingMap(wide, projective_space(2),
-                        [Matrix.identity(1), Matrix.identity(1),
-                         Matrix.from_rows([[1, 0]])])
+                        [identity(1), identity(1), Matrix(1, 2, [[1, 0]])])
     tall = _algebra([["1"], ["a", "b"]], {}, [1, 0])
-    tall_pull = RingMap(tall, projective_space(0), [Matrix.identity(1)])
+    tall_pull = RingMap(tall, projective_space(0), [identity(1)])
     for pull in (wide_pull, tall_pull):
         with pytest.raises(ValueError,
                            match="ambient pairing is degenerate in degree 1"):
@@ -338,9 +337,9 @@ def test_blowup_rejects_non_ring_map_pullback():
     a, b = z.by_label("a"), z.by_label("b")
     from lefalg.linalg import Matrix
     from lefalg.ring import RingMap
-    bad = RingMap(y, z, [Matrix.identity(1),
-                         Matrix.from_rows([["1"], ["3"]]),
-                         Matrix.zero(1, 1)])
+    bad = RingMap(y, z, [identity(1),
+                         Matrix(2, 1, [["1"], ["3"]]),
+                         Matrix(1, 1, [[0]])])
     with pytest.raises(ValueError):
         blowup(BlowupInput(y, z, bad, 3,
                            (4 * a + 18 * b, 54 * multiply(a, b), z.zero(3))))
@@ -395,7 +394,7 @@ def test_blowup_signs_give_isomorphic_rings(build):
 def point_in_p1xp1():
     y = get("P1xP1").algebra
     z = projective_space(0)
-    return BlowupInput(y, z, RingMap(y, z, [Matrix.identity(1)]), 2,
+    return BlowupInput(y, z, RingMap(y, z, [identity(1)]), 2,
                        (z.zero(1), z.zero(2)))
 
 
@@ -421,8 +420,8 @@ def _sign_flip(plus: GradedAlgebra, minus: GradedAlgebra) -> RingMap:
 def test_the_sign_builds_are_isomorphic_by_flipping_e(build, identity_ok):
     plus, minus = build(sign=1), build(sign=-1)
     assert verify_ring_map(_sign_flip(plus, minus)).ok
-    identity = RingMap(plus, minus, [Matrix.identity(n) for n in plus.dims])
-    assert verify_ring_map(identity).ok == identity_ok
+    same = RingMap(plus, minus, [identity(n) for n in plus.dims])
+    assert verify_ring_map(same).ok == identity_ok
     assert (plus.tables == minus.tables) == identity_ok
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import kernel, row_space_basis, sympy_basis
+from _oracles import identity, kernel, row_space_basis, sympy_basis
 from lefalg import linalg
 from lefalg.linalg import (P, Matrix, dot, format_rational, parse_rational,
                            row_space_rank, rref, scalar, solve, vadd, vector)
@@ -51,26 +51,24 @@ def test_vector_arithmetic():
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         Matrix(2, 2, [[1, 2], [3]])
-    with pytest.raises(ValueError):
-        Matrix.from_rows([[1, 2], [3]])
-    m = Matrix.from_rows([[1, 2], [3, 4]])
+    m = Matrix(2, 2, [[1, 2], [3, 4]])
     assert m.rows == m.cols == 2
     assert m.column(1) == (Fraction(2), Fraction(4))
     assert m.transpose().row(0) == (Fraction(1), Fraction(3))
 
 
 def test_matrix_is_immutable_and_hashable():
-    m = Matrix.identity(2)
+    m = identity(2)
     with pytest.raises(AttributeError):
         m.rows = 3
-    assert m == Matrix.identity(2)
-    assert hash(m) == hash(Matrix.identity(2))
+    assert m == identity(2)
+    assert hash(m) == hash(identity(2))
 
 
 def test_rref_is_canonical():
     # same row space, different presentation: identical RREF
-    a = Matrix.from_rows([[2, 4, 6], [1, 1, 1]])
-    b = Matrix.from_rows([[1, 1, 1], [3, 5, 7], [1, 3, 5]])
+    a = Matrix(2, 3, [[2, 4, 6], [1, 1, 1]])
+    b = Matrix(3, 3, [[1, 1, 1], [3, 5, 7], [1, 3, 5]])
     ra, rb = rref(a), rref(b)
     assert ra.rank == rb.rank == 2
     assert [ra.reduced.row(i) for i in range(2)] == \
@@ -80,11 +78,11 @@ def test_rref_is_canonical():
 
 def test_rref_exactness_no_drift():
     # entries that would be lossy in floating point
-    m = Matrix.from_rows([[Fraction(1, 3), Fraction(1, 7)],
-                          [Fraction(1, 11), Fraction(1, 13)]])
+    m = Matrix(2, 2, [[Fraction(1, 3), Fraction(1, 7)],
+                      [Fraction(1, 11), Fraction(1, 13)]])
     r = rref(m)
     assert r.rank == 2
-    assert r.reduced == Matrix.identity(2)
+    assert r.reduced == identity(2)
 
 
 def test_row_space_rank_and_basis():
@@ -98,27 +96,27 @@ def test_row_space_rank_and_basis():
 
 
 def test_solve_unique_and_underdetermined():
-    a = Matrix.from_rows([[1, 1], [1, -1]])
+    a = Matrix(2, 2, [[1, 1], [1, -1]])
     assert solve(a, [3, 1]) == (Fraction(2), Fraction(1))
     # free variable pinned to zero
-    b = Matrix.from_rows([[1, 1]])
+    b = Matrix(1, 2, [[1, 1]])
     assert solve(b, [5]) == (Fraction(5), Fraction(0))
     # inconsistent
-    c = Matrix.from_rows([[1, 1], [2, 2]])
+    c = Matrix(2, 2, [[1, 1], [2, 2]])
     assert solve(c, [1, 3]) is None
 
 
 def test_kernel_basis():
-    a = Matrix.from_rows([[1, 2, 3]])
+    a = Matrix(1, 3, [[1, 2, 3]])
     ker = kernel(a)
     assert len(ker) == 2
     for v in ker:
         assert a.mat_vec(v) == (Fraction(0),)
-    assert kernel(Matrix.identity(3)) == []
+    assert kernel(identity(3)) == []
 
 
 def test_solve_matches_kernel_structure():
-    a = Matrix.from_rows([[1, 2, 0], [0, 0, 1]])
+    a = Matrix(2, 3, [[1, 2, 0], [0, 0, 1]])
     x = solve(a, [4, 5])
     assert x is not None
     assert a.mat_vec(x) == (Fraction(4), Fraction(5))
@@ -164,7 +162,7 @@ def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors, mod_p, monke
     pytest.importorskip("sympy")
     cols = len(vectors[0])
     rows = linalg._int_rows(vectors)
-    pivots, _ = linalg._echelon_mod_p(rows, cols, cols)
+    pivots, _ = linalg._echelon_mod_p(rows, cols)
     assert len(pivots) == mod_p
     unit = [tuple(Fraction(int(i == j)) for j in range(cols)) for i in range(cols)]
     assert sympy_basis(vectors, cols) == unit
@@ -189,11 +187,30 @@ def test_zero_rows_are_skipped_and_change_no_rank_or_basis():
     # a zero row is the empty row: it has no nonzero terms
     one, two = [(0, 1), (1, 2), (2, 3)], [(2, 6), (0, 2), (1, 4)]
     rows = [[], one, [], two, []]
-    pivots, read = linalg._echelon_mod_p(iter(rows), 3, 3)
+    pivots, read = linalg._echelon_mod_p(iter(rows), 3)
     assert len(pivots) == 1 and read == [one, two]
     assert linalg._rank(rows, 3) == 1
     assert linalg._basis(iter(rows), 3) == [tuple(map(Fraction, (1, 2, 3)))]
     assert linalg._basis(iter([[]] * 3), 2) == []
+
+
+def test_echelon_stops_reading_at_width_pivots():
+    # a lazy iterable is read no further than the row that makes the last
+    # pivot, and a full-width basis is the shared unit cells themselves
+    read = []
+
+    def rows():
+        for row in ([(0, 1), (1, 1)], [(1, 2)], [(0, 5)], [(0, 7), (1, 3)]):
+            read.append(row)
+            yield row
+
+    pivots, kept = linalg._echelon_mod_p(rows(), 2)
+    assert len(pivots) == 2 and kept == read == [[(0, 1), (1, 1)], [(1, 2)]]
+    read.clear()
+    basis = linalg._basis_rows(rows(), 2)
+    assert len(read) == 2
+    assert all(row is cell for row, cell in zip(basis, linalg._unit_cells(2)))
+    assert basis == [((0, 1),), ((1, 1),)]
 
 
 def test_int_rows_clear_denominators_by_one_lcm_per_list():
@@ -213,7 +230,7 @@ def test_full_width_basis_shortcut_matches_rref():
         cols = rng.randint(1, 6)
         rows = _random_rows(rng, rng.randint(cols, cols + 3), cols, cols,
                             rng.random() < 0.5)
-        res = rref(Matrix.from_rows(rows))
+        res = rref(Matrix(len(rows), cols, rows))
         if res.rank < cols:
             continue  # the random product fell short of full rank
         assert row_space_basis(rows) == \
@@ -249,12 +266,12 @@ def test_matrix_constructor_rejects_floats_and_results_stay_exact():
     with pytest.raises(TypeError):
         Matrix(1, 2, [[1, 0.5]])
     with pytest.raises(TypeError):
-        Matrix.from_rows([[0.25]])
-    m = Matrix.from_rows([[1, "1/2", 0], [3, -2, "5/7"]])
+        Matrix(1, 1, [[0.25]])
+    m = Matrix(2, 3, [[1, "1/2", 0], [3, -2, "5/7"]])
     products = (m.transpose(), rref(m).reduced)
     for result in products:
         assert all(type(x) is Fraction for row in result.entries for x in row)
-    assert m.transpose() == Matrix.from_rows([[1, 3], ["1/2", -2], [0, "5/7"]])
+    assert m.transpose() == Matrix(3, 2, [[1, 3], ["1/2", -2], [0, "5/7"]])
     assert all(type(x) is Fraction for x in m.mat_vec([1, 2, 3]))
 
 
@@ -262,20 +279,18 @@ def test_a_corrupted_candidate_fails_the_certificate():
     # the certificate reads a candidate as its cleared integer rows D*R_j
     vectors = [[1, 2, 3, 4, 0], [2, 4, 6, 8, 0], [0, 0, 1, 5, 7], [1, 2, 4, 9, 7]]
     rows = linalg._int_rows(vectors)
-    res = rref(Matrix.from_rows(vectors))
+    res = rref(Matrix(len(vectors), 5, vectors))
     reduced = [res.reduced.row(i) for i in range(res.rank)]
     assert res.rank == 2
-    assert linalg._certify(rows, res.pivot_columns, linalg._int_rows(reduced))
+    assert linalg._certify(rows, linalg._int_rows(reduced))
     # any one entry off the pivot columns moved, or a row dropped, fails
     for i, row in enumerate(reduced):
         for c in set(range(5)) - set(res.pivot_columns):
             bad = list(reduced)
             bad[i] = row[:c] + (row[c] + Fraction(1, 3),) + row[c + 1:]
-            assert not linalg._certify(rows, res.pivot_columns,
-                                       linalg._int_rows(bad)), (i, c)
+            assert not linalg._certify(rows, linalg._int_rows(bad)), (i, c)
         rest = [r for j, r in enumerate(reduced) if j != i]
-        cols = [p for j, p in enumerate(res.pivot_columns) if j != i]
-        assert not linalg._certify(rows, cols, linalg._int_rows(rest))
+        assert not linalg._certify(rows, linalg._int_rows(rest))
 
 
 def test_a_wrong_reconstruction_falls_back_to_rref(monkeypatch):

@@ -17,18 +17,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
                       brute_force_lefschetz_dims, dense_axiom_violations,
-                      dense_ring_map_violations, full_scan_violations,
+                      dense_ring_map_violations, full_scan_violations, identity,
                       lr_count_by_tableaux, rescaled, row_space_basis,
-                      sympy_basis)
+                      sympy_basis, sympy_lefschetz)
 from lefalg import catalog, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
 from lefalg.constructors import (BlowupInput, blowup, projective_bundle,
                                  projective_space)
-from lefalg.lefschetz import lefschetz_subalgebra
+from lefalg.lefschetz import (check_hard_lefschetz, check_poincare_duality,
+                              check_symmetry, lefschetz_subalgebra, primitive_dims)
 from lefalg.linalg import P, Matrix, row_space_rank, rref
-from lefalg.ring import (GradedAlgebra, RingMap, tensor_product, verify_algebra,
-                         verify_ring_map)
+from lefalg.ring import (GradedAlgebra, RingMap, _degree_one_sum, tensor_product,
+                         verify_algebra, verify_ring_map)
 from lefalg.schubert import contains, lr_coefficient, partitions_in_box
 from lefalg.serialize import (algebra_from_payload, algebra_payload,
                               read_algebra, write_algebra)
@@ -307,7 +308,7 @@ def test_modular_rref_matches_rref(data):
     real = linalg.rref
     with mock.patch.object(linalg, "rref", lambda m: calls.append(m) or real(m)):
         basis, rank = row_space_basis(vectors), row_space_rank(vectors)
-    res = rref(Matrix.from_rows(vectors))
+    res = rref(Matrix(len(vectors), cols, vectors))
     assert basis == [res.reduced.row(i) for i in range(res.rank)]
     assert basis == sympy_basis(vectors, cols)
     assert rank == res.rank == r + (kind in ("agree", "p-row"))
@@ -338,8 +339,8 @@ _P1, _P2, _P3 = (projective_space(n) for n in (1, 2, 3))
 PULLBACKS = {
     "example1": _pullback(catalog.build_example1),
     "example2": _pullback(catalog.build_example2),
-    "P3->P1": RingMap(_P3, _P1, [Matrix.identity(1)] * 2),
-    "P1->P2": RingMap(_P1, _P2, [Matrix.identity(1)] * 2),
+    "P3->P1": RingMap(_P3, _P1, [identity(1)] * 2),
+    "P1->P2": RingMap(_P1, _P2, [identity(1)] * 2),
 }
 
 
@@ -379,7 +380,7 @@ def _point_blowup(y: GradedAlgebra, sign: int) -> GradedAlgebra:
     """The blowup of y at a point: Z = P-0, the degree-0 identity as
     pullback, r = top degree of y, and c(N) = 1."""
     z, d = catalog.get("P-0").algebra, y.top_degree
-    return blowup(BlowupInput(y, z, RingMap(y, z, [Matrix.identity(1)]), d,
+    return blowup(BlowupInput(y, z, RingMap(y, z, [identity(1)]), d,
                               [z.zero(i) for i in range(1, d + 1)]), sign=sign)
 
 
@@ -419,10 +420,18 @@ def _tree(data, depth: int) -> GradedAlgebra:
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_random_constructor_trees(data):
+    # the Lefschetz stage also against sympy, an engine sharing no code with
+    # lefalg, with the degree-one sum as omega
+    pytest.importorskip("sympy")
     a = _tree(data, 2)
     assert a.dims == a.dims[::-1]
     assert verify_algebra(a).ok, verify_algebra(a).violations
-    assert lefschetz_subalgebra(a).dims == brute_force_lefschetz_dims(a)
+    lef = lefschetz_subalgebra(a)
+    assert lef.dims == brute_force_lefschetz_dims(a)
+    omega = _degree_one_sum(a)
+    got = (lef.bases, check_symmetry(lef).degrees, check_poincare_duality(lef).degrees,
+           check_hard_lefschetz(lef, omega).degrees, primitive_dims(lef, omega))
+    assert got == sympy_lefschetz(a, omega.coords if omega else ())
     assert algebra_from_payload(algebra_payload(a), require_checksum=False) == a
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
                       dense_axiom_violations, dense_multiply,
-                      full_scan_violations, relabeled, rescaled)
+                      full_scan_violations, identity, relabeled, rescaled)
 from lefalg import catalog, cli, ring
 from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.constructors import projective_space, truncated_polynomial_algebra
@@ -55,6 +55,17 @@ def test_element_arithmetic(p2):
     assert (h * Fraction(1, 2)).coords == (Fraction(1, 2),)
     with pytest.raises(ValueError):
         h + p2.unit()  # degree mismatch
+
+
+def test_an_element_scales_by_an_int_or_a_fraction_only(p2):
+    # a string is text, not a scalar, even when it spells a rational
+    h = p2.by_label("h")
+    for scale in (lambda: h * "2", lambda: "2" * h, lambda: h * "x",
+                  lambda: h * 0.5, lambda: True * h):
+        with pytest.raises(TypeError):
+            scale()
+    assert (2 * h).coords == (h * 2).coords == (Fraction(2),)
+    assert (h * Fraction(1, 3)).coords == (Fraction(1, 3),)
 
 
 def test_elements_of_different_algebras_do_not_mix(p2):
@@ -117,8 +128,8 @@ def test_render_element(p2):
 
 def test_pairing_matrix_p2(p2):
     m = pairing_matrix(p2, 1)
-    assert m == Matrix.from_rows([[1]])
-    assert pairing_matrix(p2, 0) == Matrix.from_rows([[1]])
+    assert m == Matrix(1, 1, [[1]])
+    assert pairing_matrix(p2, 0) == Matrix(1, 1, [[1]])
 
 
 def test_verify_algebra_passes_on_good_ring(p2):
@@ -175,7 +186,7 @@ def test_tensor_product_structure(p1xp1):
     assert (y * y).is_zero
     assert render_element(x * y) == "h⊗h"
     assert integrate(x * y) == 1
-    assert pairing_matrix(p1xp1, 1) == Matrix.from_rows([[0, 1], [1, 0]])
+    assert pairing_matrix(p1xp1, 1) == Matrix(2, 2, [[0, 1], [1, 0]])
     assert verify_algebra(p1xp1).ok
 
 
@@ -219,7 +230,7 @@ def test_tensor_product_matches_the_dense_kronecker_oracle(left, right):
 def test_ring_map_functoriality():
     p3, p1 = projective_space(3), projective_space(1)
     # restriction h -> h: matrices are identity in shared degrees
-    mats = [Matrix.identity(1), Matrix.identity(1)]
+    mats = [identity(1), identity(1)]
     f = RingMap(p3, p1, mats)
     assert verify_ring_map(f).ok
     h3 = p3.by_label("h")
@@ -233,7 +244,7 @@ def test_ring_map_detects_crushed_relation():
     # pair (1,1) lands on h^2 != 0 downstairs. The checker must look at
     # degree sums beyond the source top to see it.
     p1, p2 = projective_space(1), projective_space(2)
-    f = RingMap(p1, p2, [Matrix.identity(1), Matrix.identity(1)])
+    f = RingMap(p1, p2, [identity(1), identity(1)])
     rep = verify_ring_map(f)
     assert not rep.ok
 
@@ -241,9 +252,9 @@ def test_ring_map_detects_crushed_relation():
 def test_ring_map_shape_validation():
     p3, p1 = projective_space(3), projective_space(1)
     with pytest.raises(ValueError):
-        RingMap(p3, p1, [Matrix.identity(1)])  # missing degree 1
+        RingMap(p3, p1, [identity(1)])  # missing degree 1
     with pytest.raises(ValueError):
-        RingMap(p3, p1, [Matrix.identity(1), Matrix.identity(2)])
+        RingMap(p3, p1, [identity(1), identity(2)])
 
 
 def test_relabeled_checks_profile(p2):
@@ -664,7 +675,7 @@ def test_kept_pairs_and_generators_span_every_degree(name):
         vecs = [a.basis_element(k, i).coords for i in gens[k]]
         vecs += [multiply(a.basis_element(k1, i), a.basis_element(k2, j)).coords
                  for (k1, k2), ij in pairs.items() if k1 + k2 == k for i, j in ij]
-        assert rref(Matrix.from_rows(vecs)).rank == a.dim(k), k
+        assert rref(Matrix(len(vecs), a.dim(k), vecs)).rank == a.dim(k), k
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_COUNTS))
