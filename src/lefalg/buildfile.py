@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from . import catalog
 from .constructors import BlowupInput, blowup, projective_bundle, projective_space
-from .linalg import Matrix, parse_rational
-from .ring import GradedAlgebra, RingMap, tensor_product
+from .linalg import parse_rational
+from .ring import GradedAlgebra, RingMap, _cells, tensor_product
 from .schubert import grassmannian
 from .serialize import algebra_from_payload
 
@@ -222,14 +222,22 @@ def evaluate(expr: BuildExpr) -> GradedAlgebra:
 
 
 def _evaluate_blowup(expr: BlowupNode) -> GradedAlgebra:
-    # RingMap, Matrix and blowup check the data; this adds the JSON path
+    # column i of pullback[k] is the image of class i of Y; blowup checks the map
     where = f"{expr.path}.blowup"
     y = evaluate(expr.y)
     z = evaluate(expr.z)
-    mats = [_call_at(f"{where}.pullback[{k}]", Matrix, z.dim(k), y.dim(k),
-                     rows) for k, rows in enumerate(expr.pullback)]
-    pull = _call_at(f"{where}.pullback", RingMap, y, z, mats)
+    images = []
+    for k, rows in enumerate(expr.pullback):
+        n, m = z.dim(k), y.dim(k)
+        if len(rows) != n or any(len(row) != m for row in rows):
+            raise BuildTypeError(f"type error at {where}.pullback[{k}]: "
+                                 f"entry grid is not {n}x{m}")
+        images.append(_cells(zip(*rows)) if rows else [()] * m)
+    kmax = min(y.top_degree, z.top_degree)
+    if len(images) != kmax + 1:
+        raise BuildTypeError(f"type error at {where}.pullback: need matrices "
+                             f"for degrees 0..{kmax}, got {len(images)}")
     chern = [_as_element(z, i, row, f"{where}.chern_N[{i - 1}]")
              for i, row in enumerate(expr.chern, start=1)]
     r = y.top_degree - z.top_degree
-    return _call_at(where, blowup, BlowupInput(y, z, pull, r, chern))
+    return _call_at(where, blowup, BlowupInput(y, z, RingMap(y, z, images), r, chern))

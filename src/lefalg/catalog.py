@@ -14,6 +14,7 @@ import re
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
+from math import prod
 
 from .constructors import (
     BlowupInput,
@@ -25,9 +26,7 @@ from .constructors import (
     series_product,
     truncated_polynomial_algebra,
 )
-from .linalg import Matrix
-from .ring import (Element, GradedAlgebra, RingMap, _degree_one_sum, multiply,
-                   tensor_product)
+from .ring import Element, GradedAlgebra, RingMap, _cells, _degree_one_sum, tensor_product
 from .schubert import grassmannian, quotient_chern_classes
 
 _P_NAME = re.compile(r"^P-?(\d+)$")
@@ -40,19 +39,12 @@ class CatalogEntry(namedtuple("CatalogEntry", "name algebra omega description"))
 
 
 def _monomial_pullback(y: GradedAlgebra, caps: Sequence[int], z: GradedAlgebra,
-                       images: Sequence[Element]) -> RingMap:
+                       gen_images: Sequence[Element]) -> RingMap:
     """Ring map from a truncated polynomial ring fixed by generator images."""
-    mats = []
-    for k in range(min(y.top_degree, z.top_degree) + 1):
-        cols = []
-        for exps in monomial_exponents(caps, k):
-            el = z.unit()
-            for img, e in zip(images, exps):
-                for _ in range(e):
-                    el = multiply(el, img)
-            cols.append(el.coords)
-        mats.append(Matrix(y.dim(k), z.dim(k), cols).transpose())
-    return RingMap(y, z, mats)
+    def image(exps):  # the coordinates of the image of one monomial
+        return prod((img ** e for img, e in zip(gen_images, exps)), start=z.unit()).coords
+    return RingMap(y, z, [_cells(map(image, monomial_exponents(caps, k)))
+                          for k in range(min(y.top_degree, z.top_degree) + 1)])
 
 
 def cxp1_even() -> GradedAlgebra:

@@ -5,9 +5,11 @@ The blowup and bundle constructors work symbolically on cells (see
 `ring`): basis classes are reduced against the defining relation (the
 exceptional e^r relation, the tautological zeta^s relation) until they land
 in the chosen basis, once per basis class and power within a call, with
-products read from the tables of Y and Z. `ring.verify_ring_map` checks the
-pullback by comparing cells. A bundle whose base already has z^i*... labels,
-as over another bundle, names its class z2 (then z3, ...).
+products read from the tables of Y and Z. The pullback (a `ring.RingMap`)
+and the pushforward (`adjoint_pushforward`) are one cell per basis class:
+`ring.verify_ring_map` checks the pullback by comparing cells, and the
+blowup reads both as they are. A bundle whose base already has z^i*...
+labels, as over another bundle, names its class z2 (then z3, ...).
 
 `BlowupInput` is a namedtuple, so it also compares equal to a plain tuple
 of its fields.
@@ -20,7 +22,7 @@ from collections.abc import Sequence
 from functools import cache
 from itertools import count
 
-from .linalg import Matrix, dot, rref
+from .linalg import Matrix, _dense, rref
 from .ring import (
     Cell,
     Element,
@@ -170,14 +172,14 @@ def chern_series_inverse(a: GradedAlgebra, u: Sequence[Element]) -> list[Element
     return v
 
 
-def adjoint_pushforward(pullback: RingMap, r: int) -> tuple[Matrix, ...]:
+def adjoint_pushforward(pullback: RingMap, r: int) -> list[list[Cell]]:
     """Gysin pushforward determined by the projection formula.
 
-    Returns one matrix per center degree k, sending degree k of the center
-    to degree k+r of the ambient algebra, with
-    int_Y(push(w) * y) = int_Z(w * pull(y)) for every y. Each matrix comes
-    from one elimination against the ambient pairing Gram matrix, which must
-    be invertible in the degrees it is used.
+    Returns one list of cells per center degree k: entry t is the cell of
+    push(w_t) in degree k+r of the ambient algebra, w_t the center's basis
+    class t of degree k, with int_Y(push(w) * y) = int_Z(w * pull(y)) for
+    every y. Each list comes from one elimination against the ambient
+    pairing Gram matrix, which must be invertible in the degrees it is used.
     """
     y, z = pullback.source, pullback.target
     if r < 1 or z.top_degree != y.top_degree - r:
@@ -185,23 +187,21 @@ def adjoint_pushforward(pullback: RingMap, r: int) -> tuple[Matrix, ...]:
             f"codimension mismatch: center top {z.top_degree}, "
             f"ambient top {y.top_degree}, r = {r}")
     dy = y.top_degree
-    mats = []
+    push = []
     for k in range(z.top_degree + 1):
         gram = pairing_matrix(y, k + r)
         n = gram.rows
-        # int_Z(w_i * pull(y_j)): row i of Z's pairing against column j of
-        # the pullback; the transpose keeps one row per y_j when Z is empty
         pz = pairing_matrix(z, k).entries
-        pulled = pullback.matrices[dy - k - r].transpose().entries
-        # [G^T | R] with one right-hand column per class of Z^k: G is
-        # invertible exactly when it is square and columns 0..n-1 are pivots
-        aug = [g + tuple(dot(w, v) for w in pz)
-               for g, v in zip(gram.transpose().entries, pulled)]
+        # [G^T | R], a row per class y_j of degree dy-k-r: column j of G, then
+        # int_Z(w_t * pull(y_j)), row t of Z's pairing on the cell of pull(y_j)
+        aug = [[g[j] for g in gram.entries] + [sum(w[s] * c for s, c in cell) for w in pz]
+               for j, cell in enumerate(pullback.images[dy - k - r])]
         red, pivots, _rank = rref(Matrix(gram.cols, n + z.dim(k), aug))
+        # G is invertible exactly when it is square and columns 0..n-1 are pivots
         if gram.cols != n or pivots[:n] != tuple(range(n)):
             raise ValueError(f"ambient pairing is degenerate in degree {k + r}")
-        mats.append(Matrix(n, z.dim(k), [row[n:] for row in red.entries]))
-    return tuple(mats)
+        push.append(_cells([row[n + t] for row in red.entries] for t in range(z.dim(k))))
+    return push
 
 
 class BlowupInput(namedtuple("BlowupInput", "y z pullback codim chern_n")):
@@ -249,10 +249,10 @@ def blowup(data: BlowupInput, *, sign: int = 1,
     if not report.ok:
         raise ValueError("pullback fails to be a ring map: "
                          + "; ".join(report.violations[:3]))
-    push = adjoint_pushforward(pull, r)
+    pushed = adjoint_pushforward(pull, r)
     _require_nondegenerate(y, "ambient")
     _require_nondegenerate(z, "center")
-    self_int = apply_ring_map(pull, y.element(r, push[0].mat_vec(z.unit().coords)))
+    self_int = apply_ring_map(pull, y.element(r, _dense(pushed[0][0], y.dim(r))))
     cr = data.chern_n[r - 1]
     if self_int != cr:
         raise ValueError(f"self-intersection check failed: iota^*(iota_*(1)) "
@@ -260,10 +260,8 @@ def blowup(data: BlowupInput, *, sign: int = 1,
 
     S = [(-sign) ** j for j in range(r + 1)]
     cn = [()] + _cells(c.coords for c in data.chern_n)  # 1-indexed
-    # iota^* of each Y class (zero above Z's top) and iota_* of each Z class
-    pulled = [_cells(map(m.column, range(m.cols))) for m in pull.matrices]
-    pushed = [_cells(map(m.column, range(m.cols))) for m in push]
-    pulled += [[()] * y.dim(k) for k in range(len(pulled), d + 1)]
+    # iota^* of each Y class, zero above Z's top; pushed holds iota_* of each Z class
+    pulled = [*pull.images, *([()] * y.dim(k) for k in range(len(pull.images), d + 1))]
 
     # block 0 holds the Y classes, block i the summand Z (x) e^i
     basis, decode, offset = _layout(

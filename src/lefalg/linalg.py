@@ -2,9 +2,9 @@
 
 Every result is exact: a `Fraction`, or an int that stands for one.
 Matrices are immutable after construction and every operation is a pure
-function; there is deliberately no float path. Every `Matrix`, the results
-of `transpose` and `rref` included, is built by its checking constructor,
-which coerces each entry with `scalar` and checks the shape.
+function; there is deliberately no float path. A `Matrix` is the grid that
+`rref` eliminates and `ring.pairing_matrix` returns; its checking
+constructor coerces each entry with `scalar` and checks the shape.
 
 Ranks and row-space bases work on integer rows: a `Row` is (t, c) terms, c
 a nonzero int, in any order, as an integral cell of `ring` is. A rank sees
@@ -125,18 +125,6 @@ class Matrix:
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, map(self.column, range(self.cols)))
-
-    def mat_vec(self, v: Sequence) -> Vector:
-        v = vector(v)
-        if len(v) != self.cols:
-            raise ValueError(f"expected vector of length {self.cols}, got {len(v)}")
-        return tuple(dot(r, v) for r in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

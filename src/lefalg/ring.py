@@ -16,13 +16,14 @@ except a shared unit cell: ``((t, 1),)`` is one object per position t
 (`_unit_cells`), which the Kronecker kernel hands out for every product of
 two unit cells, and one inside the degree is canonical by construction.
 The (k1, k2) and (k2, k1) tables hold the same cell objects wherever the two
-agree, so no product is stored twice. Products, verification, pairings and
-the file format all read cells; the dense coordinate tables are only a view
-(`GradedAlgebra.products`); dense vectors are read only from payloads. An
-integral cell is a `linalg.Row`, so the generator search, the pairing ranks
-and the Lefschetz stage hand the cells of `_int_table` (the stored table if
-it is all ints, else a copy with cleared denominators) to `linalg`, the one
-module that works mod P. An n-factor product is one Kronecker fold.
+agree, so no product is stored twice. Products, verification, pairings,
+ring maps (`RingMap.images`) and the file format all read cells; the dense
+tables are only a view (`GradedAlgebra.products`); dense vectors are read
+only from payloads. An integral cell is a `linalg.Row`, so the generator
+search, the pairing ranks and the Lefschetz stage hand the cells of
+`_int_table` (the stored table if it is all ints, else a copy with cleared
+denominators) to `linalg`, the one module that works mod P. An n-factor
+product is one Kronecker fold.
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -117,6 +118,11 @@ def _checked_tables(tables: Mapping, dims: Sequence[int]) -> tuple[dict, bool]:
     return out, ints
 
 
+def _refuse_bools(*ints) -> None:
+    if bool in map(type, ints):  # True == 1, but a bool is no degree or index
+        raise TypeError(f"a degree or index must be an int, not a bool: {ints!r}")
+
+
 class GradedAlgebra:
     """A finite graded-commutative Q-algebra with integration.
 
@@ -184,6 +190,7 @@ class GradedAlgebra:
     # element construction -----------------------------------------------
 
     def element(self, k: int, coords: Iterable) -> "Element":
+        _refuse_bools(k)
         coords = vector(coords)
         if not 0 <= k <= self.top_degree:
             raise ValueError(f"degree {k} outside 0..{self.top_degree}")
@@ -197,11 +204,13 @@ class GradedAlgebra:
 
     def zero(self, k: int) -> "Element":
         """Zero of degree k; above the top degree it has no coordinates."""
+        _refuse_bools(k)
         if k < 0:
             raise ValueError(f"degree {k} is negative")
         return Element(self, k, vzero(self.dim(k)))
 
     def basis_element(self, k: int, i: int) -> "Element":
+        _refuse_bools(k, i)
         if not 0 <= i < self.dim(k):
             raise ValueError(f"no basis class {i} in degree {k} of {self.name}")
         return Element(self, k, _dense([(i, Fraction(1))], self.dim(k)))
@@ -323,7 +332,9 @@ class Element:
         return self.__mul__(other)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int):
+            return NotImplemented  # an exponent is an int, never a bool or a string
+        if n < 0:
             raise ValueError("powers must be nonnegative integers")
         out = self.algebra.unit()
         for _ in range(n):
@@ -612,29 +623,29 @@ def _pairing_violations(a: GradedAlgebra) -> list[str]:
 
 
 class RingMap:
-    """Degree-preserving algebra map, one matrix per shared degree.
-
-    ``matrices[k]`` sends source degree-k coordinates to target degree-k
-    coordinates, for k = 0..min(top(source), top(target)). Above the target's
-    top degree the map is zero by convention.
+    """Degree-preserving algebra map: ``images[k][i]`` is the cell of f(b_i)
+    in target degree k, b_i the source's basis class i of degree k, for
+    k = 0..min(top(source), top(target)), each checked as a table cell is
+    (`_check_cell`). Above the target's top degree the map is zero by
+    convention.
     """
 
-    __slots__ = ("source", "target", "matrices")
+    __slots__ = ("source", "target", "images")
 
     def __init__(self, source: GradedAlgebra, target: GradedAlgebra,
-                 matrices: Sequence[Matrix]):
+                 images: Sequence[Sequence[Cell]]):
         kmax = min(source.top_degree, target.top_degree)
-        matrices = tuple(matrices)
-        if len(matrices) != kmax + 1:
-            raise ValueError(f"need matrices for degrees 0..{kmax}, "
-                             f"got {len(matrices)}")
-        for k, m in enumerate(matrices):
-            if (m.rows, m.cols) != (target.dim(k), source.dim(k)):
-                raise ValueError(f"degree-{k} matrix is {m.rows}x{m.cols}, "
-                                 f"expected {target.dim(k)}x{source.dim(k)}")
+        images = tuple(map(tuple, images))
+        if len(images) != kmax + 1:
+            raise ValueError(f"need images for degrees 0..{kmax}, got {len(images)}")
+        for k, cells in enumerate(images):
+            if len(cells) != source.dim(k):
+                raise ValueError(f"degree {k} has {len(cells)} images, expected {source.dim(k)}")
+            for cell in cells:
+                _check_cell(cell, target.dim(k))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "images", images)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingMap is immutable")
@@ -644,12 +655,14 @@ class RingMap:
 
 
 def apply_ring_map(f: RingMap, x: Element) -> Element:
+    """f(x), with Fraction coordinates, summed over the image cells."""
     if x.algebra is not f.source:
         raise ValueError("element does not belong to the map's source")
-    if x.degree >= len(f.matrices):
-        return f.target.zero(x.degree)
-    # the matrix shapes were checked in RingMap, and mat_vec returns Fractions
-    return Element(f.target, x.degree, f.matrices[x.degree].mat_vec(x.coords))
+    k = x.degree
+    if k >= len(f.images):
+        return f.target.zero(k)
+    cell = _combine([(c, img) for c, img in zip(x.coords, f.images[k]) if c])
+    return Element(f.target, k, vector(_dense(cell, f.target.dim(k))))
 
 
 def _cells(vectors: Iterable[Sequence]) -> list[Cell]:
@@ -662,17 +675,15 @@ def verify_ring_map(f: RingMap) -> CheckReport:
 
     Pairs with degree sum above the source top (where the source product is
     zero) are still checked against the target product, so maps that crush a
-    relation the target does not satisfy are caught. Each class's image is
-    read once, a column of ``f.matrices[k]`` as a cell; both sides are
-    composed from cells, and Elements only render a violation.
+    relation the target does not satisfy are caught. Both sides are composed
+    from the image cells, and Elements only render a violation.
     """
     bad: list[str] = []
     src, tgt = f.source, f.target
-    if apply_ring_map(f, src.unit()) != tgt.unit():
+    if f.images[0][0] != ((0, 1),):
         bad.append("unit is not mapped to unit")
     ds, dt = src.top_degree, tgt.top_degree
-    image = [_cells(map(m.column, range(m.cols))) for m in f.matrices]
-    image += [[()] * src.dim(k) for k in range(len(image), ds + 1)]
+    image = [*f.images, *([()] * src.dim(k) for k in range(len(f.images), ds + 1))]
     for k1 in range(ds + 1):
         for k2 in range(ds + 1):
             k = k1 + k2

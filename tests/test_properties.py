@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
                       brute_force_lefschetz_dims, dense_axiom_violations,
-                      dense_ring_map_violations, full_scan_violations, identity,
+                      dense_ring_map_violations, full_scan_violations,
                       lr_count_by_tableaux, rescaled, row_space_basis,
                       sympy_basis, sympy_lefschetz)
 from lefalg import catalog, linalg, ring
@@ -339,8 +339,8 @@ _P1, _P2, _P3 = (projective_space(n) for n in (1, 2, 3))
 PULLBACKS = {
     "example1": _pullback(catalog.build_example1),
     "example2": _pullback(catalog.build_example2),
-    "P3->P1": RingMap(_P3, _P1, [identity(1)] * 2),
-    "P1->P2": RingMap(_P1, _P2, [identity(1)] * 2),
+    "P3->P1": RingMap(_P3, _P1, [[((0, 1),)]] * 2),
+    "P1->P2": RingMap(_P1, _P2, [[((0, 1),)]] * 2),
 }
 
 
@@ -348,18 +348,17 @@ PULLBACKS = {
 @given(st.data())
 def test_ring_map_reports_match_the_dense_oracle(data):
     f = PULLBACKS[data.draw(st.sampled_from(list(PULLBACKS)))]
-    mats = list(f.matrices)
-    k = data.draw(st.integers(0, len(mats) - 1))
-    m = mats[k]
-    i = data.draw(st.integers(0, m.rows - 1))
-    j = data.draw(st.integers(0, m.cols - 1))
+    images = [list(cells) for cells in f.images]
+    k = data.draw(st.integers(0, len(images) - 1))
+    i = data.draw(st.integers(0, f.target.dim(k) - 1))
+    j = data.draw(st.integers(0, len(images[k]) - 1))
     value = data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
                                        Fraction(2), Fraction(1, 2)]))
-    assume(value != m.entries[i][j])
-    rows = [list(row) for row in m.entries]
-    rows[i][j] = value
-    mats[k] = Matrix(m.rows, m.cols, rows)
-    g = RingMap(f.source, f.target, mats)
+    image = dict(images[k][j])
+    assume(value != image.get(i, 0))
+    image[i] = value
+    images[k][j] = ring.sparse_cell(image)
+    g = RingMap(f.source, f.target, images)
     assert verify_ring_map(g).violations == dense_ring_map_violations(g)
     assert verify_ring_map(f).violations == dense_ring_map_violations(f)
 
@@ -380,7 +379,7 @@ def _point_blowup(y: GradedAlgebra, sign: int) -> GradedAlgebra:
     """The blowup of y at a point: Z = P-0, the degree-0 identity as
     pullback, r = top degree of y, and c(N) = 1."""
     z, d = catalog.get("P-0").algebra, y.top_degree
-    return blowup(BlowupInput(y, z, RingMap(y, z, [identity(1)]), d,
+    return blowup(BlowupInput(y, z, RingMap(y, z, [[((0, 1),)]]), d,
                               [z.zero(i) for i in range(1, d + 1)]), sign=sign)
 
 
@@ -398,10 +397,7 @@ def _tree(data, depth: int) -> GradedAlgebra:
         # e -> -e: the class e^k*1 of degree k goes to (-1)^k e^k*1
         signs = [[(-1) ** k if lbl == f"e^{k}*1" else 1 for lbl in labels]
                  for k, labels in enumerate(plus.basis)]
-        flip = [Matrix(len(row), len(row), [[c if s == t else 0 for t in
-                                             range(len(row))]
-                                            for s, c in enumerate(row)])
-                for row in signs]
+        flip = [[((s, c),) for s, c in enumerate(row)] for row in signs]
         assert verify_ring_map(RingMap(plus, minus, flip)).ok
         return data.draw(st.sampled_from([plus, minus]))
     if kind == "tensor":

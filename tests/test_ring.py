@@ -11,7 +11,7 @@ import pytest
 
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
                       dense_axiom_violations, dense_multiply,
-                      full_scan_violations, identity, relabeled, rescaled)
+                      full_scan_violations, relabeled, rescaled)
 from lefalg import catalog, cli, ring
 from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.constructors import projective_space, truncated_polynomial_algebra
@@ -61,7 +61,9 @@ def test_an_element_scales_by_an_int_or_a_fraction_only(p2):
     # a string is text, not a scalar, even when it spells a rational
     h = p2.by_label("h")
     for scale in (lambda: h * "2", lambda: "2" * h, lambda: h * "x",
-                  lambda: h * 0.5, lambda: True * h):
+                  lambda: h * 0.5, lambda: True * h,
+                  # an exponent is an int too: no bool, no string, no float
+                  lambda: h ** True, lambda: h ** "2", lambda: h ** 2.0):
         with pytest.raises(TypeError):
             scale()
     assert (2 * h).coords == (h * 2).coords == (Fraction(2),)
@@ -115,6 +117,17 @@ def test_basis_element_checks_its_indices(p2):
     for k, i in ((1, -1), (1, 1), (3, 0), (5, 0), (-1, 0)):
         with pytest.raises(ValueError, match=f"no basis class {i} in degree {k} of P2"):
             p2.basis_element(k, i)
+
+
+def test_a_bool_is_no_degree_or_index(p2):
+    # True == 1, but <deg True: h> is no class
+    for call in (lambda: p2.element(True, [1]), lambda: p2.zero(False),
+                 lambda: p2.basis_element(True, False),
+                 lambda: p2.basis_element(1, False)):
+        with pytest.raises(TypeError, match="not a bool"):
+            call()
+    with pytest.raises(ValueError):
+        p2.element(3, [1])
 
 
 def test_render_element(p2):
@@ -229,9 +242,8 @@ def test_tensor_product_matches_the_dense_kronecker_oracle(left, right):
 
 def test_ring_map_functoriality():
     p3, p1 = projective_space(3), projective_space(1)
-    # restriction h -> h: matrices are identity in shared degrees
-    mats = [identity(1), identity(1)]
-    f = RingMap(p3, p1, mats)
+    # restriction h -> h: each class maps to the class in its place
+    f = RingMap(p3, p1, [[((0, 1),)], [((0, 1),)]])
     assert verify_ring_map(f).ok
     h3 = p3.by_label("h")
     assert f(h3) == p1.by_label("h")
@@ -244,7 +256,7 @@ def test_ring_map_detects_crushed_relation():
     # pair (1,1) lands on h^2 != 0 downstairs. The checker must look at
     # degree sums beyond the source top to see it.
     p1, p2 = projective_space(1), projective_space(2)
-    f = RingMap(p1, p2, [identity(1), identity(1)])
+    f = RingMap(p1, p2, [[((0, 1),)], [((0, 1),)]])
     rep = verify_ring_map(f)
     assert not rep.ok
 
@@ -252,9 +264,19 @@ def test_ring_map_detects_crushed_relation():
 def test_ring_map_shape_validation():
     p3, p1 = projective_space(3), projective_space(1)
     with pytest.raises(ValueError):
-        RingMap(p3, p1, [identity(1)])  # missing degree 1
+        RingMap(p3, p1, [[((0, 1),)]])  # missing degree 1
     with pytest.raises(ValueError):
-        RingMap(p3, p1, [identity(1), identity(2)])
+        RingMap(p3, p1, [[((0, 1),)], [((0, 1),), ((1, 1),)]])
+    # each image is a cell of the target degree: P1 -> P1xP1, h -> its image
+    p1xp1 = catalog.get("P1xP1").algebra
+    for bad in ([], [((0, 1),), ((1, 1),)],  # the wrong number of images
+                [((1, 1), (0, 1))],  # terms out of order
+                [((2, 1),)],  # a term outside degree 1
+                [((0, 0),)]):  # a zero coefficient
+        with pytest.raises(ValueError):
+            RingMap(p1, p1xp1, [[((0, 1),)], bad])
+    with pytest.raises(TypeError):
+        RingMap(p1, p1xp1, [[((0, 1),)], [((0, 1.0),)]])  # a float coefficient
 
 
 def test_relabeled_checks_profile(p2):
