@@ -336,8 +336,13 @@ class Element:
             return NotImplemented  # an exponent is an int, never a bool or a string
         if n < 0:
             raise ValueError("powers must be nonnegative integers")
-        out = self.algebra.unit()
-        for _ in range(n):
+        a, k = self.algebra, self.degree
+        if n == 0:
+            return a.unit()
+        if k and n * k > a.top_degree:
+            return a.zero(n * k)  # past the top degree, with no product formed
+        out = self
+        for _ in range(n - 1):
             out = multiply(out, self)
         return out
 

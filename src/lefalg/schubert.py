@@ -3,7 +3,10 @@
 Partitions index the Schubert basis of H^{2*}(Gr(k, n)); products are
 Littlewood-Richardson expansions truncated to the k x (n-k) box. They are
 computed honestly, by the Pieri rule and a recursion on the rows of one
-factor, so the ring needs no lookup tables.
+factor, so the ring needs no lookup tables. Poincare duality makes each
+coefficient c^nu_{lam,mu} = int s_lam s_mu s_{nu^v} symmetric in its three
+classes, so a Grassmannian's tables form only the products of the two
+smallest classes of each triple.
 """
 
 from __future__ import annotations
@@ -136,8 +139,11 @@ def grassmannian(k: int, n: int) -> GradedAlgebra:
     """H^{2*}(Gr(k, n), Q) with Schubert basis labels "s[...]".
 
     Degree-m basis: partitions of m inside the k x (n-k) box, descending
-    lexicographic; products come from one `_SchubertProducts` recursion,
-    terms outside the box dropped; integration reads off the full box.
+    lexicographic; integration reads off the full box. The coefficient of
+    s_nu in s_lam s_mu is the integral of s_lam s_mu s_{nu^v}, symmetric in
+    its three classes, so one `_SchubertProducts` recursion forms only the
+    product of the two smallest: s_lam s_mu while |mu| <= |nu^v|, else
+    s_lam s_{nu^v}, whose coefficient of mu^v is the one wanted.
     """
     if not (type(k) is int and type(n) is int) or k < 1 or n <= k:
         raise ValueError(f"Gr(k, n) needs 1 <= k < n, got k={k}, n={n}")
@@ -146,12 +152,24 @@ def grassmannian(k: int, n: int) -> GradedAlgebra:
     by_degree = [partitions_in_box(rows, cols, m) for m in range(d + 1)]
     basis = [[schubert_label(p) for p in ps] for ps in by_degree]
     index = [{p: t for t, p in enumerate(ps)} for ps in by_degree]
+    dual = {p: tuple(cols - x for x in reversed(p + (0,) * (rows - len(p))) if x < cols)
+            for ps in by_degree for p in ps}  # complement in the box
     times = _SchubertProducts(rows, cols).times
+    by_duality: dict = {}  # (k1, i, k2): the cells of s_lam times each degree-k2 class
 
     def mult(k1, i, k2, j):
-        index_k = index[k1 + k2]
-        prod = times(by_degree[k1][i], by_degree[k2][j])
-        return tuple(sorted((index_k[nu], c) for nu, c in prod.items()))
+        lam = by_degree[k1][i]
+        if d - k1 - k2 >= k2:
+            index_k, prod = index[k1 + k2], times(lam, by_degree[k2][j])
+            return tuple(sorted((index_k[nu], c) for nu, c in prod.items()))
+        cells = by_duality.get((k1, i, k2))
+        if cells is None:
+            acc: list = [[] for _ in by_degree[k2]]
+            for t, nu in enumerate(by_degree[k1 + k2]):
+                for kappa, c in times(lam, dual[nu]).items():
+                    acc[index[k2][dual[kappa]]].append((t, c))
+            cells = by_duality[k1, i, k2] = [tuple(cell) for cell in acc]
+        return cells[j]
 
     tables = build_product_tables(basis, mult)
     return GradedAlgebra(f"Gr-{k}-{n}", basis, tables, [1])

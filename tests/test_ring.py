@@ -99,6 +99,18 @@ def test_power_operator(p2):
         h ** -1
 
 
+def test_a_power_past_the_top_degree_is_zero_with_no_product(p2):
+    h = p2.by_label("h")
+    with mock.patch.object(ring, "multiply", side_effect=AssertionError):
+        assert h ** 10**9 == p2.zero(10**9)
+        assert h ** 3 == p2.zero(3)
+        assert h ** 1 is h
+        assert h ** 0 == p2.unit()
+    assert h ** 2 == h * h
+    two = p2.unit() + p2.unit()
+    assert two ** 3 == two * two * two  # degree 0 never passes the top
+
+
 def test_integration_picks_top_class(p2):
     h = p2.by_label("h")
     assert integrate(h * h) == 1

@@ -10,10 +10,10 @@ from _oracles import (jacobi_trudi_product, lr_count_by_tableaux,
 from lefalg.constructors import projective_space
 from lefalg.ring import (integrate, multiply, pairing_matrix, render_element,
                          verify_algebra)
-from lefalg.schubert import (Box, contains, format_partition, grassmannian,
-                             is_partition, lr_coefficient, parse_partition,
-                             partitions_in_box, quotient_chern_classes,
-                             schubert_label)
+from lefalg.schubert import (Box, _SchubertProducts, contains, format_partition,
+                             grassmannian, is_partition, lr_coefficient,
+                             parse_partition, partitions_in_box,
+                             quotient_chern_classes, schubert_label)
 from lefalg.serialize import algebra_payload
 
 
@@ -208,7 +208,7 @@ def test_gr24_dims_palindromic():
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
-                                 (3, 6), (3, 7), (3, 8), (4, 8)])
+                                 (3, 6), (3, 7), (3, 8), (4, 8), (4, 6), (5, 7)])
 def test_every_table_cell_matches_the_tableau_count(k, n):
     # all box triples (lam, mu, nu) with |nu| = |lam| + |mu|, the zero
     # coefficients included, for both the (k1, k2) and (k2, k1) tables
@@ -237,6 +237,8 @@ PINNED_GRASSMANNIANS = {
     (3, 8): "4986bdac61048dfe872c99ad43e367bf0981313e0c06ca3c71ae89c0ec6bba88",
     (4, 8): "2df550a1821071b7826a48383f9eaa3e7f1b9554f50ee614c4b13697dbe8e068",
     (3, 9): "ac9ffcb5eb21e18d517dddabbeef0eec7d805b6568bd5c7d2a1c553a47ef5076",
+    (4, 9): "9cfd7beeebdd08e1fb5c91cc403b2478bbd1cfca52f793ccfee059d8bea305d1",
+    (5, 7): "ae25b7704655ee3626c0a2798d1bdf21549fd45d9338e32cd8c0d8ded44ab9e8",
 }
 
 
@@ -244,3 +246,21 @@ PINNED_GRASSMANNIANS = {
 def test_grassmannian_tables_are_pinned_by_digest(k, n):
     assert payload_checksum(algebra_payload(grassmannian(k, n))) == \
         PINNED_GRASSMANNIANS[k, n]
+
+
+@pytest.mark.parametrize("k,n", [(3, 8), (4, 9)])
+def test_grassmannian_forms_only_the_two_smallest_products(k, n, monkeypatch):
+    # c^nu_{lam,mu} is symmetric in (lam, mu, nu^v), so no product s_lam s_mu
+    # is formed with a factor larger than the third class |nu^v| = d - |lam| - |mu|
+    d, seen = k * (n - k), []
+    times = _SchubertProducts.times
+
+    def recorded(self, lam, mu):
+        seen.append((sum(lam), sum(mu)))
+        return times(self, lam, mu)
+
+    monkeypatch.setattr(_SchubertProducts, "times", recorded)
+    grassmannian.cache_clear()
+    grassmannian(k, n)
+    assert seen
+    assert all(max(a, b) <= d - a - b for a, b in seen)
