@@ -184,7 +184,8 @@ def cmd_report(args) -> int:
     sym = check_symmetry(lef)
     pd = check_poincare_duality(lef)
     hl, powers = _hard_lefschetz(lef, omega)
-    prim = _primitive_dims(lef, hl, powers)  # each HL map is ranked once
+    # each HL map is ranked once, and plain text prints no dims when HL fails
+    prim = _primitive_dims(lef, hl, powers) if hl.passed or args.json else None
     doc = {
         "name": a.name,
         "top_degree": a.top_degree,
@@ -196,9 +197,9 @@ def cmd_report(args) -> int:
             "poincare_duality": _verdict_dict(pd),
             "hard_lefschetz": _verdict_dict(hl),
         },
-        "primitive": {"valid": prim.valid, "dims": list(prim.dims)},
     }
     if args.json:
+        doc["primitive"] = {"valid": prim.valid, "dims": list(prim.dims)}
         print(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True))
     else:
         print(f"name: {doc['name']}")
@@ -210,7 +211,7 @@ def cmd_report(args) -> int:
             v = doc["predicates"][key]
             tail = "PASS" if v["passed"] else f"FAIL {v['witness']}"
             print(f"{key}: {tail}")
-        if prim.valid:
+        if hl.passed:
             print(f"primitive dims: {_dims_line(prim.dims)}")
         else:
             print("primitive dims: not defined (hard Lefschetz fails)")

@@ -23,7 +23,7 @@ only from payloads. An integral cell is a `linalg.Row`, so the generator
 search, the pairing ranks and the Lefschetz stage hand the cells of
 `_int_table` (the stored table if it is all ints, else a copy with cleared
 denominators) to `linalg`, the one module that works mod P. An n-factor
-product is one Kronecker fold.
+product is one Kronecker fold, its tables built and checked on first read.
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -154,7 +154,9 @@ class GradedAlgebra:
                 if lbl in label_map:
                     raise ValueError(f"duplicate basis label {lbl!r}")
                 label_map[lbl] = (k, i)
-        tables, ints = _checked_tables(tables, [len(deg) for deg in basis])
+        dims = [len(deg) for deg in basis]  # a product's tables are checked as built
+        tables, ints = ((tables, tables.ints) if isinstance(tables, _Kronecker) and
+                        list(map(len, tables.basis)) == dims else _checked_tables(tables, dims))
         integration = vector(integration)
         if len(integration) != len(basis[-1]):
             raise ValueError("integration vector length != top-degree dimension")
@@ -342,8 +344,8 @@ class Element:
         if k and n * k > a.top_degree:
             return a.zero(n * k)  # past the top degree, with no product formed
         out = self
-        for _ in range(n - 1):
-            out = multiply(out, self)
+        for bit in bin(n)[3:]:  # square and multiply: at most 2 log2(n) products
+            out = multiply(out, out) if bit == "0" else multiply(multiply(out, out), self)
         return out
 
     def __eq__(self, other):
@@ -738,102 +740,124 @@ def build_product_tables(basis: Sequence[Sequence[str]],
 
 def tensor_product(a: GradedAlgebra, b: GradedAlgebra, *more: GradedAlgebra,
                    name: str | None = None) -> GradedAlgebra:
-    """Kunneth product of two or more factors: one left fold of `_kronecker`, with the
-    name, labels, cells and integration of (a x b) x c. Only the product is constructed;
-    its pairing is the Kronecker product of theirs, so each factor's is checked once, in
-    order, and a degenerate one raises ValueError (`_require_nondegenerate`)."""
+    """Kunneth product of two or more factors: one left fold of `_Kronecker`, with the
+    name, labels, cells and integration of (a x b) x c, and no table built before it is
+    read. Its pairing is the Kronecker product of theirs, so each factor's is checked once,
+    in order, and a degenerate one raises ValueError (`_require_nondegenerate`)."""
     factors = (a, b, *more)
     for f in factors:
         _require_nondegenerate(f, "factor")
-    data, ints = (a.basis, a.tables, a.integration), all(f._ints for f in factors)
+    basis, tables, w, ints = a.basis, a.tables, a.integration, all(f._ints for f in factors)
     for f in factors[1:]:
-        data = _kronecker(data, (f.basis, f.tables, f.integration), ints)
-    return GradedAlgebra(name or "x".join(f.name for f in factors), *data)
+        tables = _Kronecker(basis, tables, f.basis, f.tables, ints)
+        basis, w = tables.basis, [cp * cq for cp in w for cq in f.integration]  # p-major
+    return GradedAlgebra(name or "x".join(f.name for f in factors), basis, tables, w)
 
 
-def _kronecker(a: tuple, b: tuple, ints: bool) -> tuple:
-    """The (basis, tables, integration) of the Kunneth product of two such
-    triples; ``ints`` says both hold only ints, so no product needs `_integral`.
+class _Kronecker(Mapping):
+    """The tables of the Kunneth product of (abasis, atables) and (bbasis, btables),
+    ``basis`` its labels, as a read-only mapping: it lists every key (k1, k2) with
+    k1 + k2 <= d, and builds a table and its mirror on the first read of either.
+    ``ints`` says both hold only ints, so no product needs `_integral`.
+
     Degree k is laid out block by block, one block per split (i, k-i) with
     i descending, so the first factor's classes come first; inside a block,
     a_p (x) b_q sits at position p * dim_b(k-i) + q. Table (k1, k2) is filled
     one block at a time: block (ia, ib) is the Kronecker product of the left
     table (ia, ib) with the right table (k1-ia, k2-ib), its cells placed by
-    that arithmetic. Each table's nonzero cells are listed once, so empty
-    cells and blocks with an empty right table cost nothing. A left cell's
-    terms have p ascending and a right cell's q ascending, so the terms of
-    their product come out in ascending position and no cell is sorted. The
-    product of two unit cells ((p, 1),) and ((q, 1),) is the shared unit cell
-    (`_unit_cells`) at its position: an index, no new tuple, and one the
-    constructor does not check again. A diagonal table computes the blocks
-    with ib <= ia and mirrors the rest, and every (k2, k1) cell is the
-    (k1, k2) cell object. Integration is the product of integrations on the
-    (d_a, d_b) block.
+    that arithmetic. A factor table's nonzero cells are listed the first time a
+    block reads it, so empty cells and blocks with an empty right table cost
+    nothing. A left cell's terms have p ascending and a right cell's q
+    ascending, so the terms of their product come out in ascending position and
+    no cell is sorted. The product of two unit cells ((p, 1),) and ((q, 1),) is
+    the shared unit cell (`_unit_cells`) at its position: an index, no new
+    tuple. Every other cell is checked (`_check_cell`) as it is formed, so the
+    constructor takes these tables as they are. A diagonal table computes the
+    blocks with ib <= ia and mirrors the rest; every (k2, k1) cell is the
+    (k1, k2) cell object, and rows and tables are tuples.
     """
-    (abasis, atables, aw), (bbasis, btables, bw) = a, b
-    da, db = len(abasis) - 1, len(bbasis) - 1
-    d = da + db
-    splits = [range(min(k, da), max(0, k - db) - 1, -1) for k in range(d + 1)]
-    basis, start = [], []
-    for k, split in enumerate(splits):
-        labels, offset = [], {}
-        for i in split:
-            offset[i] = len(labels)
-            labels += [f"{x}⊗{y}" for x in abasis[i] for y in bbasis[k - i]]
-        basis.append(labels)
-        start.append(offset)
-    units = _unit_cells(max(map(len, basis)))
 
-    def nonzero(tables):
-        # each table's nonzero cells (p, q, cell, t): t is the position of a
-        # unit cell ((t, 1),), -1 for any other cell
-        return {key: [(p, q, cell, cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else -1)
-                      for p, row in enumerate(table) for q, cell in enumerate(row) if cell]
-                for key, table in tables.items()}
+    __slots__ = ("basis", "ints", "_tables", "_start", "_bdims", "_factors", "_listed")
 
-    acells, bcells = nonzero(atables), nonzero(btables)
+    def __init__(self, abasis: Sequence, atables: Mapping, bbasis: Sequence,
+                 btables: Mapping, ints: bool):
+        da, db = len(abasis) - 1, len(bbasis) - 1
+        self.basis, self._start = [], []  # start[k][i]: where block (i, k-i) begins
+        for k in range(da + db + 1):
+            labels, offset = [], {}
+            for i in range(min(k, da), max(0, k - db) - 1, -1):
+                offset[i] = len(labels)
+                labels += [f"{x}⊗{y}" for x in abasis[i] for y in bbasis[k - i]]
+            self.basis.append(labels)
+            self._start.append(offset)
+        self._tables = {(k1, k2): None for k1 in range(da + db + 1)
+                        for k2 in range(da + db + 1 - k1)}
+        self.ints, self._bdims = ints, [len(labels) for labels in bbasis]
+        self._factors, self._listed = (atables, btables), {}
 
-    def times(lead, bcell):
-        cell = [(s + q, cp * cq) for s, cp in lead for q, cq in bcell]
-        return tuple(cell if ints else [(t, _integral(c)) for t, c in cell])
+    def __getitem__(self, key):
+        if self._tables[key] is None:
+            self._build(*sorted(key))
+        return self._tables[key]
 
-    tables = {}
-    for k1 in range(d + 1):
-        for k2 in range(k1, d + 1 - k1):
-            k, n1, n2 = k1 + k2, len(basis[k1]), len(basis[k2])
-            rows = [[()] * n2 for _ in range(n1)]
-            for ia in splits[k1]:
-                for ib in splits[k2]:
-                    kb = k - ia - ib
-                    if kb > db or ia + ib > da or (k1 == k2 and ib > ia):
+    def __contains__(self, key):
+        return key in self._tables
+
+    def __iter__(self):
+        return iter(self._tables)
+
+    def __len__(self):
+        return len(self._tables)
+
+    def _nonzero(self, side: int, key: tuple[int, int]) -> list:
+        """The nonzero cells (p, q, cell, t) of a factor's table, listed once: t is
+        the position of a unit cell ((t, 1),), -1 for any other cell."""
+        if (side, key) not in self._listed:
+            self._listed[side, key] = [
+                (p, q, cell, cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else -1)
+                for p, row in enumerate(self._factors[side][key])
+                for q, cell in enumerate(row) if cell]
+        return self._listed[side, key]
+
+    def _build(self, k1: int, k2: int) -> None:
+        """Store tables (k1, k2) and (k2, k1), k1 <= k2."""
+        start, bdims, ints, k = self._start, self._bdims, self.ints, k1 + k2
+        n1, n2, n = (len(self.basis[x]) for x in (k1, k2, k))
+        units = _unit_cells(n)
+
+        def times(lead, bcell):
+            cell = [(s + q, cp * cq) for s, cp in lead for q, cq in bcell]
+            cell = tuple(cell if ints else [(t, _integral(c)) for t, c in cell])
+            _check_cell(cell, n)
+            return cell
+
+        rows = [[()] * n2 for _ in range(n1)]
+        for ia, row0 in start[k1].items():
+            for ib, col0 in start[k2].items():
+                at = start[k].get(ia + ib)  # where the block's products begin
+                if at is None or (k1 == k2 and ib > ia):
+                    continue
+                right = self._nonzero(1, (k1 - ia, k2 - ib))
+                if not right:
+                    continue
+                nr, nc, nb = bdims[k1 - ia], bdims[k2 - ib], bdims[k - ia - ib]
+                diagonal = k1 == k2 and ia == ib
+                for pa, pb, acell, u in self._nonzero(0, (ia, ib)):
+                    if diagonal and pb < pa:
+                        continue  # a diagonal block's cells left of pa are mirrored
+                    r, c = row0 + pa * nr, col0 + pb * nc
+                    if u < 0:
+                        lead = [(at + p * nb, cp) for p, cp in acell]
+                        for qa, qb, bcell, _ in right:
+                            rows[r + qa][c + qb] = times(lead, bcell)
                         continue
-                    right = bcells[k1 - ia, k2 - ib]
-                    if not right:
-                        continue
-                    # the block's first row and column, where its products
-                    # land, and the widths of the three factor degrees of b
-                    row0, col0, at = start[k1][ia], start[k2][ib], start[k][ia + ib]
-                    nr, nc, nb = len(bbasis[k1 - ia]), len(bbasis[k2 - ib]), len(bbasis[kb])
-                    diagonal = k1 == k2 and ia == ib
-                    for pa, pb, acell, u in acells[ia, ib]:
-                        if diagonal and pb < pa:
-                            continue  # a diagonal block's cells left of pa are mirrored
-                        r, c = row0 + pa * nr, col0 + pb * nc
-                        if u < 0:
-                            lead = [(at + p * nb, cp) for p, cp in acell]
-                            for qa, qb, bcell, _ in right:
-                                rows[r + qa][c + qb] = times(lead, bcell)
-                            continue
-                        base = at + u * nb
-                        for qa, qb, bcell, v in right:
-                            rows[r + qa][c + qb] = (units[base + v] if v >= 0 else
-                                                    times([(base, acell[0][1])], bcell))
-            cols = list(zip(*rows)) if n1 else [()] * n2
-            if k1 == k2:  # below the diagonal, share the cells above it
-                for i in range(1, n1):
-                    rows[i][:i] = cols[i][:i]
-            else:
-                tables[k2, k1] = cols
-            tables[k1, k2] = rows
-    # degree d is the (da, db) block alone, laid out p-major
-    return basis, tables, [cp * cq for cp in aw for cq in bw]
+                    base = at + u * nb
+                    for qa, qb, bcell, v in right:
+                        rows[r + qa][c + qb] = (units[base + v] if v >= 0 else
+                                                times([(base, acell[0][1])], bcell))
+        cols = list(zip(*rows)) if n1 else [()] * n2
+        if k1 == k2:  # below the diagonal, share the cells above it
+            for i in range(1, n1):
+                rows[i][:i] = cols[i][:i]
+        self._tables[k1, k2] = rows = tuple(map(tuple, rows))
+        self._tables[k2, k1] = rows if k1 == k2 else tuple(cols)

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from _oracles import algebra_payload_v1, payload_checksum
 
 import lefalg
+from lefalg import cli
 from lefalg.catalog import get, names
 from lefalg.cli import CliError, load_algebra, parse_element_expr, run
 
@@ -113,6 +115,17 @@ def test_report_plain_text(capsys):
     out = capsys.readouterr().out
     assert "hard_lefschetz: PASS" in out
     assert "primitive dims: 1 0 0 0" in out
+
+
+def test_plain_report_ranks_no_primitive_dims_when_hard_lefschetz_fails(capsys):
+    with mock.patch.object(cli, "_primitive_dims", side_effect=AssertionError):
+        assert run(["report", "example1"]) == 0
+    assert capsys.readouterr().out == "\n".join([
+        "name: example1", "top degree: 5", "dims: 1 2 4 4 2 1",
+        "lefschetz dims: 1 2 3 4 2 1", "omega: 10*c - e^1*1",
+        "symmetry: FAIL k=2: 3 vs 4", "poincare_duality: FAIL k=2: 3 vs 4",
+        "hard_lefschetz: FAIL k=2: 3 vs 4",
+        "primitive dims: not defined (hard Lefschetz fails)", ""])
 
 
 def test_build_and_reload(tmp_path, capsys):

@@ -403,7 +403,9 @@ def _tree(data, depth: int) -> GradedAlgebra:
     if kind == "tensor":
         z = _tree(data, depth - 1)
         assume(sum(y.dims) * sum(z.dims) <= MAX_CLASSES)
-        return tensor_product(y, z)
+        t = tensor_product(y, z)
+        assert_dense_kronecker(y, z, t)  # reads every table, each built on that read
+        return t
     rank = data.draw(st.integers(2, 3))
     assume(rank * sum(y.dims) <= MAX_CLASSES)
     chern = [y.unit()] + [

@@ -111,6 +111,24 @@ def test_a_power_past_the_top_degree_is_zero_with_no_product(p2):
     assert two ** 3 == two * two * two  # degree 0 never passes the top
 
 
+def test_a_power_squares_and_multiplies(p2):
+    a = catalog.get("P1xP1xP1xP1xP1xP1xP1xP1").algebra  # top degree 8
+    omega = ring._degree_one_sum(a)
+    for x in (omega, omega + a.by_label(a.basis[1][0]), a.unit() * Fraction(3, 2)):
+        expected = a.unit()
+        for n in range(1, 9):
+            expected = expected * x
+            with mock.patch.object(ring, "multiply", wraps=ring.multiply) as spy:
+                assert x ** n == expected
+            assert spy.call_count <= 2 * (n - 1).bit_length()
+    assert integrate(omega ** 8) == 40320  # 8! ways to order the eight factors
+    one = p2.unit()
+    with mock.patch.object(ring, "multiply", wraps=ring.multiply) as spy:
+        assert one ** 10**6 == one
+        assert (one + one) ** 100 == one * 2**100
+    assert spy.call_count <= 2 * (10**6 - 1).bit_length() + 2 * (100 - 1).bit_length()
+
+
 def test_integration_picks_top_class(p2):
     h = p2.by_label("h")
     assert integrate(h * h) == 1
@@ -587,6 +605,106 @@ def test_every_unit_cell_of_a_product_is_the_shared_one(factors):
     # every product of two monomials is one monomial
     assert cells and all(cell is units[cell[0][0]] for cell, _ in cells)
     assert all(mirror is cell for cell, mirror in cells)
+
+
+def _built(tables) -> set:
+    """The keys of the product tables that have been built."""
+    return {key for key, table in tables._tables.items() if table is not None}
+
+
+def test_a_product_builds_no_table_until_one_is_read():
+    p1, gr = projective_space(1), catalog.get("Gr-2-4").algebra
+    t = tensor_product(gr, gr, p1)
+    tables, step = t.tables, t.tables._factors[0]  # step: the tables of Gr-2-4xGr-2-4
+    d = t.top_degree
+    keys = [(k1, k2) for k1 in range(d + 1) for k2 in range(d + 1 - k1)]
+    assert list(tables) == keys and len(tables) == len(keys)
+    assert (1, 2) in tables and (d, 1) not in tables and (d, 1) not in tables.keys()
+    assert _built(tables) == _built(step) == set()
+    with pytest.raises(KeyError):
+        tables[d, 1]
+    assert _built(tables) == set()
+    table = tables[2, 1]
+    assert _built(tables) == {(1, 2), (2, 1)}
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+    assert tables[2, 1] is table
+    assert all(tables[1, 2][j][i] is cell
+               for i, row in enumerate(table) for j, cell in enumerate(row))
+    # the fold step builds only the tables that block reads of (1, 2) need
+    # (P1's tables (1, 0), (0, 1) and (0, 0) meet step tables (0, 2), (1, 1), (1, 2))
+    assert _built(step) == {(0, 2), (2, 0), (1, 1), (1, 2), (2, 1)}
+
+
+def test_product_tables_of_another_shape_are_checked_as_any_tables_are(p1xp1):
+    with pytest.raises(ValueError, match=r"^product table \(0,1\) is not 1x3$"):
+        GradedAlgebra("wide", [["1"], ["a", "b", "c"], ["q"]], p1xp1.tables, [1])
+    renamed = GradedAlgebra("renamed", [["1"], ["a", "b"], ["q"]], p1xp1.tables, [1])
+    assert renamed.tables is p1xp1.tables
+
+
+def test_report_leaves_some_product_table_unbuilt(capsys):
+    gr, p1 = catalog.get("Gr-2-5").algebra, projective_space(1)
+    t = tensor_product(gr, gr, p1)
+    with mock.patch.object(cli, "read_algebra", lambda ref: t):
+        assert cli.run(["report", "product.alg.json"]) == 0
+    assert "hard_lefschetz: PASS" in capsys.readouterr().out
+    assert _built(t.tables) and _built(t.tables) != set(t.tables)
+
+
+@pytest.mark.parametrize("factors", [["Gr-2-4", "Gr-2-4", "P1"], ["P1", "~P1xP2"],
+                                     ["example3", "P-2"], ["P1", "half", "P1"]])
+def test_every_product_cell_is_checked_as_it_is_formed(factors):
+    half = algebra_from_payload(_P2_HALF, require_checksum=False)
+    algebras = [half if n == "half" else _factor(n) for n in factors]
+    checked, check_cell = {}, ring._check_cell
+
+    def check(cell, n):
+        checked[id(cell)] = (cell, n)
+        return check_cell(cell, n)
+
+    with mock.patch.object(ring, "_check_cell", check):
+        t = tensor_product(*algebras)
+        assert not checked
+        tables = dict(t.tables.items())
+    units = set(map(id, ring._unit_cells(max(t.dims))))
+    formed = 0
+    for (k1, k2), table in tables.items():
+        for i, row in enumerate(table):
+            for j, cell in enumerate(row):
+                if cell and id(cell) not in units:
+                    assert checked[id(cell)] == (cell, t.dim(k1 + k2))
+                    assert tables[k2, k1][j][i] is cell
+                    formed += 1
+    assert formed
+
+
+def test_catalog_products_read_in_any_order_match_the_dense_kronecker_oracle():
+    for name in catalog.names():
+        if catalog._is_factor(name):
+            continue
+        *left, right = [catalog.get(p).algebra for p in catalog._product_factors(name)]
+        nested = left[0] if len(left) == 1 else tensor_product(*left)
+        t = tensor_product(*left, right)
+        keys = list(t.tables)
+        random.Random(name).shuffle(keys)
+        for key in keys:  # the first read of a pair may be either orientation
+            t.tables[key]
+        assert_dense_kronecker(nested, right, t)
+
+
+def test_an_integral_fraction_factor_gives_a_product_read_as_scaled_copies(capsys):
+    p1, twice = projective_space(1), _p2_twice()
+    t = tensor_product(p1, twice)
+    checked = GradedAlgebra(t.name, t.basis, dict(t.tables), t.integration)
+    assert not t._ints and checked._ints and t == checked
+    outputs = []
+    for a in (t, checked):
+        with mock.patch.object(cli, "read_algebra", lambda ref: a):
+            for flags in ([], ["--json"]):
+                assert cli.run(["report", "product.alg.json", *flags]) == 0
+                outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+    assert "primitive dims: 1 1" in outputs[0]
 
 
 @pytest.mark.parametrize("name", catalog.names())
