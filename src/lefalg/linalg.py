@@ -356,11 +356,6 @@ def _basis_rows(rows: Iterable[Row], width: int) -> Sequence[Row]:
     return _exact_rref(read, width, pivots)
 
 
-def _basis(rows: Iterable[Row], width: int) -> list[Vector]:
-    """The canonical (RREF) basis of the span of rows (`_basis_rows`)."""
-    return _rref_vectors(_basis_rows(rows, width), width)
-
-
 def row_space_rank(vectors: Sequence[Sequence]) -> int:
     """Dimension of the span of the given coordinate vectors (0 for none);
     every entry, zeros included, goes through `scalar`."""

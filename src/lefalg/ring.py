@@ -11,19 +11,18 @@ basis classes as a tuple of (t, c) terms, t ascending and c nonzero: an int
 when it is integral, else a Fraction. That coefficient rule lives here alone
 (`_integral`); a hand-built table may also hold integral Fractions, and ints
 and Fractions agree on ==, hash and str. A zero product is the empty cell ().
-Cells are the one form the constructor takes, and it checks each of them,
-except a shared unit cell: ``((t, 1),)`` is one object per position t
-(`_unit_cells`), which the Kronecker kernel hands out for every product of
-two unit cells, and one inside the degree is canonical by construction.
-The (k1, k2) and (k2, k1) tables hold the same cell objects wherever the two
-agree, so no product is stored twice. Products, verification, pairings,
-ring maps (`RingMap.images`) and the file format all read cells; the dense
-tables are only a view (`GradedAlgebra.products`); dense vectors are read
-only from payloads. An integral cell is a `linalg.Row`, so the generator
-search, the pairing ranks and the Lefschetz stage hand the cells of
-`_int_table` (the stored table if it is all ints, else a copy with cleared
-denominators) to `linalg`, the one module that works mod P. An n-factor
-product is one Kronecker fold, its tables built and checked on first read.
+Every algebra's tables are one read-only `_Tables`, which notes whether all
+coefficients are ints. Cells are the one form the constructor takes: it checks
+each cell of outside tables, while `build_product_tables` and a product check
+each cell as it is formed. The (k1, k2) and (k2, k1) tables hold the same cell
+objects wherever the two agree, so no product is stored twice. Products,
+verification, pairings, ring maps (`RingMap.images`) and the file format all
+read cells; the dense tables are only a view (`GradedAlgebra.products`);
+dense vectors are read only from payloads. An integral cell is a `linalg.Row`,
+so the generator search, the pairing ranks and the Lefschetz stage hand the
+cells of `_int_table` (the stored table if it is all ints, else a copy with
+cleared denominators) to `linalg`, the one module that works mod P. An
+n-factor product is one Kronecker fold, its tables built on first read.
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -45,7 +44,6 @@ from .linalg import (
     Matrix,
     Row,
     Vector,
-    _UNITS,
     _add_row_mod_p,
     _dense,
     _int_rows,
@@ -91,31 +89,68 @@ def _check_cell(cell, n: int) -> bool:
     return ints
 
 
-def _checked_tables(tables: Mapping, dims: Sequence[int]) -> tuple[dict, bool]:
-    """The tables with tuple rows, every shape and cell checked, and whether all
-    coefficients are ints; a cell left of lo that is its mirror's object is checked
-    there, and one of the first n shared unit cells (`_unit_cells`) is canonical."""
-    d, out, ints = len(dims) - 1, {}, True
-    for k1 in range(d + 1):
-        for k2 in range(d + 1 - k1):
-            if (k1, k2) not in tables:
-                raise ValueError(f"missing product table for degrees ({k1},{k2})")
-            out[k1, k2] = rows = tuple(map(tuple, tables[k1, k2]))
-            if len(rows) != dims[k1] or any(len(row) != dims[k2] for row in rows):
-                raise ValueError(f"product table ({k1},{k2}) is not {dims[k1]}x{dims[k2]}")
-    for (k1, k2), table in out.items():
-        mirror, n = out[k2, k1], dims[k1 + k2]
-        units = set(map(id, _UNITS[:n]))
+class _Tables(Mapping):
+    """The structure-constant tables of an algebra of the given dims, read-only: every
+    key (k1, k2) with k1 + k2 <= d, each table a tuple of tuple rows. ``ints`` says every
+    coefficient is an int. A table that is not there yet (None) is built on its first
+    read, with its mirror, by the subclass's `_build`.
+    """
+
+    __slots__ = ("dims", "ints", "_tables")
+
+    def __init__(self, dims: Sequence[int], ints: bool = True):
+        self.dims, self.ints, n = tuple(dims), ints, len(dims)
+        self._tables = dict.fromkeys((k1, k2) for k1 in range(n) for k2 in range(n - k1))
+
+    def __getitem__(self, key):
+        table = self._tables[key]
+        if table is None:
+            self._build(*sorted(key))
+            table = self._tables[key]
+        return table
+
+    def __contains__(self, key):
+        return key in self._tables
+
+    def __iter__(self):
+        return iter(self._tables)
+
+    def __len__(self):
+        return len(self._tables)
+
+    def _store(self, k1: int, k2: int, rows: list[list]) -> None:
+        """File rows, k1 <= k2, as table (k1, k2) and their transpose as (k2, k1), one
+        set of cell objects; a diagonal table's cells below the diagonal are those above."""
+        cols = list(zip(*rows)) if rows else [()] * self.dims[k2]
+        if k1 == k2:
+            for i in range(1, len(rows)):
+                rows[i][:i] = cols[i][:i]
+        self._tables[k1, k2] = rows = tuple(map(tuple, rows))
+        self._tables[k2, k1] = rows if k1 == k2 else tuple(cols)
+
+
+def _checked_tables(tables: Mapping, dims: tuple[int, ...]) -> _Tables:
+    """The tables as a `_Tables`, every shape and cell checked; a cell left of lo that
+    is its mirror's object is checked there."""
+    out, ints = _Tables(dims), True
+    for k1, k2 in out:
+        if (k1, k2) not in tables:
+            raise ValueError(f"missing product table for degrees ({k1},{k2})")
+        out._tables[k1, k2] = rows = tuple(map(tuple, tables[k1, k2]))
+        if len(rows) != dims[k1] or any(len(row) != dims[k2] for row in rows):
+            raise ValueError(f"product table ({k1},{k2}) is not {dims[k1]}x{dims[k2]}")
+    for (k1, k2), table in out._tables.items():
+        mirror, n = out._tables[k2, k1], dims[k1 + k2]
         try:
             for i, row in enumerate(table):
                 lo = i if k1 == k2 else 0 if k1 < k2 else len(row)
                 for j, cell in enumerate(row):
-                    if (cell != () and (j >= lo or mirror[j][i] is not cell)
-                            and id(cell) not in units):
+                    if cell != () and (j >= lo or mirror[j][i] is not cell):
                         ints &= _check_cell(cell, n)
         except (TypeError, ValueError) as e:
             raise type(e)(f"product table ({k1},{k2}) cell ({i},{j}): {e}") from None
-    return out, ints
+    out.ints = ints
+    return out
 
 
 def _refuse_bools(*ints) -> None:
@@ -126,20 +161,20 @@ def _refuse_bools(*ints) -> None:
 class GradedAlgebra:
     """A finite graded-commutative Q-algebra with integration.
 
-    ``basis[k]`` is the ordered label tuple of degree k. ``tables[(k1, k2)]``
-    is a table indexed by basis positions: ``tables[(k1, k2)][i][j]`` is the
-    cell of b_i * b_j in degree k1+k2 (see the module docstring).
-    Tables exist for every ordered pair with k1+k2 <= d. ``integration`` is
-    a coordinate functional on degree d.
+    ``basis[k]`` is the ordered label tuple of degree k. ``tables`` is a
+    read-only `_Tables`: ``tables[(k1, k2)][i][j]`` is the cell of b_i * b_j
+    in degree k1+k2 (see the module docstring), for every ordered pair with
+    k1+k2 <= d. ``integration`` is a coordinate functional on degree d.
 
-    The constructor takes tables of this form (rows may be any sequences)
-    and checks every shape and cell: a coefficient that is not an int or a
-    Fraction raises TypeError, anything else ValueError. Dense vectors are
-    read only from payloads (`serialize.algebra_from_payload`); ``a.products``
-    is a read-only dense view, densified one table at a time when read.
+    The constructor takes any mapping of such tables (rows may be any
+    sequences) and checks every shape and cell: a coefficient that is not an
+    int or a Fraction raises TypeError, anything else ValueError. A cell
+    `_Tables` of its dims was checked as it was filled, and is taken as it is.
+    Dense vectors are read only from payloads (`serialize.algebra_from_payload`);
+    ``a.products`` is a read-only dense view, densified a pair at a time when read.
     """
 
-    __slots__ = ("name", "basis", "tables", "integration", "_label_map", "_ints")
+    __slots__ = ("name", "basis", "tables", "integration", "_label_map")
 
     def __init__(self, name: str, basis: Sequence[Sequence[str]],
                  tables: Mapping, integration: Sequence):
@@ -154,9 +189,9 @@ class GradedAlgebra:
                 if lbl in label_map:
                     raise ValueError(f"duplicate basis label {lbl!r}")
                 label_map[lbl] = (k, i)
-        dims = [len(deg) for deg in basis]  # a product's tables are checked as built
-        tables, ints = ((tables, tables.ints) if isinstance(tables, _Kronecker) and
-                        list(map(len, tables.basis)) == dims else _checked_tables(tables, dims))
+        dims = tuple(len(deg) for deg in basis)  # a cell _Tables was checked as it was filled
+        if type(tables) not in (_Tables, _Kronecker) or tables.dims != dims:
+            tables = _checked_tables(tables, dims)
         integration = vector(integration)
         if len(integration) != len(basis[-1]):
             raise ValueError("integration vector length != top-degree dimension")
@@ -165,14 +200,13 @@ class GradedAlgebra:
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "integration", integration)
         object.__setattr__(self, "_label_map", label_map)
-        object.__setattr__(self, "_ints", ints)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedAlgebra is immutable")
 
     @property
-    def products(self) -> "DenseTables":
-        return DenseTables(self)
+    def products(self) -> "_DenseTables":
+        return _DenseTables(self.tables)
 
     # shape -------------------------------------------------------------
 
@@ -181,13 +215,11 @@ class GradedAlgebra:
         return len(self.basis) - 1
 
     def dim(self, k: int) -> int:
-        if 0 <= k <= self.top_degree:
-            return len(self.basis[k])
-        return 0
+        return self.tables.dims[k] if 0 <= k <= self.top_degree else 0
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(len(deg) for deg in self.basis)
+        return self.tables.dims
 
     # element construction -----------------------------------------------
 
@@ -243,38 +275,30 @@ class GradedAlgebra:
         return f"GradedAlgebra({self.name!r}, dims={self.dims})"
 
 
-class DenseTables(Mapping):
-    """``a.products``: the dense coordinate tables, computed when a key is read.
+class _DenseTables(_Tables):
+    """``a.products``: the dense coordinate tables of ``cells``, each orientation of a
+    pair densified from its own cells when the pair is read: ``view[(k1, k2)][i][j]``
+    is the coordinate vector of b_i * b_j."""
 
-    Listing the keys densifies nothing; ``view[(k1, k2)][i][j]`` is the
-    coordinate vector of b_i * b_j.
-    """
+    __slots__ = ("_cells",)
 
-    __slots__ = ("_algebra",)
+    def __init__(self, cells: _Tables):
+        super().__init__(cells.dims)
+        self._cells = cells
 
-    def __init__(self, a: GradedAlgebra):
-        self._algebra = a
-
-    def __getitem__(self, key):
-        a = self._algebra
-        table = a.tables[key]
-        n = a.dim(key[0] + key[1])
-        return tuple(tuple(_dense(cell, n) for cell in row) for row in table)
-
-    def __iter__(self):
-        return iter(self._algebra.tables)
-
-    def __len__(self):
-        return len(self._algebra.tables)
+    def _build(self, k1: int, k2: int) -> None:
+        for key in ((k1, k2), (k2, k1)):
+            self._tables[key] = tuple(tuple(_dense(cell, self.dims[k1 + k2]) for cell in row)
+                                      for row in self._cells[key])
 
 
 def _int_table(a: GradedAlgebra, k1: int, k2: int) -> Sequence:
-    """The (k1, k2) table as stored if a's constructor found only ints, else
+    """The (k1, k2) table as stored if all of a.tables hold ints (``ints``), else
     a copy with each coefficient times one scale, the lcm of the denominators:
     ``rows[i][j]`` holds integer (t, c) terms on the line of b_i * b_j, which
     is all a rank sees, so the scale is not returned."""
     table = a.tables[k1, k2]
-    if a._ints:
+    if a.tables.ints:
         return table
     scale = lcm(*{c.denominator for row in table for cell in row for _, c in cell})
     return [[[(t, c.numerator * (scale // c.denominator)) for t, c in cell]
@@ -516,28 +540,26 @@ def _associativity(a: GradedAlgebra, pairs: Mapping) -> list[str]:
     bad: list[str] = []
     d = a.top_degree
     tables = a.tables
-    for k1 in range(d + 1):
-        for k2 in range(d + 1 - k1):
-            ij = pairs.get((k1, k2), ())
-            t12 = tables[(k1, k2)]
-            for k3 in range(d + 1 - k1 - k2):
-                t12_3 = tables[(k1 + k2, k3)]
-                t23 = tables[(k2, k3)]
-                t1_23 = tables[(k1, k2 + k3)]
-                n3 = a.dim(k3)
-                for i, j in ij:
-                    row1 = t1_23[i]
-                    bij = t12[i][j]
-                    if len(bij) == 1 and bij[0][1] == 1:
-                        lhs_row = t12_3[bij[0][0]]
-                    else:
-                        lhs_row = [_combine([(c, t12_3[t][l]) for t, c in bij])
-                                   for l in range(n3)]
-                    for l, bjl in enumerate(t23[j]):
-                        if lhs_row[l] != _combine([(c, row1[s]) for s, c in bjl]):
-                            bad.append(
-                                f"associativity fails on degrees "
-                                f"({k1},{k2},{k3}) indices ({i},{j},{l})")
+    for (k1, k2), ij in sorted(pairs.items()):  # a key without pairs reads no table
+        t12 = tables[(k1, k2)]
+        for k3 in range(d + 1 - k1 - k2):
+            t12_3 = tables[(k1 + k2, k3)]
+            t23 = tables[(k2, k3)]
+            t1_23 = tables[(k1, k2 + k3)]
+            n3 = a.dim(k3)
+            for i, j in ij:
+                row1 = t1_23[i]
+                bij = t12[i][j]
+                if len(bij) == 1 and bij[0][1] == 1:
+                    lhs_row = t12_3[bij[0][0]]
+                else:
+                    lhs_row = [_combine([(c, t12_3[t][l]) for t, c in bij])
+                               for l in range(n3)]
+                for l, bjl in enumerate(t23[j]):
+                    if lhs_row[l] != _combine([(c, row1[s]) for s, c in bjl]):
+                        bad.append(
+                            f"associativity fails on degrees "
+                            f"({k1},{k2},{k3}) indices ({i},{j},{l})")
     return bad
 
 
@@ -717,25 +739,29 @@ def verify_ring_map(f: RingMap) -> CheckReport:
 
 
 def build_product_tables(basis: Sequence[Sequence[str]],
-                         mult: Callable[[int, int, int, int], Cell]) -> dict:
-    """Assemble the tables of a GradedAlgebra from a rule.
+                         mult: Callable[[int, int, int, int], Cell]) -> _Tables:
+    """The tables of a GradedAlgebra on basis, from a rule.
 
     ``mult(k1, i, k2, j)`` must return the cell of b_i * b_j in degree
     k1+k2. It is only consulted for k1 <= k2, and for i <= j when k1 == k2;
-    by commutativity every mirrored cell is the same object, so the
-    constructor checks each cell once.
+    each cell is checked (`_check_cell`) as it is formed and filed with its
+    mirror (`_Tables._store`), so the constructor takes these tables as they are.
     """
-    d = len(basis) - 1
-    tables: dict = {}
-    for k1 in range(d + 1):
-        for k2 in range(k1, d + 1 - k1):
-            n1, n2 = len(basis[k1]), len(basis[k2])
-            rows = tables[k1, k2] = [[()] * n2 for _ in range(n1)]
-            cols = tables[k2, k1] = rows if k1 == k2 else [[()] * n1 for _ in range(n2)]
-            for i in range(n1):
-                for j in range(i if k1 == k2 else 0, n2):
-                    rows[i][j] = cols[j][i] = mult(k1, i, k2, j)
-    return tables
+    out = _Tables([len(labels) for labels in basis])
+    dims, ints = out.dims, True
+    for k1 in range(len(dims)):
+        for k2 in range(k1, len(dims) - k1):
+            rows, n = [[()] * dims[k2] for _ in range(dims[k1])], dims[k1 + k2]
+            for i, row in enumerate(rows):
+                for j in range(i if k1 == k2 else 0, dims[k2]):
+                    row[j] = cell = mult(k1, i, k2, j)
+                    try:
+                        ints &= cell == () or _check_cell(cell, n)
+                    except (TypeError, ValueError) as e:
+                        raise type(e)(f"product table ({k1},{k2}) cell ({i},{j}): {e}") from None
+            out._store(k1, k2, rows)
+    out.ints = ints
+    return out
 
 
 def tensor_product(a: GradedAlgebra, b: GradedAlgebra, *more: GradedAlgebra,
@@ -747,18 +773,17 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra, *more: GradedAlgebra,
     factors = (a, b, *more)
     for f in factors:
         _require_nondegenerate(f, "factor")
-    basis, tables, w, ints = a.basis, a.tables, a.integration, all(f._ints for f in factors)
+    basis, tables, w = a.basis, a.tables, a.integration
     for f in factors[1:]:
-        tables = _Kronecker(basis, tables, f.basis, f.tables, ints)
+        tables = _Kronecker(basis, tables, f.basis, f.tables)
         basis, w = tables.basis, [cp * cq for cp in w for cq in f.integration]  # p-major
     return GradedAlgebra(name or "x".join(f.name for f in factors), basis, tables, w)
 
 
-class _Kronecker(Mapping):
+class _Kronecker(_Tables):
     """The tables of the Kunneth product of (abasis, atables) and (bbasis, btables),
-    ``basis`` its labels, as a read-only mapping: it lists every key (k1, k2) with
-    k1 + k2 <= d, and builds a table and its mirror on the first read of either.
-    ``ints`` says both hold only ints, so no product needs `_integral`.
+    ``basis`` its labels, each pair built on its first read; all ints when both factors
+    are, so no product then needs `_integral`.
 
     Degree k is laid out block by block, one block per split (i, k-i) with
     i descending, so the first factor's classes come first; inside a block,
@@ -771,16 +796,14 @@ class _Kronecker(Mapping):
     ascending, so the terms of their product come out in ascending position and
     no cell is sorted. The product of two unit cells ((p, 1),) and ((q, 1),) is
     the shared unit cell (`_unit_cells`) at its position: an index, no new
-    tuple. Every other cell is checked (`_check_cell`) as it is formed, so the
-    constructor takes these tables as they are. A diagonal table computes the
-    blocks with ib <= ia and mirrors the rest; every (k2, k1) cell is the
-    (k1, k2) cell object, and rows and tables are tuples.
+    tuple. Every other cell is checked (`_check_cell`) as it is formed. A diagonal
+    table computes the blocks with ib <= ia and `_store` mirrors the rest. Once every
+    pair is built, the factors and their listed cells go, and the fold behind them.
     """
 
-    __slots__ = ("basis", "ints", "_tables", "_start", "_bdims", "_factors", "_listed")
+    __slots__ = ("basis", "_start", "_factors", "_listed")
 
-    def __init__(self, abasis: Sequence, atables: Mapping, bbasis: Sequence,
-                 btables: Mapping, ints: bool):
+    def __init__(self, abasis: Sequence, atables: _Tables, bbasis: Sequence, btables: _Tables):
         da, db = len(abasis) - 1, len(bbasis) - 1
         self.basis, self._start = [], []  # start[k][i]: where block (i, k-i) begins
         for k in range(da + db + 1):
@@ -790,24 +813,8 @@ class _Kronecker(Mapping):
                 labels += [f"{x}⊗{y}" for x in abasis[i] for y in bbasis[k - i]]
             self.basis.append(labels)
             self._start.append(offset)
-        self._tables = {(k1, k2): None for k1 in range(da + db + 1)
-                        for k2 in range(da + db + 1 - k1)}
-        self.ints, self._bdims = ints, [len(labels) for labels in bbasis]
+        super().__init__([len(labels) for labels in self.basis], atables.ints and btables.ints)
         self._factors, self._listed = (atables, btables), {}
-
-    def __getitem__(self, key):
-        if self._tables[key] is None:
-            self._build(*sorted(key))
-        return self._tables[key]
-
-    def __contains__(self, key):
-        return key in self._tables
-
-    def __iter__(self):
-        return iter(self._tables)
-
-    def __len__(self):
-        return len(self._tables)
 
     def _nonzero(self, side: int, key: tuple[int, int]) -> list:
         """The nonzero cells (p, q, cell, t) of a factor's table, listed once: t is
@@ -821,8 +828,8 @@ class _Kronecker(Mapping):
 
     def _build(self, k1: int, k2: int) -> None:
         """Store tables (k1, k2) and (k2, k1), k1 <= k2."""
-        start, bdims, ints, k = self._start, self._bdims, self.ints, k1 + k2
-        n1, n2, n = (len(self.basis[x]) for x in (k1, k2, k))
+        start, bdims, ints, k = self._start, self._factors[1].dims, self.ints, k1 + k2
+        n1, n2, n = (self.dims[x] for x in (k1, k2, k))
         units = _unit_cells(n)
 
         def times(lead, bcell):
@@ -855,9 +862,6 @@ class _Kronecker(Mapping):
                     for qa, qb, bcell, v in right:
                         rows[r + qa][c + qb] = (units[base + v] if v >= 0 else
                                                 times([(base, acell[0][1])], bcell))
-        cols = list(zip(*rows)) if n1 else [()] * n2
-        if k1 == k2:  # below the diagonal, share the cells above it
-            for i in range(1, n1):
-                rows[i][:i] = cols[i][:i]
-        self._tables[k1, k2] = rows = tuple(map(tuple, rows))
-        self._tables[k2, k1] = rows if k1 == k2 else tuple(cols)
+        self._store(k1, k2, rows)
+        if None not in self._tables.values():
+            self._factors = self._listed = None

@@ -32,12 +32,11 @@ generator search.
 `kernel` and `row_space_basis` were public `linalg` functions that
 nothing in the library called, and `identity` was the constructor
 `Matrix.identity`, which only the tests called. `kernel` reads the
-nullspace off `rref` over Fraction. `row_space_basis` is the other
-exception: it is the library's certified basis, `linalg._basis` on the
-rows `_int_rows` clears, kept for the tests that check that engine.
+nullspace off `rref` over Fraction.
 
 `sympy_basis` is the RREF basis of a list of vectors by sympy, an engine
-that shares no code with lefalg; the caller imports sympy or skips.
+that shares no code with lefalg, and `row_space_basis` is the same basis
+read off the vectors alone; the caller imports sympy or skips.
 `sympy_lefschetz` is the whole Lefschetz stage on the same engine: it
 reads only an algebra's `basis`, `tables` and `integration`, multiplies
 coordinate by coordinate, and ranks every span, Gram matrix and map with
@@ -55,7 +54,7 @@ import json
 from fractions import Fraction
 from unittest import mock
 
-from lefalg import linalg, ring
+from lefalg import ring
 from lefalg.linalg import Matrix, Vector, format_rational, rref
 from lefalg.ring import Element, GradedAlgebra, RingMap, multiply
 from lefalg.schubert import Box, contains, is_partition
@@ -378,8 +377,8 @@ def full_scan_violations(a: GradedAlgebra) -> tuple[str, ...]:
 
 
 def row_space_basis(vectors) -> list[Vector]:
-    """Canonical (RREF) basis of the span. Deterministic for any input order."""
-    return linalg._basis(linalg._int_rows(vectors), len(vectors[0])) if vectors else []
+    """Canonical (RREF) basis of the span, by sympy (`sympy_basis`); [] for no vectors."""
+    return sympy_basis(vectors, len(vectors[0])) if vectors else []
 
 
 def sympy_basis(vectors, cols: int) -> list[Vector]:

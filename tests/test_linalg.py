@@ -84,13 +84,20 @@ def test_rref_exactness_no_drift():
     assert r.reduced == identity(2)
 
 
+def _cleared_basis(rows, width) -> list:
+    """`linalg._basis_rows` as lists of terms, to compare with `_int_rows` of an RREF."""
+    return list(map(list, linalg._basis_rows(rows, width)))
+
+
 def test_row_space_rank_and_basis():
+    pytest.importorskip("sympy")
     vs = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert row_space_rank(vs) == 2
     basis = row_space_basis(vs)
     assert basis == [(Fraction(1), Fraction(0), Fraction(1)),
                      (Fraction(0), Fraction(1), Fraction(1))]
-    assert row_space_basis([]) == []
+    assert _cleared_basis(linalg._int_rows(vs), 3) == linalg._int_rows(basis)
+    assert row_space_basis([]) == _cleared_basis([], 3) == []
     assert row_space_rank([]) == 0
 
 
@@ -166,7 +173,7 @@ def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors, mod_p, monke
     unit = [tuple(Fraction(int(i == j)) for j in range(cols)) for i in range(cols)]
     assert sympy_basis(vectors, cols) == unit
     assert row_space_rank(vectors) == cols
-    assert row_space_basis(vectors) == unit
+    assert _cleared_basis(rows, cols) == linalg._int_rows(unit)
     # the rows and their terms in any order: the same answers, and rref runs
     # exactly when it runs for the rows as given, once for the rank and once
     # for the basis
@@ -178,7 +185,7 @@ def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors, mod_p, monke
         fed = [rng.sample(rows[i], len(rows[i])) for i in order]
         calls.clear()
         assert linalg._rank(fed, cols) == cols
-        assert linalg._basis(fed, cols) == unit
+        assert _cleared_basis(fed, cols) == linalg._int_rows(unit)
         assert len(calls) == 2
 
 
@@ -189,8 +196,8 @@ def test_zero_rows_are_skipped_and_change_no_rank_or_basis():
     pivots, read = linalg._echelon_mod_p(iter(rows), 3)
     assert len(pivots) == 1 and read == [one, two]
     assert linalg._rank(rows, 3) == 1
-    assert linalg._basis(iter(rows), 3) == [tuple(map(Fraction, (1, 2, 3)))]
-    assert linalg._basis(iter([[]] * 3), 2) == []
+    assert _cleared_basis(iter(rows), 3) == [one]
+    assert _cleared_basis(iter([[]] * 3), 2) == []
 
 
 def test_echelon_stops_reading_at_width_pivots():
@@ -232,8 +239,8 @@ def test_full_width_basis_shortcut_matches_rref():
         res = rref(Matrix(len(rows), cols, rows))
         if res.rank < cols:
             continue  # the random product fell short of full rank
-        assert row_space_basis(rows) == \
-            [res.reduced.row(i) for i in range(res.rank)], rows
+        assert _cleared_basis(linalg._int_rows(rows), cols) == \
+            linalg._int_rows(res.reduced.row(i) for i in range(res.rank)), rows
 
 
 def test_rref_runs_exactly_when_the_rank_mod_p_is_short(monkeypatch):
@@ -298,7 +305,8 @@ def test_a_wrong_reconstruction_falls_back_to_rref(monkeypatch):
     real_reconstruct, real_rref = linalg._rational_mod_p, linalg.rref
     calls = []
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real_rref(m))
-    assert row_space_basis(rows) == want and not calls
+    rows, want = linalg._int_rows(rows), linalg._int_rows(want)
+    assert _cleared_basis(rows, 5) == want and not calls
     monkeypatch.setattr(linalg, "_rational_mod_p",
                         lambda x: real_reconstruct(x) + 1)
-    assert row_space_basis(rows) == want and len(calls) == 1
+    assert _cleared_basis(rows, 5) == want and len(calls) == 1

@@ -524,13 +524,13 @@ _P2_HALF = {"format": "graded-algebra", "version": 2, "name": "P2-half",
 
 def test_int_table_reads_the_flag_the_constructor_set(tmp_path):
     ints = catalog.get("P1xP2").algebra
-    assert ints._ints
+    assert ints.tables.ints
     assert all(ring._int_table(ints, *key) is table for key, table in ints.tables.items())
     half = algebra_from_payload(_P2_HALF, require_checksum=False)
     path = tmp_path / "half.alg.json"
     write_algebra(half, str(path))
     for a in (half, read_algebra(str(path)), tensor_product(half, projective_space(1))):
-        assert not a._ints
+        assert not a.tables.ints
         # each read is a scaled copy, also of a table that holds only ints
         for key, table in a.tables.items():
             copy = ring._int_table(a, *key)
@@ -552,7 +552,7 @@ def test_every_kernel_branch_writes_an_integral_coefficient_as_an_int():
     # and its h*h = Fraction(2) q on both sides; P2-half's 1/2 meets that 2
     p1, twice = projective_space(1), _p2_twice()
     half = algebra_from_payload(_P2_HALF, require_checksum=False)
-    assert not twice._ints and not half._ints
+    assert not twice.tables.ints and not half.tables.ints
     for a, b in ((p1, twice), (twice, p1), (p1, half)):
         t = tensor_product(a, b)
         _assert_sparse_and_shared(t)
@@ -696,7 +696,7 @@ def test_an_integral_fraction_factor_gives_a_product_read_as_scaled_copies(capsy
     p1, twice = projective_space(1), _p2_twice()
     t = tensor_product(p1, twice)
     checked = GradedAlgebra(t.name, t.basis, dict(t.tables), t.integration)
-    assert not t._ints and checked._ints and t == checked
+    assert not t.tables.ints and checked.tables.ints and t == checked
     outputs = []
     for a in (t, checked):
         with mock.patch.object(cli, "read_algebra", lambda ref: a):
@@ -705,6 +705,49 @@ def test_an_integral_fraction_factor_gives_a_product_read_as_scaled_copies(capsy
                 outputs.append(capsys.readouterr().out)
     assert outputs[:2] == outputs[2:]
     assert "primitive dims: 1 1" in outputs[0]
+
+
+def test_a_fully_read_product_drops_its_fold_and_a_partly_read_one_keeps_it():
+    p1, gr = projective_space(1), catalog.get("Gr-2-4").algebra
+    t = tensor_product(gr, p1, p1)
+    tables, step = t.tables, t.tables._factors[0]  # step: the tables of Gr-2-4xP1
+    keys = list(tables)
+    for key in keys[::2]:
+        tables[key]
+    assert _built(tables) != set(tables)
+    assert tables._factors == (step, p1.tables) and tables._listed
+    for key in keys[1::2]:  # the rest still build, from the fold it kept
+        tables[key]
+    assert _built(tables) == set(tables)
+    assert tables._factors is None and tables._listed is None
+    assert_dense_kronecker(tensor_product(gr, p1), p1, t)
+
+
+def test_every_algebras_tables_are_read_only(tmp_path):
+    p1, p2 = projective_space(1), catalog.get("P-2").algebra
+    write_algebra(p2, str(tmp_path / "p2.alg.json"))
+    one = ((0, 1),)
+    by_hand = GradedAlgebra("P1-by-hand", [["1"], ["h"]],
+                            {(0, 0): [[one]], (0, 1): [[one]], (1, 0): [[one]]}, [1])
+    built = ring.build_product_tables(p2.basis, lambda k1, i, k2, j: ((0, 1),))
+    for tables in (p2.tables, read_algebra(str(tmp_path / "p2.alg.json")).tables,
+                   algebra_from_payload(_P2_HALF, require_checksum=False).tables,
+                   by_hand.tables, built, tensor_product(p1, p1).tables):
+        assert isinstance(tables, ring._Tables)
+        with pytest.raises(TypeError):
+            tables[1, 1] = ((((0, 5),),),)
+        with pytest.raises(TypeError):
+            tables[0, 1][0] = ((((0, 5),),),)
+    p2 = catalog.get("P-2").algebra
+    assert p2.by_label("h") * p2.by_label("h") == p2.by_label("h^2")
+    assert verify_algebra(p2).ok
+
+
+def test_the_dense_view_is_checked_as_any_mapping_is():
+    a = catalog.get("P-1").algebra
+    with pytest.raises(ValueError, match=re.escape(
+            "product table (0,0) cell (0,0): (1,) is not a tuple of (t, c) terms")):
+        GradedAlgebra(a.name, a.basis, a.products, a.integration)
 
 
 @pytest.mark.parametrize("name", catalog.names())
