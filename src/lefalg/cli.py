@@ -14,9 +14,9 @@ import sys
 
 from . import catalog
 from .buildfile import evaluate, parse_build_file
-from .lefschetz import (LefschetzData, _hard_lefschetz, _primitive_dims,
-                        check_hard_lefschetz, check_poincare_duality,
-                        check_symmetry, lefschetz_subalgebra)
+from .lefschetz import (LefschetzData, check_hard_lefschetz,
+                        check_poincare_duality, check_symmetry,
+                        lefschetz_subalgebra, primitive_dims)
 from .ring import (Element, GradedAlgebra, _degree_one_sum, render_element,
                    verify_algebra)
 from .linalg import parse_rational
@@ -183,9 +183,9 @@ def cmd_report(args) -> int:
     a, lef, omega = _resolve_check_inputs(args)
     sym = check_symmetry(lef)
     pd = check_poincare_duality(lef)
-    hl, powers = _hard_lefschetz(lef, omega)
-    # each HL map is ranked once, and plain text prints no dims when HL fails
-    prim = _primitive_dims(lef, hl, powers) if hl.passed or args.json else None
+    hl = check_hard_lefschetz(lef, omega)
+    # lef keeps the HL pass for primitive_dims; plain text prints no dims if HL fails
+    prim = primitive_dims(lef, omega) if hl.passed or args.json else None
     doc = {
         "name": a.name,
         "top_degree": a.top_degree,

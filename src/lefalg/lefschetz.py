@@ -6,6 +6,13 @@ verdicts, and witnesses are reproducible. The three predicates share one
 per-degree check. When hard Lefschetz holds, dim PL^i = dim L^i - dim L^{i-1};
 the kernels of omega^{d-2i+1} are ranked only when it fails.
 
+A record remembers the hard Lefschetz pass (omega in L^1, its powers, one
+rank per degree) for each omega it is asked about, keyed by omega's coordinates
+once omega is checked to be a degree-one class of its ambient algebra. Records
+are immutable and a verdict is a pure function of record and omega, so every
+`check_hard_lefschetz` and `primitive_dims` call shares that pass. An omega that
+raises is not remembered, and the memo dies with its record.
+
 The stage computes on integer rows (`linalg.Row`), never on `Fraction`
 vectors. Every verdict is a rank, and a rank sees only the line of a row:
 the generators, the rows of each L^k, the powers of omega and the Gram rows
@@ -31,7 +38,7 @@ from math import gcd
 
 from .linalg import Row, Vector, _basis_rows, _int_rows, _rank, _rref_vectors, _unit_cells
 from .ring import (Element, GradedAlgebra, _checked_class, _int_pairing, _int_table,
-                   _integrals)
+                   _integrals, _refuse_bools)
 
 
 class LefschetzData(namedtuple("LefschetzData", "ambient generators rows")):
@@ -39,8 +46,11 @@ class LefschetzData(namedtuple("LefschetzData", "ambient generators rows")):
     the degree-one generators, ``rows[k]`` the cleared rows D*R_j of the RREF R
     of L^k, pivot term D first (the shared unit cells when its rank mod P is
     full); ``bases[k]``, R as `Fraction` vectors, is built from them on each read.
+    Setting an attribute raises; the instance dict holds only the HL passes
+    (`_hl_pass`), so fields, repr, == and hash are the tuple's.
     """
-    __slots__ = ()
+    def __setattr__(self, name, value):
+        raise AttributeError("LefschetzData is immutable")
 
     @property
     def bases(self) -> tuple[tuple[Vector, ...], ...]:
@@ -51,10 +61,11 @@ class LefschetzData(namedtuple("LefschetzData", "ambient generators rows")):
         return tuple(map(len, self.rows))
 
     def dim(self, k: int) -> int:
+        _refuse_bools(k)
         return len(self.rows[k]) if 0 <= k < len(self.rows) else 0
 
     def elements(self, k: int) -> list[Element]:
-        rows = self.rows[k] if 0 <= k < len(self.rows) else ()  # none outside 0..d
+        rows = self.rows[k] if self.dim(k) else ()  # none outside 0..d
         return [Element(self.ambient, k, v) for v in _rref_vectors(rows, self.ambient.dim(k))]
 
 
@@ -150,11 +161,7 @@ def _checked_omega(lef: LefschetzData, omega: Element | None) -> Element:
         if a.top_degree == 0:
             return a.zero(1)
         raise ValueError("omega is required when the top degree is positive")
-    _checked_class(a, omega, 1, "omega")
-    level = list(lef.rows[1]) if a.top_degree >= 1 else []
-    if _rank(level + _int_rows([omega.coords]), a.dim(1)) != len(level):
-        raise ValueError("omega lies outside the degree-one Lefschetz component")
-    return omega
+    return _checked_class(a, omega, 1, "omega")
 
 
 def _omega_powers(omega: Element, n: int) -> list[Row]:
@@ -181,20 +188,27 @@ def _map_rank(lef: LefschetzData, m: int, row: Row, k: int) -> int:
     return _rank(list(_product_rows(a, m, k, [row], lef.rows[k])), a.dim(m + k))
 
 
+def _hl_pass(lef: LefschetzData, omega: Element | None
+             ) -> tuple[PredicateVerdict, list[Row]]:
+    """The HL verdict for omega and the rows of [1, omega, ..., omega^(d+1)]
+    it ranked: built on the record's first call with an equal omega, read
+    from the record after. omega's class is checked on every call."""
+    omega, d = _checked_omega(lef, omega), lef.ambient.top_degree
+    passes = vars(lef).setdefault("_passes", {})
+    if omega.coords not in passes:
+        level = list(lef.rows[1]) if d >= 1 else []
+        if _rank(level + _int_rows([omega.coords]), lef.ambient.dim(1)) != len(level):
+            raise ValueError("omega lies outside the degree-one Lefschetz component")
+        powers = _omega_powers(omega, d + 1)
+        passes[omega.coords] = PredicateVerdict("hard-lefschetz", _per_degree(
+            lef, lambda k: _map_rank(lef, d - 2 * k, powers[d - 2 * k], k))), powers
+    return passes[omega.coords]
+
+
 def check_hard_lefschetz(lef: LefschetzData,
                          omega: Element | None) -> PredicateVerdict:
     """omega^{d-2k}: L^k -> L^{d-k} must be bijective for every k <= d/2."""
-    return _hard_lefschetz(lef, omega)[0]
-
-
-def _hard_lefschetz(lef: LefschetzData, omega: Element | None
-                    ) -> tuple[PredicateVerdict, list[Row]]:
-    """`check_hard_lefschetz` and the rows of [1, omega, ..., omega^(d+1)]
-    it built, which `_primitive_dims` reads when the verdict fails."""
-    d = lef.ambient.top_degree
-    powers = _omega_powers(_checked_omega(lef, omega), d + 1)
-    return PredicateVerdict("hard-lefschetz", _per_degree(
-        lef, lambda k: _map_rank(lef, d - 2 * k, powers[d - 2 * k], k))), powers
+    return _hl_pass(lef, omega)[0]
 
 
 def _int_gram(lef: LefschetzData, k: int) -> list[Row]:
@@ -226,15 +240,10 @@ def primitive_dims(lef: LefschetzData, omega: Element | None) -> PrimitiveDims:
 
     Under hard Lefschetz the map is onto L^{d-i+1} = omega^{d-2i+2} L^{i-1},
     so dim PL^i = dim L^i - dim L^{i-1} and nothing more is ranked; the
-    kernels are ranked only when hard Lefschetz fails.
+    kernels are ranked only when it fails, on the powers of the HL pass the
+    record shares with `check_hard_lefschetz` (see the module docstring).
     """
-    return _primitive_dims(lef, *_hard_lefschetz(lef, omega))
-
-
-def _primitive_dims(lef: LefschetzData, hl: PredicateVerdict,
-                    powers: Sequence[Row]) -> PrimitiveDims:
-    """`primitive_dims` given what `_hard_lefschetz` returns for omega, so
-    that a caller who has them builds the powers and ranks each HL map once."""
+    hl, powers = _hl_pass(lef, omega)
     d = lef.ambient.top_degree
     if hl.passed:
         return PrimitiveDims(tuple(lef.dim(i) - lef.dim(i - 1)

@@ -118,7 +118,7 @@ def test_report_plain_text(capsys):
 
 
 def test_plain_report_ranks_no_primitive_dims_when_hard_lefschetz_fails(capsys):
-    with mock.patch.object(cli, "_primitive_dims", side_effect=AssertionError):
+    with mock.patch.object(cli, "primitive_dims", side_effect=AssertionError):
         assert run(["report", "example1"]) == 0
     assert capsys.readouterr().out == "\n".join([
         "name: example1", "top degree: 5", "dims: 1 2 4 4 2 1",

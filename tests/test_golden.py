@@ -1,4 +1,4 @@
-"""Golden outputs: the stdout and exit code of four commands on 22 algebras,
+"""Golden outputs: the stdout and exit code of four commands on 23 algebras,
 pinned by SHA-256, so that any change in a verdict, witness or printed byte
 fails here.
 
@@ -14,7 +14,7 @@ from lefalg.catalog import names
 from lefalg.cli import run
 
 NAMES = names() + ["P1xP1xP1xP1xP1xP1xP1xP1", "Gr-3-8", "example3xP1",
-                   "Gr-2-5xGr-2-5xP1"]
+                   "Gr-2-5xGr-2-5xP1", "example2xP1xP1"]
 COMMANDS = ["report --json", "report", "verify", "check --hl"]
 
 DIGESTS = {
@@ -194,11 +194,19 @@ DIGESTS = {
         "95fc0fbfa9f3fc81e21e909a1e83682bd361a601e963951acede46125a1ac739",
     ("check --hl", "Gr-2-5xGr-2-5xP1"):
         "52a6dddbe5f0c12c2eb748e0ecd48fb5adac5a8ac08dd736f82784099c5e29bd",
+    ("report --json", "example2xP1xP1"):
+        "48a9384085f6ef452a6e9c84568e8c8588de95fd32cbd7062ba7794731fd2794",
+    ("report", "example2xP1xP1"):
+        "a23a88ef121c7e0341f3d161f44a88dfb26acee75b6376717cf4290e506783d9",
+    ("verify", "example2xP1xP1"):
+        "0b8bb0eca3288eb9dffd08726d64a8f104a7ace5bd9f54812b709b5aba807bcc",
+    ("check --hl", "example2xP1xP1"):
+        "40656eccc0588b96a9d281608d74e547da876abe216be55720f81703065b9c58",
 }
 
 
 def test_the_golden_cases_are_every_command_on_every_name():
-    assert len(NAMES) == 22
+    assert len(NAMES) == 23
     assert set(DIGESTS) == {(c, n) for c in COMMANDS for n in NAMES}
 
 

@@ -12,7 +12,8 @@ from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.catalog import get, names
 from lefalg.cli import run
 from lefalg.constructors import projective_space
-from lefalg.lefschetz import (_int_gram, _omega_powers, check_hard_lefschetz,
+from lefalg.lefschetz import (LefschetzData, _int_gram, _omega_powers,
+                              check_hard_lefschetz,
                               check_poincare_duality, check_symmetry,
                               lefschetz_subalgebra, primitive_dims)
 from lefalg.linalg import P, Matrix, _dense, _rank
@@ -45,6 +46,10 @@ def test_elements_outside_the_degrees_are_empty():
     for k in (-1, 3):
         assert lef.elements(k) == [] and lef.dim(k) == 0
     assert [e.coords for e in lef.elements(2)] == [(Fraction(1),)]
+    # True == 1, but a bool is no degree, as for GradedAlgebra.element
+    for method in (lef.dim, lef.elements):
+        with pytest.raises(TypeError, match="not a bool"):
+            method(True)
 
 
 def test_brute_force_span_agrees_on_all_catalog_algebras():
@@ -321,6 +326,98 @@ def test_report_builds_the_omega_powers_once_when_hl_fails(monkeypatch, capsys):
     assert run(["report", "example3"]) == 0
     assert "hard_lefschetz: FAIL" in capsys.readouterr().out
     assert calls == [get("example3").algebra.top_degree + 1]
+
+
+def _count_omega_powers(monkeypatch):
+    calls = []
+    inner = lefschetz._omega_powers
+
+    def counted(omega, n):
+        calls.append(n)
+        return inner(omega, n)
+
+    monkeypatch.setattr(lefschetz, "_omega_powers", counted)
+    return calls
+
+
+@pytest.mark.parametrize("verdict_first", [True, False])
+@pytest.mark.parametrize("name", ["Gr-2-5", "example3"])
+def test_the_verdict_and_the_dims_share_one_hl_pass(monkeypatch, name,
+                                                     verdict_first):
+    # the record remembers the HL pass for omega: the powers are built and
+    # each HL map ranked once, in either order, and a later verdict is read;
+    # example3 fails HL, so its kernels are ranked too, once each
+    entry = get(name)
+    lef = lefschetz_subalgebra(entry.algebra)
+    expected = (check_hard_lefschetz(LefschetzData(*lef), entry.omega),
+                primitive_dims(LefschetzData(*lef), entry.omega))
+    powers, ranks = _count_omega_powers(monkeypatch), _count_map_ranks(monkeypatch)
+    if verdict_first:
+        hl = check_hard_lefschetz(lef, entry.omega)
+        prim = primitive_dims(lef, entry.omega)
+    else:
+        prim = primitive_dims(lef, entry.omega)
+        hl = check_hard_lefschetz(lef, entry.omega)
+    assert (hl, prim) == expected
+    assert check_hard_lefschetz(lef, entry.omega) == hl
+    d = entry.algebra.top_degree
+    maps = [k for k in range(d // 2 + 1) if lef.dim(k) == lef.dim(d - k)]
+    kernels = [] if hl.passed else list(range(d // 2 + 1))
+    assert hl.passed == prim.valid == (name == "Gr-2-5")
+    assert powers == [d + 1]
+    assert sorted(ranks) == sorted(maps + kernels)
+
+
+def test_each_omega_has_its_own_pass_on_one_record():
+    a = get("P1xP1").algebra
+    lef = lefschetz_subalgebra(a)
+    ample, edge = a.by_label("h⊗1") + a.by_label("1⊗h"), a.by_label("h⊗1")
+    answers = {ample: ("PASS", ((1, 1), True)),
+               edge: ("k=0: rank 0 of 1", ((1, 1), False))}
+    for i, omega in enumerate([ample, edge, ample, edge, edge, ample]):
+        fresh = LefschetzData(*lef)
+        if i % 2:  # the dims first, then the verdict
+            assert primitive_dims(lef, omega) == primitive_dims(fresh, omega)
+        hl = check_hard_lefschetz(lef, omega)
+        assert hl == check_hard_lefschetz(fresh, omega)
+        assert primitive_dims(lef, omega) == primitive_dims(fresh, omega)
+        assert (hl.witness or "PASS", primitive_dims(lef, omega)) == answers[omega]
+
+
+def test_an_omega_that_raises_is_not_remembered():
+    p1p1, p2, p3 = (get(n).algebra for n in ("P1xP1", "P-2", "P-3"))
+    narrow = lefschetz_subalgebra(p1p1, [p1p1.by_label("h⊗1")])
+    cases = [  # record, omega that raises, the error, a valid omega
+        (lefschetz_subalgebra(p2), None, "required", p2.by_label("h")),
+        (narrow, p1p1.by_label("1⊗h"), "outside", p1p1.by_label("h⊗1")),
+        (lefschetz_subalgebra(p2), p3.by_label("h"), "element of P-2",
+         p2.by_label("h")),
+        (lefschetz_subalgebra(p3), p3.by_label("h^2"), "degree 1",
+         p3.by_label("h")),
+    ]
+    for lef, bad, error, good in cases:
+        for query in [check_hard_lefschetz, primitive_dims] * 2:
+            with pytest.raises(ValueError, match=error):
+                query(lef, bad)
+        fresh = LefschetzData(*lef)
+        assert check_hard_lefschetz(lef, good) == check_hard_lefschetz(fresh, good)
+        assert primitive_dims(lef, good) == primitive_dims(fresh, good)
+        with pytest.raises(ValueError, match=error):
+            check_hard_lefschetz(lef, bad)
+
+
+def test_a_second_record_of_one_algebra_ranks_again(monkeypatch):
+    # the pass lives on the record, so an equal record shares nothing
+    entry = get("Gr-2-5")
+    first, second = (lefschetz_subalgebra(entry.algebra) for _ in range(2))
+    assert first == second and first is not second
+    verdict = check_hard_lefschetz(first, entry.omega)
+    powers, ranks = _count_omega_powers(monkeypatch), _count_map_ranks(monkeypatch)
+    assert check_hard_lefschetz(second, entry.omega) == verdict
+    assert check_hard_lefschetz(first, entry.omega) == verdict
+    d = entry.algebra.top_degree
+    assert powers == [d + 1]
+    assert sorted(ranks) == list(range(d // 2 + 1))
 
 
 @pytest.mark.parametrize("name", ["example1", "example3", "P1xP2"])
