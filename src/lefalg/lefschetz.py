@@ -6,12 +6,25 @@ verdicts, and witnesses are reproducible. The three predicates share one
 per-degree check. When hard Lefschetz holds, dim PL^i = dim L^i - dim L^{i-1};
 the kernels of omega^{d-2i+1} are ranked only when it fails.
 
-A record remembers the hard Lefschetz pass (omega in L^1, its powers, one
-rank per degree) for each omega it is asked about, keyed by omega's coordinates
-once omega is checked to be a degree-one class of its ambient algebra. Records
-are immutable and a verdict is a pure function of record and omega, so every
-`check_hard_lefschetz` and `primitive_dims` call shares that pass. An omega that
-raises is not remembered, and the memo dies with its record.
+A record remembers the hard Lefschetz pass (omega in L^1, the verdict, and
+each rank of a power of omega it has found) for each omega it is asked about,
+keyed by omega's coordinates once omega is checked to be a degree-one class of
+its ambient algebra. Records are immutable and a verdict is a pure function of
+record and omega, so every `check_hard_lefschetz` and `primitive_dims` call
+shares that pass. An omega that raises is not remembered, and the memo dies
+with its record.
+
+A `tensor_product` with the default generators is read from its factors,
+exactly, by three rules for omega = omega_A (x) 1 + 1 (x) omega_B (Stanley
+1980; Harima et al., The Lefschetz Properties, LNM 2080, ch. 3). L(A (x) B)
+= L(A) (x) L(B), so the rows of L^k are Kronecker products of factor rows
+(`_kunneth_rows`); the pairing is the Kronecker product of the factors'
+pairings, so its ranks convolve (`_pairing_ranks`); and over Q the graded
+Jordan type of omega is the Clebsch-Gordan product of the factors' types
+(`_clebsch_gordan`), so a rank of omega^m counts strings (`_omega_ranks`).
+The record keeps its factors' records (``_factors``), and no product table
+is built. Explicit generators, algebras read from files and every other
+algebra are eliminated, as below.
 
 The stage computes on integer rows (`linalg.Row`), never on `Fraction`
 vectors. Every verdict is a rank, and a rank sees only the line of a row:
@@ -32,12 +45,13 @@ tuples of their fields.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import cache, reduce
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 
 from .linalg import Row, Vector, _basis_rows, _int_rows, _rank, _rref_vectors, _unit_cells
-from .ring import (Element, GradedAlgebra, _checked_class, _int_pairing, _int_table,
+from .ring import (Element, GradedAlgebra, _blocks, _checked_class, _int_pairing, _int_table,
                    _integrals, _refuse_bools)
 
 
@@ -47,7 +61,8 @@ class LefschetzData(namedtuple("LefschetzData", "ambient generators rows")):
     of L^k, pivot term D first (the shared unit cells when its rank mod P is
     full); ``bases[k]``, R as `Fraction` vectors, is built from them on each read.
     Setting an attribute raises; the instance dict holds only the HL passes
-    (`_hl_pass`), so fields, repr, == and hash are the tuple's.
+    (`_hl_pass`) and a product's factor records (``_factors``), so fields,
+    repr, == and hash are the tuple's.
     """
     def __setattr__(self, name, value):
         raise AttributeError("LefschetzData is immutable")
@@ -98,22 +113,62 @@ def _product_rows(a: GradedAlgebra, k1: int, k2: int,
             yield [(t, c) for t, c in row.items() if c]
 
 
+def _convolve(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    """The Kunneth convolution: entry k is the sum of u[i] * v[k-i]."""
+    return [sum(u[i] * v[k - i] for i in range(max(0, k - len(v) + 1), min(k + 1, len(u))))
+            for k in range(len(u) + len(v) - 1)]
+
+
+def _kunneth_rows(lefs: Sequence[LefschetzData]) -> list[tuple]:
+    """The rows of L^k of the product of the records' ambients, for each k: block
+    by block (`ring._blocks`), the Kronecker products u (x) v of the factors' rows,
+    each times what clears its degree by one lcm; the shared unit cells where L^k
+    is all of its degree."""
+    dims, rows = lefs[0].ambient.dims, lefs[0].rows
+    for lef in lefs[1:]:
+        bdims, out = lef.ambient.dims, []
+        dims, layout = _convolve(dims, bdims), _blocks(dims, bdims)
+        for k, start in enumerate(layout):
+            pairs = [(at, bdims[k - i], u, v) for i, at in start.items()
+                     for u in rows[i] for v in lef.rows[k - i]]
+            if len(pairs) == dims[k]:
+                out.append(tuple(_unit_cells(dims[k])[:dims[k]]))
+                continue
+            scale = lcm(*{u[0][1] * v[0][1] for _, _, u, v in pairs})
+            out.append(tuple(tuple((at + p * nb + q, x * y * c) for p, x in u for q, y in v)
+                             for at, nb, u, v in pairs for c in [scale // (u[0][1] * v[0][1])]))
+        rows = out
+    return rows
+
+
 def lefschetz_subalgebra(a: GradedAlgebra,
                          generators: Sequence[Element] | None = None
                          ) -> LefschetzData:
     """Subalgebra generated in degree one, default generators = all of degree 1.
-    The cleared rows of each L^k (`_basis_rows`) are the rows of the next
-    degree's products, the shared unit cells where L^k is all of A^k."""
+    With those, a `tensor_product` is read from its factors' records, which the
+    record keeps (`_kunneth_rows`; see the module docstring). Otherwise the
+    cleared rows of each L^k (`_basis_rows`) are the rows of the next degree's
+    products, the shared unit cells where L^k is all of A^k."""
     if generators is None:
         gens = [a.basis_element(1, i) for i in range(a.dim(1))]
+        factors = getattr(a.tables, "factors", None) or ()
     else:
         gens = [_checked_class(a, g, 1, "generators") for g in generators]
-    ws = _int_rows([g.coords for g in gens])
+        factors = ()
+    coords, w = tuple(g.coords for g in gens), [1]
+    for f in factors:  # an algebra on a product's tables with another integration is not it
+        w = [x * y for x in w for y in f.integration]
+    if factors and tuple(w) == a.integration:
+        lefs = [lefschetz_subalgebra(f) for f in factors]
+        lef = LefschetzData(a, coords, tuple(_kunneth_rows(lefs)))
+        vars(lef)["_factors"] = lefs
+        return lef
+    ws = _int_rows(coords)
     rows = [tuple(_unit_cells(1)[:1])]  # L^0 = A^0, spanned by the unit
     for k in range(1, a.top_degree + 1):
         rows.append(tuple(map(tuple, _basis_rows(
             _product_rows(a, 1, k - 1, ws, rows[-1]), a.dim(k)))))
-    return LefschetzData(a, tuple(g.coords for g in gens), tuple(rows))
+    return LefschetzData(a, coords, tuple(rows))
 
 
 DegreeVerdict = namedtuple("DegreeVerdict", "k passed witness", defaults=("",))
@@ -188,10 +243,52 @@ def _map_rank(lef: LefschetzData, m: int, row: Row, k: int) -> int:
     return _rank(list(_product_rows(a, m, k, [row], lef.rows[k])), a.dim(m + k))
 
 
-def _hl_pass(lef: LefschetzData, omega: Element | None
-             ) -> tuple[PredicateVerdict, list[Row]]:
-    """The HL verdict for omega and the rows of [1, omega, ..., omega^(d+1)]
-    it ranked: built on the record's first call with an equal omega, read
+def _strings(lef: LefschetzData, omega: Element) -> dict:
+    """The graded Jordan type of omega on L: {(s, e): the number of strings
+    from degree s to degree e}, by inclusion and exclusion on the ranks of its
+    HL pass, since r(m, k) strings run through both k and k + m."""
+    rank, d = _hl_pass(lef, omega)[1], lef.ambient.top_degree
+
+    def r(m, k):
+        return rank(m, k) if 0 <= k and k + m <= d else 0
+    return {(s, e): n for s in range(d + 1) for e in range(s, d + 1)
+            if (n := r(e - s, s) - r(e - s + 1, s - 1) - r(e - s + 1, s)
+                + r(e - s + 2, s - 1))}
+
+
+def _clebsch_gordan(x: dict, y: dict) -> dict:
+    """The graded Jordan type of omega_A (x) 1 + 1 (x) omega_B from the factors'
+    types: strings [s, e] and [t, f] give [s+t+j, e+f-j] for j < min of their
+    lengths, which holds over Q (Q[x,y]/(x^a, y^b) has the strong Lefschetz
+    property for x + y in characteristic 0)."""
+    out: dict = {}
+    for (s, e), n in x.items():
+        for (t, f), m in y.items():
+            for j in range(min(e - s, f - t) + 1):
+                out[s + t + j, e + f - j] = out.get((s + t + j, e + f - j), 0) + n * m
+    return out
+
+
+def _omega_ranks(lef: LefschetzData, omega: Element) -> Callable[[int, int], int]:
+    """(m, k) -> the rank of omega^m on L^k, each found once: for a product
+    record, the strings through both k and k + m of the Clebsch-Gordan product
+    of its factors' types, omega's degree-one coordinates being theirs in
+    turn; else `_map_rank` on the powers [1, omega, ..., omega^(d+1)]."""
+    if lefs := vars(lef).get("_factors"):
+        types, at = [], 0
+        for f in lefs:
+            n = f.ambient.dim(1)
+            types.append(_strings(f, Element(f.ambient, 1, omega.coords[at:at + n])))
+            at += n
+        strings = reduce(_clebsch_gordan, types).items()
+        return lambda m, k: sum(n for (s, e), n in strings if s <= k and k + m <= e)
+    powers, plain = _omega_powers(omega, lef.ambient.top_degree + 1), LefschetzData(*lef)
+    return cache(lambda m, k: _map_rank(plain, m, powers[m], k))  # plain: no cycle via the pass
+
+
+def _hl_pass(lef: LefschetzData, omega: Element | None) -> tuple[PredicateVerdict, Callable]:
+    """The HL verdict for omega and its `_omega_ranks`, which `primitive_dims`
+    reads too: built on the record's first call with an equal omega, read
     from the record after. omega's class is checked on every call."""
     omega, d = _checked_omega(lef, omega), lef.ambient.top_degree
     passes = vars(lef).setdefault("_passes", {})
@@ -199,9 +296,9 @@ def _hl_pass(lef: LefschetzData, omega: Element | None
         level = list(lef.rows[1]) if d >= 1 else []
         if _rank(level + _int_rows([omega.coords]), lef.ambient.dim(1)) != len(level):
             raise ValueError("omega lies outside the degree-one Lefschetz component")
-        powers = _omega_powers(omega, d + 1)
+        rank = _omega_ranks(lef, omega)
         passes[omega.coords] = PredicateVerdict("hard-lefschetz", _per_degree(
-            lef, lambda k: _map_rank(lef, d - 2 * k, powers[d - 2 * k], k))), powers
+            lef, lambda k: rank(d - 2 * k, k))), rank
     return passes[omega.coords]
 
 
@@ -221,13 +318,22 @@ def _int_gram(lef: LefschetzData, k: int) -> list[Row]:
     return _integrals(a, (islice(rows, len(vs)) for _ in us))
 
 
-def check_poincare_duality(lef: LefschetzData) -> PredicateVerdict:
-    """The pairing L^k x L^{d-k} -> Q must be square and nondegenerate; where
-    both are full width, the Gram matrix is read from the table (`_int_pairing`)."""
+def _pairing_ranks(lef: LefschetzData) -> Callable[[int], int]:
+    """k -> the rank of the pairing L^k x L^{d-k} -> Q: for a product record,
+    the convolution of its factors' ranks over every degree; else ranked on the
+    Gram matrix, read from the table (`_int_pairing`) where both are full width."""
     a, d = lef.ambient, lef.ambient.top_degree
+    if lefs := vars(lef).get("_factors"):
+        return reduce(_convolve, [list(map(_pairing_ranks(f), range(f.ambient.top_degree + 1)))
+                                  for f in lefs]).__getitem__
     full = [lef.dim(k) == a.dim(k) for k in range(d + 1)]
-    return PredicateVerdict("poincare-duality", _per_degree(lef, lambda k: _rank(
-        _int_pairing(a, k) if full[k] and full[d - k] else _int_gram(lef, k), lef.dim(k))))
+    return lambda k: _rank(_int_pairing(a, k) if full[k] and full[d - k] else _int_gram(lef, k),
+                           lef.dim(d - k))
+
+
+def check_poincare_duality(lef: LefschetzData) -> PredicateVerdict:
+    """The pairing L^k x L^{d-k} -> Q must be square and nondegenerate (`_pairing_ranks`)."""
+    return PredicateVerdict("poincare-duality", _per_degree(lef, _pairing_ranks(lef)))
 
 
 class PrimitiveDims(namedtuple("PrimitiveDims", "dims valid")):
@@ -240,14 +346,12 @@ def primitive_dims(lef: LefschetzData, omega: Element | None) -> PrimitiveDims:
 
     Under hard Lefschetz the map is onto L^{d-i+1} = omega^{d-2i+2} L^{i-1},
     so dim PL^i = dim L^i - dim L^{i-1} and nothing more is ranked; the
-    kernels are ranked only when it fails, on the powers of the HL pass the
-    record shares with `check_hard_lefschetz` (see the module docstring).
+    kernels are ranked only when it fails, by the ranks of the HL pass the
+    record shares with `check_hard_lefschetz`, each ranked once (see the
+    module docstring).
     """
-    hl, powers = _hl_pass(lef, omega)
+    hl, rank = _hl_pass(lef, omega)
     d = lef.ambient.top_degree
-    if hl.passed:
-        return PrimitiveDims(tuple(lef.dim(i) - lef.dim(i - 1)
-                                   for i in range(d // 2 + 1)), True)
     return PrimitiveDims(tuple(
-        lef.dim(i) - _map_rank(lef, d - 2 * i + 1, powers[d - 2 * i + 1], i)
-        for i in range(d // 2 + 1)), False)
+        lef.dim(i) - (lef.dim(i - 1) if hl.passed else rank(d - 2 * i + 1, i))
+        for i in range(d // 2 + 1)), hl.passed)

@@ -22,7 +22,8 @@ dense vectors are read only from payloads. An integral cell is a `linalg.Row`,
 so the generator search, the pairing ranks and the Lefschetz stage hand the
 cells of `_int_table` (the stored table if it is all ints, else a copy with
 cleared denominators) to `linalg`, the one module that works mod P. An
-n-factor product is one Kronecker fold, its tables built on first read.
+n-factor product is one Kronecker fold, its tables built on first read; they
+keep the factor algebras, from which the Lefschetz stage reads the product.
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -777,7 +778,21 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra, *more: GradedAlgebra,
     for f in factors[1:]:
         tables = _Kronecker(basis, tables, f.basis, f.tables)
         basis, w = tables.basis, [cp * cq for cp in w for cq in f.integration]  # p-major
+    tables.factors = factors
     return GradedAlgebra(name or "x".join(f.name for f in factors), basis, tables, w)
+
+
+def _blocks(adims: Sequence[int], bdims: Sequence[int]) -> list[dict[int, int]]:
+    """The Kunneth layout of a x b, for factor dims adims and bdims: for each degree k,
+    {i: where block (i, k-i) begins}, i descending, so the first factor's classes come
+    first; inside a block, a_p (x) b_q sits at position p * bdims[k-i] + q."""
+    da, db, out = len(adims) - 1, len(bdims) - 1, []
+    for k in range(da + db + 1):
+        out.append({})
+        at = 0
+        for i in range(min(k, da), max(0, k - db) - 1, -1):
+            out[k][i], at = at, at + adims[i] * bdims[k - i]
+    return out
 
 
 class _Kronecker(_Tables):
@@ -785,9 +800,7 @@ class _Kronecker(_Tables):
     ``basis`` its labels, each pair built on its first read; all ints when both factors
     are, so no product then needs `_integral`.
 
-    Degree k is laid out block by block, one block per split (i, k-i) with
-    i descending, so the first factor's classes come first; inside a block,
-    a_p (x) b_q sits at position p * dim_b(k-i) + q. Table (k1, k2) is filled
+    Degree k is laid out block by block (`_blocks`). Table (k1, k2) is filled
     one block at a time: block (ia, ib) is the Kronecker product of the left
     table (ia, ib) with the right table (k1-ia, k2-ib), its cells placed by
     that arithmetic. A factor table's nonzero cells are listed the first time a
@@ -798,23 +811,19 @@ class _Kronecker(_Tables):
     the shared unit cell (`_unit_cells`) at its position: an index, no new
     tuple. Every other cell is checked (`_check_cell`) as it is formed. A diagonal
     table computes the blocks with ib <= ia and `_store` mirrors the rest. Once every
-    pair is built, the factors and their listed cells go, and the fold behind them.
+    pair is built, the factors' tables and their listed cells go, and the fold behind
+    them. ``factors``, the factor algebras of a `tensor_product` (None on a fold step),
+    stay: `lefschetz.lefschetz_subalgebra` reads a product's records from theirs.
     """
 
-    __slots__ = ("basis", "_start", "_factors", "_listed")
+    __slots__ = ("basis", "factors", "_start", "_factors", "_listed")
 
     def __init__(self, abasis: Sequence, atables: _Tables, bbasis: Sequence, btables: _Tables):
-        da, db = len(abasis) - 1, len(bbasis) - 1
-        self.basis, self._start = [], []  # start[k][i]: where block (i, k-i) begins
-        for k in range(da + db + 1):
-            labels, offset = [], {}
-            for i in range(min(k, da), max(0, k - db) - 1, -1):
-                offset[i] = len(labels)
-                labels += [f"{x}⊗{y}" for x in abasis[i] for y in bbasis[k - i]]
-            self.basis.append(labels)
-            self._start.append(offset)
+        self._start = _blocks(atables.dims, btables.dims)  # start[k][i]: where block (i, k-i) begins
+        self.basis = [[f"{x}⊗{y}" for i in start for x in abasis[i] for y in bbasis[k - i]]
+                      for k, start in enumerate(self._start)]
         super().__init__([len(labels) for labels in self.basis], atables.ints and btables.ints)
-        self._factors, self._listed = (atables, btables), {}
+        self.factors, self._factors, self._listed = None, (atables, btables), {}
 
     def _nonzero(self, side: int, key: tuple[int, int]) -> list:
         """The nonzero cells (p, q, cell, t) of a factor's table, listed once: t is

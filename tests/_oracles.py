@@ -40,7 +40,9 @@ read off the vectors alone; the caller imports sympy or skips.
 `sympy_lefschetz` is the whole Lefschetz stage on the same engine: it
 reads only an algebra's `basis`, `tables` and `integration`, multiplies
 coordinate by coordinate, and ranks every span, Gram matrix and map with
-sympy's `rref`, never with a lefalg rank routine.
+sympy's `rref`, never with a lefalg rank routine. `kunneth_lefschetz` predicts
+the same verdicts on a product from its factors, each ranked by sympy, by the
+three Kunneth rules; it reaches sizes sympy cannot rank whole.
 
 `write_algebra_v1` is the version 1 file writer, kept as the reference for
 the bytes it wrote and as a source of version 1 files, which still read.
@@ -392,14 +394,10 @@ def sympy_basis(vectors, cols: int) -> list[Vector]:
             for i in range(len(pivots))]
 
 
-def sympy_lefschetz(a: GradedAlgebra, omega) -> tuple:
-    """By sympy alone, for the subalgebra L generated by the degree-one basis
-    classes and omega, a degree-one coordinate vector in L^1: the RREF bases
-    of L^k as Fraction tuples; the (k, passed, witness) triples of symmetry,
-    Poincare duality and hard Lefschetz for k = 0..d//2; and the primitive
-    dims with whether hard Lefschetz holds, each dim L^i minus the rank of
-    omega^(d-2i+1) on L^i, ranked whether or not it holds. The caller
-    imports sympy or skips."""
+def _sympy_stage(a: GradedAlgebra, omega):
+    """By sympy alone, for L generated by the degree-one basis classes: the
+    RREF bases of L^k, map_rank(m, k), the rank of omega^m on L^k, and
+    gram_rank(k), the rank of the pairing L^k x L^{d-k}, for any m and k."""
     import sympy
 
     def q(x):
@@ -443,23 +441,96 @@ def sympy_lefschetz(a: GradedAlgebra, omega) -> tuple:
                  for v in bases[d - k]] for u in bases[k]]
         return len(echelon(gram, len(bases[d - k])))
 
-    def per_degree(rank):
-        out = []
-        for k in range(d // 2 + 1):
-            low, high = len(bases[k]), len(bases[d - k])
-            if low != high:
-                out.append((k, False, f"{low} vs {high}"))
-            else:
-                r = rank(k)
-                out.append((k, r == low, "" if r == low else f"rank {r} of {low}"))
-        return tuple(out)
+    return bases, map_rank, gram_rank
 
-    hl = per_degree(lambda k: map_rank(d - 2 * k, k))
-    primitive = tuple(len(bases[i]) - map_rank(d - 2 * i + 1, i) for i in range(d // 2 + 1))
+
+def _triples(dims, rank) -> tuple:
+    """The (k, passed, witness) triples of a predicate for k = 0..d//2: the
+    dims of L^k and L^{d-k} must agree, and then rank(k) = dim L^k."""
+    d, out = len(dims) - 1, []
+    for k in range(d // 2 + 1):
+        low, high = dims[k], dims[d - k]
+        if low != high:
+            out.append((k, False, f"{low} vs {high}"))
+        else:
+            r = rank(k)
+            out.append((k, r == low, "" if r == low else f"rank {r} of {low}"))
+    return tuple(out)
+
+
+def _verdicts(dims, gram_rank, map_rank) -> tuple:
+    """Symmetry, Poincare duality and hard Lefschetz triples, and the primitive
+    dims (each dim L^i minus the rank of omega^(d-2i+1) on L^i, ranked whether
+    or not HL holds) with whether HL holds."""
+    d = len(dims) - 1
+    hl = _triples(dims, lambda k: map_rank(d - 2 * k, k))
+    primitive = tuple(dims[i] - map_rank(d - 2 * i + 1, i) for i in range(d // 2 + 1))
+    return (_triples(dims, dims.__getitem__), _triples(dims, gram_rank), hl,
+            (primitive, all(passed for _, passed, _ in hl)))
+
+
+def sympy_lefschetz(a: GradedAlgebra, omega) -> tuple:
+    """By sympy alone, for the subalgebra L generated by the degree-one basis
+    classes and omega, a degree-one coordinate vector in L^1: the RREF bases
+    of L^k as Fraction tuples; the (k, passed, witness) triples of symmetry,
+    Poincare duality and hard Lefschetz for k = 0..d//2; and the primitive
+    dims with whether hard Lefschetz holds, each dim L^i minus the rank of
+    omega^(d-2i+1) on L^i, ranked whether or not it holds. The caller
+    imports sympy or skips."""
+    bases, map_rank, gram_rank = _sympy_stage(a, omega)
     return (tuple(tuple(tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in basis)
                   for basis in bases),
-            per_degree(lambda k: len(bases[k])), per_degree(gram_rank), hl,
-            (primitive, all(passed for _, passed, _ in hl)))
+            *_verdicts([len(b) for b in bases], gram_rank, map_rank))
+
+
+def _convolve(u, v) -> list:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return out
+
+
+def kunneth_lefschetz(factors, omega) -> tuple:
+    """What `sympy_lefschetz` gives on the product of the factors, with the
+    bases replaced by the dims of L, from the factors alone: each factor is
+    ranked by sympy (`_sympy_stage`) with its share of omega, the product's
+    degree-one coordinates being the factors' in turn, and the results are
+    combined by three rules for omega = omega_A (x) 1 + 1 (x) omega_B:
+    L(A (x) B) = L(A) (x) L(B), so the dims of L convolve; the pairing is the
+    Kronecker product of the factors' pairings, so its ranks convolve; and
+    the graded Jordan type of omega, a multiset of strings [s, e] of classes
+    x, omega x, ..., is the Clebsch-Gordan product of the factors' types:
+    [s, e] and [t, f] give [s+t+j, e+f-j] for j < min(e-s, f-t) + 1. A
+    factor's type counts the strings from s to e by inclusion and exclusion
+    on its ranks, since the strings through both k and k+m number the rank
+    of omega^m on L^k. The caller imports sympy or skips."""
+    dims, pd, strings, at = [1], [1], {(0, 0): 1}, 0
+    for f in factors:
+        e = f.top_degree
+        n = f.dim(1) if e else 0
+        bases, map_rank, gram_rank = _sympy_stage(f, omega[at:at + n])
+        at += n
+        dims = _convolve(dims, [len(b) for b in bases])
+        pd = _convolve(pd, [gram_rank(k) for k in range(e + 1)])
+
+        def r(m, k):
+            return map_rank(m, k) if 0 <= k and k + m <= e else 0
+
+        own = {(s, t): r(t - s, s) - r(t - s + 1, s - 1) - r(t - s + 1, s) + r(t - s + 2, s - 1)
+               for s in range(e + 1) for t in range(s, e + 1)}
+        product = {}
+        for (s1, e1), n1 in strings.items():
+            for (s2, e2), n2 in own.items():
+                for j in range(min(e1 - s1, e2 - s2) + 1):
+                    key = (s1 + s2 + j, e1 + e2 - j)
+                    product[key] = product.get(key, 0) + n1 * n2
+        strings = product
+
+    def rank(m, k):
+        return sum(n for (s, e), n in strings.items() if s <= k and k + m <= e)
+
+    return (tuple(dims), *_verdicts(dims, pd.__getitem__, rank))
 
 
 def identity(n: int) -> Matrix:

@@ -110,6 +110,16 @@ def test_report_json_deterministic(capsys):
     assert doc["primitive"]["valid"] is False
 
 
+def test_report_json_of_a_product_from_its_factors_is_pinned(capsys):
+    # example1xexample3 is analysed from its factors; tests/data holds the
+    # bytes its elimination prints, four fallbacks to rref included
+    path = os.path.join(os.path.dirname(__file__), "data", "example1xexample3.report.json")
+    with open(path, encoding="utf-8") as fh:
+        expected = fh.read()
+    assert run(["report", "--json", "example1xexample3"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_report_plain_text(capsys):
     assert run(["report", "Gr-2-5"]) == 0
     out = capsys.readouterr().out

@@ -221,6 +221,11 @@ def test_primitive_dims_match_explicit_kernels():
         assert primitive_dims(lef, entry.omega).dims == tuple(expected), name
 
 
+def _degree_one(a):
+    """Every degree-one basis class: explicit generators, so the elimination path."""
+    return [a.basis_element(1, i) for i in range(a.dim(1))]
+
+
 def _count_map_ranks(monkeypatch):
     calls = []
     inner = lefschetz._map_rank
@@ -237,9 +242,10 @@ def _count_map_ranks(monkeypatch):
 def test_primitive_dims_ranks_only_the_hl_maps_when_hl_holds(monkeypatch,
                                                             name):
     # under hard Lefschetz dim PL^i = dim L^i - dim L^{i-1}, so the kernels
-    # of omega^{d-2i+1} are not ranked on top of the HL maps
+    # of omega^{d-2i+1} are not ranked on top of the HL maps; explicit
+    # generators keep the product P1xP1xP1 on the elimination path
     entry = get(name)
-    lef = lefschetz_subalgebra(entry.algebra)
+    lef = lefschetz_subalgebra(entry.algebra, _degree_one(entry.algebra))
     calls = _count_map_ranks(monkeypatch)
     pr = primitive_dims(lef, entry.omega)
     d = entry.algebra.top_degree
@@ -366,6 +372,11 @@ def test_the_verdict_and_the_dims_share_one_hl_pass(monkeypatch, name,
     assert hl.passed == prim.valid == (name == "Gr-2-5")
     assert powers == [d + 1]
     assert sorted(ranks) == sorted(maps + kernels)
+    # the pass keeps every rank it found, so asking again ranks nothing
+    ranks.clear()
+    assert (check_hard_lefschetz(lef, entry.omega),
+            primitive_dims(lef, entry.omega)) == expected
+    assert ranks == [] and powers == [d + 1]
 
 
 def test_each_omega_has_its_own_pass_on_one_record():
@@ -545,10 +556,13 @@ def test_a_whole_algebra_reaches_the_exact_fallback(monkeypatch):
     assert n == 2  # one pairing check per factor
 
 
-# every catalog name, the rungs of the in-process ladder benchmark, and two
-# larger algebras: Gr(4, 9) and the 480 classes of example3 x P1^4
+# every catalog name, the rungs of the in-process ladder benchmark, and three
+# larger algebras: Gr(4, 9), the 480 classes of example3 x P1^4 and the 420 of
+# example1 x example3, whose product record reaches no fallback (its
+# elimination does, in the kernels of its primitive dims)
 _REAL = names() + ["Gr-3-8", "P2xP2xP2xP2", "Gr-2-5xGr-2-5xP1", "x".join(["P1"] * 8),
-                   "example2xP1xP1", "Gr-4-9", "example3xP1xP1xP1xP1"]
+                   "example2xP1xP1", "Gr-4-9", "example3xP1xP1xP1xP1",
+                   "example1xexample3"]
 
 
 def test_real_inputs_never_reach_the_exact_fallback(monkeypatch):
@@ -641,3 +655,83 @@ def test_each_degree_is_stored_as_the_cleared_rows_of_its_rref(monkeypatch):
         check_hard_lefschetz(lef, entry.omega)
         primitive_dims(lef, entry.omega)
         assert set(calls) <= {1}, name
+
+
+def _stage(lef, omega):
+    return (check_symmetry(lef).degrees, check_poincare_duality(lef).degrees,
+            check_hard_lefschetz(lef, omega).degrees, primitive_dims(lef, omega))
+
+
+def _shared_units(lef):
+    """For each degree, whether its rows are the shared unit cells themselves."""
+    return [len(rows) > 0 and all(r is u for r, u in zip(rows, ring._unit_cells(len(rows))))
+            for rows in lef.rows]
+
+
+def _assert_the_paths_agree(a, omega):
+    """A product's record from its factors equals its eliminated record, shared
+    unit cells included, and the two give the same verdicts and dims."""
+    lef, ref = lefschetz_subalgebra(a), lefschetz_subalgebra(a, _degree_one(a))
+    assert "_factors" in vars(lef) and "_factors" not in vars(ref)
+    assert lef == ref and _shared_units(lef) == _shared_units(ref)
+    assert _stage(lef, omega) == _stage(ref, omega)
+    return lef
+
+
+def test_every_catalog_product_is_read_from_its_factors():
+    for name in dict.fromkeys(names() + _REAL):
+        entry = get(name)
+        if getattr(entry.algebra.tables, "factors", None):
+            _assert_the_paths_agree(entry.algebra, entry.omega)
+    # a product of products, and a product with a point, keep each factor's
+    # records; a fold step's tables keep no factors
+    p1, p2, pt = (get(n).algebra for n in ("P1", "P2", "P-0"))
+    inner = tensor_product(p1, pt)
+    outer = tensor_product(inner, p2, p1)
+    lef = _assert_the_paths_agree(outer, outer.element(1, [2, -1, 0]))
+    assert [f.ambient for f in vars(lef)["_factors"]] == [inner, p2, p1]
+    assert [f.ambient for f in vars(vars(lef)["_factors"][0])["_factors"]] == [p1, pt]
+    assert outer.tables.factors == (inner, p2, p1)
+    _assert_the_paths_agree(tensor_product(pt, pt), None)
+    # an algebra on a product's tables with another integration is eliminated
+    t = get("P1xP2").algebra
+    zero = GradedAlgebra("zero", t.basis, t.tables, [0])
+    assert zero.tables.factors and "_factors" not in vars(lefschetz_subalgebra(zero))
+    assert check_poincare_duality(lefschetz_subalgebra(zero)).witness == "k=0: rank 0 of 1"
+
+
+def test_a_product_record_builds_no_table_and_ranks_only_its_factors(monkeypatch):
+    a = tensor_product(*(get(n).algebra for n in ("example1", "P1", "example3")))
+    omega = ring._degree_one_sum(a)
+    seen = []
+    inner = lefschetz._map_rank
+    monkeypatch.setattr(lefschetz, "_map_rank",
+                        lambda lef, m, row, k: seen.append(lef.ambient) or inner(lef, m, row, k))
+    lef = lefschetz_subalgebra(a)
+    hl, prim = check_hard_lefschetz(lef, omega), primitive_dims(lef, omega)
+    check_poincare_duality(lef)
+    assert (hl.witness, prim.valid) == ("k=0: rank 0 of 1", False)
+    assert a.tables._tables == dict.fromkeys(a.tables)  # no product table was built
+    assert set(seen) == {get(n).algebra for n in ("example1", "P1", "example3")}
+    seen.clear()
+    assert primitive_dims(lef, omega) == prim and seen == []
+
+
+# (product name, its factors) for the Kunneth oracle
+_KUNNETH = [("P2xP2xP2xP2", ["P2"] * 4), ("Gr-2-5xGr-2-5xP1", ["Gr-2-5", "Gr-2-5", "P1"]),
+            ("x".join(["P1"] * 10), ["P1"] * 10),
+            ("example3xP1xP1xP1xP1", ["example3"] + ["P1"] * 4),
+            ("example3xexample3", ["example3"] * 2), ("example1xexample3", ["example1", "example3"]),
+            ("example2xexample3", ["example2", "example3"])]
+
+
+@pytest.mark.parametrize("name,factors", _KUNNETH)
+def test_the_kunneth_oracle_agrees_with_both_paths(name, factors):
+    # example2xexample3's eliminated primitive dims take about 5 s: their
+    # kernel ranks fall back to rref over Fraction
+    pytest.importorskip("sympy")
+    from _oracles import kunneth_lefschetz
+    entry = get(name)
+    expected = kunneth_lefschetz([get(f).algebra for f in factors], entry.omega.coords)
+    lef = _assert_the_paths_agree(entry.algebra, entry.omega)
+    assert (lef.dims, *_stage(lef, entry.omega)) == expected

@@ -7,7 +7,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from unittest import mock
 
 import pytest
@@ -18,7 +18,8 @@ from hypothesis import assume, given, settings, strategies as st
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
                       brute_force_lefschetz_dims, dense_axiom_violations,
                       dense_ring_map_violations, full_scan_violations,
-                      lr_count_by_tableaux, rescaled, sympy_basis, sympy_lefschetz)
+                      kunneth_lefschetz, lr_count_by_tableaux, rescaled, sympy_basis,
+                      sympy_lefschetz)
 from lefalg import catalog, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
@@ -460,6 +461,33 @@ def test_an_n_factor_product_is_its_nested_binary_products(data):
                for row in table for cell in row for _, c in cell)
     named = tensor_product(*factors, name="named")
     assert (named.name, named.tables) == ("named", t.tables)
+
+
+# Small catalog factors of a product analysed from its factors; a draw keeps
+# products of at most 200 classes, so that its elimination stays quick.
+KUNNETH_FACTORS = ["P-0", "P1", "P2", "Gr-2-4", "example1", "example3", "CxP1-even"]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_a_product_is_analysed_as_its_factors_predict(data):
+    # the record from the factors equals the eliminated one, and both paths
+    # give the verdicts of the Kunneth oracle for an omega with zero and
+    # negative coefficients
+    pytest.importorskip("sympy")
+    factors = [catalog.get(n).algebra for n in data.draw(
+        st.lists(st.sampled_from(KUNNETH_FACTORS), min_size=2, max_size=3))]
+    assume(prod(sum(f.dims) for f in factors) <= 200)
+    t = tensor_product(*factors)
+    coords = data.draw(st.lists(st.integers(-3, 3), min_size=t.dim(1), max_size=t.dim(1)))
+    omega = t.element(1, coords) if t.top_degree else None
+    lef = lefschetz_subalgebra(t)
+    ref = lefschetz_subalgebra(t, [t.basis_element(1, i) for i in range(t.dim(1))])
+    assert lef == ref
+    got, eliminated = ((x.dims, check_symmetry(x).degrees, check_poincare_duality(x).degrees,
+                        check_hard_lefschetz(x, omega).degrees, primitive_dims(x, omega))
+                       for x in (lef, ref))
+    assert got == eliminated == kunneth_lefschetz(factors, coords)
 
 
 def _box_partition(data, rows: int, cols: int):
