@@ -145,13 +145,8 @@ def series_product(u: Sequence[Element], v: Sequence[Element]) -> list[Element]:
         raise ValueError("series must be nonempty")
     a = u[0].algebra
     un, vn = series(a, u), series(a, v)
-    out = []
-    for k in range(a.top_degree + 1):
-        acc = a.zero(k)
-        for i in range(k + 1):
-            acc = acc + multiply(un[i], vn[k - i])
-        out.append(acc)
-    return out
+    return [sum((multiply(un[i], vn[k - i]) for i in range(k + 1)), a.zero(k))
+            for k in range(a.top_degree + 1)]
 
 
 def chern_series_inverse(a: GradedAlgebra, u: Sequence[Element]) -> list[Element]:
@@ -165,10 +160,7 @@ def chern_series_inverse(a: GradedAlgebra, u: Sequence[Element]) -> list[Element
         raise ValueError("total class must have constant term 1")
     v = [a.unit()]
     for k in range(1, a.top_degree + 1):
-        acc = a.zero(k)
-        for i in range(1, k + 1):
-            acc = acc - multiply(un[i], v[k - i])
-        v.append(acc)
+        v.append(-sum((multiply(un[i], v[k - i]) for i in range(1, k + 1)), a.zero(k)))
     return v
 
 

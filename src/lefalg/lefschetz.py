@@ -22,9 +22,9 @@ exactly, by three rules for omega = omega_A (x) 1 + 1 (x) omega_B (Stanley
 pairings, so its ranks convolve (`_pairing_ranks`); and over Q the graded
 Jordan type of omega is the Clebsch-Gordan product of the factors' types
 (`_clebsch_gordan`), so a rank of omega^m counts strings (`_omega_ranks`).
-The record keeps its factors' records (``_factors``), and no product table
-is built. Explicit generators, algebras read from files and every other
-algebra are eliminated, as below.
+The record keeps its factors' records (``_factors``, one per distinct
+factor), and no product table is built. Explicit generators, algebras read
+from files and every other algebra are eliminated, as below.
 
 The stage computes on integer rows (`linalg.Row`), never on `Fraction`
 vectors. Every verdict is a rank, and a rank sees only the line of a row:
@@ -52,7 +52,7 @@ from math import gcd, lcm
 
 from .linalg import Row, Vector, _basis_rows, _int_rows, _rank, _rref_vectors, _unit_cells
 from .ring import (Element, GradedAlgebra, _blocks, _checked_class, _int_pairing, _int_table,
-                   _integrals, _refuse_bools)
+                   _integrals, _kunneth_factors, _refuse_bools)
 
 
 class LefschetzData(namedtuple("LefschetzData", "ambient generators rows")):
@@ -81,7 +81,7 @@ class LefschetzData(namedtuple("LefschetzData", "ambient generators rows")):
 
     def elements(self, k: int) -> list[Element]:
         rows = self.rows[k] if self.dim(k) else ()  # none outside 0..d
-        return [Element(self.ambient, k, v) for v in _rref_vectors(rows, self.ambient.dim(k))]
+        return [self.ambient.element(k, v) for v in _rref_vectors(rows, self.ambient.dim(k))]
 
 
 def _product_rows(a: GradedAlgebra, k1: int, k2: int,
@@ -151,15 +151,15 @@ def lefschetz_subalgebra(a: GradedAlgebra,
     products, the shared unit cells where L^k is all of A^k."""
     if generators is None:
         gens = [a.basis_element(1, i) for i in range(a.dim(1))]
-        factors = getattr(a.tables, "factors", None) or ()
+        factors = _kunneth_factors(a)
     else:
         gens = [_checked_class(a, g, 1, "generators") for g in generators]
         factors = ()
-    coords, w = tuple(g.coords for g in gens), [1]
-    for f in factors:  # an algebra on a product's tables with another integration is not it
-        w = [x * y for x in w for y in f.integration]
-    if factors and tuple(w) == a.integration:
-        lefs = [lefschetz_subalgebra(f) for f in factors]
+    coords = tuple(g.coords for g in gens)
+    if factors:
+        records = {id(f): f for f in factors}  # one record per distinct factor
+        records = {i: lefschetz_subalgebra(f) for i, f in records.items()}
+        lefs = [records[id(f)] for f in factors]
         lef = LefschetzData(a, coords, tuple(_kunneth_rows(lefs)))
         vars(lef)["_factors"] = lefs
         return lef

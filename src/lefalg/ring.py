@@ -9,8 +9,9 @@ product is honestly commutative and no Koszul signs appear anywhere.
 The structure constants are stored sparsely. A *cell* is the product of two
 basis classes as a tuple of (t, c) terms, t ascending and c nonzero: an int
 when it is integral, else a Fraction. That coefficient rule lives here alone
-(`_integral`); a hand-built table may also hold integral Fractions, and ints
-and Fractions agree on ==, hash and str. A zero product is the empty cell ().
+(`_integral`), and every Element lefalg builds follows it too (`_coords`); a
+hand-built table or Element may also hold integral Fractions, and ints and
+Fractions agree on ==, hash and str. A zero product is the empty cell ().
 Every algebra's tables are one read-only `_Tables`, which notes whether all
 coefficients are ints. Cells are the one form the constructor takes: it checks
 each cell of outside tables, while `build_product_tables` and a product check
@@ -23,7 +24,8 @@ so the generator search, the pairing ranks and the Lefschetz stage hand the
 cells of `_int_table` (the stored table if it is all ints, else a copy with
 cleared denominators) to `linalg`, the one module that works mod P. An
 n-factor product is one Kronecker fold, its tables built on first read; they
-keep the factor algebras, from which the Lefschetz stage reads the product.
+keep the factor algebras (`_kunneth_factors`), each distinct one checked once,
+from which the Lefschetz stage reads the product.
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -55,7 +57,6 @@ from .linalg import (
     scalar,
     vadd,
     vector,
-    vzero,
 )
 
 Cell = tuple[tuple[int, int | Fraction], ...]
@@ -64,6 +65,11 @@ Cell = tuple[tuple[int, int | Fraction], ...]
 def _integral(c: int | Fraction) -> int | Fraction:
     """c as an int when it is integral, else the Fraction c itself."""
     return c.numerator if c.denominator == 1 else c
+
+
+def _coords(values: Iterable) -> tuple:
+    """Element coordinates: each value exact (`scalar`), an int when integral (`_integral`)."""
+    return tuple(v if type(v) is int else _integral(scalar(v)) for v in values)
 
 
 def sparse_cell(acc: dict) -> Cell:
@@ -226,7 +232,7 @@ class GradedAlgebra:
 
     def element(self, k: int, coords: Iterable) -> "Element":
         _refuse_bools(k)
-        coords = vector(coords)
+        coords = _coords(coords)
         if not 0 <= k <= self.top_degree:
             raise ValueError(f"degree {k} outside 0..{self.top_degree}")
         if len(coords) != self.dim(k):
@@ -235,20 +241,20 @@ class GradedAlgebra:
         return Element(self, k, coords)
 
     def unit(self) -> "Element":
-        return Element(self, 0, (Fraction(1),))
+        return Element(self, 0, (1,))
 
     def zero(self, k: int) -> "Element":
         """Zero of degree k; above the top degree it has no coordinates."""
         _refuse_bools(k)
         if k < 0:
             raise ValueError(f"degree {k} is negative")
-        return Element(self, k, vzero(self.dim(k)))
+        return Element(self, k, (0,) * self.dim(k))
 
     def basis_element(self, k: int, i: int) -> "Element":
         _refuse_bools(k, i)
         if not 0 <= i < self.dim(k):
             raise ValueError(f"no basis class {i} in degree {k} of {self.name}")
-        return Element(self, k, _dense([(i, Fraction(1))], self.dim(k)))
+        return Element(self, k, (0,) * i + (1,) + (0,) * (self.dim(k) - i - 1))
 
     def label_location(self, label: str) -> tuple[int, int] | None:
         return self._label_map.get(label)
@@ -307,7 +313,7 @@ def _int_table(a: GradedAlgebra, k1: int, k2: int) -> Sequence:
 
 
 class Element:
-    """A homogeneous class: a degree plus exact coordinates in that degree."""
+    """A homogeneous class: a degree plus exact coordinates in that degree (`_coords`)."""
 
     __slots__ = ("algebra", "degree", "coords")
 
@@ -337,7 +343,7 @@ class Element:
         self._require_same_algebra(other)
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return Element(self.algebra, self.degree, vadd(self.coords, other.coords))
+        return Element(self.algebra, self.degree, _coords(vadd(self.coords, other.coords)))
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -345,15 +351,14 @@ class Element:
         return self + (-other)
 
     def __neg__(self):
-        return Element(self.algebra, self.degree, tuple(-c for c in self.coords))
+        return Element(self.algebra, self.degree, _coords(-c for c in self.coords))
 
     def __mul__(self, other):
         if isinstance(other, Element):
             return multiply(self, other)
         if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
             return NotImplemented  # a scalar is an int or a Fraction, never a string
-        c = scalar(other)
-        return Element(self.algebra, self.degree, tuple(c * x for x in self.coords))
+        return Element(self.algebra, self.degree, _coords(other * x for x in self.coords))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -439,7 +444,7 @@ def multiply(x: Element, y: Element) -> Element:
     if k > a.top_degree:
         return a.zero(k)
     table = a.tables[(x.degree, y.degree)]
-    acc = list(vzero(a.dim(k)))
+    acc = [0] * a.dim(k)
     ys = [(j, cj) for j, cj in enumerate(y.coords) if cj]
     for i, ci in enumerate(x.coords):
         if not ci:
@@ -449,7 +454,7 @@ def multiply(x: Element, y: Element) -> Element:
             f = ci * cj
             for t, c in row[j]:
                 acc[t] += f * c
-    return Element(a, k, tuple(acc))
+    return Element(a, k, _coords(acc))
 
 
 def integrate(x: Element) -> Fraction:
@@ -685,14 +690,14 @@ class RingMap:
 
 
 def apply_ring_map(f: RingMap, x: Element) -> Element:
-    """f(x), with Fraction coordinates, summed over the image cells."""
+    """f(x), summed over the image cells."""
     if x.algebra is not f.source:
         raise ValueError("element does not belong to the map's source")
     k = x.degree
     if k >= len(f.images):
         return f.target.zero(k)
     cell = _combine([(c, img) for c, img in zip(x.coords, f.images[k]) if c])
-    return Element(f.target, k, vector(_dense(cell, f.target.dim(k))))
+    return Element(f.target, k, _coords(_dense(cell, f.target.dim(k))))
 
 
 def _cells(vectors: Iterable[Sequence]) -> list[Cell]:
@@ -769,10 +774,11 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra, *more: GradedAlgebra,
                    name: str | None = None) -> GradedAlgebra:
     """Kunneth product of two or more factors: one left fold of `_Kronecker`, with the
     name, labels, cells and integration of (a x b) x c, and no table built before it is
-    read. Its pairing is the Kronecker product of theirs, so each factor's is checked once,
-    in order, and a degenerate one raises ValueError (`_require_nondegenerate`)."""
+    read. Its pairing, the Kronecker product of theirs, is nondegenerate exactly when theirs
+    are, so each distinct factor that is not a product (`_kunneth_factors`, checked when it
+    was built) is checked once, in order; a degenerate one raises ValueError."""
     factors = (a, b, *more)
-    for f in factors:
+    for f in {id(f): f for f in factors if not _kunneth_factors(f)}.values():
         _require_nondegenerate(f, "factor")
     basis, tables, w = a.basis, a.tables, a.integration
     for f in factors[1:]:
@@ -780,6 +786,14 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra, *more: GradedAlgebra,
         basis, w = tables.basis, [cp * cq for cp in w for cq in f.integration]  # p-major
     tables.factors = factors
     return GradedAlgebra(name or "x".join(f.name for f in factors), basis, tables, w)
+
+
+def _kunneth_factors(a: GradedAlgebra) -> tuple:
+    """The factors of a `tensor_product` that keeps their product integration, else ()."""
+    factors, w = getattr(a.tables, "factors", None) or (), [1]
+    for f in factors:
+        w = [x * y for x in w for y in f.integration]
+    return factors if factors and tuple(w) == a.integration else ()
 
 
 def _blocks(adims: Sequence[int], bdims: Sequence[int]) -> list[dict[int, int]]:

@@ -52,6 +52,17 @@ def test_elements_outside_the_degrees_are_empty():
             method(True)
 
 
+def test_elements_follow_the_cell_rule_and_bases_stay_fractions():
+    # example3's L^3 and L^4 have RREF entries such as 1/2 and -3/4
+    lef = lefschetz_subalgebra(get("example3").algebra)
+    for k, basis in enumerate(lef.bases):
+        coords = [e.coords for e in lef.elements(k)]
+        assert coords == list(basis)
+        assert all(type(c) is Fraction for v in basis for c in v)
+        assert all(type(c) is int or c.denominator > 1 for v in coords for c in v)
+    assert Fraction(-3, 4) in [c for e in lef.elements(4) for c in e.coords]
+
+
 def test_brute_force_span_agrees_on_all_catalog_algebras():
     for name in names():
         a = get(name).algebra
@@ -553,7 +564,8 @@ def test_a_whole_algebra_reaches_the_exact_fallback(monkeypatch):
     report, n = rref_calls(verify_algebra, a)
     assert report.ok and n == 1  # the pairing at k = 1
     _, n = rref_calls(tensor_product, a, a)
-    assert n == 2  # one pairing check per factor
+    # one pairing check per distinct factor: a is both factors, so it is checked once
+    assert n == 1
 
 
 # every catalog name, the rungs of the in-process ladder benchmark, and three
@@ -698,6 +710,15 @@ def test_every_catalog_product_is_read_from_its_factors():
     zero = GradedAlgebra("zero", t.basis, t.tables, [0])
     assert zero.tables.factors and "_factors" not in vars(lefschetz_subalgebra(zero))
     assert check_poincare_duality(lefschetz_subalgebra(zero)).witness == "k=0: rank 0 of 1"
+
+
+@pytest.mark.parametrize("name", ["x".join(["P1"] * 8), "P2xP2xP2xP2", "Gr-2-5xGr-2-5xP1"])
+def test_a_product_record_keeps_one_record_per_distinct_factor(name):
+    a = get(name).algebra
+    factors, lefs = a.tables.factors, vars(lefschetz_subalgebra(a))["_factors"]
+    assert [lef.ambient for lef in lefs] == list(factors)
+    assert len(set(map(id, lefs))) == len(set(map(id, factors))) < len(factors)
+    assert all((x is y) == (f is g) for x, f in zip(lefs, factors) for y, g in zip(lefs, factors))
 
 
 def test_a_product_record_builds_no_table_and_ranks_only_its_factors(monkeypatch):

@@ -70,6 +70,54 @@ def test_an_element_scales_by_an_int_or_a_fraction_only(p2):
     assert (h * Fraction(1, 3)).coords == (Fraction(1, 3),)
 
 
+def _coordinate_types(x) -> set:
+    """The types of x's coordinates; a Fraction is only there with a denominator > 1."""
+    assert all(type(c) is int or c.denominator > 1 for c in x.coords), x.coords
+    return set(map(type, x.coords))
+
+
+def test_element_coordinates_follow_the_cell_rule():
+    # the coordinate of an Element is an int when it is integral, else a Fraction,
+    # as a cell's coefficient is; Fraction(2) images and Fraction inputs included
+    a = truncated_polynomial_algebra("P2xP1", [("h", 2), ("k", 1)])
+    h, k, half = a.by_label("h"), a.by_label("k"), Fraction(1, 2)
+    f = RingMap(a, projective_space(2), [[((0, 1),)], [((0, Fraction(2)),), ((0, 1),)],
+                                         [((0, 1),), ((0, Fraction(2)),)]])
+    integral = {
+        "element": a.element(1, [Fraction(4, 2), "3"]), "unit": a.unit(),
+        "zero": a.zero(2), "zero above the top": a.zero(9),
+        "basis_element": a.basis_element(2, 1),
+        "+": h + k, "+ of halves": h * half + h * half, "-": h - 2 * k, "neg": -h,
+        "scalar *": 3 * h, "* by an integral Fraction": h * Fraction(4, 2),
+        "multiply": multiply(h + k, h - k), "**": (h + 2 * k) ** 3,
+        "apply_ring_map": apply_ring_map(f, h + k), "f of a half": f(h * half),
+    }
+    for name, x in integral.items():
+        assert _coordinate_types(x) <= {int}, name
+    halves = {
+        "element": a.element(1, ["1/2", Fraction(1, 3)]), "scalar *": h * half,
+        "+": h + k * half, "-": h - k * half, "neg": -(h * half),
+        "multiply": multiply(h * half, k), "**": (h * half) ** 2,
+        "apply_ring_map": apply_ring_map(f, k * half),
+    }
+    for name, x in halves.items():
+        assert Fraction in _coordinate_types(x), name
+    assert (h * half).coords == (half, 0) and (h * half + h * half).coords == (1, 0)
+
+
+def test_a_fraction_coordinate_element_is_its_int_twin(p2):
+    # an Element built by hand from Fraction coordinates is the same class
+    h2 = p2.by_label("h") ** 2
+    by_hand = ring.Element(p2, 2, (Fraction(3),))
+    assert (3 * h2).coords == (3,) and type((3 * h2).coords[0]) is int
+    assert by_hand == 3 * h2 and hash(by_hand) == hash(3 * h2)
+    assert str(by_hand) == str(3 * h2) == "3*h^2" and repr(by_hand) == repr(3 * h2)
+    # integration still returns a Fraction, in and above the top degree
+    for x in (h2, by_hand, p2.zero(2), h2 * h2):
+        assert type(integrate(x)) is Fraction
+    assert integrate(by_hand) == 3
+
+
 def test_elements_of_different_algebras_do_not_mix(p2):
     other = projective_space(2)
     # same structure but a distinct instance is fine; a different algebra is not
@@ -633,6 +681,46 @@ def test_a_product_builds_no_table_until_one_is_read():
     # the fold step builds only the tables that block reads of (1, 2) need
     # (P1's tables (1, 0), (0, 1) and (0, 0) meet step tables (0, 2), (1, 1), (1, 2))
     assert _built(step) == {(0, 2), (2, 0), (1, 1), (1, 2), (2, 1)}
+
+
+def _pairings_ranked(monkeypatch) -> list:
+    """The algebras whose pairings `ring._pairing_violations` ranks from now on."""
+    ranked, real = [], ring._pairing_violations
+    monkeypatch.setattr(ring, "_pairing_violations", lambda a: ranked.append(a) or real(a))
+    return ranked
+
+
+def test_a_product_checks_each_distinct_factor_once(monkeypatch):
+    p1, example2 = projective_space(1), catalog.get("example2").algebra
+    ranked = _pairings_ranked(monkeypatch)
+    tensor_product(*[p1] * 8)
+    assert ranked == [p1]
+    # a product factor keeps its factors' product integration, so its own
+    # factors' checks stand for it: example2xP1's pairing is not ranked, and
+    # none of its tables is built
+    ranked.clear()
+    inner = tensor_product(example2, p1)
+    outer = tensor_product(inner, p1)
+    assert ranked == [example2, p1, p1] and _built(inner.tables) == set()
+    assert outer.tables.factors == (inner, p1)
+
+
+def test_a_degenerate_factor_is_named_first_in_argument_order(monkeypatch):
+    p1, p2 = projective_space(1), projective_space(2)
+    t = tensor_product(p1, p2)
+    flat = GradedAlgebra("flat", p1.basis, p1.tables, [0])
+    # a product's tables under another integration are not that product
+    t_flat = GradedAlgebra("t-flat", t.basis, t.tables, [0])
+    message = "factor {}: integration functional is identically zero"
+    for factors, name in [((p1, flat, t_flat), "flat"), ((t_flat, p1, flat), "t-flat"),
+                          ((flat, t, flat), "flat"), ((t, p2, t_flat, t), "t-flat")]:
+        with pytest.raises(ValueError) as e:
+            tensor_product(*factors)
+        assert str(e.value) == message.format(name)
+    ranked = _pairings_ranked(monkeypatch)
+    twice = GradedAlgebra("t-twice", t.basis, t.tables, [2])  # nondegenerate, and checked
+    assert tensor_product(t, twice, t).top_degree == 9
+    assert ranked == [twice]
 
 
 def test_product_tables_of_another_shape_are_checked_as_any_tables_are(p1xp1):
