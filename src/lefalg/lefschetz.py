@@ -320,12 +320,14 @@ def _int_gram(lef: LefschetzData, k: int) -> list[Row]:
 
 def _pairing_ranks(lef: LefschetzData) -> Callable[[int], int]:
     """k -> the rank of the pairing L^k x L^{d-k} -> Q: for a product record,
-    the convolution of its factors' ranks over every degree; else ranked on the
-    Gram matrix, read from the table (`_int_pairing`) where both are full width."""
+    the convolution of its factors' ranks over every degree, each distinct factor
+    record ranked once; else ranked on the Gram matrix, read from the table
+    (`_int_pairing`) where both are full width."""
     a, d = lef.ambient, lef.ambient.top_degree
     if lefs := vars(lef).get("_factors"):
-        return reduce(_convolve, [list(map(_pairing_ranks(f), range(f.ambient.top_degree + 1)))
-                                  for f in lefs]).__getitem__
+        ranks = {id(f): list(map(_pairing_ranks(f), range(f.ambient.top_degree + 1)))
+                 for f in {id(f): f for f in lefs}.values()}
+        return reduce(_convolve, [ranks[id(f)] for f in lefs]).__getitem__
     full = [lef.dim(k) == a.dim(k) for k in range(d + 1)]
     return lambda k: _rank(_int_pairing(a, k) if full[k] and full[d - k] else _int_gram(lef, k),
                            lef.dim(d - k))

@@ -25,7 +25,8 @@ cells of `_int_table` (the stored table if it is all ints, else a copy with
 cleared denominators) to `linalg`, the one module that works mod P. An
 n-factor product is one Kronecker fold, its tables built on first read; they
 keep the factor algebras (`_kunneth_factors`), each distinct one checked once,
-from which the Lefschetz stage reads the product.
+from which the Lefschetz stage reads the product and `verify_algebra` verifies
+it exactly (Kunneth), reading no product table unless a factor fails.
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -593,7 +594,17 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
     When the unit law or commutativity fails, or a pair shows a violation,
     the full scan over all basis triples runs and its violations are the
     ones reported, so the report is always the full scan's.
+
+    A `tensor_product` with its factors' product integration (`_kunneth_factors`)
+    is verified from its factors first: each distinct one once, in order, a product
+    factor from its own. By Kunneth a tensor product of unital, commutative,
+    associative algebras is one, and its pairing, the Kronecker product of theirs,
+    is nondegenerate exactly when theirs are; so clean factors make a clean report
+    and no product table is read. If a factor fails, the product is scanned as above.
     """
+    factors = {id(f): f for f in _kunneth_factors(a)}
+    if factors and all(verify_algebra(f).ok for f in factors.values()):
+        return CheckReport(())
     bad: list[str] = []
     d = a.top_degree
     tables = a.tables

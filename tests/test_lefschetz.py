@@ -756,3 +756,15 @@ def test_the_kunneth_oracle_agrees_with_both_paths(name, factors):
     expected = kunneth_lefschetz([get(f).algebra for f in factors], entry.omega.coords)
     lef = _assert_the_paths_agree(entry.algebra, entry.omega)
     assert (lef.dims, *_stage(lef, entry.omega)) == expected
+
+
+@pytest.mark.parametrize("name,calls", [("x".join(["P1"] * 8), 2), ("P2xP2xP2xP2", 2),
+                                        ("Gr-2-5xGr-2-5xP1", 3)])
+def test_each_distinct_factor_record_is_ranked_once(name, calls, monkeypatch):
+    # the product record, then each distinct factor record once (P1^8: 2, not 9)
+    seen, real = [], lefschetz._pairing_ranks
+    monkeypatch.setattr(lefschetz, "_pairing_ranks", lambda lef: seen.append(lef) or real(lef))
+    lef = lefschetz_subalgebra(get(name).algebra)
+    assert check_poincare_duality(lef).passed
+    assert len(seen) == calls and seen[0] is lef
+    assert list(map(id, seen[1:])) == list(dict.fromkeys(map(id, vars(lef)["_factors"])))

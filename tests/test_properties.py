@@ -19,7 +19,7 @@ from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
                       brute_force_lefschetz_dims, dense_axiom_violations,
                       dense_ring_map_violations, full_scan_violations,
                       kunneth_lefschetz, lr_count_by_tableaux, rescaled, sympy_basis,
-                      sympy_lefschetz)
+                      sympy_lefschetz, unfactored)
 from lefalg import catalog, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
@@ -473,12 +473,15 @@ KUNNETH_FACTORS = ["P-0", "P1", "P2", "Gr-2-4", "example1", "example3", "CxP1-ev
 def test_a_product_is_analysed_as_its_factors_predict(data):
     # the record from the factors equals the eliminated one, and both paths
     # give the verdicts of the Kunneth oracle for an omega with zero and
-    # negative coefficients
+    # negative coefficients; verified from its factors, reading no table, the
+    # product gets the report of the scan of its cells
     pytest.importorskip("sympy")
     factors = [catalog.get(n).algebra for n in data.draw(
         st.lists(st.sampled_from(KUNNETH_FACTORS), min_size=2, max_size=3))]
     assume(prod(sum(f.dims) for f in factors) <= 200)
     t = tensor_product(*factors)
+    assert verify_algebra(t) == ((),) and set(t.tables._tables.values()) == {None}
+    assert verify_algebra(unfactored(t)) == ((),)
     coords = data.draw(st.lists(st.integers(-3, 3), min_size=t.dim(1), max_size=t.dim(1)))
     omega = t.element(1, coords) if t.top_degree else None
     lef = lefschetz_subalgebra(t)

@@ -11,7 +11,7 @@ import pytest
 
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
                       dense_axiom_violations, dense_multiply,
-                      full_scan_violations, relabeled, rescaled)
+                      full_scan_violations, relabeled, rescaled, unfactored)
 from lefalg import catalog, cli, ring
 from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.constructors import projective_space, truncated_polynomial_algebra
@@ -1096,3 +1096,105 @@ def test_the_kept_pairs_catch_what_the_generator_pairs_miss():
     assert full_scan_violations(a)[:2] == (
         "associativity fails on degrees (1,2,3) indices (0,2,3)",
         "associativity fails on degrees (1,2,3) indices (1,1,3)")
+
+
+# A product with its factors' product integration is verified from its
+# factors. The reference is the scan of the same cells in tables that keep no
+# factors (`unfactored`); a failing factor sends the product to that scan, and
+# so does an integration that is not the factors' product.
+
+# every catalog product and the products of test_lefschetz's real inputs
+_PRODUCTS = [n for n in catalog.names() if not catalog._is_factor(n)] + [
+    "P2xP2xP2xP2", "Gr-2-5xGr-2-5xP1", "x".join(["P1"] * 8), "example2xP1xP1",
+    "example3xP1xP1xP1xP1", "example1xexample3"]
+
+
+def _scanned(monkeypatch) -> list:
+    """The algebras whose associativity `verify_algebra` scans from now on."""
+    scanned, real = [], ring._associativity
+    monkeypatch.setattr(ring, "_associativity",
+                        lambda a, pairs: scanned.append(a) or real(a, pairs))
+    return scanned
+
+
+def _fold_unbuilt(tables) -> bool:
+    """Whether no table of a product, nor of a step of its fold, is built."""
+    while type(tables) is ring._Kronecker:
+        if _built(tables):
+            return False
+        tables = tables._factors[0]
+    return True
+
+
+@pytest.mark.parametrize("name", _PRODUCTS)
+def test_a_product_is_verified_from_its_factors_as_its_scan_reports(name, monkeypatch):
+    factors = catalog.get(name).algebra.tables.factors
+    t = tensor_product(*factors)  # the catalog's product, no table read yet
+    scanned = _scanned(monkeypatch)
+    report = verify_algebra(t)
+    # each distinct factor is scanned once, in argument order, and the product not
+    assert list(map(id, scanned)) == list(dict.fromkeys(map(id, factors)))
+    assert report == ring.CheckReport(()) and _fold_unbuilt(t.tables)
+    assert verify_algebra(unfactored(t)) == report
+
+
+def test_a_product_of_products_is_verified_through_its_factors_factors(monkeypatch):
+    p1, example2 = projective_space(1), catalog.get("example2").algebra
+    inner = tensor_product(example2, p1)
+    outer = tensor_product(inner, p1, inner)
+    scanned = _scanned(monkeypatch)
+    assert verify_algebra(outer).ok
+    assert list(map(id, scanned)) == [id(example2), id(p1), id(p1)]  # inner once, then p1
+    assert _fold_unbuilt(outer.tables) and _built(inner.tables) == set()
+
+
+def _p1xp2_with_x_squared_xy() -> GradedAlgebra:
+    """P1xP2 with x*x := x*y (x = h⊗1, y = 1⊗h): commutative, its pairing
+    tables untouched and nondegenerate, but not associative."""
+    t, tables = _p1xp2_tables()
+    i = t.basis[1].index("h⊗1")
+    tables[(1, 1)][i][i] = ((t.basis[2].index("h⊗h"), 1),)
+    return GradedAlgebra("P1xP2-warped", t.basis, tables, t.integration)
+
+
+def test_a_non_associative_factor_sends_the_product_to_the_full_scan(tmp_path, capsys,
+                                                                       monkeypatch):
+    warped = _p1xp2_with_x_squared_xy()
+    build = tmp_path / "p1xwarped.build.json"
+    build.write_text(json.dumps(
+        {"product": [{"P": 1}, {"algebra": algebra_payload_v1(warped)}]}))
+    # `lefalg verify` reads catalog names and .alg.json files, so the build
+    # file's product is handed to it in process, and its written file after
+    t = evaluate(parse_build_file(build.read_text()))
+    assert len(ring._kunneth_factors(t)) == 2 and _built(t.tables) == set()
+    out = str(tmp_path / "p1xwarped.alg.json")
+    assert cli.run(["build", str(build), "-o", out]) == 0
+    capsys.readouterr()
+    scanned = _scanned(monkeypatch)
+    outputs = []
+    for a in (t, read_algebra(out)):  # the product from its factors, then its file
+        with mock.patch.object(cli, "read_algebra", lambda ref: a):
+            assert cli.run(["verify", "product.alg.json"]) == 1
+        outputs.append(capsys.readouterr().out)
+    # P1 is clean; the warped factor fails its generator pairs and is scanned
+    # in full, so the product is scanned as its file is: pairs, then in full
+    assert [x.name for x in scanned] == ["P1", *["P1xP2-warped"] * 2, *[t.name] * 4]
+    assert scanned[3] is scanned[4] is t
+    violations = full_scan_violations(t)
+    assert violations and all(v.startswith("associativity") for v in violations)
+    assert outputs[0] == outputs[1] == "".join(v + "\n" for v in violations)
+
+
+@pytest.mark.parametrize("integration", [[0], [2], [-1]])
+def test_product_tables_under_another_integration_are_scanned(integration, monkeypatch):
+    t = tensor_product(projective_space(1), projective_space(2))
+    a = GradedAlgebra("other", t.basis, t.tables, integration)
+    assert a.tables.factors and not ring._kunneth_factors(a)
+    scanned = _scanned(monkeypatch)
+    report = verify_algebra(a)
+    assert len(scanned) == 1 and scanned[0] is a  # scanned, not verified from the factors
+    assert report == verify_algebra(unfactored(a))
+    assert report.violations == (() if integration[0] else (
+        "integration functional is identically zero",
+        *(f"pairing at degree {k} is singular (rank 0 of {n})"
+          for k, n in enumerate(t.dims))))
