@@ -30,15 +30,16 @@ class CliError(ValueError):
 def _resolve(ref: str) -> tuple[GradedAlgebra, catalog.CatalogEntry | None]:
     """The algebra a reference names, with its catalog entry (None for a file)."""
     import os
-    looks_like_path = (ref.endswith(".json") or os.sep in ref
-                       or os.path.exists(ref))
-    if looks_like_path:
-        return read_algebra(ref), None
-    try:
-        entry = catalog.get(ref)
-    except ValueError as e:
-        raise CliError(str(e)) from None
-    return entry.algebra, entry
+    if not (ref.endswith(".json") or os.sep in ref or os.path.exists(ref)):
+        try:
+            entry = catalog.get(ref)
+        except ValueError as e:
+            raise CliError(str(e)) from None
+        return entry.algebra, entry
+    if ref.endswith(".build.json") and os.path.isfile(ref):
+        raise CliError(f"{ref} is a build file, not an algebra file: "
+                       f"write one with lefalg build {ref} -o <out>.alg.json")
+    return read_algebra(ref), None
 
 
 def load_algebra(ref: str) -> GradedAlgebra:

@@ -1,15 +1,18 @@
 """Geometric constructors: projective spaces, blowups, projective bundles.
 
-Everything here produces a GradedAlgebra with exact structure constants.
-The blowup and bundle constructors work symbolically on cells (see
-`ring`): basis classes are reduced against the defining relation (the
-exceptional e^r relation, the tautological zeta^s relation) until they land
-in the chosen basis, once per basis class and power within a call, with
-products read from the tables of Y and Z. The pullback (a `ring.RingMap`)
-and the pushforward (`adjoint_pushforward`) are one cell per basis class:
-`ring.verify_ring_map` checks the pullback by comparing cells, and the
-blowup reads both as they are. A bundle whose base already has z^i*...
-labels, as over another bundle, names its class z2 (then z3, ...).
+Everything here produces a GradedAlgebra with exact structure constants, from
+a rule whose tables are built when first read (`build_product_tables`), each
+declared integral when its inputs are. The blowup and bundle rules work
+symbolically on cells (see `ring`): basis classes are reduced against the
+defining relation (the exceptional e^r relation, the tautological zeta^s
+relation) until they land in the chosen basis, once per basis class and power
+(`ring._Memo`, which goes with the rule), with products read from the tables
+of Y and Z. The pullback (a `ring.RingMap`) and the pushforward
+(`adjoint_pushforward`) are one cell per basis class: `ring.verify_ring_map`
+checks the pullback by comparing cells, and the blowup reads both as they are.
+Every check of the inputs runs when the algebra is made; only cells wait for
+a read. A bundle whose base already has z^i*... labels, as over another
+bundle, names its class z2 (then z3, ...).
 
 `BlowupInput` is a namedtuple, so it also compares equal to a plain tuple
 of its fields.
@@ -19,8 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from functools import cache
-from itertools import count
+from itertools import chain, count
 
 from .linalg import Matrix, _dense, rref
 from .ring import (
@@ -28,6 +30,7 @@ from .ring import (
     Element,
     GradedAlgebra,
     RingMap,
+    _Memo,
     _cells,
     _checked_class,
     _combine,
@@ -82,12 +85,9 @@ def truncated_polynomial_algebra(name: str,
 
     def mult(k1, i, k2, j):
         total = tuple(a + b for a, b in zip(by_degree[k1][i], by_degree[k2][j]))
-        if all(e <= cap for e, cap in zip(total, caps)):
-            return ((index[total], 1),)
-        return ()
+        return ((index[total], 1),) if total in index else ()  # index: the in-cap monomials
 
-    tables = build_product_tables(basis, mult)
-    return GradedAlgebra(name, basis, tables, [1])
+    return GradedAlgebra(name, basis, build_product_tables(basis, mult, ints=True), [1])
 
 
 def _times(a: GradedAlgebra, cell: Cell, k: int, kt: int, t: int) -> Cell:
@@ -259,8 +259,8 @@ def blowup(data: BlowupInput, *, sign: int = 1,
     basis, decode, offset = _layout(
         d, [(y.basis, "")] + [(z.basis, f"e^{i}*") for i in range(1, r)])
 
-    @cache
-    def reduce_e(k: int, t: int, s: int) -> Cell:
+    @_Memo
+    def reduce_e(memo, k: int, t: int, s: int) -> Cell:
         # the cell of z_t (x) e^s, z_t of degree k, in degree k + s; each
         # e-power that the relation leaves (s - r and i + s - r) is below s
         if s < r:
@@ -269,9 +269,9 @@ def blowup(data: BlowupInput, *, sign: int = 1,
             terms = [(S[r], pushed[k][t])]
         else:  # iota^* iota_*(z_t) (x) e^(s-r)
             back = _combine([(c, pulled[k + r][v]) for v, c in pushed[k][t]])
-            terms = [(S[r] * c, reduce_e(k + r, u, s - r)) for u, c in back]
+            terms = [(S[r] * c, memo[k + r, u, s - r]) for u, c in back]
         return _combine(terms + [
-            (-S[r] * S[i] * c, reduce_e(r - i + k, u, i + s - r))
+            (-S[r] * S[i] * c, memo[r - i + k, u, i + s - r])
             for i in range(1, r) for u, c in _times(z, cn[r - i], r - i, k, t)])
 
     def mult(k1, i1, k2, i2):
@@ -283,15 +283,14 @@ def blowup(data: BlowupInput, *, sign: int = 1,
         # iota^*(y) (x) 1 or z (x) e^b1, times z' (x) e^b2
         first = pulled[k1][j1] if b1 == 0 else ((j1, 1),)
         w = _times(z, first, k1 - b1, k2 - b2, j2)
-        return _combine([(c, reduce_e(k1 + k2 - b1 - b2, t, b1 + b2))
-                         for t, c in w])
+        return _combine([(c, reduce_e[k1 + k2 - b1 - b2, t, b1 + b2]) for t, c in w])
 
-    tables = build_product_tables(basis, mult)
-    del reduce_e  # empty the cell it recurses through: its memo goes now
+    ints = y.tables.ints and z.tables.ints and all(  # and every pulled, pushed and Chern cell
+        type(c) is int for cell in chain(cn, *pulled, *pushed) for _, c in cell)
     # only pulled-back classes survive in the top degree (dim Z = d - r)
     assert len(basis[d]) == y.dim(d)
-    return GradedAlgebra(name or f"Bl({y.name}, {z.name})", basis, tables,
-                         y.integration)
+    return GradedAlgebra(name or f"Bl({y.name}, {z.name})", basis,
+                         build_product_tables(basis, mult, ints), y.integration)
 
 
 def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
@@ -324,23 +323,21 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
     basis, decode, offset = _layout(
         d, [(y.basis, f"{var}^{i}*" if i else "") for i in range(s)])
 
-    @cache
-    def reduce_pow(k: int, t: int, p: int) -> Cell:
+    @_Memo
+    def reduce_pow(memo, k: int, t: int, p: int) -> Cell:
         # the cell of y_t * zeta^p, y_t of degree k, in degree k + p
         if p < s:
             return ((offset[(k + p, p)] + t, 1),)
-        return _combine([(-c, reduce_pow(i + k, u, p - i))
+        return _combine([(-c, memo[i + k, u, p - i])
                          for i in range(1, s + 1)
                          for u, c in _times(y, cells[i], i, k, t)])
 
     def mult(k1, i1, k2, i2):
         (i, a), (j, b) = decode[k1][i1], decode[k2][i2]
         prod = _times(y, ((a, 1),), k1 - i, k2 - j, b)
-        return _combine([(c, reduce_pow(k1 + k2 - i - j, t, i + j))
-                         for t, c in prod])
+        return _combine([(c, reduce_pow[k1 + k2 - i - j, t, i + j]) for t, c in prod])
 
-    tables = build_product_tables(basis, mult)
-    del reduce_pow  # empty the cell it recurses through: its memo goes now
     # degree d = top(Y) + s - 1 holds the zeta^{s-1} summand alone
-    return GradedAlgebra(name or f"ProjBundle({y.name},{s})", basis, tables,
-                         y.integration)
+    ints = y.tables.ints and all(type(c) is int for cell in cells for _, c in cell)
+    return GradedAlgebra(name or f"ProjBundle({y.name},{s})", basis,
+                         build_product_tables(basis, mult, ints), y.integration)

@@ -6,13 +6,11 @@ verdicts, and witnesses are reproducible. The three predicates share one
 per-degree check. When hard Lefschetz holds, dim PL^i = dim L^i - dim L^{i-1};
 the kernels of omega^{d-2i+1} are ranked only when it fails.
 
-A record remembers the hard Lefschetz pass (omega in L^1, the verdict, and
-each rank of a power of omega it has found) for each omega it is asked about,
-keyed by omega's coordinates once omega is checked to be a degree-one class of
-its ambient algebra. Records are immutable and a verdict is a pure function of
-record and omega, so every `check_hard_lefschetz` and `primitive_dims` call
-shares that pass. An omega that raises is not remembered, and the memo dies
-with its record.
+A record keeps the hard Lefschetz pass (omega in L^1, the verdict, and each
+rank of a power of omega found) for each omega it is asked about, keyed by its
+coordinates once omega is checked. Records are immutable and a verdict is a
+pure function of record and omega, so `check_hard_lefschetz` and
+`primitive_dims` share the pass; an omega that raises is not kept.
 
 A `tensor_product` with the default generators is read from its factors,
 exactly, by three rules for omega = omega_A (x) 1 + 1 (x) omega_B (Stanley
@@ -23,20 +21,19 @@ pairings, so its ranks convolve (`_pairing_ranks`); and over Q the graded
 Jordan type of omega is the Clebsch-Gordan product of the factors' types
 (`_clebsch_gordan`), so a rank of omega^m counts strings (`_omega_ranks`).
 The record keeps its factors' records (``_factors``, one per distinct
-factor), and no product table is built. Explicit generators, algebras read
-from files and every other algebra are eliminated, as below.
+factor), and no product table is built. A factor where hard Lefschetz holds
+has the centred type (`_strings`), read from its L-dims with no rank beyond
+its HL pass. Explicit generators, algebras read from files and every other
+algebra are eliminated, as below.
 
 The stage computes on integer rows (`linalg.Row`), never on `Fraction`
-vectors. Every verdict is a rank, and a rank sees only the line of a row:
-the generators, the rows of each L^k, the powers of omega and the Gram rows
-are integer rows on the lines of the exact ones, and no scale is kept.
-Vectors become rows through `linalg._int_rows`; products read the cells of
-`ring._int_table`, which are rows, and a unit row times a unit row is its
-cell as it is; a basis of L^k that is all of A^k is read as the shared unit
-cells. Ranks and RREF bases come from `linalg`, the one module that works
-mod P. Each L^k is stored once, as the cleared integer rows of its RREF
-(`linalg._basis_rows`), which every product, map and pairing on L^k reads;
-`Fraction` vectors are built only when `bases` or `elements` is read.
+vectors: every verdict is a rank, which sees only the line of a row, so the
+generators, the rows of each L^k, the powers of omega and the Gram rows are
+integer rows on the lines of the exact ones (`linalg._int_rows`, the cells of
+`ring._int_table`), and no scale is kept. Ranks and RREF bases come from
+`linalg`, the one module that works mod P. Each L^k is stored once, as the
+cleared rows of its RREF (`linalg._basis_rows`), the shared unit cells where it
+is all of A^k; `Fraction` vectors are built only when `bases` or `elements` is read.
 
 The result records are namedtuples, so they also compare equal to plain
 tuples of their fields.
@@ -244,10 +241,13 @@ def _map_rank(lef: LefschetzData, m: int, row: Row, k: int) -> int:
 
 
 def _strings(lef: LefschetzData, omega: Element) -> dict:
-    """The graded Jordan type of omega on L: {(s, e): the number of strings
-    from degree s to degree e}, by inclusion and exclusion on the ranks of its
-    HL pass, since r(m, k) strings run through both k and k + m."""
-    rank, d = _hl_pass(lef, omega)[1], lef.ambient.top_degree
+    """The graded Jordan type of omega on L: {(s, e): the number of strings from
+    degree s to degree e}. Under hard Lefschetz each string is centred, [k, d - k],
+    and dim L^k - dim L^(k-1) start at k; else inclusion and exclusion on the
+    ranks of the HL pass finds it, since r(m, k) strings run through k and k + m."""
+    (hl, rank), d = _hl_pass(lef, omega), lef.ambient.top_degree
+    if hl.passed:
+        return {(k, d - k): n for k in range(d // 2 + 1) if (n := lef.dim(k) - lef.dim(k - 1))}
 
     def r(m, k):
         return rank(m, k) if 0 <= k and k + m <= d else 0

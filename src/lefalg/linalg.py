@@ -89,10 +89,6 @@ def vector(values: Iterable) -> Vector:
     return tuple(scalar(v) for v in values)
 
 
-def vzero(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def vadd(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise ValueError(f"vector length mismatch: {len(u)} vs {len(v)}")
@@ -185,7 +181,7 @@ def _int_rows(vectors: Iterable[Sequence]) -> list[list[tuple[int, int]]]:
 
 def _dense(terms: Iterable[tuple[int, int | Fraction]], n: int) -> Vector:
     """The length-n coordinate vector of (t, c) terms (a row or a cell)."""
-    out = list(vzero(n))
+    out = [Fraction(0)] * n
     for t, c in terms:
         out[t] = c
     return tuple(out)

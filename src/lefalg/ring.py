@@ -1,10 +1,9 @@
 """Finite graded-commutative algebras over the rationals.
 
-An algebra is a named basis per complex degree 0..d, a full set of
-structure-constant tables for every degree pair with k1+k2 <= d, and an
-integration functional on the top degree. Cohomological degree 2k is
-represented by internal degree k; odd degrees are not modeled, so the
-product is honestly commutative and no Koszul signs appear anywhere.
+An algebra is a named basis per complex degree 0..d, a structure-constant table
+for every degree pair with k1+k2 <= d, and an integration functional on the top
+degree. Cohomological degree 2k is internal degree k; odd degrees are not
+modeled, so the product is honestly commutative, with no Koszul signs.
 
 The structure constants are stored sparsely. A *cell* is the product of two
 basis classes as a tuple of (t, c) terms, t ascending and c nonzero: an int
@@ -12,21 +11,17 @@ when it is integral, else a Fraction. That coefficient rule lives here alone
 (`_integral`), and every Element lefalg builds follows it too (`_coords`); a
 hand-built table or Element may also hold integral Fractions, and ints and
 Fractions agree on ==, hash and str. A zero product is the empty cell ().
-Every algebra's tables are one read-only `_Tables`, which notes whether all
-coefficients are ints. Cells are the one form the constructor takes: it checks
-each cell of outside tables, while `build_product_tables` and a product check
-each cell as it is formed. The (k1, k2) and (k2, k1) tables hold the same cell
-objects wherever the two agree, so no product is stored twice. Products,
-verification, pairings, ring maps (`RingMap.images`) and the file format all
-read cells; the dense tables are only a view (`GradedAlgebra.products`);
-dense vectors are read only from payloads. An integral cell is a `linalg.Row`,
-so the generator search, the pairing ranks and the Lefschetz stage hand the
-cells of `_int_table` (the stored table if it is all ints, else a copy with
-cleared denominators) to `linalg`, the one module that works mod P. An
-n-factor product is one Kronecker fold, its tables built on first read; they
-keep the factor algebras (`_kunneth_factors`), each distinct one checked once,
-from which the Lefschetz stage reads the product and `verify_algebra` verifies
-it exactly (Kunneth), reading no product table unless a factor fails.
+Every algebra's tables are one read-only `_Tables`, whose ``ints`` says every
+coefficient is an int. A constructed algebra builds no table until it is read:
+`build_product_tables` asks its rule, and a `tensor_product` its Kronecker fold
+(`_Kronecker`), for a pair and its mirror, one set of cell objects, each cell
+checked as it is formed; ``ints`` is declared before any cell exists. Cells are
+what products, verification, pairings, ring maps (`RingMap.images`) and the
+file format read; `GradedAlgebra.products` is a dense view. An integral cell is
+a `linalg.Row`, so the generator search, the pairing ranks and the Lefschetz
+stage hand the cells of `_int_table` to `linalg`, the one module that works
+mod P. A product keeps its factor algebras (`_kunneth_factors`), from which
+the Lefschetz stage reads it and `verify_algebra` verifies it (Kunneth).
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -100,14 +95,14 @@ def _check_cell(cell, n: int) -> bool:
 class _Tables(Mapping):
     """The structure-constant tables of an algebra of the given dims, read-only: every
     key (k1, k2) with k1 + k2 <= d, each table a tuple of tuple rows. ``ints`` says every
-    coefficient is an int. A table that is not there yet (None) is built on its first
-    read, with its mirror, by the subclass's `_build`.
+    coefficient is an int. A table not there yet (None) is built on its first read, with
+    its mirror, by the subclass's `_build` from ``_source``, dropped once all are built.
     """
 
-    __slots__ = ("dims", "ints", "_tables")
+    __slots__ = ("dims", "ints", "_tables", "_source")
 
-    def __init__(self, dims: Sequence[int], ints: bool = True):
-        self.dims, self.ints, n = tuple(dims), ints, len(dims)
+    def __init__(self, dims: Sequence[int], ints: bool = True, source=None):
+        self.dims, self.ints, self._source, n = tuple(dims), ints, source, len(dims)
         self._tables = dict.fromkeys((k1, k2) for k1 in range(n) for k2 in range(n - k1))
 
     def __getitem__(self, key):
@@ -115,6 +110,8 @@ class _Tables(Mapping):
         if table is None:
             self._build(*sorted(key))
             table = self._tables[key]
+            if None not in self._tables.values():
+                self._source = None
         return table
 
     def __contains__(self, key):
@@ -176,8 +173,8 @@ class GradedAlgebra:
 
     The constructor takes any mapping of such tables (rows may be any
     sequences) and checks every shape and cell: a coefficient that is not an
-    int or a Fraction raises TypeError, anything else ValueError. A cell
-    `_Tables` of its dims was checked as it was filled, and is taken as it is.
+    int or a Fraction raises TypeError, anything else ValueError. A `_Tables`
+    of its dims checks each cell as it is filled, and is taken as it is.
     Dense vectors are read only from payloads (`serialize.algebra_from_payload`);
     ``a.products`` is a read-only dense view, densified a pair at a time when read.
     """
@@ -197,8 +194,8 @@ class GradedAlgebra:
                 if lbl in label_map:
                     raise ValueError(f"duplicate basis label {lbl!r}")
                 label_map[lbl] = (k, i)
-        dims = tuple(len(deg) for deg in basis)  # a cell _Tables was checked as it was filled
-        if type(tables) not in (_Tables, _Kronecker) or tables.dims != dims:
+        dims = tuple(len(deg) for deg in basis)  # a _Tables checks each cell as it is filled
+        if type(tables) not in (_Tables, _Built, _Kronecker) or tables.dims != dims:
             tables = _checked_tables(tables, dims)
         integration = vector(integration)
         if len(integration) != len(basis[-1]):
@@ -214,7 +211,7 @@ class GradedAlgebra:
 
     @property
     def products(self) -> "_DenseTables":
-        return _DenseTables(self.tables)
+        return _DenseTables(self.dims, True, self.tables)
 
     # shape -------------------------------------------------------------
 
@@ -284,20 +281,14 @@ class GradedAlgebra:
 
 
 class _DenseTables(_Tables):
-    """``a.products``: the dense coordinate tables of ``cells``, each orientation of a
-    pair densified from its own cells when the pair is read: ``view[(k1, k2)][i][j]``
-    is the coordinate vector of b_i * b_j."""
-
-    __slots__ = ("_cells",)
-
-    def __init__(self, cells: _Tables):
-        super().__init__(cells.dims)
-        self._cells = cells
+    """``a.products``: the dense coordinate tables of the cell tables ``_source``, each
+    orientation of a pair densified from its own cells when the pair is read:
+    ``view[(k1, k2)][i][j]`` is the coordinate vector of b_i * b_j."""
 
     def _build(self, k1: int, k2: int) -> None:
         for key in ((k1, k2), (k2, k1)):
             self._tables[key] = tuple(tuple(_dense(cell, self.dims[k1 + k2]) for cell in row)
-                                      for row in self._cells[key])
+                                      for row in self._source[key])
 
 
 def _int_table(a: GradedAlgebra, k1: int, k2: int) -> Sequence:
@@ -756,29 +747,46 @@ def verify_ring_map(f: RingMap) -> CheckReport:
 
 
 def build_product_tables(basis: Sequence[Sequence[str]],
-                         mult: Callable[[int, int, int, int], Cell]) -> _Tables:
-    """The tables of a GradedAlgebra on basis, from a rule.
+                         mult: Callable[[int, int, int, int], Cell], ints: bool = False) -> _Tables:
+    """The tables of a GradedAlgebra on basis from a rule, no pair built before it is read.
 
-    ``mult(k1, i, k2, j)`` must return the cell of b_i * b_j in degree
-    k1+k2. It is only consulted for k1 <= k2, and for i <= j when k1 == k2;
-    each cell is checked (`_check_cell`) as it is formed and filed with its
-    mirror (`_Tables._store`), so the constructor takes these tables as they are.
+    ``mult(k1, i, k2, j)`` must return the cell of b_i * b_j in degree k1+k2. It is
+    consulted for k1 <= k2 (i <= j when k1 == k2) when the pair is first read, so a
+    rule's error surfaces there; each cell is checked (`_check_cell`) as it is formed
+    and filed with its mirror (`_Tables._store`), so the constructor takes the tables as
+    they are. ``ints`` declares every coefficient an int before any cell exists; a
+    `Fraction` in a cell then raises ValueError.
     """
-    out = _Tables([len(labels) for labels in basis])
-    dims, ints = out.dims, True
-    for k1 in range(len(dims)):
-        for k2 in range(k1, len(dims) - k1):
-            rows, n = [[()] * dims[k2] for _ in range(dims[k1])], dims[k1 + k2]
-            for i, row in enumerate(rows):
-                for j in range(i if k1 == k2 else 0, dims[k2]):
-                    row[j] = cell = mult(k1, i, k2, j)
-                    try:
-                        ints &= cell == () or _check_cell(cell, n)
-                    except (TypeError, ValueError) as e:
-                        raise type(e)(f"product table ({k1},{k2}) cell ({i},{j}): {e}") from None
-            out._store(k1, k2, rows)
-    out.ints = ints
-    return out
+    return _Built([len(labels) for labels in basis], ints, mult)
+
+
+class _Memo(dict):
+    """memo[key] is f(memo, *key), formed on its first read: f recurses through
+    the memo it is handed, not through a closure, so neither holds a cycle."""
+    def __init__(self, f: Callable, *items):
+        super().__init__(*items)
+        self.f = f
+
+    def __missing__(self, key):
+        self[key] = out = self.f(self, *key)
+        return out
+
+
+class _Built(_Tables):
+    """The tables of `build_product_tables`, built from the rule ``_source`` a pair at a time."""
+
+    def _build(self, k1: int, k2: int) -> None:
+        dims, n = self.dims, self.dims[k1 + k2]
+        rows = [[()] * dims[k2] for _ in range(dims[k1])]
+        for i, row in enumerate(rows):
+            for j in range(i if k1 == k2 else 0, dims[k2]):
+                row[j] = cell = self._source(k1, i, k2, j)
+                try:
+                    if cell != () and not _check_cell(cell, n) and self.ints:
+                        raise ValueError(f"{cell!r} holds a Fraction in tables declared all ints")
+                except (TypeError, ValueError) as e:
+                    raise type(e)(f"product table ({k1},{k2}) cell ({i},{j}): {e}") from None
+        self._store(k1, k2, rows)
 
 
 def tensor_product(a: GradedAlgebra, b: GradedAlgebra, *more: GradedAlgebra,
@@ -820,6 +828,13 @@ def _blocks(adims: Sequence[int], bdims: Sequence[int]) -> list[dict[int, int]]:
     return out
 
 
+def _nonzero(source: dict, side: int, key: tuple[int, int]) -> list:
+    """The nonzero cells (p, q, cell, t) of table key of the factor tables source[side]:
+    t is the position of a unit cell ((t, 1),), -1 for any other cell."""
+    return [(p, q, cell, cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else -1)
+            for p, row in enumerate(source[side][key]) for q, cell in enumerate(row) if cell]
+
+
 class _Kronecker(_Tables):
     """The tables of the Kunneth product of (abasis, atables) and (bbasis, btables),
     ``basis`` its labels, each pair built on its first read; all ints when both factors
@@ -835,34 +850,26 @@ class _Kronecker(_Tables):
     no cell is sorted. The product of two unit cells ((p, 1),) and ((q, 1),) is
     the shared unit cell (`_unit_cells`) at its position: an index, no new
     tuple. Every other cell is checked (`_check_cell`) as it is formed. A diagonal
-    table computes the blocks with ib <= ia and `_store` mirrors the rest. Once every
-    pair is built, the factors' tables and their listed cells go, and the fold behind
-    them. ``factors``, the factor algebras of a `tensor_product` (None on a fold step),
-    stay: `lefschetz.lefschetz_subalgebra` reads a product's records from theirs.
+    table computes the blocks with ib <= ia and `_store` mirrors the rest. ``_source``
+    holds the factors' tables, at 0 and 1, and their `_nonzero` listings; once every
+    pair is built it goes, and the fold behind it. ``factors``, the factor algebras of a
+    `tensor_product` (None on a fold step), stay: `lefschetz.lefschetz_subalgebra` reads
+    a product's records from theirs.
     """
 
-    __slots__ = ("basis", "factors", "_start", "_factors", "_listed")
+    __slots__ = ("basis", "factors", "_start")
 
     def __init__(self, abasis: Sequence, atables: _Tables, bbasis: Sequence, btables: _Tables):
         self._start = _blocks(atables.dims, btables.dims)  # start[k][i]: where block (i, k-i) begins
         self.basis = [[f"{x}⊗{y}" for i in start for x in abasis[i] for y in bbasis[k - i]]
                       for k, start in enumerate(self._start)]
-        super().__init__([len(labels) for labels in self.basis], atables.ints and btables.ints)
-        self.factors, self._factors, self._listed = None, (atables, btables), {}
-
-    def _nonzero(self, side: int, key: tuple[int, int]) -> list:
-        """The nonzero cells (p, q, cell, t) of a factor's table, listed once: t is
-        the position of a unit cell ((t, 1),), -1 for any other cell."""
-        if (side, key) not in self._listed:
-            self._listed[side, key] = [
-                (p, q, cell, cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else -1)
-                for p, row in enumerate(self._factors[side][key])
-                for q, cell in enumerate(row) if cell]
-        return self._listed[side, key]
+        super().__init__([len(labels) for labels in self.basis], atables.ints and btables.ints,
+                         _Memo(_nonzero, {0: atables, 1: btables}))
+        self.factors = None
 
     def _build(self, k1: int, k2: int) -> None:
         """Store tables (k1, k2) and (k2, k1), k1 <= k2."""
-        start, bdims, ints, k = self._start, self._factors[1].dims, self.ints, k1 + k2
+        start, bdims, ints, k = self._start, self._source[1].dims, self.ints, k1 + k2
         n1, n2, n = (self.dims[x] for x in (k1, k2, k))
         units = _unit_cells(n)
 
@@ -878,12 +885,12 @@ class _Kronecker(_Tables):
                 at = start[k].get(ia + ib)  # where the block's products begin
                 if at is None or (k1 == k2 and ib > ia):
                     continue
-                right = self._nonzero(1, (k1 - ia, k2 - ib))
+                right = self._source[1, (k1 - ia, k2 - ib)]
                 if not right:
                     continue
                 nr, nc, nb = bdims[k1 - ia], bdims[k2 - ib], bdims[k - ia - ib]
                 diagonal = k1 == k2 and ia == ib
-                for pa, pb, acell, u in self._nonzero(0, (ia, ib)):
+                for pa, pb, acell, u in self._source[0, (ia, ib)]:
                     if diagonal and pb < pa:
                         continue  # a diagonal block's cells left of pa are mirrored
                     r, c = row0 + pa * nr, col0 + pb * nc
@@ -897,5 +904,3 @@ class _Kronecker(_Tables):
                         rows[r + qa][c + qb] = (units[base + v] if v >= 0 else
                                                 times([(base, acell[0][1])], bcell))
         self._store(k1, k2, rows)
-        if None not in self._tables.values():
-            self._factors = self._listed = None

@@ -2,11 +2,11 @@
 
 Partitions index the Schubert basis of H^{2*}(Gr(k, n)); products are
 Littlewood-Richardson expansions truncated to the k x (n-k) box. They are
-computed honestly, by the Pieri rule and a recursion on the rows of one
-factor, so the ring needs no lookup tables. Poincare duality makes each
+computed honestly, by the Pieri rule and a recursion on the rows of the factor
+with fewer, so the ring needs no lookup tables. Poincare duality makes each
 coefficient c^nu_{lam,mu} = int s_lam s_mu s_{nu^v} symmetric in its three
 classes, so a Grassmannian's tables form only the products of the two
-smallest classes of each triple.
+smallest classes of each triple, and only when a table is first read.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .ring import Element, GradedAlgebra, build_product_tables
+from .ring import Element, GradedAlgebra, _Memo, build_product_tables
 
 Partition = tuple[int, ...]
 
@@ -93,11 +93,11 @@ class _SchubertProducts:
     """times(lam, mu): s_lam * s_mu in the rows x cols box, as {nu: c}.
 
     Pieri: sigma_a * s_kappa is the sum of s_nu over the in-box horizontal
-    a-strips nu/kappa. Every strip nu on mubar = mu[1:] with a = mu[0] boxes
-    other than mu has nu_1 > a, so s_lam s_mu = sigma_a (s_lam s_mubar) minus
-    their s_lam s_nu. Truncating to the box is a ring map, so every step
-    drops the terms outside the box. Strips and products are memoized on the
-    instance, which holds no reference cycle, so they go when it does.
+    a-strips nu/kappa. For mu the factor with fewer rows, every strip nu on
+    mubar = mu[1:] with a = mu[0] boxes other than mu has nu_1 > a, so s_lam s_mu
+    = sigma_a (s_lam s_mubar) minus their s_lam s_nu. Truncating to the box is a
+    ring map, so every step drops the terms outside the box. Strips and products
+    are memoized on the instance, which holds no reference cycle.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -116,10 +116,11 @@ class _SchubertProducts:
         return out
 
     def times(self, lam: Partition, mu: Partition) -> dict:
+        if (len(mu), mu) > (len(lam), lam):  # s_lam s_mu = s_mu s_lam: peel fewer rows
+            lam, mu = mu, lam
         if not mu:
             return {lam: 1}
-        key = (lam, mu) if lam <= mu else (mu, lam)
-        out = self.products.get(key)
+        out = self.products.get((lam, mu))
         if out is None:
             a, bar = mu[0], mu[1:]
             acc: dict = {}
@@ -130,7 +131,7 @@ class _SchubertProducts:
                 if nu != mu:
                     for kappa, c in self.times(lam, nu).items():
                         acc[kappa] -= c
-            out = self.products[key] = {nu: c for nu, c in acc.items() if c}
+            out = self.products[lam, mu] = {nu: c for nu, c in acc.items() if c}
         return out
 
 
@@ -143,7 +144,8 @@ def grassmannian(k: int, n: int) -> GradedAlgebra:
     s_nu in s_lam s_mu is the integral of s_lam s_mu s_{nu^v}, symmetric in
     its three classes, so one `_SchubertProducts` recursion forms only the
     product of the two smallest: s_lam s_mu while |mu| <= |nu^v|, else
-    s_lam s_{nu^v}, whose coefficient of mu^v is the one wanted.
+    s_lam s_{nu^v}, whose coefficient of mu^v is the one wanted. No table is
+    built before it is read; the recursion's memo goes with the last one.
     """
     if not (type(k) is int and type(n) is int) or k < 1 or n <= k:
         raise ValueError(f"Gr(k, n) needs 1 <= k < n, got k={k}, n={n}")
@@ -155,24 +157,23 @@ def grassmannian(k: int, n: int) -> GradedAlgebra:
     dual = {p: tuple(cols - x for x in reversed(p + (0,) * (rows - len(p))) if x < cols)
             for ps in by_degree for p in ps}  # complement in the box
     times = _SchubertProducts(rows, cols).times
-    by_duality: dict = {}  # (k1, i, k2): the cells of s_lam times each degree-k2 class
+
+    @_Memo
+    def by_duality(memo, k1: int, i: int, k2: int) -> list:
+        # the cells of s_lam, lam = by_degree[k1][i], times each degree-k2 class
+        acc: list = [[] for _ in by_degree[k2]]
+        for t, nu in enumerate(by_degree[k1 + k2]):
+            for kappa, c in times(by_degree[k1][i], dual[nu]).items():
+                acc[index[k2][dual[kappa]]].append((t, c))
+        return [tuple(cell) for cell in acc]
 
     def mult(k1, i, k2, j):
-        lam = by_degree[k1][i]
         if d - k1 - k2 >= k2:
-            index_k, prod = index[k1 + k2], times(lam, by_degree[k2][j])
+            index_k, prod = index[k1 + k2], times(by_degree[k1][i], by_degree[k2][j])
             return tuple(sorted((index_k[nu], c) for nu, c in prod.items()))
-        cells = by_duality.get((k1, i, k2))
-        if cells is None:
-            acc: list = [[] for _ in by_degree[k2]]
-            for t, nu in enumerate(by_degree[k1 + k2]):
-                for kappa, c in times(lam, dual[nu]).items():
-                    acc[index[k2][dual[kappa]]].append((t, c))
-            cells = by_duality[k1, i, k2] = [tuple(cell) for cell in acc]
-        return cells[j]
+        return by_duality[k1, i, k2][j]
 
-    tables = build_product_tables(basis, mult)
-    return GradedAlgebra(f"Gr-{k}-{n}", basis, tables, [1])
+    return GradedAlgebra(f"Gr-{k}-{n}", basis, build_product_tables(basis, mult, ints=True), [1])
 
 
 def quotient_chern_classes(k: int, n: int) -> list[Element]:

@@ -45,6 +45,12 @@ sympy's `rref`, never with a lefalg rank routine. `kunneth_lefschetz` predicts
 the same verdicts on a product from its factors, each ranked by sympy, by the
 three Kunneth rules; it reaches sizes sympy cannot rank whole.
 
+`ranked_jordan_type` is not independent: it is the graded Jordan type of
+omega by inclusion and exclusion on the library's own `_map_rank` of each
+power of omega on each L^k, the path `lefschetz._strings` takes when hard
+Lefschetz fails, so the centred type that `_strings` reads off the L-dims
+when it holds is held to the ranks.
+
 `write_algebra_v1` is the version 1 file writer, kept as the reference for
 the bytes it wrote and as a source of version 1 files, which still read.
 `pieri` and `relabeled` were public lefalg functions that nothing in the
@@ -538,6 +544,21 @@ def kunneth_lefschetz(factors, omega) -> tuple:
         return sum(n for (s, e), n in strings.items() if s <= k and k + m <= e)
 
     return (tuple(dims), *_verdicts(dims, pd.__getitem__, rank))
+
+
+def ranked_jordan_type(lef, omega) -> dict:
+    """{(s, e): the number of strings of omega on L from degree s to degree e},
+    by inclusion and exclusion on r(m, k), the `_map_rank` of omega^m on L^k,
+    since r(m, k) strings run through both k and k + m; reads the tables."""
+    from lefalg import lefschetz
+    d = lef.ambient.top_degree
+    powers = lefschetz._omega_powers(lefschetz._checked_omega(lef, omega), d + 1)
+
+    def r(m, k):
+        return lefschetz._map_rank(lef, m, powers[m], k) if 0 <= k and k + m <= d else 0
+
+    return {(s, e): n for s in range(d + 1) for e in range(s, d + 1)
+            if (n := r(e - s, s) - r(e - s + 1, s - 1) - r(e - s + 1, s) + r(e - s + 2, s - 1))}
 
 
 def identity(n: int) -> Matrix:

@@ -151,6 +151,21 @@ def test_build_and_reload(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1 2 2 1"
 
 
+@pytest.mark.parametrize("command", [["report"], ["verify"], ["dims"], ["lef-dims"],
+                                     ["check", "--hl"], ["mul", "h⊗1", "1⊗h"]])
+def test_a_build_file_given_as_an_algebra_names_lefalg_build(tmp_path, capsys, command):
+    src = tmp_path / "x.build.json"
+    src.write_text('{"product": [{"P": 1}, {"P": 1}]}')
+    assert run([command[0], str(src), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {src} is a build file, not an algebra file: write one "
+                            f"with lefalg build {src} -o <out>.alg.json\n")
+    # a missing one is still a missing file
+    assert run([command[0], str(tmp_path / "absent.build.json"), *command[1:]]) == 2
+    assert "No such file" in capsys.readouterr().err
+
+
 def test_build_syntax_error_exit_2(tmp_path, capsys):
     src = tmp_path / "bad.build.json"
     src.write_text('{"P": ')

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -473,6 +474,18 @@ def test_built_tables_are_pinned_by_digest(name):
     assert payload_checksum(algebra_payload(build())) == digest
 
 
+@pytest.mark.parametrize("name", list(PINNED_BUILDS))
+def test_built_tables_read_in_any_order_are_pinned_by_digest(name):
+    # each pair is built on its first read, which may be either orientation
+    build, digest = PINNED_BUILDS[name]
+    a = build()
+    keys = list(a.tables)
+    random.Random(name).shuffle(keys)
+    for key in keys:
+        a.tables[key]
+    assert payload_checksum(algebra_payload(a)) == digest
+
+
 def test_example2_normal_bundle_by_series_division():
     """c(N) = i^*c(T_Y) / c(T_Z) recomputed from scratch here."""
     z = truncated_polynomial_algebra("ctr", [("z1", 1), ("z2", 1), ("z3", 1)])
@@ -649,3 +662,86 @@ def test_no_build_leaves_a_reference_cycle(name, monkeypatch, tmp_path):
         monkeypatch.setattr(module, "grassmannian", uncached_gr)
     build = _MORE_BUILDS.get(name, lambda path: catalog.get(name).algebra)
     assert _cyclic_garbage(lambda: dict(build(tmp_path / "x.alg.json").tables.items())) == 0
+
+
+def _analysed(a: GradedAlgebra) -> GradedAlgebra:
+    """a after the stage that `lefalg report` runs: the subalgebra, the three
+    predicates and the primitive dims, which read only part of its tables."""
+    lef, omega = lefschetz_subalgebra(a), _degree_one_sum(a)
+    check_symmetry(lef), check_poincare_duality(lef), check_hard_lefschetz(lef, omega)
+    primitive_dims(lef, omega)
+    return a
+
+
+@pytest.mark.parametrize("name", [*catalog.names(), *_MORE_BUILDS])
+def test_no_partly_read_build_leaves_a_reference_cycle(name, monkeypatch, tmp_path):
+    # as above, but the algebra is dropped with only the tables the analysis
+    # read built, so it still holds its rule and the rule's memos
+    uncached_gr = schubert.grassmannian.__wrapped__
+    monkeypatch.setattr(catalog, "get", catalog.get.__wrapped__)
+    for module in (schubert, catalog, buildfile):
+        monkeypatch.setattr(module, "grassmannian", uncached_gr)
+    build = _MORE_BUILDS.get(name, lambda path: catalog.get(name).algebra)
+    assert _cyclic_garbage(lambda: _analysed(build(tmp_path / "x.alg.json"))) == 0
+
+
+def test_an_analysis_builds_part_of_a_grassmannians_tables():
+    a = _analysed(schubert.grassmannian.__wrapped__(3, 8))
+    built = [key for key, table in a.tables._tables.items() if table is not None]
+    assert len(built) == 52 < len(a.tables) == 136
+    assert a.tables._source is not None  # the rule stays for the pairs not built
+    dict(a.tables.items())
+    assert a.tables._source is None
+
+
+# ---------------------------------------------------------------- lazy rules
+
+
+def test_a_rule_is_asked_only_when_its_pair_is_read():
+    asked = []
+
+    def mult(k1, i, k2, j):
+        asked.append((k1, k2))
+        return ((0, 3),) if k1 == k2 == 1 else ((0, 1),)  # h * h = 3q
+
+    basis = [["1"], ["h"], ["q"]]
+    a = GradedAlgebra("P2-thrice", basis, build_product_tables(basis, mult, ints=True), [1])
+    assert asked == []
+    assert a.tables[1, 1] == ((((0, 3),),),) and asked == [(1, 1)]
+    assert a.tables[2, 0] == ((((0, 1),),),) and asked == [(1, 1), (0, 2)]
+    assert a.tables[0, 2][0][0] is a.tables[2, 0][0][0] and len(asked) == 2
+
+
+@pytest.mark.parametrize("cell,error,message", [
+    (((0, Fraction(1, 2)),), ValueError,
+     "product table (1,1) cell (0,0): ((0, Fraction(1, 2)),) holds a Fraction in "
+     "tables declared all ints"),
+    (((0, 1.5),), TypeError, "product table (1,1) cell (0,0): coefficient 1.5 is not an int "
+     "or a Fraction"),
+    (((1, 1),), ValueError, "product table (1,1) cell (0,0): ((1, 1),) is not a tuple of "
+     "(t, c) terms with t ascending in 0..0 and c nonzero"),
+])
+def test_a_rule_error_surfaces_where_its_pair_is_first_read(cell, error, message):
+    basis = [["1"], ["h"], ["q"]]
+    tables = build_product_tables(
+        basis, lambda k1, i, k2, j: cell if k1 == k2 == 1 else ((0, 1),), ints=True)
+    a = GradedAlgebra("P2-bad", basis, tables, [1])  # no pair is built yet
+    assert a.tables[0, 1] == ((((0, 1),),),)
+    for _ in range(2):  # the pair stays unbuilt, so a second read raises again
+        with pytest.raises(error) as e:
+            a.tables[1, 1]
+        assert str(e.value) == message
+    assert a.tables._tables[1, 1] is None and a.tables._source is not None
+
+
+def test_each_constructor_declares_the_ints_its_inputs_give():
+    # integral catalog rules declare ints; h -> z/2 gives non-integral pullback
+    # and pushforward cells, so that blowup declares none
+    rational = PINNED_BUILDS["Bl(P3, P1) with h -> z/2"][0]()
+    bundle = PINNED_BUILDS["ProjBundle(Gr-2-4,3)"][0]()
+    for a in (get("P-3").algebra, schubert.grassmannian(2, 5), get("example1").algebra,
+              get("example2").algebra, bundle, rational):
+        cells = [c for table in a.tables.values() for row in table for cell in row
+                 for _, c in cell]
+        assert a.tables.ints == all(type(c) is int for c in cells), a.name
+    assert not rational.tables.ints

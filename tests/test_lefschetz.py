@@ -768,3 +768,30 @@ def test_each_distinct_factor_record_is_ranked_once(name, calls, monkeypatch):
     assert check_poincare_duality(lef).passed
     assert len(seen) == calls and seen[0] is lef
     assert list(map(id, seen[1:])) == list(dict.fromkeys(map(id, vars(lef)["_factors"])))
+
+
+@pytest.mark.parametrize("name", dict.fromkeys(names() + _REAL))
+def test_a_centred_type_is_the_type_the_ranks_give(name):
+    # where hard Lefschetz holds, _strings reads the centred type off the
+    # L-dims, and the ranks of every power of omega on every L^k give the
+    # same strings; where it fails, some string is off centre
+    from _oracles import ranked_jordan_type
+    entry = get(name)
+    lef = lefschetz_subalgebra(entry.algebra)
+    d, strings = entry.algebra.top_degree, lefschetz._strings(lef, entry.omega)
+    passed = check_hard_lefschetz(lef, entry.omega).passed
+    assert passed == all(s + e == d for s, e in strings)
+    assert not passed or strings == ranked_jordan_type(lef, entry.omega)
+
+
+@pytest.mark.parametrize("name,calls", [("P2xP2xP2xP2", 2), ("Gr-2-5xGr-2-5xP1", 5)])
+def test_a_product_ranks_only_the_hl_maps_of_its_hl_factors(name, calls, monkeypatch):
+    # each distinct factor ranks omega^(d-2k) on L^k once for k <= d/2 (P2: 2,
+    # Gr-2-5: 4, P1: 1) and reads its type off its L-dims, with no other rank
+    # (6 and 31 calls when each factor's type was found by inclusion and exclusion)
+    entry = get(name)
+    lef = lefschetz_subalgebra(entry.algebra)
+    ranks = _count_map_ranks(monkeypatch)
+    assert check_hard_lefschetz(lef, entry.omega).passed
+    assert len(ranks) == calls
+    assert primitive_dims(lef, entry.omega).valid and len(ranks) == calls

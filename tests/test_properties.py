@@ -18,9 +18,9 @@ from hypothesis import assume, given, settings, strategies as st
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
                       brute_force_lefschetz_dims, dense_axiom_violations,
                       dense_ring_map_violations, full_scan_violations,
-                      kunneth_lefschetz, lr_count_by_tableaux, rescaled, sympy_basis,
-                      sympy_lefschetz, unfactored)
-from lefalg import catalog, linalg, ring
+                      kunneth_lefschetz, lr_count_by_tableaux, ranked_jordan_type, rescaled,
+                      sympy_basis, sympy_lefschetz, unfactored)
+from lefalg import catalog, lefschetz, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
 from lefalg.constructors import (BlowupInput, blowup, projective_bundle,
@@ -491,6 +491,17 @@ def test_a_product_is_analysed_as_its_factors_predict(data):
                         check_hard_lefschetz(x, omega).degrees, primitive_dims(x, omega))
                        for x in (lef, ref))
     assert got == eliminated == kunneth_lefschetz(factors, coords)
+    # on each record where hard Lefschetz holds, the centred type that _strings
+    # reads off the L-dims is the type the ranks give: both product records and
+    # each factor record with its share of omega, as the product path reads it
+    records, at = [(lef, omega), (ref, omega)], 0
+    for f in vars(lef)["_factors"]:
+        n = f.ambient.dim(1)
+        records.append((f, ring.Element(f.ambient, 1, tuple(coords[at:at + n]))))
+        at += n
+    for x, w in records:
+        if check_hard_lefschetz(x, w).passed:
+            assert lefschetz._strings(x, w) == ranked_jordan_type(x, w)
 
 
 def _box_partition(data, rows: int, cols: int):

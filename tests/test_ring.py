@@ -663,7 +663,7 @@ def _built(tables) -> set:
 def test_a_product_builds_no_table_until_one_is_read():
     p1, gr = projective_space(1), catalog.get("Gr-2-4").algebra
     t = tensor_product(gr, gr, p1)
-    tables, step = t.tables, t.tables._factors[0]  # step: the tables of Gr-2-4xGr-2-4
+    tables, step = t.tables, t.tables._source[0]  # step: the tables of Gr-2-4xGr-2-4
     d = t.top_degree
     keys = [(k1, k2) for k1 in range(d + 1) for k2 in range(d + 1 - k1)]
     assert list(tables) == keys and len(tables) == len(keys)
@@ -803,16 +803,16 @@ def test_an_integral_fraction_factor_gives_a_product_read_as_scaled_copies(capsy
 def test_a_fully_read_product_drops_its_fold_and_a_partly_read_one_keeps_it():
     p1, gr = projective_space(1), catalog.get("Gr-2-4").algebra
     t = tensor_product(gr, p1, p1)
-    tables, step = t.tables, t.tables._factors[0]  # step: the tables of Gr-2-4xP1
+    tables, step = t.tables, t.tables._source[0]  # step: the tables of Gr-2-4xP1
     keys = list(tables)
     for key in keys[::2]:
         tables[key]
     assert _built(tables) != set(tables)
-    assert tables._factors == (step, p1.tables) and tables._listed
+    assert (tables._source[0], tables._source[1]) == (step, p1.tables) and len(tables._source) > 2
     for key in keys[1::2]:  # the rest still build, from the fold it kept
         tables[key]
     assert _built(tables) == set(tables)
-    assert tables._factors is None and tables._listed is None
+    assert tables._source is None
     assert_dense_kronecker(tensor_product(gr, p1), p1, t)
 
 
@@ -1122,7 +1122,7 @@ def _fold_unbuilt(tables) -> bool:
     while type(tables) is ring._Kronecker:
         if _built(tables):
             return False
-        tables = tables._factors[0]
+        tables = tables._source[0]
     return True
 
 

@@ -1,6 +1,7 @@
 """Schubert calculus: partitions, Pieri, Littlewood-Richardson, Gr(k,n)."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -248,10 +249,30 @@ def test_grassmannian_tables_are_pinned_by_digest(k, n):
         PINNED_GRASSMANNIANS[k, n]
 
 
+@pytest.mark.parametrize("k,n", list(PINNED_GRASSMANNIANS))
+def test_grassmannian_tables_read_in_any_order_are_pinned_by_digest(k, n):
+    # each pair is built on its first read, which may be either orientation
+    a = grassmannian.__wrapped__(k, n)
+    keys = list(a.tables)
+    random.Random(f"Gr-{k}-{n}").shuffle(keys)
+    for key in keys:
+        a.tables[key]
+    assert payload_checksum(algebra_payload(a)) == PINNED_GRASSMANNIANS[k, n]
+
+
+def test_a_product_peels_the_factor_with_fewer_rows():
+    # s_1 s_mu is one Pieri step on mu, in either order of the factors
+    products, mu = _SchubertProducts(4, 4), (3, 2, 2, 1)
+    pieri_step = {nu: 1 for nu in products.strip(mu, 1)}
+    assert products.times((1,), mu) == products.times(mu, (1,)) == pieri_step
+    assert list(products.products) == [(mu, (1,))]
+
+
 @pytest.mark.parametrize("k,n", [(3, 8), (4, 9)])
 def test_grassmannian_forms_only_the_two_smallest_products(k, n, monkeypatch):
     # c^nu_{lam,mu} is symmetric in (lam, mu, nu^v), so no product s_lam s_mu
-    # is formed with a factor larger than the third class |nu^v| = d - |lam| - |mu|
+    # is formed with a factor larger than the third class |nu^v| = d - |lam| - |mu|;
+    # a build forms none until a table is read, so every table is read
     d, seen = k * (n - k), []
     times = _SchubertProducts.times
 
@@ -261,6 +282,6 @@ def test_grassmannian_forms_only_the_two_smallest_products(k, n, monkeypatch):
 
     monkeypatch.setattr(_SchubertProducts, "times", recorded)
     grassmannian.cache_clear()
-    grassmannian(k, n)
+    dict(grassmannian(k, n).tables.items())
     assert seen
     assert all(max(a, b) <= d - a - b for a, b in seen)
