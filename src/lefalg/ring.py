@@ -532,9 +532,10 @@ def _generators(a: GradedAlgebra) -> tuple[list[list[int]], dict]:
 
 
 def _associativity(a: GradedAlgebra, pairs: Mapping) -> list[str]:
-    """Compare (b_i b_j) b_l with b_i (b_j b_l), composed cell by cell, for
-    each pair (i, j) of ``pairs[(k1, k2)]`` and every basis class b_l, in
-    the order (k1, k2, k3, i, j, l)."""
+    """Compare (b_i b_j) b_l with b_i (b_j b_l) for each pair (i, j) of
+    ``pairs[(k1, k2)]`` and every basis class b_l, in the order
+    (k1, k2, k3, i, j, l). A side is composed as `_compose` does, inlined: zero
+    if b_i b_j or b_j b_l is empty, a stored cell if it is a unit cell."""
     bad: list[str] = []
     d = a.top_degree
     tables = a.tables
@@ -548,13 +549,22 @@ def _associativity(a: GradedAlgebra, pairs: Mapping) -> list[str]:
             for i, j in ij:
                 row1 = t1_23[i]
                 bij = t12[i][j]
-                if len(bij) == 1 and bij[0][1] == 1:
+                if not bij:
+                    lhs_row = [()] * n3
+                elif len(bij) == 1 and bij[0][1] == 1:
                     lhs_row = t12_3[bij[0][0]]
                 else:
                     lhs_row = [_combine([(c, t12_3[t][l]) for t, c in bij])
                                for l in range(n3)]
                 for l, bjl in enumerate(t23[j]):
-                    if lhs_row[l] != _combine([(c, row1[s]) for s, c in bjl]):
+                    lhs = lhs_row[l]
+                    if not bjl:
+                        same = not lhs
+                    elif len(bjl) == 1 and bjl[0][1] == 1:
+                        same = lhs == row1[bjl[0][0]]
+                    else:
+                        same = lhs == _combine([(c, row1[s]) for s, c in bjl])
+                    if not same:
                         bad.append(
                             f"associativity fails on degrees "
                             f"({k1},{k2},{k3}) indices ({i},{j},{l})")
@@ -609,7 +619,7 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
             table, mirror = tables[(k1, k2)], tables[(k2, k1)]
             for i, row in enumerate(table):
                 for j, cell in enumerate(row):
-                    if cell != mirror[j][i]:
+                    if cell is not (other := mirror[j][i]) and cell != other:
                         bad.append(f"commutativity fails at degrees ({k1},{k2}) "
                                    f"indices ({i},{j})")
     if bad or _associativity(a, _generators(a)[1]):
@@ -702,6 +712,16 @@ def apply_ring_map(f: RingMap, x: Element) -> Element:
     return Element(f.target, k, _coords(_dense(cell, f.target.dim(k))))
 
 
+def _compose(cell: Cell, cells: Sequence[Cell]) -> Cell:
+    """The cell of the sum of c * cells[t] over the terms (t, c) of cell: empty for
+    the empty cell, cells[s] for a unit cell ((s, 1),), else built (`_combine`)."""
+    if not cell:
+        return ()
+    if len(cell) == 1 and cell[0][1] == 1:
+        return cells[cell[0][0]]
+    return _combine([(c, cells[t]) for t, c in cell])
+
+
 def _cells(vectors: Iterable[Sequence]) -> list[Cell]:
     """The cell of each coordinate vector."""
     return [sparse_cell(dict(enumerate(v))) for v in vectors]
@@ -713,7 +733,8 @@ def verify_ring_map(f: RingMap) -> CheckReport:
     Pairs with degree sum above the source top (where the source product is
     zero) are still checked against the target product, so maps that crush a
     relation the target does not satisfy are caught. Both sides are composed
-    from the image cells, and Elements only render a violation.
+    from the image cells (`_compose`), f(x)f(y) as f(x) over the target rows
+    composed with f(y). Elements only render a violation.
     """
     bad: list[str] = []
     src, tgt = f.source, f.target
@@ -732,11 +753,9 @@ def verify_ring_map(f: RingMap) -> CheckReport:
                 for j, fy in enumerate(image[k2]):
                     lhs = rhs = ()
                     if src_table is not None:
-                        lhs = _combine([(c, image[k][t])
-                                        for t, c in src_table[i][j]])
+                        lhs = _compose(src_table[i][j], image[k])
                     if tgt_table is not None:
-                        rhs = _combine([(a * b, tgt_table[s][t])
-                                        for s, a in fx for t, b in fy])
+                        rhs = _combine([(a, _compose(fy, tgt_table[s])) for s, a in fx])
                     if lhs != rhs:
                         n = tgt.dim(k)
                         bad.append(f"multiplicativity fails on degrees "

@@ -16,6 +16,9 @@ every rational string, each distinct one once, integral ones as ints.
 Files are written as compact JSON. The checksum is the sha256 of the
 canonical (sorted, compact) JSON of the payload minus the checksum field,
 so a file edited by hand is rejected rather than silently reinterpreted.
+A written file is that JSON plus a ``"checksum":"<digest>",`` member and a
+newline, so the reader hashes its text with those cut out, and re-encodes the
+payload only when that digest differs (a hand-formatted or version 1 file).
 Cells are checked in one place, the `GradedAlgebra` constructor.
 """
 
@@ -66,15 +69,15 @@ def _canonical(payload: dict) -> str:
                       separators=(",", ":"))
 
 
-def _checksum(payload: dict) -> str:
+def _digest(text: str) -> str:
     import hashlib  # loads OpenSSL; only file reads and writes need it
 
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def write_algebra(a: GradedAlgebra, path: str) -> None:
     payload = algebra_payload(a)
-    payload["checksum"] = _checksum(payload)
+    payload["checksum"] = _digest(_canonical(payload))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_canonical(payload) + "\n")
 
@@ -92,8 +95,9 @@ def _place(entry: list | None) -> str:
     return "integration" if entry is None else f"product entry {entry[:4]}"
 
 
-def algebra_from_payload(payload: object, *,
-                         require_checksum: bool = True) -> GradedAlgebra:
+def algebra_from_payload(payload: object, *, require_checksum: bool = True,
+                         text: str = "") -> GradedAlgebra:
+    """The algebra of a payload; ``text`` is the file it was read from, if any."""
     if not isinstance(payload, dict):
         raise ValueError("algebra payload must be a JSON object")
     fmt = payload.get("format")
@@ -108,8 +112,10 @@ def algebra_from_payload(payload: object, *,
         stored = payload.get("checksum")
         if not isinstance(stored, str):
             raise ValueError("algebra payload is missing its checksum")
-        body = {k: v for k, v in payload.items() if k != "checksum"}
-        if _checksum(body) != stored:
+        member = f'"checksum":"{stored}",'
+        spliced = member in text and text.removesuffix("\n").replace(member, "", 1)
+        if not (spliced and _digest(spliced) == stored) and _digest(_canonical(
+                {k: v for k, v in payload.items() if k != "checksum"})) != stored:
             raise ValueError("checksum mismatch: file corrupted or edited")
 
     name = _field(payload, "name", str)
@@ -188,4 +194,4 @@ def read_algebra(path: str) -> GradedAlgebra:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed algebra file {path}: {e}") from None
-    return algebra_from_payload(payload, require_checksum=True)
+    return algebra_from_payload(payload, require_checksum=True, text=text)

@@ -7,6 +7,8 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import isqrt, prod
 from unittest import mock
 
@@ -177,26 +179,61 @@ def test_every_coefficient_form_parses_to_the_scaled_label(p, q, integral):
 # Single-cell corruptions: verify_algebra scans associativity on a generating
 # set first and the full scan only on a violation or a broken unit law, so
 # its report must be the full scan's, line for line, and its commutativity
-# and associativity lines must be the dense oracle's.
+# and associativity lines must be the dense oracle's. Besides a drawn cell,
+# two kinds of cell test how a composed sum is compared with a stored cell:
+# one with a coefficient that cancels the rest of its product with a class,
+# so that the sum holds an explicit zero, and the true cell with its ints as
+# equal Fractions, such as Fraction(2) for 2, which changes no product.
 CORRUPTED = {n: catalog.get(n).algebra
              for n in ("P1xP2", "P1xP1xP1", "Gr-2-4", "example1", "example3")}
 
 
-@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@cache
+def _cancelling(name: str) -> list:
+    """Each cell of CORRUPTED[name] at (k1, k2, i, j) with the coefficient of a
+    class b_s set to c, where c b_s b_l cancels the rest of the cell times some
+    b_l at a class, so that sum holds an explicit zero."""
+    t, out = CORRUPTED[name], []
+    for (k1, k2), table in t.tables.items():
+        k = k1 + k2
+        for k3 in range(t.top_degree + 1 - k):
+            right = t.tables[(k, k3)]
+            for (i, row), j, l, s in product(enumerate(table), range(t.dim(k2)),
+                                             range(t.dim(k3)), range(t.dim(k))):
+                true = row[j]
+                rest = dict(ring._combine([(c, right[r][l]) for r, c in true if r != s]))
+                for u, x in right[s][l]:
+                    if u in rest:
+                        cell = {**dict(true), s: -Fraction(rest[u]) / x}
+                        out.append(((k1, k2, i, j), tuple(sorted(cell.items()))))
+    return out
+
+
+@settings(max_examples=75, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_corrupted_cells_get_the_full_scan_report(data):
     name = data.draw(st.sampled_from(list(CORRUPTED)))
     t = CORRUPTED[name]
-    d = t.top_degree
-    k1 = data.draw(st.integers(0, d))  # 0: the unit row or column
-    k2 = data.draw(st.integers(0, d - k1))
-    i = data.draw(st.integers(0, t.dim(k1) - 1))
-    j = data.draw(st.integers(0, t.dim(k2) - 1))
-    terms = data.draw(st.lists(st.integers(0, t.dim(k1 + k2) - 1),
-                               max_size=2, unique=True))
-    cell = tuple(sorted((s, data.draw(st.sampled_from(
-        [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]))) for s in terms))
-    assume(cell != t.tables[(k1, k2)][i][j])
+    kind = data.draw(st.sampled_from(["drawn", "cancelling", "fraction"]))
+    if kind == "cancelling":
+        assume(_cancelling(name))
+        (k1, k2, i, j), cell = data.draw(st.sampled_from(_cancelling(name)))
+    else:
+        d = t.top_degree
+        k1 = data.draw(st.integers(0, d))  # 0: the unit row or column
+        k2 = data.draw(st.integers(0, d - k1))
+        i = data.draw(st.integers(0, t.dim(k1) - 1))
+        j = data.draw(st.integers(0, t.dim(k2) - 1))
+        true = t.tables[(k1, k2)][i][j]
+    if kind == "drawn":
+        terms = data.draw(st.lists(st.integers(0, t.dim(k1 + k2) - 1),
+                                   max_size=2, unique=True))
+        cell = tuple(sorted((s, data.draw(st.sampled_from(
+            [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]))) for s in terms))
+        assume(cell != true)
+    elif kind == "fraction":
+        assume(any(type(c) is int for _, c in true))
+        cell = tuple((s, Fraction(c)) for s, c in true)
     tables = {k: [list(row) for row in tab] for k, tab in t.tables.items()}
     tables[(k1, k2)][i][j] = cell
     if data.draw(st.booleans()):  # both cells of the pair, else one side
@@ -204,6 +241,7 @@ def test_corrupted_cells_get_the_full_scan_report(data):
     a = GradedAlgebra("corrupted", t.basis, tables, t.integration)
     violations = verify_algebra(a).violations
     assert violations == full_scan_violations(a)
+    assert kind != "fraction" or violations == verify_algebra(unfactored(t)).violations
     assert [v for v in violations
             if v.startswith(("commutativity", "associativity"))] \
         == dense_axiom_violations(a)
@@ -330,7 +368,9 @@ def test_modular_rref_matches_rref(data):
 # which the catalog builders hand to blowup, and the maps P3 -> P1 (a ring
 # map) and P1 -> P2 (not one: h^2 = 0 in P1 maps to h^2 != 0 in P2, a pair
 # past the source's top degree). verify_ring_map composes cells; its report
-# must be the dense oracle's, line for line.
+# must be the dense oracle's, line for line. The entry is drawn, or it cancels
+# the rest of some f(x)f(y) at a class, so that sum holds an explicit zero; or
+# else the image keeps its values, its ints made equal Fractions.
 def _pullback(build):
     with mock.patch.object(catalog, "blowup", lambda data, **kw: data.pullback):
         return build()
@@ -345,7 +385,31 @@ PULLBACKS = {
 }
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def _cancelling_values(f: RingMap, k: int, i: int, j: int) -> list:
+    """Values v of class i in f(b_j), b_j of degree k, for which some f(b_j) f(y)
+    = sum of c_s b_s f(y) over the terms (s, c_s) of f(b_j) sums to zero at a
+    class u, b_i f(y) and the other terms both nonzero there."""
+    def times(s, fy, table):  # b_s f(y) as {u: c}
+        out = {}
+        for t, b in fy:
+            for u, c in table[s][t]:
+                out[u] = out.get(u, 0) + b * c
+        return out
+
+    values = []
+    others = [(s, c) for s, c in f.images[k][j] if s != i]
+    for k2 in range(min(len(f.images), f.target.top_degree + 1 - k)):
+        table = f.target.tables[(k, k2)]
+        for fy in f.images[k2]:
+            own, rest = times(i, fy, table), {}
+            for s, c in others:
+                for u, x in times(s, fy, table).items():
+                    rest[u] = rest.get(u, 0) + c * x
+            values += [-Fraction(rest[u]) / own[u] for u in own if own[u] and rest.get(u)]
+    return values
+
+
+@settings(max_examples=90, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_ring_map_reports_match_the_dense_oracle(data):
     f = PULLBACKS[data.draw(st.sampled_from(list(PULLBACKS)))]
@@ -353,12 +417,20 @@ def test_ring_map_reports_match_the_dense_oracle(data):
     k = data.draw(st.integers(0, len(images) - 1))
     i = data.draw(st.integers(0, f.target.dim(k) - 1))
     j = data.draw(st.integers(0, len(images[k]) - 1))
-    value = data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
-                                       Fraction(2), Fraction(1, 2)]))
+    kind = data.draw(st.sampled_from(["drawn", "cancelling", "fraction"]))
     image = dict(images[k][j])
-    assume(value != image.get(i, 0))
-    image[i] = value
-    images[k][j] = ring.sparse_cell(image)
+    if kind == "fraction":
+        assume(any(type(c) is int for c in image.values()))
+        images[k][j] = tuple((t, Fraction(c)) for t, c in images[k][j])
+    else:
+        values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+        if kind == "cancelling":
+            values = _cancelling_values(f, k, i, j)
+            assume(values)
+        value = data.draw(st.sampled_from(values))
+        assume(value != image.get(i, 0))
+        image[i] = value
+        images[k][j] = ring.sparse_cell(image)
     g = RingMap(f.source, f.target, images)
     assert verify_ring_map(g).violations == dense_ring_map_violations(g)
     assert verify_ring_map(f).violations == dense_ring_map_violations(f)

@@ -1098,6 +1098,27 @@ def test_the_kept_pairs_catch_what_the_generator_pairs_miss():
         "associativity fails on degrees (1,2,3) indices (1,1,3)")
 
 
+def test_the_written_p1_to_the_8_scans_clean_and_a_mirrored_corruption_in_full(tmp_path):
+    # read from its file, P1^8 keeps no factors and is scanned; 32,642 of its
+    # 39,203 cells are empty, so most compositions are a zero side
+    path = str(tmp_path / "p1-8.alg.json")
+    write_algebra(catalog.get("x".join(["P1"] * 8)).algebra, path)
+    t = read_algebra(path)
+    assert not ring._kunneth_factors(t) and verify_algebra(t) == ring.CheckReport(())
+    cells = [cell for table in t.tables.values() for row in table for cell in row]
+    assert (len(cells), sum(not cell for cell in cells)) == (39203, 32642)
+    # x_0 x_1 := 2 x_0 x_1 on both sides: a unit cell made a scaled one
+    tables = {k: [list(row) for row in tab] for k, tab in t.tables.items()}
+    (s, c), = tables[(1, 1)][0][1]
+    tables[(1, 1)][0][1] = tables[(1, 1)][1][0] = ((s, 2 * c),)
+    a = GradedAlgebra("P1^8-warped", t.basis, tables, t.integration)
+    violations = verify_algebra(a).violations
+    assert violations == full_scan_violations(a)
+    assert len(violations) == 252
+    assert violations[0] == "associativity fails on degrees (1,1,1) indices (0,1,2)"
+    assert violations[-1] == "associativity fails on degrees (6,1,1) indices (27,1,0)"
+
+
 # A product with its factors' product integration is verified from its
 # factors. The reference is the scan of the same cells in tables that keep no
 # factors (`unfactored`); a failing factor sends the product to that scan, and

@@ -6,7 +6,7 @@ import json
 import pytest
 from _oracles import algebra_payload_v1, payload_checksum, write_algebra_v1
 
-from lefalg import catalog
+from lefalg import catalog, serialize
 from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.catalog import build_example1, build_example2, get
 from lefalg.constructors import projective_space
@@ -60,6 +60,60 @@ def test_tampered_file_fails_checksum(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="checksum"):
         read_algebra(str(path))
+
+
+def _spliced_digest(text: str, digest: str) -> str:
+    """sha256 of a file's text with its checksum member and last newline cut out."""
+    body = text.removesuffix("\n").replace(f'"checksum":"{digest}",', "", 1)
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def test_a_written_file_is_checked_on_its_text_and_a_reformatted_one_re_encoded(
+        tmp_path, monkeypatch):
+    a = get("Gr-2-4xP1").algebra
+    path = tmp_path / "x.alg.json"
+    write_algebra(a, str(path))
+    text = path.read_text()
+    stored = json.loads(text)["checksum"]
+    assert _spliced_digest(text, stored) == stored
+    encoded = []
+    real = serialize._canonical
+    monkeypatch.setattr(serialize, "_canonical", lambda p: encoded.append(p) or real(p))
+    assert read_algebra(str(path)) == a and encoded == []
+    path.write_text(json.dumps(json.loads(text), indent=1))  # same payload, other text
+    assert read_algebra(str(path)) == a and len(encoded) == 1
+
+
+@pytest.mark.parametrize("old,new", [
+    ('"integration":["1"]', '"integration":["2"]'),
+    ('[[0,"1"]]', '[[0,"2"]]'),
+    ('"name":"Gr-2-4xP1"', '"name":"Gr-2-4xP2"'),
+    ('"version":2', '"version":1'),
+    ('"checksum":"', '"checksum":"0'),
+    ('"products":[', '"products":[[1,0,1,0,[]],'),
+])
+def test_every_edit_of_a_written_file_is_refused(tmp_path, old, new):
+    path = tmp_path / "x.alg.json"
+    write_algebra(get("Gr-2-4xP1").algebra, str(path))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ValueError, match="^checksum mismatch: file corrupted or edited$"):
+        read_algebra(str(path))
+
+
+def test_a_text_that_carries_the_digest_of_its_own_spliced_text_is_accepted(tmp_path):
+    # not canonical JSON (a space after every product's comma), so re-encoding the
+    # payload gives another digest, but the stored one is that of the spliced text
+    a = get("P1xP1").algebra
+    path = tmp_path / "x.alg.json"
+    write_algebra(a, str(path))
+    stored = json.loads(path.read_text())["checksum"]
+    text = path.read_text().replace("],[", "], [")
+    digest = _spliced_digest(text, stored)
+    path.write_text(text.replace(stored, digest))
+    assert payload_checksum(json.loads(text.replace(f'"checksum":"{stored}",', ""))) != digest
+    assert read_algebra(str(path)) == a
 
 
 def test_missing_checksum_rejected_on_read(tmp_path):
