@@ -1,9 +1,9 @@
 """Geometric constructors: projective spaces, blowups, projective bundles.
 
 Everything here produces a GradedAlgebra with exact structure constants, from
-a rule whose tables are built when first read (`build_product_tables`), each
-declared integral when its inputs are. The blowup and bundle rules work
-symbolically on cells (see `ring`): basis classes are reduced against the
+a rule whose tables are built when first read (`build_product_tables`). The
+blowup and bundle rules work symbolically on cells (see `ring`): basis
+classes are reduced against the
 defining relation (the exceptional e^r relation, the tautological zeta^s
 relation) until they land in the chosen basis, once per basis class and power
 (`ring._Memo`, which goes with the rule), with products read from the tables
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import chain, count
+from itertools import count
 
 from .linalg import Matrix, _dense, rref
 from .ring import (
@@ -87,7 +87,7 @@ def truncated_polynomial_algebra(name: str,
         total = tuple(a + b for a, b in zip(by_degree[k1][i], by_degree[k2][j]))
         return ((index[total], 1),) if total in index else ()  # index: the in-cap monomials
 
-    return GradedAlgebra(name, basis, build_product_tables(basis, mult, ints=True), [1])
+    return GradedAlgebra(name, basis, build_product_tables(basis, mult), [1])
 
 
 def _times(a: GradedAlgebra, cell: Cell, k: int, kt: int, t: int) -> Cell:
@@ -285,12 +285,10 @@ def blowup(data: BlowupInput, *, sign: int = 1,
         w = _times(z, first, k1 - b1, k2 - b2, j2)
         return _combine([(c, reduce_e[k1 + k2 - b1 - b2, t, b1 + b2]) for t, c in w])
 
-    ints = y.tables.ints and z.tables.ints and all(  # and every pulled, pushed and Chern cell
-        type(c) is int for cell in chain(cn, *pulled, *pushed) for _, c in cell)
     # only pulled-back classes survive in the top degree (dim Z = d - r)
     assert len(basis[d]) == y.dim(d)
     return GradedAlgebra(name or f"Bl({y.name}, {z.name})", basis,
-                         build_product_tables(basis, mult, ints), y.integration)
+                         build_product_tables(basis, mult), y.integration)
 
 
 def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
@@ -338,6 +336,5 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
         return _combine([(c, reduce_pow[k1 + k2 - i - j, t, i + j]) for t, c in prod])
 
     # degree d = top(Y) + s - 1 holds the zeta^{s-1} summand alone
-    ints = y.tables.ints and all(type(c) is int for cell in cells for _, c in cell)
     return GradedAlgebra(name or f"ProjBundle({y.name},{s})", basis,
-                         build_product_tables(basis, mult, ints), y.integration)
+                         build_product_tables(basis, mult), y.integration)

@@ -49,7 +49,7 @@ from math import gcd, lcm
 
 from .linalg import Row, Vector, _basis_rows, _int_rows, _rank, _rref_vectors, _unit_cells
 from .ring import (Element, GradedAlgebra, _blocks, _checked_class, _int_pairing, _int_table,
-                   _integrals, _kunneth_factors, _refuse_bools)
+                   _integrals, _refuse_bools)
 
 
 class LefschetzData(namedtuple("LefschetzData", "ambient generators rows")):
@@ -148,7 +148,7 @@ def lefschetz_subalgebra(a: GradedAlgebra,
     products, the shared unit cells where L^k is all of A^k."""
     if generators is None:
         gens = [a.basis_element(1, i) for i in range(a.dim(1))]
-        factors = _kunneth_factors(a)
+        factors = a._factors
     else:
         gens = [_checked_class(a, g, 1, "generators") for g in generators]
         factors = ()

@@ -352,15 +352,6 @@ def _basis_rows(rows: Iterable[Row], width: int) -> Sequence[Row]:
     return _exact_rref(read, width, pivots)
 
 
-def row_space_rank(vectors: Sequence[Sequence]) -> int:
-    """Dimension of the span of the given coordinate vectors (0 for none);
-    every entry, zeros included, goes through `scalar`."""
-    vectors = [vector(v) for v in vectors]
-    if any(len(v) != len(vectors[0]) for v in vectors):
-        raise ValueError("dimension mismatch: vectors have different lengths")
-    return _rank(_int_rows(vectors), len(vectors[0])) if vectors else 0
-
-
 def solve(a: Matrix, b: Sequence) -> Vector | None:
     """Solve a*x = b exactly; free variables are set to zero.
 

@@ -11,17 +11,18 @@ when it is integral, else a Fraction. That coefficient rule lives here alone
 (`_integral`), and every Element lefalg builds follows it too (`_coords`); a
 hand-built table or Element may also hold integral Fractions, and ints and
 Fractions agree on ==, hash and str. A zero product is the empty cell ().
-Every algebra's tables are one read-only `_Tables`, whose ``ints`` says every
-coefficient is an int. A constructed algebra builds no table until it is read:
-`build_product_tables` asks its rule, and a `tensor_product` its Kronecker fold
-(`_Kronecker`), for a pair and its mirror, one set of cell objects, each cell
-checked as it is formed; ``ints`` is declared before any cell exists. Cells are
-what products, verification, pairings, ring maps (`RingMap.images`) and the
-file format read; `GradedAlgebra.products` is a dense view. An integral cell is
-a `linalg.Row`, so the generator search, the pairing ranks and the Lefschetz
-stage hand the cells of `_int_table` to `linalg`, the one module that works
-mod P. A product keeps its factor algebras (`_kunneth_factors`), from which
-the Lefschetz stage reads it and `verify_algebra` verifies it (Kunneth).
+Every algebra's tables are one read-only `_Tables`. A constructed algebra builds
+no table until it is read: `build_product_tables` asks its rule, and a
+`tensor_product` its Kronecker fold (`_Kronecker`), for a pair and its mirror,
+one set of cell objects, each cell checked as it is formed. The check also
+finds whether a cell holds only ints, and the tables record each pair whose
+cells all do (``ints``). Cells are what products, verification, pairings, ring maps
+(`RingMap.images`) and the file format read; `GradedAlgebra.products` is a
+dense view. An integral cell is a `linalg.Row`, so the generator search, the
+pairing ranks and the Lefschetz stage hand the cells of `_int_table` to
+`linalg`, the one module that works mod P. A `tensor_product` keeps its factor
+algebras (``_factors``), from which the Lefschetz stage reads it and
+`verify_algebra` verifies it (Kunneth).
 
 Degree k > d has dimension 0, so its only element is the zero with no
 coordinates, ``a.zero(k)``. A product whose degrees sum past d is that
@@ -94,15 +95,16 @@ def _check_cell(cell, n: int) -> bool:
 
 class _Tables(Mapping):
     """The structure-constant tables of an algebra of the given dims, read-only: every
-    key (k1, k2) with k1 + k2 <= d, each table a tuple of tuple rows. ``ints`` says every
-    coefficient is an int. A table not there yet (None) is built on its first read, with
-    its mirror, by the subclass's `_build` from ``_source``, dropped once all are built.
+    key (k1, k2) with k1 + k2 <= d, each table a tuple of tuple rows. ``ints`` holds the
+    keys of the built pairs whose cells, in both orientations, hold only ints. A table not
+    there yet (None) is built on its first read, with its mirror, by the subclass's
+    `_build` from ``_source``, dropped once all are built.
     """
 
     __slots__ = ("dims", "ints", "_tables", "_source")
 
-    def __init__(self, dims: Sequence[int], ints: bool = True, source=None):
-        self.dims, self.ints, self._source, n = tuple(dims), ints, source, len(dims)
+    def __init__(self, dims: Sequence[int], source=None):
+        self.dims, self.ints, self._source, n = tuple(dims), set(), source, len(dims)
         self._tables = dict.fromkeys((k1, k2) for k1 in range(n) for k2 in range(n - k1))
 
     def __getitem__(self, key):
@@ -123,21 +125,25 @@ class _Tables(Mapping):
     def __len__(self):
         return len(self._tables)
 
-    def _store(self, k1: int, k2: int, rows: list[list]) -> None:
+    def _store(self, k1: int, k2: int, rows: list[list], ints: bool) -> None:
         """File rows, k1 <= k2, as table (k1, k2) and their transpose as (k2, k1), one
-        set of cell objects; a diagonal table's cells below the diagonal are those above."""
+        set of cell objects, both in ``ints`` if ints says every cell holds only ints; a
+        diagonal table's cells below the diagonal are those above."""
         cols = list(zip(*rows)) if rows else [()] * self.dims[k2]
         if k1 == k2:
             for i in range(1, len(rows)):
                 rows[i][:i] = cols[i][:i]
         self._tables[k1, k2] = rows = tuple(map(tuple, rows))
         self._tables[k2, k1] = rows if k1 == k2 else tuple(cols)
+        if ints:
+            self.ints.update(((k1, k2), (k2, k1)))
 
 
 def _checked_tables(tables: Mapping, dims: tuple[int, ...]) -> _Tables:
     """The tables as a `_Tables`, every shape and cell checked; a cell left of lo that
-    is its mirror's object is checked there."""
-    out, ints = _Tables(dims), True
+    is its mirror's object is checked there. A pair is in ``ints`` when the cells of
+    both its orientations, which a version 1 file need not make equal, hold only ints."""
+    out, fractional = _Tables(dims), set()
     for k1, k2 in out:
         if (k1, k2) not in tables:
             raise ValueError(f"missing product table for degrees ({k1},{k2})")
@@ -145,7 +151,7 @@ def _checked_tables(tables: Mapping, dims: tuple[int, ...]) -> _Tables:
         if len(rows) != dims[k1] or any(len(row) != dims[k2] for row in rows):
             raise ValueError(f"product table ({k1},{k2}) is not {dims[k1]}x{dims[k2]}")
     for (k1, k2), table in out._tables.items():
-        mirror, n = out._tables[k2, k1], dims[k1 + k2]
+        mirror, n, ints = out._tables[k2, k1], dims[k1 + k2], True
         try:
             for i, row in enumerate(table):
                 lo = i if k1 == k2 else 0 if k1 < k2 else len(row)
@@ -154,7 +160,9 @@ def _checked_tables(tables: Mapping, dims: tuple[int, ...]) -> _Tables:
                         ints &= _check_cell(cell, n)
         except (TypeError, ValueError) as e:
             raise type(e)(f"product table ({k1},{k2}) cell ({i},{j}): {e}") from None
-    out.ints = ints
+        if not ints:
+            fractional.update(((k1, k2), (k2, k1)))
+    out.ints = set(out._tables) - fractional
     return out
 
 
@@ -177,9 +185,11 @@ class GradedAlgebra:
     of its dims checks each cell as it is filled, and is taken as it is.
     Dense vectors are read only from payloads (`serialize.algebra_from_payload`);
     ``a.products`` is a read-only dense view, densified a pair at a time when read.
+    An algebra made here keeps no factors (``_factors`` is ()), whatever its tables;
+    only `tensor_product` sets them on the product it returns.
     """
 
-    __slots__ = ("name", "basis", "tables", "integration", "_label_map")
+    __slots__ = ("name", "basis", "tables", "integration", "_label_map", "_factors")
 
     def __init__(self, name: str, basis: Sequence[Sequence[str]],
                  tables: Mapping, integration: Sequence):
@@ -205,13 +215,14 @@ class GradedAlgebra:
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "integration", integration)
         object.__setattr__(self, "_label_map", label_map)
+        object.__setattr__(self, "_factors", ())
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedAlgebra is immutable")
 
     @property
     def products(self) -> "_DenseTables":
-        return _DenseTables(self.dims, True, self.tables)
+        return _DenseTables(self.dims, self.tables)
 
     # shape -------------------------------------------------------------
 
@@ -292,12 +303,12 @@ class _DenseTables(_Tables):
 
 
 def _int_table(a: GradedAlgebra, k1: int, k2: int) -> Sequence:
-    """The (k1, k2) table as stored if all of a.tables hold ints (``ints``), else
-    a copy with each coefficient times one scale, the lcm of the denominators:
+    """The (k1, k2) table as stored if its cells hold only ints (``ints``), else
+    a copy with each coefficient times one scale, the lcm of its denominators:
     ``rows[i][j]`` holds integer (t, c) terms on the line of b_i * b_j, which
     is all a rank sees, so the scale is not returned."""
     table = a.tables[k1, k2]
-    if a.tables.ints:
+    if (k1, k2) in a.tables.ints:
         return table
     scale = lcm(*{c.denominator for row in table for cell in row for _, c in cell})
     return [[[(t, c.numerator * (scale // c.denominator)) for t, c in cell]
@@ -596,14 +607,14 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
     the full scan over all basis triples runs and its violations are the
     ones reported, so the report is always the full scan's.
 
-    A `tensor_product` with its factors' product integration (`_kunneth_factors`)
-    is verified from its factors first: each distinct one once, in order, a product
+    A `tensor_product` (an algebra that keeps its factors, ``_factors``) is
+    verified from its factors first: each distinct one once, in order, a product
     factor from its own. By Kunneth a tensor product of unital, commutative,
     associative algebras is one, and its pairing, the Kronecker product of theirs,
     is nondegenerate exactly when theirs are; so clean factors make a clean report
     and no product table is read. If a factor fails, the product is scanned as above.
     """
-    factors = {id(f): f for f in _kunneth_factors(a)}
+    factors = {id(f): f for f in a._factors}
     if factors and all(verify_algebra(f).ok for f in factors.values()):
         return CheckReport(())
     bad: list[str] = []
@@ -766,17 +777,16 @@ def verify_ring_map(f: RingMap) -> CheckReport:
 
 
 def build_product_tables(basis: Sequence[Sequence[str]],
-                         mult: Callable[[int, int, int, int], Cell], ints: bool = False) -> _Tables:
+                         mult: Callable[[int, int, int, int], Cell]) -> _Tables:
     """The tables of a GradedAlgebra on basis from a rule, no pair built before it is read.
 
     ``mult(k1, i, k2, j)`` must return the cell of b_i * b_j in degree k1+k2. It is
     consulted for k1 <= k2 (i <= j when k1 == k2) when the pair is first read, so a
     rule's error surfaces there; each cell is checked (`_check_cell`) as it is formed
     and filed with its mirror (`_Tables._store`), so the constructor takes the tables as
-    they are. ``ints`` declares every coefficient an int before any cell exists; a
-    `Fraction` in a cell then raises ValueError.
+    they are; the pair is in ``ints`` when every coefficient the check met is an int.
     """
-    return _Built([len(labels) for labels in basis], ints, mult)
+    return _Built([len(labels) for labels in basis], mult)
 
 
 class _Memo(dict):
@@ -795,43 +805,38 @@ class _Built(_Tables):
     """The tables of `build_product_tables`, built from the rule ``_source`` a pair at a time."""
 
     def _build(self, k1: int, k2: int) -> None:
-        dims, n = self.dims, self.dims[k1 + k2]
+        dims, n, ints = self.dims, self.dims[k1 + k2], True
         rows = [[()] * dims[k2] for _ in range(dims[k1])]
         for i, row in enumerate(rows):
             for j in range(i if k1 == k2 else 0, dims[k2]):
                 row[j] = cell = self._source(k1, i, k2, j)
                 try:
-                    if cell != () and not _check_cell(cell, n) and self.ints:
-                        raise ValueError(f"{cell!r} holds a Fraction in tables declared all ints")
+                    if cell != ():
+                        ints &= _check_cell(cell, n)
                 except (TypeError, ValueError) as e:
                     raise type(e)(f"product table ({k1},{k2}) cell ({i},{j}): {e}") from None
-        self._store(k1, k2, rows)
+        self._store(k1, k2, rows, ints)
 
 
 def tensor_product(a: GradedAlgebra, b: GradedAlgebra, *more: GradedAlgebra,
                    name: str | None = None) -> GradedAlgebra:
     """Kunneth product of two or more factors: one left fold of `_Kronecker`, with the
     name, labels, cells and integration of (a x b) x c, and no table built before it is
-    read. Its pairing, the Kronecker product of theirs, is nondegenerate exactly when theirs
-    are, so each distinct factor that is not a product (`_kunneth_factors`, checked when it
-    was built) is checked once, in order; a degenerate one raises ValueError."""
+    read. It keeps its factors (``_factors``), from which `verify_algebra` verifies it and
+    `lefschetz.lefschetz_subalgebra` reads it. Its pairing, the Kronecker product of theirs,
+    is nondegenerate exactly when theirs are, so each distinct factor that is not a product
+    (a product's was checked when it was built) is checked once, in order; a degenerate one
+    raises ValueError."""
     factors = (a, b, *more)
-    for f in {id(f): f for f in factors if not _kunneth_factors(f)}.values():
+    for f in {id(f): f for f in factors if not f._factors}.values():
         _require_nondegenerate(f, "factor")
     basis, tables, w = a.basis, a.tables, a.integration
     for f in factors[1:]:
         tables = _Kronecker(basis, tables, f.basis, f.tables)
         basis, w = tables.basis, [cp * cq for cp in w for cq in f.integration]  # p-major
-    tables.factors = factors
-    return GradedAlgebra(name or "x".join(f.name for f in factors), basis, tables, w)
-
-
-def _kunneth_factors(a: GradedAlgebra) -> tuple:
-    """The factors of a `tensor_product` that keeps their product integration, else ()."""
-    factors, w = getattr(a.tables, "factors", None) or (), [1]
-    for f in factors:
-        w = [x * y for x in w for y in f.integration]
-    return factors if factors and tuple(w) == a.integration else ()
+    out = GradedAlgebra(name or "x".join(f.name for f in factors), basis, tables, w)
+    object.__setattr__(out, "_factors", factors)
+    return out
 
 
 def _blocks(adims: Sequence[int], bdims: Sequence[int]) -> list[dict[int, int]]:
@@ -856,8 +861,7 @@ def _nonzero(source: dict, side: int, key: tuple[int, int]) -> list:
 
 class _Kronecker(_Tables):
     """The tables of the Kunneth product of (abasis, atables) and (bbasis, btables),
-    ``basis`` its labels, each pair built on its first read; all ints when both factors
-    are, so no product then needs `_integral`.
+    ``basis`` its labels, each pair built on its first read.
 
     Degree k is laid out block by block (`_blocks`). Table (k1, k2) is filled
     one block at a time: block (ia, ib) is the Kronecker product of the left
@@ -868,34 +872,33 @@ class _Kronecker(_Tables):
     ascending, so the terms of their product come out in ascending position and
     no cell is sorted. The product of two unit cells ((p, 1),) and ((q, 1),) is
     the shared unit cell (`_unit_cells`) at its position: an index, no new
-    tuple. Every other cell is checked (`_check_cell`) as it is formed. A diagonal
+    tuple. Every other cell is checked (`_check_cell`) as it is formed, with no
+    `_integral` when both factor tables of its block are in their ``ints``. A diagonal
     table computes the blocks with ib <= ia and `_store` mirrors the rest. ``_source``
     holds the factors' tables, at 0 and 1, and their `_nonzero` listings; once every
-    pair is built it goes, and the fold behind it. ``factors``, the factor algebras of a
-    `tensor_product` (None on a fold step), stay: `lefschetz.lefschetz_subalgebra` reads
-    a product's records from theirs.
+    pair is built it goes, and the fold behind it.
     """
 
-    __slots__ = ("basis", "factors", "_start")
+    __slots__ = ("basis", "_start")
 
     def __init__(self, abasis: Sequence, atables: _Tables, bbasis: Sequence, btables: _Tables):
         self._start = _blocks(atables.dims, btables.dims)  # start[k][i]: where block (i, k-i) begins
         self.basis = [[f"{x}⊗{y}" for i in start for x in abasis[i] for y in bbasis[k - i]]
                       for k, start in enumerate(self._start)]
-        super().__init__([len(labels) for labels in self.basis], atables.ints and btables.ints,
+        super().__init__([len(labels) for labels in self.basis],
                          _Memo(_nonzero, {0: atables, 1: btables}))
-        self.factors = None
 
     def _build(self, k1: int, k2: int) -> None:
         """Store tables (k1, k2) and (k2, k1), k1 <= k2."""
-        start, bdims, ints, k = self._start, self._source[1].dims, self.ints, k1 + k2
-        n1, n2, n = (self.dims[x] for x in (k1, k2, k))
-        units = _unit_cells(n)
+        start, source, k = self._start, self._source, k1 + k2
+        bdims, n1, n2, n = source[1].dims, *(self.dims[x] for x in (k1, k2, k))
+        units, ints = _unit_cells(n), True
 
-        def times(lead, bcell):
+        def times(lead, bcell, exact):
+            nonlocal ints
             cell = [(s + q, cp * cq) for s, cp in lead for q, cq in bcell]
-            cell = tuple(cell if ints else [(t, _integral(c)) for t, c in cell])
-            _check_cell(cell, n)
+            cell = tuple(cell if exact else [(t, _integral(c)) for t, c in cell])
+            ints &= _check_cell(cell, n)
             return cell
 
         rows = [[()] * n2 for _ in range(n1)]
@@ -904,22 +907,24 @@ class _Kronecker(_Tables):
                 at = start[k].get(ia + ib)  # where the block's products begin
                 if at is None or (k1 == k2 and ib > ia):
                     continue
-                right = self._source[1, (k1 - ia, k2 - ib)]
+                right = source[1, (k1 - ia, k2 - ib)]
                 if not right:
                     continue
+                left = source[0, (ia, ib)]
+                exact = (ia, ib) in source[0].ints and (k1 - ia, k2 - ib) in source[1].ints
                 nr, nc, nb = bdims[k1 - ia], bdims[k2 - ib], bdims[k - ia - ib]
                 diagonal = k1 == k2 and ia == ib
-                for pa, pb, acell, u in self._source[0, (ia, ib)]:
+                for pa, pb, acell, u in left:
                     if diagonal and pb < pa:
                         continue  # a diagonal block's cells left of pa are mirrored
                     r, c = row0 + pa * nr, col0 + pb * nc
                     if u < 0:
                         lead = [(at + p * nb, cp) for p, cp in acell]
                         for qa, qb, bcell, _ in right:
-                            rows[r + qa][c + qb] = times(lead, bcell)
+                            rows[r + qa][c + qb] = times(lead, bcell, exact)
                         continue
                     base = at + u * nb
                     for qa, qb, bcell, v in right:
                         rows[r + qa][c + qb] = (units[base + v] if v >= 0 else
-                                                times([(base, acell[0][1])], bcell))
-        self._store(k1, k2, rows)
+                                                times([(base, acell[0][1])], bcell, exact))
+        self._store(k1, k2, rows, ints)

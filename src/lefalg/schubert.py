@@ -173,7 +173,7 @@ def grassmannian(k: int, n: int) -> GradedAlgebra:
             return tuple(sorted((index_k[nu], c) for nu, c in prod.items()))
         return by_duality[k1, i, k2][j]
 
-    return GradedAlgebra(f"Gr-{k}-{n}", basis, build_product_tables(basis, mult, ints=True), [1])
+    return GradedAlgebra(f"Gr-{k}-{n}", basis, build_product_tables(basis, mult), [1])
 
 
 def quotient_chern_classes(k: int, n: int) -> list[Element]:

@@ -1,11 +1,11 @@
 """Independent reference computations shared by the test modules.
 
 These deliberately avoid the library code paths they are checking: spans
-are enumerated monomial by monomial and ranked by plain Gauss-Jordan
-elimination over Fraction (not the modular rank engine), so agreement is a
-real cross-check. Products and ring axioms are recomputed from the dense
-view ``a.products``, coordinate by coordinate, never from the sparse cells
-that `multiply` and `verify_algebra` read.
+are enumerated monomial by monomial and ranked by sympy, an engine that
+shares no code with lefalg, so agreement is a real cross-check; the caller
+of an oracle that ranks imports sympy or skips. Products and ring axioms are
+recomputed from the dense view ``a.products``, coordinate by coordinate,
+never from the sparse cells that `multiply` and `verify_algebra` read.
 
 The library builds every Schubert product by the Pieri recursion of
 `schubert._SchubertProducts`. Two oracles check it by other routes:
@@ -22,18 +22,19 @@ on the densified image cells, not by `apply_ring_map`.
 `dense_tensor_product` multiplies every pair of dense factor vectors and
 names each class by its label pair, so it never sees the block layout
 that `tensor_product` places cells by; `assert_dense_kronecker` holds a
-product to it.
+product to it. `assert_ints_measured` holds the pairs an algebra's tables
+flag as all ints (``ints``) to the types of their cells.
 
 `full_scan_violations` is one exception: it is `verify_algebra` itself
 with every pair of basis classes in its pair set (`all_pairs`), so that
 associativity is checked on every basis triple, as it was before the
-generator search. It runs on `unfactored(a)`, a's cells with no factors, so
+generator search. It runs on `unfactored(a)`, a's tables with no factors, so
 a product is scanned too rather than verified from its factors.
 
 `kernel` and `row_space_basis` were public `linalg` functions that
 nothing in the library called, and `identity` was the constructor
-`Matrix.identity`, which only the tests called. `kernel` reads the
-nullspace off `rref` over Fraction.
+`Matrix.identity`, which only the tests called. `kernel` is sympy's
+`nullspace`.
 
 `sympy_basis` is the RREF basis of a list of vectors by sympy, an engine
 that shares no code with lefalg, and `row_space_basis` is the same basis
@@ -64,14 +65,14 @@ from fractions import Fraction
 from unittest import mock
 
 from lefalg import ring
-from lefalg.linalg import Matrix, Vector, format_rational, rref
+from lefalg.linalg import Matrix, Vector, format_rational
 from lefalg.ring import Element, GradedAlgebra, RingMap, multiply
 from lefalg.schubert import Box, contains, is_partition
 
 
 def brute_force_lefschetz_bases(a: GradedAlgebra) -> tuple[tuple, ...]:
-    """The RREF basis, from `rref`, of the span of all degree-k products of
-    degree-one basis classes, for each k."""
+    """The RREF basis, by sympy (`sympy_basis`), of the span of all degree-k
+    products of degree-one basis classes, for each k."""
     gens = [a.basis_element(1, i) for i in range(a.dim(1))]
     bases = [(a.unit().coords,)]
     for k in range(1, a.top_degree + 1):
@@ -81,9 +82,7 @@ def brute_force_lefschetz_bases(a: GradedAlgebra) -> tuple[tuple, ...]:
             for g in combo:
                 el = multiply(el, g)
             vecs.append(el.coords)
-        res = rref(Matrix(len(vecs), a.dim(k), vecs)) if vecs else None
-        bases.append(tuple(res.reduced.row(i) for i in range(res.rank))
-                     if res else ())
+        bases.append(tuple(sympy_basis(vecs, a.dim(k))) if vecs else ())
     return tuple(bases)
 
 
@@ -372,6 +371,18 @@ def rescaled(a: GradedAlgebra, lam=None) -> tuple[GradedAlgebra, list[list[Fract
     return GradedAlgebra(a.name, a.basis, tables, integration), lam
 
 
+def assert_ints_measured(a: GradedAlgebra) -> None:
+    """Read every table of a, then hold its ``ints`` to the cells: a pair is
+    flagged exactly when both orientations hold only ints, and `ring._int_table`
+    returns the stored table exactly then."""
+    tables = dict(a.tables)
+    for key, table in tables.items():
+        only_ints = all(type(c) is int for k in (key, key[::-1])
+                        for row in tables[k] for cell in row for _, c in cell)
+        assert (key in a.tables.ints) == only_ints, (a.name, key)
+        assert (ring._int_table(a, *key) is table) == only_ints, (a.name, key)
+
+
 def all_pairs(a: GradedAlgebra) -> dict:
     """Every pair of basis classes, in the form of `ring._generators`'s
     pairs: {(k1, k2): [(i, j), ...]}, sorted."""
@@ -380,9 +391,9 @@ def all_pairs(a: GradedAlgebra) -> dict:
 
 
 def unfactored(a: GradedAlgebra) -> GradedAlgebra:
-    """a on the same cells, in tables that keep no factors: `verify_algebra`
+    """a on the same tables, as an algebra that keeps no factors: `verify_algebra`
     scans it even when a is a `tensor_product`."""
-    return GradedAlgebra(a.name, a.basis, dict(a.tables), a.integration)
+    return GradedAlgebra(a.name, a.basis, a.tables, a.integration)
 
 
 def full_scan_violations(a: GradedAlgebra) -> tuple[str, ...]:
@@ -567,18 +578,12 @@ def identity(n: int) -> Matrix:
 
 
 def kernel(a: Matrix) -> list[Vector]:
-    """Basis of the nullspace {v : a*v = 0}, one vector per free column."""
-    red, pivots, rank = rref(a)
-    pivot_set = set(pivots)
-    free = [j for j in range(a.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * a.cols
-        v[f] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -red.entries[i][f]
-        basis.append(tuple(v))
-    return basis
+    """Basis of the nullspace {v : a*v = 0}, one vector per free column, by
+    sympy's `nullspace`."""
+    import sympy
+    m = sympy.Matrix(a.rows, a.cols, [sympy.Rational(x.numerator, x.denominator)
+                                      for row in a.entries for x in row])
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in m.nullspace()]
 
 
 def relabeled(a: GradedAlgebra, basis, name=None) -> GradedAlgebra:

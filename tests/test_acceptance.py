@@ -10,13 +10,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from _oracles import brute_force_lefschetz_dims, jacobi_trudi_product
+from _oracles import brute_force_lefschetz_dims, jacobi_trudi_product, sympy_basis
 
 from lefalg import catalog
 from lefalg.cli import run
 from lefalg.lefschetz import (check_hard_lefschetz, check_poincare_duality,
                               check_symmetry, lefschetz_subalgebra)
-from lefalg.linalg import row_space_rank
 from lefalg.ring import multiply, render_element, verify_algebra
 from lefalg.schubert import (Box, grassmannian, lr_coefficient,
                              parse_partition, partitions_in_box,
@@ -38,6 +37,7 @@ def criterion(n: int):
 
 
 def test_criterion_01_example1_lefschetz_dims(capsys):
+    pytest.importorskip("sympy")
     with criterion(1):
         assert run(["lef-dims", "example1"]) == 0
         assert capsys.readouterr().out.strip() == "1 2 3 4 2 1"
@@ -90,6 +90,7 @@ def test_criterion_04_example3_zeta_identities():
 
 
 def test_criterion_05_example1_exceptional_cube_relation():
+    pytest.importorskip("sympy")
     with criterion(5):
         a = catalog.get("example1").algebra
         c = a.by_label("c")
@@ -102,8 +103,8 @@ def test_criterion_05_example1_exceptional_cube_relation():
         assert render_element(e3) == \
             "-6*c^3 - 54*e^1*ab + 4*e^2*a + 18*e^2*b"
         powers = [(c * c * c).coords, (c * c * e).coords, (c * e * e).coords]
-        assert row_space_rank(powers) == 3
-        assert row_space_rank(powers + [e3.coords]) == 4
+        assert len(sympy_basis(powers, a.dim(3))) == 3
+        assert len(sympy_basis(powers + [e3.coords], a.dim(3))) == 4
 
 
 def test_criterion_06_predicate_coherence():
@@ -171,6 +172,7 @@ def test_criterion_09_ring_axioms_and_palindromic_dims():
 
 
 def test_criterion_10_oracle_equivalences():
+    pytest.importorskip("sympy")
     with criterion(10):
         # lr_coefficient against iterated Pieri, all 100 pairs in Gr(2,5)
         g = grassmannian(2, 5)

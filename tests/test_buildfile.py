@@ -74,6 +74,7 @@ def test_proj_bundle_node():
 
 
 def test_a_bundle_over_a_bundle_names_its_class_z2():
+    pytest.importorskip("sympy")
     # the base, P(O + O) over P1, already has the label z^1*1, so the outer
     # bundle's class is z2; the total space is P1 x P1 x P1
     doc = json.dumps({"proj_bundle": {
@@ -214,6 +215,7 @@ def test_both_error_kinds_are_buildfileerrors():
     {"product": [{"Gr": [2, 4]}, {"Gr": [2, 4]}, {"P": 1}]},
 ], ids=["P0xP1", "nested-with-point", "Gr24xGr24xP1"])
 def test_product_trees_are_poincare_with_oracle_lefschetz_dims(tree):
+    pytest.importorskip("sympy")
     # point factors and nested products, which no catalog name spells
     a = evaluate(parse_build_file(json.dumps(tree)))
     assert a.dims == a.dims[::-1]

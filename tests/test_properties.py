@@ -18,10 +18,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
-                      brute_force_lefschetz_dims, dense_axiom_violations,
+                      assert_ints_measured, brute_force_lefschetz_dims, dense_axiom_violations,
                       dense_ring_map_violations, full_scan_violations,
                       kunneth_lefschetz, lr_count_by_tableaux, ranked_jordan_type, rescaled,
-                      sympy_basis, sympy_lefschetz, unfactored)
+                      sympy_basis, sympy_lefschetz, unfactored, write_algebra_v1)
 from lefalg import catalog, lefschetz, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
@@ -29,7 +29,7 @@ from lefalg.constructors import (BlowupInput, blowup, projective_bundle,
                                  projective_space)
 from lefalg.lefschetz import (check_hard_lefschetz, check_poincare_duality,
                               check_symmetry, lefschetz_subalgebra, primitive_dims)
-from lefalg.linalg import P, Matrix, row_space_rank, rref
+from lefalg.linalg import P, Matrix, rref
 from lefalg.ring import (GradedAlgebra, RingMap, _degree_one_sum, tensor_product,
                          verify_algebra, verify_ring_map)
 from lefalg.schubert import contains, lr_coefficient, partitions_in_box
@@ -346,7 +346,7 @@ def test_modular_rref_matches_rref(data):
     real = linalg.rref
     with mock.patch.object(linalg, "rref", lambda m: calls.append(m) or real(m)):
         basis = list(map(list, linalg._basis_rows(linalg._int_rows(vectors), cols)))
-        rank = row_space_rank(vectors)
+        rank = linalg._rank(linalg._int_rows(vectors), cols)
     res = rref(Matrix(len(vectors), cols, vectors))
     assert basis == linalg._int_rows(res.reduced.row(i) for i in range(res.rank))
     assert basis == linalg._int_rows(sympy_basis(vectors, cols))
@@ -533,6 +533,32 @@ def test_an_n_factor_product_is_its_nested_binary_products(data):
                for row in table for cell in row for _, c in cell)
     named = tensor_product(*factors, name="named")
     assert (named.name, named.tables) == ("named", t.tables)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_a_pair_is_flagged_exactly_when_its_cells_hold_only_ints(data):
+    # a catalog algebra, or a product of it with a rescaled factor (Fraction
+    # cells) and maybe another, each pair first read in either orientation;
+    # then its file, as written and as a version 1 file, with the same flags
+    a = catalog.get(data.draw(st.sampled_from(catalog.names()))).algebra
+    if data.draw(st.booleans()):
+        rational = rescaled(catalog.get(data.draw(st.sampled_from(FOLD_FACTORS[2:]))).algebra)[0]
+        more = data.draw(st.lists(st.sampled_from(FOLD_FACTORS), max_size=1))
+        factors = data.draw(st.permutations(
+            [a, rational, *(catalog.get(n).algebra for n in more)]))
+        assume(prod(sum(f.dims) for f in factors) <= 200)
+        a = tensor_product(*factors)
+        for key in data.draw(st.permutations(list(a.tables))):
+            a.tables[key]
+    assert_ints_measured(a)
+    with tempfile.TemporaryDirectory() as tmp:
+        for write in (write_algebra, write_algebra_v1):
+            path = os.path.join(tmp, f"{write.__name__}.alg.json")
+            write(a, path)
+            b = read_algebra(path)
+            assert_ints_measured(b)
+            assert b.tables.ints == a.tables.ints
 
 
 # Small catalog factors of a product analysed from its factors; a draw keeps

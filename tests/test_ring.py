@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
-                      dense_axiom_violations, dense_multiply,
+                      assert_ints_measured, dense_axiom_violations, dense_multiply,
                       full_scan_violations, relabeled, rescaled, unfactored)
 from lefalg import catalog, cli, ring
 from lefalg.buildfile import evaluate, parse_build_file
@@ -571,21 +571,22 @@ _P2_HALF = {"format": "graded-algebra", "version": 2, "name": "P2-half",
 
 
 def test_int_table_reads_the_flag_the_constructor_set(tmp_path):
+    # a pair whose cells hold only ints is flagged where its cells are checked,
+    # and read as stored; any other is read as a scaled copy
     ints = catalog.get("P1xP2").algebra
-    assert ints.tables.ints
-    assert all(ring._int_table(ints, *key) is table for key, table in ints.tables.items())
+    assert_ints_measured(ints)
+    assert ints.tables.ints == set(ints.tables)
     half = algebra_from_payload(_P2_HALF, require_checksum=False)
     path = tmp_path / "half.alg.json"
     write_algebra(half, str(path))
-    for a in (half, read_algebra(str(path)), tensor_product(half, projective_space(1))):
-        assert not a.tables.ints
-        # each read is a scaled copy, also of a table that holds only ints
-        for key, table in a.tables.items():
-            copy = ring._int_table(a, *key)
-            assert copy is not table
-            assert all(type(c) is int for row in copy for cell in row for _, c in cell)
+    for a in (half, read_algebra(str(path))):  # h*h = q/2 alone holds a Fraction
+        assert_ints_measured(a)
+        assert a.tables.ints == set(a.tables) - {(1, 1)}
+    t = tensor_product(half, projective_space(1))
+    assert_ints_measured(t)
+    assert set() < t.tables.ints < set(t.tables)
     assert ring._int_table(half, 1, 1) == [[[(0, 1)]]]
-    assert ring._int_table(half, 0, 2) == [[[(0, 1)]]]
+    assert ring._int_table(half, 0, 2) is half.tables[0, 2]
 
 
 def _p2_twice() -> GradedAlgebra:
@@ -600,11 +601,13 @@ def test_every_kernel_branch_writes_an_integral_coefficient_as_an_int():
     # and its h*h = Fraction(2) q on both sides; P2-half's 1/2 meets that 2
     p1, twice = projective_space(1), _p2_twice()
     half = algebra_from_payload(_P2_HALF, require_checksum=False)
-    assert not twice.tables.ints and not half.tables.ints
+    dict(twice.tables)
+    assert not twice.tables.ints and half.tables.ints == set(half.tables) - {(1, 1)}
     for a, b in ((p1, twice), (twice, p1), (p1, half)):
         t = tensor_product(a, b)
         _assert_sparse_and_shared(t)
         assert_dense_kronecker(a, b, t)
+        assert_ints_measured(t)
     nested = tensor_product(tensor_product(p1, half), twice)
     t = tensor_product(p1, half, twice)
     _assert_sparse_and_shared(t)
@@ -702,7 +705,7 @@ def test_a_product_checks_each_distinct_factor_once(monkeypatch):
     inner = tensor_product(example2, p1)
     outer = tensor_product(inner, p1)
     assert ranked == [example2, p1, p1] and _built(inner.tables) == set()
-    assert outer.tables.factors == (inner, p1)
+    assert outer._factors == (inner, p1)
 
 
 def test_a_degenerate_factor_is_named_first_in_argument_order(monkeypatch):
@@ -785,11 +788,15 @@ def test_catalog_products_read_in_any_order_match_the_dense_kronecker_oracle():
         assert_dense_kronecker(nested, right, t)
 
 
-def test_an_integral_fraction_factor_gives_a_product_read_as_scaled_copies(capsys):
+def test_an_integral_fraction_factor_gives_a_product_flagged_as_its_checked_copy(capsys):
+    # every product of P2-twice's integral Fractions is written as an int, so the
+    # product's pairs are flagged as those of its cells copied through the
+    # constructor are, though no pair of P2-twice is
     p1, twice = projective_space(1), _p2_twice()
     t = tensor_product(p1, twice)
     checked = GradedAlgebra(t.name, t.basis, dict(t.tables), t.integration)
-    assert not t.tables.ints and checked.tables.ints and t == checked
+    assert t == checked and t.tables.ints == checked.tables.ints == set(t.tables)
+    assert not twice.tables.ints
     outputs = []
     for a in (t, checked):
         with mock.patch.object(cli, "read_algebra", lambda ref: a):
@@ -1104,7 +1111,7 @@ def test_the_written_p1_to_the_8_scans_clean_and_a_mirrored_corruption_in_full(t
     path = str(tmp_path / "p1-8.alg.json")
     write_algebra(catalog.get("x".join(["P1"] * 8)).algebra, path)
     t = read_algebra(path)
-    assert not ring._kunneth_factors(t) and verify_algebra(t) == ring.CheckReport(())
+    assert t._factors == () and verify_algebra(t) == ring.CheckReport(())
     cells = [cell for table in t.tables.values() for row in table for cell in row]
     assert (len(cells), sum(not cell for cell in cells)) == (39203, 32642)
     # x_0 x_1 := 2 x_0 x_1 on both sides: a unit cell made a scaled one
@@ -1120,9 +1127,10 @@ def test_the_written_p1_to_the_8_scans_clean_and_a_mirrored_corruption_in_full(t
 
 
 # A product with its factors' product integration is verified from its
-# factors. The reference is the scan of the same cells in tables that keep no
-# factors (`unfactored`); a failing factor sends the product to that scan, and
-# so does an integration that is not the factors' product.
+# factors. The reference is the scan of the same tables in an algebra that
+# keeps no factors (`unfactored`); a failing factor sends the product to that
+# scan, and an algebra the constructor makes on a product's tables, under any
+# integration, is scanned too.
 
 # every catalog product and the products of test_lefschetz's real inputs
 _PRODUCTS = [n for n in catalog.names() if not catalog._is_factor(n)] + [
@@ -1149,7 +1157,7 @@ def _fold_unbuilt(tables) -> bool:
 
 @pytest.mark.parametrize("name", _PRODUCTS)
 def test_a_product_is_verified_from_its_factors_as_its_scan_reports(name, monkeypatch):
-    factors = catalog.get(name).algebra.tables.factors
+    factors = catalog.get(name).algebra._factors
     t = tensor_product(*factors)  # the catalog's product, no table read yet
     scanned = _scanned(monkeypatch)
     report = verify_algebra(t)
@@ -1187,7 +1195,7 @@ def test_a_non_associative_factor_sends_the_product_to_the_full_scan(tmp_path, c
     # `lefalg verify` reads catalog names and .alg.json files, so the build
     # file's product is handed to it in process, and its written file after
     t = evaluate(parse_build_file(build.read_text()))
-    assert len(ring._kunneth_factors(t)) == 2 and _built(t.tables) == set()
+    assert len(t._factors) == 2 and _built(t.tables) == set()
     out = str(tmp_path / "p1xwarped.alg.json")
     assert cli.run(["build", str(build), "-o", out]) == 0
     capsys.readouterr()
@@ -1210,7 +1218,7 @@ def test_a_non_associative_factor_sends_the_product_to_the_full_scan(tmp_path, c
 def test_product_tables_under_another_integration_are_scanned(integration, monkeypatch):
     t = tensor_product(projective_space(1), projective_space(2))
     a = GradedAlgebra("other", t.basis, t.tables, integration)
-    assert a.tables.factors and not ring._kunneth_factors(a)
+    assert t._factors and a._factors == ()
     scanned = _scanned(monkeypatch)
     report = verify_algebra(a)
     assert len(scanned) == 1 and scanned[0] is a  # scanned, not verified from the factors
