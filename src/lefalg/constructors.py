@@ -34,7 +34,7 @@ from .ring import (
     _cells,
     _checked_class,
     _combine,
-    _require_nondegenerate,
+    _require_sound,
     apply_ring_map,
     build_product_tables,
     multiply,
@@ -242,8 +242,8 @@ def blowup(data: BlowupInput, *, sign: int = 1,
         raise ValueError("pullback fails to be a ring map: "
                          + "; ".join(report.violations[:3]))
     pushed = adjoint_pushforward(pull, r)
-    _require_nondegenerate(y, "ambient")
-    _require_nondegenerate(z, "center")
+    _require_sound(y, "ambient")
+    _require_sound(z, "center")
     self_int = apply_ring_map(pull, y.element(r, _dense(pushed[0][0], y.dim(r))))
     cr = data.chern_n[r - 1]
     if self_int != cr:
@@ -311,7 +311,7 @@ def projective_bundle(y: GradedAlgebra, chern: Sequence[Element],
         raise ValueError("c_0 must be the unit class")
     for i, c in enumerate(chern[1:], start=1):
         _checked_class(y, c, i, f"c_{i}")
-    _require_nondegenerate(y, "base")
+    _require_sound(y, "base")
     d = y.top_degree + s - 1
     cells = _cells(c.coords for c in chern)
     var = next(v for v in (f"z{n if n > 1 else ''}" for n in count(1))

@@ -13,10 +13,11 @@ hand-built table or Element may also hold integral Fractions, and ints and
 Fractions agree on ==, hash and str. A zero product is the empty cell ().
 Every algebra's tables are one read-only `_Tables`. A constructed algebra builds
 no table until it is read: `build_product_tables` asks its rule, and a
-`tensor_product` its Kronecker fold (`_Kronecker`), for a pair and its mirror,
-one set of cell objects, each cell checked as it is formed. The check also
-finds whether a cell holds only ints, and the tables record each pair whose
-cells all do (``ints``). Cells are what products, verification, pairings, ring maps
+`tensor_product` its Kronecker fold (`_Kronecker`), for a pair, and files its
+mirror as the transpose, one set of cell objects, so only a file's or a mapping's
+tables can be non-commutative (the constructors refuse them, `_require_sound`).
+Each cell is checked as it is formed, which also finds whether it holds only
+ints; the tables record each pair whose cells all do (``ints``). Cells are what products, verification, pairings, ring maps
 (`RingMap.images`) and the file format read; `GradedAlgebra.products` is a
 dense view. An integral cell is a `linalg.Row`, so the generator search, the
 pairing ranks and the Lefschetz stage hand the cells of `_int_table` to
@@ -625,6 +626,18 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
             if cell != ((i, 1),):
                 bad.append(f"unit law fails on degree {k} basis #{i} "
                            f"({a.basis[k][i]})")
+    bad += _commutativity(a)
+    if bad or _associativity(a, _generators(a)[1]):
+        every = {(k1, k2): list(product(range(a.dim(k1)), range(a.dim(k2))))
+                 for k1, k2 in tables}
+        bad += _associativity(a, every)
+    return CheckReport(tuple(bad + _pairing_violations(a)))
+
+
+def _commutativity(a: GradedAlgebra) -> list[str]:
+    """The commutativity lines of `verify_algebra`: each cell of a table (k1, k2),
+    k1 <= k2, that differs from its mirror's."""
+    bad, d, tables = [], a.top_degree, a.tables
     for k1 in range(d + 1):
         for k2 in range(k1, d + 1 - k1):
             table, mirror = tables[(k1, k2)], tables[(k2, k1)]
@@ -633,16 +646,14 @@ def verify_algebra(a: GradedAlgebra) -> CheckReport:
                     if cell is not (other := mirror[j][i]) and cell != other:
                         bad.append(f"commutativity fails at degrees ({k1},{k2}) "
                                    f"indices ({i},{j})")
-    if bad or _associativity(a, _generators(a)[1]):
-        every = {(k1, k2): list(product(range(a.dim(k1)), range(a.dim(k2))))
-                 for k1, k2 in tables}
-        bad += _associativity(a, every)
-    return CheckReport(tuple(bad + _pairing_violations(a)))
+    return bad
 
 
-def _require_nondegenerate(a: GradedAlgebra, what: str) -> None:
-    """Raise ValueError naming a and its first `_pairing_violations` line."""
-    if bad := _pairing_violations(a):
+def _require_sound(a: GradedAlgebra, what: str) -> None:
+    """Raise ValueError naming a and its first `_commutativity`, else `_pairing_violations`,
+    line. Only the tables of a file or mapping (`_checked_tables`) are scanned: built tables
+    file each mirror as a transpose, so no table of a constructed input is built here."""
+    if bad := (type(a.tables) is _Tables and _commutativity(a)) or _pairing_violations(a):
         raise ValueError(f"{what} {a.name}: {bad[0]}")
 
 
@@ -823,13 +834,14 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra, *more: GradedAlgebra,
     """Kunneth product of two or more factors: one left fold of `_Kronecker`, with the
     name, labels, cells and integration of (a x b) x c, and no table built before it is
     read. It keeps its factors (``_factors``), from which `verify_algebra` verifies it and
-    `lefschetz.lefschetz_subalgebra` reads it. Its pairing, the Kronecker product of theirs,
-    is nondegenerate exactly when theirs are, so each distinct factor that is not a product
-    (a product's was checked when it was built) is checked once, in order; a degenerate one
-    raises ValueError."""
+    `lefschetz.lefschetz_subalgebra` reads it. The fold files each mirror as a transpose,
+    the product only of commutative factors, and its pairing, the Kronecker product of
+    theirs, is nondegenerate exactly when theirs are; so each distinct factor that is not a
+    product (a product's were checked when it was built) is checked once, in order
+    (`_require_sound`), and a non-commutative or degenerate one raises ValueError."""
     factors = (a, b, *more)
     for f in {id(f): f for f in factors if not f._factors}.values():
-        _require_nondegenerate(f, "factor")
+        _require_sound(f, "factor")
     basis, tables, w = a.basis, a.tables, a.integration
     for f in factors[1:]:
         tables = _Kronecker(basis, tables, f.basis, f.tables)
@@ -852,31 +864,25 @@ def _blocks(adims: Sequence[int], bdims: Sequence[int]) -> list[dict[int, int]]:
     return out
 
 
-def _nonzero(source: dict, side: int, key: tuple[int, int]) -> list:
-    """The nonzero cells (p, q, cell, t) of table key of the factor tables source[side]:
-    t is the position of a unit cell ((t, 1),), -1 for any other cell."""
-    return [(p, q, cell, cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else -1)
-            for p, row in enumerate(source[side][key]) for q, cell in enumerate(row) if cell]
+def _unit(cell: Cell) -> int:
+    """t for a unit cell ((t, 1),), else -1."""
+    return cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else -1
 
 
 class _Kronecker(_Tables):
     """The tables of the Kunneth product of (abasis, atables) and (bbasis, btables),
     ``basis`` its labels, each pair built on its first read.
 
-    Degree k is laid out block by block (`_blocks`). Table (k1, k2) is filled
-    one block at a time: block (ia, ib) is the Kronecker product of the left
-    table (ia, ib) with the right table (k1-ia, k2-ib), its cells placed by
-    that arithmetic. A factor table's nonzero cells are listed the first time a
-    block reads it, so empty cells and blocks with an empty right table cost
-    nothing. A left cell's terms have p ascending and a right cell's q
-    ascending, so the terms of their product come out in ascending position and
-    no cell is sorted. The product of two unit cells ((p, 1),) and ((q, 1),) is
-    the shared unit cell (`_unit_cells`) at its position: an index, no new
-    tuple. Every other cell is checked (`_check_cell`) as it is formed, with no
-    `_integral` when both factor tables of its block are in their ``ints``. A diagonal
-    table computes the blocks with ib <= ia and `_store` mirrors the rest. ``_source``
-    holds the factors' tables, at 0 and 1, and their `_nonzero` listings; once every
-    pair is built it goes, and the fold behind it.
+    Degree k is laid out block by block (`_blocks`). Block (ia, ib) of table (k1, k2)
+    is the Kronecker product of the left table (ia, ib) with the right table
+    (k1-ia, k2-ib), its cells placed by that arithmetic; the left table is read only
+    when the right one has a nonzero cell. A left cell's terms have p ascending and a
+    right cell's q ascending, so the terms of their product come out in ascending
+    position and no cell is sorted. The product of two unit cells ((p, 1),) and
+    ((q, 1),) is the shared unit cell (`_unit_cells`) at its position; every other cell
+    is checked (`_check_cell`) as it is formed. A diagonal table computes the blocks
+    with ib <= ia and `_store` mirrors the rest. ``_source`` is the pair of factor
+    tables; once every pair is built it goes, and the fold behind it.
     """
 
     __slots__ = ("basis", "_start")
@@ -885,46 +891,38 @@ class _Kronecker(_Tables):
         self._start = _blocks(atables.dims, btables.dims)  # start[k][i]: where block (i, k-i) begins
         self.basis = [[f"{x}⊗{y}" for i in start for x in abasis[i] for y in bbasis[k - i]]
                       for k, start in enumerate(self._start)]
-        super().__init__([len(labels) for labels in self.basis],
-                         _Memo(_nonzero, {0: atables, 1: btables}))
+        super().__init__([len(labels) for labels in self.basis], (atables, btables))
 
     def _build(self, k1: int, k2: int) -> None:
         """Store tables (k1, k2) and (k2, k1), k1 <= k2."""
-        start, source, k = self._start, self._source, k1 + k2
-        bdims, n1, n2, n = source[1].dims, *(self.dims[x] for x in (k1, k2, k))
+        start, (atables, btables), k = self._start, self._source, k1 + k2
+        bdims, n1, n2, n = btables.dims, *(self.dims[x] for x in (k1, k2, k))
         units, ints = _unit_cells(n), True
-
-        def times(lead, bcell, exact):
-            nonlocal ints
-            cell = [(s + q, cp * cq) for s, cp in lead for q, cq in bcell]
-            cell = tuple(cell if exact else [(t, _integral(c)) for t, c in cell])
-            ints &= _check_cell(cell, n)
-            return cell
-
         rows = [[()] * n2 for _ in range(n1)]
         for ia, row0 in start[k1].items():
             for ib, col0 in start[k2].items():
                 at = start[k].get(ia + ib)  # where the block's products begin
                 if at is None or (k1 == k2 and ib > ia):
                     continue
-                right = source[1, (k1 - ia, k2 - ib)]
+                right = [(qa, qb, cell, _unit(cell))
+                         for qa, row in enumerate(btables[k1 - ia, k2 - ib])
+                         for qb, cell in enumerate(row) if cell]
                 if not right:
                     continue
-                left = source[0, (ia, ib)]
-                exact = (ia, ib) in source[0].ints and (k1 - ia, k2 - ib) in source[1].ints
                 nr, nc, nb = bdims[k1 - ia], bdims[k2 - ib], bdims[k - ia - ib]
                 diagonal = k1 == k2 and ia == ib
-                for pa, pb, acell, u in left:
-                    if diagonal and pb < pa:
-                        continue  # a diagonal block's cells left of pa are mirrored
-                    r, c = row0 + pa * nr, col0 + pb * nc
-                    if u < 0:
-                        lead = [(at + p * nb, cp) for p, cp in acell]
-                        for qa, qb, bcell, _ in right:
-                            rows[r + qa][c + qb] = times(lead, bcell, exact)
-                        continue
-                    base = at + u * nb
-                    for qa, qb, bcell, v in right:
-                        rows[r + qa][c + qb] = (units[base + v] if v >= 0 else
-                                                times([(base, acell[0][1])], bcell, exact))
+                for pa, arow in enumerate(atables[ia, ib]):
+                    # a diagonal block's cells left of pa are mirrored
+                    for pb in range(pa if diagonal else 0, len(arow)):
+                        if not (acell := arow[pb]):
+                            continue
+                        r, c, u = row0 + pa * nr, col0 + pb * nc, _unit(acell)
+                        for qa, qb, bcell, v in right:
+                            if u >= 0 and v >= 0:
+                                cell = units[at + u * nb + v]
+                            else:
+                                cell = tuple((at + p * nb + q, _integral(cp * cq))
+                                             for p, cp in acell for q, cq in bcell)
+                                ints &= _check_cell(cell, n)
+                            rows[r + qa][c + qb] = cell
         self._store(k1, k2, rows, ints)

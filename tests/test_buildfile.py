@@ -277,6 +277,16 @@ _DEGENERATE_POINT = {"format": "graded-algebra", "version": 1, "name": "deg",
                      "products": [[0, 0, 0, 0, ["1"]]], "integration": ["0"]}
 _DEGENERATE_P1 = dict(algebra_payload(get("P-1").algebra), name="flat",
                       integration=["0"])
+# an inline version 1 payload on basis 1; x, y; xy with x*y = xy but y*x = 2xy
+_NONCOMMUTATIVE = {"format": "graded-algebra", "version": 1, "name": "Q",
+                   "top_degree": 2, "basis": [["1"], ["x", "y"], ["xy"]],
+                   "products": [[0, 0, 0, 0, ["1"]], [0, 0, 1, 0, ["1", "0"]],
+                                [0, 0, 1, 1, ["0", "1"]], [0, 0, 2, 0, ["1"]],
+                                [1, 0, 0, 0, ["1", "0"]], [1, 1, 0, 0, ["0", "1"]],
+                                [2, 0, 0, 0, ["1"]], [1, 0, 1, 1, ["1"]],
+                                [1, 1, 1, 0, ["2"]]],
+                   "integration": ["1"]}
+_SKEW = "commutativity fails at degrees (1,1) indices (0,1)"
 
 
 @pytest.mark.parametrize("tree,error", [
@@ -297,8 +307,15 @@ _DEGENERATE_P1 = dict(algebra_payload(get("P-1").algebra), name="flat",
     # later factor's build error wins over an earlier degenerate factor
     ({"product": [{"P": 1}, {"algebra": _DEGENERATE_P1}, {"catalog": "nope"}]},
      "$.product[2].catalog: unknown catalog name: 'nope'"),
+    # tables that are not commutative, refused before any pairing line
+    ({"product": [{"algebra": _NONCOMMUTATIVE}, {"P": 1}]}, f"$.product: factor Q: {_SKEW}"),
+    ({"proj_bundle": {"Y": {"algebra": _NONCOMMUTATIVE},
+                      "chern": [["1"], ["0", "0"], ["0"]]}}, f"$.proj_bundle: base Q: {_SKEW}"),
+    ({"blowup": {"Y": {"algebra": _NONCOMMUTATIVE}, "Z": {"P": 0},
+                 "pullback": [[["1"]]], "chern_N": [[], []]}}, f"$.blowup: ambient Q: {_SKEW}"),
 ], ids=["blowup-center", "bundle-base", "product-left", "product-right",
-        "product-middle", "product-build-error-first"])
+        "product-middle", "product-build-error-first", "non-commutative-factor",
+        "non-commutative-base", "non-commutative-ambient"])
 def test_a_degenerate_constructor_input_is_refused_at_build_time(
         tmp_path, capsys, tree, error):
     src, out = tmp_path / "bad.build.json", tmp_path / "bad.alg.json"

@@ -204,6 +204,32 @@ def test_blowup_rejects_an_ambient_pairing_the_pushforward_cannot_see():
                            (point.zero(1), point.zero(2), point.zero(3))))
 
 
+def _noncommutative(integration) -> GradedAlgebra:
+    """Basis 1; x, y; xy with x*y = xy but y*x = 2xy: its tables are not commutative."""
+    unit = ((0, 1),)
+    return GradedAlgebra("Q", [["1"], ["x", "y"], ["xy"]], {
+        (0, 0): [[unit]], (0, 1): [[unit, ((1, 1),)]], (1, 0): [[unit], [((1, 1),)]],
+        (0, 2): [[unit]], (2, 0): [[unit]], (1, 1): [[(), unit], [((0, 2),), ()]]},
+        integration)
+
+
+def test_a_non_commutative_input_is_refused_with_its_first_commutativity_line():
+    line = "commutativity fails at degrees (1,1) indices (0,1)"
+    point, p1 = projective_space(0), projective_space(1)
+    for integration in ([1], [0]):  # before any pairing line
+        q = _noncommutative(integration)
+        assert verify_algebra(q).violations[0] == line
+        builds = {"factor": lambda: tensor_product(p1, q),
+                  "base": lambda: projective_bundle(q, [q.unit(), q.zero(1), q.zero(2)])}
+        if integration == [1]:  # else the pushforward finds the pairing degenerate first
+            builds["ambient"] = lambda: blowup(BlowupInput(
+                q, point, RingMap(q, point, [[((0, 1),)]]), 2, [point.zero(1), point.zero(2)]))
+        for what, build in builds.items():
+            with pytest.raises(ValueError) as e:
+                build()
+            assert str(e.value) == f"{what} Q: {line}"
+
+
 def test_adjoint_pushforward_rejects_a_non_square_pairing():
     # Gram matrices 1x2 (rank 1, so only the shape shows it) and 2x1
     one = ((0, Fraction(1)),)

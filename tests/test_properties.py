@@ -280,6 +280,41 @@ def test_the_pair_scan_flags_exactly_when_the_full_scan_does(data):
     assert set(fast) <= set(full)
 
 
+# A catalog algebra copied through the constructor with one cell of a table
+# (k2, k1), k1 <= k2, changed, below a diagonal table's diagonal: its mirror
+# no longer agrees, so as a product factor, a bundle base or a blowup ambient
+# it is refused with the first line of its report, a commutativity line. The
+# unit column (k1 = 0) is left as it is: a blowup's pushforward reads it first.
+SKEWED = ["P-3", "P1xP1", "P1xP2", "Gr-2-4", "CxP1-even", "example1"]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_a_non_commutative_input_is_refused_with_its_first_commutativity_line(data):
+    t = catalog.get(data.draw(st.sampled_from(SKEWED))).algebra
+    d = t.top_degree
+    lower = [(k2, k1, i, j) for k1 in range(1, d + 1) for k2 in range(k1, d + 1 - k1)
+             for i in range(t.dim(k2)) for j in range(t.dim(k1)) if k1 < k2 or j < i]
+    k2, k1, i, j = data.draw(st.sampled_from(lower))
+    terms = data.draw(st.lists(st.integers(0, t.dim(k1 + k2) - 1), max_size=2, unique=True))
+    cell = tuple(sorted((s, data.draw(st.sampled_from([1, -1, 2, Fraction(1, 2)])))
+                        for s in terms))
+    assume(cell != t.tables[k2, k1][i][j])
+    tables = {k: [list(row) for row in tab] for k, tab in t.tables.items()}
+    tables[k2, k1][i][j] = cell
+    a = GradedAlgebra("skewed", t.basis, tables, t.integration)
+    first = verify_algebra(a).violations[0]
+    assert first.startswith("commutativity fails")
+    factors = data.draw(st.permutations([a, catalog.get("P-1").algebra]))
+    for what, build in [("factor", lambda: tensor_product(*factors)),
+                        ("base", lambda: projective_bundle(a, [a.unit(), a.zero(1),
+                                                               a.zero(2)])),
+                        ("ambient", lambda: _point_blowup(a, 1))]:
+        with pytest.raises(ValueError) as e:
+            build()
+        assert str(e.value) == f"{what} skewed: {first}"
+
+
 # The certified modular RREF against rref and sympy. A matrix is L*R for an
 # RREF R of rank r with pivot column 0 and L whose first r rows are the
 # identity, so rref gives R. Some rows of R may be unit rows, and some rows

@@ -12,7 +12,7 @@ import pytest
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
                       assert_ints_measured, dense_axiom_violations, dense_multiply,
                       full_scan_violations, relabeled, rescaled, unfactored)
-from lefalg import catalog, cli, ring
+from lefalg import catalog, cli, ring, schubert
 from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.constructors import projective_space, truncated_polynomial_algebra
 from lefalg.linalg import Matrix, rref
@@ -726,6 +726,23 @@ def test_a_degenerate_factor_is_named_first_in_argument_order(monkeypatch):
     assert ranked == [twice]
 
 
+def test_the_input_check_builds_no_table_of_a_fresh_factor(monkeypatch):
+    # built tables are commutative by construction, so a factor made by a rule
+    # or by tensor_product is not scanned: only the pairing tables (k, d-k) are read
+    scanned, real = [], ring._commutativity
+    monkeypatch.setattr(ring, "_commutativity", lambda a: scanned.append(a) or real(a))
+    p1, gr = projective_space(1), schubert.grassmannian.__wrapped__(2, 4)  # uncached
+    inner = tensor_product(p1, gr)
+    assert _built(inner.tables) == set() and scanned == []
+    for f in (p1, gr):
+        assert _built(f.tables) == {(k, f.top_degree - k) for k in range(f.top_degree + 1)}
+    tensor_product(inner, p1)
+    assert _built(inner.tables) == set() and scanned == []
+    by_hand = GradedAlgebra("P1-by-hand", p1.basis, dict(p1.tables.items()), p1.integration)
+    tensor_product(by_hand, p1)
+    assert scanned == [by_hand]
+
+
 def test_product_tables_of_another_shape_are_checked_as_any_tables_are(p1xp1):
     with pytest.raises(ValueError, match=r"^product table \(0,1\) is not 1x3$"):
         GradedAlgebra("wide", [["1"], ["a", "b", "c"], ["q"]], p1xp1.tables, [1])
@@ -815,8 +832,10 @@ def test_a_fully_read_product_drops_its_fold_and_a_partly_read_one_keeps_it():
     for key in keys[::2]:
         tables[key]
     assert _built(tables) != set(tables)
-    assert (tables._source[0], tables._source[1]) == (step, p1.tables) and len(tables._source) > 2
-    for key in keys[1::2]:  # the rest still build, from the fold it kept
+    # it keeps the pair of factor tables, and no more
+    assert type(tables._source) is tuple and len(tables._source) == 2
+    assert tables._source[0] is step and tables._source[1] is p1.tables
+    for key in keys[1::2]:  # the rest still build, from the factor tables it kept
         tables[key]
     assert _built(tables) == set(tables)
     assert tables._source is None

@@ -252,6 +252,8 @@ V2_FILE_SHA256 = {
         "c7aec87c5f8dab5d7d5e5933710dd1cdbe2e9fa996578e1cd10046e7b791dbbd",
     "example3xP1":
         "d84b4d927c9ee32f5af5f980bb8611b072cba5d8c0b7b2de4aec0ad5b3cbd373",
+    "example1xexample3":
+        "c910ee526bcac540bcd7e21e9a33c2c9ab49bef95b78fef7766f2c45e23f4a18",
     "P1xexample1":
         "5e5f5de9185afbcad4bffa413aa54433314d77a2a47113f8107f8845b1eb7a25",
     "P2xP2xP2xP2":
