@@ -237,13 +237,13 @@ def blowup(data: BlowupInput, *, sign: int = 1,
                          f"{len(data.chern_n)} entries")
     for i, c in enumerate(data.chern_n, start=1):
         _checked_class(z, c, i, f"c_{i}(N)")
+    _require_sound(y, "ambient")
+    _require_sound(z, "center")
     report = verify_ring_map(pull)
     if not report.ok:
         raise ValueError("pullback fails to be a ring map: "
                          + "; ".join(report.violations[:3]))
     pushed = adjoint_pushforward(pull, r)
-    _require_sound(y, "ambient")
-    _require_sound(z, "center")
     self_int = apply_ring_map(pull, y.element(r, _dense(pushed[0][0], y.dim(r))))
     cr = data.chern_n[r - 1]
     if self_int != cr:

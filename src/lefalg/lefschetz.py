@@ -7,7 +7,7 @@ per-degree check. When hard Lefschetz holds, dim PL^i = dim L^i - dim L^{i-1};
 the kernels of omega^{d-2i+1} are ranked only when it fails.
 
 A record keeps the hard Lefschetz pass (omega in L^1, the verdict, and each
-rank of a power of omega found) for each omega it is asked about, keyed by its
+rank of omega^m on L^k found) for each omega it is asked about, keyed by its
 coordinates once omega is checked. Records are immutable and a verdict is a
 pure function of record and omega, so `check_hard_lefschetz` and
 `primitive_dims` share the pass; an omega that raises is not kept.
@@ -28,9 +28,13 @@ algebra are eliminated, as below.
 
 The stage computes on integer rows (`linalg.Row`), never on `Fraction`
 vectors: every verdict is a rank, which sees only the line of a row, so the
-generators, the rows of each L^k, the powers of omega and the Gram rows are
-integer rows on the lines of the exact ones (`linalg._int_rows`, the cells of
-`ring._int_table`), and no scale is kept. Ranks and RREF bases come from
+generators, the rows of each L^k and of its images under omega, and the Gram
+rows are integer rows on the lines of the exact ones (`linalg._int_rows`, the
+cells of `ring._int_table`), and no scale is kept. The rank of omega^m on L^k
+is the dimension of omega^m L^k = omega * omega^(m-1) L^k, so each image in
+the chain L^k, omega L^k, omega^2 L^k, ... is the last times omega, divided
+row by row by its gcd (`_image_rank`): it reads only the tables (1, j) that
+L was built from, and no power of omega is formed. Ranks and RREF bases come from
 `linalg`, the one module that works mod P. Each L^k is stored once, as the
 cleared rows of its RREF (`linalg._basis_rows`), the shared unit cells where it
 is all of A^k; `Fraction` vectors are built only when `bases` or `elements` is read.
@@ -216,28 +220,18 @@ def _checked_omega(lef: LefschetzData, omega: Element | None) -> Element:
     return _checked_class(a, omega, 1, "omega")
 
 
-def _omega_powers(omega: Element, n: int) -> list[Row]:
-    """[1, omega, ..., omega^n] as integer rows, each a multiple of the power
-    divided by the gcd of its entries, and empty where the power is zero."""
-    a = omega.algebra
-    (w,) = _int_rows([omega.coords])
-    powers = [[(0, 1)]]
-    for m in range(1, min(n, a.top_degree) + 1):
-        (row,) = _product_rows(a, m - 1, 1, [powers[-1]], [w])
-        g = gcd(*(x for _, x in row))
-        powers.append([(t, x // g) for t, x in row])
-    return powers + [[] for _ in range(n + 1 - len(powers))]
-
-
-def _map_rank(lef: LefschetzData, m: int, row: Row, k: int) -> int:
-    """Rank of (x -> p * x) on L^k, for p of degree m on the line of row; p of
-    degree 0 is omega^0, the unit, so that map is the identity."""
-    a = lef.ambient
+def _image_rank(a: GradedAlgebra, w: Row, chain: list, m: int, k: int) -> int:
+    """Rank of omega^m on L^k, w omega's integer row: the dimension of omega^m L^k.
+    ``chain`` holds the images found so far, [L^k's rows, omega L^k, ...], and grows
+    to step m: each step is the last times w (table (1, j)), zero rows dropped and
+    each row divided by the gcd of its entries."""
     if m + k > a.top_degree:
         return 0
-    if m == 0:
-        return lef.dim(k)
-    return _rank(list(_product_rows(a, m, k, [row], lef.rows[k])), a.dim(m + k))
+    while len(chain) <= m:
+        rows = _product_rows(a, 1, k + len(chain) - 1, [w], chain[-1])
+        chain.append([[(t, x // g) for t, x in row] if (g := gcd(*(x for _, x in row))) > 1
+                      else row for row in rows if row])
+    return _rank(chain[m], a.dim(k + m)) if m else len(chain[0])
 
 
 def _strings(lef: LefschetzData, omega: Element) -> dict:
@@ -273,7 +267,7 @@ def _omega_ranks(lef: LefschetzData, omega: Element) -> Callable[[int, int], int
     """(m, k) -> the rank of omega^m on L^k, each found once: for a product
     record, the strings through both k and k + m of the Clebsch-Gordan product
     of its factors' types, omega's degree-one coordinates being theirs in
-    turn; else `_map_rank` on the powers [1, omega, ..., omega^(d+1)]."""
+    turn; else `_image_rank` on one image chain per L^k, each grown as asked."""
     if lefs := vars(lef).get("_factors"):
         types, at = [], 0
         for f in lefs:
@@ -282,8 +276,8 @@ def _omega_ranks(lef: LefschetzData, omega: Element) -> Callable[[int, int], int
             at += n
         strings = reduce(_clebsch_gordan, types).items()
         return lambda m, k: sum(n for (s, e), n in strings if s <= k and k + m <= e)
-    powers, plain = _omega_powers(omega, lef.ambient.top_degree + 1), LefschetzData(*lef)
-    return cache(lambda m, k: _map_rank(plain, m, powers[m], k))  # plain: no cycle via the pass
+    a, (w,), chains = lef.ambient, _int_rows([omega.coords]), [[rows] for rows in lef.rows]
+    return cache(lambda m, k: _image_rank(a, w, chains[k], m, k))
 
 
 def _hl_pass(lef: LefschetzData, omega: Element | None) -> tuple[PredicateVerdict, Callable]:

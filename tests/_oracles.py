@@ -47,10 +47,12 @@ the same verdicts on a product from its factors, each ranked by sympy, by the
 three Kunneth rules; it reaches sizes sympy cannot rank whole.
 
 `ranked_jordan_type` is not independent: it is the graded Jordan type of
-omega by inclusion and exclusion on the library's own `_map_rank` of each
-power of omega on each L^k, the path `lefschetz._strings` takes when hard
-Lefschetz fails, so the centred type that `_strings` reads off the L-dims
-when it holds is held to the ranks.
+omega by inclusion and exclusion on the rank of each power of omega on each
+L^k, found by powers rather than by lefalg's image chain: omega^m as
+``omega ** m``, its products with L^k by `multiply`, which reads the table
+(m, k), ranked by lefalg's own `_rank`. So the chain that `lefschetz._strings`
+reads when hard Lefschetz fails, and the centred type it reads off the L-dims
+when it holds, are both held to the powers.
 
 `write_algebra_v1` is the version 1 file writer, kept as the reference for
 the bytes it wrote and as a source of version 1 files, which still read.
@@ -559,14 +561,19 @@ def kunneth_lefschetz(factors, omega) -> tuple:
 
 def ranked_jordan_type(lef, omega) -> dict:
     """{(s, e): the number of strings of omega on L from degree s to degree e},
-    by inclusion and exclusion on r(m, k), the `_map_rank` of omega^m on L^k,
-    since r(m, k) strings run through both k and k + m; reads the tables."""
-    from lefalg import lefschetz
-    d = lef.ambient.top_degree
-    powers = lefschetz._omega_powers(lefschetz._checked_omega(lef, omega), d + 1)
+    by inclusion and exclusion on r(m, k), the rank of omega^m on L^k, since r(m, k)
+    strings run through both k and k + m: the rank of the products of omega ** m
+    with L^k's basis (`multiply`); reads the tables (m, k)."""
+    from lefalg import lefschetz, linalg
+    a, d = lef.ambient, lef.ambient.top_degree
+    omega = lefschetz._checked_omega(lef, omega)
+    powers = [omega ** m for m in range(d + 1)]
 
     def r(m, k):
-        return lefschetz._map_rank(lef, m, powers[m], k) if 0 <= k and k + m <= d else 0
+        if not (0 <= k and k + m <= d):
+            return 0
+        products = (multiply(powers[m], x).coords for x in lef.elements(k))
+        return linalg._rank(linalg._int_rows(products), a.dim(k + m))
 
     return {(s, e): n for s in range(d + 1) for e in range(s, d + 1)
             if (n := r(e - s, s) - r(e - s + 1, s - 1) - r(e - s + 1, s) + r(e - s + 2, s - 1))}

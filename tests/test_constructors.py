@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import assert_ints_measured, payload_checksum, sympy_basis
-from lefalg import buildfile, catalog, schubert
+from lefalg import buildfile, catalog, constructors, linalg, schubert
 from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.catalog import (_monomial_pullback, build_example1,
                             build_example2, build_example3, cxp1_even, get)
@@ -184,8 +184,9 @@ def test_adjoint_pushforward_rejects_a_degenerate_pairing():
     with pytest.raises(ValueError,
                        match="ambient pairing is degenerate in degree 2"):
         adjoint_pushforward(pull, 2)
-    with pytest.raises(ValueError,
-                       match="ambient pairing is degenerate in degree 2"):
+    # blowup checks its ambient before it pushes forward, as every constructor does
+    with pytest.raises(ValueError, match="^ambient P2-flat: integration functional "
+                                         "is identically zero$"):
         blowup(BlowupInput(flat, point, pull, 2, (point.zero(1),
                                                   point.zero(2))))
 
@@ -220,14 +221,35 @@ def test_a_non_commutative_input_is_refused_with_its_first_commutativity_line():
         q = _noncommutative(integration)
         assert verify_algebra(q).violations[0] == line
         builds = {"factor": lambda: tensor_product(p1, q),
-                  "base": lambda: projective_bundle(q, [q.unit(), q.zero(1), q.zero(2)])}
-        if integration == [1]:  # else the pushforward finds the pairing degenerate first
-            builds["ambient"] = lambda: blowup(BlowupInput(
-                q, point, RingMap(q, point, [[((0, 1),)]]), 2, [point.zero(1), point.zero(2)]))
+                  "base": lambda: projective_bundle(q, [q.unit(), q.zero(1), q.zero(2)]),
+                  "ambient": lambda: blowup(BlowupInput(
+                      q, point, RingMap(q, point, [[((0, 1),)]]), 2,
+                      [point.zero(1), point.zero(2)]))}
         for what, build in builds.items():
             with pytest.raises(ValueError) as e:
                 build()
             assert str(e.value) == f"{what} Q: {line}"
+
+
+def test_a_blowup_refuses_a_non_commutative_ambient_before_any_rref(monkeypatch):
+    # P2 with the cell h^2 * 1 emptied: its unit column differs from its unit row,
+    # so the pushforward would find the pairing degenerate; the ambient is checked
+    # first, and refused with the line tensor_product gives
+    p2, point = projective_space(2), projective_space(0)
+    tables = {k: [list(row) for row in table] for k, table in p2.tables.items()}
+    tables[2, 0][0][0] = ()
+    skew = GradedAlgebra("skew", p2.basis, tables, p2.integration)
+    line = "commutativity fails at degrees (0,2) indices (0,0)"
+    assert verify_algebra(skew).violations[0] == line
+    with pytest.raises(ValueError) as e:
+        tensor_product(skew, projective_space(1))
+    assert str(e.value) == f"factor skew: {line}"
+    calls = []
+    monkeypatch.setattr(constructors, "rref", lambda m: calls.append(m) or linalg.rref(m))
+    with pytest.raises(ValueError) as e:
+        blowup(BlowupInput(skew, point, RingMap(skew, point, [[((0, 1),)]]), 2,
+                           (point.zero(1), point.zero(2))))
+    assert str(e.value) == f"ambient skew: {line}" and calls == []
 
 
 def test_adjoint_pushforward_rejects_a_non_square_pairing():
@@ -714,10 +736,25 @@ def test_no_partly_read_build_leaves_a_reference_cycle(name, monkeypatch, tmp_pa
 def test_an_analysis_builds_part_of_a_grassmannians_tables():
     a = _analysed(schubert.grassmannian.__wrapped__(3, 8))
     built = [key for key, table in a.tables._tables.items() if table is not None]
-    assert len(built) == 52 < len(a.tables) == 136
+    assert len(built) == 43 < len(a.tables) == 136
     assert a.tables._source is not None  # the rule stays for the pairs not built
     dict(a.tables.items())
     assert a.tables._source is None
+
+
+@pytest.mark.parametrize("name", ["Gr-3-8", "Gr-4-10", "example1", "example2", "example3"])
+def test_the_hl_pass_builds_no_table_beyond_the_subalgebras(name, monkeypatch):
+    # hard Lefschetz and the primitive dims multiply the image chains by omega
+    # alone, so they read only the tables (1, j) that the subalgebra built;
+    # example3 fails hard Lefschetz, so its kernels extend the chains too
+    monkeypatch.setattr(catalog, "grassmannian", schubert.grassmannian.__wrapped__)
+    entry = catalog.get.__wrapped__(name)
+    tables = entry.algebra.tables._tables
+    lef = lefschetz_subalgebra(entry.algebra)
+    built = {key for key, table in tables.items() if table is not None}
+    hl, prim = check_hard_lefschetz(lef, entry.omega), primitive_dims(lef, entry.omega)
+    assert hl.passed == prim.valid == name.startswith("Gr")
+    assert {key for key, table in tables.items() if table is not None} == built
 
 
 # ---------------------------------------------------------------- lazy rules

@@ -12,7 +12,7 @@ from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.catalog import get, names
 from lefalg.cli import run
 from lefalg.constructors import projective_space
-from lefalg.lefschetz import (LefschetzData, _int_gram, _omega_powers,
+from lefalg.lefschetz import (LefschetzData, _image_rank, _int_gram,
                               check_hard_lefschetz,
                               check_poincare_duality, check_symmetry,
                               lefschetz_subalgebra, primitive_dims)
@@ -240,14 +240,15 @@ def _degree_one(a):
 
 
 def _count_map_ranks(monkeypatch):
+    """The degree k of each rank of omega^m on L^k (`_image_rank`) asked for."""
     calls = []
-    inner = lefschetz._map_rank
+    inner = lefschetz._image_rank
 
-    def counted(lef, m, row, k):
+    def counted(a, w, chain, m, k):
         calls.append(k)
-        return inner(lef, m, row, k)
+        return inner(a, w, chain, m, k)
 
-    monkeypatch.setattr(lefschetz, "_map_rank", counted)
+    monkeypatch.setattr(lefschetz, "_image_rank", counted)
     return calls
 
 
@@ -308,23 +309,42 @@ def test_pd_gram_is_the_integral_of_products(name):
         assert _is_one_multiple(_dense_gram(lef, k), _exact_gram(lef, k))
 
 
-def test_omega_power_rows_are_lines_of_the_powers():
+def _assert_the_chain_holds_lines_of_the_products(lef, omega):
+    """Step m of degree k's image chain holds a multiple of omega^m * x for each
+    row x of L^k with a nonzero product, and ranks as the exact products do."""
+    a, d = lef.ambient, lef.ambient.top_degree
+    (w,) = linalg._int_rows([omega.coords])
+    for k in range(d + 1):
+        chain = [lef.rows[k]]
+        for m in range(d + 2 - k):
+            exact = [v for x in lef.elements(k) if any(v := multiply(omega ** m, x).coords)]
+            rank = _image_rank(a, w, chain, m, k)
+            if k + m > d:
+                assert rank == 0 and len(chain) == m
+                continue
+            assert len(chain) == m + 1 and len(chain[m]) == len(exact), (m, k)
+            assert all(_is_one_multiple([_dense(row, a.dim(k + m))], [v])
+                       for row, v in zip(chain[m], exact)), (m, k)
+            assert rank == linalg.rref(Matrix(len(exact), a.dim(k + m), exact)).rank
+
+
+def test_image_chain_rows_are_lines_of_the_powers_times_l():
     # example3's catalog omega has omega^7 = 0 in top degree 8, so HL fails
-    # at k=0; each row is a multiple of omega^m, empty exactly where it is 0
+    # at k=0: the unit's chain is empty from step 7 on, where omega^m is 0
     omega = get("example3").omega
+    lef = lefschetz_subalgebra(omega.algebra)
     d = omega.algebra.top_degree
-    rows = _omega_powers(omega, d + 1)
-    assert len(rows) == d + 2
-    assert [m for m, row in enumerate(rows) if not row] == [7, 8, 9] == \
-        [m for m in range(d + 2) if (omega ** m).is_zero]
-    for m, row in enumerate(rows):
-        exact = (omega ** m).coords
-        assert _is_one_multiple([_dense(row, len(exact))], [exact]), m
+    (w,) = linalg._int_rows([omega.coords])
+    chain = [lef.rows[0]]
+    assert _image_rank(omega.algebra, w, chain, d, 0) == 0
+    assert [m for m, rows in enumerate(chain) if not rows] == [7, 8] == \
+        [m for m in range(d + 1) if (omega ** m).is_zero]
+    _assert_the_chain_holds_lines_of_the_products(lef, omega)
 
 
 def test_report_ranks_each_hl_map_once(monkeypatch, capsys):
     # report runs check_hard_lefschetz and then primitive_dims on its
-    # verdict, so the omega powers and the HL maps are built once
+    # verdict, so each HL map is ranked once
     calls = _count_map_ranks(monkeypatch)
     assert run(["report", "Gr-2-5"]) == 0
     assert "primitive dims: 1 0 0 0" in capsys.readouterr().out
@@ -332,45 +352,44 @@ def test_report_ranks_each_hl_map_once(monkeypatch, capsys):
     assert sorted(calls) == list(range(d // 2 + 1))
 
 
-def test_report_builds_the_omega_powers_once_when_hl_fails(monkeypatch, capsys):
-    # the kernels of omega^(d-2i+1) read the powers the HL check built
-    calls = []
-    inner = lefschetz._omega_powers
+def _count_chains(monkeypatch):
+    """{k: the ids of the image chains of L^k that `_image_rank` read}: one id
+    per degree means each chain was made once and later ranks extend it."""
+    chains: dict = {}
+    inner = lefschetz._image_rank
 
-    def counted(omega, n):
-        calls.append(n)
-        return inner(omega, n)
+    def counted(a, w, chain, m, k):
+        chains.setdefault(k, set()).add(id(chain))
+        return inner(a, w, chain, m, k)
 
-    monkeypatch.setattr(lefschetz, "_omega_powers", counted)
-    assert run(["report", "example3"]) == 0
-    assert "hard_lefschetz: FAIL" in capsys.readouterr().out
-    assert calls == [get("example3").algebra.top_degree + 1]
+    monkeypatch.setattr(lefschetz, "_image_rank", counted)
+    return chains
 
 
-def _count_omega_powers(monkeypatch):
-    calls = []
-    inner = lefschetz._omega_powers
-
-    def counted(omega, n):
-        calls.append(n)
-        return inner(omega, n)
-
-    monkeypatch.setattr(lefschetz, "_omega_powers", counted)
-    return calls
+def test_report_extends_the_hl_chains_when_hl_fails(monkeypatch, capsys):
+    # report --json ranks the kernels of omega^(d-2i+1) on each L^i too, by
+    # extending the image chains the HL check built
+    chains = _count_chains(monkeypatch)
+    assert run(["report", "--json", "example3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["primitive"] == {"dims": [1, 2, 1, 1, 0], "valid": False}
+    d = get("example3").algebra.top_degree
+    assert sorted(chains) == list(range(d // 2 + 1))
+    assert all(len(ids) == 1 for ids in chains.values())
 
 
 @pytest.mark.parametrize("verdict_first", [True, False])
 @pytest.mark.parametrize("name", ["Gr-2-5", "example3"])
 def test_the_verdict_and_the_dims_share_one_hl_pass(monkeypatch, name,
                                                      verdict_first):
-    # the record remembers the HL pass for omega: the powers are built and
-    # each HL map ranked once, in either order, and a later verdict is read;
+    # the record remembers the HL pass for omega: each degree's image chain is
+    # made and each HL map ranked once, in either order, and a later verdict is read;
     # example3 fails HL, so its kernels are ranked too, once each
     entry = get(name)
     lef = lefschetz_subalgebra(entry.algebra)
     expected = (check_hard_lefschetz(LefschetzData(*lef), entry.omega),
                 primitive_dims(LefschetzData(*lef), entry.omega))
-    powers, ranks = _count_omega_powers(monkeypatch), _count_map_ranks(monkeypatch)
+    chains, ranks = _count_chains(monkeypatch), _count_map_ranks(monkeypatch)
     if verdict_first:
         hl = check_hard_lefschetz(lef, entry.omega)
         prim = primitive_dims(lef, entry.omega)
@@ -383,13 +402,14 @@ def test_the_verdict_and_the_dims_share_one_hl_pass(monkeypatch, name,
     maps = [k for k in range(d // 2 + 1) if lef.dim(k) == lef.dim(d - k)]
     kernels = [] if hl.passed else list(range(d // 2 + 1))
     assert hl.passed == prim.valid == (name == "Gr-2-5")
-    assert powers == [d + 1]
+    assert sorted(chains) == sorted(set(maps + kernels))
+    assert all(len(ids) == 1 for ids in chains.values())
     assert sorted(ranks) == sorted(maps + kernels)
     # the pass keeps every rank it found, so asking again ranks nothing
     ranks.clear()
     assert (check_hard_lefschetz(lef, entry.omega),
             primitive_dims(lef, entry.omega)) == expected
-    assert ranks == [] and powers == [d + 1]
+    assert ranks == [] and all(len(ids) == 1 for ids in chains.values())
 
 
 def test_each_omega_has_its_own_pass_on_one_record():
@@ -436,11 +456,12 @@ def test_a_second_record_of_one_algebra_ranks_again(monkeypatch):
     first, second = (lefschetz_subalgebra(entry.algebra) for _ in range(2))
     assert first == second and first is not second
     verdict = check_hard_lefschetz(first, entry.omega)
-    powers, ranks = _count_omega_powers(monkeypatch), _count_map_ranks(monkeypatch)
+    chains, ranks = _count_chains(monkeypatch), _count_map_ranks(monkeypatch)
     assert check_hard_lefschetz(second, entry.omega) == verdict
     assert check_hard_lefschetz(first, entry.omega) == verdict
     d = entry.algebra.top_degree
-    assert powers == [d + 1]
+    assert sorted(chains) == list(range(d // 2 + 1))
+    assert all(len(ids) == 1 for ids in chains.values())
     assert sorted(ranks) == list(range(d // 2 + 1))
 
 
@@ -495,9 +516,7 @@ def test_tables_with_denominators_give_the_same_answers(name):
     d = b.top_degree
     for k in range(d + 1):
         assert _is_one_multiple(_dense_gram(lef_b, k), _exact_gram(lef_b, k))
-    for m, row in enumerate(_omega_powers(omega, d + 1)):
-        exact = (omega ** m).coords
-        assert _is_one_multiple([_dense(row, len(exact))], [exact]), m
+    _assert_the_chain_holds_lines_of_the_products(lef_b, omega)
 
 
 # the two build files of the benchmark's cli-files workload
@@ -746,9 +765,9 @@ def test_a_product_record_builds_no_table_and_ranks_only_its_factors(monkeypatch
     a = tensor_product(*(get(n).algebra for n in ("example1", "P1", "example3")))
     omega = ring._degree_one_sum(a)
     seen = []
-    inner = lefschetz._map_rank
-    monkeypatch.setattr(lefschetz, "_map_rank",
-                        lambda lef, m, row, k: seen.append(lef.ambient) or inner(lef, m, row, k))
+    inner = lefschetz._image_rank
+    monkeypatch.setattr(lefschetz, "_image_rank",
+                        lambda a, *args: seen.append(a) or inner(a, *args))
     lef = lefschetz_subalgebra(a)
     hl, prim = check_hard_lefschetz(lef, omega), primitive_dims(lef, omega)
     check_poincare_duality(lef)
@@ -794,15 +813,18 @@ def test_each_distinct_factor_record_is_ranked_once(name, calls, monkeypatch):
 @pytest.mark.parametrize("name", dict.fromkeys(names() + _REAL))
 def test_a_centred_type_is_the_type_the_ranks_give(name):
     # where hard Lefschetz holds, _strings reads the centred type off the
-    # L-dims, and the ranks of every power of omega on every L^k give the
-    # same strings; where it fails, some string is off centre
+    # L-dims; where it fails, some string is off centre, and _strings reads the
+    # ranks of the image chains. Both give the strings that the ranks of every
+    # power of omega on every L^k give; a product that fails reads its factors'
+    # types, which the Kunneth oracle checks
     from _oracles import ranked_jordan_type
     entry = get(name)
     lef = lefschetz_subalgebra(entry.algebra)
     d, strings = entry.algebra.top_degree, lefschetz._strings(lef, entry.omega)
     passed = check_hard_lefschetz(lef, entry.omega).passed
     assert passed == all(s + e == d for s, e in strings)
-    assert not passed or strings == ranked_jordan_type(lef, entry.omega)
+    if passed or "_factors" not in vars(lef):  # else its factors' types: the Kunneth oracle
+        assert strings == ranked_jordan_type(lef, entry.omega)
 
 
 @pytest.mark.parametrize("name,calls", [("P2xP2xP2xP2", 2), ("Gr-2-5xGr-2-5xP1", 5)])
