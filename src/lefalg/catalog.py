@@ -14,7 +14,6 @@ import re
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
-from math import prod
 
 from .constructors import (
     BlowupInput,
@@ -26,7 +25,8 @@ from .constructors import (
     series_product,
     truncated_polynomial_algebra,
 )
-from .ring import Element, GradedAlgebra, RingMap, _cells, _degree_one_sum, tensor_product
+from .ring import (Element, GradedAlgebra, RingMap, _cells, _combine, _degree_one_sum,
+                   tensor_product)
 from .schubert import grassmannian, quotient_chern_classes
 
 _P_NAME = re.compile(r"^P-?(\d+)$")
@@ -40,11 +40,18 @@ class CatalogEntry(namedtuple("CatalogEntry", "name algebra omega description"))
 
 def _monomial_pullback(y: GradedAlgebra, caps: Sequence[int], z: GradedAlgebra,
                        gen_images: Sequence[Element]) -> RingMap:
-    """Ring map from a truncated polynomial ring fixed by generator images."""
-    def image(exps):  # the coordinates of the image of one monomial
-        return prod((img ** e for img, e in zip(gen_images, exps)), start=z.unit()).coords
-    return RingMap(y, z, [_cells(map(image, monomial_exponents(caps, k)))
-                          for k in range(min(y.top_degree, z.top_degree) + 1)])
+    """Ring map from a truncated polynomial ring fixed by generator images g_i:
+    on z's cells, the image of a monomial of degree k is that of the one with
+    its first nonzero exponent i lowered, times g_i (z is associative)."""
+    gens, images = _cells(g.coords for g in gen_images), [{(0,) * len(caps): ((0, 1),)}]
+    for k in range(1, min(y.top_degree, z.top_degree) + 1):
+        images.append({})
+        table = z.tables[k - 1, 1]
+        for e in monomial_exponents(caps, k):
+            i = next(i for i, x in enumerate(e) if x)
+            low = images[k - 1][e[:i] + (e[i] - 1,) + e[i + 1:]]
+            images[k][e] = _combine([(x * c, table[s][t]) for s, x in low for t, c in gens[i]])
+    return RingMap(y, z, [list(cells.values()) for cells in images])
 
 
 def cxp1_even() -> GradedAlgebra:

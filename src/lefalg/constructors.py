@@ -34,11 +34,10 @@ from .ring import (
     _cells,
     _checked_class,
     _combine,
+    _coords,
     _require_sound,
     apply_ring_map,
     build_product_tables,
-    multiply,
-    pairing_matrix,
     verify_ring_map,
 )
 
@@ -139,13 +138,29 @@ def series(a: GradedAlgebra, terms: Sequence[Element]) -> list[Element]:
     return out
 
 
+def _convolved(a: GradedAlgebra, k: int, pairs, sign: int = 1) -> Element:
+    """sign times the sum of x*y over the pairs (x, y) of Elements of a whose
+    degrees sum to k <= d, read from a's tables into one accumulator."""
+    acc = [0] * a.dim(k)
+    for x, y in pairs:
+        table = a.tables[x.degree, y.degree]
+        ys = [(j, cj) for j, cj in enumerate(y.coords) if cj]
+        for row, ci in zip(table, x.coords):
+            for j, cj in ys if ci else ():
+                f = sign * ci * cj
+                for t, c in row[j]:
+                    acc[t] += f * c
+    return a.element(k, acc)
+
+
 def series_product(u: Sequence[Element], v: Sequence[Element]) -> list[Element]:
-    """Convolution of two inhomogeneous classes, truncated at the top degree."""
+    """Convolution of two inhomogeneous classes, truncated at the top degree:
+    each degree's terms summed on the tables into one Element (`_convolved`)."""
     if not u or not v:
         raise ValueError("series must be nonempty")
     a = u[0].algebra
     un, vn = series(a, u), series(a, v)
-    return [sum((multiply(un[i], vn[k - i]) for i in range(k + 1)), a.zero(k))
+    return [_convolved(a, k, [(un[i], vn[k - i]) for i in range(k + 1)])
             for k in range(a.top_degree + 1)]
 
 
@@ -153,14 +168,15 @@ def chern_series_inverse(a: GradedAlgebra, u: Sequence[Element]) -> list[Element
     """Inverse of a total Chern class 1 + u_1 + u_2 + ... by degree recursion.
 
     With v_0 = 1 and v_k = -(u_1 v_{k-1} + ... + u_k v_0), the product u*v
-    telescopes to 1 through the top degree.
+    telescopes to 1 through the top degree; each v_k is summed on the tables
+    into one Element (`_convolved`).
     """
     un = series(a, u)
     if un[0] != a.unit():
         raise ValueError("total class must have constant term 1")
     v = [a.unit()]
     for k in range(1, a.top_degree + 1):
-        v.append(-sum((multiply(un[i], v[k - i]) for i in range(1, k + 1)), a.zero(k)))
+        v.append(_convolved(a, k, [(un[i], v[k - i]) for i in range(1, k + 1)], -1))
     return v
 
 
@@ -171,26 +187,28 @@ def adjoint_pushforward(pullback: RingMap, r: int) -> list[list[Cell]]:
     push(w_t) in degree k+r of the ambient algebra, w_t the center's basis
     class t of degree k, with int_Y(push(w) * y) = int_Z(w * pull(y)) for
     every y. Each list comes from one elimination against the ambient
-    pairing Gram matrix, which must be invertible in the degrees it is used.
+    pairing Gram matrix, which must be invertible in the degrees it is used;
+    its entries are integrals of the stored cells of Y and Z.
     """
     y, z = pullback.source, pullback.target
     if r < 1 or z.top_degree != y.top_degree - r:
         raise ValueError(
             f"codimension mismatch: center top {z.top_degree}, "
             f"ambient top {y.top_degree}, r = {r}")
-    dy = y.top_degree
+    dy, dz = y.top_degree, z.top_degree
+    wy, wz = _coords(y.integration), _coords(z.integration)
     push = []
-    for k in range(z.top_degree + 1):
-        gram = pairing_matrix(y, k + r)
-        n = gram.rows
-        pz = pairing_matrix(z, k).entries
+    for k in range(dz + 1):
+        n, m = y.dim(k + r), y.dim(dy - k - r)
+        pz = [[sum(wz[s] * c for s, c in cell) for cell in row] for row in z.tables[k, dz - k]]
         # [G^T | R], a row per class y_j of degree dy-k-r: column j of G, then
-        # int_Z(w_t * pull(y_j)), row t of Z's pairing on the cell of pull(y_j)
-        aug = [[g[j] for g in gram.entries] + [sum(w[s] * c for s, c in cell) for w in pz]
-               for j, cell in enumerate(pullback.images[dy - k - r])]
-        red, pivots, _rank = rref(Matrix(gram.cols, n + z.dim(k), aug))
+        # int_Z(w_t * pull(y_j)), row t of Z's pairing pz on the cell of pull(y_j)
+        aug = [[sum(wy[s] * c for s, c in cell) for cell in row]
+               + [sum(w[s] * c for s, c in image) for w in pz]
+               for row, image in zip(y.tables[dy - k - r, k + r], pullback.images[dz - k])]
+        red, pivots, _rank = rref(Matrix(m, n + z.dim(k), aug))
         # G is invertible exactly when it is square and columns 0..n-1 are pivots
-        if gram.cols != n or pivots[:n] != tuple(range(n)):
+        if m != n or pivots[:n] != tuple(range(n)):
             raise ValueError(f"ambient pairing is degenerate in degree {k + r}")
         push.append(_cells([row[n + t] for row in red.entries] for t in range(z.dim(k))))
     return push

@@ -33,8 +33,9 @@ rows are integer rows on the lines of the exact ones (`linalg._int_rows`, the
 cells of `ring._int_table`), and no scale is kept. The rank of omega^m on L^k
 is the dimension of omega^m L^k = omega * omega^(m-1) L^k, so each image in
 the chain L^k, omega L^k, omega^2 L^k, ... is the last times omega, divided
-row by row by its gcd (`_image_rank`): it reads only the tables (1, j) that
-L was built from, and no power of omega is formed. Ranks and RREF bases come from
+row by row by its gcd (`_image_rank`). omega's columns on degree j, omega*b_i for
+each basis class b_i read from the table (1, j) that L was built from, are formed
+once per HL pass, and no power of omega is formed. Ranks and RREF bases come from
 `linalg`, the one module that works mod P. Each L^k is stored once, as the
 cleared rows of its RREF (`linalg._basis_rows`), the shared unit cells where it
 is all of A^k; `Fraction` vectors are built only when `bases` or `elements` is read.
@@ -85,33 +86,40 @@ class LefschetzData(namedtuple("LefschetzData", "ambient generators rows")):
         return [self.ambient.element(k, v) for v in _rref_vectors(rows, self.ambient.dim(k))]
 
 
+def _columns(table: Sequence, w: Row, n: int) -> Sequence:
+    """The integer row w*b_i (its nonzero terms) for each of the n basis classes b_i
+    of the second degree of ``table`` (`_int_table`), w a row of the first: the
+    cells ``table[s]`` as they are for a unit row w = b_s."""
+    if len(w) == 1 and w[0][1] == 1:
+        return table[w[0][0]]
+    sums: list[dict] = [{} for _ in range(n)]
+    for s, x in w:
+        for column, cell in zip(sums, table[s]):
+            for t, c in cell:
+                column[t] = column.get(t, 0) + x * c
+    return [[(t, c) for t, c in column.items() if c] for column in sums]
+
+
+def _times_columns(columns: Sequence, us: Sequence[Row]):
+    """Lazily, the row w*u for each row u in us, ``columns`` those of w (`_columns`):
+    a unit row u = b_i gives ``columns[i]`` as it is."""
+    for u in us:
+        if len(u) == 1 and u[0][1] == 1:
+            yield columns[u[0][0]]
+            continue
+        row: dict = {}
+        for i, x in u:
+            for t, c in columns[i]:
+                row[t] = row.get(t, 0) + x * c
+        yield [(t, c) for t, c in row.items() if c]
+
+
 def _product_rows(a: GradedAlgebra, k1: int, k2: int,
                   ws: Sequence[Row], us: Sequence[Row]):
-    """Lazily, the integer rows w*u (their nonzero terms) on the lines of the
-    products, for each row w of degree k1 in ws and then each u of degree k2
-    in us. A unit row w = b_s times a unit row u = b_i is the cell
-    ``table[s][i]`` of `_int_table` as it is."""
+    """Lazily, the integer rows w*u on the lines of the products, for each row w
+    of degree k1 in ws and then each u of degree k2 in us."""
     table = _int_table(a, k1, k2)
-    for w in ws:
-        unit = len(w) == 1 and w[0][1] == 1
-        if unit:
-            columns = table[w[0][0]]  # w * b_i is the cell itself, each i
-        else:
-            sums: list[dict] = [{} for _ in range(a.dim(k2))]  # w * b_i, each i
-            for s, x in w:
-                for column, cell in zip(sums, table[s]):
-                    for t, c in cell:
-                        column[t] = column.get(t, 0) + x * c
-            columns = [column.items() for column in sums]
-        for u in us:
-            if unit and len(u) == 1 and u[0][1] == 1:
-                yield columns[u[0][0]]
-                continue
-            row: dict = {}
-            for i, x in u:
-                for t, c in columns[i]:
-                    row[t] = row.get(t, 0) + x * c
-            yield [(t, c) for t, c in row.items() if c]
+    return (row for w in ws for row in _times_columns(_columns(table, w, a.dim(k2)), us))
 
 
 def _convolve(u: Sequence[int], v: Sequence[int]) -> list[int]:
@@ -124,17 +132,17 @@ def _kunneth_rows(lefs: Sequence[LefschetzData]) -> list[tuple]:
     """The rows of L^k of the product of the records' ambients, for each k: block
     by block (`ring._blocks`), the Kronecker products u (x) v of the factors' rows,
     each times what clears its degree by one lcm; the shared unit cells where L^k
-    is all of its degree."""
+    is all of its degree, which the dims of the blocks show before any is listed."""
     dims, rows = lefs[0].ambient.dims, lefs[0].rows
     for lef in lefs[1:]:
         bdims, out = lef.ambient.dims, []
         dims, layout = _convolve(dims, bdims), _blocks(dims, bdims)
         for k, start in enumerate(layout):
-            pairs = [(at, bdims[k - i], u, v) for i, at in start.items()
-                     for u in rows[i] for v in lef.rows[k - i]]
-            if len(pairs) == dims[k]:
+            if sum(len(rows[i]) * len(lef.rows[k - i]) for i in start) == dims[k]:
                 out.append(tuple(_unit_cells(dims[k])[:dims[k]]))
                 continue
+            pairs = [(at, bdims[k - i], u, v) for i, at in start.items()
+                     for u in rows[i] for v in lef.rows[k - i]]
             scale = lcm(*{u[0][1] * v[0][1] for _, _, u, v in pairs})
             out.append(tuple(tuple((at + p * nb + q, x * y * c) for p, x in u for q, y in v)
                              for at, nb, u, v in pairs for c in [scale // (u[0][1] * v[0][1])]))
@@ -220,15 +228,15 @@ def _checked_omega(lef: LefschetzData, omega: Element | None) -> Element:
     return _checked_class(a, omega, 1, "omega")
 
 
-def _image_rank(a: GradedAlgebra, w: Row, chain: list, m: int, k: int) -> int:
-    """Rank of omega^m on L^k, w omega's integer row: the dimension of omega^m L^k.
-    ``chain`` holds the images found so far, [L^k's rows, omega L^k, ...], and grows
-    to step m: each step is the last times w (table (1, j)), zero rows dropped and
-    each row divided by the gcd of its entries."""
+def _image_rank(a: GradedAlgebra, columns: Callable, chain: list, m: int, k: int) -> int:
+    """Rank of omega^m on L^k: the dimension of omega^m L^k. ``columns(j)`` is
+    omega's `_columns` on degree j, and ``chain`` holds the images found so far,
+    [L^k's rows, omega L^k, ...], and grows to step m: each step is the last
+    times omega, zero rows dropped and each row divided by its gcd."""
     if m + k > a.top_degree:
         return 0
     while len(chain) <= m:
-        rows = _product_rows(a, 1, k + len(chain) - 1, [w], chain[-1])
+        rows = _times_columns(columns(k + len(chain) - 1), chain[-1])
         chain.append([[(t, x // g) for t, x in row] if (g := gcd(*(x for _, x in row))) > 1
                       else row for row in rows if row])
     return _rank(chain[m], a.dim(k + m)) if m else len(chain[0])
@@ -267,7 +275,8 @@ def _omega_ranks(lef: LefschetzData, omega: Element) -> Callable[[int, int], int
     """(m, k) -> the rank of omega^m on L^k, each found once: for a product
     record, the strings through both k and k + m of the Clebsch-Gordan product
     of its factors' types, omega's degree-one coordinates being theirs in
-    turn; else `_image_rank` on one image chain per L^k, each grown as asked."""
+    turn; else `_image_rank` on one image chain per L^k, each grown as asked,
+    and omega's columns on each degree formed once for them all."""
     if lefs := vars(lef).get("_factors"):
         types, at = [], 0
         for f in lefs:
@@ -277,7 +286,8 @@ def _omega_ranks(lef: LefschetzData, omega: Element) -> Callable[[int, int], int
         strings = reduce(_clebsch_gordan, types).items()
         return lambda m, k: sum(n for (s, e), n in strings if s <= k and k + m <= e)
     a, (w,), chains = lef.ambient, _int_rows([omega.coords]), [[rows] for rows in lef.rows]
-    return cache(lambda m, k: _image_rank(a, w, chains[k], m, k))
+    columns = cache(lambda j: _columns(_int_table(a, 1, j), w, a.dim(j)))
+    return cache(lambda m, k: _image_rank(a, columns, chains[k], m, k))
 
 
 def _hl_pass(lef: LefschetzData, omega: Element | None) -> tuple[PredicateVerdict, Callable]:

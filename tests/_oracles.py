@@ -54,6 +54,13 @@ L^k, found by powers rather than by lefalg's image chain: omega^m as
 reads when hard Lefschetz fails, and the centred type it reads off the L-dims
 when it holds, are both held to the powers.
 
+`series_product_by_multiply`, `chern_series_inverse_by_multiply`,
+`monomial_pullback_by_powers` and `adjoint_pushforward_by_pairing_matrix` are
+the blowup inputs as they were formed before the library formed them on cells:
+sums of `multiply` over `Element`s, each monomial's image a product of powers
+of the generator images, and the pushforward eliminated against
+`pairing_matrix`, whose entries are `Fraction` sums.
+
 `write_algebra_v1` is the version 1 file writer, kept as the reference for
 the bytes it wrote and as a source of version 1 files, which still read.
 `pieri` and `relabeled` were public lefalg functions that nothing in the
@@ -64,11 +71,13 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from math import prod
 from unittest import mock
 
 from lefalg import ring
-from lefalg.linalg import Matrix, Vector, format_rational
-from lefalg.ring import Element, GradedAlgebra, RingMap, multiply
+from lefalg.constructors import monomial_exponents, series
+from lefalg.linalg import Matrix, Vector, format_rational, rref
+from lefalg.ring import Element, GradedAlgebra, RingMap, multiply, pairing_matrix
 from lefalg.schubert import Box, contains, is_partition
 
 
@@ -591,6 +600,48 @@ def kernel(a: Matrix) -> list[Vector]:
     m = sympy.Matrix(a.rows, a.cols, [sympy.Rational(x.numerator, x.denominator)
                                       for row in a.entries for x in row])
     return [tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in m.nullspace()]
+
+
+def series_product_by_multiply(u, v) -> list[Element]:
+    """The truncated convolution of two series, each degree a sum of `multiply`."""
+    a = u[0].algebra
+    un, vn = series(a, u), series(a, v)
+    return [sum((multiply(un[i], vn[k - i]) for i in range(k + 1)), a.zero(k))
+            for k in range(a.top_degree + 1)]
+
+
+def chern_series_inverse_by_multiply(a: GradedAlgebra, u) -> list[Element]:
+    """v_0 = 1 and v_k = -(u_1 v_{k-1} + ... + u_k v_0), each a sum of `multiply`."""
+    un, v = series(a, u), [a.unit()]
+    for k in range(1, a.top_degree + 1):
+        v.append(-sum((multiply(un[i], v[k - i]) for i in range(1, k + 1)), a.zero(k)))
+    return v
+
+
+def monomial_pullback_by_powers(y: GradedAlgebra, caps, z: GradedAlgebra,
+                                gen_images) -> RingMap:
+    """The ring map from a truncated polynomial ring y sending each monomial to
+    the product of the powers of the generator images."""
+    def image(exps):
+        return prod((g ** e for g, e in zip(gen_images, exps)), start=z.unit()).coords
+    return RingMap(y, z, [ring._cells(map(image, monomial_exponents(caps, k)))
+                          for k in range(min(y.top_degree, z.top_degree) + 1)])
+
+
+def adjoint_pushforward_by_pairing_matrix(pullback: RingMap, r: int) -> list[list]:
+    """For each center degree k, the cell of each push(w_t) by one `rref` of
+    [G^T | R] against the ambient's `pairing_matrix` G, R the integrals over the
+    center of w_t * pull(y_j) from its `pairing_matrix`."""
+    y, z = pullback.source, pullback.target
+    push = []
+    for k in range(z.top_degree + 1):
+        gram = pairing_matrix(y, k + r)
+        n, pz = gram.rows, pairing_matrix(z, k).entries
+        aug = [[g[j] for g in gram.entries] + [sum(w[s] * c for s, c in cell) for w in pz]
+               for j, cell in enumerate(pullback.images[y.top_degree - k - r])]
+        red = rref(Matrix(gram.cols, n + z.dim(k), aug)).reduced
+        push.append(ring._cells([row[n + t] for row in red.entries] for t in range(z.dim(k))))
+    return push
 
 
 def relabeled(a: GradedAlgebra, basis, name=None) -> GradedAlgebra:

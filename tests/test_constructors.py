@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import assert_ints_measured, payload_checksum, sympy_basis
+from _oracles import (adjoint_pushforward_by_pairing_matrix, assert_ints_measured,
+                      payload_checksum, sympy_basis)
 from lefalg import buildfile, catalog, constructors, linalg, schubert
 from lefalg.buildfile import evaluate, parse_build_file
 from lefalg.catalog import (_monomial_pullback, build_example1,
@@ -156,6 +157,32 @@ def test_adjoint_pushforward_projection_formula():
                 lhs = integrate(multiply(fw, u))
                 rhs = integrate(multiply(w, pull(u)))
                 assert lhs == rhs
+
+
+def test_adjoint_pushforward_matches_the_pairing_matrix_oracle():
+    # the entries of [G^T | R] are integrals of the stored cells: with P3's
+    # integral of h^3 = 1/2 they are Fractions, and h -> z/3 makes iota_*(1) = 2/3 h^2;
+    # a center whose integral of z is 2 doubles R
+    p3, p1 = projective_space(3), projective_space(1)
+    half = GradedAlgebra("P3-half", p3.basis, p3.tables, [Fraction(1, 2)])
+    two = GradedAlgebra("P1-two", p1.basis, p1.tables, [2])
+    cases = [(RingMap(half, z, [[((0, 1),)], [((0, c),)]]), 2)
+             for z in (p1, two) for c in (1, 3, Fraction(1, 3))]
+    z = cxp1_even()
+    cases.append((_monomial_pullback(projective_space(5, var="c"), [5], z,
+                                     [z.by_label("a") + 3 * z.by_label("b")]), 3))
+    y = truncated_polynomial_algebra("P3xP3", [("y1", 3), ("y2", 3)])
+    z = truncated_polynomial_algebra("(P1)^3", [("z1", 1), ("z2", 1), ("z3", 1)])
+    z1, z2, z3 = (z.by_label(label) for label in ("z1", "z2", "z3"))
+    cases.append((_monomial_pullback(y, [3, 3], z, [z1 + z2, z2 + z3]), 3))
+    for pull, r in cases:
+        push = adjoint_pushforward(pull, r)
+        expected = adjoint_pushforward_by_pairing_matrix(pull, r)
+        assert push == expected
+        assert [type(c) for cells in push for cell in cells for _, c in cell] == \
+            [type(c) for cells in expected for cell in cells for _, c in cell]
+    assert adjoint_pushforward(cases[2][0], 2) == [[((0, Fraction(2, 3)),)], [((0, 2),)]]
+    assert adjoint_pushforward(cases[5][0], 2) == [[((0, Fraction(4, 3)),)], [((0, 4),)]]
 
 
 def _algebra(basis, products, integration):

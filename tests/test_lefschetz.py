@@ -1,7 +1,9 @@
 """Degree-one subalgebras and the three structural predicates."""
 
 import json
+import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -244,9 +246,9 @@ def _count_map_ranks(monkeypatch):
     calls = []
     inner = lefschetz._image_rank
 
-    def counted(a, w, chain, m, k):
+    def counted(a, columns, chain, m, k):
         calls.append(k)
-        return inner(a, w, chain, m, k)
+        return inner(a, columns, chain, m, k)
 
     monkeypatch.setattr(lefschetz, "_image_rank", counted)
     return calls
@@ -309,16 +311,22 @@ def test_pd_gram_is_the_integral_of_products(name):
         assert _is_one_multiple(_dense_gram(lef, k), _exact_gram(lef, k))
 
 
+def _omega_columns(a, omega):
+    """j -> omega's columns on degree j, as one HL pass forms them."""
+    (w,) = linalg._int_rows([omega.coords])
+    return cache(lambda j: lefschetz._columns(ring._int_table(a, 1, j), w, a.dim(j)))
+
+
 def _assert_the_chain_holds_lines_of_the_products(lef, omega):
     """Step m of degree k's image chain holds a multiple of omega^m * x for each
     row x of L^k with a nonzero product, and ranks as the exact products do."""
     a, d = lef.ambient, lef.ambient.top_degree
-    (w,) = linalg._int_rows([omega.coords])
+    columns = _omega_columns(a, omega)
     for k in range(d + 1):
         chain = [lef.rows[k]]
         for m in range(d + 2 - k):
             exact = [v for x in lef.elements(k) if any(v := multiply(omega ** m, x).coords)]
-            rank = _image_rank(a, w, chain, m, k)
+            rank = _image_rank(a, columns, chain, m, k)
             if k + m > d:
                 assert rank == 0 and len(chain) == m
                 continue
@@ -334,9 +342,9 @@ def test_image_chain_rows_are_lines_of_the_powers_times_l():
     omega = get("example3").omega
     lef = lefschetz_subalgebra(omega.algebra)
     d = omega.algebra.top_degree
-    (w,) = linalg._int_rows([omega.coords])
+    columns = _omega_columns(omega.algebra, omega)
     chain = [lef.rows[0]]
-    assert _image_rank(omega.algebra, w, chain, d, 0) == 0
+    assert _image_rank(omega.algebra, columns, chain, d, 0) == 0
     assert [m for m, rows in enumerate(chain) if not rows] == [7, 8] == \
         [m for m in range(d + 1) if (omega ** m).is_zero]
     _assert_the_chain_holds_lines_of_the_products(lef, omega)
@@ -358,9 +366,9 @@ def _count_chains(monkeypatch):
     chains: dict = {}
     inner = lefschetz._image_rank
 
-    def counted(a, w, chain, m, k):
+    def counted(a, columns, chain, m, k):
         chains.setdefault(k, set()).add(id(chain))
-        return inner(a, w, chain, m, k)
+        return inner(a, columns, chain, m, k)
 
     monkeypatch.setattr(lefschetz, "_image_rank", counted)
     return chains
@@ -376,6 +384,27 @@ def test_report_extends_the_hl_chains_when_hl_fails(monkeypatch, capsys):
     d = get("example3").algebra.top_degree
     assert sorted(chains) == list(range(d // 2 + 1))
     assert all(len(ids) == 1 for ids in chains.values())
+
+
+@pytest.mark.parametrize("name, steps, formed", [("Gr-3-8", 64, 15), ("example2", 15, 6)])
+def test_one_hl_pass_forms_omegas_columns_once_per_degree(monkeypatch, name, steps, formed):
+    # every step of every image chain multiplies by omega's columns on its degree,
+    # formed on the first step that reaches that degree: Gr-3-8 (d = 15) passes HL in
+    # 64 steps over degrees 0..14, and example2 (d = 6) fails it, so its kernels extend
+    # the chains to 15 steps over degrees 0..5
+    entry = get(name)
+    lef = lefschetz_subalgebra(entry.algebra)
+    columns, times = [], []
+    inner_columns, inner_times = lefschetz._columns, lefschetz._times_columns
+    monkeypatch.setattr(lefschetz, "_columns",
+                        lambda table, w, n: columns.append(n) or inner_columns(table, w, n))
+    monkeypatch.setattr(lefschetz, "_times_columns",
+                        lambda cols, us: times.append(cols) or inner_times(cols, us))
+    hl, prim = check_hard_lefschetz(lef, entry.omega), primitive_dims(lef, entry.omega)
+    assert hl.passed == prim.valid == (name == "Gr-3-8")
+    assert (len(times), len(columns)) == (steps, formed)
+    assert sorted(columns) == sorted(entry.algebra.dims[:formed])
+    assert len(set(map(id, times))) == formed  # each step read its degree's one list
 
 
 @pytest.mark.parametrize("verdict_first", [True, False])
@@ -759,6 +788,24 @@ def test_a_product_record_keeps_one_record_per_distinct_factor(name):
     assert [lef.ambient for lef in lefs] == list(factors)
     assert len(set(map(id, lefs))) == len(set(map(id, factors))) < len(factors)
     assert all((x is y) == (f is g) for x, f in zip(lefs, factors) for y, g in zip(lefs, factors))
+
+
+def test_kunneth_rows_of_full_factors_are_the_shared_unit_cells_in_every_degree():
+    # a degree whose blocks fill it takes the shared unit cells, found from the
+    # factors' dims before any pair of rows is listed: P1^14 has degrees of up to
+    # 3,432 classes; Gr-2-5 is not full, so the product keeps its Kronecker rows
+    p1 = lefschetz_subalgebra(get("P1").algebra)
+    rows = lefschetz._kunneth_rows([p1] * 14)
+    assert [len(level) for level in rows] == [math.comb(14, k) for k in range(15)]
+    assert all(row is cell for level in rows
+               for row, cell in zip(level, ring._unit_cells(len(level))))
+    a = get("Gr-2-5xGr-2-5xP1").algebra
+    rows = lefschetz._kunneth_rows(vars(lefschetz_subalgebra(a))["_factors"])
+    ref = lefschetz_subalgebra(a, _degree_one(a))
+    assert rows == list(ref.rows)
+    assert [all(r is u for r, u in zip(level, ring._unit_cells(len(level)))) for level in rows] == \
+        [len(level) == n for level, n in zip(rows, a.dims)] == \
+        [True, True] + [False] * 10 + [True, True]
 
 
 def test_a_product_record_builds_no_table_and_ranks_only_its_factors(monkeypatch):

@@ -18,15 +18,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
-                      assert_ints_measured, brute_force_lefschetz_dims, dense_axiom_violations,
+                      assert_ints_measured, brute_force_lefschetz_dims,
+                      chern_series_inverse_by_multiply, dense_axiom_violations,
                       dense_ring_map_violations, full_scan_violations,
-                      kunneth_lefschetz, lr_count_by_tableaux, ranked_jordan_type, rescaled,
+                      kunneth_lefschetz, lr_count_by_tableaux, monomial_pullback_by_powers,
+                      ranked_jordan_type, rescaled, series_product_by_multiply,
                       sympy_basis, sympy_lefschetz, unfactored, write_algebra_v1)
 from lefalg import catalog, lefschetz, linalg, ring
 from lefalg.buildfile import BuildFileError, evaluate, parse_build_file
 from lefalg.cli import parse_element_expr
-from lefalg.constructors import (BlowupInput, blowup, projective_bundle,
-                                 projective_space)
+from lefalg.constructors import (BlowupInput, blowup, chern_series_inverse,
+                                 projective_bundle, projective_space, series_product,
+                                 truncated_polynomial_algebra)
 from lefalg.lefschetz import (check_hard_lefschetz, check_poincare_duality,
                               check_symmetry, lefschetz_subalgebra, primitive_dims)
 from lefalg.linalg import P, Matrix, rref
@@ -469,6 +472,48 @@ def test_ring_map_reports_match_the_dense_oracle(data):
     g = RingMap(f.source, f.target, images)
     assert verify_ring_map(g).violations == dense_ring_map_violations(g)
     assert verify_ring_map(f).violations == dense_ring_map_violations(f)
+
+
+# The blowup inputs formed on cells against their Element formulas: series
+# products and Chern inverses on truncated polynomial rings and on Gr(2,4), and
+# monomial pullbacks into them, with int and Fraction coefficients. Equal
+# values are not enough: each coefficient must be an int wherever it is integral.
+COEFFICIENTS = st.one_of(st.integers(-3, 3),
+                         st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+def _truncated(name: str, caps) -> GradedAlgebra:
+    return truncated_polynomial_algebra(name, [(f"{name}{i}", c) for i, c in enumerate(caps)])
+
+
+def _coefficients(x) -> list:
+    """Every coefficient of a list of Elements, or of a list of cell lists."""
+    return [c for v in x for c in (v.coords if isinstance(v, ring.Element)
+                                   else [c for cell in v for _, c in cell])]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_blowup_inputs_on_cells_match_their_element_formulas(data):
+    caps = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    z = catalog.get("Gr-2-4").algebra if data.draw(st.booleans()) else _truncated("x", data.draw(caps))
+
+    def element(k):
+        return z.element(k, data.draw(st.lists(COEFFICIENTS, min_size=z.dim(k),
+                                               max_size=z.dim(k))))
+    u = [element(k) for k in range(z.top_degree + 1)]
+    v = [z.unit()] + [element(k) for k in range(1, z.top_degree + 1)]
+    ycaps = data.draw(caps)
+    y, gens = _truncated("y", ycaps), [element(1) for _ in ycaps]
+    for got, expected in (
+            (series_product(u, v), series_product_by_multiply(u, v)),
+            (chern_series_inverse(z, v), chern_series_inverse_by_multiply(z, v)),
+            (catalog._monomial_pullback(y, ycaps, z, gens).images,
+             monomial_pullback_by_powers(y, ycaps, z, gens).images)):
+        assert list(got) == list(expected)
+        coefficients = _coefficients(got)
+        assert list(map(type, coefficients)) == list(map(type, _coefficients(expected)))
+        assert all(type(c) is int for c in coefficients if c.denominator == 1)
 
 
 # Random constructor trees of depth at most 2 over six small leaves: tensor

@@ -11,6 +11,7 @@ import pytest
 
 from _oracles import (algebra_payload_v1, all_pairs, assert_dense_kronecker,
                       assert_ints_measured, dense_axiom_violations, dense_multiply,
+                      dense_ring_map_violations,
                       full_scan_violations, relabeled, rescaled, unfactored)
 from lefalg import catalog, cli, ring, schubert
 from lefalg.buildfile import evaluate, parse_build_file
@@ -337,6 +338,30 @@ def test_ring_map_detects_crushed_relation():
     f = RingMap(p1, p2, [[((0, 1),)], [((0, 1),)]])
     rep = verify_ring_map(f)
     assert not rep.ok
+
+
+def test_ring_map_violations_on_both_sides_of_the_targets_top():
+    p1, p2, p3 = (projective_space(n) for n in (1, 2, 3))
+    line = "multiplicativity fails on degrees (1,1) indices (0,0): f(xy) = {} but f(x)f(y) = {}"
+    # k <= target top < source top: P3 -> P2 with h -> 2h breaks h*h at k = 2,
+    # and the pairs of degree 3 are skipped, where the map is zero
+    f = RingMap(p3, p2, [[((0, 1),)], [((0, 2),)], [((0, 1),)]])
+    # source top < k <= target top: P1 -> P2 with h -> h crushes h^2 = 0
+    g = RingMap(p1, p2, [[((0, 1),)], [((0, 1),)]])
+    for m, expected in ((f, line.format("h^2", "4*h^2")), (g, line.format("0", "h^2"))):
+        assert verify_ring_map(m).violations == (expected,) == dense_ring_map_violations(m)
+
+
+def test_ring_map_reads_no_source_table_above_the_targets_top():
+    # example2's pullback P3xP3 -> (P1)^3 is zero above degree 3, so the check
+    # builds the source tables of degree sum at most 3 and no others
+    with mock.patch.object(catalog, "blowup", lambda data, **kw: data.pullback):
+        f = catalog.build_example2()
+    tables = f.source.tables._tables
+    assert verify_ring_map(f).ok
+    assert {key for key, table in tables.items() if table is not None} == \
+        {(k1, k2) for k1 in range(4) for k2 in range(4 - k1)}
+    assert max(map(sum, tables)) == 6
 
 
 def test_ring_map_shape_validation():
