@@ -31,9 +31,11 @@ from .ring import (
     GradedAlgebra,
     RingMap,
     _Memo,
+    _add_product,
     _cells,
     _checked_class,
     _combine,
+    _compose,
     _coords,
     _require_sound,
     apply_ring_map,
@@ -90,12 +92,10 @@ def truncated_polynomial_algebra(name: str,
 
 
 def _times(a: GradedAlgebra, cell: Cell, k: int, kt: int, t: int) -> Cell:
-    """The cell of x * b_t, read from a's tables: x the degree-k class of
-    cell, b_t the basis class t of degree kt; () past the top degree."""
-    if k + kt > a.top_degree:
-        return ()
-    table = a.tables[(k, kt)]
-    return _combine([(c, table[v][t]) for v, c in cell])
+    """The cell of x * b_t = b_t * x, read from a's row of b_t (a is commutative,
+    `_require_sound`): x the degree-k class of cell, b_t the basis class t of
+    degree kt; () past the top degree."""
+    return () if k + kt > a.top_degree else _compose(cell, a.tables[kt, k][t])
 
 
 def _layout(d: int, blocks: Sequence[tuple[Sequence[Sequence[str]], str]]
@@ -138,18 +138,12 @@ def series(a: GradedAlgebra, terms: Sequence[Element]) -> list[Element]:
     return out
 
 
-def _convolved(a: GradedAlgebra, k: int, pairs, sign: int = 1) -> Element:
-    """sign times the sum of x*y over the pairs (x, y) of Elements of a whose
-    degrees sum to k <= d, read from a's tables into one accumulator."""
+def _convolved(a: GradedAlgebra, k: int, pairs) -> Element:
+    """The sum of x*y over the pairs (x, y) of Elements of a whose degrees sum
+    to k <= d, read from a's tables into one accumulator (`ring._add_product`)."""
     acc = [0] * a.dim(k)
     for x, y in pairs:
-        table = a.tables[x.degree, y.degree]
-        ys = [(j, cj) for j, cj in enumerate(y.coords) if cj]
-        for row, ci in zip(table, x.coords):
-            for j, cj in ys if ci else ():
-                f = sign * ci * cj
-                for t, c in row[j]:
-                    acc[t] += f * c
+        _add_product(acc, a.tables[x.degree, y.degree], x.coords, y.coords)
     return a.element(k, acc)
 
 
@@ -176,7 +170,7 @@ def chern_series_inverse(a: GradedAlgebra, u: Sequence[Element]) -> list[Element
         raise ValueError("total class must have constant term 1")
     v = [a.unit()]
     for k in range(1, a.top_degree + 1):
-        v.append(_convolved(a, k, [(un[i], v[k - i]) for i in range(1, k + 1)], -1))
+        v.append(-_convolved(a, k, [(un[i], v[k - i]) for i in range(1, k + 1)]))
     return v
 
 
@@ -286,7 +280,7 @@ def blowup(data: BlowupInput, *, sign: int = 1,
         if s == r:
             terms = [(S[r], pushed[k][t])]
         else:  # iota^* iota_*(z_t) (x) e^(s-r)
-            back = _combine([(c, pulled[k + r][v]) for v, c in pushed[k][t]])
+            back = _compose(pushed[k][t], pulled[k + r])
             terms = [(S[r] * c, memo[k + r, u, s - r]) for u, c in back]
         return _combine(terms + [
             (-S[r] * S[i] * c, memo[r - i + k, u, i + s - r])

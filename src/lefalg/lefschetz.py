@@ -36,7 +36,7 @@ the chain L^k, omega L^k, omega^2 L^k, ... is the last times omega, divided
 row by row by its gcd (`_image_rank`). omega's columns on degree j, omega*b_i for
 each basis class b_i read from the table (1, j) that L was built from, are formed
 once per HL pass, and no power of omega is formed. Ranks and RREF bases come from
-`linalg`, the one module that works mod P. Each L^k is stored once, as the
+`linalg`'s one exact integer elimination. Each L^k is stored once, as the
 cleared rows of its RREF (`linalg._basis_rows`), the shared unit cells where it
 is all of A^k; `Fraction` vectors are built only when `bases` or `elements` is read.
 
@@ -60,8 +60,8 @@ from .ring import (Element, GradedAlgebra, _blocks, _checked_class, _int_pairing
 class LefschetzData(namedtuple("LefschetzData", "ambient generators rows")):
     """L^k inside A^k for each k: ``generators`` are the coordinate vectors of
     the degree-one generators, ``rows[k]`` the cleared rows D*R_j of the RREF R
-    of L^k, pivot term D first (the shared unit cells when its rank mod P is
-    full); ``bases[k]``, R as `Fraction` vectors, is built from them on each read.
+    of L^k, pivot term D first (the shared unit cells when L^k is all of
+    A^k); ``bases[k]``, R as `Fraction` vectors, is built from them on each read.
     Setting an attribute raises; the instance dict holds only the HL passes
     (`_hl_pass`) and a product's factor records (``_factors``), so fields,
     repr, == and hash are the tuple's.

@@ -9,21 +9,14 @@ constructor coerces each entry with `scalar` and checks the shape.
 Ranks and row-space bases work on integer rows: a `Row` is (t, c) terms, c
 a nonzero int, in any order, as an integral cell of `ring` is. A rank sees
 only the line of a row, so `_int_rows`, the one way from vectors to rows,
-clears denominators by one lcm per list; `_dense` is the one way back. Only
-this module works mod P. The rank is found modulo the prime P = 2^30 - 35,
-the largest below 2^30, so that every residue is one 30-bit CPython digit.
-The rank mod P never exceeds the rank over Q, so when it reaches
-min(rows, cols) it is the exact rank, and a basis of full width is the unit
-rows: the shared unit cells ``((t, 1),)``, one object per position t
+clears denominators by one lcm per list; `_dense` is the one way back. Ranks
+and bases come from one exact row reduction over the integers (`_add_row`),
+whose pivots are primitive integer rows, so no entry is ever a fraction: a
+rank is the number of pivots, and a basis is the pivots back-substituted in
+integers and cleared by one lcm (`_cleared`). A basis of full width is the unit rows:
+the shared unit cells ``((t, 1),)``, one object per position t
 (`_unit_cells`), which `ring` also hands out as the products of unit cells.
-Any other rank or basis comes from a certified modular RREF:
-back-substitution mod P, rational reconstruction of each entry (numerator
-and denominator at most 23,170), and a check in integers that every input
-row is the combination of the candidate's cleared rows that its pivot
-entries name (`_exact_rref`). If an entry has no reconstruction or the
-check fails, Gauss-Jordan elimination over `Fraction` (`rref`) gives the
-answer; a smaller P only sends more inputs there, never to a wrong answer.
-`rref` and `solve` always work over `Fraction`.
+`rref` and `solve` work over `Fraction`.
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
 Row = Sequence[tuple[int, int]]  # (t, c) terms, c a nonzero int, any order
@@ -47,12 +40,6 @@ def _unit_cells(n: int) -> list:
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
-
-# The prime of the rank certificate: the largest below 2^30, so that every
-# residue is a one-digit CPython int (30 bits) and a product of two fits in
-# two digits. The rational reconstruction bound, isqrt(P // 2), is 23,170.
-P = (1 << 30) - 35
-
 
 def scalar(value) -> Fraction:
     """Coerce an int, string or Fraction into an exact rational.
@@ -187,143 +174,85 @@ def _dense(terms: Iterable[tuple[int, int | Fraction]], n: int) -> Vector:
     return tuple(out)
 
 
-def _add_row_mod_p(pivots: dict[int, list[tuple[int, int]]], row: Row,
-                   width: int) -> bool:
-    """Reduce the row mod P against the pivots, add it if nonzero, and
-    return whether it was. ``pivots`` maps each pivot column col, in the
-    order found, to its terms: the nonzero (j, x) terms of a row mod P with
-    a leading 1 in column col and zeros in the pivot columns found before
-    it, so one pass over the pivots in order clears the row, in time
-    proportional to the fill of the pivots it meets. A one-term pivot clears
-    its own column and touches no other, so a row whose every column holds
-    one reduces to zero, and a one-term row (t, c) in a column with no pivot
-    is a pivot as it stands, unless P divides c: neither is densified."""
+def _add_row(pivots: dict[int, list[tuple[int, int]]], row: Row, width: int) -> bool:
+    """Reduce the row against the pivots, add it if nonzero, and return
+    whether it was. ``pivots`` maps each pivot column col, in the order
+    found, to its terms: the nonzero (j, x) terms of a primitive integer row
+    (entries of gcd 1) with a positive leading entry a in column col and
+    zeros in the pivot columns found before it, so one pass over the pivots
+    in order clears the row. A pivot clears the row's entry c in its column:
+    with g = gcd(a, c), the row is scaled by a/g when a does not divide c,
+    and c/g times the pivot is subtracted, so no entry is ever a fraction. A
+    scaled row is then divided by the gcd of its entries, which keeps them
+    from growing with every pivot. A one-term pivot clears its own column
+    and touches no other, so a row whose every column holds one reduces to
+    zero, and a one-term row in a column with no pivot is a pivot as it
+    stands: neither is densified."""
     if len(row) == 1:
         ((t, c),) = row
         if t not in pivots:
-            c %= P
-            if c:
-                pivots[t] = [(t, 1)]
-            return bool(c)
+            pivots[t] = [(t, 1)]
+            return True
     if all(len(pivots.get(t, ())) == 1 for t, _ in row):
         return False
     r = [0] * width
     for t, c in row:
-        r[t] = c % P
+        r[t] = c
     for col, terms in pivots.items():
         c = r[col]
         if c:
+            a = terms[0][1]
+            g = gcd(a, c)
+            if g != a:
+                r = [x * (a // g) for x in r]
+            f = c // g
             for j, x in terms:
-                r[j] = (r[j] - c * x) % P
-    for col, x in enumerate(r):
-        if x:
-            inv = pow(x, -1, P)
-            pivots[col] = [(j, r[j] * inv % P) for j in range(col, width) if r[j]]
-            return True
-    return False
-
-
-def _echelon_mod_p(rows: Iterable[Row], width: int) -> tuple[dict, list]:
-    """Echelon pivots mod P of rows, one `_add_row_mod_p` per nonempty row,
-    and the nonempty rows read: an empty row, the zero row, changes neither
-    the pivots nor the RREF, nor what `_certify` proves. Stops at ``width``
-    pivots, the most there are, so a lazy iterable is read no further than
-    the row that makes the last one."""
-    pivots: dict[int, list[tuple[int, int]]] = {}
-    read = []
-    for row in rows:
-        if row:
-            read.append(row)
-            _add_row_mod_p(pivots, row, width)
-            if len(pivots) == width:
-                break
-    return pivots, read
-
-
-# Rational reconstruction finds n/d with |n|, d <= _BOUND; 2 * _BOUND^2 < P
-# makes it unique (Wang 1981). For P = 2^30 - 35 the bound is 23,170.
-_BOUND = isqrt(P // 2)
-
-
-def _rational_mod_p(x: int) -> Fraction | None:
-    """The n/d with n = d*x mod P and |n|, d <= _BOUND, or None: the
-    extended Euclidean algorithm on (P, x), stopped at the first remainder
-    within the bound."""
-    r0, r1, t0, t1 = P, x, 0, 1
-    while r1 > _BOUND:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if not 0 < abs(t1) <= _BOUND:
-        return None
-    return Fraction(r1, t1)
-
-
-def _certify(rows: Sequence[Row], cleared: Sequence[Row]) -> bool:
-    """Whether D*a = sum_j a[p_j] * (D*R_j) for every row a.
-
-    R is a candidate RREF, given as its cleared integer rows D*R_j, D the
-    lcm of its denominators, each with its terms in column order, so the
-    first term of D*R_j is its pivot, D, in its pivot column p_j. Both sides
-    agree in the pivot columns by construction, so only the terms outside
-    them are compared, in exact integer arithmetic. When the check holds,
-    the row space of A lies in that of R.
-    """
-    scale = cleared[0][0][1] if cleared else 1
-    pivot_columns = [row[0][0] for row in cleared]
-    pivots = set(pivot_columns)
-    free = [[(c, x) for c, x in row if c not in pivots] for row in cleared]
-    for row in rows:
-        a = dict(row)
-        acc = {c: -scale * x for c, x in row if c not in pivots}
-        for p, terms in zip(pivot_columns, free):
-            f = a.get(p)
-            if f:
-                for c, x in terms:
-                    acc[c] = acc.get(c, 0) + f * x
-        if any(acc.values()):
-            return False
+                r[j] -= f * x
+            if g != a and (h := gcd(*r)) > 1:
+                r = [x // h for x in r]
+    g = gcd(*r)
+    if not g:
+        return False
+    col = next(j for j, x in enumerate(r) if x)
+    g = g if r[col] > 0 else -g
+    pivots[col] = [(j, x // g) for j, x in enumerate(r[col:], col) if x]
     return True
 
 
-def _exact_rref(rows: Sequence[Row], width: int, pivots: dict[int, list[tuple[int, int]]]
-                ) -> list[Row]:
-    """The cleared integer rows D*R_j of the RREF R of the span of rows, each
-    with its pivot term, D, first, from all their echelon pivots mod P: the
-    certified modular RREF, else `rref` over Fraction.
+def _echelon(rows: Iterable[Row], width: int) -> dict[int, list[tuple[int, int]]]:
+    """Echelon pivots of rows, one `_add_row` per row: an empty row, the zero
+    row, changes nothing. Stops at ``width`` pivots, the most there are, so a
+    lazy iterable is read no further than the row that makes the last one."""
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for row in rows:
+        if _add_row(pivots, row, width) and len(pivots) == width:
+            break
+    return pivots
 
-    1. Back-substitution turns the pivots into the RREF mod P.
-    2. Each entry is rebuilt by rational reconstruction, giving a
-       candidate R; its 1s and 0s in the pivot columns are exact. Its rows
-       times D, the lcm of the denominators, are the cleared rows D*R_j.
-    3. `_certify` checks on D*R that the row space of A lies in that of R.
-       The rank mod P never exceeds the rank over Q, so rank A >= rank R,
-       the two row spaces are equal, and R, a matrix in RREF, is rref(A): a
-       row space has one RREF.
-    4. If an entry has no reconstruction or the check fails, elimination
-       over Fraction gives R, cleared by `_int_rows`.
-    """
-    cols = list(pivots)
-    red = [[0] * width for _ in cols]
-    for row, terms in zip(red, pivots.values()):
-        for j, x in terms:
-            row[j] = x
-    for i in range(len(cols) - 1, 0, -1):
-        col, below = cols[i], red[i]
-        for j in range(i):
-            c = red[j][col]
+
+def _cleared(pivots: dict[int, list[tuple[int, int]]], width: int) -> list[Row]:
+    """The cleared integer rows D*R_j of the RREF R of the span of the pivots,
+    in column order, each with its pivot term, D, first. Back-substitution in
+    integers, last pivot column first, clears each pivot row in the columns of
+    the rows below it as `_add_row` does and divides it by the gcd of its
+    entries. A primitive row with leading entry a_j is a_j * R_j, and a_j is
+    the lcm of the denominators of R_j, so D is the lcm of the a_j."""
+    red: dict[int, list[int]] = {}
+    for col in sorted(pivots, reverse=True):
+        r = [0] * width
+        for j, x in pivots[col]:
+            r[j] = x
+        for p, below in red.items():
+            c = r[p]
             if c:
-                red[j] = [(x - c * y) % P for x, y in zip(red[j], below)]
-    order = sorted(range(len(cols)), key=cols.__getitem__)
-    seen = {x: _rational_mod_p(x) for x in set().union(*red)}
-    if None not in seen.values():
-        scale = lcm(*(f.denominator for f in seen.values()))
-        whole = {x: f.numerator * (scale // f.denominator) for x, f in seen.items()}
-        cleared = [[(j, v) for j, x in enumerate(red[i]) if (v := whole[x])]
-                   for i in order]
-        if _certify(rows, cleared):
-            return cleared
-    res = rref(Matrix(len(rows), width, [_dense(row, width) for row in rows]))
-    return _int_rows(res.reduced.row(i) for i in range(res.rank))
+                a = below[p]
+                g = gcd(a, c)
+                r = [x * (a // g) - y * (c // g) for x, y in zip(r, below)]
+        g = gcd(*r)
+        red[col] = [x // g for x in r] if g > 1 else r
+    scale = lcm(*(r[col] for col, r in red.items()))
+    return [[(j, x * (scale // r[col])) for j, x in enumerate(r) if x]
+            for col, r in sorted(red.items())]
 
 
 def _rref_vectors(cleared: Iterable[Row], width: int) -> list[Vector]:
@@ -331,25 +260,19 @@ def _rref_vectors(cleared: Iterable[Row], width: int) -> list[Vector]:
     return [_dense([(t, Fraction(c, row[0][1])) for t, c in row], width) for row in cleared]
 
 
-def _rank(rows: Sequence[Row], width: int) -> int:
-    """Rank of rows of the given width: the rank mod P when it is
-    min(rows, width), else the number of cleared rows of the exact RREF."""
-    full = min(len(rows), width)
-    pivots, _ = _echelon_mod_p(rows, width)
-    if len(pivots) == full:
-        return full
-    return len(_exact_rref(rows, width, pivots))
+def _rank(rows: Iterable[Row], width: int) -> int:
+    """Rank of rows of the given width: the number of their echelon pivots."""
+    return len(_echelon(rows, width))
 
 
 def _basis_rows(rows: Iterable[Row], width: int) -> Sequence[Row]:
-    """The cleared rows (`_exact_rref`) of the canonical (RREF) basis of the
-    span of rows, read lazily; the first width shared unit cells when the
-    span is all of Q^width, whose RREF basis is the unit rows and needs no
-    exact elimination."""
-    pivots, read = _echelon_mod_p(rows, width)
+    """The cleared rows (`_cleared`) of the canonical (RREF) basis of the span
+    of rows, read lazily; the first width shared unit cells when the span is
+    all of Q^width, whose RREF basis is the unit rows."""
+    pivots = _echelon(rows, width)
     if len(pivots) == width:
         return _unit_cells(width)[:width]
-    return _exact_rref(read, width, pivots)
+    return _cleared(pivots, width)
 
 
 def solve(a: Matrix, b: Sequence) -> Vector | None:

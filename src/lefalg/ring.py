@@ -21,7 +21,7 @@ ints; the tables record each pair whose cells all do (``ints``). Cells are what 
 (`RingMap.images`) and the file format read; `GradedAlgebra.products` is a
 dense view. An integral cell is a `linalg.Row`, so the generator search, the
 pairing ranks and the Lefschetz stage hand the cells of `_int_table` to
-`linalg`, the one module that works mod P. A `tensor_product` keeps its factor
+`linalg`, the one module that eliminates. A `tensor_product` keeps its factor
 algebras (``_factors``), from which the Lefschetz stage reads it and
 `verify_algebra` verifies it (Kunneth).
 
@@ -45,7 +45,7 @@ from .linalg import (
     Matrix,
     Row,
     Vector,
-    _add_row_mod_p,
+    _add_row,
     _dense,
     _int_rows,
     _rank,
@@ -447,18 +447,21 @@ def multiply(x: Element, y: Element) -> Element:
     k = x.degree + y.degree
     if k > a.top_degree:
         return a.zero(k)
-    table = a.tables[(x.degree, y.degree)]
     acc = [0] * a.dim(k)
-    ys = [(j, cj) for j, cj in enumerate(y.coords) if cj]
-    for i, ci in enumerate(x.coords):
-        if not ci:
-            continue
-        row = table[i]
-        for j, cj in ys:
+    _add_product(acc, a.tables[x.degree, y.degree], x.coords, y.coords)
+    return Element(a, k, _coords(acc))
+
+
+def _add_product(acc: list, table: Sequence, x: Sequence, y: Sequence) -> None:
+    """Add the coordinates of x*y to acc, x and y the coordinate vectors of two
+    classes whose degrees' table is ``table``: one cell per pair of nonzero
+    coordinates."""
+    ys = [(j, cj) for j, cj in enumerate(y) if cj]
+    for row, ci in zip(table, x):
+        for j, cj in ys if ci else ():
             f = ci * cj
             for t, c in row[j]:
                 acc[t] += f * c
-    return Element(a, k, _coords(acc))
 
 
 def integrate(x: Element) -> Fraction:
@@ -512,11 +515,10 @@ def _generators(a: GradedAlgebra) -> tuple[list[list[int]], dict]:
 
     W^k is spanned by the cells s*b for s in S_j and b a basis class of
     degree k-j, 1 <= j < k; S_k takes each basis class that raises the
-    rank of W^k mod P (`_add_row_mod_p` on the cells of `_int_table` and the
-    shared unit cells, which are rows as they are). The rank over Q is at
-    least the rank mod P, so the kept cells, those that raised it, and S_k
-    span degree k, and by induction on k every class is a sum of products
-    of the unit and classes of S. No fallback is needed.
+    rank of W^k (`_add_row` on the cells of `_int_table` and the shared unit
+    cells, which are rows as they are). So the kept cells, those that raised
+    it, and S_k span degree k, and by induction on k every class is a sum of
+    products of the unit and classes of S.
 
     The pairs are ``{(k1, k2): [(i, j), ...]}``, sorted: every kept pair
     (s, b) and every ordered pair of generators with k1 + k2 <= d.
@@ -532,10 +534,10 @@ def _generators(a: GradedAlgebra) -> tuple[list[list[int]], dict]:
             table = _int_table(a, j, k - j)
             for s in gens[j]:
                 for b, cell in enumerate(table[s]):
-                    if cell and len(pivots) < n and _add_row_mod_p(pivots, cell, n):
+                    if cell and len(pivots) < n and _add_row(pivots, cell, n):
                         pairs.setdefault((j, k - j), set()).add((s, b))
         gens.append([i for i, unit in enumerate(_unit_cells(n)[:n])
-                     if _add_row_mod_p(pivots, unit, n)])
+                     if _add_row(pivots, unit, n)])
     for k1 in range(1, d + 1):
         for k2 in range(1, d + 1 - k1):
             if gens[k1] and gens[k2]:

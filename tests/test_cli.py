@@ -112,7 +112,7 @@ def test_report_json_deterministic(capsys):
 
 def test_report_json_of_a_product_from_its_factors_is_pinned(capsys):
     # example1xexample3 is analysed from its factors; tests/data holds the
-    # bytes its elimination prints, four fallbacks to rref included
+    # bytes its elimination prints, the kernels of its primitive dims included
     path = os.path.join(os.path.dirname(__file__), "data", "example1xexample3.report.json")
     with open(path, encoding="utf-8") as fh:
         expected = fh.read()

@@ -18,9 +18,11 @@ from lefalg.lefschetz import (LefschetzData, _image_rank, _int_gram,
                               check_hard_lefschetz,
                               check_poincare_duality, check_symmetry,
                               lefschetz_subalgebra, primitive_dims)
-from lefalg.linalg import P, Matrix, _dense, _rank
+from lefalg.linalg import Matrix, _dense, _rank
 from lefalg.ring import (GradedAlgebra, _integral, integrate, multiply,
                          tensor_product, verify_algebra)
+
+P = (1 << 30) - 35  # a large prime: P2-p's h*h = P*q vanishes mod P, but not over Q
 
 
 def test_pinned_lefschetz_dims():
@@ -587,58 +589,43 @@ def test_a_pairing_is_read_from_the_table_only_where_both_degrees_are_full():
     assert check_poincare_duality(lef).witness == "k=0: rank 0 of 1"
 
 
-def test_a_whole_algebra_reaches_the_exact_fallback(monkeypatch):
-    # P2 with h*h = P*q and integral q = 1: h*h vanishes mod P, so every rank
-    # mod P that involves it falls short and rref runs; omega^2 = P*q is
-    # divided by its gcd, so the hard Lefschetz maps never need it
+def test_a_whole_algebra_reaches_the_exact_fallback():
+    # P2 with h*h = P*q and integral q = 1: h*h vanishes mod P, so a rank of
+    # L^2 or of the pairing at k = 1 found mod P would fall short, but over Q
+    # every rank is full and every predicate holds
     one = ((0, 1),)
     tables = {(0, 0): [[one]], (0, 1): [[one]], (1, 0): [[one]],
               (0, 2): [[one]], (2, 0): [[one]], (1, 1): [[((0, P),)]]}
     a = GradedAlgebra("P2-p", [["1"], ["h"], ["q"]], tables, [1])
     omega = a.element(1, [1])
-    calls = []
-    real = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
-
-    def rref_calls(f, *args):
-        calls.clear()
-        return f(*args), len(calls)
-
-    lef, n = rref_calls(lefschetz_subalgebra, a)
-    assert (lef.dims, n) == ((1, 1, 1), 1)  # L^2
-    pd, n = rref_calls(check_poincare_duality, lef)
-    assert pd.passed and n == 1  # the pairing at k = 1
-    hl, n = rref_calls(check_hard_lefschetz, lef, omega)
-    assert hl.passed and n == 0
-    prim, n = rref_calls(primitive_dims, lef, omega)
-    assert prim == ((1, 0), True) and n == 0
+    lef = lefschetz_subalgebra(a)
+    assert lef.dims == (1, 1, 1)
+    assert check_poincare_duality(lef).passed
+    assert check_hard_lefschetz(lef, omega).passed
+    assert primitive_dims(lef, omega) == ((1, 0), True)
     assert check_symmetry(lef).passed
-    report, n = rref_calls(verify_algebra, a)
-    assert report.ok and n == 1  # the pairing at k = 1
-    _, n = rref_calls(tensor_product, a, a)
-    # one pairing check per distinct factor: a is both factors, so it is checked once
-    assert n == 1
+    assert verify_algebra(a).ok
+    assert tensor_product(a, a).dims == (1, 2, 3, 2, 1)
 
 
 # every catalog name, the rungs of the in-process ladder benchmark, and three
 # larger algebras: Gr(4, 9), the 480 classes of example3 x P1^4 and the 420 of
-# example1 x example3, whose product record reaches no fallback (its
-# elimination does, in the kernels of its primitive dims)
+# example1 x example3, whose product record is read from its factors (its
+# elimination ranks the kernels of its primitive dims)
 _REAL = names() + ["Gr-3-8", "P2xP2xP2xP2", "Gr-2-5xGr-2-5xP1", "x".join(["P1"] * 8),
                    "example2xP1xP1", "Gr-4-9", "example3xP1xP1xP1xP1",
                    "example1xexample3"]
 
 
 def test_real_inputs_never_reach_the_exact_fallback(monkeypatch):
-    # every certified modular RREF of a real input reconstructs within
-    # isqrt(P // 2) and certifies, so rref never runs; a failure here is the
-    # sign that the reconstruction bound needs more primes
+    # ranks and bases of real inputs come from the integer elimination, and
+    # rref over Fraction never runs
     entries = [get(name) for name in _REAL]  # built first: blowups solve over Fraction
     calls, exact = [], []
-    real, real_exact = linalg.rref, linalg._exact_rref
+    real, real_cleared = linalg.rref, linalg._cleared
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
-    monkeypatch.setattr(linalg, "_exact_rref",
-                        lambda *args: exact.append(args) or real_exact(*args))
+    monkeypatch.setattr(linalg, "_cleared",
+                        lambda *args: exact.append(args) or real_cleared(*args))
     for entry in entries:
         lef = lefschetz_subalgebra(entry.algebra)
         check_symmetry(lef)
@@ -647,7 +634,7 @@ def test_real_inputs_never_reach_the_exact_fallback(monkeypatch):
         primitive_dims(lef, entry.omega)
         verify_algebra(entry.algebra)
         assert not calls, entry.name
-    assert exact  # the certified modular RREF itself ran
+    assert exact  # the integer back-substitution itself ran
 
 
 def _p2(name, hh, top):
@@ -680,8 +667,8 @@ def _oracle_input(kind, name):
 
 
 # every catalog name (the three counterexamples among them, with their
-# catalog omega), rescaled and half-cell tables, and P2-p, which reaches the
-# exact fallback
+# catalog omega), rescaled and half-cell tables, and P2-p, whose h*h vanishes
+# mod P = 2^30 - 35
 @pytest.mark.parametrize("kind,name", [("catalog", n) for n in names()] + [
     (kind, n) for kind in ("rescaled", "half") for n in ("example1", "example3", "P1xP2")
 ] + [("P2", "P2-half"), ("P2", "P2-p")])
@@ -835,8 +822,6 @@ _KUNNETH = [("P2xP2xP2xP2", ["P2"] * 4), ("Gr-2-5xGr-2-5xP1", ["Gr-2-5", "Gr-2-5
 
 @pytest.mark.parametrize("name,factors", _KUNNETH)
 def test_the_kunneth_oracle_agrees_with_both_paths(name, factors):
-    # example2xexample3's eliminated primitive dims take about 5 s: their
-    # kernel ranks fall back to rref over Fraction
     pytest.importorskip("sympy")
     from _oracles import kunneth_lefschetz
     entry = get(name)

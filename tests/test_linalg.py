@@ -8,8 +8,12 @@ import pytest
 
 from _oracles import identity, kernel, row_space_basis, sympy_basis
 from lefalg import linalg
-from lefalg.linalg import (P, Matrix, dot, format_rational, parse_rational, rref, scalar,
+from lefalg.linalg import (Matrix, dot, format_rational, parse_rational, rref, scalar,
                            solve, vadd, vector)
+
+# A large prime: rows that vanish or agree mod P would fool a rank found mod P,
+# so they check that the integer elimination is exact.
+P = (1 << 30) - 35
 
 
 def test_parse_rational_accepts_integers_and_fractions():
@@ -104,6 +108,10 @@ def test_row_space_rank_and_basis():
     assert _cleared_basis(linalg._int_rows(vs), 3) == linalg._int_rows(basis)
     assert row_space_basis([]) == _cleared_basis([], 3) == []
     assert _rank([], 3) == 0
+    vs = [[1, 2, 3, 4, 0], [2, 4, 6, 8, 0], [0, 0, 1, 5, 7], [1, 2, 4, 9, 7]]
+    assert _rank(vs, 5) == 2
+    assert _cleared_basis(linalg._int_rows(vs), 5) == [[(0, 1), (1, 2), (3, -11), (4, -21)],
+                                                      [(2, 1), (3, 5), (4, 7)]]
 
 
 def test_solve_unique_and_underdetermined():
@@ -160,46 +168,37 @@ def test_row_space_rank_matches_sympy():
         assert _rank(vectors, cols) == oracle, vectors
 
 
-@pytest.mark.parametrize("vectors, mod_p", [
-    ([[P, 0], [0, 1]], 1),                  # a row that vanishes mod P
-    ([[1, 1], [1, 1 + P]], 1),              # rows that agree mod P
-    ([[Fraction(1, P), 1], [1, 0]], 1),     # clearing 1/P makes the rows agree
-    ([[0, 1], [2 * P, 0]], 1),              # a one-term row (0, 2P) in an empty column
-    ([[1, 0, 0], [0, 1, 0], [3, -2, 0], [0, 0, P]], 2),  # a row on one-term pivots
-    ([[1, 1, 0], [1, 0, 0], [0, 0, P]], 2),  # a one-term row on a multi-term pivot
+@pytest.mark.parametrize("vectors", [
+    [[P, 0], [0, 1]],                  # a row that vanishes mod P
+    [[1, 1], [1, 1 + P]],              # rows that agree mod P
+    [[Fraction(1, P), 1], [1, 0]],     # clearing 1/P makes the rows agree mod P
+    [[0, 1], [2 * P, 0]],              # a one-term row (0, 2P) in an empty column
+    [[1, 0, 0], [0, 1, 0], [3, -2, 0], [0, 0, P]],  # a row on one-term pivots
+    [[1, 1, 0], [1, 0, 0], [0, 0, P]],  # a one-term row on a multi-term pivot
 ], ids=["p-row", "rows-equal-mod-p", "denominator-p", "2p-row", "on-unit-pivots",
         "unit-on-multi-term-pivot"])
-def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors, mod_p, monkeypatch):
+def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(vectors):
+    # rows whose rank mod P falls short have their rank over Q, and the unit
+    # rows as their basis, however the rows and their terms are ordered
     pytest.importorskip("sympy")
     cols = len(vectors[0])
     rows = linalg._int_rows(vectors)
-    pivots, _ = linalg._echelon_mod_p(rows, cols)
-    assert len(pivots) == mod_p
     unit = [tuple(Fraction(int(i == j)) for j in range(cols)) for i in range(cols)]
     assert sympy_basis(vectors, cols) == unit
     assert _rank(vectors, cols) == cols
     assert _cleared_basis(rows, cols) == linalg._int_rows(unit)
-    # the rows and their terms in any order: the same answers, and rref runs
-    # exactly when it runs for the rows as given, once for the rank and once
-    # for the basis
-    calls = []
-    real = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
     rng = random.Random(30)
     for order in itertools.permutations(range(len(rows))):
         fed = [rng.sample(rows[i], len(rows[i])) for i in order]
-        calls.clear()
         assert linalg._rank(fed, cols) == cols
         assert _cleared_basis(fed, cols) == linalg._int_rows(unit)
-        assert len(calls) == 2
 
 
 def test_zero_rows_are_skipped_and_change_no_rank_or_basis():
     # a zero row is the empty row: it has no nonzero terms
     one, two = [(0, 1), (1, 2), (2, 3)], [(2, 6), (0, 2), (1, 4)]
     rows = [[], one, [], two, []]
-    pivots, read = linalg._echelon_mod_p(iter(rows), 3)
-    assert len(pivots) == 1 and read == [one, two]
+    assert linalg._echelon(iter(rows), 3) == {0: one}
     assert linalg._rank(rows, 3) == 1
     assert _cleared_basis(iter(rows), 3) == [one]
     assert _cleared_basis(iter([[]] * 3), 2) == []
@@ -215,8 +214,8 @@ def test_echelon_stops_reading_at_width_pivots():
             read.append(row)
             yield row
 
-    pivots, kept = linalg._echelon_mod_p(rows(), 2)
-    assert len(pivots) == 2 and kept == read == [[(0, 1), (1, 1)], [(1, 2)]]
+    pivots = linalg._echelon(rows(), 2)
+    assert len(pivots) == 2 and read == [[(0, 1), (1, 1)], [(1, 2)]]
     read.clear()
     basis = linalg._basis_rows(rows(), 2)
     assert len(read) == 2
@@ -246,23 +245,6 @@ def test_full_width_basis_shortcut_matches_rref():
             linalg._int_rows(res.reduced.row(i) for i in range(res.rank)), rows
 
 
-def test_rref_runs_exactly_when_the_rank_mod_p_is_short(monkeypatch):
-    # the exact elimination (certified modular RREF, else rref) runs exactly
-    # when the rank mod P falls short of min(rows, cols)
-    calls = []
-    real = linalg._exact_rref
-    monkeypatch.setattr(linalg, "_exact_rref",
-                        lambda *args: calls.append(args) or real(*args))
-    rng = random.Random(61)
-    for _ in range(100):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        rank = rng.randint(0, min(rows, cols))
-        vectors = _random_rows(rng, rows, cols, rank, rng.random() < 0.5)
-        calls.clear()
-        got = _rank(vectors, cols)
-        assert bool(calls) == (got < min(rows, cols)), vectors
-
-
 def test_matrix_constructor_rejects_floats_and_results_stay_exact():
     with pytest.raises(TypeError):
         Matrix(1, 2, [[1, 0.5]])
@@ -273,35 +255,22 @@ def test_matrix_constructor_rejects_floats_and_results_stay_exact():
         assert all(type(x) is Fraction for row in result.entries for x in row)
 
 
-def test_a_corrupted_candidate_fails_the_certificate():
-    # the certificate reads a candidate as its cleared integer rows D*R_j
-    vectors = [[1, 2, 3, 4, 0], [2, 4, 6, 8, 0], [0, 0, 1, 5, 7], [1, 2, 4, 9, 7]]
+def test_large_rref_entries_need_no_rref(monkeypatch):
+    # a dense 12 x 10 integer matrix of rank 8, whose RREF entries are ratios
+    # of 8 x 8 minors of about 100 bits: the integer elimination finds its rank
+    # and basis, sympy's, and never calls rref over Fraction
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    right = [[rng.randint(-5000, 5000) for _ in range(10)] for _ in range(8)]
+    left = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(12)]
+    vectors = [[sum(x * row[c] for x, row in zip(coeffs, right)) for c in range(10)]
+               for coeffs in left]
+    want = sympy_basis(vectors, 10)
+    assert len(want) == sympy.Matrix(vectors).rank() == 8
+    assert max(max(abs(x.numerator), x.denominator) for v in want for x in v) > 2 ** 95
+    calls, real = [], linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
     rows = linalg._int_rows(vectors)
-    res = rref(Matrix(len(vectors), 5, vectors))
-    reduced = [res.reduced.row(i) for i in range(res.rank)]
-    assert res.rank == 2
-    assert linalg._certify(rows, linalg._int_rows(reduced))
-    # any one entry off the pivot columns moved, or a row dropped, fails
-    for i, row in enumerate(reduced):
-        for c in set(range(5)) - set(res.pivot_columns):
-            bad = list(reduced)
-            bad[i] = row[:c] + (row[c] + Fraction(1, 3),) + row[c + 1:]
-            assert not linalg._certify(rows, linalg._int_rows(bad)), (i, c)
-        rest = [r for j, r in enumerate(reduced) if j != i]
-        assert not linalg._certify(rows, linalg._int_rows(rest))
-
-
-def test_a_wrong_reconstruction_falls_back_to_rref(monkeypatch):
-    # every entry rebuilt one too large: the certificate rejects the
-    # candidate and the answer comes from rref all the same
-    rows = [[1, 2, 3, 4, 0], [2, 4, 6, 8, 0], [0, 0, 1, 5, 7], [1, 2, 4, 9, 7]]
-    want = [(Fraction(1), Fraction(2), Fraction(0), Fraction(-11), Fraction(-21)),
-            (Fraction(0), Fraction(0), Fraction(1), Fraction(5), Fraction(7))]
-    real_reconstruct, real_rref = linalg._rational_mod_p, linalg.rref
-    calls = []
-    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real_rref(m))
-    rows, want = linalg._int_rows(rows), linalg._int_rows(want)
-    assert _cleared_basis(rows, 5) == want and not calls
-    monkeypatch.setattr(linalg, "_rational_mod_p",
-                        lambda x: real_reconstruct(x) + 1)
-    assert _cleared_basis(rows, 5) == want and len(calls) == 1
+    assert linalg._rank(rows, 10) == 8
+    assert _cleared_basis(rows, 10) == linalg._int_rows(want)
+    assert not calls
